@@ -3,8 +3,9 @@
 The symbolic core (`polyalg`, `poisson`, `catalog`, `reduction`, `bogo`,
 `moser`) works over exact rational or Gaussian-rational coefficients, so every
 algebraic identity is checked as a polynomial zero.  The `flows` module
-compiles polynomial vector fields to float kernels (numba-accelerated with a
-pure-numpy fallback) for numerical integration.
+compiles polynomial vector fields to float arrays, integrates them with one
+numpy RK4 kernel (`_kernels`) and monitors the conserved traces of the Lax
+matrix.
 """
 
 __version__ = "0.1.0"

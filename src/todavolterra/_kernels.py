@@ -1,67 +1,70 @@
-"""Float kernels for integrating compiled polynomial vector fields.
+"""RK4 kernel for compiled polynomial vector fields.
 
 A compiled field is a CSR-style triple (coefs, expts, comp_ptr): component i
 is the sum of coefs[t] * prod_v x_v**expts[t, v] over t in
-[comp_ptr[i], comp_ptr[i+1]).  The RK4 loop over these arrays is the hot
-path; it is JIT-compiled with numba when available and falls back to a pure
-numpy implementation.  Setting TODAVOLTERRA_NO_NUMBA=1 in the environment
-forces the numpy path.
+[comp_ptr[i], comp_ptr[i+1]).
 
-Both backends are importable side by side (the benchmark compares them); the
-module-level `rk4_integrate` / `eval_field` names point at the selected one.
+The kernel evaluates it in gather form.  `factor_table` keeps, for each term,
+only the variables it uses and their exponents, padded to a common width
+with a factor x_0**0 == 1; every catalog flow has width <= 2.  A field
+evaluation then gathers a [nnz, width] table of values, raises it to the
+exponents, takes the product of each row and scatter-adds the terms into
+their components with `np.bincount`, so it costs O(nnz * width) instead of
+the O(nnz * dim) of the dense `prod(x**expts)`.  Terms are summed in the same
+order as in the dense form, and a product of at most two factors other than
+1 does not depend on where the ones sit, so for width <= 2 the values are
+bit-identical to the dense form's.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "TODAVOLTERRA_NO_NUMBA"
+
+def factor_table(expts: np.ndarray, comp_ptr: np.ndarray):
+    """Gather-form tables (idx, pows, comp) of a compiled field.
+
+    Row t of idx / pows holds the variables term t uses, in increasing
+    order, and their exponents (as floats, the type `np.power` computes
+    in); unused slots hold variable 0 with exponent 0.  comp[t] is the
+    component term t belongs to.
+    """
+    nnz = expts.shape[0]
+    rows, cols = np.nonzero(expts)
+    counts = np.bincount(rows, minlength=nnz)
+    width = int(counts.max()) if nnz else 0
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((nnz, width), dtype=np.intp)
+    pows = np.zeros((nnz, width))
+    idx[rows, slot] = cols
+    pows[rows, slot] = expts[rows, cols]
+    comp = np.repeat(np.arange(len(comp_ptr) - 1), np.diff(comp_ptr))
+    return idx, pows, comp
 
 
-def _numba_requested() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip() not in ("1", "true", "yes")
+def _field(coefs, idx, pows, comp, n_comp, x):
+    mono = np.multiply.reduce(np.power(x[idx], pows), axis=1)
+    return np.bincount(comp, weights=coefs * mono, minlength=n_comp)
 
 
-try:  # pragma: no cover - exercised via backend tests
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAS_NUMBA = False
-
-
-# ------------------------------------------------------------- numpy backend
-
-
-def eval_field_numpy(coefs, expts, comp_ptr, x):
+def eval_field(coefs, expts, comp_ptr, x):
     """Evaluate all components at one point x (shape [dim])."""
-    if len(coefs) == 0:
-        return np.zeros(len(comp_ptr) - 1)
-    mono = np.prod(np.power(x[None, :], expts), axis=1)
-    vals = coefs * mono
-    comp_idx = np.repeat(
-        np.arange(len(comp_ptr) - 1), np.diff(comp_ptr)
-    )
-    return np.bincount(comp_idx, weights=vals, minlength=len(comp_ptr) - 1)
+    idx, pows, comp = factor_table(expts, comp_ptr)
+    return _field(coefs, idx, pows, comp, len(comp_ptr) - 1, x)
 
 
-def eval_poly_many_numpy(coefs, expts, states):
-    """Evaluate one polynomial (single component) at many points [T, dim]."""
-    if len(coefs) == 0:
-        return np.zeros(states.shape[0])
-    mono = np.prod(states[:, None, :] ** expts[None, :, :], axis=2)
-    return mono @ coefs
-
-
-def rk4_integrate_numpy(coefs, expts, comp_ptr, x0, h, n_steps, stride):
+def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride):
     """Fixed-step RK4; records every `stride`-th state (including x0).
 
     Returns (states, n_completed): integration stops early if the state
     leaves float range, with n_completed the number of finished steps.
     """
+    idx, pows, comp = factor_table(expts, comp_ptr)
+    n_comp = len(comp_ptr) - 1
+
+    def f(x):
+        return _field(coefs, idx, pows, comp, n_comp, x)
+
     dim = len(x0)
     n_rec = n_steps // stride + 1
     out = np.empty((n_rec, dim))
@@ -69,92 +72,14 @@ def rk4_integrate_numpy(coefs, expts, comp_ptr, x0, h, n_steps, stride):
     x = x0.astype(float).copy()
     rec = 1
     for step in range(n_steps):
-        k1 = eval_field_numpy(coefs, expts, comp_ptr, x)
-        k2 = eval_field_numpy(coefs, expts, comp_ptr, x + 0.5 * h * k1)
-        k3 = eval_field_numpy(coefs, expts, comp_ptr, x + 0.5 * h * k2)
-        k4 = eval_field_numpy(coefs, expts, comp_ptr, x + h * k3)
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return out[:rec], step
         if (step + 1) % stride == 0:
             out[rec] = x
             rec += 1
     return out[:rec], n_steps
-
-
-# ------------------------------------------------------------- numba backend
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=False)
-    def _eval_field_nb(coefs, expts, comp_ptr, x, out):  # pragma: no cover - jit
-        n_comp = comp_ptr.shape[0] - 1
-        for i in range(n_comp):
-            acc = 0.0
-            for t in range(comp_ptr[i], comp_ptr[i + 1]):
-                term = coefs[t]
-                for v in range(x.shape[0]):
-                    e = expts[t, v]
-                    for _ in range(e):
-                        term *= x[v]
-                acc += term
-            out[i] = acc
-
-    @numba.njit(cache=False)
-    def rk4_integrate_numba(coefs, expts, comp_ptr, x0, h, n_steps, stride):  # pragma: no cover - jit
-        dim = x0.shape[0]
-        n_rec = n_steps // stride + 1
-        out = np.empty((n_rec, dim))
-        for v in range(dim):
-            out[0, v] = x0[v]
-        x = x0.copy()
-        k1 = np.empty(dim)
-        k2 = np.empty(dim)
-        k3 = np.empty(dim)
-        k4 = np.empty(dim)
-        tmp = np.empty(dim)
-        rec = 1
-        for step in range(n_steps):
-            _eval_field_nb(coefs, expts, comp_ptr, x, k1)
-            for v in range(dim):
-                tmp[v] = x[v] + 0.5 * h * k1[v]
-            _eval_field_nb(coefs, expts, comp_ptr, tmp, k2)
-            for v in range(dim):
-                tmp[v] = x[v] + 0.5 * h * k2[v]
-            _eval_field_nb(coefs, expts, comp_ptr, tmp, k3)
-            for v in range(dim):
-                tmp[v] = x[v] + h * k3[v]
-            _eval_field_nb(coefs, expts, comp_ptr, tmp, k4)
-            ok = True
-            for v in range(dim):
-                x[v] = x[v] + (h / 6.0) * (k1[v] + 2.0 * k2[v] + 2.0 * k3[v] + k4[v])
-                if not np.isfinite(x[v]):
-                    ok = False
-            if not ok:
-                return out[:rec], step
-            if (step + 1) % stride == 0:
-                for v in range(dim):
-                    out[rec, v] = x[v]
-                rec += 1
-        return out[:rec], n_steps
-
-    def eval_field_numba(coefs, expts, comp_ptr, x):
-        out = np.empty(len(comp_ptr) - 1)
-        _eval_field_nb(coefs, expts, comp_ptr, np.asarray(x, dtype=float), out)
-        return out
-
-else:  # pragma: no cover
-    rk4_integrate_numba = None
-    eval_field_numba = None
-
-
-# ------------------------------------------------------------ backend choice
-
-if HAS_NUMBA and _numba_requested():
-    BACKEND = "numba"
-    rk4_integrate = rk4_integrate_numba
-    eval_field = eval_field_numba
-else:
-    BACKEND = "numpy"
-    rk4_integrate = rk4_integrate_numpy
-    eval_field = eval_field_numpy

@@ -278,9 +278,10 @@ def chain_rule_identity_holds(rd: RootData) -> bool:
 def volterra_form(rd: RootData):
     """Recorded diagonal change taking the X-system to a Volterra lattice.
 
-    Returns (target_variables, substitution, field) where `substitution` maps
-    each target variable a_i to +-1 or +-2 times an edge variable, determined
-    once at low rank and fixed as regression data:
+    Returns (target_variables, substitution), or None for type D and rank
+    one, where `substitution` maps each target variable a_i to +-1 or +-2
+    times an edge variable, determined once at low rank and fixed as
+    regression data:
 
     * type A, rank m+1: a_i = -y_i          -> a_i' = a_i (a_{i-1} - a_{i+1})
     * type B, rank m+1: a_m = y_1, a_i = 2 y_{m+1-i} (i < m)   -> B-type form

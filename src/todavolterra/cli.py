@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -366,7 +367,7 @@ def _cmd_simulate(args) -> int:
             "h": args.h,
             "seed": args.seed,
             "x0": [float(x) for x in x0],
-            "backend": flows.backend_name(),
+            "backend": "numpy",
             "monitors": report.to_json_dict(),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -460,6 +461,22 @@ def _cmd_moser(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
+def _positive(kind):
+    """argparse type: a finite number of `kind` greater than zero."""
+    noun = "integer" if kind is int else "number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or value <= 0:
+            raise argparse.ArgumentTypeError(f"must be a finite positive {noun}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="todavolterra",
@@ -519,10 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a lattice flow")
     p.add_argument("--system", required=True)
     p.add_argument("--flow", type=int, default=2, help="Hamiltonian index k of the flow")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--t-end", type=_positive(float), default=10.0)
+    p.add_argument("--h", type=_positive(float), default=1e-3)
     p.add_argument("--x0", help="JSON file {\"a\": [...], \"b\": [...]}")
-    p.add_argument("--decimate", type=int, default=100)
+    p.add_argument("--decimate", type=_positive(int), default=100)
     p.add_argument("--out", help="CSV output file name")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int, default=0)

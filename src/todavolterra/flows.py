@@ -1,11 +1,12 @@
 """Numerical integration of the lattice flows with conservation monitors.
 
 Polynomial vector fields are compiled to float coefficient arrays and
-integrated with fixed-step RK4 (numba kernel or numpy fallback, see
-`_kernels`).  Monitors track the drift of the trace Hamiltonians and of the
+integrated with fixed-step RK4 (the numpy kernel in `_kernels`).  Monitors
+track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
-error.
+error.  Both are read from one set of traces tr(L^j) of the float Lax
+matrices, so no H_k is ever expanded as a polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog
-from ._kernels import BACKEND, eval_field, eval_poly_many_numpy, rk4_integrate
+from ._kernels import eval_field, rk4_integrate
 from .polyalg import GaussianRational, Poly, poly_matrix_mul, poly_matrix_power
 from .poisson import PolyVectorField
 
@@ -27,25 +28,6 @@ class NonFiniteStateError(RuntimeError):
     def __init__(self, t_last: float):
         super().__init__(f"state left float range; last valid time {t_last}")
         self.t_last = t_last
-
-
-@dataclass(frozen=True)
-class CompiledPoly:
-    """One polynomial as float arrays (coefs[t], expts[t, v])."""
-
-    variables: tuple[str, ...]
-    coefs: np.ndarray
-    expts: np.ndarray
-
-    def eval_many(self, states: np.ndarray) -> np.ndarray:
-        return eval_poly_many_numpy(self.coefs, self.expts, states)
-
-
-def compile_poly(p: Poly) -> CompiledPoly:
-    items = p.sorted_terms()
-    coefs = np.array([_as_float(c) for _, c in items], dtype=float)
-    expts = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), len(p.variables))
-    return CompiledPoly(p.variables, coefs, expts)
 
 
 def _as_float(c) -> float:
@@ -170,7 +152,7 @@ def lax_rhs(sys: catalog.SystemId | str, k: int) -> LaxRhs:
         [x - y for x, y in zip(row_lb, row_bl)]
         for row_lb, row_bl in zip(poly_matrix_mul(L, B), poly_matrix_mul(B, L))
     ]
-    positions = _template_positions(sys, L)
+    positions = _template_positions(L)
     comps: dict[str, Poly] = {}
     covered = set()
     for name, slots in positions.items():
@@ -194,19 +176,28 @@ def lax_rhs(sys: catalog.SystemId | str, k: int) -> LaxRhs:
     return LaxRhs(sys, k, tuple(tuple(row) for row in C), vf)
 
 
-def _template_positions(sys, L):
+def _lax_entries(L) -> list[tuple[int, int, int | None, int]]:
+    """Nonzero Lax entries as (i, j, v, c): c * x_v, or the constant c if v is None.
+
+    Catalog Lax entries are 0, +-1 or +-variable.
+    """
+    out = []
+    for i, row in enumerate(L):
+        for j, p in enumerate(row):
+            if p.is_zero:
+                continue
+            ((expo, coeff),) = p.terms.items()
+            out.append((i, j, expo.index(1) if any(expo) else None, int(coeff)))
+    return out
+
+
+def _template_positions(L):
     """Where each variable sits in the Lax template: {var: [(i, j, scale)]}."""
     vars_ = L[0][0].variables
     out: dict[str, list[tuple[int, int, int]]] = {v: [] for v in vars_}
-    N = len(L)
-    for i in range(N):
-        for j in range(N):
-            p = L[i][j]
-            if p.is_zero or p.degree() == 0:
-                continue
-            ((expo, coeff),) = p.terms.items()
-            name = vars_[list(expo).index(1)]
-            out[name].append((i, j, int(coeff)))
+    for i, j, v, c in _lax_entries(L):
+        if v is not None:
+            out[vars_[v]].append((i, j, c))
     return out
 
 
@@ -244,43 +235,34 @@ class DriftReport:
         }
 
 
-def hamiltonian_values(sys: catalog.SystemId | str, k: int, states: np.ndarray) -> np.ndarray:
-    sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
-    return compile_poly(catalog.hamiltonian(sys, k)).eval_many(states)
-
-
 def lax_values(sys: catalog.SystemId | str, states: np.ndarray) -> np.ndarray:
-    """Dense Lax matrices along a trajectory, shape [T, N, N]."""
+    """Dense Lax matrices along a trajectory, shape [T, N, N].
+
+    Entries are constants or scaled columns of `states`, gathered directly.
+    """
     sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
     L = catalog.lax(sys)
     N = len(L)
-    T = states.shape[0]
-    out = np.zeros((T, N, N))
-    for i in range(N):
-        for j in range(N):
-            p = L[i][j]
-            if p.is_zero:
-                continue
-            if p.degree() == 0:
-                out[:, i, j] = float(Fraction(p.coefficient((0,) * len(p.variables))))
-            else:
-                out[:, i, j] = compile_poly(p).eval_many(states)
+    out = np.zeros((states.shape[0], N, N))
+    for i, j, v, c in _lax_entries(L):
+        out[:, i, j] = c if v is None else c * states[:, v]
     return out
 
 
-def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
-    """Characteristic-polynomial coefficients c_1..c_N for a batch of matrices.
-
-    Faddeev-LeVerrier via Newton's identities on batched traces of powers;
-    deterministic, no eigenvalue solver.
-    """
-    T, N, _ = mats.shape
-    power = mats.copy()
-    traces = np.empty((T, N))
+def power_traces(mats: np.ndarray, k_max: int) -> np.ndarray:
+    """tr(M^j) for j = 1..k_max over a batch of matrices, shape [T, k_max]."""
+    traces = np.empty((mats.shape[0], k_max))
     traces[:, 0] = np.trace(mats, axis1=1, axis2=2)
-    for k in range(1, N):
+    power = mats
+    for j in range(1, k_max):
         power = power @ mats
-        traces[:, k] = np.trace(power, axis1=1, axis2=2)
+        traces[:, j] = np.trace(power, axis1=1, axis2=2)
+    return traces
+
+
+def _newton_coefficients(traces: np.ndarray) -> np.ndarray:
+    """c_1..c_N of det(x - M) = x^N + c_1 x^{N-1} + ... from tr(M^1..M^N)."""
+    T, N = traces.shape
     coeffs = np.empty((T, N))
     for k in range(1, N + 1):
         acc = traces[:, k - 1].copy()
@@ -290,14 +272,35 @@ def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
+    """Characteristic-polynomial coefficients c_1..c_N for a batch of matrices.
+
+    Faddeev-LeVerrier via Newton's identities on batched traces of powers;
+    deterministic, no eigenvalue solver.
+    """
+    return _newton_coefficients(power_traces(mats, mats.shape[1]))
+
+
+def hamiltonian_values(sys: catalog.SystemId | str, k: int, states: np.ndarray) -> np.ndarray:
+    """H_k = tr(L^k)/k along `states`, shape [T]."""
+    return power_traces(lax_values(sys, states), k)[:, k - 1] / k
+
+
+def _monitor_values(sys: catalog.SystemId, states: np.ndarray):
+    """({k: H_k along states}, char-poly coefficients) from one set of traces."""
+    ks = monitored_hamiltonian_indices(sys)
+    mats = lax_values(sys, states)
+    N = mats.shape[1]
+    traces = power_traces(mats, max(*ks, N))
+    h_vals = {k: traces[:, k - 1] / k for k in ks}
+    return h_vals, _newton_coefficients(traces[:, :N])
+
+
 def monitors(traj: Trajectory, sys: catalog.SystemId | str) -> DriftReport:
     """Max drift of the trace Hamiltonians and char-poly coefficients."""
     sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
-    h_drift = {}
-    for k in monitored_hamiltonian_indices(sys):
-        vals = hamiltonian_values(sys, k, traj.states)
-        h_drift[k] = float(np.max(np.abs(vals - vals[0])))
-    coeffs = charpoly_coefficients(lax_values(sys, traj.states))
+    h_vals, coeffs = _monitor_values(sys, traj.states)
+    h_drift = {k: float(np.max(np.abs(vals - vals[0]))) for k, vals in h_vals.items()}
     cp_drift = [float(np.max(np.abs(coeffs[:, k] - coeffs[0, k]))) for k in range(coeffs.shape[1])]
     report = DriftReport(h_drift, cp_drift)
     traj.monitors = report.to_json_dict()
@@ -335,9 +338,8 @@ def trajectory_csv(
 ) -> str:
     """CSV text: t, <vars...>, <H_k...>, <charpoly drifts...> per row."""
     sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
-    ks = monitored_hamiltonian_indices(sys)
-    h_vals = {k: hamiltonian_values(sys, k, traj.states) for k in ks}
-    coeffs = charpoly_coefficients(lax_values(sys, traj.states))
+    h_vals, coeffs = _monitor_values(sys, traj.states)
+    ks = list(h_vals)
     drifts = np.abs(coeffs - coeffs[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -352,7 +354,3 @@ def trajectory_csv(
             + [repr(float(d)) for d in drifts[row]]
         )
     return buf.getvalue()
-
-
-def backend_name() -> str:
-    return BACKEND

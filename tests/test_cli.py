@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -124,6 +125,39 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["monitors"]["hamiltonian_drift"]["4"] < 1e-9
+
+
+class TestSimulateInput:
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "inf"),
+        ("--t-end", "-1"),
+        ("--decimate", "0"),
+        ("--h", "nan"),
+        ("--h", "0"),
+    ])
+    def test_rejected_at_parse_time(self, capsys, flag, value):
+        code, out, err = run(capsys, "simulate", "--system", "toda-a:2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be a finite positive" in err
+        assert "Traceback" not in err
+
+
+class TestSimulateMemory:
+    def test_toda_a_27_monitors_fit(self, capsys, tmp_path):
+        # expanding H_1..H_27 and evaluating them densely asked for 12.1 GiB here
+        path = tmp_path / "x0.json"
+        path.write_text(json.dumps({"a": [1.0] * 26, "b": [0.0] * 27}))
+        code, out, _ = run(
+            capsys,
+            "simulate", "--system", "toda-a:27", "--t-end", "0.2", "--h", "1e-3",
+            "--format", "json", "--x0", str(path),
+        )
+        assert code == 0
+        mon = json.loads(out)["monitors"]
+        assert len(mon["hamiltonian_drift"]) == 27
+        drifts = [*mon["hamiltonian_drift"].values(), *mon["charpoly_drift"]]
+        assert all(math.isfinite(d) for d in drifts)
 
 
 class TestBogoCli:

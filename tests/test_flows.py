@@ -1,17 +1,9 @@
-import json
-import os
-import subprocess
-import sys
+import random
 
 import numpy as np
 import pytest
 
-from todavolterra import catalog, flows
-from todavolterra._kernels import (
-    HAS_NUMBA,
-    eval_field_numpy,
-    rk4_integrate_numpy,
-)
+from todavolterra import _kernels, catalog, flows
 from todavolterra.polyalg import Poly
 from todavolterra.poisson import PolyVectorField, hamiltonian_vf
 
@@ -34,7 +26,7 @@ class TestCompiledField:
         for _ in range(10):
             x = np.array([rng.uniform(-1, 1) for _ in vf.variables])
             exact = [float(p.eval(list(x))) for p in vf.components]
-            got = eval_field_numpy(cf.coefs, cf.expts, cf.comp_ptr, x)
+            got = _kernels.eval_field(cf.coefs, cf.expts, cf.comp_ptr, x)
             assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
 
     def test_gaussian_coefficients_rejected(self):
@@ -75,29 +67,63 @@ class TestIntegrate:
         assert traj.times[-1] == pytest.approx(1.0)
 
 
-class TestBackends:
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_numba_and_numpy_agree(self):
-        from todavolterra._kernels import rk4_integrate_numba
+def dense_field(coefs, expts, comp_ptr, x):
+    """The dense form the gather kernel replaced: O(nnz * dim) per call."""
+    mono = np.prod(np.power(x[None, :], expts), axis=1)
+    comp_idx = np.repeat(np.arange(len(comp_ptr) - 1), np.diff(comp_ptr))
+    return np.bincount(comp_idx, weights=coefs * mono, minlength=len(comp_ptr) - 1)
 
-        vf = catalog.flow(T3, 2)
-        cf = flows.compile_field(vf)
-        x0 = np.array([0.4, -0.2, 0.1, 0.5, -0.3])
-        a, na = rk4_integrate_numba(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000, 10)
-        b, nb = rk4_integrate_numpy(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000, 10)
-        assert na == nb == 2000
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
-    def test_env_flag_selects_numpy(self):
-        env = dict(os.environ, TODAVOLTERRA_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from todavolterra import flows; print(flows.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+def dense_rk4(coefs, expts, comp_ptr, x, h, n_steps):
+    states = [x]
+    for _ in range(n_steps):
+        k1 = dense_field(coefs, expts, comp_ptr, x)
+        k2 = dense_field(coefs, expts, comp_ptr, x + 0.5 * h * k1)
+        k3 = dense_field(coefs, expts, comp_ptr, x + 0.5 * h * k2)
+        k4 = dense_field(coefs, expts, comp_ptr, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+# (system, field, sign of the sheet the starting points are drawn from)
+KERNEL_CASES = [
+    ("toda-a:3", lambda: catalog.flow(T3, 2), 1),
+    ("volterra-a:11", lambda: catalog.flow(catalog.SystemId("volterra", "a", 11), 2), 1),
+    ("volterra-b:3", lambda: catalog.bn_volterra_flow(3), -1),  # a3' has a3^2
+]
+
+
+class TestKernelOracle:
+    """The gather-form kernel is bitwise equal to the dense form it replaced."""
+
+    @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_field_values_bitwise(self, name, make_field, sign, rng):
+        cf = flows.compile_field(make_field())
+        for _ in range(20):
+            x = np.array([rng.uniform(-1, 1) for _ in range(cf.dim)])
+            got = _kernels.eval_field(cf.coefs, cf.expts, cf.comp_ptr, x)
+            assert np.array_equal(got, dense_field(cf.coefs, cf.expts, cf.comp_ptr, x))
+
+    @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_trajectory_bitwise(self, name, make_field, sign, rng):
+        cf = flows.compile_field(make_field())
+        x0 = np.array([sign * rng.uniform(0.1, 0.6) for _ in range(cf.dim)])
+        states, done = _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000, 1)
+        assert done == 2000
+        assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000))
+
+    def test_factor_table_width(self):
+        cf = flows.compile_field(catalog.bn_volterra_flow(3))
+        idx, pows, comp = _kernels.factor_table(cf.expts, cf.comp_ptr)
+        assert idx.shape == pows.shape == (len(cf.coefs), 2)
+        assert pows.max() == 2
+        assert np.array_equal(comp, np.repeat(np.arange(cf.dim), np.diff(cf.comp_ptr)))
+
+    def test_constant_and_empty_fields(self):
+        vs = ("a1", "a2")
+        cf = flows.compile_field(PolyVectorField(vs, [Poly.parse("3", vs), Poly.zero(vs)]))
+        assert np.array_equal(cf.eval([0.5, 0.25]), [3.0, 0.0])
 
 
 class TestLaxRhs:
@@ -162,6 +188,47 @@ class TestMonitors:
         rep = flows.monitors(traj, sys)
         assert rep.hamiltonian_drift[4] < 1e-9
         assert rep.max_charpoly_drift < 1e-9
+
+
+MONITOR_CASES = ["toda-a:5", "toda-b:2", "toda-c:3", "volterra-a:6", "volterra-b:3"]
+
+
+class TestMonitorOracle:
+    """Trace-based H_k agree with the exact expanded polynomials."""
+
+    @pytest.mark.parametrize("name", MONITOR_CASES)
+    def test_hamiltonian_values_match_exact(self, name):
+        sys = catalog.parse_system(name)
+        vars_ = catalog.variables(sys)
+        rng = random.Random(name)
+        points = np.array([[rng.uniform(-1, 1) for _ in vars_] for _ in range(8)])
+        for k in flows.monitored_hamiltonian_indices(sys):
+            exact = catalog.hamiltonian(sys, k)
+            want = np.array([float(exact.eval(list(p))) for p in points])
+            got = flows.hamiltonian_values(sys, k, points)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), (name, k)
+
+    def test_lax_values_match_exact(self, rng):
+        sys = catalog.parse_system("toda-b:2")
+        L = catalog.lax(sys)
+        point = [rng.uniform(-1, 1) for _ in catalog.variables(sys)]
+        want = np.array([[float(p.eval(point)) for p in row] for row in L])
+        assert np.array_equal(flows.lax_values(sys, np.array([point]))[0], want)
+
+    def test_monitors_take_traces_once(self, monkeypatch):
+        calls = []
+        real = flows.power_traces
+
+        def counted(mats, k_max):
+            calls.append(k_max)
+            return real(mats, k_max)
+
+        monkeypatch.setattr(flows, "power_traces", counted)
+        sys = catalog.parse_system("volterra-b:2")  # N = 5, monitors H_4 and H_8
+        traj = flows.integrate(catalog.bn_volterra_flow(2), [-0.3, -0.2], 0.1, 0.01)
+        flows.monitors(traj, sys)
+        flows.trajectory_csv(traj, sys)
+        assert calls == [8, 8]
 
 
 class TestOrderAndCommutation:
