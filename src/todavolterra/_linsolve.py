@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyalg import GaussianRational
-
 
 def _is_zero(x) -> bool:
     return not x
@@ -47,11 +45,3 @@ def solve_exact(rows, rhs):
         x[c] = A[r][n]
     unique = len(pivots) == n
     return x, unique
-
-
-def rational_zero() -> Fraction:
-    return Fraction(0)
-
-
-def gaussian_zero() -> GaussianRational:
-    return GaussianRational(Fraction(0), Fraction(0))

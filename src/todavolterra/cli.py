@@ -92,8 +92,7 @@ def _check_compatible(system: str, degrees: tuple[int, int]) -> dict:
     return {"check": "compatible", "system": str(sys_id), "brackets": [k, l], "ok": ok}
 
 
-def _deformation_relations(system: str) -> list[dict]:
-    sys_id = catalog.parse_system(system)
+def _deformation_relations(sys_id: catalog.SystemId) -> list[dict]:
     Z0 = catalog.euler_field(sys_id)
     Z1 = catalog.master_symmetry(sys_id)
     rows = []
@@ -131,10 +130,11 @@ def _deformation_relations(system: str) -> list[dict]:
 
 
 def _check_deformation(system: str) -> dict:
-    rows = _deformation_relations(system)
+    sys_id = catalog.parse_system(system)
+    rows = _deformation_relations(sys_id)
     return {
         "check": "deformation",
-        "system": system,
+        "system": str(sys_id),
         "ok": all(r["ok"] for r in rows),
         "relations": rows,
     }
@@ -142,7 +142,7 @@ def _check_deformation(system: str) -> dict:
 
 def _check_involution(system: str, map_name: str, k: int) -> dict:
     sys_id = catalog.parse_system(system)
-    g = symmetry_for(map_name, sys_id)
+    g = catalog.symmetry(map_name, sys_id)
     pi = catalog.tensor(sys_id, k)
     sign = pushforward_sign(g, pi)
     return {
@@ -153,10 +153,6 @@ def _check_involution(system: str, map_name: str, k: int) -> dict:
         "sign": sign,
         "ok": sign == 1,
     }
-
-
-def symmetry_for(name: str, sys_id: catalog.SystemId):
-    return catalog.symmetry(name, sys_id)
 
 
 def _check_ladder(system: str) -> dict:
@@ -356,6 +352,10 @@ def _cmd_simulate(args) -> int:
     else:
         vf = catalog.flow(sys_id, args.flow)
     x0 = _initial_point(args, sys_id)
+    if not math.isfinite(args.t_end / args.h):
+        raise ValueError(
+            f"--t-end / --h = {args.t_end!r} / {args.h!r} is not a finite number of steps"
+        )
     traj = flows.integrate(vf, x0, args.t_end, args.h, record_stride=1)
     report = flows.monitors(traj, sys_id)
     if args.format == "json":
@@ -380,12 +380,8 @@ def _cmd_simulate(args) -> int:
                 fh.write(text)
             print(f"wrote {path}")
         else:
-            sys_stdout_write(text)
+            sys.stdout.write(text)
     return 0
-
-
-def sys_stdout_write(text: str) -> None:
-    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------- bogo

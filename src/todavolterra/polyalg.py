@@ -155,6 +155,15 @@ def format_scalar(c: Scalar) -> str:
     return str(Fraction(c))
 
 
+def _checked_variables(variables: Sequence[str]) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names")
+    if "i" in variables:
+        raise ValueError("'i' is reserved for the imaginary unit")
+    return variables
+
+
 class Poly:
     """Immutable sparse polynomial over an ordered variable tuple."""
 
@@ -168,11 +177,7 @@ class Poly:
     ):
         if field not in _FIELDS:
             raise ValueError(f"unknown coefficient field {field!r}")
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError("duplicate variable names")
-        if "i" in variables:
-            raise ValueError("'i' is reserved for the imaginary unit")
+        variables = _checked_variables(variables)
         clean: dict[tuple[int, ...], Scalar] = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(int(e) for e in expo)
@@ -188,6 +193,29 @@ class Poly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(
+        cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Scalar], field: str
+    ) -> "Poly":
+        """Trusted internal constructor: stores its arguments without checks.
+
+        The caller guarantees what `__init__` would otherwise establish:
+        `variables` is a tuple of distinct names other than ``"i"``, `field`
+        is RAT or GAUSS, every key of `terms` is a tuple of len(variables)
+        nonnegative ints, and every value is a nonzero `Fraction` (RAT) or
+        `GaussianRational` (GAUSS).  `terms` is kept, not copied, so the
+        caller must not mutate it afterwards.  Only operations whose inputs
+        are already `Poly` objects and whose results keep these invariants
+        (sum, negation, product, scaling by a nonzero field element,
+        derivative, variable extension) use it; outside input, and results
+        that may hold zero coefficients, go through `Poly(...)`.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "field", field)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
@@ -267,6 +295,7 @@ class Poly:
             return self
         if not set(self.variables) <= set(variables):
             raise ValueError("target variable list must contain current variables")
+        _checked_variables(variables)
         idx = [variables.index(v) for v in self.variables]
         terms = {}
         for expo, coeff in self.terms.items():
@@ -274,7 +303,7 @@ class Poly:
             for pos, e in zip(idx, expo):
                 new[pos] = e
             terms[tuple(new)] = coeff
-        return Poly(variables, terms, self.field)
+        return Poly._make(variables, terms, self.field)
 
     def __add__(self, other: "Poly") -> "Poly":
         p, q = self._aligned(other)
@@ -285,10 +314,10 @@ class Poly:
                 terms[expo] = s
             else:
                 terms.pop(expo, None)
-        return Poly(p.variables, terms, p.field)
+        return Poly._make(p.variables, terms, p.field)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()}, self.field)
+        return Poly._make(self.variables, {e: -c for e, c in self.terms.items()}, self.field)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -306,7 +335,7 @@ class Poly:
                     terms[expo] = s
                 else:
                     terms.pop(expo, None)
-        return Poly(p.variables, terms, p.field)
+        return Poly._make(p.variables, terms, p.field)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -315,7 +344,7 @@ class Poly:
         c = coerce_scalar(value, self.field)
         if not c:
             return Poly.zero(self.variables, self.field)
-        return Poly(self.variables, {e: c * v for e, v in self.terms.items()}, self.field)
+        return Poly._make(self.variables, {e: c * v for e, v in self.terms.items()}, self.field)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -340,7 +369,7 @@ class Poly:
             new = list(expo)
             new[pos] = e - 1
             terms[tuple(new)] = coeff * e
-        return Poly(self.variables, terms, self.field)
+        return Poly._make(self.variables, terms, self.field)
 
     # --------------------------------------------------------- substitution
 

@@ -42,16 +42,17 @@ def group_of(name, sys_id):
 
 
 def test_criterion_1_exact_jacobi():
-    """pi1..pi3 (toda-a), pi1/pi3 (toda-b), pi2/pi4 (volterra-a),
-    pi4 (volterra-b) all have exactly zero Jacobiator up to size 11."""
+    """pi1..pi3 (toda-a:2..16), pi1/pi3 (toda-b:1..12), pi2/pi4
+    (volterra-a:3..25), pi4 (volterra-b:1..12) all have exactly zero
+    Jacobiator."""
     cases = []
-    for n in range(2, 6):
+    for n in range(2, 17):
         cases += [(f"toda-a:{n}", k) for k in (1, 2, 3)]
-    for n in range(1, 6):
+    for n in range(1, 13):
         cases += [(f"toda-b:{n}", k) for k in (1, 3)]
-    for N in range(3, 12):
+    for N in range(3, 26):
         cases += [(f"volterra-a:{N}", k) for k in (2, 4)]
-    for n in range(1, 6):
+    for n in range(1, 13):
         cases.append((f"volterra-b:{n}", 4))
     for system, k in cases:
         ok = is_poisson(catalog.tensor(sid(system), k))
@@ -62,13 +63,14 @@ def test_criterion_1_exact_jacobi():
 
 
 def test_criterion_2_compatibility():
-    """jacobiator(pi_i + pi_j) = 0 exactly for the catalog pairs."""
-    for n in range(2, 5):
+    """jacobiator(pi_i + pi_j) = 0 exactly for the catalog pairs
+    (toda-a:2..8, volterra-a:3..21)."""
+    for n in range(2, 9):
         sys_id = sid(f"toda-a:{n}")
         for i, j in ((1, 2), (2, 3), (1, 3)):
             ok = is_poisson(catalog.tensor(sys_id, i) + catalog.tensor(sys_id, j))
             check("criterion 2", f"toda-a:{n} pair ({i},{j})", ok)
-    for N in range(3, 10):
+    for N in range(3, 22):
         sys_id = sid(f"volterra-a:{N}")
         ok = is_poisson(catalog.tensor(sys_id, 2) + catalog.tensor(sys_id, 4))
         check("criterion 2", f"volterra-a:{N} pair (2,4)", ok)

@@ -41,6 +41,13 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["ok"] and doc["schema"] == "todavolterra/verify/v1"
 
+    def test_deformation_reports_canonical_system(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "deformation", "--system", "TODA-A:3", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["system"] == "toda-a:3"
+
     def test_ladder(self, capsys):
         code, _, _ = run(capsys, "verify", "ladder", "--system", "volterra-a:6")
         assert code == 0
@@ -141,6 +148,14 @@ class TestSimulateInput:
         assert out == ""
         assert f"argument {flag}: must be a finite positive" in err
         assert "Traceback" not in err
+
+    def test_step_count_overflow(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--system", "toda-a:2", "--t-end", "1e300", "--h", "1e-300"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--t-end" in err and "--h" in err
 
 
 class TestSimulateMemory:

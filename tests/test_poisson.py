@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from todavolterra import catalog
 from todavolterra.polyalg import Poly
@@ -225,3 +226,159 @@ class TestLinearMap:
         doc = catalog.tensor(T2, 1).to_json_dict()
         assert doc["dim"] == 3
         assert {"i": 1, "j": 2, "poly": "a1"} in doc["entries"]
+
+
+# ------------------------------------------------- dense oracles (tests only)
+
+
+def dense_jacobiator(pi):
+    """Reference J^ijk over all i < j < k and all l, through entry()."""
+    m = pi.dim
+    vars_ = pi.variables
+    out = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                total = Poly.zero(vars_, pi.field)
+                for l in range(m):
+                    vl = vars_[l]
+                    total = total + pi.entry(i, l) * pi.entry(j, k).diff(vl)
+                    total = total + pi.entry(j, l) * pi.entry(k, i).diff(vl)
+                    total = total + pi.entry(k, l) * pi.entry(i, j).diff(vl)
+                out[(i, j, k)] = total
+    return out
+
+
+def dense_lie_derivative(Z, pi):
+    """Reference (L_Z pi)^ij summed over every i < j and every k."""
+    vars_ = pi.variables
+    m = pi.dim
+    upper = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            entry = Poly.zero(vars_, pi.field)
+            pij = pi.entry(i, j)
+            for k in range(m):
+                vk = vars_[k]
+                entry = entry + Z.components[k] * pij.diff(vk)
+                entry = entry - pi.entry(k, j) * Z.components[i].diff(vk)
+                entry = entry - pi.entry(i, k) * Z.components[j].diff(vk)
+            upper[(i, j)] = entry
+    return PoissonTensor(vars_, upper, field=pi.field)
+
+
+def assert_jacobiators_agree(pi):
+    sparse, dense = jacobiator(pi), dense_jacobiator(pi)
+    assert list(sparse) == list(dense)
+    assert sparse == dense
+
+
+def catalog_tensors(max_dim):
+    """(label, tensor) for every catalog tensor of dimension <= max_dim."""
+    out = []
+    for n in range(2, (max_dim + 1) // 2 + 1):
+        out += [(f"toda-a:{n}", k) for k in (1, 2, 3)]
+    for n in range(1, max_dim // 2 + 1):
+        out += [(f"toda-b:{n}", k) for k in (1, 3)]
+    for N in range(3, max_dim + 2):
+        out += [(f"volterra-a:{N}", k) for k in (2, 4)]
+    for n in range(1, max_dim + 1):
+        out.append((f"volterra-b:{n}", 4))
+    return [(f"pi{k} {s}", catalog.tensor(catalog.parse_system(s), k)) for s, k in out]
+
+
+CATALOG = catalog_tensors(11)
+
+COMPATIBILITY_SUMS = [
+    (f"pi{i}+pi{j} toda-a:{n}",
+     catalog.tensor(catalog.SystemId("toda", "a", n), i)
+     + catalog.tensor(catalog.SystemId("toda", "a", n), j))
+    for n in range(2, 7) for i, j in ((1, 2), (2, 3), (1, 3))
+] + [
+    (f"pi2+pi4 volterra-a:{N}",
+     catalog.tensor(catalog.SystemId("volterra", "a", N), 2)
+     + catalog.tensor(catalog.SystemId("volterra", "a", N), 4))
+    for N in range(3, 13)
+]
+
+
+def perturbed(pi):
+    """pi with its first stored entry changed by + x_1."""
+    key = min(pi.upper)
+    upper = dict(pi.upper)
+    upper[key] = upper[key] + Poly.var(pi.variables, pi.variables[0], pi.field)
+    return PoissonTensor(pi.variables, upper, field=pi.field)
+
+
+class TestSparseAgainstDense:
+    @pytest.mark.parametrize("label, pi", CATALOG + COMPATIBILITY_SUMS,
+                             ids=[label for label, _ in CATALOG + COMPATIBILITY_SUMS])
+    def test_jacobiator(self, label, pi):
+        assert_jacobiators_agree(pi)
+
+    def test_gaussian_tensor(self):
+        assert_jacobiators_agree(catalog.embedded_volterra_tensor(5, 4, "Qi"))
+
+    @pytest.mark.parametrize("label, pi", [(l, p) for l, p in CATALOG if p.dim >= 3],
+                             ids=[l for l, p in CATALOG if p.dim >= 3])
+    def test_perturbed_jacobiator(self, label, pi):
+        # every catalog tensor has J = 0, so only a perturbed one exercises
+        # the signs of the sparse loop
+        assert_jacobiators_agree(perturbed(pi))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_perturbed_cubic_is_not_poisson(self, n):
+        pi = perturbed(catalog.tensor(catalog.SystemId("toda", "a", n), 3))
+        assert not is_poisson(pi)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lie_derivative_on_toda(self, n):
+        sys = catalog.SystemId("toda", "a", n)
+        for Z in (catalog.euler_field(sys), catalog.master_symmetry(sys)):
+            for k in (1, 2, 3):
+                pi = catalog.tensor(sys, k)
+                assert lie_derivative_bivector(Z, pi) == dense_lie_derivative(Z, pi)
+
+    def test_lie_derivative_on_catalog(self, rng):
+        for label, pi in CATALOG:
+            Z = PolyVectorField(pi.variables, [
+                random_poly(rng, pi.variables, max_terms=2, max_exp=2) for _ in pi.variables
+            ])
+            assert lie_derivative_bivector(Z, pi) == dense_lie_derivative(Z, pi), label
+
+
+VARS = tuple(f"x{k}" for k in range(1, 8))
+
+
+def _small_poly(m):
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * m),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    return st.lists(term, max_size=3).map(lambda ts: Poly(VARS[:m], dict(ts)))
+
+
+@st.composite
+def tensor_and_field(draw):
+    """A random antisymmetric tensor on 3..7 variables, banded or not, and a
+    random vector field, both over Q or both over Q(i)."""
+    m = draw(st.integers(3, 7))
+    band = draw(st.sampled_from([1, 2, m]))
+    upper = {
+        (i, j): draw(_small_poly(m))
+        for i in range(m) for j in range(i + 1, min(m, i + band + 1))
+    }
+    comps = [draw(_small_poly(m)) for _ in range(m)]
+    if draw(st.booleans()):
+        upper = {key: p.to_gaussian() for key, p in upper.items()}
+        comps = [p.to_gaussian() for p in comps]
+    field = comps[0].field
+    return PoissonTensor(VARS[:m], upper, field=field), PolyVectorField(VARS[:m], comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_field())
+def test_sparse_matches_dense_on_random_tensors(case):
+    pi, Z = case
+    assert_jacobiators_agree(pi)
+    assert lie_derivative_bivector(Z, pi) == dense_lie_derivative(Z, pi)
