@@ -8,9 +8,10 @@ Subcommands:
   moser      squaring map, parity blocks and induced Toda equations
 
 Exit codes: 0 all checks passed / run completed, 1 a mathematical check
-failed (a diff is emitted), 2 usage or input error.  All JSON documents
-carry a top-level "schema" field.  TODAVOLTERRA_OUT_DIR sets the default
-directory for file outputs.
+failed (a diff is emitted), 2 usage or input error, a `simulate` run whose
+state leaves float range, or one that would exceed MEMORY_BUDGET_BYTES.
+All JSON documents carry a top-level "schema" field.  TODAVOLTERRA_OUT_DIR
+sets the default directory for file outputs.
 """
 
 from __future__ import annotations
@@ -337,25 +338,48 @@ def _initial_point(args, sys_id) -> np.ndarray:
         return np.array(point)
     rng = random.Random(args.seed)
     if sys_id.family == "volterra" and sys_id.kind == "a":
-        lo, hi = 0.1, 1.0  # the KM flow preserves positivity
+        ranges = {"a": (0.1, 1.0)}  # the KM flow preserves positivity
     elif sys_id.family == "volterra":
-        lo, hi = -1.0, -0.1  # B-type sheet a_i = -2 x_i^2 < 0; a_n > 0 blows up
+        ranges = {"a": (-1.0, -0.1)}  # B-type sheet a_i = -2 x_i^2 < 0; a_n > 0 blows up
     else:
-        lo, hi = -1.0, 1.0
-    return np.array([rng.uniform(lo, hi) for _ in vars_])
+        ranges = {"a": (0.1, 1.0), "b": (-1.0, 1.0)}  # the a_i > 0 sheet
+    return np.array([rng.uniform(*ranges[v[0]]) for v in vars_])
+
+
+# The most a `simulate` run may ask for: the recorded states plus the
+# [T, N, N] Lax arrays the monitors build from them (the matrices, a power
+# and the next power).
+MEMORY_BUDGET_BYTES = 1 << 30
+
+
+def _estimated_bytes(sys_id, n_steps: int) -> int:
+    """Bytes of n_steps + 1 recorded states and their Lax arrays.
+
+    Worked out from the Lax size N alone (every family has at most 2N
+    coordinates), so an oversized lattice is rejected before it is built.
+    """
+    N = catalog.lax_size(sys_id)
+    return 8 * (n_steps + 1) * (2 * N + 3 * N * N)
 
 
 def _cmd_simulate(args) -> int:
     sys_id = catalog.parse_system(args.system)
+    if not math.isfinite(args.t_end / args.h):
+        raise ValueError(
+            f"--t-end / --h = {args.t_end!r} / {args.h!r} is not a finite number of steps"
+        )
+    need = _estimated_bytes(sys_id, int(round(args.t_end / args.h)))
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"run would need about {need / 2**30:.3g} GiB for its states and Lax "
+            f"arrays (limit {MEMORY_BUDGET_BYTES / 2**30:g} GiB); "
+            "lower --t-end or the lattice size, or raise --h"
+        )
     if (sys_id.family, sys_id.kind) in (("volterra", "b"), ("volterra", "c")):
         vf = catalog.bn_volterra_flow(sys_id.n)
     else:
         vf = catalog.flow(sys_id, args.flow)
     x0 = _initial_point(args, sys_id)
-    if not math.isfinite(args.t_end / args.h):
-        raise ValueError(
-            f"--t-end / --h = {args.t_end!r} / {args.h!r} is not a finite number of steps"
-        )
     traj = flows.integrate(vf, x0, args.t_end, args.h, record_stride=1)
     report = flows.monitors(traj, sys_id)
     if args.format == "json":
@@ -570,7 +594,8 @@ def main(argv=None) -> int:
         if args.command == "moser":
             return _cmd_moser(args)
         parser.error(f"unknown command {args.command}")
-    except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, OSError, ZeroDivisionError,
+            flows.NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -209,11 +209,8 @@ def identify_jacobi(block: JacobiBlock, flow: PolyVectorField) -> IdentifiedSyst
         f"B{k}" for k in range(1, m + 1)
     )
     gens = list(a_defs) + list(b_defs)
-
-    derivs = [_time_derivative(g, flow) for g in gens]
-    equations = tuple(
-        _express_in_generators(d, gens, gen_names) for d in derivs
-    )
+    express = _generator_solver(gens, gen_names)
+    equations = tuple(express(_time_derivative(g, flow)) for g in gens)
     return IdentifiedSystem(block.tag, a_defs, b_defs, gen_names, equations)
 
 
@@ -236,44 +233,51 @@ def _monomial_basis(names: tuple[str, ...]) -> list[tuple[tuple[str, int], ...]]
     return basis
 
 
-def _express_in_generators(
-    target: Poly, gens: list[Poly], names: tuple[str, ...]
-) -> Poly:
-    """Exact linear solve of target = sum(c_m * monomial_m(generators))."""
+def _generator_solver(gens: list[Poly], names: tuple[str, ...]):
+    """Return `express(target)`, the exact linear solve of
+    target = sum(c_m * monomial_m(generators)) over the degree <= 2 basis.
+
+    The basis, its expansion in the x variables and its term support are
+    built once here and shared by every target (the targets share the
+    generators' variables and field).
+    """
+    field = gens[0].field
+    by_name = dict(zip(names, gens))
     basis = _monomial_basis(names)
     expanded: list[Poly] = []
-    by_name = dict(zip(names, gens))
+    monomials: list[Poly] = []
     for mono in basis:
-        p = Poly.const(target.variables, 1, target.field)
+        p = Poly.const(gens[0].variables, 1, field)
+        q = Poly.const(names, 1, field)
         for u, e in mono:
             for _ in range(e):
-                p = p * by_name[u].with_field(target.field)
+                p = p * by_name[u]
+            q = q * Poly.var(names, u, field) ** e
         expanded.append(p)
-    support: list[tuple[int, ...]] = sorted(
-        set().union(*(set(p.terms) for p in expanded + [target]))
-    )
-    zero = GaussianRational.of(0) if target.field == GAUSS else Fraction(0)
-    rows = [[p.terms.get(e, zero) for p in expanded] for e in support]
-    rhs = [target.terms.get(e, zero) for e in support]
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        raise ValueError(
-            "induced equation is not expressible in the block generators"
-        )
-    coeffs, _ = sol
-    out = Poly.zero(names, target.field)
-    for c, mono in zip(coeffs, basis):
-        if not c:
-            continue
-        term = Poly.const(names, c, target.field)
-        for u, e in mono:
-            term = term * Poly.var(names, u, target.field) ** e
-        out = out + term
-    # double-check by substitution
-    check = out.substitute({u: by_name[u].with_field(target.field) for u in names})
-    if check != target:
-        raise ValueError("generator expression failed verification")
-    return out
+        monomials.append(q)
+    basis_support = set().union(*(p.terms for p in expanded))
+    zero = GaussianRational.of(0) if field == GAUSS else Fraction(0)
+
+    def express(target: Poly) -> Poly:
+        support = sorted(basis_support.union(target.terms))
+        rows = [[p.terms.get(e, zero) for p in expanded] for e in support]
+        rhs = [target.terms.get(e, zero) for e in support]
+        sol = solve_exact(rows, rhs)
+        if sol is None:
+            raise ValueError(
+                "induced equation is not expressible in the block generators"
+            )
+        coeffs, _ = sol
+        out = Poly.zero(names, field)
+        for c, q in zip(coeffs, monomials):
+            if c:
+                out = out + q.scale(c)
+        # double-check by substitution
+        if out.substitute(by_name) != target:
+            raise ValueError("generator expression failed verification")
+        return out
+
+    return express
 
 
 # ------------------------------------------------------------- cross-checks

@@ -1,9 +1,11 @@
 import json
 import math
+import random
 
 import pytest
 
-from todavolterra.cli import main
+from todavolterra import catalog
+from todavolterra.cli import MEMORY_BUDGET_BYTES, _estimated_bytes, main
 
 
 def run(capsys, *argv):
@@ -158,7 +160,48 @@ class TestSimulateInput:
         assert "--t-end" in err and "--h" in err
 
 
+    def test_escape_exits_2(self, capsys, tmp_path):
+        # the toda-a:6 default point of seed 0 when a_i was drawn from [-1, 1]
+        rng = random.Random(0)
+        point = [rng.uniform(-1.0, 1.0) for _ in range(11)]
+        path = tmp_path / "x0.json"
+        path.write_text(json.dumps({"a": point[:5], "b": point[5:]}))
+        code, out, err = run(
+            capsys, "simulate", "--system", "toda-a:6", "--x0", str(path), "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: state left float range; last valid time 2.67\n"
+
+    @pytest.mark.parametrize("system", ["toda-a:6", "toda-a:9", "toda-b:3"])
+    def test_default_toda_point_stays_on_sheet(self, capsys, system):
+        # these escaped at t = 2.7, 2.0 and 4.0 when a_i was drawn from [-1, 1]
+        code, out, err = run(capsys, "simulate", "--system", system, "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        n_a = sum(v.startswith("a") for v in catalog.variables(system))
+        assert all(0.1 <= a <= 1.0 for a in doc["x0"][:n_a])
+
+
 class TestSimulateMemory:
+    @pytest.mark.parametrize("argv, need", [
+        # the [n_steps + 1, dim] state array alone would be 21.3 PiB
+        (["--system", "toda-a:2", "--t-end", "1e12", "--h", "1e-3"], "1.19e+08"),
+        # rejected before the lattice is built
+        (["--system", "toda-a:1000000000"], "2.24e+14"),
+    ])
+    def test_over_budget_exits_2(self, capsys, argv, need):
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: run would need about {need} GiB")
+        assert "limit 1 GiB" in err
+
+    def test_benchmark_sizes_far_below_budget(self):
+        for system, t_end in [("toda-a:3", 10.0), ("toda-a:8", 5.0), ("volterra-a:11", 10.0)]:
+            need = _estimated_bytes(catalog.parse_system(system), round(t_end / 1e-3))
+            assert need < MEMORY_BUDGET_BYTES / 20
+
     def test_toda_a_27_monitors_fit(self, capsys, tmp_path):
         # expanding H_1..H_27 and evaluating them densely asked for 12.1 GiB here
         path = tmp_path / "x0.json"

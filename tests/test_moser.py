@@ -129,7 +129,16 @@ class TestIdentifyJacobi:
         assert [str(p) for p in ident.a_defs] == ["x1*x2", "x3*x4"]
         assert [str(p) for p in ident.b_defs] == ["x1^2", "x2^2 + x3^2"]
 
-    @pytest.mark.parametrize("N", [5, 7, 9, 11, 13])
+    def test_inexpressible_flow_rejected(self):
+        # x_i' = x_i^2 makes every derivative odd in x; the generators and
+        # their products are even, so the exact solve is inconsistent
+        vs = moser.x_variables(4)
+        flow = PolyVectorField(vs, [Poly.var(vs, v) ** 2 for v in vs])
+        block = moser.square_and_split(9).odd_deleted
+        with pytest.raises(ValueError, match="not expressible"):
+            moser.identify_jacobi(block, flow)
+
+    @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_expressibility(self, N):
         split = moser.square_and_split(N)
         flow = moser.x_flow(N // 2)
@@ -137,7 +146,7 @@ class TestIdentifyJacobi:
             ident = moser.identify_jacobi(block, flow)
             assert len(ident.equations) == 2 * block.half_rank
 
-    @pytest.mark.parametrize("N", [5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_b_blocks_match_toda_b_flow(self, N):
         """Induced equations = catalog B-type flow under a = A^2, b = B, t -> -t/2."""
         split = moser.square_and_split(N)
@@ -165,7 +174,7 @@ class TestIdentifyJacobi:
                 rhs_b = toda.component(f"b{i}").substitute(sub).scale(-2).to_gaussian()
                 assert lhs_b == rhs_b, (N, block.tag, f"b{i}")
 
-    @pytest.mark.parametrize("N", [5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_c_blocks_match_reduced_even_chain_flow(self, N):
         """C-blocks induce the flow of the mirror-reduced even-size chain."""
         split = moser.square_and_split(N)
