@@ -58,8 +58,13 @@ class SystemId:
         if (self.family, self.kind) == ("volterra", "a") and self.n < 2:
             raise ValueError("volterra-a needs matrix size >= 2")
 
+    @property
+    def name(self) -> str:
+        """The family and type, e.g. 'toda-a'."""
+        return f"{self.family}-{self.kind}"
+
     def __str__(self) -> str:
-        return f"{self.family}-{self.kind}:{self.n}"
+        return f"{self.name}:{self.n}"
 
 
 def parse_system(text: str) -> SystemId:
@@ -169,6 +174,14 @@ def hamiltonian(sys: SystemId | str, k: int, field: str = RAT) -> Poly:
 
 # --------------------------------------------------------------------- tensors
 
+# The catalog Poisson tensors pi_k of each family, k in ascending order.
+BRACKETS = {
+    "toda-a": (1, 2, 3),
+    "toda-b": (1, 3),
+    "volterra-a": (2, 4),
+    "volterra-b": (4,),
+}
+
 
 def _brackets_to_tensor(sys, entries, degree):
     return PoissonTensor.from_brackets(variables(sys), entries, degree=degree)
@@ -270,10 +283,8 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
             entries[(f"a{i}", f"a{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}*a{i + 2}")
         return _brackets_to_tensor(sys, entries, 4)
 
-    raise ValueError(
-        f"no catalog tensor pi_{k} for {sys}; supported: toda-a:1,2,3 "
-        "toda-b:1,3 volterra-a:2,4 volterra-b:4"
-    )
+    supported = " ".join(f"{name}:{','.join(map(str, ks))}" for name, ks in BRACKETS.items())
+    raise ValueError(f"no catalog tensor pi_{k} for {sys}; supported: {supported}")
 
 
 def embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTensor:

@@ -2,6 +2,7 @@
 
 Subcommands:
   verify {jacobi|compatible|deformation|involution|ladder|reduction|all}
+             the paper's identities, stated once in `checks`
   reduce     emit a reduced bracket as JSON
   simulate   RK4 integration with conservation monitors (CSV or JSON)
   bogo       root-system Volterra construction (text or JSON)
@@ -25,16 +26,8 @@ import sys
 
 import numpy as np
 
-from . import bogo, catalog, flows, moser, reduction
-from .poisson import (
-    directional_action,
-    hamiltonian_vf,
-    is_compatible,
-    is_poisson,
-    jacobiator,
-    lie_derivative_bivector,
-    pushforward_sign,
-)
+from . import bogo, catalog, checks, flows, moser, reduction
+from .poisson import is_poisson
 
 SCHEMA_PREFIX = "todavolterra"
 
@@ -68,223 +61,22 @@ def _emit_text(doc: dict, indent: int = 0) -> None:
 # ------------------------------------------------------------------- verify
 
 
-def _check_jacobi(system: str, k: int) -> dict:
-    sys_id = catalog.parse_system(system)
-    pi = catalog.tensor(sys_id, k)
-    jac = jacobiator(pi)
-    bad = {
-        f"({i + 1},{j + 1},{l + 1})": p.canonical_str()
-        for (i, j, l), p in jac.items()
-        if not p.is_zero
-    }
-    return {
-        "check": "jacobi",
-        "system": str(sys_id),
-        "bracket": k,
-        "ok": not bad,
-        "nonzero_jacobiator": bad,
-    }
-
-
-def _check_compatible(system: str, degrees: tuple[int, int]) -> dict:
-    sys_id = catalog.parse_system(system)
-    k, l = degrees
-    ok = is_compatible(catalog.tensor(sys_id, k), catalog.tensor(sys_id, l))
-    return {"check": "compatible", "system": str(sys_id), "brackets": [k, l], "ok": ok}
-
-
-def _deformation_relations(sys_id: catalog.SystemId) -> list[dict]:
-    Z0 = catalog.euler_field(sys_id)
-    Z1 = catalog.master_symmetry(sys_id)
-    rows = []
-
-    def record(name, ok):
-        rows.append({"relation": name, "ok": bool(ok)})
-
-    for l in (1, 2, 3):
-        pi = catalog.tensor(sys_id, l)
-        record(
-            f"L_Z0 pi{l} = {l - 2} pi{l}",
-            lie_derivative_bivector(Z0, pi) == pi.scale(l - 2),
-        )
-    record(
-        "L_Z1 pi1 = -2 pi2",
-        lie_derivative_bivector(Z1, catalog.tensor(sys_id, 1))
-        == catalog.tensor(sys_id, 2).scale(-2),
-    )
-    record(
-        "L_Z1 pi2 = -pi3",
-        lie_derivative_bivector(Z1, catalog.tensor(sys_id, 2))
-        == catalog.tensor(sys_id, 3).scale(-1),
-    )
-    for l in (1, 2, 3):
-        H = catalog.hamiltonian(sys_id, l)
-        record(
-            f"Z0(H{l}) = {l} H{l}",
-            directional_action(Z0, H) == H.scale(l),
-        )
-        record(
-            f"Z1(H{l}) = {l + 1} H{l + 1}",
-            directional_action(Z1, H) == catalog.hamiltonian(sys_id, l + 1).scale(l + 1),
-        )
-    return rows
-
-
-def _check_deformation(system: str) -> dict:
-    sys_id = catalog.parse_system(system)
-    rows = _deformation_relations(sys_id)
-    return {
-        "check": "deformation",
-        "system": str(sys_id),
-        "ok": all(r["ok"] for r in rows),
-        "relations": rows,
-    }
-
-
-def _check_involution(system: str, map_name: str, k: int) -> dict:
-    sys_id = catalog.parse_system(system)
-    g = catalog.symmetry(map_name, sys_id)
-    pi = catalog.tensor(sys_id, k)
-    sign = pushforward_sign(g, pi)
-    return {
-        "check": "involution",
-        "system": str(sys_id),
-        "map": map_name,
-        "bracket": k,
-        "sign": sign,
-        "ok": sign == 1,
-    }
-
-
-def _check_ladder(system: str) -> dict:
-    sys_id = catalog.parse_system(system)
-    rows = []
-    if (sys_id.family, sys_id.kind) == ("toda", "a"):
-        pairs = [((3, 1), (2, 2)), ((2, 2), (1, 3)), ((2, 1), (1, 2))]
-    elif (sys_id.family, sys_id.kind) == ("toda", "b"):
-        pairs = [((3, 2), (1, 4))]
-    elif (sys_id.family, sys_id.kind) == ("volterra", "a"):
-        pairs = [((4, 2), (2, 4))]
-    else:
-        raise ValueError(f"no ladder relations cataloged for {sys_id}")
-    for (k1, l1), (k2, l2) in pairs:
-        lhs = hamiltonian_vf(catalog.tensor(sys_id, k1), catalog.hamiltonian(sys_id, l1))
-        rhs = hamiltonian_vf(catalog.tensor(sys_id, k2), catalog.hamiltonian(sys_id, l2))
-        rows.append(
-            {"relation": f"pi{k1} dH{l1} = pi{k2} dH{l2}", "ok": lhs == rhs}
-        )
-    return {
-        "check": "ladder",
-        "system": str(sys_id),
-        "ok": all(r["ok"] for r in rows),
-        "relations": rows,
-    }
-
-
-REDUCTION_CASES = ("psi", "phi", "phi-volterra", "phi-tilde")
-
-
-def _check_reduction(which: str, n: int) -> dict:
-    if which == "psi":
-        sys_a = catalog.SystemId("toda", "a", n + 1)
-        group = reduction.FiniteGroupAction(catalog.symmetry_group("psi", sys_a))
-        ambient = catalog.tensor(sys_a, 2)
-        expected = catalog.tensor(catalog.SystemId("volterra", "a", n + 1), 2)
-    elif which == "phi":
-        sys_a = catalog.SystemId("toda", "a", 2 * n + 1)
-        group = reduction.FiniteGroupAction(catalog.symmetry_group("phi_toda", sys_a))
-        ambient = catalog.tensor(sys_a, 3)
-        expected = catalog.tensor(catalog.SystemId("toda", "b", n), 3)
-    elif which == "phi-volterra":
-        sys_a = catalog.SystemId("volterra", "a", 2 * n + 1)
-        group = reduction.FiniteGroupAction(
-            catalog.symmetry_group("phi_volterra", sys_a)
-        )
-        ambient = catalog.tensor(sys_a, 4)
-        expected = catalog.tensor(catalog.SystemId("volterra", "b", n), 4)
-    elif which == "phi-tilde":
-        sys_t = catalog.SystemId("toda", "a", 2 * n + 1)
-        group = reduction.FiniteGroupAction.generated_by(
-            catalog.symmetry("phi_tilde", sys_t)
-        )
-        ambient = catalog.embedded_volterra_tensor(2 * n + 1, 4, "Qi")
-        expected = catalog.tensor(catalog.SystemId("volterra", "b", n), 4).to_gaussian()
-    else:
-        raise ValueError(f"unknown reduction case {which!r}")
-    report = reduction.verify_reduction(ambient, group, None, expected)
-    return {
-        "check": "reduction",
-        "case": which,
-        "n": n,
-        "ok": report.matches,
-        "diffs": report.diffs,
-    }
-
-
-def _verify_all(max_rank: int) -> dict:
-    results = []
-    for n in range(2, max_rank + 1):
-        for k in (1, 2, 3):
-            results.append(_check_jacobi(f"toda-a:{n}", k))
-    for n in range(1, max_rank + 1):
-        for k in (1, 3):
-            results.append(_check_jacobi(f"toda-b:{n}", k))
-    for N in range(3, 2 * max_rank + 2):
-        for k in (2, 4):
-            results.append(_check_jacobi(f"volterra-a:{N}", k))
-    for n in range(1, max_rank + 1):
-        results.append(_check_jacobi(f"volterra-b:{n}", 4))
-    for n in range(2, max_rank + 1):
-        for pair in ((1, 2), (2, 3), (1, 3)):
-            results.append(_check_compatible(f"toda-a:{n}", pair))
-        results.append(_check_compatible(f"volterra-a:{n + 1}", (2, 4)))
-        results.append(_check_deformation(f"toda-a:{n}"))
-        results.append(_check_ladder(f"toda-a:{n}"))
-        results.append(_check_ladder(f"volterra-a:{n + 1}"))
-    for n in range(1, min(max_rank, 3) + 1):
-        results.append(_check_ladder(f"toda-b:{n}"))
-        for which in REDUCTION_CASES:
-            results.append(_check_reduction(which, n))
-    # pushforward sign table (the expected signs are the verified ones)
-    for n in range(1, 3):
-        sys_a = f"toda-a:{2 * n + 1}"
-        for k in (1, 2, 3):
-            row = _check_involution(sys_a, "phi_toda", k)
-            row["ok"] = row["sign"] == (1 if k % 2 == 1 else -1)
-            row["expected_sign"] = 1 if k % 2 == 1 else -1
-            results.append(row)
-    for n in range(2, max_rank + 1):
-        for k in (1, 2, 3):
-            row = _check_involution(f"toda-a:{n}", "psi", k)
-            row["ok"] = row["sign"] == (-1) ** k
-            row["expected_sign"] = (-1) ** k
-            results.append(row)
-    for n in range(1, 3):
-        for k in (2, 4):
-            row = _check_involution(f"volterra-a:{2 * n + 1}", "phi_volterra", k)
-            row["ok"] = row["sign"] == (-1) ** (k // 2)
-            row["expected_sign"] = (-1) ** (k // 2)
-            results.append(row)
-    ok = all(r["ok"] for r in results)
-    return {"check": "all", "ok": ok, "max_rank": max_rank, "results": results}
-
-
 def _cmd_verify(args) -> int:
     if args.what == "jacobi":
-        doc = _check_jacobi(args.system, args.bracket)
+        doc = checks.jacobi(args.system, args.bracket)
     elif args.what == "compatible":
         k, l = (int(x) for x in args.brackets.split(","))
-        doc = _check_compatible(args.system, (k, l))
+        doc = checks.compatible(args.system, (k, l))
     elif args.what == "deformation":
-        doc = _check_deformation(args.system)
+        doc = checks.deformation(args.system)
     elif args.what == "involution":
-        doc = _check_involution(args.system, args.map, args.bracket)
+        doc = checks.involution(args.system, args.map, args.bracket)
     elif args.what == "ladder":
-        doc = _check_ladder(args.system)
+        doc = checks.ladder(args.system)
     elif args.what == "reduction":
-        doc = _check_reduction(args.which, args.n)
+        doc = checks.fixed_point_reduction(args.which, args.n)
     elif args.what == "all":
-        doc = _verify_all(args.max_rank)
+        doc = checks.verify_all(args.max_rank)
     else:  # pragma: no cover
         raise ValueError(args.what)
     doc["schema"] = f"{SCHEMA_PREFIX}/verify/v1"
@@ -297,14 +89,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reduce(args) -> int:
     sys_id = catalog.parse_system(args.system)
-    name = {"psi": "psi", "phi_toda": "phi_toda", "phi_volterra": "phi_volterra",
-            "phi_tilde": "phi_tilde"}[args.map]
-    if name == "phi_tilde":
-        group = reduction.FiniteGroupAction.generated_by(catalog.symmetry(name, sys_id))
-        ambient = catalog.embedded_volterra_tensor(sys_id.n, args.bracket, "Qi")
-    else:
-        group = reduction.FiniteGroupAction(catalog.symmetry_group(name, sys_id))
-        ambient = catalog.tensor(sys_id, args.bracket)
+    ambient, group = checks.ambient_and_group(sys_id, args.map, args.bracket)
     red = reduction.reduced_bracket(ambient, group)
     doc = {
         "schema": f"{SCHEMA_PREFIX}/reduce/v1",
@@ -375,10 +160,22 @@ def _cmd_simulate(args) -> int:
             f"arrays (limit {MEMORY_BUDGET_BYTES / 2**30:g} GiB); "
             "lower --t-end or the lattice size, or raise --h"
         )
-    if (sys_id.family, sys_id.kind) in (("volterra", "b"), ("volterra", "c")):
+    # Past the Lax size N, H_k is a polynomial in H_1..H_N (Newton's
+    # identities) whose expansion grows with k, so --flow is bounded by N
+    # before any symbolic work.
+    if sys_id.name in ("volterra-b", "volterra-c"):
+        if args.flow != 2:
+            raise ValueError(
+                f"{sys_id} integrates only its lattice equations: --flow must be 2, "
+                f"got {args.flow}"
+            )
         vf = catalog.bn_volterra_flow(sys_id.n)
-    else:
+    elif 1 <= args.flow <= catalog.lax_size(sys_id):
         vf = catalog.flow(sys_id, args.flow)
+    else:
+        raise ValueError(
+            f"--flow must lie in 1..{catalog.lax_size(sys_id)} for {sys_id}, got {args.flow}"
+        )
     x0 = _initial_point(args, sys_id)
     traj = flows.integrate(vf, x0, args.t_end, args.h, record_stride=1)
     report = flows.monitors(traj, sys_id)
@@ -497,6 +294,17 @@ def _positive(kind):
     return parse
 
 
+def _max_rank(text: str) -> int:
+    """argparse type for `verify all --max-rank`: an integer >= 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="todavolterra",
@@ -510,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=0)
 
     p = vsub.add_parser("jacobi")
     p.add_argument("--system", required=True)
@@ -538,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = vsub.add_parser("reduction")
-    p.add_argument("--which", choices=REDUCTION_CASES, required=True)
+    p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
     p.add_argument("--n", type=int, default=2)
     add_common(p)
 
     p = vsub.add_parser("all")
-    p.add_argument("--max-rank", type=int, default=4)
+    p.add_argument("--max-rank", type=_max_rank, default=4)
     add_common(p)
 
     p = sub.add_parser("reduce", help="emit a reduced bracket")

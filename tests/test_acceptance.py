@@ -9,25 +9,32 @@ the obstruction; see README "Sign conventions and recorded constants".
 
 import random
 
-import numpy as np
 import pytest
 
-from todavolterra import bogo, catalog, flows, moser, reduction
+from todavolterra import bogo, catalog, checks, flows, moser, reduction
 from todavolterra.polyalg import Poly
-from todavolterra.poisson import (
-    bracket,
-    directional_action,
-    hamiltonian_vf,
-    is_poisson,
-    jacobiator,
-    lie_derivative_bivector,
-    pushforward_sign,
-)
+from todavolterra.poisson import hamiltonian_vf, pushforward_sign
 
 
 def check(criterion: str, description: str, ok: bool):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {description}")
     assert ok, f"{criterion}: {description}"
+
+
+def check_relations(criterion: str, doc: dict):
+    """One line per relation of a `checks` result that lists relations."""
+    assert doc["relations"]
+    for row in doc["relations"]:
+        check(criterion, f"{row['relation']} on {doc['system']}", row["ok"])
+
+
+def check_sign(criterion: str, system: str, map_name: str, k: int):
+    doc = checks.pushforward(system, map_name, k)
+    check(
+        criterion,
+        f"{map_name}_* pi{k} = {doc['expected_sign']} pi{k} on {system}",
+        doc["ok"],
+    )
 
 
 def sid(text):
@@ -42,125 +49,64 @@ def group_of(name, sys_id):
 
 
 def test_criterion_1_exact_jacobi():
-    """pi1..pi3 (toda-a:2..16), pi1/pi3 (toda-b:1..12), pi2/pi4
-    (volterra-a:3..25), pi4 (volterra-b:1..12) all have exactly zero
-    Jacobiator."""
-    cases = []
-    for n in range(2, 17):
-        cases += [(f"toda-a:{n}", k) for k in (1, 2, 3)]
-    for n in range(1, 13):
-        cases += [(f"toda-b:{n}", k) for k in (1, 3)]
-    for N in range(3, 26):
-        cases += [(f"volterra-a:{N}", k) for k in (2, 4)]
-    for n in range(1, 13):
-        cases.append((f"volterra-b:{n}", 4))
-    for system, k in cases:
-        ok = is_poisson(catalog.tensor(sid(system), k))
-        check("criterion 1", f"jacobiator(pi{k}) = 0 on {system}", ok)
+    """Every catalog bracket has exactly zero Jacobiator on toda-a:2..16,
+    toda-b:1..12, volterra-a:3..25 and volterra-b:1..12."""
+    sizes = {
+        "toda-a": range(2, 17),
+        "toda-b": range(1, 13),
+        "volterra-a": range(3, 26),
+        "volterra-b": range(1, 13),
+    }
+    for name, brackets in catalog.BRACKETS.items():
+        for n in sizes[name]:
+            for k in brackets:
+                ok = checks.jacobi(f"{name}:{n}", k)["ok"]
+                check("criterion 1", f"jacobiator(pi{k}) = 0 on {name}:{n}", ok)
 
 
 # --------------------------------------------------------------- criterion 2
 
 
 def test_criterion_2_compatibility():
-    """jacobiator(pi_i + pi_j) = 0 exactly for the catalog pairs
+    """jacobiator(pi_i + pi_j) = 0 exactly for the compatible pairs
     (toda-a:2..8, volterra-a:3..21)."""
-    for n in range(2, 9):
-        sys_id = sid(f"toda-a:{n}")
-        for i, j in ((1, 2), (2, 3), (1, 3)):
-            ok = is_poisson(catalog.tensor(sys_id, i) + catalog.tensor(sys_id, j))
-            check("criterion 2", f"toda-a:{n} pair ({i},{j})", ok)
-    for N in range(3, 22):
-        sys_id = sid(f"volterra-a:{N}")
-        ok = is_poisson(catalog.tensor(sys_id, 2) + catalog.tensor(sys_id, 4))
-        check("criterion 2", f"volterra-a:{N} pair (2,4)", ok)
+    sizes = {"toda-a": range(2, 9), "volterra-a": range(3, 22)}
+    for name, pairs in checks.COMPATIBLE_PAIRS.items():
+        for n in sizes[name]:
+            for i, j in pairs:
+                ok = checks.compatible(f"{name}:{n}", (i, j))["ok"]
+                check("criterion 2", f"{name}:{n} pair ({i},{j})", ok)
 
 
 # --------------------------------------------------------------- criterion 3
 
 
 def test_criterion_3_deformation_relations():
-    """L_Z0 pi_l = (l-2) pi_l; L_Z1 pi1 = -2 pi2; L_Z1 pi2 = -pi3;
-    Z0(H_l) = l H_l; Z1(H_l) = (1+l) H_{l+1} for l <= 3; exact, n <= 4."""
+    """The master-symmetry deformation relations, exact, on toda-a:2..4."""
     for n in (2, 3, 4):
-        sys_id = sid(f"toda-a:{n}")
-        Z0 = catalog.euler_field(sys_id)
-        Z1 = catalog.master_symmetry(sys_id)
-        for l in (1, 2, 3):
-            pi = catalog.tensor(sys_id, l)
-            check(
-                "criterion 3",
-                f"L_Z0 pi{l} = ({l}-2) pi{l} on toda-a:{n}",
-                lie_derivative_bivector(Z0, pi) == pi.scale(l - 2),
-            )
-        check(
-            "criterion 3",
-            f"L_Z1 pi1 = -2 pi2 on toda-a:{n}",
-            lie_derivative_bivector(Z1, catalog.tensor(sys_id, 1))
-            == catalog.tensor(sys_id, 2).scale(-2),
-        )
-        check(
-            "criterion 3",
-            f"L_Z1 pi2 = -pi3 on toda-a:{n}",
-            lie_derivative_bivector(Z1, catalog.tensor(sys_id, 2))
-            == catalog.tensor(sys_id, 3).scale(-1),
-        )
-        for l in (1, 2, 3):
-            H = catalog.hamiltonian(sys_id, l)
-            check(
-                "criterion 3",
-                f"Z0(H{l}) = {l} H{l} on toda-a:{n}",
-                directional_action(Z0, H) == H.scale(l),
-            )
-            check(
-                "criterion 3",
-                f"Z1(H{l}) = {l + 1} H{l + 1} on toda-a:{n}",
-                directional_action(Z1, H)
-                == catalog.hamiltonian(sys_id, l + 1).scale(l + 1),
-            )
+        check_relations("criterion 3", checks.deformation(f"toda-a:{n}"))
 
 
 # --------------------------------------------------------------- criterion 4
 
 
 def test_criterion_4_pushforward_signs():
-    """psi: (-1)^k; mirror on odd chains: (-1)^(k+1); volterra mirror:
-    (-1)^(k/2); order-4 twist preserves the embedded quartic tensor."""
-    for n in (2, 3, 4):
-        sys_id = sid(f"toda-a:{n}")
-        psi = catalog.symmetry("psi", sys_id)
-        for k in (1, 2, 3):
-            check(
-                "criterion 4",
-                f"psi_* pi{k} = (-1)^{k} pi{k} on toda-a:{n}",
-                pushforward_sign(psi, catalog.tensor(sys_id, k)) == (-1) ** k,
-            )
+    """Each map transforms the catalog brackets with its `checks.SIGNS`
+    rule; the order-4 twist preserves the embedded quartic tensor."""
+    cases = [(f"toda-a:{n}", "psi") for n in (2, 3, 4)]
+    cases += [(f"toda-a:{2 * n + 1}", "phi_toda") for n in (1, 2)]
+    cases += [(f"volterra-a:{2 * n + 1}", "phi_volterra") for n in (1, 2, 3)]
+    for system, map_name in cases:
+        for k in catalog.BRACKETS[sid(system).name]:
+            check_sign("criterion 4", system, map_name, k)
     for n in (1, 2):
         sys_id = sid(f"toda-a:{2 * n + 1}")
-        phi = catalog.symmetry("phi_toda", sys_id)
-        for k in (1, 2, 3):
-            check(
-                "criterion 4",
-                f"phi_* pi{k} = (-1)^{k + 1} pi{k} on toda-a:{2 * n + 1}",
-                pushforward_sign(phi, catalog.tensor(sys_id, k)) == (-1) ** (k + 1),
-            )
-    for n in (1, 2):
-        sys_id = sid(f"volterra-a:{2 * n + 1}")
-        phiv = catalog.symmetry("phi_volterra", sys_id)
-        for k in (2, 4):
-            check(
-                "criterion 4",
-                f"phi_volterra_* pi{k} = (-1)^{k // 2} pi{k} on volterra-a:{2 * n + 1}",
-                pushforward_sign(phiv, catalog.tensor(sys_id, k)) == (-1) ** (k // 2),
-            )
-    for n in (1, 2):
-        N = 2 * n + 1
-        pt = catalog.symmetry("phi_tilde", sid(f"toda-a:{N}"))
-        emb = catalog.embedded_volterra_tensor(N, 4, "Qi")
+        emb, _ = checks.ambient_and_group(sys_id, "phi_tilde", 4)
         check(
             "criterion 4",
-            f"phi_tilde preserves the embedded pi4 over Q(i), N={N}",
-            pushforward_sign(pt, emb) == 1,
+            f"phi_tilde preserves the embedded pi4 over Q(i), N={sys_id.n}",
+            pushforward_sign(catalog.symmetry("phi_tilde", sys_id), emb)
+            == checks.SIGNS["phi_tilde"](4),
         )
 
 
@@ -184,16 +130,10 @@ def test_criterion_4_even_mirror_stated_signs():
 
 
 def test_criterion_4_even_mirror_verified_signs():
-    """Machine-verified even-mirror signs: (-1)^(k+1), same as the odd case."""
-    for n in (1, 2):
-        sys_id = sid(f"toda-a:{2 * n}")
-        phi = catalog.symmetry("phi_toda", sys_id)
-        for k in (1, 2):
-            check(
-                "criterion 4 (verified even-mirror signs)",
-                f"phi_C_* pi{k} = (-1)^{k + 1} pi{k} on toda-a:{2 * n}",
-                pushforward_sign(phi, catalog.tensor(sys_id, k)) == (-1) ** (k + 1),
-            )
+    """Machine-verified even-mirror signs: the same rule as on odd chains."""
+    for N in (2, 4):
+        for k in catalog.BRACKETS["toda-a"]:
+            check_sign("criterion 4 (verified even-mirror signs)", f"toda-a:{N}", "phi_toda", k)
 
 
 # --------------------------------------------------------------- criterion 5
@@ -201,30 +141,13 @@ def test_criterion_4_even_mirror_verified_signs():
 
 def test_criterion_5_reduction_regressions():
     """The four reduction regressions, entrywise exact."""
-    # b-sign flip: quadratic bracket descends to the Volterra bracket
-    for N in (3, 4, 5):
-        sys_t = sid(f"toda-a:{N}")
-        report = reduction.verify_reduction(
-            catalog.tensor(sys_t, 2),
-            group_of("psi", sys_t),
-            None,
-            catalog.tensor(sid(f"volterra-a:{N}"), 2),
-        )
-        check("criterion 5", f"psi-reduction of pi2 on toda-a:{N}", report.matches)
-    # mirror: cubic bracket descends to the B-type cubic bracket
-    for n in (1, 2):
-        sys_t = sid(f"toda-a:{2 * n + 1}")
-        report = reduction.verify_reduction(
-            catalog.tensor(sys_t, 3),
-            group_of("phi_toda", sys_t),
-            None,
-            catalog.tensor(sid(f"toda-b:{n}"), 3),
-        )
-        check("criterion 5", f"phi-reduction of pi3 on toda-a:{2 * n + 1}", report.matches)
+    sizes = {"psi": (2, 3, 4), "phi": (1, 2), "phi-volterra": (1, 2, 3, 4), "phi-tilde": (1, 2)}
+    for which, ns in sizes.items():
+        for n in ns:
+            ok = checks.fixed_point_reduction(which, n)["ok"]
+            check("criterion 5", f"{which}-reduction, n={n}", ok)
     # the distinguished corner entry carries the doubled a^2 term
-    red = reduction.reduced_bracket(
-        catalog.tensor(sid("toda-a:5"), 3), group_of("phi_toda", sid("toda-a:5"))
-    )
+    red = reduction.reduced_bracket(*checks.ambient_and_group(sid("toda-a:5"), "phi_toda", 3))
     vs = red.variables
     check(
         "criterion 5",
@@ -232,30 +155,11 @@ def test_criterion_5_reduction_regressions():
         "cubic sign",
         red.entry_named("a2", "b2") == Poly.parse("1/2*a2*b2^2 + a2^2", vs),
     )
-    # volterra mirror: quartic bracket descends to the B-type quartic bracket
-    for n in (2, 3):
-        sys_v = sid(f"volterra-a:{2 * n + 1}")
-        report = reduction.verify_reduction(
-            catalog.tensor(sys_v, 4),
-            group_of("phi_volterra", sys_v),
-            None,
-            catalog.tensor(sid(f"volterra-b:{n}"), 4),
-        )
-        check(
-            "criterion 5",
-            f"phi_volterra-reduction of pi4 on volterra-a:{2 * n + 1}",
-            report.matches,
-        )
     # one stage (order-4 twist) equals two stages (two involutions)
     for n in (1, 2):
         N = 2 * n + 1
         sys_t = sid(f"toda-a:{N}")
-        one = reduction.reduced_bracket(
-            catalog.embedded_volterra_tensor(N, 4, "Qi"),
-            reduction.FiniteGroupAction.generated_by(
-                catalog.symmetry("phi_tilde", sys_t)
-            ),
-        )
+        one = reduction.reduced_bracket(*checks.ambient_and_group(sys_t, "phi_tilde", 4))
         stage1 = reduction.reduced_bracket(
             catalog.embedded_volterra_tensor(N, 4), group_of("psi", sys_t)
         )
@@ -304,25 +208,13 @@ def test_criterion_5_literal_printed_entries():
 
 
 def test_criterion_6_multi_hamiltonian_ladders():
-    """pi3 dH1 = pi2 dH2 = pi1 dH3 (toda-a); pi3 dH2 = pi1 dH4 (toda-b);
-    pi4 dH2 = pi2 dH4 (volterra-a); hamiltonian_vf(pi2, H2) = KM; exact."""
-    for n in (2, 3, 4):
-        sys_id = sid(f"toda-a:{n}")
-        x31 = hamiltonian_vf(catalog.tensor(sys_id, 3), catalog.hamiltonian(sys_id, 1))
-        x22 = hamiltonian_vf(catalog.tensor(sys_id, 2), catalog.hamiltonian(sys_id, 2))
-        x13 = hamiltonian_vf(catalog.tensor(sys_id, 1), catalog.hamiltonian(sys_id, 3))
-        check("criterion 6", f"toda-a:{n} pi3 dH1 = pi2 dH2", x31 == x22)
-        check("criterion 6", f"toda-a:{n} pi2 dH2 = pi1 dH3", x22 == x13)
-    for n in (1, 2, 3):
-        sys_id = sid(f"toda-b:{n}")
-        lhs = hamiltonian_vf(catalog.tensor(sys_id, 3), catalog.hamiltonian(sys_id, 2))
-        rhs = hamiltonian_vf(catalog.tensor(sys_id, 1), catalog.hamiltonian(sys_id, 4))
-        check("criterion 6", f"toda-b:{n} pi3 dH2 = pi1 dH4", lhs == rhs)
-    for N in (4, 5, 6, 7):
-        sys_id = sid(f"volterra-a:{N}")
-        lhs = hamiltonian_vf(catalog.tensor(sys_id, 4), catalog.hamiltonian(sys_id, 2))
-        rhs = hamiltonian_vf(catalog.tensor(sys_id, 2), catalog.hamiltonian(sys_id, 4))
-        check("criterion 6", f"volterra-a:{N} pi4 dH2 = pi2 dH4", lhs == rhs)
+    """The bi-Hamiltonian ladders on toda-a:2..4, toda-b:1..3 and
+    volterra-a:4..7; hamiltonian_vf(pi2, H2) = KM; exact."""
+    systems = [f"toda-a:{n}" for n in (2, 3, 4)]
+    systems += [f"toda-b:{n}" for n in (1, 2, 3)]
+    systems += [f"volterra-a:{N}" for N in (4, 5, 6, 7)]
+    for system in systems:
+        check_relations("criterion 6", checks.ladder(system))
     # the quadratic bracket generates the lattice equations themselves
     for N in (4, 5, 6):
         sys_id = sid(f"volterra-a:{N}")

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 
 from todavolterra import catalog, reduction
-from todavolterra.polyalg import GaussianRational, I_UNIT, Poly
+from todavolterra.polyalg import GaussianRational, Poly
 from todavolterra.poisson import (
     PolyVectorField,
     bracket,
     hamiltonian_vf,
     is_poisson,
     lie_derivative_bivector,
-    pushforward_sign,
 )
 
 
@@ -88,24 +87,6 @@ class TestTensors:
         with pytest.raises(ValueError, match="pi_2"):
             catalog.tensor(catalog.SystemId("toda", "b", 2), 2)
 
-    def test_all_catalog_tensors_poisson_to_rank_5(self):
-        checks = []
-        for n in range(2, 6):
-            checks += [("toda-a", n, k) for k in (1, 2, 3)]
-        for n in range(1, 6):
-            checks += [("toda-b", n, k) for k in (1, 3)]
-        for N in range(3, 12):
-            checks += [("volterra-a", N, k) for k in (2, 4)]
-        for n in range(1, 6):
-            checks.append(("volterra-b", n, 4))
-        for fam_kind, n, k in checks:
-            fam, kind = fam_kind.split("-")
-            assert is_poisson(catalog.tensor(catalog.SystemId(fam, kind, n), k)), (
-                fam_kind,
-                n,
-                k,
-            )
-
     def test_cubic_entry_value(self):
         # the recursion-pinned cubic bracket: {a1, b1}^3 = a1 b1^2 + a1^2
         # (opposite overall sign to the commonly printed table, which fails
@@ -182,22 +163,6 @@ class TestSpecialFields:
             ],
         )
 
-    def test_deformation_relations_full(self):
-        for n in (2, 3, 4):
-            sys = catalog.SystemId("toda", "a", n)
-            Z0 = catalog.euler_field(sys)
-            Z1 = catalog.master_symmetry(sys)
-            for l in (1, 2, 3):
-                pi = catalog.tensor(sys, l)
-                assert lie_derivative_bivector(Z0, pi) == pi.scale(l - 2)
-                H = catalog.hamiltonian(sys, l)
-                from todavolterra.poisson import directional_action
-
-                assert directional_action(Z0, H) == H.scale(l)
-                assert directional_action(Z1, H) == catalog.hamiltonian(
-                    sys, l + 1
-                ).scale(l + 1)
-
     def test_bn_volterra_flow_smallest(self):
         f = catalog.bn_volterra_flow(1)
         assert f.components[0] == Poly.parse("a1^2", ("a1",))
@@ -257,39 +222,6 @@ class TestSymmetries:
     def test_phi_tilde_needs_odd_size(self):
         with pytest.raises(ValueError):
             catalog.symmetry("phi_tilde", "toda-a:4")
-
-    def test_sign_table(self):
-        for n in (2, 3, 4):
-            sys = catalog.SystemId("toda", "a", n)
-            psi = catalog.symmetry("psi", sys)
-            for k in (1, 2, 3):
-                assert pushforward_sign(psi, catalog.tensor(sys, k)) == (-1) ** k
-        for N in (3, 5):
-            sys = catalog.SystemId("toda", "a", N)
-            phi = catalog.symmetry("phi_toda", sys)
-            for k in (1, 2, 3):
-                assert pushforward_sign(phi, catalog.tensor(sys, k)) == (-1) ** (k + 1)
-        for N in (3, 5, 7):
-            sys = catalog.SystemId("volterra", "a", N)
-            phiv = catalog.symmetry("phi_volterra", sys)
-            for k in (2, 4):
-                assert pushforward_sign(phiv, catalog.tensor(sys, k)) == (-1) ** (k // 2)
-
-    def test_even_mirror_sign_table(self):
-        # on even-size chains the mirror still flips sign with k+1 parity;
-        # the odd brackets reduce there (C-type systems), not the even ones
-        for N in (2, 4):
-            sys = catalog.SystemId("toda", "a", N)
-            phi = catalog.symmetry("phi_toda", sys)
-            for k in (1, 2) if N == 2 else (1, 2, 3):
-                assert pushforward_sign(phi, catalog.tensor(sys, k)) == (-1) ** (k + 1)
-
-    def test_phi_tilde_preserves_embedded_quartic(self):
-        for n in (1, 2):
-            N = 2 * n + 1
-            pt = catalog.symmetry("phi_tilde", catalog.SystemId("toda", "a", N))
-            emb = catalog.embedded_volterra_tensor(N, 4, "Qi")
-            assert pushforward_sign(pt, emb) == 1
 
 
 class TestI4:

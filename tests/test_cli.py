@@ -1,11 +1,17 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from todavolterra import catalog
 from todavolterra.cli import MEMORY_BUDGET_BYTES, _estimated_bytes, main
+from todavolterra.poisson import PoissonTensor
+from todavolterra.polyalg import Poly
+
+# The checks `verify all --max-rank 6` ran at the benchmark's seed commit.
+VERIFY_ALL_CHECKS = Path(__file__).parents[1] / "perfbench" / "expected" / "verify_all_checks.json"
 
 
 def run(capsys, *argv):
@@ -67,12 +73,85 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["ok"] and len(doc["results"]) > 20
 
+    def test_all_runs_the_recorded_checks_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--max-rank", "6", "--format", "json")
+        assert code == 0
+        ids = []
+        for r in json.loads(out)["results"]:
+            key = " ".join([r["check"]] + [
+                f"{k}={json.dumps(r[k])}"
+                for k in ("system", "case", "n", "map", "bracket", "brackets")
+                if k in r
+            ])
+            ids.append(key)
+            ids += [f"{key} :: {row['relation']}" for row in r.get("relations", [])]
+        expected = json.loads(VERIFY_ALL_CHECKS.read_text())
+        assert len(expected) == 208
+        assert ids == expected
+
+    @pytest.mark.parametrize("value", ["0", "-5", "1", "x"])
+    def test_max_rank_below_2_rejected(self, capsys, value):
+        code, out, err = run(capsys, "verify", "all", "--max-rank", value)
+        assert code == 2
+        assert out == ""
+        assert "argument --max-rank: must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "jacobi", "--system", "toda-a:2", "--bracket", "1"],
+        ["verify", "all", "--max-rank", "2"],
+        ["reduce", "--system", "toda-a:3", "--map", "psi", "--bracket", "2"],
+        ["bogo", "--type", "A", "--rank", "2"],
+        ["moser", "--N", "5"],
+    ])
+    def test_seed_belongs_to_simulate_only(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
+
     def test_usage_error(self, capsys):
         assert main(["verify", "jacobi", "--system", "nonsense", "--bracket", "1"]) == 2
 
     def test_unsupported_bracket_is_input_error(self, capsys):
         code, _, _ = run(capsys, "verify", "jacobi", "--system", "toda-b:2", "--bracket", "2")
         assert code == 2
+
+
+class TestPerturbedTensorFails:
+    """A pi3 with one nonlinear term added to its {a1, b1} entry is caught."""
+
+    @pytest.fixture(autouse=True)
+    def perturbed_pi3(self, monkeypatch):
+        tensor = catalog.tensor
+
+        def perturbed(sys_id, k):
+            pi = tensor(sys_id, k)
+            if k != 3:
+                return pi
+            extra = {("a1", "b1"): Poly.parse("a1*b1^3", pi.variables)}
+            return pi + PoissonTensor.from_brackets(pi.variables, extra)
+
+        monkeypatch.setattr(catalog, "tensor", perturbed)
+
+    @pytest.mark.parametrize("what, failed", [
+        ("deformation", ["L_Z0 pi3 = 1 pi3", "L_Z1 pi2 = -pi3"]),
+        ("ladder", ["pi3 dH1 = pi2 dH2"]),
+    ])
+    def test_relations_fail(self, capsys, what, failed):
+        code, out, _ = run(capsys, "verify", what, "--system", "toda-a:3", "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert [r["relation"] for r in doc["relations"] if r["ok"] is False] == failed
+
+    def test_compatibility_fails(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "compatible", "--system", "toda-a:3", "--brackets", "2,3",
+            "--format", "json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["brackets"] == [2, 3]
 
 
 class TestDeterminism:
@@ -181,6 +260,30 @@ class TestSimulateInput:
         doc = json.loads(out)
         n_a = sum(v.startswith("a") for v in catalog.variables(system))
         assert all(0.1 <= a <= 1.0 for a in doc["x0"][:n_a])
+
+
+class TestSimulateFlow:
+    @pytest.mark.parametrize("argv, message", [
+        # expanding H_99 symbolically did not finish in 60 s
+        (["--system", "toda-a:3", "--flow", "99"], "--flow must lie in 1..3 for toda-a:3, got 99"),
+        (["--system", "toda-a:3", "--flow", "0"], "--flow must lie in 1..3 for toda-a:3, got 0"),
+        # volterra-b always integrates its lattice equations
+        (["--system", "volterra-b:2", "--flow", "7"],
+         "volterra-b:2 integrates only its lattice equations: --flow must be 2, got 7"),
+    ])
+    def test_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "simulate", *argv, "--t-end", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_highest_flow_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--system", "toda-a:3", "--flow", "3", "--t-end", "0.1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["flow"] == 3
 
 
 class TestSimulateMemory:
