@@ -183,10 +183,6 @@ BRACKETS = {
 }
 
 
-def _brackets_to_tensor(sys, entries, degree):
-    return PoissonTensor.from_brackets(variables(sys), entries, degree=degree)
-
-
 @lru_cache(maxsize=None)
 def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
     """Catalog Poisson tensor pi_k of the system; errors name the gap."""
@@ -201,7 +197,7 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
         for i in range(1, n):
             entries[(f"a{i}", f"b{i}")] = P(f"a{i}")
             entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}")
-        return _brackets_to_tensor(sys, entries, 1)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     if key == ("toda", "a", 2):
         entries = {}
@@ -211,7 +207,7 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
             entries[(f"a{i}", f"b{i}")] = P(f"a{i}*b{i}")
             entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}*b{i + 1}")
             entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}")
-        return _brackets_to_tensor(sys, entries, 2)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     if key == ("toda", "a", 3):
         # cubic bracket pi3 = -L_{Z1} pi2 (regression-tested against the
@@ -226,7 +222,7 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
             entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}*b{i} - a{i}*b{i + 1}")
         for i in range(1, n - 1):
             entries[(f"a{i}", f"b{i + 2}")] = P(f"-a{i}*a{i + 1}")
-        return _brackets_to_tensor(sys, entries, 3)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     if key == ("toda", "b", 1):
         # fixed-point reduction of the linear bracket (frozen closed form)
@@ -235,7 +231,7 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
             entries[(f"a{i}", f"b{i}")] = P(f"1/2*a{i}")
             if i < n:
                 entries[(f"a{i}", f"b{i + 1}")] = P(f"-1/2*a{i}")
-        return _brackets_to_tensor(sys, entries, 1)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     if key == ("toda", "b", 3):
         # fixed-point reduction of the cubic bracket (frozen closed form)
@@ -250,14 +246,14 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
         entries[(f"a{n}", f"b{n}")] = P(f"1/2*a{n}*b{n}^2 + a{n}^2")
         for i in range(1, n - 1):
             entries[(f"a{i}", f"b{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}")
-        return _brackets_to_tensor(sys, entries, 3)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     if key == ("volterra", "a", 2):
         entries = {}
         m = n - 1  # number of variables
         for i in range(1, m):
             entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}")
-        return _brackets_to_tensor(sys, entries, 2)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     if key == ("volterra", "a", 4):
         # quartic bracket, sign pinned by the ladder pi4 dH2 = pi2 dH4
@@ -268,7 +264,7 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
             entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}^2*a{i + 1} - a{i}*a{i + 1}^2")
         for i in range(1, m - 1):
             entries[(f"a{i}", f"a{i + 2}")] = P(f"-a{i}*a{i + 1}*a{i + 2}")
-        return _brackets_to_tensor(sys, entries, 4)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     if kind in ("b", "c") and fam == "volterra" and k == 4:
         # fixed-point reduction of the quartic bracket (frozen closed form)
@@ -281,7 +277,7 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
             )
         for i in range(1, n - 1):
             entries[(f"a{i}", f"a{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}*a{i + 2}")
-        return _brackets_to_tensor(sys, entries, 4)
+        return PoissonTensor.from_brackets(vars_, entries)
 
     supported = " ".join(f"{name}:{','.join(map(str, ks))}" for name, ks in BRACKETS.items())
     raise ValueError(f"no catalog tensor pi_{k} for {sys}; supported: {supported}")
@@ -299,7 +295,7 @@ def embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTensor:
     upper = {}
     for (i, j), p in small.upper.items():
         upper[(i, j)] = p.extend(big_vars).with_field(field)
-    return PoissonTensor(big_vars, upper, k, field)
+    return PoissonTensor(big_vars, upper, field)
 
 
 # ---------------------------------------------------------------- vector fields
@@ -387,23 +383,6 @@ def bn_volterra_flow(n: int) -> PolyVectorField:
     return PolyVectorField(vars_, comps)
 
 
-def special_field(sys: SystemId | str, which) -> PolyVectorField:
-    """Dispatch for the named special fields: "Z0", "Z1", ("flow", k),
-    "bn_volterra_flow"."""
-    sys = _sys(sys)
-    if which == "Z0":
-        return euler_field(sys)
-    if which == "Z1":
-        return master_symmetry(sys)
-    if which == "bn_volterra_flow":
-        if (sys.family, sys.kind) not in (("volterra", "b"), ("volterra", "c")):
-            raise ValueError("bn_volterra_flow is defined for volterra-b systems")
-        return bn_volterra_flow(sys.n)
-    if isinstance(which, tuple) and len(which) == 2 and which[0] == "flow":
-        return flow(sys, which[1])
-    raise ValueError(f"unknown special field {which!r}")
-
-
 def i4_hamiltonian(n: int) -> Poly:
     """I4 = 1/4 sum_{i<n} (2 a_i^2 + a_i a_{i+1}) on the B-type Volterra space."""
     if n < 1:
@@ -438,7 +417,7 @@ def symmetry(name: str, sys: SystemId | str) -> LinearMap:
             raise ValueError("psi acts on toda-a systems")
         images = {v: (v, 1) for v in vars_ if v.startswith("a")}
         images.update({v: (v, -1) for v in vars_ if v.startswith("b")})
-        return LinearMap(vars_, images, order=2)
+        return LinearMap(vars_, images)
 
     if name == "phi_toda":
         if (fam, kind) != ("toda", "a"):
@@ -448,13 +427,13 @@ def symmetry(name: str, sys: SystemId | str) -> LinearMap:
             images[f"a{i}"] = (f"a{N - i}", 1)
         for i in range(1, N + 1):
             images[f"b{i}"] = (f"b{N + 1 - i}", -1)
-        return LinearMap(vars_, images, order=2)
+        return LinearMap(vars_, images)
 
     if name == "phi_volterra":
         if (fam, kind) != ("volterra", "a"):
             raise ValueError("phi_volterra acts on volterra-a systems")
         images = {f"a{i}": (f"a{N - i}", -1) for i in range(1, N)}
-        return LinearMap(vars_, images, order=2)
+        return LinearMap(vars_, images)
 
     if name == "phi_tilde":
         if (fam, kind) != ("toda", "a") or N % 2 == 0:
@@ -464,7 +443,7 @@ def symmetry(name: str, sys: SystemId | str) -> LinearMap:
             images[f"a{i}"] = (f"a{N - i}", -1)
         for i in range(1, N + 1):
             images[f"b{i}"] = (f"b{N + 1 - i}", I_UNIT)
-        return LinearMap(vars_, images, order=4)
+        return LinearMap(vars_, images)
 
     raise ValueError(f"unknown symmetry {name!r}")
 

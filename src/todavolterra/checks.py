@@ -56,12 +56,13 @@ LADDERS = {
 
 # The sign s(k) with map_* pi_k = s(k) pi_k.  The index mirror phi_toda has
 # the same rule on both parities of N; phi_tilde acts on the volterra-a
-# tensor embedded in the toda-a phase space (see `ambient_and_group`).
+# tensor embedded in the toda-a phase space (see `acted_tensor`), on whose
+# a's it acts as phi_volterra does, so it has phi_volterra's rule.
 SIGNS = {
     "psi": lambda k: (-1) ** k,
     "phi_toda": lambda k: (-1) ** (k + 1),
     "phi_volterra": lambda k: (-1) ** (k // 2),
-    "phi_tilde": lambda k: 1,
+    "phi_tilde": lambda k: (-1) ** (k // 2),
 }
 
 # Fixed-point reductions, by `verify reduction --which`: n -> (ambient
@@ -139,10 +140,22 @@ def ladder(system: str) -> dict:
     return _relations("ladder", sys_id, rows)
 
 
+def acted_tensor(sys_id: SystemId, map_name: str, k: int):
+    """The tensor pi_k that map_name acts on in sys_id.
+
+    phi_tilde is Gaussian and preserves no catalog tensor of toda-a, so its
+    tensor is the volterra-a pi_k embedded over Q(i) with zero b-rows.
+    """
+    if map_name == "phi_tilde":
+        return catalog.embedded_volterra_tensor(sys_id.n, k, "Qi")
+    return catalog.tensor(sys_id, k)
+
+
 def involution(system: str, map_name: str, k: int) -> dict:
     """The sign of map_* pi_k; ok when the map is Poisson (sign 1)."""
     sys_id = catalog.parse_system(system)
-    sign = pushforward_sign(catalog.symmetry(map_name, sys_id), catalog.tensor(sys_id, k))
+    g = catalog.symmetry(map_name, sys_id)
+    sign = pushforward_sign(g, acted_tensor(sys_id, map_name, k))
     return {
         "check": "involution",
         "system": str(sys_id),
@@ -162,15 +175,9 @@ def pushforward(system: str, map_name: str, k: int) -> dict:
 
 
 def ambient_and_group(sys_id: SystemId, map_name: str, k: int):
-    """The tensor pi_k on sys_id and the group map_name generates there.
-
-    phi_tilde is Gaussian and preserves no catalog tensor of toda-a, so its
-    tensor is the volterra-a pi_k embedded over Q(i) with zero b-rows.
-    """
+    """The tensor pi_k that map_name acts on in sys_id, and the group it generates."""
     group = reduction.FiniteGroupAction(catalog.symmetry_group(map_name, sys_id))
-    if map_name == "phi_tilde":
-        return catalog.embedded_volterra_tensor(sys_id.n, k, "Qi"), group
-    return catalog.tensor(sys_id, k), group
+    return acted_tensor(sys_id, map_name, k), group
 
 
 def fixed_point_reduction(which: str, n: int) -> dict:
@@ -179,7 +186,7 @@ def fixed_point_reduction(which: str, n: int) -> dict:
         raise ValueError(f"unknown reduction case {which!r}")
     sys_id, map_name, k, target = REDUCTIONS[which](n)
     ambient, group = ambient_and_group(sys_id, map_name, k)
-    report = reduction.verify_reduction(ambient, group, None, catalog.tensor(target, k))
+    report = reduction.verify_reduction(ambient, group, catalog.tensor(target, k))
     return {
         "check": "reduction",
         "case": which,

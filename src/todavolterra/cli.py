@@ -65,8 +65,7 @@ def _cmd_verify(args) -> int:
     if args.what == "jacobi":
         doc = checks.jacobi(args.system, args.bracket)
     elif args.what == "compatible":
-        k, l = (int(x) for x in args.brackets.split(","))
-        doc = checks.compatible(args.system, (k, l))
+        doc = checks.compatible(args.system, args.brackets)
     elif args.what == "deformation":
         doc = checks.deformation(args.system)
     elif args.what == "involution":
@@ -109,17 +108,29 @@ def _cmd_reduce(args) -> int:
 def _initial_point(args, sys_id) -> np.ndarray:
     vars_ = catalog.variables(sys_id)
     if args.x0:
+        where = f"--x0 {args.x0}"
         with open(args.x0) as fh:
-            data = json.load(fh)
-        a = list(data.get("a", []))
-        b = list(data.get("b", []))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{where}: not a JSON document ({exc})") from None
+        if not isinstance(data, dict) or not all(
+            isinstance(data.get(k, []), list) for k in "ab"
+        ):
+            raise ValueError(f'{where}: expected an object {{"a": [...], "b": [...]}}')
         point = []
         for v in vars_:
-            pool = a if v.startswith("a") else b
+            pool = data.get(v[0], [])
             idx = int(v[1:]) - 1
             if idx >= len(pool):
-                raise ValueError(f"initial condition file lacks {v}")
-            point.append(float(pool[idx]))
+                raise ValueError(f"{where}: the file lacks {v}")
+            try:
+                x = float(pool[idx])
+            except (TypeError, ValueError, OverflowError):
+                x = math.nan
+            if not math.isfinite(x):
+                raise ValueError(f"{where}: {v} = {pool[idx]!r} is not a finite number")
+            point.append(x)
         return np.array(point)
     rng = random.Random(args.seed)
     if sys_id.family == "volterra" and sys_id.kind == "a":
@@ -294,15 +305,30 @@ def _positive(kind):
     return parse
 
 
-def _max_rank(text: str) -> int:
-    """argparse type for `verify all --max-rank`: an integer >= 2."""
+def _bounded_int(lo: int, hi: int):
+    """argparse type: an integer in lo..hi."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {lo} and <= {hi}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _int_pair(text: str) -> tuple[int, int]:
+    """argparse type: two integers 'k,l'."""
     try:
-        value = int(text)
+        k, l = (int(x) for x in text.split(","))
     except ValueError:
-        value = None
-    if value is None or value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be two integers 'k,l', got {text!r}") from None
+    return k, l
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("compatible")
     p.add_argument("--system", required=True)
-    p.add_argument("--brackets", required=True, help="e.g. 1,2")
+    p.add_argument("--brackets", type=_int_pair, required=True, help="e.g. 1,2")
     add_common(p)
 
     p = vsub.add_parser("deformation")
@@ -346,11 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("reduction")
     p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
-    p.add_argument("--n", type=int, default=2)
+    # the bounds keep a run within seconds: on a 2-vCPU x86 VM, --n 16 took
+    # 3.4 s (phi, the costliest case) and --max-rank 16 took 4.2 s
+    p.add_argument("--n", type=_bounded_int(1, 16), default=2)
     add_common(p)
 
     p = vsub.add_parser("all")
-    p.add_argument("--max-rank", type=_max_rank, default=4)
+    p.add_argument("--max-rank", type=_bounded_int(2, 16), default=4)
     add_common(p)
 
     p = sub.add_parser("reduce", help="emit a reduced bracket")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -75,13 +75,12 @@ def compile_field(vf: PolyVectorField) -> CompiledField:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid trajectory with per-step monitor values attached later."""
+    """States of an RK4 run on a uniform time grid."""
 
     variables: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray
     h: float
-    monitors: dict = field(default_factory=dict)
 
 
 def integrate(
@@ -116,22 +115,7 @@ def _strict_upper(M, zero):
     return [[M[i][j] if j > i else zero for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class LaxRhs:
-    """Commutator right-hand side [L, (L^k)_+] and its phase-space reading."""
-
-    system: catalog.SystemId
-    power: int
-    matrix: tuple[tuple[Poly, ...], ...]
-    field: PolyVectorField
-
-    def eval_matrix(self, point) -> np.ndarray:
-        return np.array(
-            [[float(p.eval(list(point))) for p in row] for row in self.matrix]
-        )
-
-
-def lax_rhs(sys: catalog.SystemId | str, k: int) -> LaxRhs:
+def lax_rhs(sys: catalog.SystemId | str, k: int) -> PolyVectorField:
     """Matrix flow d/dt L = [L, (L^k)_+], projected onto the phase variables.
 
     (.)_+ is the strictly upper triangular part; with this convention the
@@ -172,8 +156,7 @@ def lax_rhs(sys: catalog.SystemId | str, k: int) -> LaxRhs:
         for j in range(N):
             if (i, j) not in covered and not C[i][j].is_zero:
                 raise ValueError("commutator leaves the phase-space template")
-    vf = PolyVectorField(vars_, [comps[v] for v in vars_])
-    return LaxRhs(sys, k, tuple(tuple(row) for row in C), vf)
+    return PolyVectorField(vars_, [comps[v] for v in vars_])
 
 
 def _lax_entries(L) -> list[tuple[int, int, int | None, int]]:
@@ -302,9 +285,7 @@ def monitors(traj: Trajectory, sys: catalog.SystemId | str) -> DriftReport:
     h_vals, coeffs = _monitor_values(sys, traj.states)
     h_drift = {k: float(np.max(np.abs(vals - vals[0]))) for k, vals in h_vals.items()}
     cp_drift = [float(np.max(np.abs(coeffs[:, k] - coeffs[0, k]))) for k in range(coeffs.shape[1])]
-    report = DriftReport(h_drift, cp_drift)
-    traj.monitors = report.to_json_dict()
-    return report
+    return DriftReport(h_drift, cp_drift)
 
 
 # --------------------------------------------------------------- commutation

@@ -35,18 +35,12 @@ class LinearMap:
 
     `images[v] = (w, c)` means the image point has v-coordinate c * x_w.
     These maps model the lattice symmetries (b-sign flips, index mirrors,
-    and the order-4 Gaussian twist); the group order is computed on
-    construction and checked against `order` when given.
+    and the order-4 Gaussian twist).
     """
 
-    __slots__ = ("variables", "field", "images", "order")
+    __slots__ = ("variables", "field", "images")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        images: Mapping[str, tuple[str, Scalar]],
-        order: int | None = None,
-    ):
+    def __init__(self, variables: Sequence[str], images: Mapping[str, tuple[str, Scalar]]):
         variables = tuple(variables)
         if set(images) != set(variables):
             raise ValueError("images must be given for exactly the variable list")
@@ -68,31 +62,6 @@ class LinearMap:
         self.variables = variables
         self.field = field
         self.images = table
-        actual = self._compute_order()
-        if order is not None and order != actual:
-            raise ValueError(f"declared order {order} but map has order {actual}")
-        self.order = actual
-
-    def _compute_order(self, bound: int = 16) -> int:
-        one = coerce_scalar(1, self.field)
-
-        def is_ident(table):
-            return all(w == v and c == one for v, (w, c) in table.items())
-
-        def compose_tables(t1, t2):
-            # (t1 then t2 applied) as in self.compose: t1∘t2
-            out = {}
-            for v, (w, c) in t1.items():
-                w2, c2 = t2[w]
-                out[v] = (w2, c * c2)
-            return out
-
-        table = dict(self.images)
-        for k in range(1, bound + 1):
-            if is_ident(table):
-                return k
-            table = compose_tables(table, self.images)
-        raise ValueError(f"map order exceeds {bound}")
 
     @staticmethod
     def identity(variables: Sequence[str]) -> "LinearMap":
@@ -121,16 +90,6 @@ class LinearMap:
 
     def substitution_table(self) -> dict[str, tuple[str, Scalar]]:
         return dict(self.images)
-
-    def apply_point(self, point: Sequence) -> list:
-        """Apply to a numeric/exact coordinate vector."""
-        pos = {v: k for k, v in enumerate(self.variables)}
-        out = []
-        for v in self.variables:
-            w, c = self.images[v]
-            cv = complex(c) if isinstance(point[pos[w]], (float, complex)) else c
-            out.append(cv * point[pos[w]])
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
@@ -213,13 +172,12 @@ class PoissonTensor:
     identity is *not* assumed; candidates are tested with `is_poisson`.
     """
 
-    __slots__ = ("variables", "field", "degree", "upper")
+    __slots__ = ("variables", "field", "upper")
 
     def __init__(
         self,
         variables: Sequence[str],
         upper: Mapping[tuple[int, int], Poly],
-        degree: int | None = None,
         field: str | None = None,
     ):
         variables = tuple(variables)
@@ -237,7 +195,6 @@ class PoissonTensor:
                 clean[(i, j)] = p
         self.variables = variables
         self.field = fld
-        self.degree = degree
         self.upper = clean
 
     # ------------------------------------------------------------- building
@@ -246,7 +203,6 @@ class PoissonTensor:
     def from_brackets(
         variables: Sequence[str],
         brackets: Mapping[tuple[str, str], Poly],
-        degree: int | None = None,
         field: str = RAT,
     ) -> "PoissonTensor":
         """Build from named entries {x_u, x_v}; (u, v) order is respected."""
@@ -262,23 +218,7 @@ class PoissonTensor:
                 upper[key] = upper[key] + q
             else:
                 upper[key] = q
-        return PoissonTensor(variables, upper, degree, field)
-
-    @staticmethod
-    def from_matrix(
-        variables: Sequence[str], matrix: Sequence[Sequence[Poly]], degree: int | None = None
-    ) -> "PoissonTensor":
-        """Build from a full matrix, verifying exact antisymmetry."""
-        m = len(tuple(variables))
-        upper = {}
-        for i in range(m):
-            if not matrix[i][i].is_zero:
-                raise ValueError("diagonal entries must vanish")
-            for j in range(i + 1, m):
-                if not (matrix[i][j] + matrix[j][i]).is_zero:
-                    raise ValueError(f"matrix not antisymmetric at ({i},{j})")
-                upper[(i, j)] = matrix[i][j]
-        return PoissonTensor(variables, upper, degree)
+        return PoissonTensor(variables, upper, field)
 
     @staticmethod
     def zero(variables: Sequence[str], field: str = RAT) -> "PoissonTensor":
@@ -301,9 +241,6 @@ class PoissonTensor:
         pos = {name: k for k, name in enumerate(self.variables)}
         return self.entry(pos[u], pos[v])
 
-    def matrix(self) -> list[list[Poly]]:
-        return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "PoissonTensor") -> "PoissonTensor":
@@ -311,12 +248,10 @@ class PoissonTensor:
             raise ValueError("tensors on different variable lists")
         keys = set(self.upper) | set(other.upper)
         upper = {k: self.entry(*k) + other.entry(*k) for k in keys}
-        return PoissonTensor(self.variables, upper, None, join_fields(self.field, other.field))
+        return PoissonTensor(self.variables, upper, join_fields(self.field, other.field))
 
     def scale(self, c: Scalar) -> "PoissonTensor":
-        return PoissonTensor(
-            self.variables, {k: p.scale(c) for k, p in self.upper.items()}, self.degree
-        )
+        return PoissonTensor(self.variables, {k: p.scale(c) for k, p in self.upper.items()})
 
     def __neg__(self) -> "PoissonTensor":
         return self.scale(-1)
@@ -341,10 +276,7 @@ class PoissonTensor:
 
     def to_gaussian(self) -> "PoissonTensor":
         return PoissonTensor(
-            self.variables,
-            {k: p.to_gaussian() for k, p in self.upper.items()},
-            self.degree,
-            GAUSS,
+            self.variables, {k: p.to_gaussian() for k, p in self.upper.items()}, GAUSS
         )
 
     def __repr__(self) -> str:
@@ -519,7 +451,7 @@ def pushforward_bivector(A: LinearMap, pi: PoissonTensor) -> PoissonTensor:
             q = p.with_field(field).subst_linear(inv).scale(coerce_scalar(cu, field) * coerce_scalar(cv, field))
             if not q.is_zero:
                 upper[(i, j)] = q
-    return PoissonTensor(pi.variables, upper, pi.degree, field)
+    return PoissonTensor(pi.variables, upper, field)
 
 
 def pushforward_vf(A: LinearMap, Z: PolyVectorField) -> PolyVectorField:
@@ -539,10 +471,7 @@ def pushforward_sign(A: LinearMap, pi: PoissonTensor) -> int | None:
     """+1 / -1 if A_* pi = +/- pi exactly, else None."""
     pushed = pushforward_bivector(A, pi)
     base = PoissonTensor(
-        pi.variables,
-        {k: p.with_field(pushed.field) for k, p in pi.upper.items()},
-        pi.degree,
-        pushed.field,
+        pi.variables, {k: p.with_field(pushed.field) for k, p in pi.upper.items()}, pushed.field
     )
     if pushed == base:
         return 1

@@ -88,9 +88,6 @@ class GaussianRational:
     def __hash__(self):
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -243,9 +240,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def one_coeff(self) -> Scalar:
-        return coerce_scalar(1, self.field)
 
     def degree(self):
         """Total degree; the zero polynomial has degree -inf."""

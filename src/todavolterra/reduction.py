@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .polyalg import Poly, join_fields, scalar_field, variable_sort_key
-from .poisson import LinearMap, PoissonTensor, pushforward_bivector
+from .poisson import LinearMap, PoissonTensor, bracket, pushforward_sign
 
 
 class NotPoissonActionError(ValueError):
@@ -42,33 +42,8 @@ class FiniteGroupAction:
                 gh = g.compose(h)
                 if not any(gh == e for e in elements):
                     raise ValueError("element list is not closed under composition")
-        order = len(elements)
-        for g in elements:
-            if order % g.order != 0:
-                raise ValueError("element order does not divide group order")
         self.variables = vars_
         self.elements = elements
-
-    @staticmethod
-    def generated_by(*generators: LinearMap) -> "FiniteGroupAction":
-        """Close a generating set under composition (small groups only)."""
-        if not generators:
-            raise ValueError("need at least one generator")
-        vars_ = generators[0].variables
-        elems = [LinearMap.identity(vars_)]
-        frontier = list(generators)
-        while frontier:
-            g = frontier.pop()
-            if any(g == e for e in elems):
-                continue
-            elems.append(g)
-            for h in list(elems):
-                for prod in (g.compose(h), h.compose(g)):
-                    if not any(prod == e for e in elems):
-                        frontier.append(prod)
-            if len(elems) > 64:
-                raise ValueError("group closure exceeded 64 elements")
-        return FiniteGroupAction(elems)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -78,31 +53,18 @@ class FiniteGroupAction:
 class FixedPointChart:
     """Linear parametrization of the fixed-point set.
 
-    section: ambient variable -> Poly in the reduced variables (0 or c*u),
-    projection: reduced variable -> ambient variable (its representative).
-    projection o section is the identity on reduced coordinates.
+    section: ambient variable -> Poly in the reduced variables (0 or c*u).
+    Each reduced coordinate is named after the ambient variable that
+    represents its class, so restrict o lift is the identity.
     """
 
     ambient_variables: tuple[str, ...]
     reduced_variables: tuple[str, ...]
     section: Mapping[str, Poly]
-    projection: Mapping[str, str]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.ambient_variables)
-
-    @property
-    def reduced_dim(self) -> int:
-        return len(self.reduced_variables)
 
     def lift(self, f: Poly) -> Poly:
-        """Pull a reduced-coordinate polynomial back through the projection."""
-        images = {
-            u: Poly.var(self.ambient_variables, self.projection[u], f.field)
-            for u in f.variables
-        }
-        return f.substitute(images)
+        """Read a reduced-coordinate polynomial as one in the ambient variables."""
+        return f.extend(self.ambient_variables)
 
     def restrict(self, F: Poly) -> Poly:
         """Restrict an ambient polynomial to the fixed-point set."""
@@ -180,8 +142,7 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
                 _, m_v = walk(v)
                 scale = m_v / m_rep  # x_v = scale * x_rep on the fixed set
                 section[v] = Poly.var(reduced, rep, scalar_field(scale)).scale(scale)
-    projection = {rep: rep for rep in reduced}
-    return FixedPointChart(tuple(vars_), tuple(reduced), section, projection)
+    return FixedPointChart(tuple(vars_), tuple(reduced), section)
 
 
 def invariant_average(F: Poly, group: FiniteGroupAction) -> Poly:
@@ -195,44 +156,30 @@ def invariant_average(F: Poly, group: FiniteGroupAction) -> Poly:
 
 def check_poisson_action(pi: PoissonTensor, group: FiniteGroupAction) -> None:
     for g in group.elements:
-        pushed = pushforward_bivector(g, pi)
-        base = PoissonTensor(
-            pi.variables,
-            {k: p.with_field(pushed.field) for k, p in pi.upper.items()},
-            pi.degree,
-            pushed.field,
-        )
-        if pushed != base:
+        if pushforward_sign(g, pi) != 1:
             raise NotPoissonActionError("action is not Poisson for this tensor")
 
 
-def reduced_bracket(
-    pi: PoissonTensor,
-    group: FiniteGroupAction,
-    chart: FixedPointChart | None = None,
-) -> PoissonTensor:
+def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTensor:
     """Reduce pi to the fixed-point set of the group (averaging + restriction)."""
     if group.variables != pi.variables:
         raise ValueError("group and tensor act on different variable lists")
     check_poisson_action(pi, group)
-    if chart is None:
-        chart = fixed_point_chart(group)
+    chart = fixed_point_chart(group)
     lifts = {}
     for u in chart.reduced_variables:
         f = Poly.var(chart.reduced_variables, u, pi.field)
         lifts[u] = invariant_average(chart.lift(f), group)
-    from .poisson import bracket as _bracket
-
     upper = {}
     red = chart.reduced_variables
     for i, u in enumerate(red):
         for j in range(i + 1, len(red)):
             v = red[j]
-            h = _bracket(pi, lifts[u], lifts[v])
+            h = bracket(pi, lifts[u], lifts[v])
             entry = chart.restrict(h)
             if not entry.is_zero:
                 upper[(i, j)] = entry
-    return PoissonTensor(red, upper, pi.degree, pi.field)
+    return PoissonTensor(red, upper, pi.field)
 
 
 @dataclass
@@ -249,10 +196,9 @@ class ReductionReport:
 def verify_reduction(
     pi_ambient: PoissonTensor,
     group: FiniteGroupAction,
-    chart: FixedPointChart | None,
     expected: PoissonTensor,
 ) -> ReductionReport:
-    got = reduced_bracket(pi_ambient, group, chart)
+    got = reduced_bracket(pi_ambient, group)
     if got.variables != expected.variables:
         return ReductionReport(
             False,

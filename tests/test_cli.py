@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from todavolterra import catalog
-from todavolterra.cli import MEMORY_BUDGET_BYTES, _estimated_bytes, main
+from todavolterra import catalog, checks
+from todavolterra.cli import MEMORY_BUDGET_BYTES, _estimated_bytes, build_parser, main
 from todavolterra.poisson import PoissonTensor
 from todavolterra.polyalg import Poly
 
@@ -95,6 +95,56 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "argument --max-rank: must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # --max-rank 17 would run past the 4 s that 16 takes
+        (["all", "--max-rank", "17"], "argument --max-rank: must be an integer >= 2 and <= 16"),
+        # --n 100000 was still running after 20 s
+        (["reduction", "--which", "psi", "--n", "100000"],
+         "argument --n: must be an integer >= 1 and <= 16"),
+        (["reduction", "--which", "phi", "--n", "17"],
+         "argument --n: must be an integer >= 1 and <= 16"),
+        (["reduction", "--which", "phi", "--n", "0"],
+         "argument --n: must be an integer >= 1 and <= 16"),
+        (["reduction", "--which", "phi", "--n", "x"],
+         "argument --n: must be an integer >= 1 and <= 16"),
+        # these ended in "too many values to unpack" and a bare int() message
+        (["compatible", "--system", "toda-a:3", "--brackets", "1,2,3"],
+         "argument --brackets: must be two integers 'k,l', got '1,2,3'"),
+        (["compatible", "--system", "toda-a:3", "--brackets", "x"],
+         "argument --brackets: must be two integers 'k,l', got 'x'"),
+        (["compatible", "--system", "toda-a:3", "--brackets", "2"],
+         "argument --brackets: must be two integers 'k,l', got '2'"),
+    ])
+    def test_out_of_bounds_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--max-rank", "16"],
+        ["verify", "reduction", "--which", "phi", "--n", "16"],
+        ["verify", "reduction", "--which", "psi", "--n", "1"],
+    ])
+    def test_bounds_are_admitted(self, argv):
+        build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    @pytest.mark.parametrize("k, sign", [(2, -1), (4, 1)])
+    def test_phi_tilde_signs_on_embedded_volterra(self, N, k, sign):
+        doc = checks.pushforward(f"toda-a:{N}", "phi_tilde", k)
+        assert (doc["sign"], doc["expected_sign"], doc["ok"]) == (sign, sign, True)
+
+    @pytest.mark.parametrize("k, code, sign", [(4, 0, 1), (2, 1, -1)])
+    def test_involution_phi_tilde(self, capsys, k, code, sign):
+        got, out, _ = run(
+            capsys, "verify", "involution", "--map", "phi_tilde", "--system", "toda-a:5",
+            "--bracket", str(k), "--format", "json",
+        )
+        assert got == code
+        assert json.loads(out)["sign"] == sign
 
     @pytest.mark.parametrize("argv", [
         ["verify", "jacobi", "--system", "toda-a:2", "--bracket", "1"],
@@ -229,6 +279,29 @@ class TestSimulateInput:
         assert out == ""
         assert f"argument {flag}: must be a finite positive" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content, message", [
+        # a JSON list ended in an AttributeError traceback
+        ("[1, 2]", 'expected an object {"a": [...], "b": [...]}'),
+        ('{"a": 5, "b": [0.1, 0.2]}', 'expected an object {"a": [...], "b": [...]}'),
+        ("{", "not a JSON document (Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1))"),
+        # NaN was reported as "state left float range; last valid time 0.0"
+        ('{"a": [NaN], "b": [0.1, 0.2]}', "a1 = nan is not a finite number"),
+        ('{"a": [0.5], "b": [0.1, Infinity]}', "b2 = inf is not a finite number"),
+        ('{"a": [0.5], "b": ["x", 0.2]}', "b1 = 'x' is not a finite number"),
+        ('{"a": [0.5], "b": [null, 0.2]}', "b1 = None is not a finite number"),
+        ('{"a": [0.5], "b": [0.1]}', "the file lacks b2"),
+    ])
+    def test_bad_x0_file(self, capsys, tmp_path, content, message):
+        path = tmp_path / "x0.json"
+        path.write_text(content)
+        code, out, err = run(
+            capsys, "simulate", "--system", "toda-a:2", "--t-end", "0.1", "--x0", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --x0 {path}: {message}\n"
 
     def test_step_count_overflow(self, capsys):
         code, out, err = run(

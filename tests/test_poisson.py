@@ -210,10 +210,6 @@ class TestDirectionalAction:
 
 
 class TestLinearMap:
-    def test_declared_order_checked(self):
-        with pytest.raises(ValueError):
-            LinearMap(V2, {"a1": ("a1", 1), "b1": ("b1", -1), "b2": ("b2", -1)}, order=3)
-
     def test_inverse(self):
         phi = catalog.symmetry("phi_toda", T3)
         assert phi.compose(phi.inverse()).is_identity()

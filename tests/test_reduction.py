@@ -36,18 +36,6 @@ class TestGroupAction:
         with pytest.raises(ValueError):
             FiniteGroupAction([psi])  # no identity
 
-    def test_generated_by(self):
-        sys = catalog.SystemId("toda", "a", 5)
-        G = FiniteGroupAction.generated_by(catalog.symmetry("phi_tilde", sys))
-        assert len(G) == 4
-
-    def test_two_generators(self):
-        sys = catalog.SystemId("toda", "a", 5)
-        G = FiniteGroupAction.generated_by(
-            catalog.symmetry("psi", sys), catalog.symmetry("phi_toda", sys)
-        )
-        assert len(G) == 4  # Klein four-group of b-sign and mirror
-
 
 class TestChart:
     def test_psi_chart_kills_b(self):
@@ -184,10 +172,9 @@ class TestOneStageVsTwoStage:
         N = 2 * n + 1
         sys_t = catalog.SystemId("toda", "a", N)
         # one stage: the order-4 twist group on the embedded quartic tensor
-        pt = catalog.symmetry("phi_tilde", sys_t)
         one = reduced_bracket(
             catalog.embedded_volterra_tensor(N, 4, "Qi"),
-            FiniteGroupAction.generated_by(pt),
+            FiniteGroupAction(catalog.symmetry_group("phi_tilde", sys_t)),
         )
         # two stages: b-sign flip down to the Volterra space, then the mirror
         stage1 = reduced_bracket(catalog.embedded_volterra_tensor(N, 4), psi_group(N))
@@ -211,7 +198,6 @@ class TestVerifyReduction:
         report = verify_reduction(
             catalog.tensor(sys_a, 4),
             group,
-            None,
             catalog.tensor(catalog.SystemId("volterra", "b", 2), 4),
         )
         assert report.matches and report.diffs == []
@@ -220,7 +206,7 @@ class TestVerifyReduction:
         sys_a = catalog.SystemId("volterra", "a", 5)
         group = FiniteGroupAction(catalog.symmetry_group("phi_volterra", sys_a))
         wrong = catalog.tensor(catalog.SystemId("volterra", "b", 2), 4).scale(2)
-        report = verify_reduction(catalog.tensor(sys_a, 4), group, None, wrong)
+        report = verify_reduction(catalog.tensor(sys_a, 4), group, wrong)
         assert not report.matches
         assert report.diffs[0]["i"] == 1 and report.diffs[0]["j"] == 2
         assert "expected" in report.diffs[0] and "got" in report.diffs[0]
@@ -229,4 +215,4 @@ class TestVerifyReduction:
         sys = catalog.SystemId("toda", "a", 3)
         pi = catalog.tensor(sys, 2)
         G = FiniteGroupAction([LinearMap.identity(pi.variables)])
-        assert verify_reduction(pi, G, None, pi).matches
+        assert verify_reduction(pi, G, pi).matches
