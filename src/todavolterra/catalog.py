@@ -14,12 +14,17 @@ Conventions fixed here once and used everywhere:
   pi3 = -L_{Z1} pi2.  The deformation relations L_{Z0}pi_l = (l-2)pi_l,
   L_{Z1}pi_1 = -2 pi2, L_{Z1}pi_2 = -pi3 and Z_k(H_l) = (k+l)H_{k+l} then
   hold exactly, as do the ladders pi3 dH_l = pi2 dH_{l+1} = pi1 dH_{l+2}.
-* The B-family tensors are the fixed-point reductions of the A-family ones
-  (frozen closed forms, regression-tested against the live reduction).
+* Every catalog polynomial is local: `TENSORS` states each bracket once as
+  entries {x_u, x_v} = p with u, v and the monomials of p written as
+  (letter, offset) factors relative to a site i, placed at every site where
+  both variables exist.  The B-family tensors are the fixed-point reductions
+  of the A-family ones (frozen closed forms, regression-tested against the
+  live reduction): half the A-family bulk, with a `LAST_SITE` patch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +33,7 @@ from .polyalg import (
     I_UNIT,
     RAT,
     Poly,
+    coerce_scalar,
     poly_matrix_power,
     poly_matrix_trace,
 )
@@ -105,61 +111,45 @@ def lax_size(sys: SystemId | str) -> int:
     return 2 * sys.n + 1
 
 
-def lax(sys: SystemId | str, field: str = RAT) -> list[list[Poly]]:
-    """Symbolic Lax matrix of the system."""
+def lax_entries(sys: SystemId | str) -> list[tuple[int, int, str | None, int]]:
+    """The nonzero Lax entries (i, j, v, c): c * v, or the constant c if v is None.
+
+    The a-types of size N carry b1..bN on the diagonal (toda only),
+    a1..a_{N-1} on the superdiagonal and ones below it.  The mirror types
+    extend a1..an and b1..bn to size 2n+1, or 2n for toda-c (the fixed-point
+    form inside the even-size toda-a space):
+      diagonal (toda)  b1..bn, [0,] -bn..-b1
+      superdiagonal    a1..an, -an..-a1; toda-c: a1..a_{n-1}, an, a_{n-1}..a1
+      subdiagonal      ones, negated in the mirror half for toda-b
+    """
     sys = _sys(sys)
+    N, n = lax_size(sys), sys.n
+    out = []
+    if sys.family == "toda":
+        for i in range(1, (N if sys.kind == "a" else n) + 1):
+            out.append((i - 1, i - 1, f"b{i}", 1))
+            if sys.kind != "a":
+                out.append((N - i, N - i, f"b{i}", -1))
+    for s in range(1, N):
+        if sys.kind == "a":
+            a, sign = s, 1
+        elif sys.name == "toda-c":
+            a, sign = min(s, 2 * n - s), 1
+        else:
+            a, sign = (s, 1) if s <= n else (2 * n + 1 - s, -1)
+        out.append((s - 1, s, f"a{a}", sign))
+        out.append((s, s - 1, None, sign if sys.name == "toda-b" else 1))
+    return out
+
+
+def lax(sys: SystemId | str, field: str = RAT) -> list[list[Poly]]:
+    """Symbolic Lax matrix of the system, built from `lax_entries`."""
     vars_ = variables(sys)
     N = lax_size(sys)
-    zero = Poly.zero(vars_, field)
-    one = Poly.const(vars_, 1, field)
-    V = lambda name: Poly.var(vars_, name, field)
-    L = [[zero for _ in range(N)] for _ in range(N)]
-    fam, kind, n = sys.family, sys.kind, sys.n
-
-    if fam == "toda" and kind == "a":
-        for i in range(1, N + 1):
-            L[i - 1][i - 1] = V(f"b{i}")
-        for i in range(1, N):
-            L[i - 1][i] = V(f"a{i}")
-            L[i][i - 1] = one
-        return L
-
-    if fam == "toda" and kind == "b":
-        # diag (b1..bn, 0, -bn..-b1), superdiag (a1..an, -an..-a1),
-        # subdiag (+1 x n, -1 x n)
-        for i in range(1, n + 1):
-            L[i - 1][i - 1] = V(f"b{i}")
-            L[N - i][N - i] = -V(f"b{i}")
-        for s in range(1, N):
-            L[s][s - 1] = one if s <= n else -one
-            L[s - 1][s] = V(f"a{s}") if s <= n else -V(f"a{2 * n + 1 - s}")
-        return L
-
-    if fam == "toda" and kind == "c":
-        # fixed-point form inside the even-size toda-a space:
-        # diag (b1..bn, -bn..-b1), superdiag (a1..a_{n-1}, an, a_{n-1}..a1)
-        for i in range(1, n + 1):
-            L[i - 1][i - 1] = V(f"b{i}")
-            L[N - i][N - i] = -V(f"b{i}")
-        for s in range(1, N):
-            L[s][s - 1] = one
-            L[s - 1][s] = V(f"a{min(s, 2 * n - s)}")
-        return L
-
-    if fam == "volterra" and kind == "a":
-        for s in range(1, N):
-            L[s - 1][s] = V(f"a{s}")
-            L[s][s - 1] = one
-        return L
-
-    if fam == "volterra" and kind in ("b", "c"):
-        # superdiag (a1..an, -an..-a1), unit subdiagonal, zero diagonal
-        for s in range(1, N):
-            L[s][s - 1] = one
-            L[s - 1][s] = V(f"a{s}") if s <= n else -V(f"a{2 * n + 1 - s}")
-        return L
-
-    raise ValueError(f"unsupported system {sys}")
+    L = [[Poly.zero(vars_, field)] * N for _ in range(N)]
+    for i, j, v, c in lax_entries(sys):
+        L[i][j] = Poly.const(vars_, c, field) if v is None else Poly.var(vars_, v, field).scale(c)
+    return L
 
 
 def hamiltonian(sys: SystemId | str, k: int, field: str = RAT) -> Poly:
@@ -172,7 +162,88 @@ def hamiltonian(sys: SystemId | str, k: int, field: str = RAT) -> Poly:
     return tr.scale(Fraction(1, k))
 
 
+# ------------------------------------------------------------ local templates
+
+# A local polynomial is {monomial: coefficient}, a monomial a tuple of
+# (letter, offset) factors: read at site i, the factor (letter, offset) is
+# the variable letter{i + offset}, and a factor off the lattice is zero (the
+# boundary convention), so its monomial drops out.
+# a_{i-1}, a_i, a_{i+1}, a_{i+2} and b_i, b_{i+1}, b_{i+2}:
+A_, A0, A1, A2 = ("a", -1), ("a", 0), ("a", 1), ("a", 2)
+B0, B1, B2 = ("b", 0), ("b", 1), ("b", 2)
+
+
+def _local(vars_: tuple[str, ...], poly: dict, sites, field: str = RAT) -> Poly:
+    """The sum over `sites` of the local polynomial `poly` read at each site."""
+    pos = {v: k for k, v in enumerate(vars_)}
+    terms = {}
+    for i in sites:
+        for mono, c in poly.items():
+            expo = [0] * len(vars_)
+            for letter, offset in mono:
+                k = pos.get(f"{letter}{i + offset}")
+                if k is None:
+                    break
+                expo[k] += 1
+            else:
+                key = tuple(expo)
+                terms[key] = terms.get(key, 0) + c
+    terms = {e: coerce_scalar(c, field) for e, c in terms.items() if c}
+    return Poly._make(vars_, terms, field)
+
+
 # --------------------------------------------------------------------- tensors
+
+
+def _halved(entries):
+    return tuple((u, v, {m: Fraction(c, 2) for m, c in p.items()}) for u, v, p in entries)
+
+
+_TODA_PI1 = ((A0, B0, {(A0,): 1}), (A0, B1, {(A0,): -1}))
+# the cubic bracket pi3 = -L_{Z1} pi2 (regression-tested against the
+# recursion; see master_symmetry for the sign conventions)
+_TODA_PI3 = (
+    (A0, A1, {(A0, A1, B1): -2}),
+    (A1, B0, {(A0, A1): 1}),
+    (A0, B0, {(A0, B0, B0): 1, (A0, A0): 1}),
+    (A0, B1, {(A0, B1, B1): -1, (A0, A0): -1}),
+    (B0, B1, {(A0, B0): -1, (A0, B1): -1}),
+    (A0, B2, {(A0, A1): -1}),
+)
+# the quartic bracket, sign pinned by the ladder pi4 dH2 = pi2 dH4
+# (equivalently: restriction of the fifth Toda flow), as for pi3
+_VOLTERRA_PI4 = (
+    (A0, A1, {(A0, A0, A1): -1, (A0, A1, A1): -1}),
+    (A0, A2, {(A0, A1, A2): -1}),
+)
+_VOLTERRA_B_PI4_LAST = ((A_, A0, {(A_, A_, A0): Fraction(-1, 2), (A_, A0, A0): -1}),)
+
+# The catalog Poisson tensors pi_k as local entries (u, v, p): {x_u, x_v} = p
+# at every site where both u and v are variables.  The B-family brackets are
+# the fixed-point reductions of the A-family ones (frozen here, regression-
+# tested against the live reduction): half the A-family template in the
+# bulk, with the LAST_SITE entries replacing it at the last site n.
+TENSORS = {
+    ("toda-a", 1): _TODA_PI1,
+    ("toda-a", 2): (
+        (A0, A1, {(A0, A1): -1}),
+        (A0, B0, {(A0, B0): 1}),
+        (A0, B1, {(A0, B1): -1}),
+        (B0, B1, {(A0,): -1}),
+    ),
+    ("toda-a", 3): _TODA_PI3,
+    ("toda-b", 1): _halved(_TODA_PI1),
+    ("toda-b", 3): _halved(_TODA_PI3),
+    ("volterra-a", 2): ((A0, A1, {(A0, A1): -1}),),
+    ("volterra-a", 4): _VOLTERRA_PI4,
+    ("volterra-b", 4): _halved(_VOLTERRA_PI4),
+    ("volterra-c", 4): _halved(_VOLTERRA_PI4),
+}
+LAST_SITE = {
+    ("toda-b", 3): ((A0, B0, {(A0, B0, B0): Fraction(1, 2), (A0, A0): 1}),),
+    ("volterra-b", 4): _VOLTERRA_B_PI4_LAST,
+    ("volterra-c", 4): _VOLTERRA_B_PI4_LAST,
+}
 
 # The catalog Poisson tensors pi_k of each family, k in ascending order.
 BRACKETS = {
@@ -183,104 +254,28 @@ BRACKETS = {
 }
 
 
+def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> PoissonTensor:
+    """pi_k of `sys` from its template, placed on the variables `vars_`."""
+    if (sys.name, k) not in TENSORS:
+        supported = " ".join(f"{name}:{','.join(map(str, ks))}" for name, ks in BRACKETS.items())
+        raise ValueError(f"no catalog tensor pi_{k} for {sys}; supported: {supported}")
+    count = Counter(v[0] for v in vars_)  # sites per letter: a1..ap, b1..bq
+    last = LAST_SITE.get((sys.name, k), ())
+    brackets = {}
+    # the LAST_SITE entries come second, so they replace the bulk at site n
+    for template, only in ((TENSORS[sys.name, k], None), (last, count["a"])):
+        for (lu, ou), (lv, ov), p in template:
+            for i in range(max(1 - ou, 1 - ov), min(count[lu] - ou, count[lv] - ov) + 1):
+                if only in (None, i):
+                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = _local(vars_, p, (i,), field)
+    return PoissonTensor.from_brackets(vars_, brackets, field)
+
+
 @lru_cache(maxsize=None)
 def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
     """Catalog Poisson tensor pi_k of the system; errors name the gap."""
     sys = _sys(sys)
-    vars_ = variables(sys)
-    P = lambda s: Poly.parse(s, vars_)
-    fam, kind, n = sys.family, sys.kind, sys.n
-    key = (fam, kind, k)
-
-    if key == ("toda", "a", 1):
-        entries = {}
-        for i in range(1, n):
-            entries[(f"a{i}", f"b{i}")] = P(f"a{i}")
-            entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    if key == ("toda", "a", 2):
-        entries = {}
-        for i in range(1, n - 1):
-            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}")
-        for i in range(1, n):
-            entries[(f"a{i}", f"b{i}")] = P(f"a{i}*b{i}")
-            entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}*b{i + 1}")
-            entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    if key == ("toda", "a", 3):
-        # cubic bracket pi3 = -L_{Z1} pi2 (regression-tested against the
-        # recursion; see master_symmetry for the sign conventions)
-        entries = {}
-        for i in range(1, n - 1):
-            entries[(f"a{i}", f"a{i + 1}")] = P(f"-2*a{i}*a{i + 1}*b{i + 1}")
-            entries[(f"a{i + 1}", f"b{i}")] = P(f"a{i}*a{i + 1}")
-        for i in range(1, n):
-            entries[(f"a{i}", f"b{i}")] = P(f"a{i}*b{i}^2 + a{i}^2")
-            entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}*b{i + 1}^2 - a{i}^2")
-            entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}*b{i} - a{i}*b{i + 1}")
-        for i in range(1, n - 1):
-            entries[(f"a{i}", f"b{i + 2}")] = P(f"-a{i}*a{i + 1}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    if key == ("toda", "b", 1):
-        # fixed-point reduction of the linear bracket (frozen closed form)
-        entries = {}
-        for i in range(1, n + 1):
-            entries[(f"a{i}", f"b{i}")] = P(f"1/2*a{i}")
-            if i < n:
-                entries[(f"a{i}", f"b{i + 1}")] = P(f"-1/2*a{i}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    if key == ("toda", "b", 3):
-        # fixed-point reduction of the cubic bracket (frozen closed form)
-        entries = {}
-        for i in range(1, n):
-            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}*b{i + 1}")
-            entries[(f"a{i + 1}", f"b{i}")] = P(f"1/2*a{i}*a{i + 1}")
-            entries[(f"a{i}", f"b{i + 1}")] = P(f"-1/2*a{i}*b{i + 1}^2 - 1/2*a{i}^2")
-            entries[(f"b{i}", f"b{i + 1}")] = P(f"-1/2*a{i}*b{i} - 1/2*a{i}*b{i + 1}")
-        for i in range(1, n):
-            entries[(f"a{i}", f"b{i}")] = P(f"1/2*a{i}*b{i}^2 + 1/2*a{i}^2")
-        entries[(f"a{n}", f"b{n}")] = P(f"1/2*a{n}*b{n}^2 + a{n}^2")
-        for i in range(1, n - 1):
-            entries[(f"a{i}", f"b{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    if key == ("volterra", "a", 2):
-        entries = {}
-        m = n - 1  # number of variables
-        for i in range(1, m):
-            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    if key == ("volterra", "a", 4):
-        # quartic bracket, sign pinned by the ladder pi4 dH2 = pi2 dH4
-        # (equivalently: restriction of the fifth Toda flow), as for pi3
-        entries = {}
-        m = n - 1
-        for i in range(1, m):
-            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}^2*a{i + 1} - a{i}*a{i + 1}^2")
-        for i in range(1, m - 1):
-            entries[(f"a{i}", f"a{i + 2}")] = P(f"-a{i}*a{i + 1}*a{i + 2}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    if kind in ("b", "c") and fam == "volterra" and k == 4:
-        # fixed-point reduction of the quartic bracket (frozen closed form)
-        entries = {}
-        for i in range(1, n - 1):
-            entries[(f"a{i}", f"a{i + 1}")] = P(f"-1/2*a{i}^2*a{i + 1} - 1/2*a{i}*a{i + 1}^2")
-        if n >= 2:
-            entries[(f"a{n - 1}", f"a{n}")] = P(
-                f"-1/2*a{n - 1}^2*a{n} - a{n - 1}*a{n}^2"
-            )
-        for i in range(1, n - 1):
-            entries[(f"a{i}", f"a{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}*a{i + 2}")
-        return PoissonTensor.from_brackets(vars_, entries)
-
-    supported = " ".join(f"{name}:{','.join(map(str, ks))}" for name, ks in BRACKETS.items())
-    raise ValueError(f"no catalog tensor pi_{k} for {sys}; supported: {supported}")
+    return _tensor(sys, k, variables(sys))
 
 
 def embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTensor:
@@ -290,12 +285,7 @@ def embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTensor:
     Poisson; it is invariant under the order-4 Gaussian twist group, which
     makes the one-stage/two-stage reduction comparison executable.
     """
-    small = tensor(SystemId("volterra", "a", N), k)
-    big_vars = variables(SystemId("toda", "a", N))
-    upper = {}
-    for (i, j), p in small.upper.items():
-        upper[(i, j)] = p.extend(big_vars).with_field(field)
-    return PoissonTensor(big_vars, upper, field)
+    return _tensor(SystemId("volterra", "a", N), k, variables(SystemId("toda", "a", N)), field)
 
 
 # ---------------------------------------------------------------- vector fields
@@ -330,19 +320,18 @@ def master_symmetry(sys: SystemId | str) -> PolyVectorField:
     sys = _sys(sys)
     if (sys.family, sys.kind) != ("toda", "a"):
         raise ValueError("master symmetry is cataloged for toda-a only")
-    n = sys.n
     vars_ = variables(sys)
-    P = lambda s: Poly.parse(s, vars_)
-    comps = []
-    for i in range(1, n):
-        comps.append(P(f"{1 - 2 * i}*a{i}*b{i} + {3 + 2 * i}*a{i}*b{i + 1}"))
-    for i in range(1, n + 1):
-        chunks = [f"b{i}^2"]
-        if i >= 2:
-            chunks.append(f"{2 - 2 * i}*a{i - 1}")
-        if i <= n - 1:
-            chunks.append(f"{2 + 2 * i}*a{i}")
-        comps.append(P(" + ".join(chunks)))
+    count = Counter(v[0] for v in vars_)
+    # the component at site i is c + i * d, for the local polynomials (c, d)
+    affine = {
+        "a": ({(A0, B0): 1, (A0, B1): 3}, {(A0, B0): -2, (A0, B1): 2}),
+        "b": ({(B0, B0): 1, (A_,): 2, (A0,): 2}, {(A_,): -2, (A0,): 2}),
+    }
+    comps = [
+        _local(vars_, c, (i,)) + _local(vars_, d, (i,)).scale(i)
+        for letter, (c, d) in affine.items()
+        for i in range(1, count[letter] + 1)
+    ]
     return PolyVectorField(vars_, comps)
 
 
@@ -388,10 +377,7 @@ def i4_hamiltonian(n: int) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     vars_ = variables(SystemId("volterra", "b", n))
-    out = Poly.zero(vars_)
-    for i in range(1, n):
-        out = out + Poly.parse(f"1/2*a{i}^2 + 1/4*a{i}*a{i + 1}", vars_)
-    return out
+    return _local(vars_, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
 
 
 # ------------------------------------------------------------------ symmetries

@@ -82,11 +82,7 @@ REDUCTIONS = {
 def jacobi(system: str, k: int) -> dict:
     sys_id = catalog.parse_system(system)
     jac = jacobiator(catalog.tensor(sys_id, k))
-    bad = {
-        f"({i + 1},{j + 1},{l + 1})": p.canonical_str()
-        for (i, j, l), p in jac.items()
-        if not p.is_zero
-    }
+    bad = {f"({i + 1},{j + 1},{l + 1})": p.canonical_str() for (i, j, l), p in jac.items()}
     return {
         "check": "jacobi",
         "system": str(sys_id),
@@ -144,9 +140,14 @@ def acted_tensor(sys_id: SystemId, map_name: str, k: int):
     """The tensor pi_k that map_name acts on in sys_id.
 
     phi_tilde is Gaussian and preserves no catalog tensor of toda-a, so its
-    tensor is the volterra-a pi_k embedded over Q(i) with zero b-rows.
+    tensor is the volterra-a pi_k embedded over Q(i) with zero b-rows, which
+    exists for k = 2 and 4 only.
     """
     if map_name == "phi_tilde":
+        if k not in catalog.BRACKETS["volterra-a"]:
+            raise ValueError(
+                f"phi_tilde is checked on the embedded volterra-a pi2 and pi4 only, got pi_{k}"
+            )
         return catalog.embedded_volterra_tensor(sys_id.n, k, "Qi")
     return catalog.tensor(sys_id, k)
 

@@ -61,7 +61,23 @@ def _emit_text(doc: dict, indent: int = 0) -> None:
 # ------------------------------------------------------------------- verify
 
 
+# The largest lattice parameter n ('toda-a:n') that `verify` and `reduce`
+# take.  On a 2-vCPU x86 VM the costliest cases at the bound took 1.1 s
+# (verify deformation --system toda-a:64) and 2.9 s (reduce --system
+# toda-a:33 --map phi_toda --bracket 3).
+MAX_VERIFY_SYSTEM = 64
+MAX_REDUCE_SYSTEM = 33
+
+
+def _bounded_system(system: str, most: int) -> None:
+    n = catalog.parse_system(system).n
+    if n > most:
+        raise ValueError(f"--system {system}: the lattice parameter must be <= {most}, got {n}")
+
+
 def _cmd_verify(args) -> int:
+    if hasattr(args, "system"):
+        _bounded_system(args.system, MAX_VERIFY_SYSTEM)
     if args.what == "jacobi":
         doc = checks.jacobi(args.system, args.bracket)
     elif args.what == "compatible":
@@ -87,6 +103,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _bounded_system(args.system, MAX_REDUCE_SYSTEM)
     sys_id = catalog.parse_system(args.system)
     ambient, group = checks.ambient_and_group(sys_id, args.map, args.bracket)
     red = reduction.reduced_bracket(ambient, group)
@@ -401,11 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bogo", help="root-system Volterra construction")
     p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
-    p.add_argument("--rank", type=int, required=True)
+    # --rank 64 took 1.7 s (type A, the costliest) on a 2-vCPU x86 VM
+    p.add_argument("--rank", type=_bounded_int(1, 64), required=True)
     add_common(p)
 
     p = sub.add_parser("moser", help="squaring map to Toda form")
-    p.add_argument("--N", type=int, required=True, help="odd Lax size >= 5")
+    # --N 41 took 3.4 s on a 2-vCPU x86 VM
+    p.add_argument("--N", type=_bounded_int(5, 41), required=True, help="odd Lax size >= 5")
     add_common(p)
 
     return parser

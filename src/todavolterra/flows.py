@@ -136,7 +136,7 @@ def lax_rhs(sys: catalog.SystemId | str, k: int) -> PolyVectorField:
         [x - y for x, y in zip(row_lb, row_bl)]
         for row_lb, row_bl in zip(poly_matrix_mul(L, B), poly_matrix_mul(B, L))
     ]
-    positions = _template_positions(L)
+    positions = _template_positions(sys)
     comps: dict[str, Poly] = {}
     covered = set()
     for name, slots in positions.items():
@@ -159,28 +159,12 @@ def lax_rhs(sys: catalog.SystemId | str, k: int) -> PolyVectorField:
     return PolyVectorField(vars_, [comps[v] for v in vars_])
 
 
-def _lax_entries(L) -> list[tuple[int, int, int | None, int]]:
-    """Nonzero Lax entries as (i, j, v, c): c * x_v, or the constant c if v is None.
-
-    Catalog Lax entries are 0, +-1 or +-variable.
-    """
-    out = []
-    for i, row in enumerate(L):
-        for j, p in enumerate(row):
-            if p.is_zero:
-                continue
-            ((expo, coeff),) = p.terms.items()
-            out.append((i, j, expo.index(1) if any(expo) else None, int(coeff)))
-    return out
-
-
-def _template_positions(L):
+def _template_positions(sys: catalog.SystemId):
     """Where each variable sits in the Lax template: {var: [(i, j, scale)]}."""
-    vars_ = L[0][0].variables
-    out: dict[str, list[tuple[int, int, int]]] = {v: [] for v in vars_}
-    for i, j, v, c in _lax_entries(L):
+    out: dict[str, list[tuple[int, int, int]]] = {v: [] for v in catalog.variables(sys)}
+    for i, j, v, c in catalog.lax_entries(sys):
         if v is not None:
-            out[vars_[v]].append((i, j, c))
+            out[v].append((i, j, c))
     return out
 
 
@@ -224,11 +208,11 @@ def lax_values(sys: catalog.SystemId | str, states: np.ndarray) -> np.ndarray:
     Entries are constants or scaled columns of `states`, gathered directly.
     """
     sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
-    L = catalog.lax(sys)
-    N = len(L)
+    column = {v: k for k, v in enumerate(catalog.variables(sys))}
+    N = catalog.lax_size(sys)
     out = np.zeros((states.shape[0], N, N))
-    for i, j, v, c in _lax_entries(L):
-        out[:, i, j] = c if v is None else c * states[:, v]
+    for i, j, v, c in catalog.lax_entries(sys):
+        out[:, i, j] = c if v is None else c * states[:, column[v]]
     return out
 
 

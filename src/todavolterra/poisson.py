@@ -14,7 +14,6 @@ The tests keep the dense loops as reference oracles.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .polyalg import (
@@ -346,7 +345,8 @@ def _rows(pi: PoissonTensor) -> list[list[tuple[int, Poly]]]:
 def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
     """J^ijk = sum_l (pi^il d_l pi^jk + pi^jl d_l pi^ki + pi^kl d_l pi^ij).
 
-    Returns every i < j < k, zero entries included.  Only stored entries are
+    Returns the nonzero entries, keyed by i < j < k in ascending order, so a
+    Poisson tensor gives an empty dict.  Only stored entries are
     visited: for each stored pi^jk (j < k), each l in its support and each
     a with pi^al != 0, the product pi^al d_l pi^jk is the (a; j, k) term of
     J at the sorted triple of {a, j, k}.  It enters with sign +1 when
@@ -354,8 +354,7 @@ def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
     otherwise (j < a < k), since pi^kj = -pi^jk.
     """
     vars_ = pi.variables
-    zero = Poly.zero(vars_, pi.field)
-    out = dict.fromkeys(combinations(range(pi.dim), 3), zero)
+    out: dict[tuple[int, int, int], Poly] = {}
     rows = _rows(pi)
     for (j, k), pjk in pi.upper.items():
         for l in _support(pjk):
@@ -371,12 +370,12 @@ def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
                     key = (j, a, k)
                 else:
                     key, term = (j, k, a), -term
-                out[key] = out[key] + term
-    return out
+                out[key] = out[key] + term if key in out else term
+    return {key: out[key] for key in sorted(out) if not out[key].is_zero}
 
 
 def is_poisson(pi: PoissonTensor) -> bool:
-    return all(p.is_zero for p in jacobiator(pi).values())
+    return not jacobiator(pi)
 
 
 def is_compatible(pi: PoissonTensor, rho: PoissonTensor) -> bool:

@@ -1,0 +1,267 @@
+"""The catalog's template builds against the string constructions they replaced.
+
+`catalog` builds its tensors, master symmetry, I4, embedded Volterra tensors
+and Lax matrices from local templates.  The functions prefixed `old_` below
+are the earlier constructions, which wrote every entry as a polynomial string
+with hand-written index ranges and parsed it back; they are kept verbatim as
+independent oracles.
+"""
+
+import pytest
+
+from todavolterra import catalog
+from todavolterra.catalog import SystemId, lax_size, variables
+from todavolterra.poisson import PoissonTensor, PolyVectorField
+from todavolterra.polyalg import RAT, Poly
+
+
+def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
+    vars_ = variables(sys)
+    P = lambda s: Poly.parse(s, vars_)
+    fam, kind, n = sys.family, sys.kind, sys.n
+    key = (fam, kind, k)
+
+    if key == ("toda", "a", 1):
+        entries = {}
+        for i in range(1, n):
+            entries[(f"a{i}", f"b{i}")] = P(f"a{i}")
+            entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    if key == ("toda", "a", 2):
+        entries = {}
+        for i in range(1, n - 1):
+            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}")
+        for i in range(1, n):
+            entries[(f"a{i}", f"b{i}")] = P(f"a{i}*b{i}")
+            entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}*b{i + 1}")
+            entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    if key == ("toda", "a", 3):
+        entries = {}
+        for i in range(1, n - 1):
+            entries[(f"a{i}", f"a{i + 1}")] = P(f"-2*a{i}*a{i + 1}*b{i + 1}")
+            entries[(f"a{i + 1}", f"b{i}")] = P(f"a{i}*a{i + 1}")
+        for i in range(1, n):
+            entries[(f"a{i}", f"b{i}")] = P(f"a{i}*b{i}^2 + a{i}^2")
+            entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}*b{i + 1}^2 - a{i}^2")
+            entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}*b{i} - a{i}*b{i + 1}")
+        for i in range(1, n - 1):
+            entries[(f"a{i}", f"b{i + 2}")] = P(f"-a{i}*a{i + 1}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    if key == ("toda", "b", 1):
+        entries = {}
+        for i in range(1, n + 1):
+            entries[(f"a{i}", f"b{i}")] = P(f"1/2*a{i}")
+            if i < n:
+                entries[(f"a{i}", f"b{i + 1}")] = P(f"-1/2*a{i}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    if key == ("toda", "b", 3):
+        entries = {}
+        for i in range(1, n):
+            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}*b{i + 1}")
+            entries[(f"a{i + 1}", f"b{i}")] = P(f"1/2*a{i}*a{i + 1}")
+            entries[(f"a{i}", f"b{i + 1}")] = P(f"-1/2*a{i}*b{i + 1}^2 - 1/2*a{i}^2")
+            entries[(f"b{i}", f"b{i + 1}")] = P(f"-1/2*a{i}*b{i} - 1/2*a{i}*b{i + 1}")
+        for i in range(1, n):
+            entries[(f"a{i}", f"b{i}")] = P(f"1/2*a{i}*b{i}^2 + 1/2*a{i}^2")
+        entries[(f"a{n}", f"b{n}")] = P(f"1/2*a{n}*b{n}^2 + a{n}^2")
+        for i in range(1, n - 1):
+            entries[(f"a{i}", f"b{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    if key == ("volterra", "a", 2):
+        entries = {}
+        m = n - 1
+        for i in range(1, m):
+            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    if key == ("volterra", "a", 4):
+        entries = {}
+        m = n - 1
+        for i in range(1, m):
+            entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}^2*a{i + 1} - a{i}*a{i + 1}^2")
+        for i in range(1, m - 1):
+            entries[(f"a{i}", f"a{i + 2}")] = P(f"-a{i}*a{i + 1}*a{i + 2}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    if kind in ("b", "c") and fam == "volterra" and k == 4:
+        entries = {}
+        for i in range(1, n - 1):
+            entries[(f"a{i}", f"a{i + 1}")] = P(f"-1/2*a{i}^2*a{i + 1} - 1/2*a{i}*a{i + 1}^2")
+        if n >= 2:
+            entries[(f"a{n - 1}", f"a{n}")] = P(
+                f"-1/2*a{n - 1}^2*a{n} - a{n - 1}*a{n}^2"
+            )
+        for i in range(1, n - 1):
+            entries[(f"a{i}", f"a{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}*a{i + 2}")
+        return PoissonTensor.from_brackets(vars_, entries)
+
+    raise ValueError(f"no catalog tensor pi_{k} for {sys}")
+
+
+def old_embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTensor:
+    small = old_tensor(SystemId("volterra", "a", N), k)
+    big_vars = variables(SystemId("toda", "a", N))
+    upper = {}
+    for (i, j), p in small.upper.items():
+        upper[(i, j)] = p.extend(big_vars).with_field(field)
+    return PoissonTensor(big_vars, upper, field)
+
+
+def old_master_symmetry(sys: SystemId) -> PolyVectorField:
+    n = sys.n
+    vars_ = variables(sys)
+    P = lambda s: Poly.parse(s, vars_)
+    comps = []
+    for i in range(1, n):
+        comps.append(P(f"{1 - 2 * i}*a{i}*b{i} + {3 + 2 * i}*a{i}*b{i + 1}"))
+    for i in range(1, n + 1):
+        chunks = [f"b{i}^2"]
+        if i >= 2:
+            chunks.append(f"{2 - 2 * i}*a{i - 1}")
+        if i <= n - 1:
+            chunks.append(f"{2 + 2 * i}*a{i}")
+        comps.append(P(" + ".join(chunks)))
+    return PolyVectorField(vars_, comps)
+
+
+def old_i4_hamiltonian(n: int) -> Poly:
+    vars_ = variables(SystemId("volterra", "b", n))
+    out = Poly.zero(vars_)
+    for i in range(1, n):
+        out = out + Poly.parse(f"1/2*a{i}^2 + 1/4*a{i}*a{i + 1}", vars_)
+    return out
+
+
+def old_lax(sys: SystemId, field: str = RAT) -> list[list[Poly]]:
+    vars_ = variables(sys)
+    N = lax_size(sys)
+    zero = Poly.zero(vars_, field)
+    one = Poly.const(vars_, 1, field)
+    V = lambda name: Poly.var(vars_, name, field)
+    L = [[zero for _ in range(N)] for _ in range(N)]
+    fam, kind, n = sys.family, sys.kind, sys.n
+
+    if fam == "toda" and kind == "a":
+        for i in range(1, N + 1):
+            L[i - 1][i - 1] = V(f"b{i}")
+        for i in range(1, N):
+            L[i - 1][i] = V(f"a{i}")
+            L[i][i - 1] = one
+        return L
+
+    if fam == "toda" and kind == "b":
+        for i in range(1, n + 1):
+            L[i - 1][i - 1] = V(f"b{i}")
+            L[N - i][N - i] = -V(f"b{i}")
+        for s in range(1, N):
+            L[s][s - 1] = one if s <= n else -one
+            L[s - 1][s] = V(f"a{s}") if s <= n else -V(f"a{2 * n + 1 - s}")
+        return L
+
+    if fam == "toda" and kind == "c":
+        for i in range(1, n + 1):
+            L[i - 1][i - 1] = V(f"b{i}")
+            L[N - i][N - i] = -V(f"b{i}")
+        for s in range(1, N):
+            L[s][s - 1] = one
+            L[s - 1][s] = V(f"a{min(s, 2 * n - s)}")
+        return L
+
+    if fam == "volterra" and kind == "a":
+        for s in range(1, N):
+            L[s - 1][s] = V(f"a{s}")
+            L[s][s - 1] = one
+        return L
+
+    for s in range(1, N):  # volterra-b, volterra-c
+        L[s][s - 1] = one
+        L[s - 1][s] = V(f"a{s}") if s <= n else -V(f"a{2 * n + 1 - s}")
+    return L
+
+
+# Every catalog tensor at these sizes (264 in all).
+TENSOR_RANGES = {
+    ("toda", "a"): (range(2, 31), (1, 2, 3)),
+    ("toda", "b"): (range(1, 31), (1, 3)),
+    ("volterra", "a"): (range(2, 41), (2, 4)),
+    ("volterra", "b"): (range(1, 31), (4,)),
+    ("volterra", "c"): (range(1, 10), (4,)),
+}
+
+
+@pytest.mark.parametrize("family, kind", list(TENSOR_RANGES), ids="-".join)
+def test_tensors_equal_old(family, kind):
+    sizes, brackets = TENSOR_RANGES[(family, kind)]
+    for n in sizes:
+        sys = SystemId(family, kind, n)
+        for k in brackets:
+            new, old = catalog.tensor(sys, k), old_tensor(sys, k)
+            assert new == old, (str(sys), k)
+            assert new.to_json_dict() == old.to_json_dict()
+
+
+def test_master_symmetry_equals_old():
+    for n in range(2, 31):
+        sys = SystemId("toda", "a", n)
+        assert catalog.master_symmetry(sys) == old_master_symmetry(sys), n
+
+
+def test_i4_equals_old():
+    for n in range(1, 31):
+        assert catalog.i4_hamiltonian(n) == old_i4_hamiltonian(n), n
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_embedded_volterra_tensor_equals_old(field):
+    for N in range(3, 16):
+        for k in (2, 4):
+            new = catalog.embedded_volterra_tensor(N, k, field)
+            assert new == old_embedded_volterra_tensor(N, k, field), (N, k)
+            assert new.field == field
+
+
+@pytest.mark.parametrize("name", ["toda-a", "toda-b", "toda-c", "volterra-a",
+                                  "volterra-b", "volterra-c"])
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_lax_equals_old(name, field):
+    lo = 2 if name.endswith("-a") else 1
+    for n in range(lo, 13):
+        sys = catalog.parse_system(f"{name}:{n}")
+        assert catalog.lax(sys, field) == old_lax(sys, field), str(sys)
+
+
+def test_catalog_builds_without_parsing(monkeypatch):
+    """No catalog object is built by parsing a polynomial string."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Poly.parse called while building the catalog")
+
+    catalog.tensor.cache_clear()
+    monkeypatch.setattr(Poly, "parse", staticmethod(refuse))
+    try:
+        for (family, kind), (sizes, brackets) in TENSOR_RANGES.items():
+            for n in sizes[:6]:
+                sys = SystemId(family, kind, n)
+                catalog.lax(sys)
+                for k in brackets:
+                    catalog.tensor(sys, k)
+        for n in range(2, 8):
+            sys = SystemId("toda", "a", n)
+            catalog.master_symmetry(sys)
+            catalog.euler_field(sys)
+            catalog.flow(sys, 3)
+            catalog.flow(SystemId("volterra", "a", n + 1), 4)
+            catalog.bn_volterra_flow(n)
+            catalog.symmetry_group("phi_toda", sys)
+            catalog.embedded_volterra_tensor(n, 2, "Qi")
+            catalog.embedded_volterra_tensor(n, 4, "Qi")
+            catalog.i4_hamiltonian(n)
+            catalog.lax(SystemId("toda", "c", n))
+    finally:
+        catalog.tensor.cache_clear()

@@ -146,6 +146,54 @@ class TestVerify:
         assert got == code
         assert json.loads(out)["sign"] == sign
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_involution_phi_tilde_other_brackets_rejected(self, capsys, k):
+        code, out, err = run(
+            capsys, "verify", "involution", "--map", "phi_tilde", "--system", "toda-a:5",
+            "--bracket", str(k),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: phi_tilde is checked on the embedded volterra-a pi2 and pi4 only, got pi_{k}\n"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        # moser --N 99999 and bogo --rank 100000 were still running after 10 s
+        (["moser", "--N", "99999"], "argument --N: must be an integer >= 5 and <= 41"),
+        (["moser", "--N", "43"], "argument --N: must be an integer >= 5 and <= 41"),
+        (["bogo", "--type", "B", "--rank", "100000"],
+         "argument --rank: must be an integer >= 1 and <= 64"),
+        (["bogo", "--type", "D", "--rank", "65"],
+         "argument --rank: must be an integer >= 1 and <= 64"),
+        (["reduce", "--system", "toda-a:100001", "--map", "psi", "--bracket", "3"],
+         "error: --system toda-a:100001: the lattice parameter must be <= 33, got 100001"),
+        (["reduce", "--system", "toda-a:34", "--map", "phi_toda", "--bracket", "3"],
+         "error: --system toda-a:34: the lattice parameter must be <= 33, got 34"),
+        (["verify", "jacobi", "--system", "toda-a:65", "--bracket", "3"],
+         "error: --system toda-a:65: the lattice parameter must be <= 64, got 65"),
+        (["verify", "ladder", "--system", "volterra-a:1000000"],
+         "error: --system volterra-a:1000000: the lattice parameter must be <= 64, got 1000000"),
+    ])
+    def test_size_caps_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert sum("error" in line for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["moser", "--N", "41"],
+        ["bogo", "--type", "D", "--rank", "64"],
+    ])
+    def test_size_caps_admitted(self, argv):
+        build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "jacobi", "--system", "volterra-a:64", "--bracket", "2"],
+        ["reduce", "--system", "volterra-a:33", "--map", "phi_volterra", "--bracket", "4"],
+    ])
+    def test_system_caps_admitted(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0
+
     @pytest.mark.parametrize("argv", [
         ["verify", "jacobi", "--system", "toda-a:2", "--bracket", "1"],
         ["verify", "all", "--max-rank", "2"],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,7 +90,7 @@ class TestJacobiator:
                 + bracket(pi, G, bracket(pi, H, F))
                 + bracket(pi, H, bracket(pi, F, G))
             )
-            assert cyclic == jacobiator(pi)[(0, 1, 2)]
+            assert cyclic == jacobiator(pi).get((0, 1, 2), Poly.zero(vs))
 
     def test_cyclic_identity_for_poisson_tensor(self, rng):
         # for a tensor with zero jacobiator the cyclic sum vanishes for
@@ -264,9 +265,35 @@ def dense_lie_derivative(Z, pi):
 
 
 def assert_jacobiators_agree(pi):
-    sparse, dense = jacobiator(pi), dense_jacobiator(pi)
+    sparse = jacobiator(pi)
+    dense = {key: p for key, p in dense_jacobiator(pi).items() if not p.is_zero}
     assert list(sparse) == list(dense)
     assert sparse == dense
+
+
+def to_sympy(p, xs):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, expo)])
+        for expo, c in p.terms.items()
+    ])
+
+
+def sympy_jacobiator(pi, xs):
+    """The nonzero J^ijk, i < j < k, as sympy expressions, from sympy's own
+    products and derivatives of the full antisymmetric matrix."""
+    sympy = pytest.importorskip("sympy")
+    P = [[to_sympy(pi.entry(i, j), xs) for j in range(pi.dim)] for i in range(pi.dim)]
+    out = {}
+    for i, j, k in combinations(range(pi.dim), 3):
+        J = sympy.expand(sum(
+            P[i][l] * sympy.diff(P[j][k], x) + P[j][l] * sympy.diff(P[k][i], x)
+            + P[k][l] * sympy.diff(P[i][j], x)
+            for l, x in enumerate(xs)
+        ))
+        if J != 0:
+            out[(i, j, k)] = J
+    return out
 
 
 def catalog_tensors(max_dim):
@@ -298,11 +325,11 @@ COMPATIBILITY_SUMS = [
 ]
 
 
-def perturbed(pi):
-    """pi with its first stored entry changed by + x_1."""
+def perturbed(pi, power=1):
+    """pi with its first stored entry changed by + x_1^power."""
     key = min(pi.upper)
     upper = dict(pi.upper)
-    upper[key] = upper[key] + Poly.var(pi.variables, pi.variables[0], pi.field)
+    upper[key] = upper[key] + Poly.var(pi.variables, pi.variables[0], pi.field) ** power
     return PoissonTensor(pi.variables, upper, field=pi.field)
 
 
@@ -321,6 +348,26 @@ class TestSparseAgainstDense:
         # every catalog tensor has J = 0, so only a perturbed one exercises
         # the signs of the sparse loop
         assert_jacobiators_agree(perturbed(pi))
+
+    @pytest.mark.parametrize("label, pi", [(l, p) for l, p in CATALOG if p.dim >= 3],
+                             ids=[l for l, p in CATALOG if p.dim >= 3])
+    def test_quadratic_perturbation_is_not_poisson(self, label, pi):
+        # + x_1 leaves some of these tensors Poisson; + x_1^2 breaks every one
+        bent = perturbed(pi, 2)
+        assert_jacobiators_agree(bent)
+        assert not is_poisson(bent)
+
+    @pytest.mark.parametrize("label, pi", [(l, p) for l, p in CATALOG if p.dim <= 7],
+                             ids=[l for l, p in CATALOG if p.dim <= 7])
+    def test_jacobiator_against_sympy(self, label, pi):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(pi.variables)
+        for candidate in (pi, perturbed(pi, 2)) if pi.upper else (pi,):
+            want = sympy_jacobiator(candidate, xs)
+            got = jacobiator(candidate)
+            assert list(got) == list(want)
+            for key, p in got.items():
+                assert sympy.expand(to_sympy(p, xs) - want[key]) == 0
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_perturbed_cubic_is_not_poisson(self, n):
