@@ -4,16 +4,25 @@ A compiled field is a CSR-style triple (coefs, expts, comp_ptr): component i
 is the sum of coefs[t] * prod_v x_v**expts[t, v] over t in
 [comp_ptr[i], comp_ptr[i+1]).
 
-The kernel evaluates it in gather form.  `factor_table` keeps, for each term,
-only the variables it uses and their exponents, padded to a common width
-with a factor x_0**0 == 1; every catalog flow has width <= 2.  A field
-evaluation then gathers a [nnz, width] table of values, raises it to the
-exponents, takes the product of each row and scatter-adds the terms into
-their components with `np.bincount`, so it costs O(nnz * width) instead of
-the O(nnz * dim) of the dense `prod(x**expts)`.  Terms are summed in the same
-order as in the dense form, and a product of at most two factors other than
-1 does not depend on where the ones sit, so for width <= 2 the values are
-bit-identical to the dense form's.
+Both ways of running the kernel read one factor table (`factor_table`): row t
+lists the variables term t uses, in increasing order, each repeated by its
+exponent (a3^2 is the two factors a3, a3), padded to a common width with the
+position `dim` of a constant 1.0 slot.  A monomial is the product of its
+factors from left to right, so no power function is called, and the
+component sum adds its terms in CSR order starting from 0.0.  The RK4 stage
+and update arithmetic is the same in both, so they give bitwise-equal states.
+
+* A field with at most GENERATED_MAX_TERMS terms and components runs as
+  generated code: one straight-line Python function over Python floats does
+  the four stages and the update of a step, with the step loop around it,
+  and writes each recorded state into the preallocated output array.  Its
+  source holds only `repr(float)` coefficients and integer positions.
+* A larger field runs in numpy gather form: each field evaluation takes a
+  [nnz, width] table of state values, multiplies each row out and
+  scatter-adds the terms into their components with `np.bincount`, which
+  costs O(nnz * width) in a handful of numpy calls.
+
+Both stop after the first step whose state is not finite, at the same step.
 """
 
 from __future__ import annotations
@@ -22,37 +31,51 @@ import warnings
 
 import numpy as np
 
+# The rule that picks the path: generated code for a field with at most this
+# many terms (and at most this many components), numpy above.  Measured per
+# RK4 step over 3000 steps, compile included, best of 5, on a 2-vCPU x86 VM
+# (Python 3.11, numpy 2.4), generated vs numpy: toda-a:8 (28 terms) 7.6 vs
+# 30.0 us; toda-a:24 (92) 26 vs 44 us; toda-a:32 (124) 24 vs 40 us;
+# toda-a:64 (252) 66 vs 74 us; toda-a:6 --flow 6 (290 terms of degree up to
+# 6) 107 vs 73 us.  So the steady-state crossover is at about 250 terms of
+# degree 2 and lower for higher degrees.  Compiling costs about 70 us per
+# term once per call (7 ms at 100 terms), which a run of a few hundred steps
+# repays at 100 terms but needs over a thousand steps to repay at 250; the
+# limit sits at 100 so that short runs and high-degree flows do not lose.
+GENERATED_MAX_TERMS = 100
+
 
 def factor_table(expts: np.ndarray, comp_ptr: np.ndarray):
-    """Gather-form tables (idx, pows, comp) of a compiled field.
+    """The shared factor table (fidx, comp) of a compiled field.
 
-    Row t of idx / pows holds the variables term t uses, in increasing
-    order, and their exponents (as floats, the type `np.power` computes
-    in); unused slots hold variable 0 with exponent 0.  comp[t] is the
-    component term t belongs to.
+    Row t of fidx holds the variables term t uses, in increasing order, each
+    repeated by its exponent; unused slots hold dim, the position of a
+    constant 1.0 appended to the state.  comp[t] is the component term t
+    belongs to.
     """
-    nnz = expts.shape[0]
+    nnz, dim = expts.shape
     rows, cols = np.nonzero(expts)
-    counts = np.bincount(rows, minlength=nnz)
-    width = int(counts.max()) if nnz else 0
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.zeros((nnz, width), dtype=np.intp)
-    pows = np.zeros((nnz, width))
-    idx[rows, slot] = cols
-    pows[rows, slot] = expts[rows, cols]
+    reps = expts[rows, cols]
+    degree = np.bincount(rows, weights=reps, minlength=nnz).astype(np.intp)
+    width = int(degree.max()) if nnz else 0
+    rows, cols = np.repeat(rows, reps), np.repeat(cols, reps)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
+    fidx = np.full((nnz, width), dim, dtype=np.intp)
+    fidx[rows, slot] = cols
     comp = np.repeat(np.arange(len(comp_ptr) - 1), np.diff(comp_ptr))
-    return idx, pows, comp
+    return fidx, comp
 
 
-def _field(coefs, idx, pows, comp, n_comp, x):
-    mono = np.multiply.reduce(np.power(x[idx], pows), axis=1)
-    return np.bincount(comp, weights=coefs * mono, minlength=n_comp)
+def _field(coefs, fidx, comp, n_out, x):
+    """Field values at x, which carries the 1.0 slot at position dim."""
+    mono = np.multiply.reduce(x.take(fidx), axis=1)
+    return np.bincount(comp, weights=coefs * mono, minlength=n_out)
 
 
 def eval_field(coefs, expts, comp_ptr, x):
     """Evaluate all components at one point x (shape [dim])."""
-    idx, pows, comp = factor_table(expts, comp_ptr)
-    return _field(coefs, idx, pows, comp, len(comp_ptr) - 1, x)
+    fidx, comp = factor_table(expts, comp_ptr)
+    return _field(coefs, fidx, comp, len(comp_ptr) - 1, np.append(x, 1.0))
 
 
 def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride):
@@ -61,17 +84,26 @@ def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride):
     Returns (states, n_completed): integration stops early if the state
     leaves float range, with n_completed the number of finished steps.
     """
-    idx, pows, comp = factor_table(expts, comp_ptr)
-    n_comp = len(comp_ptr) - 1
+    fidx, comp = factor_table(expts, comp_ptr)
+    out = np.empty((n_steps // stride + 1, len(x0)))
+    out[0] = x0
+    if max(len(coefs), len(x0)) <= GENERATED_MAX_TERMS:
+        run = _generated_rk4(coefs, fidx, comp_ptr, len(x0))
+        rec, done = run(out, x0.tolist(), float(h), n_steps, stride)
+    else:
+        rec, done = _numpy_rk4(coefs, fidx, comp, out, x0, h, n_steps, stride)
+    return out[:rec], done
+
+
+def _numpy_rk4(coefs, fidx, comp, out, x0, h, n_steps, stride):
+    # The state carries the 1.0 slot at position dim; the field is 0.0
+    # there, so each stage and update keeps that slot at exactly 1.0.
+    dim = len(x0)
+    x = np.append(x0.astype(float), 1.0)
 
     def f(x):
-        return _field(coefs, idx, pows, comp, n_comp, x)
+        return _field(coefs, fidx, comp, dim + 1, x)
 
-    dim = len(x0)
-    n_rec = n_steps // stride + 1
-    out = np.empty((n_rec, dim))
-    out[0] = x0
-    x = x0.astype(float).copy()
     rec = 1
     # An overflow is caught by the finiteness test below, so numpy's warning
     # about it is dropped.  A warnings filter costs nothing until a warning
@@ -86,8 +118,73 @@ def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride):
             k4 = f(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x).all():
-                return out[:rec], step
+                return rec, step
             if (step + 1) % stride == 0:
-                out[rec] = x
+                out[rec] = x[:dim]
                 rec += 1
-    return out[:rec], n_steps
+    return rec, n_steps
+
+
+def _component_source(coefs, fidx, lo, hi, dim, name):
+    """Python expression of one component: its terms added to 0.0 in order."""
+    expr = "0.0"
+    for t in range(lo, hi):
+        c = float(coefs[t])
+        factors = [f"{name}{v}" for v in fidx[t] if v != dim]
+        mono = " * ".join(factors)
+        if not factors:
+            expr += f" + {c!r}"
+        elif c == 1.0:
+            expr += f" + {mono}"
+        elif c == -1.0:
+            expr += f" - {mono}"
+        else:
+            expr += f" + {c!r} * ({mono})"
+    return expr
+
+
+def _generated_rk4(coefs, fidx, comp_ptr, dim):
+    """Compile `run(out, x, h, n_steps, stride) -> (rec, done)` for one field.
+
+    Local names are x<i> (state), y<i> (stage point) and k1_<i>..k4_<i>
+    (stage slopes), built from integer positions.  The arithmetic is the
+    numpy path's, operation for operation: c * m is 1.0 * m or -1.0 * m
+    written as + m or - m, which IEEE arithmetic gives the same bits; a
+    step is non-finite when sum(v - v) over the state is not 0.0.
+    """
+    comps = range(dim)
+    state = "".join(f"x{i}, " for i in comps)
+
+    def stage(k, name):
+        return [
+            f"        k{k}_{i} = "
+            + _component_source(coefs, fidx, comp_ptr[i], comp_ptr[i + 1], dim, name)
+            for i in comps
+        ]
+
+    lines = [
+        "def run(out, x, h, n_steps, stride):",
+        f"    ({state}) = x",
+        "    hh = 0.5 * h",
+        "    h6 = h / 6.0",
+        "    rec = 1",
+        "    for step in range(n_steps):",
+        *stage(1, "x"),
+        *[f"        y{i} = x{i} + hh * k1_{i}" for i in comps],
+        *stage(2, "y"),
+        *[f"        y{i} = x{i} + hh * k2_{i}" for i in comps],
+        *stage(3, "y"),
+        *[f"        y{i} = x{i} + h * k3_{i}" for i in comps],
+        *stage(4, "y"),
+        *[f"        x{i} = x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+          for i in comps],
+        "        if sum((" + "".join(f"x{i} - x{i}, " for i in comps) + ")) != 0.0:",
+        "            return rec, step",
+        "        if (step + 1) % stride == 0:",
+        f"            out[rec] = ({state})",
+        "            rec += 1",
+        "    return rec, n_steps",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<generated rk4 step>", "exec"), namespace)
+    return namespace["run"]

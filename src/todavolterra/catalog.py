@@ -173,9 +173,15 @@ A_, A0, A1, A2 = ("a", -1), ("a", 0), ("a", 1), ("a", 2)
 B0, B1, B2 = ("b", 0), ("b", 1), ("b", 2)
 
 
-def _local(vars_: tuple[str, ...], poly: dict, sites, field: str = RAT) -> Poly:
-    """The sum over `sites` of the local polynomial `poly` read at each site."""
-    pos = {v: k for k, v in enumerate(vars_)}
+def _positions(vars_: tuple[str, ...]) -> dict[str, int]:
+    return {v: k for k, v in enumerate(vars_)}
+
+
+def _local(vars_: tuple[str, ...], pos: dict, poly: dict, sites, field: str = RAT) -> Poly:
+    """The sum over `sites` of the local polynomial `poly` read at each site.
+
+    `pos` is `_positions(vars_)`, built once by the caller.
+    """
     terms = {}
     for i in sites:
         for mono, c in poly.items():
@@ -261,13 +267,14 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> 
         raise ValueError(f"no catalog tensor pi_{k} for {sys}; supported: {supported}")
     count = Counter(v[0] for v in vars_)  # sites per letter: a1..ap, b1..bq
     last = LAST_SITE.get((sys.name, k), ())
+    pos = _positions(vars_)
     brackets = {}
     # the LAST_SITE entries come second, so they replace the bulk at site n
     for template, only in ((TENSORS[sys.name, k], None), (last, count["a"])):
         for (lu, ou), (lv, ov), p in template:
             for i in range(max(1 - ou, 1 - ov), min(count[lu] - ou, count[lv] - ov) + 1):
                 if only in (None, i):
-                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = _local(vars_, p, (i,), field)
+                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = _local(vars_, pos, p, (i,), field)
     return PoissonTensor.from_brackets(vars_, brackets, field)
 
 
@@ -322,13 +329,14 @@ def master_symmetry(sys: SystemId | str) -> PolyVectorField:
         raise ValueError("master symmetry is cataloged for toda-a only")
     vars_ = variables(sys)
     count = Counter(v[0] for v in vars_)
+    pos = _positions(vars_)
     # the component at site i is c + i * d, for the local polynomials (c, d)
     affine = {
         "a": ({(A0, B0): 1, (A0, B1): 3}, {(A0, B0): -2, (A0, B1): 2}),
         "b": ({(B0, B0): 1, (A_,): 2, (A0,): 2}, {(A_,): -2, (A0,): 2}),
     }
     comps = [
-        _local(vars_, c, (i,)) + _local(vars_, d, (i,)).scale(i)
+        _local(vars_, pos, c, (i,)) + _local(vars_, pos, d, (i,)).scale(i)
         for letter, (c, d) in affine.items()
         for i in range(1, count[letter] + 1)
     ]
@@ -377,7 +385,8 @@ def i4_hamiltonian(n: int) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     vars_ = variables(SystemId("volterra", "b", n))
-    return _local(vars_, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
+    local = {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}
+    return _local(vars_, _positions(vars_), local, range(1, n))
 
 
 # ------------------------------------------------------------------ symmetries

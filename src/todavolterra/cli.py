@@ -181,7 +181,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError(
             f"--t-end / --h = {args.t_end!r} / {args.h!r} is not a finite number of steps"
         )
-    need = _estimated_bytes(sys_id, int(round(args.t_end / args.h)))
+    need = _estimated_bytes(sys_id, flows.step_count(args.t_end, args.h))
     if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
             f"run would need about {need / 2**30:.3g} GiB for its states and Lax "
@@ -216,6 +216,7 @@ def _cmd_simulate(args) -> int:
             "h": args.h,
             "seed": args.seed,
             "x0": [float(x) for x in x0],
+            # a constant of the simulate/v1 schema; it names no kernel path
             "backend": "numpy",
             "monitors": report.to_json_dict(),
         }
@@ -339,6 +340,21 @@ def _bounded_int(lo: int, hi: int):
     return parse
 
 
+def _odd_int(lo: int, hi: int):
+    """argparse type: an odd integer in lo..hi."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not lo <= value <= hi or value % 2 == 0:
+            raise argparse.ArgumentTypeError(f"must be an odd integer in {lo}..{hi}, got {text}")
+        return value
+
+    return parse
+
+
 def _int_pair(text: str) -> tuple[int, int]:
     """argparse type: two integers 'k,l'."""
     try:
@@ -424,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moser", help="squaring map to Toda form")
     # --N 41 took 3.4 s on a 2-vCPU x86 VM
-    p.add_argument("--N", type=_bounded_int(5, 41), required=True, help="odd Lax size >= 5")
+    p.add_argument("--N", type=_odd_int(5, 41), required=True, help="odd Lax size")
     add_common(p)
 
     return parser

@@ -1,7 +1,10 @@
 """Numerical integration of the lattice flows with conservation monitors.
 
 Polynomial vector fields are compiled to float coefficient arrays and
-integrated with fixed-step RK4 (the numpy kernel in `_kernels`).  Monitors
+integrated with fixed-step RK4 by `_kernels.rk4_integrate`: a field of at
+most `_kernels.GENERATED_MAX_TERMS` terms runs as a generated straight-line
+Python step, a larger one in numpy gather form, both from one factor table
+and with bitwise-equal results.  Monitors
 track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,6 +87,22 @@ class Trajectory:
     h: float
 
 
+def step_count(t_end: float, h: float) -> int:
+    """t_end / h as a whole number of RK4 steps, at least 1.
+
+    A ratio off a whole number by more than a relative 1e-9 (float rounding
+    of t_end and h stays far below that) would end the run at a time other
+    than t_end, so it is rejected instead of rounded.
+    """
+    ratio = t_end / h
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * ratio:
+        raise ValueError(
+            f"t_end / h = {t_end!r} / {h!r} = {ratio!r} is not a whole number of steps >= 1"
+        )
+    return n
+
+
 def integrate(
     vf: PolyVectorField | CompiledField,
     x0,
@@ -90,14 +110,17 @@ def integrate(
     h: float,
     record_stride: int = 1,
 ) -> Trajectory:
-    """Classical RK4 with fixed step h from t=0 to t_end (deterministic)."""
+    """Classical RK4 with fixed step h from t=0 to t_end (deterministic).
+
+    t_end / h must be a whole number of steps (see `step_count`).
+    """
     if h <= 0:
         raise ValueError("step size must be positive")
     cf = vf if isinstance(vf, CompiledField) else compile_field(vf)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cf.dim,):
         raise ValueError(f"initial point has shape {x0.shape}, expected ({cf.dim},)")
-    n_steps = int(round(t_end / h))
+    n_steps = step_count(t_end, h)
     states, done = rk4_integrate(
         cf.coefs, cf.expts, cf.comp_ptr, x0, float(h), n_steps, int(record_stride)
     )

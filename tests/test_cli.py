@@ -159,8 +159,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, message", [
         # moser --N 99999 and bogo --rank 100000 were still running after 10 s
-        (["moser", "--N", "99999"], "argument --N: must be an integer >= 5 and <= 41"),
-        (["moser", "--N", "43"], "argument --N: must be an integer >= 5 and <= 41"),
+        (["moser", "--N", "99999"], "argument --N: must be an odd integer in 5..41, got 99999"),
+        (["moser", "--N", "43"], "argument --N: must be an odd integer in 5..41, got 43"),
         (["bogo", "--type", "B", "--rank", "100000"],
          "argument --rank: must be an integer >= 1 and <= 64"),
         (["bogo", "--type", "D", "--rank", "65"],
@@ -351,6 +351,31 @@ class TestSimulateInput:
         assert out == ""
         assert err == f"error: --x0 {path}: {message}\n"
 
+    @pytest.mark.parametrize("t_end, ratio", [
+        # integrated to t = 0.002 but reported "t_end": 0.0016
+        ("0.0016", "1.6"),
+        # took no step and reported zero drift
+        ("0.0004", "0.4"),
+    ])
+    def test_partial_step_count_rejected(self, capsys, t_end, ratio):
+        code, out, err = run(
+            capsys, "simulate", "--system", "toda-a:2", "--t-end", t_end, "--h", "1e-3"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: t_end / h = {t_end} / 0.001 = {ratio} is not a whole number of steps >= 1\n"
+        )
+
+    # 0.7 / 0.1 is 6.999999999999999 in floats: a whole number within 1e-9
+    @pytest.mark.parametrize("t_end, h", [("10", "1e-3"), ("0.7", "0.1")])
+    def test_whole_step_count_runs(self, capsys, t_end, h):
+        code, out, err = run(
+            capsys, "simulate", "--system", "toda-a:2", "--t-end", t_end, "--h", h,
+            "--format", "json",
+        )
+        assert code == 0, err
+        assert json.loads(out)["t_end"] == float(t_end)
+
     def test_step_count_overflow(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--system", "toda-a:2", "--t-end", "1e300", "--h", "1e-300"
@@ -470,6 +495,12 @@ class TestMoserCli:
             "B2' = -2*A1^2 + 2*A2^2",
         ]
 
-    def test_even_size_rejected(self, capsys):
-        code, _, err = run(capsys, "moser", "--N", "8")
-        assert code == 2
+    @pytest.mark.parametrize("N", ["6", "8", "40"])
+    def test_even_size_rejected(self, capsys, N):
+        # these exited 2 with `size must be odd and >= 3` from moser.x_lax
+        code, out, err = run(capsys, "moser", "--N", N)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            f"error: argument --N: must be an odd integer in 5..41, got {N}"
+        )
+        assert sum("error" in line for line in err.splitlines()) == 1

@@ -95,7 +95,7 @@ KERNEL_CASES = [
 
 
 class TestKernelOracle:
-    """The gather-form kernel is bitwise equal to the dense form it replaced."""
+    """Both kernel paths are bitwise equal to the dense form they replaced."""
 
     @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
     def test_field_values_bitwise(self, name, make_field, sign, rng):
@@ -105,25 +105,106 @@ class TestKernelOracle:
             got = _kernels.eval_field(cf.coefs, cf.expts, cf.comp_ptr, x)
             assert np.array_equal(got, dense_field(cf.coefs, cf.expts, cf.comp_ptr, x))
 
+    @pytest.mark.parametrize("generated", [True, False], ids=["generated", "numpy"])
     @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
-    def test_trajectory_bitwise(self, name, make_field, sign, rng):
+    def test_trajectory_bitwise(self, name, make_field, sign, generated, rng, monkeypatch):
+        monkeypatch.setattr(_kernels, "GENERATED_MAX_TERMS", 10**9 if generated else -1)
         cf = flows.compile_field(make_field())
         x0 = np.array([sign * rng.uniform(0.1, 0.6) for _ in range(cf.dim)])
         states, done = _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000, 1)
         assert done == 2000
         assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000))
 
-    def test_factor_table_width(self):
+    def test_factor_table_repeats_factors(self):
+        # a1' = -a1 a2, a2' = a2 (a1 - a3), a3' = a3 (a2 + a3)
         cf = flows.compile_field(catalog.bn_volterra_flow(3))
-        idx, pows, comp = _kernels.factor_table(cf.expts, cf.comp_ptr)
-        assert idx.shape == pows.shape == (len(cf.coefs), 2)
-        assert pows.max() == 2
+        fidx, comp = _kernels.factor_table(cf.expts, cf.comp_ptr)
+        assert fidx.shape == (len(cf.coefs), 2)
+        assert [2, 2] in fidx.tolist()  # a3^2 is two slots of a3
+        for row, e in zip(fidx, cf.expts):
+            assert np.array_equal(np.bincount(row, minlength=cf.dim + 1)[: cf.dim], e)
+            assert list(row) == sorted(row)  # padding (slot dim = 3) comes last
         assert np.array_equal(comp, np.repeat(np.arange(cf.dim), np.diff(cf.comp_ptr)))
 
     def test_constant_and_empty_fields(self):
         vs = ("a1", "a2")
-        cf = flows.compile_field(PolyVectorField(vs, [Poly.parse("3", vs), Poly.zero(vs)]))
-        assert np.array_equal(cf.eval([0.5, 0.25]), [3.0, 0.0])
+        cf = flows.compile_field(PolyVectorField(vs, [Poly.parse("3 + a1^3", vs), Poly.zero(vs)]))
+        fidx, comp = _kernels.factor_table(cf.expts, cf.comp_ptr)
+        assert sorted(fidx.tolist()) == [[0, 0, 0], [2, 2, 2]]  # a1^3, and 3 as padding only
+        assert comp.tolist() == [0, 0]
+        assert np.array_equal(cf.eval([0.5, 0.25]), [3.125, 0.0])
+
+
+def _escape_point():
+    # the toda-a:6 point of test_cli's escape test; leaves float range at t = 2.67
+    rng = random.Random(0)
+    return [rng.uniform(-1.0, 1.0) for _ in range(11)]
+
+
+# (name, field, x0 or None for a seeded mixed-sign point, steps); the term
+# counts sit on both sides of GENERATED_MAX_TERMS = 100
+PATH_CASES = [
+    ("toda-a:24", lambda: catalog.flow("toda-a:24", 2), None, 300),  # 92 terms
+    ("toda-a:32", lambda: catalog.flow("toda-a:32", 2), None, 300),  # 124 terms
+    ("volterra-a:64", lambda: catalog.flow("volterra-a:64", 2), None, 300),  # 124 terms
+    ("toda-a:5-flow4", lambda: catalog.flow("toda-a:5", 4), None, 300),  # b_i^3
+    ("toda-a:6-flow5", lambda: catalog.flow("toda-a:6", 5), None, 300),  # b_i^4
+    ("volterra-b:3", lambda: catalog.bn_volterra_flow(3), None, 300),  # a3^2
+    ("toda-a:6-escape", lambda: catalog.flow("toda-a:6", 2), _escape_point(), 3000),
+]
+
+
+class TestKernelPaths:
+    """Generated code and the numpy path give the same bits and step count."""
+
+    @staticmethod
+    def _run(monkeypatch, cf, x0, n_steps, generated, stride=1):
+        monkeypatch.setattr(_kernels, "GENERATED_MAX_TERMS", 10**9 if generated else -1)
+        return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, stride)
+
+    @pytest.mark.parametrize("name, make_field, x0, n_steps", PATH_CASES,
+                             ids=[c[0] for c in PATH_CASES])
+    def test_paths_bitwise_equal(self, monkeypatch, name, make_field, x0, n_steps):
+        cf = flows.compile_field(make_field())
+        if x0 is None:
+            rng = random.Random(name)
+            x0 = [rng.uniform(0.1, 0.6) * rng.choice([-1, 1]) for _ in range(cf.dim)]
+        x0 = np.array(x0)
+        gen_states, gen_done = self._run(monkeypatch, cf, x0, n_steps, True)
+        np_states, np_done = self._run(monkeypatch, cf, x0, n_steps, False)
+        assert gen_done == np_done
+        assert np.array_equal(gen_states, np_states)
+        if name.endswith("escape"):
+            assert gen_done == 2670 < n_steps
+        else:
+            assert gen_done == n_steps
+
+    def test_high_powers_are_covered(self):
+        fields = {name: make_field for name, make_field, _, _ in PATH_CASES}
+        for name, power in [("toda-a:5-flow4", 3), ("toda-a:6-flow5", 4)]:
+            assert flows.compile_field(fields[name]()).expts.max() == power
+
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_stride_and_record_count(self, monkeypatch, stride):
+        cf = flows.compile_field(catalog.flow(T3, 2))
+        x0 = np.array([0.3, 0.2, 0.1, -0.2, 0.4])
+        (s1, d1), (s2, d2) = [self._run(monkeypatch, cf, x0, 20, g, stride) for g in (True, False)]
+        assert d1 == d2 == 20
+        assert s1.shape == (20 // stride + 1, 5)
+        assert np.array_equal(s1, s2)
+
+    def test_rule_picks_path_by_term_count(self, monkeypatch):
+        picked = []
+        real = _kernels._numpy_rk4
+        monkeypatch.setattr(
+            _kernels, "_numpy_rk4", lambda *a: picked.append("numpy") or real(*a)
+        )
+        for name in ("toda-a:24", "toda-a:32"):
+            cf = flows.compile_field(catalog.flow(name, 2))
+            x0 = np.full(cf.dim, 0.5)
+            _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2, 1)
+            picked.append(name)
+        assert picked == ["toda-a:24", "numpy", "toda-a:32"]
 
 
 class TestLaxRhs:
