@@ -4,9 +4,8 @@ The symbolic core (`polyalg`, `poisson`, `catalog`, `reduction`, `bogo`,
 `moser`) works over exact rational or Gaussian-rational coefficients, so every
 algebraic identity is checked as a polynomial zero.  The `flows` module
 compiles polynomial vector fields to float arrays, integrates them with one
-RK4 kernel (`_kernels`: generated straight-line Python for small fields,
-numpy gather form for large ones, bitwise equal) and monitors the conserved
-traces of the Lax matrix.
+RK4 kernel (`_kernels`: a straight-line Python step generated per field)
+and monitors the conserved traces of the Lax matrix.
 """
 
 __version__ = "0.1.0"

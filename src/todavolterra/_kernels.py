@@ -4,49 +4,35 @@ A compiled field is a CSR-style triple (coefs, expts, comp_ptr): component i
 is the sum of coefs[t] * prod_v x_v**expts[t, v] over t in
 [comp_ptr[i], comp_ptr[i+1]).
 
-Both ways of running the kernel read one factor table (`factor_table`): row t
-lists the variables term t uses, in increasing order, each repeated by its
-exponent (a3^2 is the two factors a3, a3), padded to a common width with the
-position `dim` of a constant 1.0 slot.  A monomial is the product of its
-factors from left to right, so no power function is called, and the
-component sum adds its terms in CSR order starting from 0.0.  The RK4 stage
-and update arithmetic is the same in both, so they give bitwise-equal states.
+The kernel reads one factor table (`factor_table`): row t lists the
+variables term t uses, in increasing order, each repeated by its exponent
+(a3^2 is the two factors a3, a3), padded to a common width with the position
+`dim` of a constant 1.0 slot.  A monomial is the product of its factors from
+left to right, so no power function is called, and a component adds its
+terms in CSR order starting from 0.0.
 
-* A field with at most GENERATED_MAX_TERMS terms and components runs as
-  generated code: one straight-line Python function over Python floats does
-  the four stages and the update of a step, with the step loop around it,
-  and writes each recorded state into the preallocated output array.  Its
-  source holds only `repr(float)` coefficients and integer positions.
-* A larger field runs in numpy gather form: each field evaluation takes a
-  [nnz, width] table of state values, multiplies each row out and
-  scatter-adds the terms into their components with `np.bincount`, which
-  costs O(nnz * width) in a handful of numpy calls.
-
-Both stop after the first step whose state is not finite, at the same step.
+`rk4_integrate` runs each field as generated code: one straight-line Python
+function over Python floats does the four stages and the update of a step,
+with the step loop around it, and writes each recorded state into the
+preallocated output array.  Its source holds only `repr(float)` coefficients
+and integer positions.  `eval_field` evaluates one point from the same table
+in numpy gather form (take, multiply.reduce, bincount), with the same
+operations in the same order, so it gives the generated step's field values
+bit for bit.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-# The rule that picks the path: generated code for a field with at most this
-# many terms (and at most this many components), numpy above.  Measured per
-# RK4 step over 3000 steps, compile included, best of 5, on a 2-vCPU x86 VM
-# (Python 3.11, numpy 2.4), generated vs numpy: toda-a:8 (28 terms) 7.6 vs
-# 30.0 us; toda-a:24 (92) 26 vs 44 us; toda-a:32 (124) 24 vs 40 us;
-# toda-a:64 (252) 66 vs 74 us; toda-a:6 --flow 6 (290 terms of degree up to
-# 6) 107 vs 73 us.  So the steady-state crossover is at about 250 terms of
-# degree 2 and lower for higher degrees.  Compiling costs about 70 us per
-# term once per call (7 ms at 100 terms), which a run of a few hundred steps
-# repays at 100 terms but needs over a thousand steps to repay at 250; the
-# limit sits at 100 so that short runs and high-degree flows do not lose.
-GENERATED_MAX_TERMS = 100
+# Terms added per generated statement.  CPython's compiler recurses once per
+# `+` of an expression and fails near 3000 of them (Python 3.11), so a longer
+# component sum is split into statements that continue it in the same order.
+_TERMS_PER_LINE = 100
 
 
 def factor_table(expts: np.ndarray, comp_ptr: np.ndarray):
-    """The shared factor table (fidx, comp) of a compiled field.
+    """The factor table (fidx, comp) of a compiled field.
 
     Row t of fidx holds the variables term t uses, in increasing order, each
     repeated by its exponent; unused slots hold dim, the position of a
@@ -66,16 +52,11 @@ def factor_table(expts: np.ndarray, comp_ptr: np.ndarray):
     return fidx, comp
 
 
-def _field(coefs, fidx, comp, n_out, x):
-    """Field values at x, which carries the 1.0 slot at position dim."""
-    mono = np.multiply.reduce(x.take(fidx), axis=1)
-    return np.bincount(comp, weights=coefs * mono, minlength=n_out)
-
-
 def eval_field(coefs, expts, comp_ptr, x):
     """Evaluate all components at one point x (shape [dim])."""
     fidx, comp = factor_table(expts, comp_ptr)
-    return _field(coefs, fidx, comp, len(comp_ptr) - 1, np.append(x, 1.0))
+    mono = np.multiply.reduce(np.append(x, 1.0).take(fidx), axis=1)
+    return np.bincount(comp, weights=coefs * mono, minlength=len(comp_ptr) - 1)
 
 
 def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride):
@@ -84,72 +65,42 @@ def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride):
     Returns (states, n_completed): integration stops early if the state
     leaves float range, with n_completed the number of finished steps.
     """
-    fidx, comp = factor_table(expts, comp_ptr)
+    fidx, _ = factor_table(expts, comp_ptr)
     out = np.empty((n_steps // stride + 1, len(x0)))
     out[0] = x0
-    if max(len(coefs), len(x0)) <= GENERATED_MAX_TERMS:
-        run = _generated_rk4(coefs, fidx, comp_ptr, len(x0))
-        rec, done = run(out, x0.tolist(), float(h), n_steps, stride)
-    else:
-        rec, done = _numpy_rk4(coefs, fidx, comp, out, x0, h, n_steps, stride)
+    run = _generated_rk4(coefs, fidx, comp_ptr, len(x0))
+    rec, done = run(out, x0.tolist(), float(h), n_steps, stride)
     return out[:rec], done
 
 
-def _numpy_rk4(coefs, fidx, comp, out, x0, h, n_steps, stride):
-    # The state carries the 1.0 slot at position dim; the field is 0.0
-    # there, so each stage and update keeps that slot at exactly 1.0.
-    dim = len(x0)
-    x = np.append(x0.astype(float), 1.0)
-
-    def f(x):
-        return _field(coefs, fidx, comp, dim + 1, x)
-
-    rec = 1
-    # An overflow is caught by the finiteness test below, so numpy's warning
-    # about it is dropped.  A warnings filter costs nothing until a warning
-    # is raised; np.errstate(over="ignore") slowed each step by about 2%
-    # (toda-a:8, 2-vCPU VM).
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for step in range(n_steps):
-            k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all():
-                return rec, step
-            if (step + 1) % stride == 0:
-                out[rec] = x[:dim]
-                rec += 1
-    return rec, n_steps
-
-
-def _component_source(coefs, fidx, lo, hi, dim, name):
-    """Python expression of one component: its terms added to 0.0 in order."""
-    expr = "0.0"
+def _sum_lines(target, coefs, fidx, lo, hi, dim, name):
+    """Statements that set `target` to one component: its terms added to 0.0
+    in order, `_TERMS_PER_LINE` per statement."""
+    terms = []
     for t in range(lo, hi):
         c = float(coefs[t])
         factors = [f"{name}{v}" for v in fidx[t] if v != dim]
         mono = " * ".join(factors)
         if not factors:
-            expr += f" + {c!r}"
+            terms.append(f" + {c!r}")
         elif c == 1.0:
-            expr += f" + {mono}"
+            terms.append(f" + {mono}")
         elif c == -1.0:
-            expr += f" - {mono}"
+            terms.append(f" - {mono}")
         else:
-            expr += f" + {c!r} * ({mono})"
-    return expr
+            terms.append(f" + {c!r} * ({mono})")
+    lines = [f"        {target} = 0.0" + "".join(terms[:_TERMS_PER_LINE])]
+    for s in range(_TERMS_PER_LINE, len(terms), _TERMS_PER_LINE):
+        lines.append(f"        {target} = {target}" + "".join(terms[s : s + _TERMS_PER_LINE]))
+    return lines
 
 
 def _generated_rk4(coefs, fidx, comp_ptr, dim):
     """Compile `run(out, x, h, n_steps, stride) -> (rec, done)` for one field.
 
     Local names are x<i> (state), y<i> (stage point) and k1_<i>..k4_<i>
-    (stage slopes), built from integer positions.  The arithmetic is the
-    numpy path's, operation for operation: c * m is 1.0 * m or -1.0 * m
-    written as + m or - m, which IEEE arithmetic gives the same bits; a
+    (stage slopes), built from integer positions.  c * m is written + m or
+    - m for c = 1.0 or -1.0, which IEEE arithmetic gives the same bits; a
     step is non-finite when sum(v - v) over the state is not 0.0.
     """
     comps = range(dim)
@@ -157,9 +108,9 @@ def _generated_rk4(coefs, fidx, comp_ptr, dim):
 
     def stage(k, name):
         return [
-            f"        k{k}_{i} = "
-            + _component_source(coefs, fidx, comp_ptr[i], comp_ptr[i + 1], dim, name)
+            line
             for i in comps
+            for line in _sum_lines(f"k{k}_{i}", coefs, fidx, comp_ptr[i], comp_ptr[i + 1], dim, name)
         ]
 
     lines = [

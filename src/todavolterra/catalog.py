@@ -173,14 +173,10 @@ A_, A0, A1, A2 = ("a", -1), ("a", 0), ("a", 1), ("a", 2)
 B0, B1, B2 = ("b", 0), ("b", 1), ("b", 2)
 
 
-def _positions(vars_: tuple[str, ...]) -> dict[str, int]:
-    return {v: k for k, v in enumerate(vars_)}
-
-
 def _local(vars_: tuple[str, ...], pos: dict, poly: dict, sites, field: str = RAT) -> Poly:
     """The sum over `sites` of the local polynomial `poly` read at each site.
 
-    `pos` is `_positions(vars_)`, built once by the caller.
+    `pos` maps each of `vars_` to its position, built once by the caller.
     """
     terms = {}
     for i in sites:
@@ -267,7 +263,7 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> 
         raise ValueError(f"no catalog tensor pi_{k} for {sys}; supported: {supported}")
     count = Counter(v[0] for v in vars_)  # sites per letter: a1..ap, b1..bq
     last = LAST_SITE.get((sys.name, k), ())
-    pos = _positions(vars_)
+    pos = {v: j for j, v in enumerate(vars_)}
     brackets = {}
     # the LAST_SITE entries come second, so they replace the bulk at site n
     for template, only in ((TENSORS[sys.name, k], None), (last, count["a"])):
@@ -329,7 +325,7 @@ def master_symmetry(sys: SystemId | str) -> PolyVectorField:
         raise ValueError("master symmetry is cataloged for toda-a only")
     vars_ = variables(sys)
     count = Counter(v[0] for v in vars_)
-    pos = _positions(vars_)
+    pos = {v: j for j, v in enumerate(vars_)}
     # the component at site i is c + i * d, for the local polynomials (c, d)
     affine = {
         "a": ({(A0, B0): 1, (A0, B1): 3}, {(A0, B0): -2, (A0, B1): 2}),
@@ -385,8 +381,8 @@ def i4_hamiltonian(n: int) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     vars_ = variables(SystemId("volterra", "b", n))
-    local = {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}
-    return _local(vars_, _positions(vars_), local, range(1, n))
+    pos = {v: j for j, v in enumerate(vars_)}
+    return _local(vars_, pos, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
 
 
 # ------------------------------------------------------------------ symmetries

@@ -1,11 +1,9 @@
 """Numerical integration of the lattice flows with conservation monitors.
 
 Polynomial vector fields are compiled to float coefficient arrays and
-integrated with fixed-step RK4 by `_kernels.rk4_integrate`: a field of at
-most `_kernels.GENERATED_MAX_TERMS` terms runs as a generated straight-line
-Python step, a larger one in numpy gather form, both from one factor table
-and with bitwise-equal results.  Monitors
-track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
+integrated with fixed-step RK4 by `_kernels.rk4_integrate`, which runs each
+field as a generated straight-line Python step built from its factor table.
+Monitors track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
 error.  Both are read from one set of traces tr(L^j) of the float Lax

@@ -68,22 +68,37 @@ class TestIntegrate:
 
 
 def dense_field(coefs, expts, comp_ptr, x):
-    """The dense form the gather kernel replaced: O(nnz * dim) per call."""
-    mono = np.prod(np.power(x[None, :], expts), axis=1)
+    """The dense form of the field: O(nnz * dim) per call, no factor table.
+
+    A monomial multiplies its variables from left to right, each repeated by
+    its exponent, as the kernel does; `np.power` does not always round like
+    a repeated product (x**2 vs x * x on an AVX-512 host).
+    """
+    mono = np.ones(len(coefs))
+    for v in range(len(x)):
+        for p in range(int(expts[:, v].max(initial=0))):
+            mono = np.where(expts[:, v] > p, mono * x[v], mono)
     comp_idx = np.repeat(np.arange(len(comp_ptr) - 1), np.diff(comp_ptr))
     return np.bincount(comp_idx, weights=coefs * mono, minlength=len(comp_ptr) - 1)
 
 
 def dense_rk4(coefs, expts, comp_ptr, x, h, n_steps):
     states = [x]
-    for _ in range(n_steps):
-        k1 = dense_field(coefs, expts, comp_ptr, x)
-        k2 = dense_field(coefs, expts, comp_ptr, x + 0.5 * h * k1)
-        k3 = dense_field(coefs, expts, comp_ptr, x + 0.5 * h * k2)
-        k4 = dense_field(coefs, expts, comp_ptr, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            k1 = dense_field(coefs, expts, comp_ptr, x)
+            k2 = dense_field(coefs, expts, comp_ptr, x + 0.5 * h * k1)
+            k3 = dense_field(coefs, expts, comp_ptr, x + 0.5 * h * k2)
+            k4 = dense_field(coefs, expts, comp_ptr, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(x)
     return np.array(states)
+
+
+def _escape_point():
+    # the toda-a:6 point of test_cli's escape test; leaves float range at t = 2.67
+    rng = random.Random(0)
+    return [rng.uniform(-1.0, 1.0) for _ in range(11)]
 
 
 # (system, field, sign of the sheet the starting points are drawn from)
@@ -93,9 +108,23 @@ KERNEL_CASES = [
     ("volterra-b:3", lambda: catalog.bn_volterra_flow(3), -1),  # a3' has a3^2
 ]
 
+# (name, field, x0 or None for a seeded mixed-sign point, steps)
+WIDE_CASES = [
+    ("toda-a:24", lambda: catalog.flow("toda-a:24", 2), None, 300),  # 92 terms
+    ("toda-a:32", lambda: catalog.flow("toda-a:32", 2), None, 300),  # 124 terms
+    ("volterra-a:64", lambda: catalog.flow("volterra-a:64", 2), None, 300),  # 124 terms
+    ("toda-a:5-flow4", lambda: catalog.flow("toda-a:5", 4), None, 300),  # b_i^3
+    ("toda-a:6-flow5", lambda: catalog.flow("toda-a:6", 5), None, 300),  # b_i^4
+    ("toda-a:6-escape", lambda: catalog.flow("toda-a:6", 2), _escape_point(), 3000),
+]
+
+
+def _rk4(cf, x0, n_steps, stride=1):
+    return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, stride)
+
 
 class TestKernelOracle:
-    """Both kernel paths are bitwise equal to the dense form they replaced."""
+    """The generated RK4 step is bitwise equal to the dense form."""
 
     @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
     def test_field_values_bitwise(self, name, make_field, sign, rng):
@@ -105,15 +134,58 @@ class TestKernelOracle:
             got = _kernels.eval_field(cf.coefs, cf.expts, cf.comp_ptr, x)
             assert np.array_equal(got, dense_field(cf.coefs, cf.expts, cf.comp_ptr, x))
 
-    @pytest.mark.parametrize("generated", [True, False], ids=["generated", "numpy"])
     @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
-    def test_trajectory_bitwise(self, name, make_field, sign, generated, rng, monkeypatch):
-        monkeypatch.setattr(_kernels, "GENERATED_MAX_TERMS", 10**9 if generated else -1)
+    def test_trajectory_bitwise(self, name, make_field, sign, rng):
         cf = flows.compile_field(make_field())
         x0 = np.array([sign * rng.uniform(0.1, 0.6) for _ in range(cf.dim)])
-        states, done = _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000, 1)
+        states, done = _rk4(cf, x0, 2000)
         assert done == 2000
         assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000))
+
+    @pytest.mark.parametrize("name, make_field, x0, n_steps", WIDE_CASES,
+                             ids=[c[0] for c in WIDE_CASES])
+    def test_wide_fields_and_escape_bitwise(self, name, make_field, x0, n_steps):
+        cf = flows.compile_field(make_field())
+        if x0 is None:
+            rng = random.Random(name)
+            x0 = [rng.uniform(0.1, 0.6) * rng.choice([-1, 1]) for _ in range(cf.dim)]
+        x0 = np.array(x0)
+        states, done = _rk4(cf, x0, n_steps)
+        dense = dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps)
+        if name.endswith("escape"):
+            assert done == 2670 < n_steps
+            assert not np.isfinite(dense[done + 1]).all()
+        else:
+            assert done == n_steps
+        assert np.array_equal(states, dense[: done + 1])
+
+    def test_high_powers_are_covered(self):
+        fields = {name: make_field for name, make_field, _, _ in WIDE_CASES}
+        for name, power in [("toda-a:5-flow4", 3), ("toda-a:6-flow5", 4)]:
+            assert flows.compile_field(fields[name]()).expts.max() == power
+
+    def test_long_component_is_split(self):
+        # one sum of 3000 terms exceeds CPython's compiler recursion depth
+        n = 3000
+        cf = flows.CompiledField(
+            variables=("a1", "a2"),
+            coefs=1.0 / np.arange(1, n + 1),
+            expts=np.tile([1, 0], (n, 1)),
+            comp_ptr=np.array([0, n, n]),
+        )
+        x0 = np.array([0.1, 0.2])
+        states, done = _rk4(cf, x0, 3)
+        assert done == 3
+        assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 3))
+
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_stride_and_record_count(self, stride):
+        cf = flows.compile_field(catalog.flow(T3, 2))
+        x0 = np.array([0.3, 0.2, 0.1, -0.2, 0.4])
+        states, done = _rk4(cf, x0, 20, stride)
+        assert done == 20
+        assert states.shape == (20 // stride + 1, 5)
+        assert np.array_equal(states, _rk4(cf, x0, 20)[0][::stride])
 
     def test_factor_table_repeats_factors(self):
         # a1' = -a1 a2, a2' = a2 (a1 - a3), a3' = a3 (a2 + a3)
@@ -126,85 +198,22 @@ class TestKernelOracle:
             assert list(row) == sorted(row)  # padding (slot dim = 3) comes last
         assert np.array_equal(comp, np.repeat(np.arange(cf.dim), np.diff(cf.comp_ptr)))
 
-    def test_constant_and_empty_fields(self):
+    # (first component, its value at (0.5, 0.25), its factor table rows)
+    @pytest.mark.parametrize("first, value, rows", [
+        ("3", 3.0, [[]]),  # width 0: the constant is the whole term
+        ("3 + a1^3", 3.125, [[0, 0, 0], [2, 2, 2]]),  # 3 as padding only
+    ])
+    def test_constant_and_empty_fields(self, first, value, rows):
         vs = ("a1", "a2")
-        cf = flows.compile_field(PolyVectorField(vs, [Poly.parse("3 + a1^3", vs), Poly.zero(vs)]))
+        cf = flows.compile_field(PolyVectorField(vs, [Poly.parse(first, vs), Poly.zero(vs)]))
         fidx, comp = _kernels.factor_table(cf.expts, cf.comp_ptr)
-        assert sorted(fidx.tolist()) == [[0, 0, 0], [2, 2, 2]]  # a1^3, and 3 as padding only
-        assert comp.tolist() == [0, 0]
-        assert np.array_equal(cf.eval([0.5, 0.25]), [3.125, 0.0])
-
-
-def _escape_point():
-    # the toda-a:6 point of test_cli's escape test; leaves float range at t = 2.67
-    rng = random.Random(0)
-    return [rng.uniform(-1.0, 1.0) for _ in range(11)]
-
-
-# (name, field, x0 or None for a seeded mixed-sign point, steps); the term
-# counts sit on both sides of GENERATED_MAX_TERMS = 100
-PATH_CASES = [
-    ("toda-a:24", lambda: catalog.flow("toda-a:24", 2), None, 300),  # 92 terms
-    ("toda-a:32", lambda: catalog.flow("toda-a:32", 2), None, 300),  # 124 terms
-    ("volterra-a:64", lambda: catalog.flow("volterra-a:64", 2), None, 300),  # 124 terms
-    ("toda-a:5-flow4", lambda: catalog.flow("toda-a:5", 4), None, 300),  # b_i^3
-    ("toda-a:6-flow5", lambda: catalog.flow("toda-a:6", 5), None, 300),  # b_i^4
-    ("volterra-b:3", lambda: catalog.bn_volterra_flow(3), None, 300),  # a3^2
-    ("toda-a:6-escape", lambda: catalog.flow("toda-a:6", 2), _escape_point(), 3000),
-]
-
-
-class TestKernelPaths:
-    """Generated code and the numpy path give the same bits and step count."""
-
-    @staticmethod
-    def _run(monkeypatch, cf, x0, n_steps, generated, stride=1):
-        monkeypatch.setattr(_kernels, "GENERATED_MAX_TERMS", 10**9 if generated else -1)
-        return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, stride)
-
-    @pytest.mark.parametrize("name, make_field, x0, n_steps", PATH_CASES,
-                             ids=[c[0] for c in PATH_CASES])
-    def test_paths_bitwise_equal(self, monkeypatch, name, make_field, x0, n_steps):
-        cf = flows.compile_field(make_field())
-        if x0 is None:
-            rng = random.Random(name)
-            x0 = [rng.uniform(0.1, 0.6) * rng.choice([-1, 1]) for _ in range(cf.dim)]
-        x0 = np.array(x0)
-        gen_states, gen_done = self._run(monkeypatch, cf, x0, n_steps, True)
-        np_states, np_done = self._run(monkeypatch, cf, x0, n_steps, False)
-        assert gen_done == np_done
-        assert np.array_equal(gen_states, np_states)
-        if name.endswith("escape"):
-            assert gen_done == 2670 < n_steps
-        else:
-            assert gen_done == n_steps
-
-    def test_high_powers_are_covered(self):
-        fields = {name: make_field for name, make_field, _, _ in PATH_CASES}
-        for name, power in [("toda-a:5-flow4", 3), ("toda-a:6-flow5", 4)]:
-            assert flows.compile_field(fields[name]()).expts.max() == power
-
-    @pytest.mark.parametrize("stride", [1, 3, 7])
-    def test_stride_and_record_count(self, monkeypatch, stride):
-        cf = flows.compile_field(catalog.flow(T3, 2))
-        x0 = np.array([0.3, 0.2, 0.1, -0.2, 0.4])
-        (s1, d1), (s2, d2) = [self._run(monkeypatch, cf, x0, 20, g, stride) for g in (True, False)]
-        assert d1 == d2 == 20
-        assert s1.shape == (20 // stride + 1, 5)
-        assert np.array_equal(s1, s2)
-
-    def test_rule_picks_path_by_term_count(self, monkeypatch):
-        picked = []
-        real = _kernels._numpy_rk4
-        monkeypatch.setattr(
-            _kernels, "_numpy_rk4", lambda *a: picked.append("numpy") or real(*a)
-        )
-        for name in ("toda-a:24", "toda-a:32"):
-            cf = flows.compile_field(catalog.flow(name, 2))
-            x0 = np.full(cf.dim, 0.5)
-            _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2, 1)
-            picked.append(name)
-        assert picked == ["toda-a:24", "numpy", "toda-a:32"]
+        assert sorted(fidx.tolist()) == rows
+        assert comp.tolist() == [0] * len(rows)
+        assert np.array_equal(cf.eval([0.5, 0.25]), [value, 0.0])
+        x0 = np.array([0.5, 0.25])
+        states, done = _rk4(cf, x0, 50)
+        assert done == 50
+        assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 50))
 
 
 class TestLaxRhs:
