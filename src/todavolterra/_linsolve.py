@@ -18,20 +18,25 @@ an entry the dense form holds as zero is exactly an entry absent here, and
 every nonzero entry is the same value computed by the same operations
 (`x - f*y` becomes `-(f*y)` where x is absent).  Hence the same pivots are
 chosen, the same rows are found inconsistent, the same free variables are
-set to zero, and the returned scalars have the same values and, when the
-entries are all Fraction or all GaussianRational, the same types.
+set to zero, and the returned scalars have the same values and types.
+
+Entries are exact scalars in `polyalg`'s normal form: all rationals
+(`int | Fraction`, an `int` exactly when integral) or all `GaussianRational`.
+Every division is exact (`polyalg.divide`), so no float can appear, and every
+returned scalar is in the same normal form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .polyalg import divide, normal
 
 
 def solve_exact(rows, rhs):
     """Solve A x = b exactly; free variables are set to zero.
 
-    `rows` is a list of coefficient lists (all Fraction or all
-    GaussianRational), `rhs` the right-hand sides.  Returns (solution,
+    `rows` is a list of coefficient lists and `rhs` the right-hand sides,
+    all rationals in normal form (`int | Fraction`) or all
+    `GaussianRational`; the solution holds the same types.  Returns (solution,
     unique) where `unique` says whether the solution was fully determined,
     or None if inconsistent.
     """
@@ -57,7 +62,7 @@ def solve_exact(rows, rhs):
         prow = A[p]
         pv = prow[col]
         for c in prow:
-            prow[c] = prow[c] / pv
+            prow[c] = divide(prow[c], pv)
         rest = [(c, y) for c, y in prow.items() if c != col]
         for i in where[col]:
             if i == p:
@@ -66,7 +71,7 @@ def solve_exact(rows, rhs):
             f = r.pop(col)
             for c, y in rest:
                 x = r.get(c)
-                new = -(f * y) if x is None else x - f * y
+                new = normal(-(f * y) if x is None else x - f * y)
                 if new:
                     r[c] = new
                     where[c].add(i)
@@ -80,7 +85,7 @@ def solve_exact(rows, rhs):
             break
     if any(n in A[i] for i in order[row:]):
         return None  # inconsistent
-    zero = rows[0][0] * 0 if n else Fraction(0)
+    zero = normal(rows[0][0] * 0) if n else 0
     x = [zero] * n
     for i, c in pivots:
         x[c] = A[i].get(n, zero)

@@ -25,11 +25,11 @@ from ._linsolve import solve_exact
 from .polyalg import Poly
 from .poisson import PolyVectorField
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]  # the root realizations are integer vectors
 
 
 def _e(i: int, dim: int) -> Vector:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
+    return tuple(1 if k == i else 0 for k in range(dim))
 
 
 def _add(u: Vector, v: Vector) -> Vector:
@@ -44,8 +44,8 @@ def _scale(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
-def _dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _dot(u: Vector, v: Vector) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class RootData:
     rank: int
     simple_roots: tuple[Vector, ...]
     omega0: Vector
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
     marks: tuple[int, ...]  # k_1..k_n (k_0 = 1)
 
 
@@ -73,9 +73,9 @@ def _simple_roots(type_: str, n: int) -> tuple[list[Vector], Vector]:
     elif type_ == "C":
         dim = n
         roots = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)] + [
-            _scale(Fraction(2), _e(n - 1, dim))
+            _scale(2, _e(n - 1, dim))
         ]
-        highest = _scale(Fraction(2), _e(0, dim))
+        highest = _scale(2, _e(0, dim))
     elif type_ == "D":
         if n < 3:
             raise ValueError("type D needs rank >= 3")
@@ -86,7 +86,7 @@ def _simple_roots(type_: str, n: int) -> tuple[list[Vector], Vector]:
         highest = _add(_e(0, dim), _e(1, dim))
     else:
         raise ValueError(f"unsupported type {type_!r} (A, B, C or D)")
-    return roots, _scale(Fraction(-1), highest)
+    return roots, _scale(-1, highest)
 
 
 def root_data(type_: str, n: int) -> RootData:
@@ -102,17 +102,15 @@ def root_data(type_: str, n: int) -> RootData:
     sol = solve_exact(rows, rhs)
     if sol is None:
         raise ValueError("mark equation is inconsistent")
-    marks_frac, unique = sol
+    marks, unique = sol
     if not unique:
         raise ValueError("marks are not uniquely determined (roots dependent)")
-    marks = []
-    for k in marks_frac:
-        if k.denominator != 1 or k <= 0:
+    for k in marks:
+        if type(k) is not int or k <= 0:  # normal form: int iff integral
             raise ValueError(f"mark {k} is not a positive integer")
-        marks.append(int(k))
     residual = omega0
     for k, w in zip(marks, roots):
-        residual = _add(residual, _scale(Fraction(k), w))
+        residual = _add(residual, _scale(k, w))
     if any(residual):
         raise ValueError("marks do not satisfy the integer relation")
     gram = tuple(tuple(_dot(u, v) for v in roots) for u in roots)
@@ -141,7 +139,7 @@ class BSystem:
     """The rational system b_i' = sum_j coeffs[i][j] / b_j."""
 
     rank: int
-    coeffs: tuple[dict, ...]  # per-equation {j (1-based): Fraction}
+    coeffs: tuple[dict, ...]  # per-equation {j (1-based): int}
 
     def eval(self, point: Sequence[float]) -> list[float]:
         if len(point) != self.rank:
@@ -181,7 +179,7 @@ def b_system_rhs(rd: RootData) -> BSystem:
         row = {}
         for j in range(rd.rank):
             if c[i][j]:
-                row[j + 1] = Fraction(-rd.marks[j] * c[i][j])
+                row[j + 1] = -rd.marks[j] * c[i][j]
         coeffs.append(row)
     return BSystem(rd.rank, tuple(coeffs))
 
@@ -337,5 +335,5 @@ def transformed_x_system(rd: RootData) -> PolyVectorField | None:
         edge_name = xvars[expo.index(1)]
         # a' = coeff * (edge variable)' rewritten in the a variables
         dx = field.component(edge_name).substitute(inv)
-        comps.append(dx.scale(Fraction(coeff)))
+        comps.append(dx.scale(coeff))
     return PolyVectorField(target, comps)

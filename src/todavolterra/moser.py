@@ -256,7 +256,7 @@ def _generator_solver(gens: list[Poly], names: tuple[str, ...]):
         expanded.append(p)
         monomials.append(q)
     basis_support = set().union(*(p.terms for p in expanded))
-    zero = GaussianRational.of(0) if field == GAUSS else Fraction(0)
+    zero = GaussianRational.of(0) if field == GAUSS else 0
 
     def express(target: Poly) -> Poly:
         support = sorted(basis_support.union(target.terms))

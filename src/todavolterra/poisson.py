@@ -23,6 +23,7 @@ from .polyalg import (
     Poly,
     Scalar,
     coerce_scalar,
+    divide,
     format_scalar,
     join_fields,
     scalar_field,
@@ -82,9 +83,8 @@ class LinearMap:
 
     def inverse(self) -> "LinearMap":
         images = {}
-        one = coerce_scalar(1, self.field)
         for v, (w, c) in self.images.items():
-            images[w] = (v, one / c)
+            images[w] = (v, divide(1, c))
         return LinearMap(self.variables, images)
 
     def substitution_table(self) -> dict[str, tuple[str, Scalar]]:

@@ -6,18 +6,22 @@ coefficients are never stored, so two polynomials are equal exactly when their
 variable lists, coefficient fields and term maps coincide; symbolic identity
 checks reduce to dictionary comparison.
 
-Coefficients are `fractions.Fraction` in the default rational mode (field
-``"Q"``) and `GaussianRational` pairs in Gaussian mode (field ``"Qi"``).  The
-Gaussian extension is an explicit switch (`Poly.to_gaussian`); arithmetic
-between polynomials of different fields raises, which keeps sqrt(-1) from
-leaking into computations that are supposed to stay rational.
+Coefficients are exact rationals in the default rational mode (field ``"Q"``)
+and `GaussianRational` pairs of them in Gaussian mode (field ``"Qi"``).  A
+rational is held in normal form (`normal`): an `int` when it is integral and
+a `fractions.Fraction` only when its denominator is not 1, never a float.
+Almost every coefficient of the lattice identities is a small integer, and
+int arithmetic is several times cheaper than Fraction arithmetic.  `int` and
+`Fraction` compare and hash equal and print alike, so the normal form changes
+no output.  The Gaussian extension is an explicit switch (`Poly.to_gaussian`);
+arithmetic between polynomials of different fields raises, which keeps
+sqrt(-1) from leaking into computations that are supposed to stay rational.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -26,23 +30,63 @@ GAUSS = "Qi"
 
 _FIELDS = (RAT, GAUSS)
 
+_set = object.__setattr__
+
 
 class FieldMismatchError(TypeError):
     """Raised when polynomials over different coefficient fields are mixed."""
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex scalar re + im*i with rational components."""
+def normal(value):
+    """An exact scalar in normal form: an integral rational becomes an `int`.
 
-    re: Fraction
-    im: Fraction
+    An `int`, a `GaussianRational` (whose parts are normal on construction)
+    and a `Fraction` whose denominator is not 1 come back as they are; any
+    other rational value (a bool, a numpy integer, a string such as "1/2")
+    is converted by `Fraction` first.  A float raises `TypeError`: an int
+    `/` that leaked into exact code must fail, not become an inexact Fraction.
+    """
+    t = type(value)
+    if t is int or t is GaussianRational:
+        return value
+    if t is not Fraction:
+        if isinstance(value, float):
+            raise TypeError(f"float {value!r} in exact arithmetic")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def divide(x, y):
+    """x / y exactly, in normal form; `/` on two ints would give a float."""
+    if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
+        return GaussianRational.of(x) / y
+    return normal(Fraction(x, y))
+
+
+class GaussianRational:
+    """Exact, immutable complex scalar re + im*i; both parts rationals in
+    normal form (`normal`)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        _set(self, "re", re if type(re) is int else normal(re))
+        _set(self, "im", im if type(im) is int else normal(im))
+
+    def __setattr__(self, *args):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def of(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(Fraction(value), Fraction(0))
+        return GaussianRational(value, 0)
 
     def __add__(self, other):
         other = GaussianRational.of(other)
@@ -73,7 +117,7 @@ class GaussianRational:
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / norm, -other.im / norm)
+        return self * GaussianRational(Fraction(other.re, norm), Fraction(-other.im, norm))
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
@@ -89,7 +133,7 @@ class GaussianRational:
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -98,19 +142,20 @@ class GaussianRational:
         return format_scalar(self)
 
 
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
+I_UNIT = GaussianRational(0, 1)
 
 Scalar = Union[int, Fraction, GaussianRational]
 
 
 def coerce_scalar(value: Scalar, field: str) -> Scalar:
-    """Coerce an int/Fraction/GaussianRational into the given field."""
+    """Coerce an int/Fraction/GaussianRational into the given field, in
+    normal form (`normal`)."""
     if field == RAT:
         if isinstance(value, GaussianRational):
             if value.im != 0:
                 raise FieldMismatchError("Gaussian scalar in rational-mode polynomial")
             return value.re
-        return Fraction(value)
+        return normal(value)
     if field == GAUSS:
         return GaussianRational.of(value)
     raise ValueError(f"unknown coefficient field {field!r}")
@@ -149,7 +194,7 @@ def format_scalar(c: Scalar) -> str:
             return f"{c.im}*i"
         im = f"+{c.im}*i" if c.im > 0 else f"-{-c.im}*i"
         return f"({c.re}{im})"
-    return str(Fraction(c))
+    return str(c)
 
 
 def _checked_variables(variables: Sequence[str]) -> tuple[str, ...]:
@@ -184,8 +229,10 @@ class Poly:
                 raise ValueError("negative exponent")
             c = coerce_scalar(coeff, field)
             if c:
-                clean[expo] = clean.get(expo, coerce_scalar(0, field)) + c
-                if not clean[expo]:
+                c = normal(clean.get(expo, 0) + c)
+                if c:
+                    clean[expo] = c
+                else:
                     del clean[expo]
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "field", field)
@@ -200,7 +247,8 @@ class Poly:
         The caller guarantees what `__init__` would otherwise establish:
         `variables` is a tuple of distinct names other than ``"i"``, `field`
         is RAT or GAUSS, every key of `terms` is a tuple of len(variables)
-        nonnegative ints, and every value is a nonzero `Fraction` (RAT) or
+        nonnegative ints, and every value is a nonzero rational in normal
+        form, `int | Fraction` (RAT; see `normal`), or a nonzero
         `GaussianRational` (GAUSS).  `terms` is kept, not copied, so the
         caller must not mutate it afterwards.  Only operations whose inputs
         are already `Poly` objects and whose results keep these invariants
@@ -305,7 +353,7 @@ class Poly:
         for expo, coeff in q.terms.items():
             s = terms.get(expo, 0) + coeff
             if s:
-                terms[expo] = s
+                terms[expo] = normal(s)
             else:
                 terms.pop(expo, None)
         return Poly._make(p.variables, terms, p.field)
@@ -329,6 +377,11 @@ class Poly:
                     terms[expo] = s
                 else:
                     terms.pop(expo, None)
+        if p.field == RAT:
+            # a partial sum may be an integral Fraction; normalise once, at the end
+            for expo, c in terms.items():
+                if type(c) is not int:
+                    terms[expo] = normal(c)
         return Poly._make(p.variables, terms, p.field)
 
     def __rmul__(self, other) -> "Poly":
@@ -338,7 +391,9 @@ class Poly:
         c = coerce_scalar(value, self.field)
         if not c:
             return Poly.zero(self.variables, self.field)
-        return Poly._make(self.variables, {e: c * v for e, v in self.terms.items()}, self.field)
+        return Poly._make(
+            self.variables, {e: normal(c * v) for e, v in self.terms.items()}, self.field
+        )
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -362,7 +417,7 @@ class Poly:
                 continue
             new = list(expo)
             new[pos] = e - 1
-            terms[tuple(new)] = coeff * e
+            terms[tuple(new)] = normal(coeff * e)
         return Poly._make(self.variables, terms, self.field)
 
     # --------------------------------------------------------- substitution
@@ -443,7 +498,7 @@ class Poly:
             )
         numeric = any(isinstance(x, (float, complex)) for x in point)
         if numeric:
-            vals = [complex(x) if isinstance(x, GaussianRational) else complex(x) for x in point]
+            vals = [complex(x) for x in point]
             total = 0j
             for expo, coeff in self.terms.items():
                 c = complex(coeff) if isinstance(coeff, GaussianRational) else float(coeff)
@@ -463,7 +518,7 @@ class Poly:
                 if e:
                     term = term * _ipow(x, e)
             total = total + term
-        return total
+        return normal(total)
 
     # ---------------------------------------------------------- field moves
 
@@ -538,7 +593,7 @@ class Poly:
 
 def _ipow(scalar: Scalar, n: int) -> Scalar:
     if n == 0:
-        return GaussianRational.of(1) if isinstance(scalar, GaussianRational) else Fraction(1)
+        return GaussianRational.of(1) if isinstance(scalar, GaussianRational) else 1
     out = scalar
     for _ in range(n - 1):
         out = out * scalar
@@ -660,7 +715,7 @@ class _Parser:
                 raise ValueError("expected '*' before i")
             kind, tok = self.next()
         else:
-            im_val = Fraction(1)
+            im_val = 1
         if (kind, tok) != ("name", "i"):
             raise ValueError("expected imaginary unit i")
         if self.next() != ("op", ")"):

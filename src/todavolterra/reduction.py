@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polyalg import Poly, join_fields, scalar_field, variable_sort_key
+from .polyalg import Poly, divide, join_fields, scalar_field, variable_sort_key
 from .poisson import LinearMap, PoissonTensor, bracket, pushforward_sign
 
 
@@ -93,13 +93,13 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
     """
     vars_ = group.variables
     parent: dict[str, str] = {v: v for v in vars_}
-    mult: dict[str, object] = {v: Fraction(1) for v in vars_}  # x_v = mult[v] * x_parent
+    mult: dict[str, object] = {v: 1 for v in vars_}  # x_v = mult[v] * x_parent
     zero_roots: set[str] = set()
 
     def walk(u: str):
         """Path-compressing find: returns (root, m) with x_u = m * x_root."""
         if parent[u] == u:
-            return u, Fraction(1)
+            return u, 1
         root, m_up = walk(parent[u])
         m_here = mult[u] * m_up
         parent[u] = root
@@ -115,7 +115,7 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
                 zero_roots.add(rv)
             return
         parent[rv] = rw
-        mult[rv] = c * mw / mv  # x_rv = (c mw / mv) x_rw
+        mult[rv] = divide(c * mw, mv)  # x_rv = (c mw / mv) x_rw
 
     for g in group.elements:
         for v, (w, c) in g.images.items():
@@ -140,7 +140,7 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
                 section[v] = Poly.zero(reduced)
             else:
                 _, m_v = walk(v)
-                scale = m_v / m_rep  # x_v = scale * x_rep on the fixed set
+                scale = divide(m_v, m_rep)  # x_v = scale * x_rep on the fixed set
                 section[v] = Poly.var(reduced, rep, scalar_field(scale)).scale(scale)
     return FixedPointChart(tuple(vars_), tuple(reduced), section)
 

@@ -1,8 +1,10 @@
 """The sparse exact solver against the dense Gauss-Jordan elimination it replaced.
 
-The dense form below is the oracle: the same pivot rule over full rows.
-Equality is exact, for the solution, the uniqueness flag and the type of
-every returned scalar.
+The dense form below is the oracle: the same pivot rule over full rows, in
+`Fraction` arithmetic (rational entries are converted first, so its `/` is
+exact even on all-int rows).  The solution and the uniqueness flag must be
+equal, and every returned scalar must be in the normal form (an `int` exactly
+when integral, never a float) and of the oracle's field.
 """
 
 import random
@@ -13,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from todavolterra import bogo, moser
 from todavolterra._linsolve import solve_exact
-from todavolterra.polyalg import GaussianRational
+from todavolterra.polyalg import GaussianRational, normal
+
+from conftest import assert_normal
 
 
 def _is_zero(x) -> bool:
@@ -23,7 +27,10 @@ def _is_zero(x) -> bool:
 def dense_solve_exact(rows, rhs):
     m = len(rows)
     n = len(rows[0]) if m else 0
-    A = [list(r) + [b] for r, b in zip(rows, rhs)]
+    def exact(v):
+        return v if isinstance(v, GaussianRational) else Fraction(v)
+
+    A = [[exact(v) for v in [*r, b]] for r, b in zip(rows, rhs)]
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(n):
@@ -44,7 +51,7 @@ def dense_solve_exact(rows, rhs):
     for r in range(row, m):
         if not _is_zero(A[r][n]):
             return None  # inconsistent
-    zero = rows[0][0] * 0 if m else Fraction(0)
+    zero = exact(rows[0][0]) * 0 if m else Fraction(0)
     x = [zero] * n
     for r, c in pivots:
         x[c] = A[r][n]
@@ -64,7 +71,9 @@ def assert_same(rows, rhs):
     (x, unique), (x_want, unique_want) = got, want
     assert unique == unique_want
     assert x == x_want
-    assert [type(v) for v in x] == [type(v) for v in x_want]
+    for v, w in zip(x, x_want):
+        assert isinstance(v, GaussianRational) == isinstance(w, GaussianRational)
+        assert_normal(v)
 
 
 # ------------------------------------------------------------- hypothesis
@@ -72,11 +81,11 @@ def assert_same(rows, rhs):
 
 def _scalar(rng, gauss):
     def part():
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return normal(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
     if not gauss:
         return part()
-    return GaussianRational(part(), part() if rng.random() < 0.7 else Fraction(0))
+    return GaussianRational(part(), part() if rng.random() < 0.7 else 0)
 
 
 @st.composite
@@ -121,7 +130,7 @@ def test_matches_dense_on_random_systems(system):
 
 @pytest.mark.parametrize("gauss", [False, True])
 def test_edge_cases(gauss):
-    z = GaussianRational.of(0) if gauss else Fraction(0)
+    z = GaussianRational.of(0) if gauss else 0
     one = z + 1
     assert_same([], [])
     assert_same([[z]], [z])  # one free variable
@@ -133,8 +142,22 @@ def test_edge_cases(gauss):
 
 def test_no_columns():
     # the dense form indexes rows[0][0] here; the sparse form answers
-    assert solve_exact([[], []], [Fraction(0), Fraction(0)]) == ([], True)
-    assert solve_exact([[], []], [Fraction(0), Fraction(1)]) is None
+    assert solve_exact([[], []], [0, 0]) == ([], True)
+    assert solve_exact([[], []], [0, 1]) is None
+
+
+@pytest.mark.parametrize("rows, rhs, want", [
+    ([[2, 1], [1, 3]], [1, 2], [Fraction(1, 5), Fraction(3, 5)]),
+    ([[2, 0], [0, 4]], [4, 2], [2, Fraction(1, 2)]),
+    ([[3, 3], [1, 2]], [6, 3], [1, 1]),
+])
+def test_all_int_rows_divide_exactly(rows, rhs, want):
+    # an int `/` in the pivot division would give floats here
+    x, unique = solve_exact(rows, rhs)
+    assert unique and x == want
+    for v in x:
+        assert_normal(v)
+    assert_same(rows, rhs)
 
 
 # ------------------------------------------- every system moser / bogo build

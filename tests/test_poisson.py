@@ -22,7 +22,7 @@ from todavolterra.poisson import (
     pushforward_vf,
 )
 
-from conftest import random_poly
+from conftest import assert_normal, random_poly
 
 
 T2 = catalog.SystemId("toda", "a", 2)
@@ -214,6 +214,18 @@ class TestLinearMap:
     def test_inverse(self):
         phi = catalog.symmetry("phi_toda", T3)
         assert phi.compose(phi.inverse()).is_identity()
+
+    @pytest.mark.parametrize("scale, want", [
+        (2, Fraction(1, 2)), (3, Fraction(1, 3)), (Fraction(1, 3), 3), (-1, -1),
+    ])
+    def test_inverse_of_integer_scale_is_exact(self, scale, want):
+        # an int `/` in the inverse would give the float 0.5 for the scale 2
+        phi = LinearMap(V2, {"a1": ("a1", scale), "b1": ("b1", 1), "b2": ("b2", 1)})
+        inv = phi.inverse()
+        assert inv.images["a1"] == ("a1", want)
+        for _, c in inv.images.values():
+            assert_normal(c)
+        assert phi.compose(inv).is_identity()
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from todavolterra.polyalg import (
+    GAUSS,
+    RAT,
     FieldMismatchError,
     GaussianRational,
     I_UNIT,
     Poly,
+    coerce_scalar,
 )
 
-from conftest import random_poly
+from conftest import assert_normal, random_poly
 
 V = ("a1", "a2", "b1", "b2")
 
@@ -161,6 +164,28 @@ class TestGaussian:
         p = Poly.parse("(1/2-3*i)*a1 + i*a2", V)
         assert p.real_part() == parse("1/2*a1")
         assert p.imag_part() == parse("-3*a1 + a2")
+
+    @pytest.mark.parametrize("num, den, want", [
+        (GaussianRational(1, 0), 2, GaussianRational(Fraction(1, 2), 0)),
+        (GaussianRational(1, 1), GaussianRational(1, -1), I_UNIT),
+        (GaussianRational(2, 4), GaussianRational(1, 2), GaussianRational(2, 0)),
+        (3, GaussianRational(0, 3), -I_UNIT),
+    ])
+    def test_division_is_exact_and_normal(self, num, den, want):
+        # an int `/` in the conjugate quotient would give float parts
+        got = num / den
+        assert isinstance(got, GaussianRational) and got == want
+        assert_normal(got)
+
+    @pytest.mark.parametrize("field", [RAT, GAUSS])
+    def test_float_scalars_rejected(self, field):
+        # 1 / 3 read back as a Fraction would be inexact; a float must not enter
+        with pytest.raises(TypeError):
+            coerce_scalar(1 / 3, field)
+        with pytest.raises(TypeError):
+            Poly.const(V, 0.5, field)
+        with pytest.raises(TypeError):
+            var("a1").scale(2.0)
 
     def test_degree_sentinel(self):
         assert Poly.zero(V).degree() == -math.inf

@@ -2,8 +2,10 @@
 
 Sums, products, negation, scaling, derivatives and variable extension build
 their results through the unchecked `Poly._make`; every result here is also
-checked against that constructor's invariant (typed, nonzero coefficients and
-exponent tuples of the right length).
+checked against that constructor's invariant: nonzero coefficients in the
+normal form (a rational is an `int` exactly when it is integral, else a
+`Fraction`; a Gaussian coefficient is a `GaussianRational` whose parts follow
+that rule) and exponent tuples of the right length.
 """
 
 from fractions import Fraction
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from todavolterra.polyalg import GAUSS, RAT, GaussianRational, Poly
+
+from conftest import assert_normal
 
 sympy = pytest.importorskip("sympy")
 
@@ -80,9 +84,9 @@ def from_sympy(expr, variables, field) -> dict:
 
 def assert_matches(q: Poly, expr, variables, field):
     assert q.variables == variables and q.field == field
-    kind = Fraction if field == RAT else GaussianRational
     for expo, c in q.terms.items():
-        assert type(c) is kind and c
+        assert isinstance(c, GaussianRational) == (field == GAUSS) and c
+        assert_normal(c)
         assert len(expo) == len(variables) and all(type(e) is int and e >= 0 for e in expo)
     assert q.terms == from_sympy(expr, variables, field)
 
@@ -124,6 +128,41 @@ def test_subst_linear(data):
     ) else RAT
     images = {SYMS[v]: to_sympy_scalar(c) * SYMS[w] for v, (w, c) in table.items()}
     assert_matches(p.subst_linear(table), to_sympy(p).xreplace(images), V, out_field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields, st.sampled_from(V), st.integers(-3, 3).filter(bool))
+def test_fraction_results_turning_integral(field, v, k):
+    # each result is integral only after Fraction arithmetic: k/2 * 2, k/2 + k/2
+    x, half = Poly.var(V, v, field), Fraction(1, 2)
+    want = k * SYMS[v]
+    assert_matches(x.scale(2 * k).scale(half), want, V, field)
+    assert_matches(x.scale(k * half) + x.scale(k * half), want, V, field)
+    assert_matches(x.scale(k * half) * Poly.const(V, 2, field), want, V, field)
+    assert_matches((x * x).scale(k * half).diff(v), want, V, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_every_public_result_in_normal_form(data):
+    field = data.draw(fields)
+    p, q = data.draw(polys(field)), data.draw(polys(field))
+    images = {v: q for v in V}
+    results = [
+        p ** 2,
+        p.substitute(images),
+        Poly.parse(p.canonical_str(), V, field),
+        p.to_gaussian(),
+        p.real_part(),
+        p.imag_part(),
+        p.with_field(RAT if field == GAUSS else GAUSS),
+        Poly(V, {**p.terms, **{e: -c for e, c in q.terms.items()}}, field),
+    ]
+    for r in results:
+        for c in r.terms.values():
+            assert_normal(c)
+    if not p.is_zero:
+        assert_normal(p.eval([Fraction(1, 2), 2, Fraction(-1, 3)]))
 
 
 @settings(max_examples=30, deadline=None)
