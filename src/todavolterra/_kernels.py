@@ -11,14 +11,14 @@ variables term t uses, in increasing order, each repeated by its exponent
 left to right, so no power function is called, and a component adds its
 terms in CSR order starting from 0.0.
 
-`rk4_integrate` runs each field as generated code: one straight-line Python
-function over Python floats does the four stages and the update of a step,
-with the step loop around it, and writes each recorded state into the
-preallocated output array.  Its source holds only `repr(float)` coefficients
-and integer positions.  `eval_field` evaluates one point from the same table
-in numpy gather form (take, multiply.reduce, bincount), with the same
-operations in the same order, so it gives the generated step's field values
-bit for bit.
+Each field runs as generated code: `compile_step` builds, once per field, one
+straight-line Python function over Python floats that does the four stages
+and the update of a step, with the step loop around it, and writes each
+recorded state into the output array that `rk4_integrate` preallocates.  Its
+source holds only `repr(float)` coefficients and integer positions.
+`eval_field` evaluates one point from the same table in numpy gather form
+(take, multiply.reduce, bincount), with the same operations in the same
+order, so it gives the generated step's field values bit for bit.
 """
 
 from __future__ import annotations
@@ -59,17 +59,24 @@ def eval_field(coefs, expts, comp_ptr, x):
     return np.bincount(comp, weights=coefs * mono, minlength=len(comp_ptr) - 1)
 
 
-def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride):
-    """Fixed-step RK4; records every `stride`-th state (including x0).
-
-    Returns (states, n_completed): integration stops early if the state
-    leaves float range, with n_completed the number of finished steps.
-    """
+def compile_step(coefs, expts, comp_ptr):
+    """The generated RK4 step of one compiled field (see `_generated_rk4`)."""
     fidx, _ = factor_table(expts, comp_ptr)
+    return _generated_rk4(coefs, fidx, comp_ptr, len(comp_ptr) - 1)
+
+
+def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, stride, step):
+    """Fixed-step RK4 of the field (coefs, expts, comp_ptr); records every
+    `stride`-th state (including x0).
+
+    `step` is that field's `compile_step`, built once per field, so a field
+    integrated many times is compiled once; the run itself reads only `step`
+    and x0.  Returns (states, n_completed): integration stops early if the
+    state leaves float range, with n_completed the number of finished steps.
+    """
     out = np.empty((n_steps // stride + 1, len(x0)))
     out[0] = x0
-    run = _generated_rk4(coefs, fidx, comp_ptr, len(x0))
-    rec, done = run(out, x0.tolist(), float(h), n_steps, stride)
+    rec, done = step(out, x0.tolist(), float(h), n_steps, stride)
     return out[:rec], done
 
 

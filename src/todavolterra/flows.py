@@ -2,7 +2,8 @@
 
 Polynomial vector fields are compiled to float coefficient arrays and
 integrated with fixed-step RK4 by `_kernels.rk4_integrate`, which runs each
-field as a generated straight-line Python step built from its factor table.
+field as a generated straight-line Python step built from its factor table
+once per `CompiledField`.
 Monitors track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
@@ -15,13 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from . import catalog
-from ._kernels import eval_field, rk4_integrate
+from ._kernels import compile_step, eval_field, rk4_integrate
 from .polyalg import GaussianRational, Poly, poly_matrix_mul, poly_matrix_power
 from .poisson import PolyVectorField
 
@@ -42,12 +44,17 @@ def _as_float(c) -> float:
 
 @dataclass(frozen=True)
 class CompiledField:
-    """A polynomial vector field in CSR layout for the float kernels."""
+    """A polynomial vector field in CSR layout for the float kernels, with
+    its generated RK4 step (`_kernels.compile_step`), built once here."""
 
     variables: tuple[str, ...]
     coefs: np.ndarray
     expts: np.ndarray
     comp_ptr: np.ndarray
+    step: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "step", compile_step(self.coefs, self.expts, self.comp_ptr))
 
     @property
     def dim(self) -> int:
@@ -120,7 +127,7 @@ def integrate(
         raise ValueError(f"initial point has shape {x0.shape}, expected ({cf.dim},)")
     n_steps = step_count(t_end, h)
     states, done = rk4_integrate(
-        cf.coefs, cf.expts, cf.comp_ptr, x0, float(h), n_steps, int(record_stride)
+        cf.coefs, cf.expts, cf.comp_ptr, x0, float(h), n_steps, int(record_stride), cf.step
     )
     if done < n_steps:
         raise NonFiniteStateError(done * h)

@@ -120,7 +120,7 @@ WIDE_CASES = [
 
 
 def _rk4(cf, x0, n_steps, stride=1):
-    return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, stride)
+    return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, stride, cf.step)
 
 
 class TestKernelOracle:
@@ -339,6 +339,21 @@ class TestOrderAndCommutation:
         x0 = [rng.uniform(-1, 1) for _ in range(5)]
         d = flows.commutation_check(T3, [catalog.flow(T3, 2), catalog.flow(T3, 3)], x0, 0.5, 1e-3)
         assert d < 1e-6
+
+    def test_commutation_check_compiles_each_field_once(self, monkeypatch, rng):
+        # each pair integrates both fields twice; the step is generated once per field
+        calls = []
+        generate = _kernels._generated_rk4
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(_kernels, "_generated_rk4", counted)
+        fields = [catalog.flow(T3, k) for k in (2, 3, 4)]
+        x0 = [rng.uniform(-1, 1) for _ in range(5)]
+        flows.commutation_check(T3, fields, x0, 0.05, 1e-3)
+        assert len(calls) == len(fields)
 
     def test_bihamiltonian_flows_coincide_numerically(self, rng):
         # pi2 dH1 and pi1 dH2 are the same field; integrate both exactly
