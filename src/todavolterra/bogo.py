@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._linsolve import solve_exact
-from .polyalg import Poly
+from .polyalg import Poly, divide
 from .poisson import PolyVectorField
 
 Vector = tuple[int, ...]  # the root realizations are integer vectors
@@ -189,18 +189,24 @@ def edge_variables(rd: RootData) -> tuple[str, ...]:
     return tuple(f"x{i}{j}" for i, j in edges(rd))
 
 
-def x_transform(rd: RootData, b_point: Sequence) -> dict[tuple[int, int], Fraction | float]:
-    """x_ij = c_ij / (b_i b_j) for all i, j (antisymmetric by construction)."""
+def x_transform(rd: RootData, b_point: Sequence) -> dict[tuple[int, int], int | Fraction | float]:
+    """x_ij = c_ij / (b_i b_j) for all i, j (antisymmetric by construction).
+
+    An exact point (every b_j an int or Fraction) gives exact values in
+    normal form (`polyalg.divide`); any other point gives floats.
+    """
     if len(b_point) != rd.rank:
         raise ValueError("point dimension mismatch")
     if any(x == 0 for x in b_point):
         raise ZeroDivisionError("x-variables are undefined where some b_j = 0")
+    exact = all(isinstance(x, (int, Fraction)) for x in b_point)
     c = sign_matrix(rd)
     out = {}
     for i in range(rd.rank):
         for j in range(rd.rank):
             if c[i][j]:
-                out[(i + 1, j + 1)] = c[i][j] / (b_point[i] * b_point[j])
+                den = b_point[i] * b_point[j]
+                out[(i + 1, j + 1)] = divide(c[i][j], den) if exact else c[i][j] / den
     return out
 
 

@@ -201,8 +201,7 @@ def _cmd_simulate(args) -> int:
             f"--flow must lie in 1..{catalog.lax_size(sys_id)} for {sys_id}, got {args.flow}"
         )
     x0 = _initial_point(args, sys_id)
-    traj = flows.integrate(vf, x0, args.t_end, args.h, record_stride=1)
-    report = flows.monitors(traj, sys_id)
+    traj = flows.integrate(vf, x0, args.t_end, args.h)
     if args.format == "json":
         doc = {
             "schema": f"{SCHEMA_PREFIX}/simulate/v1",
@@ -214,7 +213,7 @@ def _cmd_simulate(args) -> int:
             "x0": [float(x) for x in x0],
             # a constant of the simulate/v1 schema; it does not name the kernel
             "backend": "numpy",
-            "monitors": report.to_json_dict(),
+            "monitors": flows.monitors(traj, sys_id).to_json_dict(),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

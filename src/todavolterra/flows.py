@@ -2,8 +2,9 @@
 
 Polynomial vector fields are compiled to float coefficient arrays and
 integrated with fixed-step RK4 by `_kernels.rk4_integrate`, which runs each
-field as a generated straight-line Python step built from its factor table
-once per `CompiledField`.
+field as a generated straight-line Python step, built once per
+`CompiledField` and the only evaluator of the field; every step's state is
+recorded.
 Monitors track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog
-from ._kernels import compile_step, eval_field, rk4_integrate
+from ._kernels import compile_step, rk4_integrate
 from .polyalg import GaussianRational, Poly, poly_matrix_mul, poly_matrix_power
 from .poisson import PolyVectorField
 
@@ -44,8 +45,8 @@ def _as_float(c) -> float:
 
 @dataclass(frozen=True)
 class CompiledField:
-    """A polynomial vector field in CSR layout for the float kernels, with
-    its generated RK4 step (`_kernels.compile_step`), built once here."""
+    """A polynomial vector field in CSR layout with its generated RK4 step
+    (`_kernels.compile_step`), built once here."""
 
     variables: tuple[str, ...]
     coefs: np.ndarray
@@ -59,9 +60,6 @@ class CompiledField:
     @property
     def dim(self) -> int:
         return len(self.variables)
-
-    def eval(self, x) -> np.ndarray:
-        return eval_field(self.coefs, self.expts, self.comp_ptr, np.asarray(x, dtype=float))
 
 
 def compile_field(vf: PolyVectorField) -> CompiledField:
@@ -89,7 +87,6 @@ class Trajectory:
     variables: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray
-    h: float
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -113,9 +110,9 @@ def integrate(
     x0,
     t_end: float,
     h: float,
-    record_stride: int = 1,
 ) -> Trajectory:
-    """Classical RK4 with fixed step h from t=0 to t_end (deterministic).
+    """Classical RK4 with fixed step h from t=0 to t_end (deterministic),
+    recording the state after every step.
 
     t_end / h must be a whole number of steps (see `step_count`).
     """
@@ -126,13 +123,10 @@ def integrate(
     if x0.shape != (cf.dim,):
         raise ValueError(f"initial point has shape {x0.shape}, expected ({cf.dim},)")
     n_steps = step_count(t_end, h)
-    states, done = rk4_integrate(
-        cf.coefs, cf.expts, cf.comp_ptr, x0, float(h), n_steps, int(record_stride), cf.step
-    )
+    states, done = rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, float(h), n_steps, cf.step)
     if done < n_steps:
         raise NonFiniteStateError(done * h)
-    times = np.arange(states.shape[0]) * (h * record_stride)
-    return Trajectory(cf.variables, times, states, h)
+    return Trajectory(cf.variables, np.arange(n_steps + 1) * h, states)
 
 
 # ------------------------------------------------------------------ lax flows

@@ -86,6 +86,22 @@ class TestXSystem:
         for (i, j), v in xs.items():
             assert xs[(j, i)] == -v
 
+    def test_transform_exact_input_stays_exact(self):
+        rd = bogo.root_data("A", 3)
+        xs = bogo.x_transform(rd, [1, 2, 3])
+        assert xs == {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 2),
+                      (2, 3): Fraction(1, 6), (3, 2): Fraction(-1, 6)}
+        assert all(type(v) is Fraction for v in xs.values())
+        # b_i b_j = +-1 everywhere: integral values are ints, not Fraction(1)
+        xs = bogo.x_transform(rd, [Fraction(1, 2), 2, Fraction(-1, 2)])
+        assert xs == {(1, 2): 1, (2, 1): -1, (2, 3): -1, (3, 2): 1}
+        assert all(type(v) is int for v in xs.values())
+
+    def test_transform_float_input_divides_as_floats(self):
+        xs = bogo.x_transform(bogo.root_data("A", 3), [1.0, 2.0, 3.0])
+        assert xs == {(1, 2): 1 / 2.0, (2, 1): -1 / 2.0, (2, 3): 1 / 6.0, (3, 2): -1 / 6.0}
+        assert all(type(v) is float for v in xs.values())
+
     def test_transform_rejects_zero(self):
         rd = bogo.root_data("A", 2)
         with pytest.raises(ZeroDivisionError):

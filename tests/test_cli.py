@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from todavolterra import catalog, checks
+from todavolterra import catalog, checks, flows
 from todavolterra.cli import MEMORY_BUDGET_BYTES, _estimated_bytes, build_parser, main
 from todavolterra.poisson import PoissonTensor
 from todavolterra.polyalg import Poly
@@ -302,6 +302,24 @@ class TestSimulate:
         assert code == 0
         doc = json.loads(out)
         assert doc["x0"] == [0.5, 0.1, -0.1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_monitor_traces_taken_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        real = flows._monitor_values
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(flows, "_monitor_values", counted)
+        code, _, _ = run(
+            capsys,
+            "simulate", "--system", "toda-a:3", "--t-end", "0.1", "--h", "0.01",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_volterra_b_uses_its_flow(self, capsys):
         code, out, _ = run(

@@ -18,7 +18,8 @@ class TestCompiledField:
         for _ in range(10):
             x = [rng.uniform(-1, 1) for _ in vf.variables]
             exact = [float(p.eval(x)) for p in vf.components]
-            assert np.allclose(cf.eval(x), exact, rtol=1e-13, atol=1e-13)
+            got = dense_field(cf.coefs, cf.expts, cf.comp_ptr, np.array(x))
+            assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
 
     def test_numpy_backend_matches_exact(self, rng):
         vf = catalog.master_symmetry(T3)
@@ -26,7 +27,7 @@ class TestCompiledField:
         for _ in range(10):
             x = np.array([rng.uniform(-1, 1) for _ in vf.variables])
             exact = [float(p.eval(list(x))) for p in vf.components]
-            got = _kernels.eval_field(cf.coefs, cf.expts, cf.comp_ptr, x)
+            got = dense_field(cf.coefs, cf.expts, cf.comp_ptr, x)
             assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
 
     def test_gaussian_coefficients_rejected(self):
@@ -60,15 +61,10 @@ class TestIntegrate:
         with pytest.raises(flows.NonFiniteStateError):
             flows.integrate(vf, [10.0], 10.0, 0.05)
 
-    def test_record_stride(self):
-        vf = PolyVectorField.zero(("a1",))
-        traj = flows.integrate(vf, [1.0], 1.0, 0.01, record_stride=10)
-        assert traj.states.shape[0] == 11
-        assert traj.times[-1] == pytest.approx(1.0)
-
 
 def dense_field(coefs, expts, comp_ptr, x):
-    """The dense form of the field: O(nnz * dim) per call, no factor table.
+    """The dense form of the field: O(nnz * dim) per call, numpy, no code
+    generation.
 
     A monomial multiplies its variables from left to right, each repeated by
     its exponent, as the kernel does; `np.power` does not always round like
@@ -119,20 +115,12 @@ WIDE_CASES = [
 ]
 
 
-def _rk4(cf, x0, n_steps, stride=1):
-    return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, stride, cf.step)
+def _rk4(cf, x0, n_steps):
+    return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, cf.step)
 
 
 class TestKernelOracle:
     """The generated RK4 step is bitwise equal to the dense form."""
-
-    @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
-    def test_field_values_bitwise(self, name, make_field, sign, rng):
-        cf = flows.compile_field(make_field())
-        for _ in range(20):
-            x = np.array([rng.uniform(-1, 1) for _ in range(cf.dim)])
-            got = _kernels.eval_field(cf.coefs, cf.expts, cf.comp_ptr, x)
-            assert np.array_equal(got, dense_field(cf.coefs, cf.expts, cf.comp_ptr, x))
 
     @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
     def test_trajectory_bitwise(self, name, make_field, sign, rng):
@@ -178,39 +166,13 @@ class TestKernelOracle:
         assert done == 3
         assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 3))
 
-    @pytest.mark.parametrize("stride", [1, 3, 7])
-    def test_stride_and_record_count(self, stride):
-        cf = flows.compile_field(catalog.flow(T3, 2))
-        x0 = np.array([0.3, 0.2, 0.1, -0.2, 0.4])
-        states, done = _rk4(cf, x0, 20, stride)
-        assert done == 20
-        assert states.shape == (20 // stride + 1, 5)
-        assert np.array_equal(states, _rk4(cf, x0, 20)[0][::stride])
-
-    def test_factor_table_repeats_factors(self):
-        # a1' = -a1 a2, a2' = a2 (a1 - a3), a3' = a3 (a2 + a3)
-        cf = flows.compile_field(catalog.bn_volterra_flow(3))
-        fidx, comp = _kernels.factor_table(cf.expts, cf.comp_ptr)
-        assert fidx.shape == (len(cf.coefs), 2)
-        assert [2, 2] in fidx.tolist()  # a3^2 is two slots of a3
-        for row, e in zip(fidx, cf.expts):
-            assert np.array_equal(np.bincount(row, minlength=cf.dim + 1)[: cf.dim], e)
-            assert list(row) == sorted(row)  # padding (slot dim = 3) comes last
-        assert np.array_equal(comp, np.repeat(np.arange(cf.dim), np.diff(cf.comp_ptr)))
-
-    # (first component, its value at (0.5, 0.25), its factor table rows)
-    @pytest.mark.parametrize("first, value, rows", [
-        ("3", 3.0, [[]]),  # width 0: the constant is the whole term
-        ("3 + a1^3", 3.125, [[0, 0, 0], [2, 2, 2]]),  # 3 as padding only
-    ])
-    def test_constant_and_empty_fields(self, first, value, rows):
+    # (first component, its value at (0.5, 0.25)); the second is empty
+    @pytest.mark.parametrize("first, value", [("3", 3.0), ("3 + a1^3", 3.125)])
+    def test_constant_and_empty_fields(self, first, value):
         vs = ("a1", "a2")
         cf = flows.compile_field(PolyVectorField(vs, [Poly.parse(first, vs), Poly.zero(vs)]))
-        fidx, comp = _kernels.factor_table(cf.expts, cf.comp_ptr)
-        assert sorted(fidx.tolist()) == rows
-        assert comp.tolist() == [0] * len(rows)
-        assert np.array_equal(cf.eval([0.5, 0.25]), [value, 0.0])
         x0 = np.array([0.5, 0.25])
+        assert np.array_equal(dense_field(cf.coefs, cf.expts, cf.comp_ptr, x0), [value, 0.0])
         states, done = _rk4(cf, x0, 50)
         assert done == 50
         assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 50))
@@ -343,13 +305,13 @@ class TestOrderAndCommutation:
     def test_commutation_check_compiles_each_field_once(self, monkeypatch, rng):
         # each pair integrates both fields twice; the step is generated once per field
         calls = []
-        generate = _kernels._generated_rk4
+        generate = flows.compile_step
 
         def counted(*args):
             calls.append(args)
             return generate(*args)
 
-        monkeypatch.setattr(_kernels, "_generated_rk4", counted)
+        monkeypatch.setattr(flows, "compile_step", counted)
         fields = [catalog.flow(T3, k) for k in (2, 3, 4)]
         x0 = [rng.uniform(-1, 1) for _ in range(5)]
         flows.commutation_check(T3, fields, x0, 0.05, 1e-3)

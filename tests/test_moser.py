@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,24 @@ class TestSpectralChecks:
         for N in (5, 7, 9, 11, 13):
             point = [Fraction(r.randint(1, 9), r.randint(1, 5)) for _ in range(N // 2)]
             assert moser.block_spectrum_consistency(N, point)
+
+    def test_block_spectra_perturbed_block_fails(self, monkeypatch):
+        # one off-diagonal entry of the odd block moved by 1: tr(B) is
+        # unchanged, tr(B^2) is not
+        real = moser.square_and_split
+
+        def perturbed(N):
+            split = real(N)
+            rows = [list(row) for row in split.odd_deleted.matrix]
+            entry = rows[0][1]
+            rows[0][1] = entry + Poly.const(entry.variables, 1, entry.field)
+            block = dataclasses.replace(split.odd_deleted, matrix=tuple(map(tuple, rows)))
+            return dataclasses.replace(split, odd_deleted=block)
+
+        point = [Fraction(1, 2), Fraction(2, 3), Fraction(3)]
+        assert moser.block_spectrum_consistency(7, point)
+        monkeypatch.setattr(moser, "square_and_split", perturbed)
+        assert not moser.block_spectrum_consistency(7, point)
 
     def test_eigenvalue_subset_float(self):
         # eigensolver reproduction of the exact containment; accuracy is
