@@ -40,6 +40,18 @@ def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, step):
     return out[: done + 1], done
 
 
+def term_factors(expts):
+    """Each term's factors, the variable positions its monomial multiplies
+    from left to right: its variables in increasing order, each repeated by
+    its exponent (a3^2 is [2, 2]; a constant term has none)."""
+    factors = [[] for _ in range(len(expts))]
+    # np.nonzero walks the rows in order, columns increasing
+    rows, cols = np.nonzero(expts)
+    for t, v, e in zip(rows.tolist(), cols.tolist(), expts[rows, cols].tolist()):
+        factors[t] += [v] * e
+    return factors
+
+
 def _sum_lines(target, coefs, factors, lo, hi, name):
     """Statements that set `target` to one component: its terms added to 0.0
     in order, `_TERMS_PER_LINE` per statement."""
@@ -70,12 +82,7 @@ def compile_step(coefs, expts, comp_ptr):
     step is non-finite when sum(v - v) over the state is not 0.0.
     """
     coefs = coefs.tolist()
-    # term t's factors: its variables in increasing order, each repeated by
-    # its exponent (np.nonzero walks the rows in order, columns increasing)
-    factors = [[] for _ in coefs]
-    rows, cols = np.nonzero(expts)
-    for t, v, e in zip(rows.tolist(), cols.tolist(), expts[rows, cols].tolist()):
-        factors[t] += [v] * e
+    factors = term_factors(expts)
     comps = range(len(comp_ptr) - 1)
     state = "".join(f"x{i}, " for i in comps)
 

@@ -38,6 +38,12 @@ class TestCompiledField:
 
 
 class TestIntegrate:
+    def test_records_every_step(self):
+        vf = PolyVectorField.zero(("a1",))
+        traj = flows.integrate(vf, [1.0], 1.0, 0.01)
+        assert traj.states.shape[0] == 101
+        assert traj.times[-1] == pytest.approx(1.0)
+
     def test_zero_field_constant(self):
         vf = PolyVectorField.zero(("a1", "b1"))
         traj = flows.integrate(vf, [1.0, 2.0], 1.0, 0.01)
@@ -123,6 +129,17 @@ class TestKernelOracle:
     """The generated RK4 step is bitwise equal to the dense form."""
 
     @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_field_values_bitwise(self, name, make_field, sign, rng):
+        # the field is seen through one step of the generated RK4, from
+        # points of mixed sign that a trajectory of one sign never visits
+        cf = flows.compile_field(make_field())
+        for _ in range(20):
+            x = np.array([rng.uniform(-1, 1) for _ in range(cf.dim)])
+            states, done = _rk4(cf, x, 1)
+            assert done == 1
+            assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x, 1e-3, 1))
+
+    @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
     def test_trajectory_bitwise(self, name, make_field, sign, rng):
         cf = flows.compile_field(make_field())
         x0 = np.array([sign * rng.uniform(0.1, 0.6) for _ in range(cf.dim)])
@@ -166,11 +183,37 @@ class TestKernelOracle:
         assert done == 3
         assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 3))
 
-    # (first component, its value at (0.5, 0.25)); the second is empty
-    @pytest.mark.parametrize("first, value", [("3", 3.0), ("3 + a1^3", 3.125)])
-    def test_constant_and_empty_fields(self, first, value):
+    @pytest.mark.parametrize("n_steps", [1, 3, 7])
+    def test_record_count(self, n_steps):
+        # every state is recorded, and a shorter run is a prefix of a longer one
+        cf = flows.compile_field(catalog.flow(T3, 2))
+        x0 = np.array([0.3, 0.2, 0.1, -0.2, 0.4])
+        states, done = _rk4(cf, x0, n_steps)
+        assert done == n_steps
+        assert states.shape == (n_steps + 1, 5)
+        assert np.array_equal(states[0], x0)
+        assert np.array_equal(states, _rk4(cf, x0, 20)[0][: n_steps + 1])
+
+    def test_factor_table_repeats_factors(self):
+        # a1' = -a1 a2, a2' = a2 (a1 - a3), a3' = a3 (a2 + a3)
+        cf = flows.compile_field(catalog.bn_volterra_flow(3))
+        factors = _kernels.term_factors(cf.expts)
+        assert len(factors) == len(cf.coefs)
+        assert [2, 2] in factors  # a3^2 is two factors of a3
+        for row, e in zip(factors, cf.expts):
+            assert np.array_equal(np.bincount(row, minlength=cf.dim), e)
+            assert row == sorted(row)
+
+    # (first component, its value at (0.5, 0.25), its terms' factors); the
+    # second component is empty
+    @pytest.mark.parametrize("first, value, rows", [
+        ("3", 3.0, [[]]),  # the constant has no factors
+        ("3 + a1^3", 3.125, [[], [0, 0, 0]]),
+    ])
+    def test_constant_and_empty_fields(self, first, value, rows):
         vs = ("a1", "a2")
         cf = flows.compile_field(PolyVectorField(vs, [Poly.parse(first, vs), Poly.zero(vs)]))
+        assert sorted(_kernels.term_factors(cf.expts)) == rows
         x0 = np.array([0.5, 0.25])
         assert np.array_equal(dense_field(cf.coefs, cf.expts, cf.comp_ptr, x0), [value, 0.0])
         states, done = _rk4(cf, x0, 50)
