@@ -214,7 +214,6 @@ def x_system_rhs(rd: RootData) -> PolyVectorField:
     """The Lotka-Volterra field x_ij' = x_ij sum_s k_s (x_is + x_js)."""
     vars_ = edge_variables(rd)
     edge_list = edges(rd)
-    pos = {e: k for k, e in enumerate(edge_list)}
     c = sign_matrix(rd)
 
     def x_poly(i: int, j: int) -> Poly:

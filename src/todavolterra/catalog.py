@@ -152,12 +152,12 @@ def lax(sys: SystemId | str, field: str = RAT) -> list[list[Poly]]:
     return L
 
 
-def hamiltonian(sys: SystemId | str, k: int, field: str = RAT) -> Poly:
+def hamiltonian(sys: SystemId | str, k: int) -> Poly:
     """H_k = tr(L^k)/k; identically zero for odd k on mirror-symmetric Lax."""
     sys = _sys(sys)
     if k < 1:
         raise ValueError("k must be >= 1")
-    L = lax(sys, field)
+    L = lax(sys)
     tr = poly_matrix_trace(poly_matrix_power(L, k))
     return tr.scale(Fraction(1, k))
 
@@ -347,10 +347,12 @@ def flow(sys: SystemId | str, k: int) -> PolyVectorField:
     in each case.
     """
     sys = _sys(sys)
-    if sys.family == "toda":
+    if sys.name in ("toda-a", "toda-b"):
         return hamiltonian_vf(tensor(sys, 1), hamiltonian(sys, k))
-    if (sys.family, sys.kind) == ("volterra", "a"):
+    if sys.name == "volterra-a":
         return hamiltonian_vf(tensor(sys, 2), hamiltonian(sys, k))
+    if sys.name == "toda-c":
+        raise ValueError(f"no flow cataloged for {sys}: toda-c has no catalog bracket")
     raise ValueError(f"no ladder flow cataloged for {sys}; use bn_volterra_flow")
 
 

@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed / run completed, 1 a mathematical check
 failed (a diff is emitted), 2 usage or input error, a `simulate` run whose
-state leaves float range, or one that would exceed MEMORY_BUDGET_BYTES.
+state leaves float range, or one that would exceed MEMORY_BUDGET_BYTES or
+MAX_FLOW_WORK.
 All JSON documents carry a top-level "schema" field.  TODAVOLTERRA_OUT_DIR
 sets the default directory for file outputs.
 """
@@ -175,6 +176,34 @@ def _estimated_bytes(sys_id, n_steps: int) -> int:
     return 8 * (n_steps + 1) * (2 * N + 3 * N * N)
 
 
+# The most setup work a `simulate` run may ask for, N^2 * 2^k for the H_k flow
+# on a Lax matrix of size N: H_k has about N * 2^k terms, each an exponent
+# tuple of length about 2N.  On a 2-vCPU x86 VM, with --t-end 0.001 --h 0.001,
+# the costliest accepted cases took 2.4 s (toda-a:13 --flow 10) and 2.3 s
+# (toda-a:316 --flow 1, mostly the monitors' N powers of the Lax matrix).
+MAX_FLOW_WORK = 200_000
+
+
+def _check_flow(sys_id, k: int) -> None:
+    """Reject `--flow k` before any symbolic work.  Past the Lax size N, H_k
+    is a polynomial in H_1..H_N (Newton's identities), so k <= N."""
+    N = catalog.lax_size(sys_id)
+    if sys_id.name in ("volterra-b", "volterra-c"):
+        if k != 2:
+            raise ValueError(
+                f"{sys_id} integrates only its lattice equations: --flow must be 2, got {k}"
+            )
+    elif not 1 <= k <= N:
+        raise ValueError(f"--flow must lie in 1..{N} for {sys_id}, got {k}")
+    work = N * N * 2**k
+    if work > MAX_FLOW_WORK:
+        raise ValueError(
+            f"--flow {k} on {sys_id} would need setup work N^2 * 2^k = {work:.3g} "
+            f"(N = {N}, the Lax size; limit {MAX_FLOW_WORK:g}); "
+            "lower --flow or the lattice size"
+        )
+
+
 def _cmd_simulate(args) -> int:
     sys_id = catalog.parse_system(args.system)
     need = _estimated_bytes(sys_id, flows.step_count(args.t_end, args.h))
@@ -184,22 +213,11 @@ def _cmd_simulate(args) -> int:
             f"arrays (limit {MEMORY_BUDGET_BYTES / 2**30:g} GiB); "
             "lower --t-end or the lattice size, or raise --h"
         )
-    # Past the Lax size N, H_k is a polynomial in H_1..H_N (Newton's
-    # identities) whose expansion grows with k, so --flow is bounded by N
-    # before any symbolic work.
+    _check_flow(sys_id, args.flow)
     if sys_id.name in ("volterra-b", "volterra-c"):
-        if args.flow != 2:
-            raise ValueError(
-                f"{sys_id} integrates only its lattice equations: --flow must be 2, "
-                f"got {args.flow}"
-            )
         vf = catalog.bn_volterra_flow(sys_id.n)
-    elif 1 <= args.flow <= catalog.lax_size(sys_id):
-        vf = catalog.flow(sys_id, args.flow)
     else:
-        raise ValueError(
-            f"--flow must lie in 1..{catalog.lax_size(sys_id)} for {sys_id}, got {args.flow}"
-        )
+        vf = catalog.flow(sys_id, args.flow)
     x0 = _initial_point(args, sys_id)
     traj = flows.integrate(vf, x0, args.t_end, args.h)
     if args.format == "json":

@@ -18,14 +18,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import catalog
 from ._kernels import compile_step, rk4_integrate
-from .polyalg import GaussianRational, Poly, poly_matrix_mul, poly_matrix_power
+from .polyalg import GaussianRational
 from .poisson import PolyVectorField
 
 
@@ -43,16 +42,19 @@ def _as_float(c) -> float:
     return float(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledField:
     """A polynomial vector field in CSR layout with its generated RK4 step
-    (`_kernels.compile_step`), built once here."""
+    (`_kernels.compile_step`), built once here.
+
+    Compared and hashed by identity: a field-wise `==` would compare numpy
+    arrays, which has no single truth value."""
 
     variables: tuple[str, ...]
     coefs: np.ndarray
     expts: np.ndarray
     comp_ptr: np.ndarray
-    step: Callable = field(init=False, repr=False, compare=False)
+    step: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "step", compile_step(self.coefs, self.expts, self.comp_ptr))
@@ -127,67 +129,6 @@ def integrate(
     if done < n_steps:
         raise NonFiniteStateError(done * h)
     return Trajectory(cf.variables, np.arange(n_steps + 1) * h, states)
-
-
-# ------------------------------------------------------------------ lax flows
-
-
-def _strict_upper(M, zero):
-    n = len(M)
-    return [[M[i][j] if j > i else zero for j in range(n)] for i in range(n)]
-
-
-def lax_rhs(sys: catalog.SystemId | str, k: int) -> PolyVectorField:
-    """Matrix flow d/dt L = [L, (L^k)_+], projected onto the phase variables.
-
-    (.)_+ is the strictly upper triangular part; with this convention the
-    k = 1 commutator reproduces hamiltonian_vf(pi1, H2) exactly, and in
-    general [L, (L^k)_+] is the pi1-Hamiltonian flow of H_{k+1}.  The
-    commutator is checked to stay inside the system's Lax template (zero
-    where the template is constant, mirror-consistent where entries repeat).
-    """
-    sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    L = catalog.lax(sys)
-    vars_ = L[0][0].variables
-    zero = Poly.zero(vars_)
-    P = poly_matrix_power(L, k) if k > 1 else L
-    B = _strict_upper(P, zero)
-    C = [
-        [x - y for x, y in zip(row_lb, row_bl)]
-        for row_lb, row_bl in zip(poly_matrix_mul(L, B), poly_matrix_mul(B, L))
-    ]
-    positions = _template_positions(sys)
-    comps: dict[str, Poly] = {}
-    covered = set()
-    for name, slots in positions.items():
-        ref = None
-        for (i, j, scale) in slots:
-            covered.add((i, j))
-            value = C[i][j].scale(Fraction(1, scale) if scale != 1 else 1)
-            if ref is None:
-                ref = value
-            elif ref != value:
-                raise ValueError(
-                    f"commutator is inconsistent across template slots of {name}"
-                )
-        comps[name] = ref
-    N = len(L)
-    for i in range(N):
-        for j in range(N):
-            if (i, j) not in covered and not C[i][j].is_zero:
-                raise ValueError("commutator leaves the phase-space template")
-    return PolyVectorField(vars_, [comps[v] for v in vars_])
-
-
-def _template_positions(sys: catalog.SystemId):
-    """Where each variable sits in the Lax template: {var: [(i, j, scale)]}."""
-    out: dict[str, list[tuple[int, int, int]]] = {v: [] for v in catalog.variables(sys)}
-    for i, j, v, c in catalog.lax_entries(sys):
-        if v is not None:
-            out[v].append((i, j, c))
-    return out
 
 
 # ------------------------------------------------------------------- monitors

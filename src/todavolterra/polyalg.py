@@ -253,7 +253,8 @@ class Poly:
         caller must not mutate it afterwards.  Only operations whose inputs
         are already `Poly` objects and whose results keep these invariants
         (sum, negation, product, scaling by a nonzero field element,
-        derivative, variable extension) use it; outside input, and results
+        derivative, variable extension, linear substitution) and the zero
+        polynomial, on checked variables, use it; outside input, and results
         that may hold zero coefficients, go through `Poly(...)`.
         """
         p = object.__new__(cls)
@@ -269,7 +270,9 @@ class Poly:
 
     @staticmethod
     def zero(variables: Sequence[str], field: str = RAT) -> "Poly":
-        return Poly(variables, {}, field)
+        if field not in _FIELDS:
+            raise ValueError(f"unknown coefficient field {field!r}")
+        return Poly._make(_checked_variables(variables), {}, field)
 
     @staticmethod
     def const(variables: Sequence[str], value: Scalar, field: str = RAT) -> "Poly":
@@ -485,7 +488,10 @@ class Poly:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return Poly(self.variables, terms, field)
+        if field == RAT:
+            # a sum of Fractions may be integral; normalise once, at the end
+            terms = {e: normal(c) for e, c in terms.items()}
+        return Poly._make(self.variables, terms, field)
 
     # ------------------------------------------------------------ evaluation
 
@@ -576,20 +582,6 @@ class Poly:
             out += f" {sign} {body}"
         return out
 
-    # --------------------------------------------------------------- parsing
-
-    @staticmethod
-    def parse(text: str, variables: Sequence[str], field: str | None = None) -> "Poly":
-        """Parse the canonical string grammar emitted by canonical_str()."""
-        tokens = _tokenize(text)
-        wants_gauss = any(t == ("name", "i") for t in tokens)
-        if field is None:
-            field = GAUSS if wants_gauss else RAT
-        if field == RAT and wants_gauss:
-            raise FieldMismatchError("imaginary unit in rational-mode parse")
-        parser = _Parser(tokens, tuple(variables), field)
-        return parser.parse()
-
 
 def _ipow(scalar: Scalar, n: int) -> Scalar:
     if n == 0:
@@ -598,130 +590,6 @@ def _ipow(scalar: Scalar, n: int) -> Scalar:
     for _ in range(n - 1):
         out = out * scalar
     return out
-
-
-_TOKEN_RE = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z]+\d*|\^|\*|\+|-|\(|\))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        tok = m.group(1)
-        pos = m.end()
-        if re.fullmatch(r"\d+(/\d+)?", tok):
-            tokens.append(("num", tok))
-        elif re.fullmatch(r"[A-Za-z]+\d*", tok):
-            tokens.append(("name", tok))
-        else:
-            tokens.append(("op", tok))
-    return tokens
-
-
-class _Parser:
-    """Recursive parser for the canonical polynomial grammar."""
-
-    def __init__(self, tokens, variables, field):
-        self.tokens = tokens
-        self.k = 0
-        self.variables = variables
-        self.field = field
-
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        self.k += 1
-        return tok
-
-    def _leading_sign(self) -> int:
-        sign = 1
-        while self.peek() in (("op", "+"), ("op", "-")):
-            if self.next() == ("op", "-"):
-                sign = -sign
-        return sign
-
-    def parse(self) -> Poly:
-        result = Poly.zero(self.variables, self.field)
-        sign = self._leading_sign()
-        if self.peek() is None:
-            if sign == -1:
-                raise ValueError("dangling sign")
-            return result
-        while True:
-            term = self._term()
-            result = result + term.scale(sign)
-            tok = self.peek()
-            if tok is None:
-                return result
-            if tok not in (("op", "+"), ("op", "-")):
-                raise ValueError(f"unexpected token {tok}")
-            sign = self._leading_sign()
-
-    def _term(self) -> Poly:
-        poly = Poly.const(self.variables, 1, self.field)
-        while True:
-            poly = poly * self._factor()
-            if self.peek() == ("op", "*"):
-                self.next()
-                continue
-            return poly
-
-    def _factor(self) -> Poly:
-        kind, value = self.next()
-        if kind == "num":
-            return Poly.const(self.variables, Fraction(value), self.field)
-        if kind == "name":
-            if value == "i":
-                return Poly.const(self.variables, I_UNIT, GAUSS).with_field(self.field)
-            p = Poly.var(self.variables, value, self.field)
-            if self.peek() == ("op", "^"):
-                self.next()
-                ekind, etext = self.next()
-                if ekind != "num" or "/" in etext:
-                    raise ValueError("exponent must be a nonnegative integer")
-                return p ** int(etext)
-            return p
-        if (kind, value) == ("op", "("):
-            return self._gaussian_paren()
-        raise ValueError(f"unexpected token {(kind, value)}")
-
-    def _gaussian_paren(self) -> Poly:
-        # canonical mixed coefficient: "(re+im*i)" or "(re-im*i)"
-        kind, re_text = self.next()
-        sign_re = 1
-        if (kind, re_text) == ("op", "-"):
-            sign_re = -1
-            kind, re_text = self.next()
-        if kind != "num":
-            raise ValueError("expected rational real part")
-        re_val = Fraction(re_text) * sign_re
-        op = self.next()
-        if op not in (("op", "+"), ("op", "-")):
-            raise ValueError("expected +/- in Gaussian coefficient")
-        sign_im = 1 if op == ("op", "+") else -1
-        kind, tok = self.next()
-        if kind == "num":
-            im_val = Fraction(tok)
-            if self.next() != ("op", "*"):
-                raise ValueError("expected '*' before i")
-            kind, tok = self.next()
-        else:
-            im_val = 1
-        if (kind, tok) != ("name", "i"):
-            raise ValueError("expected imaginary unit i")
-        if self.next() != ("op", ")"):
-            raise ValueError("expected ')'")
-        value = GaussianRational(re_val, im_val * sign_im)
-        return Poly.const(self.variables, value, GAUSS).with_field(self.field)
 
 
 # --------------------------------------------------------------------- misc

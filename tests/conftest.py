@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,3 +32,19 @@ def random_poly(rng, variables, max_terms=4, max_exp=2, max_coef=4, field="Q"):
             terms[expo] = terms.get(expo, Fraction(0)) + coef
     p = Poly(variables, terms)
     return p.to_gaussian() if field == "Qi" else p
+
+
+def read_poly(text, variables):
+    """A rational `Poly` from signed monomials: "-1/2*a1^2*b2 + 3*a2 + -b1"."""
+    pos = {v: k for k, v in enumerate(variables)}
+    terms = {}
+    for signs, term in re.findall(r"([+-]*)([^+-]+)", text.replace(" ", "")):
+        coef, expo = Fraction((-1) ** signs.count("-")), [0] * len(variables)
+        for factor in term.split("*"):
+            name, _, power = factor.partition("^")
+            if name[0].isdigit():
+                coef *= Fraction(name)
+            else:
+                expo[pos[name]] += int(power or 1)
+        terms[tuple(expo)] = terms.get(tuple(expo), 0) + coef
+    return Poly(variables, terms)

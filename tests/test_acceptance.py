@@ -141,12 +141,11 @@ def test_criterion_5_reduction_regressions():
             check("criterion 5", f"{which}-reduction, n={n}", ok)
     # the distinguished corner entry carries the doubled a^2 term
     red = reduction.reduced_bracket(*checks.ambient_and_group(sid("toda-a:5"), "phi_toda", 3))
-    vs = red.variables
     check(
         "criterion 5",
         "corner entry {a_n, b_n} = (1/2)(a_n b_n^2 + 2 a_n^2) up to the global "
         "cubic sign",
-        red.entry_named("a2", "b2") == Poly.parse("1/2*a2*b2^2 + a2^2", vs),
+        red.entry_named("a2", "b2").canonical_str() == "a2^2 + 1/2*a2*b2^2",
     )
     # one stage (order-4 twist) equals two stages (two involutions)
     for n in (1, 2):
@@ -179,21 +178,19 @@ def test_criterion_5_literal_printed_entries():
     red3 = reduction.reduced_bracket(
         catalog.tensor(sid("toda-a:5"), 3), group_of("phi_toda", sid("toda-a:5"))
     )
-    vs3 = red3.variables
     check(
         "criterion 5 (literal signs)",
         "{a2, b2}^3 = -1/2*a2*b2^2 - a2^2",
-        red3.entry_named("a2", "b2") == Poly.parse("-1/2*a2*b2^2 - a2^2", vs3),
+        red3.entry_named("a2", "b2").canonical_str() == "-a2^2 - 1/2*a2*b2^2",
     )
     red4 = reduction.reduced_bracket(
         catalog.tensor(sid("volterra-a:5"), 4),
         group_of("phi_volterra", sid("volterra-a:5")),
     )
-    vs4 = red4.variables
     check(
         "criterion 5 (literal signs)",
         "{a1, a2}^4 = 1/2*a1*a2*(a1 + 2*a2)",
-        red4.entry_named("a1", "a2") == Poly.parse("1/2*a1^2*a2 + a1*a2^2", vs4),
+        red4.entry_named("a1", "a2").canonical_str() == "1/2*a1^2*a2 + a1*a2^2",
     )
 
 

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from todavolterra import catalog, reduction
-from todavolterra.polyalg import GaussianRational, Poly
+from todavolterra.polyalg import GaussianRational
 from todavolterra.poisson import (
-    PolyVectorField,
     bracket,
     hamiltonian_vf,
     is_poisson,
@@ -62,24 +61,19 @@ class TestLax:
 
 class TestHamiltonians:
     def test_toda_a_h2(self):
-        vs = catalog.variables("toda-a:2")
-        assert catalog.hamiltonian("toda-a:2", 2) == Poly.parse(
-            "1/2*b1^2 + 1/2*b2^2 + a1", vs
-        )
+        h2 = catalog.hamiltonian("toda-a:2", 2)
+        assert h2.canonical_str() == "a1 + 1/2*b1^2 + 1/2*b2^2"
 
     def test_toda_b_odd_traces_vanish(self):
         assert catalog.hamiltonian("toda-b:1", 1).is_zero
         assert catalog.hamiltonian("toda-b:2", 3).is_zero
 
     def test_toda_b_h2(self):
-        vs = catalog.variables("toda-b:1")
-        assert catalog.hamiltonian("toda-b:1", 2) == Poly.parse("b1^2 + 2*a1", vs)
+        assert catalog.hamiltonian("toda-b:1", 2).canonical_str() == "2*a1 + b1^2"
 
     def test_volterra_h2_is_sum_of_a(self):
-        vs = catalog.variables("volterra-a:5")
-        assert catalog.hamiltonian("volterra-a:5", 2) == Poly.parse(
-            "a1 + a2 + a3 + a4", vs
-        )
+        h2 = catalog.hamiltonian("volterra-a:5", 2)
+        assert h2.canonical_str() == "a1 + a2 + a3 + a4"
 
 
 class TestTensors:
@@ -92,10 +86,7 @@ class TestTensors:
         # (opposite overall sign to the commonly printed table, which fails
         # the ladder pi3 dH1 = pi2 dH2; see the decisions notes)
         sys = catalog.SystemId("toda", "a", 2)
-        vs = catalog.variables(sys)
-        assert catalog.tensor(sys, 3).entry_named("a1", "b1") == Poly.parse(
-            "a1*b1^2 + a1^2", vs
-        )
+        assert catalog.tensor(sys, 3).entry_named("a1", "b1").canonical_str() == "a1^2 + a1*b1^2"
 
     def test_cubic_matches_recursion(self):
         for n in (2, 3, 4):
@@ -107,10 +98,7 @@ class TestTensors:
 
     def test_quartic_volterra_entries(self):
         sys = catalog.SystemId("volterra", "a", 5)
-        vs = catalog.variables(sys)
-        assert catalog.tensor(sys, 4).entry_named("a1", "a3") == Poly.parse(
-            "-a1*a2*a3", vs
-        )
+        assert catalog.tensor(sys, 4).entry_named("a1", "a3").canonical_str() == "-a1*a2*a3"
 
     def test_quartic_pinned_by_ladder(self):
         for N in (4, 5, 6, 7):
@@ -121,10 +109,8 @@ class TestTensors:
 
     def test_volterra_b_boundary_entry(self):
         sys = catalog.SystemId("volterra", "b", 2)
-        vs = catalog.variables(sys)
-        assert catalog.tensor(sys, 4).entry_named("a1", "a2") == Poly.parse(
-            "-1/2*a1^2*a2 - a1*a2^2", vs
-        )
+        entry = catalog.tensor(sys, 4).entry_named("a1", "a2")
+        assert entry.canonical_str() == "-1/2*a1^2*a2 - a1*a2^2"
 
     def test_toda_b_tensors_frozen_from_reduction(self):
         # the closed forms stored in the catalog equal the live reduction
@@ -151,21 +137,15 @@ class TestSpecialFields:
     def test_master_symmetry_n2(self):
         # b-components match the printed table; the a-component coefficient
         # of b_{i+1} is 3+2i (the value forced by the deformation relations)
-        sys = catalog.SystemId("toda", "a", 2)
-        vs = catalog.variables(sys)
-        Z1 = catalog.master_symmetry(sys)
-        assert Z1 == PolyVectorField(
-            vs,
-            [
-                Poly.parse("-a1*b1 + 5*a1*b2", vs),
-                Poly.parse("4*a1 + b1^2", vs),
-                Poly.parse("-2*a1 + b2^2", vs),
-            ],
-        )
+        Z1 = catalog.master_symmetry(catalog.SystemId("toda", "a", 2))
+        assert Z1.variables == ("a1", "b1", "b2")
+        assert [p.canonical_str() for p in Z1.components] == [
+            "-a1*b1 + 5*a1*b2", "4*a1 + b1^2", "-2*a1 + b2^2",
+        ]
 
     def test_bn_volterra_flow_smallest(self):
         f = catalog.bn_volterra_flow(1)
-        assert f.components[0] == Poly.parse("a1^2", ("a1",))
+        assert f.components[0].canonical_str() == "a1^2"
 
     def test_bn_volterra_flow_is_km_restriction(self):
         for n in (1, 2, 3):
@@ -183,10 +163,9 @@ class TestSpecialFields:
 
     def test_km_flow(self):
         sys = catalog.SystemId("volterra", "a", 4)
-        vs = catalog.variables(sys)
         f = catalog.flow(sys, 2)
-        assert f.component("a1") == Poly.parse("-a1*a2", vs)
-        assert f.component("a2") == Poly.parse("a1*a2 - a2*a3", vs)
+        assert f.component("a1").canonical_str() == "-a1*a2"
+        assert f.component("a2").canonical_str() == "a1*a2 - a2*a3"
 
 
 class TestSymmetries:
@@ -219,11 +198,9 @@ class TestSymmetries:
 class TestI4:
     def test_values(self):
         assert catalog.i4_hamiltonian(1).is_zero
-        vs2 = catalog.variables("volterra-b:2")
-        assert catalog.i4_hamiltonian(2) == Poly.parse("1/2*a1^2 + 1/4*a1*a2", vs2)
-        vs3 = catalog.variables("volterra-b:3")
-        assert catalog.i4_hamiltonian(3) == Poly.parse(
-            "1/2*a1^2 + 1/4*a1*a2 + 1/2*a2^2 + 1/4*a2*a3", vs3
+        assert catalog.i4_hamiltonian(2).canonical_str() == "1/2*a1^2 + 1/4*a1*a2"
+        assert catalog.i4_hamiltonian(3).canonical_str() == (
+            "1/2*a1^2 + 1/4*a1*a2 + 1/2*a2^2 + 1/4*a2*a3"
         )
 
     def test_casimir_h1_of_linear_bracket(self):

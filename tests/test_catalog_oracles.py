@@ -3,8 +3,8 @@
 `catalog` builds its tensors, master symmetry, I4, embedded Volterra tensors
 and Lax matrices from local templates.  The functions prefixed `old_` below
 are the earlier constructions, which wrote every entry as a polynomial string
-with hand-written index ranges and parsed it back; they are kept verbatim as
-independent oracles.
+with hand-written index ranges and read it back; they are kept verbatim as
+independent oracles, the strings read by the test-side `read_poly`.
 """
 
 import pytest
@@ -14,10 +14,12 @@ from todavolterra.catalog import SystemId, lax_size, variables
 from todavolterra.poisson import PoissonTensor, PolyVectorField
 from todavolterra.polyalg import RAT, Poly
 
+from conftest import read_poly
+
 
 def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
     vars_ = variables(sys)
-    P = lambda s: Poly.parse(s, vars_)
+    P = lambda s: read_poly(s, vars_)
     fam, kind, n = sys.family, sys.kind, sys.n
     key = (fam, kind, k)
 
@@ -116,7 +118,7 @@ def old_embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTen
 def old_master_symmetry(sys: SystemId) -> PolyVectorField:
     n = sys.n
     vars_ = variables(sys)
-    P = lambda s: Poly.parse(s, vars_)
+    P = lambda s: read_poly(s, vars_)
     comps = []
     for i in range(1, n):
         comps.append(P(f"{1 - 2 * i}*a{i}*b{i} + {3 + 2 * i}*a{i}*b{i + 1}"))
@@ -134,7 +136,7 @@ def old_i4_hamiltonian(n: int) -> Poly:
     vars_ = variables(SystemId("volterra", "b", n))
     out = Poly.zero(vars_)
     for i in range(1, n):
-        out = out + Poly.parse(f"1/2*a{i}^2 + 1/4*a{i}*a{i + 1}", vars_)
+        out = out + read_poly(f"1/2*a{i}^2 + 1/4*a{i}*a{i + 1}", vars_)
     return out
 
 
@@ -235,33 +237,3 @@ def test_lax_equals_old(name, field):
         sys = catalog.parse_system(f"{name}:{n}")
         assert catalog.lax(sys, field) == old_lax(sys, field), str(sys)
 
-
-def test_catalog_builds_without_parsing(monkeypatch):
-    """No catalog object is built by parsing a polynomial string."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("Poly.parse called while building the catalog")
-
-    catalog.tensor.cache_clear()
-    monkeypatch.setattr(Poly, "parse", staticmethod(refuse))
-    try:
-        for (family, kind), (sizes, brackets) in TENSOR_RANGES.items():
-            for n in sizes[:6]:
-                sys = SystemId(family, kind, n)
-                catalog.lax(sys)
-                for k in brackets:
-                    catalog.tensor(sys, k)
-        for n in range(2, 8):
-            sys = SystemId("toda", "a", n)
-            catalog.master_symmetry(sys)
-            catalog.euler_field(sys)
-            catalog.flow(sys, 3)
-            catalog.flow(SystemId("volterra", "a", n + 1), 4)
-            catalog.bn_volterra_flow(n)
-            catalog.symmetry_group("phi_toda", sys)
-            catalog.embedded_volterra_tensor(n, 2, "Qi")
-            catalog.embedded_volterra_tensor(n, 4, "Qi")
-            catalog.i4_hamiltonian(n)
-            catalog.lax(SystemId("toda", "c", n))
-    finally:
-        catalog.tensor.cache_clear()

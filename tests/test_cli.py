@@ -1,14 +1,23 @@
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from todavolterra import catalog, checks, flows
-from todavolterra.cli import MEMORY_BUDGET_BYTES, _estimated_bytes, build_parser, main
+from todavolterra.cli import (
+    MAX_FLOW_WORK,
+    MEMORY_BUDGET_BYTES,
+    _check_flow,
+    _estimated_bytes,
+    build_parser,
+    main,
+)
 from todavolterra.poisson import PoissonTensor
-from todavolterra.polyalg import Poly
+
+from conftest import read_poly
 
 # The checks `verify all --max-rank 6` ran at the benchmark's seed commit.
 VERIFY_ALL_CHECKS = Path(__file__).parents[1] / "perfbench" / "expected" / "verify_all_checks.json"
@@ -226,7 +235,7 @@ class TestPerturbedTensorFails:
             pi = tensor(sys_id, k)
             if k != 3:
                 return pi
-            extra = {("a1", "b1"): Poly.parse("a1*b1^3", pi.variables)}
+            extra = {("a1", "b1"): read_poly("a1*b1^3", pi.variables)}
             return pi + PoissonTensor.from_brackets(pi.variables, extra)
 
         monkeypatch.setattr(catalog, "tensor", perturbed)
@@ -440,6 +449,42 @@ class TestSimulateFlow:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("system, k, work", [
+        # with --t-end 0.001 --h 0.001, toda-a:14 --flow 14 took 59.5 s before
+        # the bound, toda-a:400 --flow 6 44.8 s and toda-a:1000 --flow 2 58.2 s;
+        # the other two were stopped after 30 s and 60 s
+        ("toda-a:14", 14, "3.21e+06"),
+        ("toda-a:20", 20, "4.19e+08"),
+        ("toda-b:10", 20, "4.62e+08"),
+        ("toda-a:400", 6, "1.02e+07"),
+        ("toda-a:1000", 2, "4e+06"),
+    ])
+    def test_costly_setup_rejected_at_once(self, capsys, system, k, work):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "simulate", "--system", system, "--flow", str(k),
+            "--t-end", "0.001", "--h", "0.001",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        N = catalog.lax_size(system)
+        assert err == (
+            f"error: --flow {k} on {system} would need setup work N^2 * 2^k = {work} "
+            f"(N = {N}, the Lax size; limit 200000); lower --flow or the lattice size\n"
+        )
+
+    def test_costliest_accepted_cases(self):
+        # the cases MAX_FLOW_WORK cites, at its bound, and the next size up
+        for system, k in [("toda-a:13", 10), ("toda-a:316", 1)]:
+            N = catalog.lax_size(system)
+            assert N * N * 2**k <= MAX_FLOW_WORK < (N + 1) * (N + 1) * 2**k
+            _check_flow(catalog.parse_system(system), k)
+
+    def test_toda_c_has_no_flow(self, capsys):
+        code, out, err = run(capsys, "simulate", "--system", "toda-c:3", "--t-end", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: no flow cataloged for toda-c:3: toda-c has no catalog bracket\n"
+
     def test_highest_flow_runs(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--system", "toda-a:3", "--flow", "3", "--t-end", "0.1",
@@ -465,8 +510,9 @@ class TestSimulateMemory:
 
     def test_benchmark_sizes_far_below_budget(self):
         for system, t_end in [("toda-a:3", 10.0), ("toda-a:8", 5.0), ("volterra-a:11", 10.0)]:
-            need = _estimated_bytes(catalog.parse_system(system), round(t_end / 1e-3))
-            assert need < MEMORY_BUDGET_BYTES / 20
+            sys_id = catalog.parse_system(system)
+            assert _estimated_bytes(sys_id, round(t_end / 1e-3)) < MEMORY_BUDGET_BYTES / 20
+            _check_flow(sys_id, 2)
 
     def test_toda_a_27_monitors_fit(self, capsys, tmp_path):
         # expanding H_1..H_27 and evaluating them densely asked for 12.1 GiB here

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from todavolterra import _kernels, catalog, flows
-from todavolterra.polyalg import Poly
+from todavolterra.polyalg import GAUSS, I_UNIT, Poly, poly_matrix_mul, poly_matrix_power
 from todavolterra.poisson import PolyVectorField, hamiltonian_vf
+
+from conftest import read_poly
 
 
 T3 = catalog.SystemId("toda", "a", 3)
@@ -32,9 +35,18 @@ class TestCompiledField:
 
     def test_gaussian_coefficients_rejected(self):
         vs = ("x1",)
-        p = Poly.parse("i*x1", vs)
+        p = Poly.var(vs, "x1", GAUSS).scale(I_UNIT)
         with pytest.raises(ValueError):
             flows.compile_field(PolyVectorField(vs, [p]))
+
+    def test_compared_by_identity(self):
+        # a field-wise == compared numpy arrays and raised ValueError; hash
+        # raised TypeError
+        vf = catalog.flow(T3, 2)
+        first, second = flows.compile_field(vf), flows.compile_field(vf)
+        assert first != second
+        assert first == first
+        assert len({first, second}) == 2
 
 
 class TestIntegrate:
@@ -63,7 +75,7 @@ class TestIntegrate:
 
     def test_blowup_reported(self):
         vs = ("a1",)
-        vf = PolyVectorField(vs, [Poly.parse("a1^2", vs)])  # finite-time blowup
+        vf = PolyVectorField(vs, [Poly.var(vs, "a1") ** 2])  # finite-time blowup
         with pytest.raises(flows.NonFiniteStateError):
             flows.integrate(vf, [10.0], 10.0, 0.05)
 
@@ -212,7 +224,7 @@ class TestKernelOracle:
     ])
     def test_constant_and_empty_fields(self, first, value, rows):
         vs = ("a1", "a2")
-        cf = flows.compile_field(PolyVectorField(vs, [Poly.parse(first, vs), Poly.zero(vs)]))
+        cf = flows.compile_field(PolyVectorField(vs, [read_poly(first, vs), Poly.zero(vs)]))
         assert sorted(_kernels.term_factors(cf.expts)) == rows
         x0 = np.array([0.5, 0.25])
         assert np.array_equal(dense_field(cf.coefs, cf.expts, cf.comp_ptr, x0), [value, 0.0])
@@ -221,26 +233,86 @@ class TestKernelOracle:
         assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 50))
 
 
+def _strict_upper(M, zero):
+    n = len(M)
+    return [[M[i][j] if j > i else zero for j in range(n)] for i in range(n)]
+
+
+def lax_rhs(sys: catalog.SystemId, k: int) -> PolyVectorField:
+    """Matrix flow d/dt L = [L, (L^k)_+], projected onto the phase variables.
+
+    (.)_+ is the strictly upper triangular part; with this convention the
+    k = 1 commutator reproduces hamiltonian_vf(pi1, H2) exactly, and in
+    general [L, (L^k)_+] is the pi1-Hamiltonian flow of H_{k+1}.  The
+    commutator is checked to stay inside the system's Lax template (zero
+    where the template is constant, mirror-consistent where entries repeat).
+    """
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    L = catalog.lax(sys)
+    vars_ = L[0][0].variables
+    zero = Poly.zero(vars_)
+    P = poly_matrix_power(L, k) if k > 1 else L
+    B = _strict_upper(P, zero)
+    C = [
+        [x - y for x, y in zip(row_lb, row_bl)]
+        for row_lb, row_bl in zip(poly_matrix_mul(L, B), poly_matrix_mul(B, L))
+    ]
+    positions = _template_positions(sys)
+    comps: dict[str, Poly] = {}
+    covered = set()
+    for name, slots in positions.items():
+        ref = None
+        for (i, j, scale) in slots:
+            covered.add((i, j))
+            value = C[i][j].scale(Fraction(1, scale) if scale != 1 else 1)
+            if ref is None:
+                ref = value
+            elif ref != value:
+                raise ValueError(
+                    f"commutator is inconsistent across template slots of {name}"
+                )
+        comps[name] = ref
+    N = len(L)
+    for i in range(N):
+        for j in range(N):
+            if (i, j) not in covered and not C[i][j].is_zero:
+                raise ValueError("commutator leaves the phase-space template")
+    return PolyVectorField(vars_, [comps[v] for v in vars_])
+
+
+def _template_positions(sys: catalog.SystemId):
+    """Where each variable sits in the Lax template: {var: [(i, j, scale)]}."""
+    out: dict[str, list[tuple[int, int, int]]] = {v: [] for v in catalog.variables(sys)}
+    for i, j, v, c in catalog.lax_entries(sys):
+        if v is not None:
+            out[v].append((i, j, c))
+    return out
+
+
 class TestLaxRhs:
+    """The Lax-commutator flow `lax_rhs` above is the test oracle for the
+    claim that [L, (L^k)_+] is the pi1 flow of H_{k+1}."""
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_hamiltonian_flow(self, n, k):
         sys = catalog.SystemId("toda", "a", n)
-        assert flows.lax_rhs(sys, k) == hamiltonian_vf(
+        assert lax_rhs(sys, k) == hamiltonian_vf(
             catalog.tensor(sys, 1), catalog.hamiltonian(sys, k + 1)
         )
 
     def test_toda_b(self):
         sys = catalog.SystemId("toda", "b", 2)
-        assert flows.lax_rhs(sys, 1) == catalog.flow(sys, 2)
+        assert lax_rhs(sys, 1) == catalog.flow(sys, 2)
 
     def test_volterra_km(self):
         sys = catalog.SystemId("volterra", "a", 5)
-        assert flows.lax_rhs(sys, 2) == catalog.flow(sys, 2)
+        assert lax_rhs(sys, 2) == catalog.flow(sys, 2)
 
     def test_zero_when_a_vanishes(self):
         sys = catalog.SystemId("toda", "a", 3)
-        vf = flows.lax_rhs(sys, 1)
+        vf = lax_rhs(sys, 1)
         point = [0.0, 0.0, 0.3, -0.1, 0.4]  # a = 0
         assert all(p.eval(point) == 0 for p in vf.components)
 

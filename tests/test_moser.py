@@ -35,14 +35,12 @@ class TestXLax:
 class TestXFlow:
     def test_n1(self):
         f = moser.x_flow(1)
-        assert f.components[0] == Poly.parse("-x1^3", ("x1",))
+        assert f.components[0].canonical_str() == "-x1^3"
 
     def test_n2(self):
         f = moser.x_flow(2)
-        vs = ("x1", "x2")
-        assert f == PolyVectorField(
-            vs, [Poly.parse("x1*x2^2", vs), Poly.parse("-x1^2*x2 - x2^3", vs)]
-        )
+        assert f.variables == ("x1", "x2")
+        assert [p.canonical_str() for p in f.components] == ["x1*x2^2", "-x1^2*x2 - x2^3"]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chain_rule_against_a_variables(self, n):

@@ -22,7 +22,7 @@ from todavolterra.poisson import (
     pushforward_vf,
 )
 
-from conftest import assert_normal, random_poly
+from conftest import assert_normal, random_poly, read_poly
 
 
 T2 = catalog.SystemId("toda", "a", 2)
@@ -31,13 +31,13 @@ V2 = catalog.variables(T2)  # (a1, b1, b2)
 
 
 def p2(text):
-    return Poly.parse(text, V2)
+    return read_poly(text, V2)
 
 
 class TestBracket:
     def test_linear_bracket_value(self):
         pi1 = catalog.tensor(T2, 1)
-        assert bracket(pi1, p2("a1"), p2("b1")) == p2("a1")
+        assert bracket(pi1, p2("a1"), p2("b1")).canonical_str() == "a1"
 
     def test_antisymmetry_diagonal(self, rng):
         pi2 = catalog.tensor(T2, 2)
@@ -47,7 +47,7 @@ class TestBracket:
 
     def test_quadratic_bb_entry(self):
         pi2 = catalog.tensor(T2, 2)
-        assert bracket(pi2, p2("b1"), p2("b2")) == p2("-a1")
+        assert bracket(pi2, p2("b1"), p2("b2")).canonical_str() == "-a1"
 
     def test_leibniz(self, rng):
         pi2 = catalog.tensor(T2, 2)
@@ -120,7 +120,8 @@ class TestCompatibility:
 class TestHamiltonianVF:
     def test_toda_equations(self):
         X = hamiltonian_vf(catalog.tensor(T2, 1), catalog.hamiltonian(T2, 2))
-        assert X == PolyVectorField(V2, [p2("a1*b1 - a1*b2"), p2("-a1"), p2("a1")])
+        assert X.variables == V2
+        assert [p.canonical_str() for p in X.components] == ["a1*b1 - a1*b2", "-a1", "a1"]
 
     def test_constant_hamiltonian(self):
         X = hamiltonian_vf(catalog.tensor(T2, 2), Poly.const(V2, 7))
@@ -136,14 +137,10 @@ class TestHamiltonianVF:
     def test_km_field(self):
         sys = catalog.SystemId("volterra", "a", 5)
         X = hamiltonian_vf(catalog.tensor(sys, 2), catalog.hamiltonian(sys, 2))
-        vs = catalog.variables(sys)
-        expect = [
-            Poly.parse("-a1*a2", vs),
-            Poly.parse("a1*a2 - a2*a3", vs),
-            Poly.parse("a2*a3 - a3*a4", vs),
-            Poly.parse("a3*a4", vs),
+        assert X.variables == catalog.variables(sys)
+        assert [p.canonical_str() for p in X.components] == [
+            "-a1*a2", "a1*a2 - a2*a3", "a2*a3 - a3*a4", "a3*a4",
         ]
-        assert X == PolyVectorField(vs, expect)
 
 
 class TestLieDerivative:

@@ -14,7 +14,7 @@ from todavolterra.polyalg import (
     coerce_scalar,
 )
 
-from conftest import assert_normal, random_poly
+from conftest import assert_normal, random_poly, read_poly
 
 V = ("a1", "a2", "b1", "b2")
 
@@ -23,8 +23,8 @@ def var(name):
     return Poly.var(V, name)
 
 
-def parse(text):
-    return Poly.parse(text, V)
+def read(text):
+    return read_poly(text, V)
 
 
 def naive_mul(p: Poly, q: Poly) -> Poly:
@@ -39,7 +39,7 @@ def naive_mul(p: Poly, q: Poly) -> Poly:
 
 class TestRingOps:
     def test_cancellation(self):
-        assert (parse("a1 + b1") + parse("a1 - b1")) == parse("2*a1")
+        assert (read("a1 + b1") + read("a1 - b1")).canonical_str() == "2*a1"
 
     def test_zero_annihilates(self):
         assert (var("a1") * Poly.zero(V)).is_zero
@@ -48,7 +48,7 @@ class TestRingOps:
         p = var("a1") + var("a2")
         expected = naive_mul(p, p)
         assert p * p == expected
-        assert p * p == parse("a1^2 + 2*a1*a2 + a2^2")
+        assert (p * p).canonical_str() == "a1^2 + 2*a1*a2 + a2^2"
 
     def test_random_products_match_oracle(self, rng):
         for _ in range(40):
@@ -63,14 +63,14 @@ class TestRingOps:
 
 class TestDiff:
     def test_power_rule(self):
-        assert (var("a1") * var("b1") ** 2).diff("b1") == parse("2*a1*b1")
+        assert (var("a1") * var("b1") ** 2).diff("b1").canonical_str() == "2*a1*b1"
 
     def test_independent_variable(self):
         assert var("a2").diff("a1").is_zero
 
     def test_monomial_wise(self):
-        p = parse("a1^2*b2 + a1")
-        assert p.diff("a1") == parse("2*a1*b2 + 1")
+        p = read("a1^2*b2 + a1")
+        assert p.diff("a1").canonical_str() == "2*a1*b2 + 1"
 
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
@@ -161,9 +161,11 @@ class TestGaussian:
         assert p * p == -(var("a1") ** 2).to_gaussian()
 
     def test_real_imag_split(self):
-        p = Poly.parse("(1/2-3*i)*a1 + i*a2", V)
-        assert p.real_part() == parse("1/2*a1")
-        assert p.imag_part() == parse("-3*a1 + a2")
+        a1, a2 = (Poly.var(V, v, GAUSS) for v in ("a1", "a2"))
+        p = a1.scale(GaussianRational(Fraction(1, 2), -3)) + a2.scale(I_UNIT)
+        assert p.canonical_str() == "(1/2-3*i)*a1 + i*a2"
+        assert p.real_part().canonical_str() == "1/2*a1"
+        assert p.imag_part().canonical_str() == "-3*a1 + a2"
 
     @pytest.mark.parametrize("num, den, want", [
         (GaussianRational(1, 0), 2, GaussianRational(Fraction(1, 2), 0)),
@@ -189,7 +191,7 @@ class TestGaussian:
 
     def test_degree_sentinel(self):
         assert Poly.zero(V).degree() == -math.inf
-        assert parse("a1*b1^2").degree() == 3
+        assert read("a1*b1^2").degree() == 3
 
 
 class TestCanonicalString:
@@ -205,22 +207,7 @@ class TestCanonicalString:
 
     @pytest.mark.parametrize("text", CASES)
     def test_round_trip(self, text):
-        p = Poly.parse(text, V)
-        assert p.canonical_str() == text
-
-    def test_random_round_trip(self, rng):
-        for _ in range(50):
-            p = random_poly(rng, V, max_terms=6, max_exp=3)
-            assert Poly.parse(p.canonical_str(), V) == p
-
-    def test_gaussian_round_trip(self, rng):
-        for _ in range(30):
-            p = random_poly(rng, V, field="Qi") + random_poly(rng, V, field="Qi").scale(I_UNIT)
-            assert Poly.parse(p.canonical_str(), V, field="Qi") == p
-
-    def test_imaginary_in_rational_mode_rejected(self):
-        with pytest.raises(FieldMismatchError):
-            Poly.parse("i*a1", V, field="Q")
+        assert read(text).canonical_str() == text
 
 
 small_polys = st.builds(
@@ -247,6 +234,6 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=40, deadline=None)
 @given(small_polys)
 def test_leibniz_rule_for_diff(p):
-    q = Poly.parse("a1*b2 + 1/2*b1", V)
+    q = read("a1*b2 + 1/2*b1")
     lhs = (p * q).diff("a1")
     assert lhs == p.diff("a1") * q + p * q.diff("a1")

@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todavolterra.polyalg import GAUSS, RAT, GaussianRational, Poly
+from todavolterra.polyalg import GAUSS, RAT, I_UNIT, GaussianRational, Poly
 
-from conftest import assert_normal
+from conftest import assert_normal, random_poly
 
 sympy = pytest.importorskip("sympy")
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 V = ("a1", "a2", "b1")
 W = ("a1", "a2", "a3", "b1", "b2")  # a superset of V, for extend
@@ -91,6 +92,26 @@ def assert_matches(q: Poly, expr, variables, field):
     assert q.terms == from_sympy(expr, variables, field)
 
 
+def read_back(text, field) -> dict:
+    """The term dict of `canonical_str` text read by sympy (`^` a power, `i`
+    the imaginary unit)."""
+    expr = parse_expr(text, local_dict={**SYMS, "i": sympy.I},
+                      transformations=standard_transformations + (convert_xor,))
+    return from_sympy(expr, V, field)
+
+
+def test_random_round_trip(rng):
+    for _ in range(50):
+        p = random_poly(rng, V, max_terms=6, max_exp=3)
+        assert read_back(p.canonical_str(), RAT) == p.terms
+
+
+def test_gaussian_round_trip(rng):
+    for _ in range(30):
+        p = random_poly(rng, V, field=GAUSS) + random_poly(rng, V, field=GAUSS).scale(I_UNIT)
+        assert read_back(p.canonical_str(), GAUSS) == p.terms
+
+
 @settings(max_examples=40, deadline=None)
 @given(poly_pairs())
 def test_ring_operations(pair):
@@ -148,10 +169,12 @@ def test_every_public_result_in_normal_form(data):
     field = data.draw(fields)
     p, q = data.draw(polys(field)), data.draw(polys(field))
     images = {v: q for v in V}
+    half = {"a1": ("a2", Fraction(1, 2)), "a2": ("a1", 2), "b1": ("b1", 1)}
     results = [
         p ** 2,
         p.substitute(images),
-        Poly.parse(p.canonical_str(), V, field),
+        p.subst_linear(half),
+        p.subst_linear({**half, "b1": ("b1", I_UNIT)}),
         p.to_gaussian(),
         p.real_part(),
         p.imag_part(),
