@@ -20,6 +20,15 @@ Conventions fixed here once and used everywhere:
   both variables exist.  The B-family tensors are the fixed-point reductions
   of the A-family ones (frozen closed forms, regression-tested against the
   live reduction): half the A-family bulk, with a `LAST_SITE` patch.
+* H_k = tr(L^k)/k is built from closed walks, not matrix powers.  For a
+  tridiagonal L, (L^k)[r][r] sums the products along the walks of length k
+  from r back to r, and such a product depends only on the diagonal entries
+  d_s and the edge products c_s = L[s][s+1] L[s+1][s].  So one local density
+  D_k (`walk_density`), found once per k on the infinite lattice, read at
+  every site r of any of the six families, gives the trace.  The boundary
+  costs nothing: a walk that would leave the N x N matrix crosses an edge
+  with no entry, so reading an off-lattice factor as zero, as the templates
+  do, is exactly the finite matrix.
 """
 
 from __future__ import annotations
@@ -29,14 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyalg import (
-    I_UNIT,
-    RAT,
-    Poly,
-    coerce_scalar,
-    poly_matrix_power,
-    poly_matrix_trace,
-)
+from .polyalg import I_UNIT, RAT, Poly, coerce_scalar, divide
 from .poisson import LinearMap, PoissonTensor, PolyVectorField, hamiltonian_vf
 
 
@@ -144,22 +146,84 @@ def lax_entries(sys: SystemId | str) -> list[tuple[int, int, str | None, int]]:
 
 def lax(sys: SystemId | str, field: str = RAT) -> list[list[Poly]]:
     """Symbolic Lax matrix of the system, built from `lax_entries`."""
-    vars_ = variables(sys)
-    N = lax_size(sys)
-    L = [[Poly.zero(vars_, field)] * N for _ in range(N)]
+    zero = Poly.zero(variables(sys), field)  # checks the variables and field once
+    vars_, N = zero.variables, lax_size(sys)
+    pos = {v: j for j, v in enumerate(vars_)}
+    L = [[zero] * N for _ in range(N)]
     for i, j, v, c in lax_entries(sys):
-        L[i][j] = Poly.const(vars_, c, field) if v is None else Poly.var(vars_, v, field).scale(c)
+        expo = [0] * len(vars_)
+        if v is not None:
+            expo[pos[v]] = 1
+        L[i][j] = Poly._make(vars_, {tuple(expo): coerce_scalar(c, field)}, field)
     return L
 
 
+@lru_cache(maxsize=None)
+def walk_density(k: int) -> dict[tuple, int]:
+    """D_k = (L^k)[0][0] for a tridiagonal L on the infinite lattice.
+
+    {monomial: count}, a monomial a sorted tuple of ("d", offset) and
+    ("c", offset) factors: each step of a closed walk from site 0 stays at s
+    (the factor ("d", s)) or moves up from s (("c", s), the edge product) or
+    down (no factor; a closed walk goes down each edge as often as up).  A
+    dynamic program over (position, monomial) that drops positions from
+    which the walk cannot return finds it.  The result is shared: callers
+    must not mutate it.
+    """
+    layer = {(0, ()): 1}
+    for left in range(k - 1, -1, -1):  # steps left after this one
+        nxt: dict[tuple, int] = {}
+        for (p, mono), count in layer.items():
+            for q, factor in ((p, ("d", p)), (p + 1, ("c", p)), (p - 1, None)):
+                if abs(q) <= left:
+                    key = (q, mono if factor is None else tuple(sorted(mono + (factor,))))
+                    nxt[key] = nxt.get(key, 0) + count
+        layer = nxt
+    return {mono: count for (_, mono), count in layer.items()}
+
+
 def hamiltonian(sys: SystemId | str, k: int) -> Poly:
-    """H_k = tr(L^k)/k; identically zero for odd k on mirror-symmetric Lax."""
+    """H_k = tr(L^k)/k, the closed-walk density `walk_density(k)` read at
+    every site of the Lax matrix.
+
+    (L^k)[r][r] is D_k read at site r: the factor ("d", o) is the diagonal
+    entry d_{r+o}, the factor ("c", o) the edge product c_{r+o} =
+    L[r+o][r+o+1] * L[r+o+1][r+o], both taken from `lax_entries`, so every
+    family is read alike.  A factor off the matrix (a diagonal index outside
+    0..N-1, an edge outside 0..N-2) is zero, and so is one whose entry is
+    zero: a walk that would leave the N x N matrix must cross the missing
+    edge -1 or N-1, so its monomial drops out, which is exactly the matrix
+    boundary.  Identically zero for odd k on a mirror-symmetric Lax matrix.
+    """
     sys = _sys(sys)
     if k < 1:
         raise ValueError("k must be >= 1")
-    L = lax(sys)
-    tr = poly_matrix_trace(poly_matrix_power(L, k))
-    return tr.scale(Fraction(1, k))
+    vars_ = variables(sys)
+    pos = {v: j for j, v in enumerate(vars_)}
+    # each nonzero entry as a signed monomial (coefficient, variable positions)
+    entry = {(i, j): (c, () if v is None else (pos[v],)) for i, j, v, c in lax_entries(sys)}
+    values: dict[str, dict[int, tuple]] = {"d": {}, "c": {}}
+    for (i, j), (c, v) in entry.items():
+        if i == j:
+            values["d"][i] = (c, v)
+        elif j == i + 1 and (j, i) in entry:
+            c2, v2 = entry[j, i]
+            values["c"][i] = (c * c2, v + v2)
+    terms: dict[tuple[int, ...], int] = {}
+    for mono, count in walk_density(k).items():
+        for r in range(lax_size(sys)):
+            coef, expo = count, [0] * len(vars_)
+            for letter, offset in mono:
+                value = values[letter].get(r + offset)
+                if value is None:
+                    break
+                coef *= value[0]
+                for j in value[1]:
+                    expo[j] += 1
+            else:
+                key = tuple(expo)
+                terms[key] = terms.get(key, 0) + coef
+    return Poly._make(vars_, {e: divide(c, k) for e, c in terms.items() if c}, RAT)
 
 
 # ------------------------------------------------------------ local templates

@@ -179,8 +179,9 @@ def _estimated_bytes(sys_id, n_steps: int) -> int:
 # The most setup work a `simulate` run may ask for, N^2 * 2^k for the H_k flow
 # on a Lax matrix of size N: H_k has about N * 2^k terms, each an exponent
 # tuple of length about 2N.  On a 2-vCPU x86 VM, with --t-end 0.001 --h 0.001,
-# the costliest accepted cases took 2.4 s (toda-a:13 --flow 10) and 2.3 s
-# (toda-a:316 --flow 1, mostly the monitors' N powers of the Lax matrix).
+# the costliest accepted cases took 2.0 s (toda-a:13 --flow 10, mostly the
+# compile of the generated RK4 step) and 2.3 s (toda-a:316 --flow 1, mostly
+# the monitors' N powers of the Lax matrix), process wall, median of 5.
 MAX_FLOW_WORK = 200_000
 
 

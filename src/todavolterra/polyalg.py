@@ -610,19 +610,3 @@ def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]
                     continue
                 out[i][j] = out[i][j] + a * b
     return out
-
-
-def poly_matrix_power(A: list[list[Poly]], k: int) -> list[list[Poly]]:
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    out = A
-    for _ in range(k - 1):
-        out = poly_matrix_mul(out, A)
-    return out
-
-
-def poly_matrix_trace(A: list[list[Poly]]) -> Poly:
-    tr = Poly.zero(A[0][0].variables, A[0][0].field)
-    for i in range(len(A)):
-        tr = tr + A[i][i]
-    return tr

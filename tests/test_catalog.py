@@ -6,6 +6,7 @@ from todavolterra import catalog, reduction
 from todavolterra.polyalg import GaussianRational
 from todavolterra.poisson import (
     bracket,
+    directional_action,
     hamiltonian_vf,
     is_poisson,
     lie_derivative_bivector,
@@ -74,6 +75,16 @@ class TestHamiltonians:
     def test_volterra_h2_is_sum_of_a(self):
         h2 = catalog.hamiltonian("volterra-a:5", 2)
         assert h2.canonical_str() == "a1 + a2 + a3 + a4"
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_master_symmetry_raises_the_hierarchy(self, n):
+        """Z1(H_l) = (l + 1) H_{l+1} for l = 1..7, the rule of which
+        `checks.HAMILTONIAN_DEFORMATIONS` states the first three rows."""
+        sys = catalog.SystemId("toda", "a", n)
+        Z1 = catalog.master_symmetry(sys)
+        H = {l: catalog.hamiltonian(sys, l) for l in range(1, 9)}
+        for l in range(1, 8):
+            assert directional_action(Z1, H[l]) == H[l + 1].scale(l + 1), l
 
 
 class TestTensors:

@@ -5,14 +5,18 @@ and Lax matrices from local templates.  The functions prefixed `old_` below
 are the earlier constructions, which wrote every entry as a polynomial string
 with hand-written index ranges and read it back; they are kept verbatim as
 independent oracles, the strings read by the test-side `read_poly`.
+`old_hamiltonian` is the earlier H_k = tr(L^k)/k by symbolic matrix powers,
+the oracle for the closed-walk construction.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from todavolterra import catalog
 from todavolterra.catalog import SystemId, lax_size, variables
 from todavolterra.poisson import PoissonTensor, PolyVectorField
-from todavolterra.polyalg import RAT, Poly
+from todavolterra.polyalg import RAT, Poly, poly_matrix_mul
 
 from conftest import read_poly
 
@@ -187,6 +191,23 @@ def old_lax(sys: SystemId, field: str = RAT) -> list[list[Poly]]:
     return L
 
 
+def old_matrix_power(A: list[list[Poly]], k: int) -> list[list[Poly]]:
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    out = A
+    for _ in range(k - 1):
+        out = poly_matrix_mul(out, A)
+    return out
+
+
+def old_hamiltonian(sys: SystemId, k: int) -> Poly:
+    P = old_matrix_power(old_lax(sys), k)
+    tr = Poly.zero(variables(sys))
+    for i in range(len(P)):
+        tr = tr + P[i][i]
+    return tr.scale(Fraction(1, k))
+
+
 # Every catalog tensor at these sizes (264 in all).
 TENSOR_RANGES = {
     ("toda", "a"): (range(2, 31), (1, 2, 3)),
@@ -237,3 +258,47 @@ def test_lax_equals_old(name, field):
         sys = catalog.parse_system(f"{name}:{n}")
         assert catalog.lax(sys, field) == old_lax(sys, field), str(sys)
 
+
+
+# The sizes at which `verify all --max-rank 6` and the acceptance criteria
+# build H_k, and up to toda-b:5 and volterra-a:7.
+HAMILTONIAN_SIZES = {
+    "toda-a": range(2, 7),
+    "toda-b": range(1, 6),
+    "toda-c": range(1, 4),
+    "volterra-a": range(2, 8),
+    "volterra-b": range(1, 4),
+    "volterra-c": range(1, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(HAMILTONIAN_SIZES))
+def test_hamiltonian_equals_old(name):
+    for n in HAMILTONIAN_SIZES[name]:
+        sys = catalog.parse_system(f"{name}:{n}")
+        for k in range(1, 9):
+            new, old = catalog.hamiltonian(sys, k), old_hamiltonian(sys, k)
+            assert new.canonical_str() == old.canonical_str(), (str(sys), k)
+            assert new == old
+
+
+def test_hamiltonian_h10_equals_old():
+    sys = SystemId("toda", "a", 10)
+    assert catalog.hamiltonian(sys, 10).canonical_str() == old_hamiltonian(sys, 10).canonical_str()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_perturbed_density_disagrees(monkeypatch, k):
+    """Negative control: any one count of D_k off by one changes H_k.  Every
+    walk of length k spans at most k/2 sites, so on toda-a:k+1 each monomial
+    of D_k is read at some site, and all Lax entries are +1 there, so no
+    other monomial can cancel the change."""
+    sys = SystemId("toda", "a", k + 1)
+    old = old_hamiltonian(sys, k).canonical_str()
+    density = catalog.walk_density(k)
+    for mono in density:
+        for delta in (1, -1):
+            perturbed = dict(density)
+            perturbed[mono] += delta
+            monkeypatch.setattr(catalog, "walk_density", lambda _k, d=perturbed: d)
+            assert catalog.hamiltonian(sys, k).canonical_str() != old, (mono, delta)
