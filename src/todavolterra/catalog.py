@@ -183,17 +183,14 @@ def walk_density(k: int) -> dict[tuple, int]:
 
 
 def hamiltonian(sys: SystemId | str, k: int) -> Poly:
-    """H_k = tr(L^k)/k, the closed-walk density `walk_density(k)` read at
-    every site of the Lax matrix.
+    """H_k = tr(L^k)/k: the closed walks `walk_density(k)` read at every site.
 
     (L^k)[r][r] is D_k read at site r: the factor ("d", o) is the diagonal
-    entry d_{r+o}, the factor ("c", o) the edge product c_{r+o} =
-    L[r+o][r+o+1] * L[r+o+1][r+o], both taken from `lax_entries`, so every
-    family is read alike.  A factor off the matrix (a diagonal index outside
-    0..N-1, an edge outside 0..N-2) is zero, and so is one whose entry is
-    zero: a walk that would leave the N x N matrix must cross the missing
-    edge -1 or N-1, so its monomial drops out, which is exactly the matrix
-    boundary.  Identically zero for odd k on a mirror-symmetric Lax matrix.
+    entry d_{r+o} and ("c", o) the edge product L[r+o][r+o+1] L[r+o+1][r+o],
+    both from `lax_entries`, so every family is read alike.  A factor off the
+    matrix or on a zero entry is zero: a walk that would leave the N x N
+    matrix crosses the missing edge -1 or N-1, so dropping its monomial is
+    exactly the matrix boundary.  Zero for odd k on a mirror-symmetric Lax.
     """
     sys = _sys(sys)
     if k < 1:

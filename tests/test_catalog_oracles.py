@@ -259,9 +259,9 @@ def test_lax_equals_old(name, field):
         assert catalog.lax(sys, field) == old_lax(sys, field), str(sys)
 
 
-
-# The sizes at which `verify all --max-rank 6` and the acceptance criteria
-# build H_k, and up to toda-b:5 and volterra-a:7.
+# The sizes at which `verify all --max-rank 6` builds H_k (toda-a:2..6,
+# toda-b:1..3, volterra-a:3..7), widened to toda-b:5 and volterra-a:2, and
+# toda-c, volterra-b and volterra-c, whose H_k `verify` does not build, at 1..3.
 HAMILTONIAN_SIZES = {
     "toda-a": range(2, 7),
     "toda-b": range(1, 6),
@@ -289,10 +289,10 @@ def test_hamiltonian_h10_equals_old():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_perturbed_density_disagrees(monkeypatch, k):
-    """Negative control: any one count of D_k off by one changes H_k.  Every
-    walk of length k spans at most k/2 sites, so on toda-a:k+1 each monomial
-    of D_k is read at some site, and all Lax entries are +1 there, so no
-    other monomial can cancel the change."""
+    """Negative control: any one count of D_k off by one changes H_k.  A
+    closed walk of length k visits at most k/2 + 1 sites, so on toda-a:k+1
+    each monomial of D_k is read at some site, and all Lax entries are +1
+    there, so no other monomial can cancel the change."""
     sys = SystemId("toda", "a", k + 1)
     old = old_hamiltonian(sys, k).canonical_str()
     density = catalog.walk_density(k)
