@@ -234,7 +234,7 @@ A_, A0, A1, A2 = ("a", -1), ("a", 0), ("a", 1), ("a", 2)
 B0, B1, B2 = ("b", 0), ("b", 1), ("b", 2)
 
 
-def _local(vars_: tuple[str, ...], pos: dict, poly: dict, sites, field: str = RAT) -> Poly:
+def local(vars_: tuple[str, ...], pos: dict, poly: dict, sites, field: str = RAT) -> Poly:
     """The sum over `sites` of the local polynomial `poly` read at each site.
 
     `pos` maps each of `vars_` to its position, built once by the caller.
@@ -331,7 +331,7 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> 
         for (lu, ou), (lv, ov), p in template:
             for i in range(max(1 - ou, 1 - ov), min(count[lu] - ou, count[lv] - ov) + 1):
                 if only in (None, i):
-                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = _local(vars_, pos, p, (i,), field)
+                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = local(vars_, pos, p, (i,), field)
     return PoissonTensor.from_brackets(vars_, brackets, field)
 
 
@@ -363,12 +363,10 @@ def euler_field(sys: SystemId | str) -> PolyVectorField:
     is the unique scaling field with L_{Z0} pi_l = (l-2) pi_l and
     Z0(H_l) = l H_l for the whole hierarchy.
     """
-    sys = _sys(sys)
     vars_ = variables(sys)
-    comps = [
-        Poly.var(vars_, v).scale(2 if v.startswith("a") else 1) for v in vars_
-    ]
-    return PolyVectorField(vars_, comps)
+    pos = {v: j for j, v in enumerate(vars_)}
+    weight = {"a": {(A0,): 2}, "b": {(B0,): 1}}
+    return PolyVectorField(vars_, [local(vars_, pos, weight[v[0]], (int(v[1:]),)) for v in vars_])
 
 
 def master_symmetry(sys: SystemId | str) -> PolyVectorField:
@@ -393,7 +391,7 @@ def master_symmetry(sys: SystemId | str) -> PolyVectorField:
         "b": ({(B0, B0): 1, (A_,): 2, (A0,): 2}, {(A_,): -2, (A0,): 2}),
     }
     comps = [
-        _local(vars_, pos, c, (i,)) + _local(vars_, pos, d, (i,)).scale(i)
+        local(vars_, pos, c, (i,)) + local(vars_, pos, d, (i,)).scale(i)
         for letter, (c, d) in affine.items()
         for i in range(1, count[letter] + 1)
     ]
@@ -425,18 +423,11 @@ def bn_volterra_flow(n: int) -> PolyVectorField:
     Equals the restriction of the volterra-a equations to the mirror-odd
     subspace a_{2n+1-i} = -a_i (regression-tested).
     """
-    sysv = SystemId("volterra", "b", n)
-    vars_ = variables(sysv)
-    V = lambda name: Poly.var(vars_, name)
-    comps = []
-    for i in range(1, n + 1):
-        ai = V(f"a{i}")
-        rhs = Poly.zero(vars_)
-        if i > 1:
-            rhs = rhs + ai * V(f"a{i - 1}")
-        rhs = rhs - ai * V(f"a{i + 1}") if i < n else rhs + ai * ai
-        comps.append(rhs)
-    return PolyVectorField(vars_, comps)
+    vars_ = variables(SystemId("volterra", "b", n))
+    pos = {v: j for j, v in enumerate(vars_)}
+    bulk, last = {(A_, A0): 1, (A0, A1): -1}, {(A_, A0): 1, (A0, A0): 1}
+    return PolyVectorField(vars_, [local(vars_, pos, last if i == n else bulk, (i,))
+                                   for i in range(1, n + 1)])
 
 
 def i4_hamiltonian(n: int) -> Poly:
@@ -445,61 +436,40 @@ def i4_hamiltonian(n: int) -> Poly:
         raise ValueError("n must be >= 1")
     vars_ = variables(SystemId("volterra", "b", n))
     pos = {v: j for j, v in enumerate(vars_)}
-    return _local(vars_, pos, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
+    return local(vars_, pos, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
 
 
 # ------------------------------------------------------------------ symmetries
 
 
+# The finite symmetry maps of toda-a:N and volterra-a:N, as name -> (systems
+# it acts on, index mirror, a-scale, b-scale): a_i -> a-scale * a_j and
+# b_i -> b-scale * b_j, with j = i, or under the index mirror j = N - i for a
+# and N + 1 - i for b.  So psi flips the b-signs, phi_toda and phi_volterra
+# are order-2 mirrors (phi_toda on either parity of N), and the Gaussian
+# phi_tilde has order 4, with phi_tilde^2 = psi.
+SYMMETRIES = {
+    "psi": ("toda-a", False, 1, -1),
+    "phi_toda": ("toda-a", True, 1, -1),
+    "phi_volterra": ("volterra-a", True, -1, None),
+    "phi_tilde": ("odd-size toda-a", True, -1, I_UNIT),
+}
+
+
 def symmetry(name: str, sys: SystemId | str) -> LinearMap:
-    """The finite symmetry maps.
-
-    psi           b-sign flip on toda-a:N              (order 2)
-    phi_toda      index mirror a_i -> a_{N-i}, b_i -> -b_{N+1-i} on toda-a:N
-                  (order 2; works for both parities of N)
-    phi_volterra  a_i -> -a_{N-i} on volterra-a:N      (order 2)
-    phi_tilde     a_i -> -a_{N-i}, b_i -> i*b_{N+1-i} on toda-a:N, N odd
-                  (order 4, Gaussian; phi_tilde^2 = psi)
-    """
+    """The finite symmetry map `name` on sys, read off its SYMMETRIES row."""
     sys = _sys(sys)
-    vars_ = variables(sys)
-    N = sys.n
-    fam, kind = sys.family, sys.kind
-
-    if name == "psi":
-        if (fam, kind) != ("toda", "a"):
-            raise ValueError("psi acts on toda-a systems")
-        images = {v: (v, 1) for v in vars_ if v.startswith("a")}
-        images.update({v: (v, -1) for v in vars_ if v.startswith("b")})
-        return LinearMap(vars_, images)
-
-    if name == "phi_toda":
-        if (fam, kind) != ("toda", "a"):
-            raise ValueError("phi_toda acts on toda-a systems")
-        images = {}
-        for i in range(1, N):
-            images[f"a{i}"] = (f"a{N - i}", 1)
-        for i in range(1, N + 1):
-            images[f"b{i}"] = (f"b{N + 1 - i}", -1)
-        return LinearMap(vars_, images)
-
-    if name == "phi_volterra":
-        if (fam, kind) != ("volterra", "a"):
-            raise ValueError("phi_volterra acts on volterra-a systems")
-        images = {f"a{i}": (f"a{N - i}", -1) for i in range(1, N)}
-        return LinearMap(vars_, images)
-
-    if name == "phi_tilde":
-        if (fam, kind) != ("toda", "a") or N % 2 == 0:
-            raise ValueError("phi_tilde acts on odd-size toda-a systems")
-        images = {}
-        for i in range(1, N):
-            images[f"a{i}"] = (f"a{N - i}", -1)
-        for i in range(1, N + 1):
-            images[f"b{i}"] = (f"b{N + 1 - i}", I_UNIT)
-        return LinearMap(vars_, images)
-
-    raise ValueError(f"unknown symmetry {name!r}")
+    if name not in SYMMETRIES:
+        raise ValueError(f"unknown symmetry {name!r}")
+    acts_on, mirror, *scales = SYMMETRIES[name]
+    N, vars_ = sys.n, variables(sys)
+    if acts_on not in (sys.name, f"odd-size {sys.name}" if N % 2 else None):
+        raise ValueError(f"{name} acts on {acts_on} systems")
+    images = {}
+    for v in vars_:
+        k, i = "ab".index(v[0]), int(v[1:])  # k = 0 for a, 1 for b
+        images[v] = (f"{v[0]}{N + k - i if mirror else i}", scales[k])
+    return LinearMap(vars_, images)
 
 
 def symmetry_group(name: str, sys: SystemId | str) -> list[LinearMap]:

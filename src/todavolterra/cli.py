@@ -79,22 +79,7 @@ def _bounded_system(system: str, most: int) -> None:
 def _cmd_verify(args) -> int:
     if hasattr(args, "system"):
         _bounded_system(args.system, MAX_VERIFY_SYSTEM)
-    if args.what == "jacobi":
-        doc = checks.jacobi(args.system, args.bracket)
-    elif args.what == "compatible":
-        doc = checks.compatible(args.system, args.brackets)
-    elif args.what == "deformation":
-        doc = checks.deformation(args.system)
-    elif args.what == "involution":
-        doc = checks.involution(args.system, args.map, args.bracket)
-    elif args.what == "ladder":
-        doc = checks.ladder(args.system)
-    elif args.what == "reduction":
-        doc = checks.fixed_point_reduction(args.which, args.n)
-    elif args.what == "all":
-        doc = checks.verify_all(args.max_rank)
-    else:  # pragma: no cover
-        raise ValueError(args.what)
+    doc = args.check(args)
     doc["schema"] = f"{SCHEMA_PREFIX}/verify/v1"
     _emit(doc, args.format)
     return 0 if doc["ok"] else 1
@@ -387,55 +372,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run symbolic verifications")
+    pv.set_defaults(run=_cmd_verify)
     vsub = pv.add_subparsers(dest="what", required=True)
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = vsub.add_parser("jacobi")
+    p.set_defaults(check=lambda a: checks.jacobi(a.system, a.bracket))
     p.add_argument("--system", required=True)
     p.add_argument("--bracket", type=int, required=True)
-    add_common(p)
 
     p = vsub.add_parser("compatible")
+    p.set_defaults(check=lambda a: checks.compatible(a.system, a.brackets))
     p.add_argument("--system", required=True)
     p.add_argument("--brackets", type=_int_pair, required=True, help="e.g. 1,2")
-    add_common(p)
 
     p = vsub.add_parser("deformation")
+    p.set_defaults(check=lambda a: checks.deformation(a.system))
     p.add_argument("--system", required=True)
-    add_common(p)
 
     p = vsub.add_parser("involution")
+    p.set_defaults(check=lambda a: checks.involution(a.system, a.map, a.bracket))
     p.add_argument("--system", required=True)
-    p.add_argument("--map", required=True,
-                   choices=("psi", "phi_toda", "phi_volterra", "phi_tilde"))
+    p.add_argument("--map", required=True, choices=tuple(catalog.SYMMETRIES))
     p.add_argument("--bracket", type=int, required=True)
-    add_common(p)
 
     p = vsub.add_parser("ladder")
+    p.set_defaults(check=lambda a: checks.ladder(a.system))
     p.add_argument("--system", required=True)
-    add_common(p)
 
     p = vsub.add_parser("reduction")
+    p.set_defaults(check=lambda a: checks.fixed_point_reduction(a.which, a.n))
     p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
     # the bounds keep a run within seconds: on a 2-vCPU x86 VM, --n 16 took
     # 3.4 s (phi, the costliest case) and --max-rank 16 took 4.2 s
     p.add_argument("--n", type=_bounded_int(1, 16), default=2)
-    add_common(p)
 
     p = vsub.add_parser("all")
+    p.set_defaults(check=lambda a: checks.verify_all(a.max_rank))
     p.add_argument("--max-rank", type=_bounded_int(2, 16), default=4)
-    add_common(p)
+
+    for p in vsub.choices.values():  # last, so help lists --format last
+        add_common(p)
 
     p = sub.add_parser("reduce", help="emit a reduced bracket")
+    p.set_defaults(run=_cmd_reduce)
     p.add_argument("--system", required=True)
-    p.add_argument("--map", required=True,
-                   choices=("psi", "phi_toda", "phi_volterra", "phi_tilde"))
+    p.add_argument("--map", required=True, choices=tuple(catalog.SYMMETRIES))
     p.add_argument("--bracket", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("simulate", help="integrate a lattice flow")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--system", required=True)
     p.add_argument("--flow", type=int, default=2, help="Hamiltonian index k of the flow")
     p.add_argument("--t-end", type=_positive(float), default=10.0)
@@ -447,12 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bogo", help="root-system Volterra construction")
+    p.set_defaults(run=_cmd_bogo)
     p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
     # --rank 64 took 1.7 s (type A, the costliest) on a 2-vCPU x86 VM
     p.add_argument("--rank", type=_bounded_int(1, 64), required=True)
     add_common(p)
 
     p = sub.add_parser("moser", help="squaring map to Toda form")
+    p.set_defaults(run=_cmd_moser)
     # --N 41 took 3.4 s on a 2-vCPU x86 VM
     p.add_argument("--N", type=_odd_int(5, 41), required=True, help="odd Lax size")
     add_common(p)
@@ -467,22 +458,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "bogo":
-            return _cmd_bogo(args)
-        if args.command == "moser":
-            return _cmd_moser(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except (ValueError, KeyError, OSError, ZeroDivisionError,
             flows.NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

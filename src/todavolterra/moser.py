@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import catalog
 from ._linsolve import solve_exact
 from .polyalg import GAUSS, GaussianRational, I_UNIT, Poly, poly_matrix_mul
 from .poisson import PolyVectorField, directional_action
@@ -61,20 +62,11 @@ def x_flow(n: int) -> PolyVectorField:
     if n < 1:
         raise ValueError("n must be >= 1")
     vars_ = x_variables(n)
-    V = lambda name: Poly.var(vars_, name)
-    comps = []
-    for i in range(1, n + 1):
-        xi = V(f"x{i}")
-        if i == n:
-            rhs = -(xi * xi * xi)
-            if n > 1:
-                rhs = rhs - xi * V(f"x{n - 1}") ** 2
-        else:
-            rhs = xi * V(f"x{i + 1}") ** 2
-            if i > 1:
-                rhs = rhs - xi * V(f"x{i - 1}") ** 2
-        comps.append(rhs)
-    return PolyVectorField(vars_, comps)
+    pos = {v: j for j, v in enumerate(vars_)}
+    X_, X0, X1 = ("x", -1), ("x", 0), ("x", 1)
+    bulk, last = {(X0, X1, X1): 1, (X_, X_, X0): -1}, {(X0, X0, X0): -1, (X_, X_, X0): -1}
+    return PolyVectorField(vars_, [catalog.local(vars_, pos, last if i == n else bulk, (i,))
+                                   for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -346,8 +338,6 @@ def squared_variable_conjugation(N: int, rng: np.random.Generator) -> float:
     and a diagonal D built from the superdiagonal ratios; equivalently
     spec(L_x^2) = -1/2 spec(L_a^2).  Returns the max spectral mismatch.
     """
-    from . import catalog
-
     n = N // 2
     x = rng.uniform(0.2, 1.0, size=n)
     a = [-2.0 * xi**2 for xi in x]

@@ -87,9 +87,6 @@ class LinearMap:
             images[w] = (v, divide(1, c))
         return LinearMap(self.variables, images)
 
-    def substitution_table(self) -> dict[str, tuple[str, Scalar]]:
-        return dict(self.images)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
             return NotImplemented
@@ -447,7 +444,7 @@ def pushforward_bivector(A: LinearMap, pi: PoissonTensor) -> PoissonTensor:
             p = pi.entry(pos[su], pos[sv])
             if p.is_zero:
                 continue
-            q = p.with_field(field).subst_linear(inv).scale(coerce_scalar(cu, field) * coerce_scalar(cv, field))
+            q = p.with_field(field).subst_linear(inv.images).scale(coerce_scalar(cu, field) * coerce_scalar(cv, field))
             if not q.is_zero:
                 upper[(i, j)] = q
     return PoissonTensor(pi.variables, upper, field)
@@ -462,7 +459,7 @@ def pushforward_vf(A: LinearMap, Z: PolyVectorField) -> PolyVectorField:
     comps = []
     for u in Z.variables:
         su, cu = A.images[u]
-        comps.append(Z.component(su).with_field(field).subst_linear(inv).scale(coerce_scalar(cu, field)))
+        comps.append(Z.component(su).with_field(field).subst_linear(inv.images).scale(coerce_scalar(cu, field)))
     return PolyVectorField(Z.variables, comps)
 
 

@@ -457,11 +457,9 @@ class Poly:
         """Compose with an invertible scaled permutation of the variables.
 
         `table` maps each variable v to a pair (w, c): the image point has
-        v-coordinate c*x_w, so occurrences of v in self are replaced by c*w.
-        A `LinearMap` (anything exposing substitution_table()) is accepted.
+        v-coordinate c*x_w, so occurrences of v in self are replaced by c*w;
+        a `LinearMap` passes its `images`.
         """
-        if hasattr(table, "substitution_table"):
-            table = table.substitution_table()
         sources = [table[v][0] for v in self.variables if v in table]
         missing = [v for v in self.variables if v not in table]
         if missing:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polyalg import Poly, divide, join_fields, scalar_field, variable_sort_key
+from .polyalg import Poly, join_fields, scalar_field, variable_sort_key
 from .poisson import LinearMap, PoissonTensor, bracket, pushforward_sign
 
 
@@ -84,72 +84,38 @@ class FixedPointChart:
 
 
 def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
-    """Derive the fixed-point chart of a group of scaled permutations.
+    """Read the fixed-point chart of a group of scaled permutations off its orbits.
 
-    Constraints x_v = c * x_w (one per element and variable) are merged by
-    union-find with multipliers; inconsistent cycles force coordinates to
-    zero.  The representative of each surviving class is its smallest
-    variable, reused as the reduced coordinate name.
+    A fixed point has x_v = c * x_w for every element g and every
+    g.images[v] = (w, c).  The group is closed (FiniteGroupAction checks it),
+    so these constraints link the variables of one orbit {w : some g sends v
+    to (w, c)} and no others; the orbit's smallest variable rep names its
+    reduced coordinate.  An element that fixes rep with scale c != 1 forces
+    x_rep = 0, and with it the whole orbit.  Otherwise every element sending
+    v to rep has the same scale c (orbit-stabilizer: the inverse of one after
+    another fixes rep with their ratio), and x_v = c * x_rep solves each
+    constraint x_v = c' * x_w: g followed by an element sending w to
+    (rep, c_w) sends v to (rep, c' * c_w).
     """
-    vars_ = group.variables
-    parent: dict[str, str] = {v: v for v in vars_}
-    mult: dict[str, object] = {v: 1 for v in vars_}  # x_v = mult[v] * x_parent
-    zero_roots: set[str] = set()
-
-    def walk(u: str):
-        """Path-compressing find: returns (root, m) with x_u = m * x_root."""
-        if parent[u] == u:
-            return u, 1
-        root, m_up = walk(parent[u])
-        m_here = mult[u] * m_up
-        parent[u] = root
-        mult[u] = m_here
-        return root, m_here
-
-    def union(v: str, w: str, c) -> None:
-        # constraint from the fixed-point equation: x_v = c * x_w
-        rv, mv = walk(v)
-        rw, mw = walk(w)
-        if rv == rw:
-            if mv != c * mw:
-                zero_roots.add(rv)
-            return
-        parent[rv] = rw
-        mult[rv] = divide(c * mw, mv)  # x_rv = (c mw / mv) x_rw
-
-    for g in group.elements:
-        for v, (w, c) in g.images.items():
-            union(v, w, c)
-
-    classes: dict[str, list[str]] = {}
-    for v in vars_:
-        root, _ = walk(v)
-        classes.setdefault(root, []).append(v)
-
-    reps = {root: min(members, key=variable_sort_key) for root, members in classes.items()}
-    reduced = sorted(
-        (reps[root] for root in classes if root not in zero_roots), key=variable_sort_key
-    )
-
-    section: dict[str, Poly] = {}
-    for root, members in classes.items():
-        rep = reps[root]
-        _, m_rep = walk(rep)
-        for v in members:
-            if root in zero_roots:
-                section[v] = Poly.zero(reduced)
-            else:
-                _, m_v = walk(v)
-                scale = divide(m_v, m_rep)  # x_v = scale * x_rep on the fixed set
-                section[v] = Poly.var(reduced, rep, scalar_field(scale)).scale(scale)
-    return FixedPointChart(tuple(vars_), tuple(reduced), section)
+    orbit = {v: [g.images[v] for g in group.elements] for v in group.variables}
+    rep = {v: min((w for w, _ in images), key=variable_sort_key) for v, images in orbit.items()}
+    zero = {r for r in rep.values() if any(w == r and c != 1 for w, c in orbit[r])}
+    reduced = tuple(sorted(set(rep.values()) - zero, key=variable_sort_key))
+    section = {}
+    for v, r in rep.items():
+        if r in zero:
+            section[v] = Poly.zero(reduced)
+        else:
+            c = next(c for w, c in orbit[v] if w == r)
+            section[v] = Poly.var(reduced, r, scalar_field(c)).scale(c)
+    return FixedPointChart(group.variables, reduced, section)
 
 
 def invariant_average(F: Poly, group: FiniteGroupAction) -> Poly:
     """Group average (1/|G|) sum_g F o g; the result is exactly G-invariant."""
     total = None
     for g in group.elements:
-        term = F.subst_linear(g)
+        term = F.subst_linear(g.images)
         total = term if total is None else total + term
     return total.scale(Fraction(1, len(group)))
 

@@ -6,17 +6,33 @@ are the earlier constructions, which wrote every entry as a polynomial string
 with hand-written index ranges and read it back; they are kept verbatim as
 independent oracles, the strings read by the test-side `read_poly`.
 `old_hamiltonian` is the earlier H_k = tr(L^k)/k by symbolic matrix powers,
-the oracle for the closed-walk construction.
+the oracle for the closed-walk construction.  The Euler field, the B-type
+Volterra equations and moser's x-flow, once built by hand, are now read off
+templates; the symmetry maps, once four branches, are read off one table;
+and the fixed-point chart, once a union-find with multipliers, is read off
+the group orbits.  The earlier code is kept below as `old_euler_field`,
+`old_bn_volterra_flow`, `old_x_flow`, `old_symmetry` and
+`old_fixed_point_chart`.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from todavolterra import catalog
+from todavolterra import catalog, checks, moser
 from todavolterra.catalog import SystemId, lax_size, variables
-from todavolterra.poisson import PoissonTensor, PolyVectorField
-from todavolterra.polyalg import RAT, Poly, poly_matrix_mul
+from todavolterra.poisson import LinearMap, PoissonTensor, PolyVectorField
+from todavolterra.polyalg import (
+    GAUSS,
+    I_UNIT,
+    RAT,
+    Poly,
+    divide,
+    poly_matrix_mul,
+    scalar_field,
+    variable_sort_key,
+)
+from todavolterra.reduction import FiniteGroupAction, FixedPointChart, fixed_point_chart
 
 from conftest import read_poly
 
@@ -208,6 +224,145 @@ def old_hamiltonian(sys: SystemId, k: int) -> Poly:
     return tr.scale(Fraction(1, k))
 
 
+def old_euler_field(sys: SystemId) -> PolyVectorField:
+    vars_ = variables(sys)
+    comps = [
+        Poly.var(vars_, v).scale(2 if v.startswith("a") else 1) for v in vars_
+    ]
+    return PolyVectorField(vars_, comps)
+
+
+def old_bn_volterra_flow(n: int) -> PolyVectorField:
+    sysv = SystemId("volterra", "b", n)
+    vars_ = variables(sysv)
+    V = lambda name: Poly.var(vars_, name)
+    comps = []
+    for i in range(1, n + 1):
+        ai = V(f"a{i}")
+        rhs = Poly.zero(vars_)
+        if i > 1:
+            rhs = rhs + ai * V(f"a{i - 1}")
+        rhs = rhs - ai * V(f"a{i + 1}") if i < n else rhs + ai * ai
+        comps.append(rhs)
+    return PolyVectorField(vars_, comps)
+
+
+def old_x_flow(n: int) -> PolyVectorField:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    vars_ = moser.x_variables(n)
+    V = lambda name: Poly.var(vars_, name)
+    comps = []
+    for i in range(1, n + 1):
+        xi = V(f"x{i}")
+        if i == n:
+            rhs = -(xi * xi * xi)
+            if n > 1:
+                rhs = rhs - xi * V(f"x{n - 1}") ** 2
+        else:
+            rhs = xi * V(f"x{i + 1}") ** 2
+            if i > 1:
+                rhs = rhs - xi * V(f"x{i - 1}") ** 2
+        comps.append(rhs)
+    return PolyVectorField(vars_, comps)
+
+
+def old_symmetry(name: str, sys: SystemId) -> LinearMap:
+    vars_ = variables(sys)
+    N = sys.n
+    fam, kind = sys.family, sys.kind
+
+    if name == "psi":
+        if (fam, kind) != ("toda", "a"):
+            raise ValueError("psi acts on toda-a systems")
+        images = {v: (v, 1) for v in vars_ if v.startswith("a")}
+        images.update({v: (v, -1) for v in vars_ if v.startswith("b")})
+        return LinearMap(vars_, images)
+
+    if name == "phi_toda":
+        if (fam, kind) != ("toda", "a"):
+            raise ValueError("phi_toda acts on toda-a systems")
+        images = {}
+        for i in range(1, N):
+            images[f"a{i}"] = (f"a{N - i}", 1)
+        for i in range(1, N + 1):
+            images[f"b{i}"] = (f"b{N + 1 - i}", -1)
+        return LinearMap(vars_, images)
+
+    if name == "phi_volterra":
+        if (fam, kind) != ("volterra", "a"):
+            raise ValueError("phi_volterra acts on volterra-a systems")
+        images = {f"a{i}": (f"a{N - i}", -1) for i in range(1, N)}
+        return LinearMap(vars_, images)
+
+    if name == "phi_tilde":
+        if (fam, kind) != ("toda", "a") or N % 2 == 0:
+            raise ValueError("phi_tilde acts on odd-size toda-a systems")
+        images = {}
+        for i in range(1, N):
+            images[f"a{i}"] = (f"a{N - i}", -1)
+        for i in range(1, N + 1):
+            images[f"b{i}"] = (f"b{N + 1 - i}", I_UNIT)
+        return LinearMap(vars_, images)
+
+    raise ValueError(f"unknown symmetry {name!r}")
+
+
+def old_fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
+    vars_ = group.variables
+    parent: dict[str, str] = {v: v for v in vars_}
+    mult: dict[str, object] = {v: 1 for v in vars_}  # x_v = mult[v] * x_parent
+    zero_roots: set[str] = set()
+
+    def walk(u: str):
+        """Path-compressing find: returns (root, m) with x_u = m * x_root."""
+        if parent[u] == u:
+            return u, 1
+        root, m_up = walk(parent[u])
+        m_here = mult[u] * m_up
+        parent[u] = root
+        mult[u] = m_here
+        return root, m_here
+
+    def union(v: str, w: str, c) -> None:
+        # constraint from the fixed-point equation: x_v = c * x_w
+        rv, mv = walk(v)
+        rw, mw = walk(w)
+        if rv == rw:
+            if mv != c * mw:
+                zero_roots.add(rv)
+            return
+        parent[rv] = rw
+        mult[rv] = divide(c * mw, mv)  # x_rv = (c mw / mv) x_rw
+
+    for g in group.elements:
+        for v, (w, c) in g.images.items():
+            union(v, w, c)
+
+    classes: dict[str, list[str]] = {}
+    for v in vars_:
+        root, _ = walk(v)
+        classes.setdefault(root, []).append(v)
+
+    reps = {root: min(members, key=variable_sort_key) for root, members in classes.items()}
+    reduced = sorted(
+        (reps[root] for root in classes if root not in zero_roots), key=variable_sort_key
+    )
+
+    section: dict[str, Poly] = {}
+    for root, members in classes.items():
+        rep = reps[root]
+        _, m_rep = walk(rep)
+        for v in members:
+            if root in zero_roots:
+                section[v] = Poly.zero(reduced)
+            else:
+                _, m_v = walk(v)
+                scale = divide(m_v, m_rep)  # x_v = scale * x_rep on the fixed set
+                section[v] = Poly.var(reduced, rep, scalar_field(scale)).scale(scale)
+    return FixedPointChart(tuple(vars_), tuple(reduced), section)
+
+
 # Every catalog tensor at these sizes (264 in all).
 TENSOR_RANGES = {
     ("toda", "a"): (range(2, 31), (1, 2, 3)),
@@ -302,3 +457,116 @@ def test_perturbed_density_disagrees(monkeypatch, k):
             perturbed[mono] += delta
             monkeypatch.setattr(catalog, "walk_density", lambda _k, d=perturbed: d)
             assert catalog.hamiltonian(sys, k).canonical_str() != old, (mono, delta)
+
+
+# ------------------------------------------- symmetry maps, charts, fields
+
+MAPS = ("psi", "phi_toda", "phi_volterra", "phi_tilde")
+FAMILIES = ("toda-a", "toda-b", "toda-c", "volterra-a", "volterra-b", "volterra-c")
+
+
+def test_symmetry_names_are_the_sign_rules():
+    assert set(checks.SIGNS) == set(catalog.SYMMETRIES) == set(MAPS)
+
+
+def test_symmetry_equals_old():
+    """Every map on every family at sizes 1..29: the same map, or the same error."""
+    cases = errors = 0
+    for name in FAMILIES:
+        for n in range(1, 30):
+            try:
+                sys = catalog.parse_system(f"{name}:{n}")
+            except ValueError:  # toda-a:1 and volterra-a:1
+                continue
+            for map_name in MAPS:
+                cases += 1
+                try:
+                    old = old_symmetry(map_name, sys)
+                except ValueError as exc:
+                    errors += 1
+                    with pytest.raises(ValueError) as info:
+                        catalog.symmetry(map_name, sys)
+                    assert str(info.value) == str(exc)
+                    continue
+                new = catalog.symmetry(map_name, sys)
+                assert (new.variables, new.field, new.images) == (
+                    old.variables, old.field, old.images), (map_name, str(sys))
+                assert repr(new) == repr(old)
+    assert (cases, errors) == (688, 590)
+    with pytest.raises(ValueError, match="^unknown symmetry 'chi'$"):
+        catalog.symmetry("chi", "toda-a:3")
+
+
+def test_hand_built_fields_equal_old():
+    for n in range(1, 21):
+        pairs = [(catalog.bn_volterra_flow(n), old_bn_volterra_flow(n)),
+                 (moser.x_flow(n), old_x_flow(n))]
+        for name in FAMILIES:
+            if n > 1 or not name.endswith("-a"):
+                sys = catalog.parse_system(f"{name}:{n}")
+                pairs.append((catalog.euler_field(sys), old_euler_field(sys)))
+        for new, old in pairs:
+            assert new == old, n
+            assert [c.canonical_str() for c in new.components] == [
+                c.canonical_str() for c in old.components]
+
+
+# The groups the charts are compared on: psi, phi_toda and phi_volterra at
+# sizes 2..19, phi_tilde at the odd ones (63 groups, 1,080 sections).
+CHART_GROUPS = [
+    (map_name, SystemId(family, "a", N))
+    for map_name, family in (("psi", "toda"), ("phi_toda", "toda"), ("phi_volterra", "volterra"))
+    for N in range(2, 20)
+] + [("phi_tilde", SystemId("toda", "a", N)) for N in range(3, 20, 2)]
+
+
+def group_of(map_name: str, sys: SystemId) -> FiniteGroupAction:
+    return FiniteGroupAction(catalog.symmetry_group(map_name, sys))
+
+
+def test_chart_equals_old():
+    """Equal reduced variables and sections.  The one known difference is the
+    field of 45 phi_tilde sections, read off the rational identity element:
+    Q now, Q(i) before; `restrict` re-fields every section, so no reduced
+    bracket changes."""
+    sections, refielded = 0, []
+    for map_name, sys in CHART_GROUPS:
+        group = group_of(map_name, sys)
+        new, old = fixed_point_chart(group), old_fixed_point_chart(group)
+        assert new.ambient_variables == old.ambient_variables
+        assert new.reduced_variables == old.reduced_variables, (map_name, str(sys))
+        for v in old.ambient_variables:
+            a, b = new.section[v], old.section[v]
+            assert a.canonical_str() == b.canonical_str(), (map_name, str(sys), v)
+            assert a.with_field(GAUSS) == b.with_field(GAUSS)
+            if a.field != b.field:
+                refielded.append((map_name, a.field, b.field))
+        sections += len(old.section)
+    assert (len(CHART_GROUPS), sections) == (63, 1080)
+    assert refielded == [("phi_tilde", RAT, GAUSS)] * 45
+
+
+def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
+    """Negative control: the orbit chart with its zero-orbit test left out."""
+    orbit = {v: [g.images[v] for g in group.elements] for v in group.variables}
+    rep = {v: min((w for w, _ in images), key=variable_sort_key) for v, images in orbit.items()}
+    reduced = tuple(sorted(set(rep.values()), key=variable_sort_key))
+    section = {}
+    for v, r in rep.items():
+        c = next(c for w, c in orbit[v] if w == r)
+        section[v] = Poly.var(reduced, r, scalar_field(c)).scale(c)
+    return FixedPointChart(group.variables, reduced, section)
+
+
+@pytest.mark.parametrize("map_name, N, zero", [
+    ("psi", 4, ("b1", "b2", "b3", "b4")),  # every b-orbit: psi fixes b_i with scale -1
+    ("phi_tilde", 5, ("b3",)),  # the middle b: phi_tilde fixes b3 with scale i
+])
+def test_chart_without_stabilizer_test_fails(map_name, N, zero):
+    group = group_of(map_name, SystemId("toda", "a", N))
+    old, bad = old_fixed_point_chart(group), chart_without_stabilizer_test(group)
+    wrong = {v for v in old.ambient_variables
+             if bad.section[v].canonical_str() != old.section[v].canonical_str()}
+    assert set(zero) <= wrong
+    assert all(old.section[v].is_zero for v in wrong)
+    assert set(zero) <= set(bad.reduced_variables) - set(old.reduced_variables)

@@ -129,7 +129,7 @@ class TestSubstLinear:
             x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in V]
             pos = {v: k for k, v in enumerate(V)}
             image = [c * x[pos[w]] for w, c in (A.images[v] for v in V)]
-            assert p.subst_linear(A).eval(x) == p.eval(image)
+            assert p.subst_linear(A.images).eval(x) == p.eval(image)
 
 
 class TestEval:

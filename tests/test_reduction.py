@@ -65,7 +65,7 @@ class TestChart:
         for g in group.elements:
             for v in chart.ambient_variables:
                 # (x o g) restricted to the image equals x restricted
-                lhs = chart.restrict(Poly.var(chart.ambient_variables, v).subst_linear(g))
+                lhs = chart.restrict(Poly.var(chart.ambient_variables, v).subst_linear(g.images))
                 assert lhs == chart.restrict(Poly.var(chart.ambient_variables, v))
 
 
@@ -94,7 +94,7 @@ class TestInvariantAverage:
             F = random_poly(rng, vs)
             avg = invariant_average(F, group)
             for g in group.elements:
-                assert avg.subst_linear(g) == avg
+                assert avg.subst_linear(g.images) == avg
 
 
 class TestReducedBracket:
