@@ -264,7 +264,8 @@ def commutation_check(
 def trajectory_csv(
     traj: Trajectory, sys: catalog.SystemId | str, decimate: int = 1
 ) -> str:
-    """CSV text: t, <vars...>, <H_k...>, <charpoly drifts...> per row."""
+    """CSV text: t, <vars...>, <H_k...>, <charpoly drifts...> per row, for
+    every `decimate`-th state and always the last one."""
     sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
     h_vals, coeffs = _monitor_values(sys, traj.states)
     ks = list(h_vals)
@@ -274,7 +275,8 @@ def trajectory_csv(
     writer.writerow(
         ["t", *traj.variables, *[f"H{k}" for k in ks], *[f"c{j+1}_drift" for j in range(coeffs.shape[1])]]
     )
-    for row in range(0, traj.states.shape[0], decimate):
+    last = traj.states.shape[0] - 1
+    for row in [*range(0, last, decimate), last]:
         writer.writerow(
             [repr(float(traj.times[row]))]
             + [repr(float(x)) for x in traj.states[row]]

@@ -4,12 +4,16 @@ All operations are exact: a tensor is Poisson iff the Jacobiator vanishes as a
 polynomial, a map is a Poisson automorphism iff the pushforward reproduces the
 tensor entrywise.  Everything here is pure and immutable.
 
-The operations visit only stored (nonzero) tensor entries.  The Jacobiator
-and the Lie derivative pair each stored entry, for each variable in its
-support, with the row of the tensor that meets that variable, so they cost
+Every operation contracts a tensor with gradients: it visits only stored
+(nonzero) tensor entries and differentiates each polynomial once, by the
+variables that occur in it (`_gradient`).  The Jacobiator and the Lie
+derivative pair each stored entry, for each variable in its support, with
+the row of the tensor that meets that variable, so they cost
 O(nnz * support * row length) polynomial products rather than the O(m^4) of
 a loop over all index tuples; on the banded catalog tensors that is O(m).
-The tests keep the dense loops as reference oracles.
+The bracket is {F, G} = X_G(F).  The operands of one operation share one
+variable list, or it raises `ValueError`.  The tests keep the dense loops as
+reference oracles.
 """
 
 from __future__ import annotations
@@ -113,8 +117,9 @@ class PolyVectorField:
 
     def __init__(self, variables: Sequence[str], components: Sequence[Poly]):
         variables = tuple(variables)
-        components = tuple(p.extend(variables) if p.variables != variables else p
-                           for p in components)
+        components = tuple(components)
+        if any(p.variables != variables for p in components):
+            raise ValueError("vector field component on another variable list")
         if len(components) != len(variables):
             raise ValueError("need one component per variable")
         fields = {p.field for p in components}
@@ -186,7 +191,8 @@ class PoissonTensor:
         for (i, j), p in upper.items():
             if not (0 <= i < j < m):
                 raise ValueError(f"upper-triangle index ({i},{j}) out of range")
-            p = p.extend(variables) if p.variables != variables else p
+            if p.variables != variables:
+                raise ValueError(f"entry ({i},{j}) on another variable list")
             if not p.is_zero:
                 clean[(i, j)] = p
         self.variables = variables
@@ -210,10 +216,7 @@ class PoissonTensor:
             if i == j:
                 raise ValueError("diagonal bracket {x,x} must be zero")
             key, q = ((i, j), p) if i < j else ((j, i), -p)
-            if key in upper:
-                upper[key] = upper[key] + q
-            else:
-                upper[key] = q
+            upper[key] = upper[key] + q if key in upper else q
         return PoissonTensor(variables, upper, field)
 
     @staticmethod
@@ -227,11 +230,8 @@ class PoissonTensor:
         return len(self.variables)
 
     def entry(self, i: int, j: int) -> Poly:
-        if i == j:
-            return Poly.zero(self.variables, self.field)
-        if i < j:
-            return self.upper.get((i, j), Poly.zero(self.variables, self.field))
-        return -self.upper.get((j, i), Poly.zero(self.variables, self.field))
+        zero = Poly.zero(self.variables, self.field)
+        return self.upper.get((i, j), zero) if i <= j else -self.upper.get((j, i), zero)
 
     def entry_named(self, u: str, v: str) -> Poly:
         pos = {name: k for k, name in enumerate(self.variables)}
@@ -298,36 +298,29 @@ class PoissonTensor:
 # ------------------------------------------------------------------ operations
 
 
+def _gradient(p: Poly) -> dict[int, Poly]:
+    """{i: dp/dx_i} for the variables x_i that occur in p, in ascending i."""
+    used = sorted({v for expo in p.terms for v, e in enumerate(expo) if e})
+    return {v: p.diff(p.variables[v]) for v in used}
+
+
 def bracket(pi: PoissonTensor, F: Poly, G: Poly) -> Poly:
-    """{F, G} = sum_ij pi^ij dF/dx_i dG/dx_j."""
-    F = F.extend(pi.variables) if F.variables != pi.variables else F
-    G = G.extend(pi.variables) if G.variables != pi.variables else G
-    out = Poly.zero(pi.variables, join_fields(pi.field, F.field))
-    for (i, j), p in pi.upper.items():
-        vi, vj = pi.variables[i], pi.variables[j]
-        out = out + p * (F.diff(vi) * G.diff(vj) - F.diff(vj) * G.diff(vi))
-    return out
+    """{F, G} = sum_ij pi^ij dF/dx_i dG/dx_j = X_G(F)."""
+    return directional_action(hamiltonian_vf(pi, G), F)
 
 
 def hamiltonian_vf(pi: PoissonTensor, H: Poly) -> PolyVectorField:
     """Hamiltonian field with X_H(F) = {F, H}: component i is sum_j pi^ij dH/dx_j."""
-    H = H.extend(pi.variables) if H.variables != pi.variables else H
+    if H.variables != pi.variables:
+        raise ValueError("Hamiltonian and tensor on different variable lists")
+    grad = _gradient(H)
     comps = [Poly.zero(pi.variables, join_fields(pi.field, H.field)) for _ in pi.variables]
     for (i, j), p in pi.upper.items():
-        vi, vj = pi.variables[i], pi.variables[j]
-        comps[i] = comps[i] + p * H.diff(vj)
-        comps[j] = comps[j] - p * H.diff(vi)
+        if j in grad:
+            comps[i] = comps[i] + p * grad[j]
+        if i in grad:
+            comps[j] = comps[j] - p * grad[i]
     return PolyVectorField(pi.variables, comps)
-
-
-def _support(p: Poly) -> list[int]:
-    """Indices of the variables that occur in p."""
-    used = [False] * len(p.variables)
-    for expo in p.terms:
-        for v, e in enumerate(expo):
-            if e:
-                used[v] = True
-    return [v for v, u in enumerate(used) if u]
 
 
 def _rows(pi: PoissonTensor) -> list[list[tuple[int, Poly]]]:
@@ -350,12 +343,10 @@ def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
     (a, j, k) is a cyclic order of that triple (a < j or a > k) and -1
     otherwise (j < a < k), since pi^kj = -pi^jk.
     """
-    vars_ = pi.variables
     out: dict[tuple[int, int, int], Poly] = {}
     rows = _rows(pi)
     for (j, k), pjk in pi.upper.items():
-        for l in _support(pjk):
-            dl = pjk.diff(vars_[l])
+        for l, dl in _gradient(pjk).items():
             # rows[l] holds (a, pi^la) = (a, -pi^al)
             for a, pla in rows[l]:
                 if a == j or a == k:
@@ -385,12 +376,12 @@ def is_compatible(pi: PoissonTensor, rho: PoissonTensor) -> bool:
 def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTensor:
     """(L_Z pi)^ij = Z^k d_k pi^ij - pi^kj d_k Z^i - pi^ik d_k Z^j (candidate).
 
-    Only stored entries are visited.  The first term runs over stored pi^ij
-    and k in its support.  The other two run over k in the support of each
-    component Z^c against the row (a, pi^ka) of pi: for c < a the product
-    pi^ka d_k Z^c is the second term of entry (c, a), entering with sign -1;
-    for a < c it is the third term of entry (a, c), since -pi^ak = pi^ka,
-    entering with sign +1.
+    Only stored entries are visited.  The first term is Z(pi^ij)
+    (`directional_action`) for each stored pi^ij.  The other two run over k
+    in the support of each component Z^c against the row (a, pi^ka) of pi:
+    for c < a the product pi^ka d_k Z^c is the second term of entry (c, a),
+    entering with sign -1; for a < c it is the third term of entry (a, c),
+    since -pi^ak = pi^ka, entering with sign +1.
     """
     if Z.variables != pi.variables:
         raise ValueError("field and tensor on different variable lists")
@@ -398,56 +389,51 @@ def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTen
         raise FieldMismatchError(
             f"cannot mix fields {Z.field} and {pi.field} in a Lie derivative"
         )
-    vars_ = pi.variables
-    upper: dict[tuple[int, int], Poly] = {}
+    upper = {key: directional_action(Z, pij) for key, pij in pi.upper.items()}
 
     def add(key, term):
         upper[key] = upper[key] + term if key in upper else term
 
-    for key, pij in pi.upper.items():
-        for k in _support(pij):
-            add(key, Z.components[k] * pij.diff(vars_[k]))
     rows = _rows(pi)
     for c, zc in enumerate(Z.components):
-        for k in _support(zc):
-            dz = zc.diff(vars_[k])
+        for k, dz in _gradient(zc).items():
             for a, pka in rows[k]:
                 if c < a:
                     add((c, a), -(pka * dz))
                 elif a < c:
                     add((a, c), pka * dz)
-    return PoissonTensor(vars_, upper, field=pi.field)
+    return PoissonTensor(pi.variables, upper, field=pi.field)
 
 
 def directional_action(Z: PolyVectorField, H: Poly) -> Poly:
     """Z(H) = sum_i Z^i dH/dx_i."""
-    H = H.extend(Z.variables) if H.variables != Z.variables else H
+    if H.variables != Z.variables:
+        raise ValueError("polynomial and field on different variable lists")
     out = Poly.zero(Z.variables, join_fields(Z.field, H.field))
-    for v, comp in zip(Z.variables, Z.components):
-        out = out + comp * H.diff(v)
+    for i, dH in _gradient(H).items():
+        out = out + Z.components[i] * dH
     return out
 
 
 def pushforward_bivector(A: LinearMap, pi: PoissonTensor) -> PoissonTensor:
-    """(A_* pi)^uv = c_u c_v pi^{s(u) s(v)} o A^{-1} for scaled permutations."""
+    """(A_* pi)^uv = c_u c_v pi^{s(u) s(v)} o A^{-1} for scaled permutations.
+
+    Only stored entries are visited: pi^ab lands at (u, v) = (s^-1(a),
+    s^-1(b)), scaled by c_u c_v, with its sign flipped when u comes after v.
+    """
     if A.variables != pi.variables:
         raise ValueError("map and tensor on different variable lists")
     inv = A.inverse()
     field = join_fields(A.field, pi.field)
-    pos = {v: k for k, v in enumerate(pi.variables)}
+    vars_ = pi.variables
+    pos = {v: k for k, v in enumerate(vars_)}
     upper = {}
-    for i, u in enumerate(pi.variables):
-        su, cu = A.images[u]
-        for j in range(i + 1, pi.dim):
-            v = pi.variables[j]
-            sv, cv = A.images[v]
-            p = pi.entry(pos[su], pos[sv])
-            if p.is_zero:
-                continue
-            q = p.with_field(field).subst_linear(inv.images).scale(coerce_scalar(cu, field) * coerce_scalar(cv, field))
-            if not q.is_zero:
-                upper[(i, j)] = q
-    return PoissonTensor(pi.variables, upper, field)
+    for (a, b), p in pi.upper.items():
+        u, v = pos[inv.images[vars_[a]][0]], pos[inv.images[vars_[b]][0]]
+        c = coerce_scalar(A.images[vars_[u]][1], field) * coerce_scalar(A.images[vars_[v]][1], field)
+        q = p.with_field(field).subst_linear(inv.images)
+        upper[(u, v) if u < v else (v, u)] = q.scale(c if u < v else -c)
+    return PoissonTensor(vars_, upper, field)
 
 
 def pushforward_vf(A: LinearMap, Z: PolyVectorField) -> PolyVectorField:

@@ -326,12 +326,9 @@ class Poly:
                 f"cannot mix fields {self.field} and {other.field}; "
                 "convert explicitly with to_gaussian()"
             )
-        if self.variables == other.variables:
-            return self, other
-        merged = tuple(
-            sorted(set(self.variables) | set(other.variables), key=variable_sort_key)
-        )
-        return self.extend(merged), other.extend(merged)
+        if self.variables != other.variables:
+            raise ValueError("polynomials on different variable lists; extend one explicitly")
+        return self, other
 
     def extend(self, variables: Sequence[str]) -> "Poly":
         """Re-express over a superset of variables (aligned by name)."""

@@ -132,19 +132,12 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
         raise ValueError("group and tensor act on different variable lists")
     check_poisson_action(pi, group)
     chart = fixed_point_chart(group)
-    lifts = {}
-    for u in chart.reduced_variables:
-        f = Poly.var(chart.reduced_variables, u, pi.field)
-        lifts[u] = invariant_average(chart.lift(f), group)
-    upper = {}
     red = chart.reduced_variables
-    for i, u in enumerate(red):
-        for j in range(i + 1, len(red)):
-            v = red[j]
-            h = bracket(pi, lifts[u], lifts[v])
-            entry = chart.restrict(h)
-            if not entry.is_zero:
-                upper[(i, j)] = entry
+    lifts = [invariant_average(chart.lift(Poly.var(red, u, pi.field)), group) for u in red]
+    upper = {
+        (i, j): chart.restrict(bracket(pi, lifts[i], lifts[j]))
+        for i in range(len(red)) for j in range(i + 1, len(red))
+    }
     return PoissonTensor(red, upper, pi.field)
 
 
@@ -177,13 +170,11 @@ def verify_reduction(
         )
     field = join_fields(got.field, expected.field)
     diffs = []
-    m = got.dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = expected.entry(i, j).with_field(field)
-            g = got.entry(i, j).with_field(field)
-            if e != g:
-                diffs.append(
-                    {"i": i + 1, "j": j + 1, "expected": e.canonical_str(), "got": g.canonical_str()}
-                )
+    for i, j in sorted(set(got.upper) | set(expected.upper)):
+        e = expected.entry(i, j).with_field(field)
+        g = got.entry(i, j).with_field(field)
+        if e != g:
+            diffs.append(
+                {"i": i + 1, "j": j + 1, "expected": e.canonical_str(), "got": g.canonical_str()}
+            )
     return ReductionReport(not diffs, diffs)

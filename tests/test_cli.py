@@ -300,6 +300,18 @@ class TestSimulate:
         text = (tmp_path / "run.csv").read_text()
         assert text.splitlines()[0] == "t,a1,b1,b2,H1,H2,c1_drift,c2_drift"
 
+    def test_csv_ends_at_t_end(self, capsys):
+        # 105 steps are not a multiple of --decimate 10: rows 0, 10, ..., 100
+        # and then the final state
+        code, out, _ = run(
+            capsys,
+            "simulate", "--system", "toda-a:3", "--t-end", "1.05", "--h", "0.01",
+            "--decimate", "10",
+        )
+        assert code == 0
+        times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert times == pytest.approx([0.1 * k for k in range(11)] + [1.05], abs=1e-12)
+
     def test_x0_file(self, capsys, tmp_path):
         path = tmp_path / "x0.json"
         path.write_text(json.dumps({"a": [0.5], "b": [0.1, -0.1]}))

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todavolterra import catalog
-from todavolterra.polyalg import Poly
+from todavolterra import catalog, checks, reduction
+from todavolterra.polyalg import I_UNIT, Poly, coerce_scalar, join_fields
 from todavolterra.poisson import (
     LinearMap,
     PoissonTensor,
@@ -273,6 +273,37 @@ def dense_lie_derivative(Z, pi):
     return PoissonTensor(vars_, upper, field=pi.field)
 
 
+def loop_bracket(pi, F, G):
+    """{F, G} as its own loop over the stored entries, differentiating F and
+    G again for each one (the loop `bracket` ran before it became X_G(F))."""
+    out = Poly.zero(pi.variables, join_fields(pi.field, F.field))
+    for (i, j), p in pi.upper.items():
+        vi, vj = pi.variables[i], pi.variables[j]
+        out = out + p * (F.diff(vi) * G.diff(vj) - F.diff(vj) * G.diff(vi))
+    return out
+
+
+def pair_loop_pushforward(A, pi):
+    """A_* pi over every pair u < v through entry() (the loop
+    `pushforward_bivector` ran before it visited stored entries only)."""
+    inv = A.inverse()
+    field = join_fields(A.field, pi.field)
+    pos = {v: k for k, v in enumerate(pi.variables)}
+    upper = {}
+    for i, u in enumerate(pi.variables):
+        su, cu = A.images[u]
+        for j in range(i + 1, pi.dim):
+            v = pi.variables[j]
+            sv, cv = A.images[v]
+            p = pi.entry(pos[su], pos[sv])
+            if p.is_zero:
+                continue
+            q = p.with_field(field).subst_linear(inv.images).scale(coerce_scalar(cu, field) * coerce_scalar(cv, field))
+            if not q.is_zero:
+                upper[(i, j)] = q
+    return PoissonTensor(pi.variables, upper, field)
+
+
 def assert_jacobiators_agree(pi):
     sparse = jacobiator(pi)
     dense = {key: p for key, p in dense_jacobiator(pi).items() if not p.is_zero}
@@ -420,17 +451,143 @@ def tensor_and_field(draw):
         (i, j): draw(_small_poly(m))
         for i in range(m) for j in range(i + 1, min(m, i + band + 1))
     }
-    comps = [draw(_small_poly(m)) for _ in range(m)]
+    comps = [draw(_small_poly(m)) for _ in range(m + 2)]
+    scales = [1, -1, 2, Fraction(1, 3)]
     if draw(st.booleans()):
         upper = {key: p.to_gaussian() for key, p in upper.items()}
         comps = [p.to_gaussian() for p in comps]
+        scales.append(I_UNIT)
     field = comps[0].field
-    return PoissonTensor(VARS[:m], upper, field=field), PolyVectorField(VARS[:m], comps)
+    perm = draw(st.permutations(VARS[:m]))
+    A = LinearMap(VARS[:m], {v: (w, draw(st.sampled_from(scales))) for v, w in zip(VARS[:m], perm)})
+    return (PoissonTensor(VARS[:m], upper, field=field), PolyVectorField(VARS[:m], comps[:m]),
+            comps[m:], A)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tensor_and_field())
 def test_sparse_matches_dense_on_random_tensors(case):
-    pi, Z = case
+    """The sparse operations against their reference loops on random tensors,
+    random polynomials F and G, and a random scaled permutation A."""
+    pi, Z, (F, G), A = case
     assert_jacobiators_agree(pi)
     assert lie_derivative_bivector(Z, pi) == dense_lie_derivative(Z, pi)
+    assert bracket(pi, F, G) == loop_bracket(pi, F, G)
+    assert pushforward_bivector(A, pi) == pair_loop_pushforward(A, pi)
+
+
+# ---------------------------------- the rewritten operations against their loops
+
+
+VERIFY_ALL_RANK = 4  # the sizes of `verify all --max-rank 4`
+VERIFY_ALL_SIZES = {
+    "toda-a": range(2, VERIFY_ALL_RANK + 1),
+    "toda-b": range(1, VERIFY_ALL_RANK + 1),
+    "volterra-a": range(3, 2 * VERIFY_ALL_RANK + 2),
+    "volterra-b": range(1, VERIFY_ALL_RANK + 1),
+}
+VERIFY_ALL_SYSTEMS = [
+    catalog.SystemId(*name.split("-"), n) for name, sizes in VERIFY_ALL_SIZES.items() for n in sizes
+]
+
+
+@pytest.mark.parametrize("sys", VERIFY_ALL_SYSTEMS, ids=str)
+def test_bracket_matches_loop_on_hamiltonians(sys):
+    H = [catalog.hamiltonian(sys, l) for l in (1, 2, 3, 4)]
+    for k in catalog.BRACKETS[sys.name]:
+        pi = catalog.tensor(sys, k)
+        for F in H:
+            for G in H:
+                assert bracket(pi, F, G) == loop_bracket(pi, F, G)
+
+
+@pytest.mark.parametrize("which, n", [(w, n) for w in checks.REDUCTIONS for n in (1, 2, 3)])
+def test_bracket_matches_loop_on_reduction_lifts(which, n):
+    sys, map_name, k, _ = checks.REDUCTIONS[which](n)
+    pi, group = checks.ambient_and_group(sys, map_name, k)
+    chart = reduction.fixed_point_chart(group)
+    red = chart.reduced_variables
+    lifts = [reduction.invariant_average(chart.lift(Poly.var(red, u, pi.field)), group)
+             for u in red]
+    for F, G in combinations(lifts, 2):
+        assert bracket(pi, F, G) == loop_bracket(pi, F, G)
+
+
+SYMMETRY_CASES = [
+    (name, f"{family}:{n}", k)
+    for name, family, sizes in [
+        ("psi", "toda-a", range(2, 8)),
+        ("phi_toda", "toda-a", range(2, 8)),
+        ("phi_volterra", "volterra-a", range(3, 12)),
+        ("phi_tilde", "toda-a", (3, 5, 7)),
+    ]
+    for n in sizes
+    for k in catalog.BRACKETS["volterra-a" if name == "phi_tilde" else family]
+]
+
+
+@pytest.mark.parametrize("name, system, k", SYMMETRY_CASES)
+def test_pushforward_matches_pair_loop(name, system, k):
+    sys = catalog.parse_system(system)
+    pi = checks.acted_tensor(sys, name, k)  # phi_tilde: the embedded volterra tensor
+    for g in catalog.symmetry_group(name, sys):
+        assert pushforward_bivector(g, pi) == pair_loop_pushforward(g, pi)
+
+
+def unsigned_pushforward(A, pi):
+    """pushforward_bivector without the sign flip for u after v (a mutant)."""
+    inv = A.inverse()
+    field = join_fields(A.field, pi.field)
+    vars_ = pi.variables
+    pos = {v: k for k, v in enumerate(vars_)}
+    upper = {}
+    for (a, b), p in pi.upper.items():
+        u, v = pos[inv.images[vars_[a]][0]], pos[inv.images[vars_[b]][0]]
+        c = coerce_scalar(A.images[vars_[u]][1], field) * coerce_scalar(A.images[vars_[v]][1], field)
+        upper[(min(u, v), max(u, v))] = p.with_field(field).subst_linear(inv.images).scale(c)
+    return PoissonTensor(vars_, upper, field)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pushforward_without_sign_flip_disagrees(k):
+    # phi_toda mirrors the indices, so it reverses (a1, a2) and (b1, b2); pi1
+    # pairs only an a with a b, an order the mirror keeps
+    sys = catalog.SystemId("toda", "a", 3)
+    phi, pi = catalog.symmetry("phi_toda", sys), catalog.tensor(sys, k)
+    assert pushforward_bivector(phi, pi) == pair_loop_pushforward(phi, pi)
+    assert unsigned_pushforward(phi, pi) != pair_loop_pushforward(phi, pi)
+
+
+# ------------------------------------------------- one variable list per operation
+
+
+class TestOneVariableList:
+    """An operand on another variable list raises; nothing is extended to fit."""
+
+    OTHER_LISTS = [("a1", "b2"), ("b2", "b1", "a1"), ("a1", "b1", "b2", "b3")]
+
+    @pytest.mark.parametrize("other", OTHER_LISTS)
+    def test_tensor_rejects_entry_on_another_list(self, other):
+        with pytest.raises(ValueError):
+            PoissonTensor(V2, {(0, 1): Poly.var(other, "a1")})
+
+    @pytest.mark.parametrize("other", OTHER_LISTS)
+    def test_vector_field_rejects_component_on_another_list(self, other):
+        comps = [Poly.var(V2, v) for v in V2]
+        comps[2] = Poly.var(other, "b2")
+        with pytest.raises(ValueError):
+            PolyVectorField(V2, comps)
+
+    @pytest.mark.parametrize("other", OTHER_LISTS)
+    @pytest.mark.parametrize("H", ["a1", "b2", "a1*b2 + 3"])
+    def test_operations_reject_polynomial_on_another_list(self, other, H):
+        pi, Z, H = catalog.tensor(T2, 2), catalog.euler_field(T2), read_poly(H, other)
+        F = p2("a1*b1")
+        with pytest.raises(ValueError):
+            hamiltonian_vf(pi, H)
+        with pytest.raises(ValueError):
+            directional_action(Z, H)
+        with pytest.raises(ValueError):
+            bracket(pi, F, H)
+        with pytest.raises(ValueError):
+            bracket(pi, H, F)

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,16 @@ class TestRingOps:
     def test_field_mixing_raises(self):
         with pytest.raises(FieldMismatchError):
             var("a1") + var("a1").to_gaussian()
+
+    @pytest.mark.parametrize("other", [("a1", "b1"), ("a2", "a1", "b1", "b2"), V + ("c1",)])
+    def test_different_variable_lists_raise(self, other):
+        # one variable list per computation: operands are never merged
+        p, q = read("a1*b1 + 2"), read_poly("a1 + b1", other)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(p, q)
+            with pytest.raises(ValueError):
+                op(q, p)
 
 
 class TestDiff:

@@ -4,7 +4,7 @@ import pytest
 
 from todavolterra import catalog
 from todavolterra.polyalg import Poly
-from todavolterra.poisson import LinearMap, bracket, hamiltonian_vf, is_poisson
+from todavolterra.poisson import LinearMap, PoissonTensor, bracket, hamiltonian_vf, is_poisson
 from todavolterra.reduction import (
     FiniteGroupAction,
     FixedPointChart,
@@ -209,6 +209,31 @@ class TestVerifyReduction:
         assert not report.matches
         assert report.diffs[0]["i"] == 1 and report.diffs[0]["j"] == 2
         assert "expected" in report.diffs[0] and "got" in report.diffs[0]
+
+    @pytest.mark.parametrize("drop, add", [((0, 1), None), (None, (0, 3)), ((1, 2), (0, 3))])
+    def test_diffs_cover_entries_stored_on_one_side(self, drop, add):
+        # the report compares the entries either tensor stores; it must list
+        # what comparing every pair lists, in the same order
+        sys_a = catalog.SystemId("volterra", "a", 9)
+        group = FiniteGroupAction(catalog.symmetry_group("phi_volterra", sys_a))
+        pi = catalog.tensor(sys_a, 4)
+        expected = catalog.tensor(catalog.SystemId("volterra", "b", 4), 4)
+        upper = dict(expected.upper)
+        if drop:
+            del upper[drop]
+        if add:
+            upper[add] = Poly.var(expected.variables, "a1")
+        bent = PoissonTensor(expected.variables, upper)
+        got = reduced_bracket(pi, group)
+        want = [
+            {"i": i + 1, "j": j + 1, "expected": bent.entry(i, j).canonical_str(),
+             "got": got.entry(i, j).canonical_str()}
+            for i in range(got.dim) for j in range(i + 1, got.dim)
+            if bent.entry(i, j) != got.entry(i, j)
+        ]
+        report = verify_reduction(pi, group, bent)
+        assert not report.matches
+        assert report.diffs == want and len(want) == (drop is not None) + (add is not None)
 
     def test_identity_case(self):
         sys = catalog.SystemId("toda", "a", 3)
