@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyalg import I_UNIT, RAT, Poly, coerce_scalar, divide
+from .polyalg import I_UNIT, RAT, Poly, coerce_scalar, divide, unit_keys
 from .poisson import LinearMap, PoissonTensor, PolyVectorField, hamiltonian_vf
 
 
@@ -148,13 +148,10 @@ def lax(sys: SystemId | str, field: str = RAT) -> list[list[Poly]]:
     """Symbolic Lax matrix of the system, built from `lax_entries`."""
     zero = Poly.zero(variables(sys), field)  # checks the variables and field once
     vars_, N = zero.variables, lax_size(sys)
-    pos = {v: j for j, v in enumerate(vars_)}
+    unit = unit_keys(vars_)
     L = [[zero] * N for _ in range(N)]
     for i, j, v, c in lax_entries(sys):
-        expo = [0] * len(vars_)
-        if v is not None:
-            expo[pos[v]] = 1
-        L[i][j] = Poly._make(vars_, {tuple(expo): coerce_scalar(c, field)}, field)
+        L[i][j] = Poly._make(vars_, {unit.get(v, 0): coerce_scalar(c, field)}, field)
     return L
 
 
@@ -196,29 +193,27 @@ def hamiltonian(sys: SystemId | str, k: int) -> Poly:
     if k < 1:
         raise ValueError("k must be >= 1")
     vars_ = variables(sys)
-    pos = {v: j for j, v in enumerate(vars_)}
-    # each nonzero entry as a signed monomial (coefficient, variable positions)
-    entry = {(i, j): (c, () if v is None else (pos[v],)) for i, j, v, c in lax_entries(sys)}
+    unit = unit_keys(vars_)
+    # each nonzero entry as a signed monomial (coefficient, monomial key)
+    entry = {(i, j): (c, unit.get(v, 0)) for i, j, v, c in lax_entries(sys)}
     values: dict[str, dict[int, tuple]] = {"d": {}, "c": {}}
-    for (i, j), (c, v) in entry.items():
+    for (i, j), (c, key) in entry.items():
         if i == j:
-            values["d"][i] = (c, v)
+            values["d"][i] = (c, key)
         elif j == i + 1 and (j, i) in entry:
-            c2, v2 = entry[j, i]
-            values["c"][i] = (c * c2, v + v2)
-    terms: dict[tuple[int, ...], int] = {}
+            c2, key2 = entry[j, i]
+            values["c"][i] = (c * c2, key + key2)
+    terms: dict[int, int] = {}
     for mono, count in walk_density(k).items():
         for r in range(lax_size(sys)):
-            coef, expo = count, [0] * len(vars_)
+            coef, key = count, 0
             for letter, offset in mono:
                 value = values[letter].get(r + offset)
                 if value is None:
                     break
                 coef *= value[0]
-                for j in value[1]:
-                    expo[j] += 1
+                key += value[1]
             else:
-                key = tuple(expo)
                 terms[key] = terms.get(key, 0) + coef
     return Poly._make(vars_, {e: divide(c, k) for e, c in terms.items() if c}, RAT)
 
@@ -234,22 +229,22 @@ A_, A0, A1, A2 = ("a", -1), ("a", 0), ("a", 1), ("a", 2)
 B0, B1, B2 = ("b", 0), ("b", 1), ("b", 2)
 
 
-def local(vars_: tuple[str, ...], pos: dict, poly: dict, sites, field: str = RAT) -> Poly:
+def local(vars_: tuple[str, ...], unit: dict, poly: dict, sites, field: str = RAT) -> Poly:
     """The sum over `sites` of the local polynomial `poly` read at each site.
 
-    `pos` maps each of `vars_` to its position, built once by the caller.
+    `unit` maps each of `vars_` to its key (`unit_keys`), built once by the
+    caller.
     """
     terms = {}
     for i in sites:
         for mono, c in poly.items():
-            expo = [0] * len(vars_)
+            key = 0
             for letter, offset in mono:
-                k = pos.get(f"{letter}{i + offset}")
-                if k is None:
+                u = unit.get(f"{letter}{i + offset}")
+                if u is None:
                     break
-                expo[k] += 1
+                key += u
             else:
-                key = tuple(expo)
                 terms[key] = terms.get(key, 0) + c
     terms = {e: coerce_scalar(c, field) for e, c in terms.items() if c}
     return Poly._make(vars_, terms, field)
@@ -324,14 +319,14 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> 
         raise ValueError(f"no catalog tensor pi_{k} for {sys}; supported: {supported}")
     count = Counter(v[0] for v in vars_)  # sites per letter: a1..ap, b1..bq
     last = LAST_SITE.get((sys.name, k), ())
-    pos = {v: j for j, v in enumerate(vars_)}
+    unit = unit_keys(vars_)
     brackets = {}
     # the LAST_SITE entries come second, so they replace the bulk at site n
     for template, only in ((TENSORS[sys.name, k], None), (last, count["a"])):
         for (lu, ou), (lv, ov), p in template:
             for i in range(max(1 - ou, 1 - ov), min(count[lu] - ou, count[lv] - ov) + 1):
                 if only in (None, i):
-                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = local(vars_, pos, p, (i,), field)
+                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = local(vars_, unit, p, (i,), field)
     return PoissonTensor.from_brackets(vars_, brackets, field)
 
 
@@ -364,9 +359,9 @@ def euler_field(sys: SystemId | str) -> PolyVectorField:
     Z0(H_l) = l H_l for the whole hierarchy.
     """
     vars_ = variables(sys)
-    pos = {v: j for j, v in enumerate(vars_)}
+    unit = unit_keys(vars_)
     weight = {"a": {(A0,): 2}, "b": {(B0,): 1}}
-    return PolyVectorField(vars_, [local(vars_, pos, weight[v[0]], (int(v[1:]),)) for v in vars_])
+    return PolyVectorField(vars_, [local(vars_, unit, weight[v[0]], (int(v[1:]),)) for v in vars_])
 
 
 def master_symmetry(sys: SystemId | str) -> PolyVectorField:
@@ -384,14 +379,14 @@ def master_symmetry(sys: SystemId | str) -> PolyVectorField:
         raise ValueError("master symmetry is cataloged for toda-a only")
     vars_ = variables(sys)
     count = Counter(v[0] for v in vars_)
-    pos = {v: j for j, v in enumerate(vars_)}
+    unit = unit_keys(vars_)
     # the component at site i is c + i * d, for the local polynomials (c, d)
     affine = {
         "a": ({(A0, B0): 1, (A0, B1): 3}, {(A0, B0): -2, (A0, B1): 2}),
         "b": ({(B0, B0): 1, (A_,): 2, (A0,): 2}, {(A_,): -2, (A0,): 2}),
     }
     comps = [
-        local(vars_, pos, c, (i,)) + local(vars_, pos, d, (i,)).scale(i)
+        local(vars_, unit, c, (i,)) + local(vars_, unit, d, (i,)).scale(i)
         for letter, (c, d) in affine.items()
         for i in range(1, count[letter] + 1)
     ]
@@ -424,9 +419,9 @@ def bn_volterra_flow(n: int) -> PolyVectorField:
     subspace a_{2n+1-i} = -a_i (regression-tested).
     """
     vars_ = variables(SystemId("volterra", "b", n))
-    pos = {v: j for j, v in enumerate(vars_)}
+    unit = unit_keys(vars_)
     bulk, last = {(A_, A0): 1, (A0, A1): -1}, {(A_, A0): 1, (A0, A0): 1}
-    return PolyVectorField(vars_, [local(vars_, pos, last if i == n else bulk, (i,))
+    return PolyVectorField(vars_, [local(vars_, unit, last if i == n else bulk, (i,))
                                    for i in range(1, n + 1)])
 
 
@@ -435,8 +430,8 @@ def i4_hamiltonian(n: int) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     vars_ = variables(SystemId("volterra", "b", n))
-    pos = {v: j for j, v in enumerate(vars_)}
-    return local(vars_, pos, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
+    unit = unit_keys(vars_)
+    return local(vars_, unit, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
 
 
 # ------------------------------------------------------------------ symmetries

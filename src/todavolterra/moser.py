@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalog
 from ._linsolve import solve_exact
-from .polyalg import GAUSS, GaussianRational, I_UNIT, Poly, poly_matrix_mul
+from .polyalg import GAUSS, GaussianRational, I_UNIT, Poly, poly_matrix_mul, unit_keys
 from .poisson import PolyVectorField, directional_action
 
 
@@ -62,10 +62,10 @@ def x_flow(n: int) -> PolyVectorField:
     if n < 1:
         raise ValueError("n must be >= 1")
     vars_ = x_variables(n)
-    pos = {v: j for j, v in enumerate(vars_)}
+    unit = unit_keys(vars_)
     X_, X0, X1 = ("x", -1), ("x", 0), ("x", 1)
     bulk, last = {(X0, X1, X1): 1, (X_, X_, X0): -1}, {(X0, X0, X0): -1, (X_, X_, X0): -1}
-    return PolyVectorField(vars_, [catalog.local(vars_, pos, last if i == n else bulk, (i,))
+    return PolyVectorField(vars_, [catalog.local(vars_, unit, last if i == n else bulk, (i,))
                                    for i in range(1, n + 1)])
 
 
@@ -241,13 +241,13 @@ def _generator_solver(gens: list[Poly], names: tuple[str, ...]):
             q = q * Poly.var(names, u, field) ** e
         expanded.append(p)
         monomials.append(q)
-    basis_support = set().union(*(p.terms for p in expanded))
+    basis_support = set().union(*(p.packed for p in expanded))
     zero = GaussianRational.of(0) if field == GAUSS else 0
 
     def express(target: Poly) -> Poly:
-        support = sorted(basis_support.union(target.terms))
-        rows = [[p.terms.get(e, zero) for p in expanded] for e in support]
-        rhs = [target.terms.get(e, zero) for e in support]
+        support = sorted(basis_support.union(target.packed))
+        rows = [[p.packed.get(e, zero) for p in expanded] for e in support]
+        rhs = [target.packed.get(e, zero) for e in support]
         sol = solve_exact(rows, rhs)
         if sol is None:
             raise ValueError(

@@ -300,8 +300,7 @@ class PoissonTensor:
 
 def _gradient(p: Poly) -> dict[int, Poly]:
     """{i: dp/dx_i} for the variables x_i that occur in p, in ascending i."""
-    used = sorted({v for expo in p.terms for v, e in enumerate(expo) if e})
-    return {v: p.diff(p.variables[v]) for v in used}
+    return {v: p.diff(p.variables[v]) for v in p.occurring()}
 
 
 def bracket(pi: PoissonTensor, F: Poly, G: Poly) -> Poly:

@@ -1,10 +1,18 @@
 """Exact multivariate polynomial arithmetic over Q and Q(i).
 
-A polynomial is stored sparsely as a map from exponent tuples to nonzero
-coefficients, together with a fixed ordered tuple of variable names.  Zero
-coefficients are never stored, so two polynomials are equal exactly when their
-variable lists, coefficient fields and term maps coincide; symbolic identity
-checks reduce to dictionary comparison.
+A polynomial is stored sparsely as a map from monomial keys to nonzero
+coefficients, together with a fixed ordered tuple of variable names.  A key
+packs an exponent tuple into one int: variable k's exponent fills a field of
+16 bits, variable 0 the highest, so a product of monomials is one integer
+addition, a derivative subtracts a unit key, and integer order is the
+lexicographic order of exponent tuples.  The top bit of every field is a
+guard: a stored exponent is at most `EXPONENT_LIMIT` (32,767), two keys add
+without a carry between fields, and a product whose degree in some variable
+passes the limit raises `OverflowError` instead of wrapping.  `Poly.terms`
+reads the map back with exponent tuples as keys.  Zero coefficients are never
+stored, so two polynomials are equal exactly when their variable lists,
+coefficient fields and term maps coincide; symbolic identity checks reduce to
+dictionary comparison.
 
 Coefficients are exact rationals in the default rational mode (field ``"Q"``)
 and `GaussianRational` pairs of them in Gaussian mode (field ``"Qi"``).  A
@@ -21,8 +29,11 @@ sqrt(-1) from leaking into computations that are supposed to stay rational.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import struct
 from fractions import Fraction
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence, Union
 
 RAT = "Q"
@@ -31,6 +42,32 @@ GAUSS = "Qi"
 _FIELDS = (RAT, GAUSS)
 
 _set = object.__setattr__
+
+_WIDTH = 16  # bits per exponent field of a monomial key
+EXPONENT_LIMIT = (1 << (_WIDTH - 1)) - 1  # the field's top bit is the guard
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[struct.Struct, tuple[int, ...], int]:
+    """(codec, units, guard) of the keys of n variables: the codec packs an
+    exponent tuple's fields as big-endian 16-bit words, units[k] is the key of
+    x_k, and guard has the top bit of every field set."""
+    units = tuple(1 << (_WIDTH * (n - 1 - k)) for k in range(n))
+    return struct.Struct(f">{n}H"), units, sum(units) << (_WIDTH - 1)
+
+
+def unit_keys(variables: Sequence[str]) -> dict[str, int]:
+    """{name: key of that variable alone}; a monomial's key is the sum of the
+    keys of its factors."""
+    return dict(zip(variables, _layout(len(variables))[1]))
+
+
+def _pack(expo: tuple[int, ...]) -> int:
+    return int.from_bytes(_layout(len(expo))[0].pack(*expo), "big")
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return _layout(n)[0].unpack(key.to_bytes(2 * n, "big"))
 
 
 class FieldMismatchError(TypeError):
@@ -209,7 +246,7 @@ def _checked_variables(variables: Sequence[str]) -> tuple[str, ...]:
 class Poly:
     """Immutable sparse polynomial over an ordered variable tuple."""
 
-    __slots__ = ("variables", "field", "terms")
+    __slots__ = ("variables", "field", "packed")
 
     def __init__(
         self,
@@ -220,36 +257,38 @@ class Poly:
         if field not in _FIELDS:
             raise ValueError(f"unknown coefficient field {field!r}")
         variables = _checked_variables(variables)
-        clean: dict[tuple[int, ...], Scalar] = {}
+        clean: dict[int, Scalar] = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(map(operator.index, expo))  # 1.5 or "3" raise, never truncate
             if len(expo) != len(variables):
                 raise ValueError("exponent tuple length does not match variables")
-            if any(e < 0 for e in expo):
+            if min(expo, default=0) < 0:
                 raise ValueError("negative exponent")
+            if max(expo, default=0) > EXPONENT_LIMIT:
+                raise OverflowError(f"exponent above {EXPONENT_LIMIT}")
             c = coerce_scalar(coeff, field)
             if c:
-                c = normal(clean.get(expo, 0) + c)
+                key = _pack(expo)
+                c = normal(clean.get(key, 0) + c)
                 if c:
-                    clean[expo] = c
+                    clean[key] = c
                 else:
-                    del clean[expo]
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", clean)
+                    del clean[key]
+        _set_variables(self, variables)
+        _set_field(self, field)
+        _set_packed(self, clean)
 
     @classmethod
-    def _make(
-        cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Scalar], field: str
-    ) -> "Poly":
+    def _make(cls, variables: tuple[str, ...], packed: dict[int, Scalar], field: str) -> "Poly":
         """Trusted internal constructor: stores its arguments without checks.
 
         The caller guarantees what `__init__` would otherwise establish:
         `variables` is a tuple of distinct names other than ``"i"``, `field`
-        is RAT or GAUSS, every key of `terms` is a tuple of len(variables)
-        nonnegative ints, and every value is a nonzero rational in normal
+        is RAT or GAUSS, every key of `packed` is a monomial key of
+        len(variables) fields (see the module docstring), each field at most
+        `EXPONENT_LIMIT`, and every value is a nonzero rational in normal
         form, `int | Fraction` (RAT; see `normal`), or a nonzero
-        `GaussianRational` (GAUSS).  `terms` is kept, not copied, so the
+        `GaussianRational` (GAUSS).  `packed` is kept, not copied, so the
         caller must not mutate it afterwards.  Only operations whose inputs
         are already `Poly` objects and whose results keep these invariants
         (sum, negation, product, scaling by a nonzero field element,
@@ -258,10 +297,16 @@ class Poly:
         that may hold zero coefficients, go through `Poly(...)`.
         """
         p = object.__new__(cls)
-        object.__setattr__(p, "variables", variables)
-        object.__setattr__(p, "field", field)
-        object.__setattr__(p, "terms", terms)
+        _set_variables(p, variables)
+        _set_field(p, field)
+        _set_packed(p, packed)
         return p
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
+        """{exponent tuple: coefficient}, unpacked into a new dict on each read."""
+        n = len(self.variables)
+        return {_unpack(key, n): c for key, c in self.packed.items()}
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
@@ -290,13 +335,19 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def degree(self):
         """Total degree; the zero polynomial has degree -inf."""
-        if not self.terms:
+        if not self.packed:
             return -math.inf
         return max(sum(e) for e in self.terms)
+
+    def occurring(self) -> list[int]:
+        """Positions of the variables that occur in some term, ascending."""
+        # a field of the OR of the keys is nonzero iff its variable occurs
+        fields = _unpack(reduce(operator.or_, self.packed, 0), len(self.variables))
+        return [k for k, e in enumerate(fields) if e]
 
     def coefficient(self, expo: tuple[int, ...]) -> Scalar:
         return self.terms.get(tuple(expo), coerce_scalar(0, self.field))
@@ -307,7 +358,7 @@ class Poly:
         return (
             self.variables == other.variables
             and self.field == other.field
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     __hash__ = None  # mutable-looking equality; not hashable
@@ -344,13 +395,13 @@ class Poly:
             new = [0] * len(variables)
             for pos, e in zip(idx, expo):
                 new[pos] = e
-            terms[tuple(new)] = coeff
+            terms[_pack(new)] = coeff
         return Poly._make(variables, terms, self.field)
 
     def __add__(self, other: "Poly") -> "Poly":
         p, q = self._aligned(other)
-        terms = dict(p.terms)
-        for expo, coeff in q.terms.items():
+        terms = dict(p.packed)
+        for expo, coeff in q.packed.items():
             s = terms.get(expo, 0) + coeff
             if s:
                 terms[expo] = normal(s)
@@ -359,7 +410,7 @@ class Poly:
         return Poly._make(p.variables, terms, p.field)
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.variables, {e: -c for e, c in self.terms.items()}, self.field)
+        return Poly._make(self.variables, {e: -c for e, c in self.packed.items()}, self.field)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -368,15 +419,17 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         p, q = self._aligned(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                expo = tuple(x + y for x, y in zip(e1, e2))
+        terms: dict[int, Scalar] = {}
+        for e1, c1 in p.packed.items():
+            for e2, c2 in q.packed.items():
+                expo = e1 + e2
                 s = terms.get(expo, 0) + c1 * c2
                 if s:
                     terms[expo] = s
                 else:
                     terms.pop(expo, None)
+        if reduce(operator.or_, terms, 0) & _layout(len(p.variables))[2]:
+            raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
         if p.field == RAT:
             # a partial sum may be an integral Fraction; normalise once, at the end
             for expo, c in terms.items():
@@ -392,7 +445,7 @@ class Poly:
         if not c:
             return Poly.zero(self.variables, self.field)
         return Poly._make(
-            self.variables, {e: normal(c * v) for e, v in self.terms.items()}, self.field
+            self.variables, {e: normal(c * v) for e, v in self.packed.items()}, self.field
         )
 
     def __pow__(self, n: int) -> "Poly":
@@ -410,14 +463,13 @@ class Poly:
         if name not in self.variables:
             raise KeyError(f"unknown variable {name!r}")
         pos = self.variables.index(name)
+        unit = _layout(len(self.variables))[1][pos]
+        mask = unit * EXPONENT_LIMIT  # the variable's field
         terms = {}
-        for expo, coeff in self.terms.items():
-            e = expo[pos]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[pos] = e - 1
-            terms[tuple(new)] = normal(coeff * e)
+        for key, coeff in self.packed.items():
+            e = key & mask
+            if e:
+                terms[key - unit] = normal(coeff * (e // unit))
         return Poly._make(self.variables, terms, self.field)
 
     # --------------------------------------------------------- substitution
@@ -466,18 +518,17 @@ class Poly:
         field = self.field
         for v in self.variables:
             field = join_fields(field, scalar_field(table[v][1]))
-        pos = {v: k for k, v in enumerate(self.variables)}
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for expo, coeff in self.terms.items():
+        n, unit = len(self.variables), unit_keys(self.variables)
+        terms: dict[int, Scalar] = {}
+        for packed, coeff in self.packed.items():
             c = coerce_scalar(coeff, field)
-            new = [0] * len(expo)
-            for v, e in zip(self.variables, expo):
+            key = 0
+            for v, e in zip(self.variables, _unpack(packed, n)):
                 if e == 0:
                     continue
                 src, scale = table[v]
-                new[pos[src]] += e
+                key += e * unit[src]
                 c = c * _ipow(coerce_scalar(scale, field), e)
-            key = tuple(new)
             s = terms.get(key, 0) + c
             if s:
                 terms[key] = s
@@ -548,11 +599,13 @@ class Poly:
     # --------------------------------------------------------------- output
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms in descending lexicographic exponent order (canonical)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        """Terms in descending lexicographic exponent order (canonical), which
+        is the descending order of the keys."""
+        n = len(self.variables)
+        return [(_unpack(key, n), c) for key, c in sorted(self.packed.items(), reverse=True)]
 
     def canonical_str(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         chunks: list[str] = []
         for expo, coeff in self.sorted_terms():
@@ -576,6 +629,12 @@ class Poly:
         for sign, body in chunks[1:]:
             out += f" {sign} {body}"
         return out
+
+
+# the slots' own setters, which `Poly.__setattr__` does not guard; half the
+# cost of `object.__setattr__`, which looks each slot up by name
+_set_variables, _set_field, _set_packed = (
+    Poly.__dict__[name].__set__ for name in ("variables", "field", "packed"))
 
 
 def _ipow(scalar: Scalar, n: int) -> Scalar:

@@ -20,7 +20,16 @@ from todavolterra.poisson import PoissonTensor
 from conftest import read_poly
 
 # The checks `verify all --max-rank 6` ran at the benchmark's seed commit.
-VERIFY_ALL_CHECKS = Path(__file__).parents[1] / "perfbench" / "expected" / "verify_all_checks.json"
+EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected"
+VERIFY_ALL_CHECKS = EXPECTED / "verify_all_checks.json"
+
+# The benchmark's `derive` calls; their JSON at the seed commit is
+# EXPECTED / f"derive_{name}.json".
+DERIVE_CALLS = [
+    ("moser", ["moser", "--N", "17"]),
+    ("reduce", ["reduce", "--system", "toda-a:13", "--map", "phi_toda", "--bracket", "3"]),
+    *[(f"bogo_{t}", ["bogo", "--type", t, "--rank", "8"]) for t in "ABCD"],
+]
 
 
 def run(capsys, *argv):
@@ -579,3 +588,13 @@ class TestMoserCli:
             f"error: argument --N: must be an odd integer in 5..41, got {N}"
         )
         assert sum("error" in line for line in err.splitlines()) == 1
+
+
+class TestDerive:
+    @pytest.mark.parametrize("name, argv", DERIVE_CALLS, ids=[name for name, _ in DERIVE_CALLS])
+    def test_json_equals_the_recorded_output(self, capsys, name, argv):
+        # every canonical polynomial string, and the type of every value
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        want = json.loads((EXPECTED / f"derive_{name}.json").read_text())
+        assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(want, sort_keys=True)

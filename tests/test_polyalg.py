@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from todavolterra.polyalg import (
+    EXPONENT_LIMIT,
     GAUSS,
     RAT,
     FieldMismatchError,
     GaussianRational,
     I_UNIT,
     Poly,
+    _ipow,
     coerce_scalar,
+    join_fields,
+    normal,
+    scalar_field,
 )
 
 from conftest import assert_normal, random_poly, read_poly
@@ -70,6 +75,70 @@ class TestRingOps:
                 op(p, q)
             with pytest.raises(ValueError):
                 op(q, p)
+
+
+class TestExponents:
+    """Exponents are read with `operator.index` and fit the 16-bit key fields."""
+
+    XY = ("x", "y")
+
+    @pytest.mark.parametrize("terms", [
+        {(1.5, 0): 1},
+        {(True, 2.9): 3},
+        {("3", 0): 1},
+        {(Fraction(2), 0): 1},
+    ])
+    def test_non_integral_exponents_raise(self, terms):
+        # int() would truncate: {(1.5, 0): 1, (True, 2.9): 3} would read as 3*x*y^2 + x
+        with pytest.raises(TypeError):
+            Poly(self.XY, terms)
+
+    def test_index_like_exponents_accepted(self):
+        np = pytest.importorskip("numpy")
+        got = Poly(self.XY, {(True, np.int64(2)): 3, (np.uint8(1), False): 1})
+        assert got == Poly(self.XY, {(1, 2): 3, (1, 0): 1})
+        assert got.canonical_str() == "3*x*y^2 + x"
+
+    @pytest.mark.parametrize("expo", [(EXPONENT_LIMIT, 0), (0, EXPONENT_LIMIT)])
+    def test_largest_exponent_builds_and_reads_back(self, expo):
+        p = Poly(self.XY, {expo: 2})
+        assert p.terms == {expo: 2} and p.degree() == EXPONENT_LIMIT
+
+    @pytest.mark.parametrize("expo", [(EXPONENT_LIMIT + 1, 0), (0, EXPONENT_LIMIT + 1), (1 << 16, 0)])
+    def test_exponent_past_the_width_raises(self, expo):
+        with pytest.raises(OverflowError):
+            Poly(self.XY, {expo: 1})
+
+    def test_negative_exponent_raises(self):
+        with pytest.raises(ValueError):
+            Poly(self.XY, {(0, -1): 1})
+
+    @pytest.mark.parametrize("name", XY)
+    def test_product_past_the_width_raises(self, name):
+        # each field's top bit is a guard: the sum lands there, never in the next field
+        x = Poly.var(self.XY, name)
+        top = x ** EXPONENT_LIMIT
+        assert top.terms == {tuple(EXPONENT_LIMIT if v == name else 0 for v in self.XY): 1}
+        with pytest.raises(OverflowError):
+            top * x
+        with pytest.raises(OverflowError):
+            x * top
+        with pytest.raises(OverflowError):
+            x ** (EXPONENT_LIMIT + 1)
+
+    def test_half_width_factors(self):
+        x, y = (Poly.var(self.XY, v) for v in self.XY)
+        half = (EXPONENT_LIMIT + 1) // 2
+        assert (x ** (half - 1) * y) * (x ** half + y) == Poly(
+            self.XY, {(EXPONENT_LIMIT, 1): 1, (half - 1, 2): 1})
+        with pytest.raises(OverflowError):
+            x ** half * (x ** half + y)
+
+    def test_terms_view_does_not_alias(self):
+        p = read("a1*b2 + 2")
+        view = p.terms
+        view[(0, 0, 0, 0)] = 5
+        assert p == read("a1*b2 + 2")
 
 
 class TestDiff:
@@ -248,3 +317,159 @@ def test_leibniz_rule_for_diff(p):
     q = read("a1*b2 + 1/2*b1")
     lhs = (p * q).diff("a1")
     assert lhs == p.diff("a1") * q + p * q.diff("a1")
+
+
+# ------------------------------------------------------------ tuple-keyed oracles
+
+# The earlier `Poly` stored each monomial as an exponent tuple.  Its sum,
+# product, derivative, linear substitution, variable extension and canonical
+# term order are kept below as `old_*`, verbatim but for reading `.terms` and
+# returning the term dict instead of a `Poly`, as oracles for the packed keys:
+# each operation must give the same terms, with coefficients of the same
+# types, in the same dict order.
+
+
+def old_add(p, q):
+    terms = dict(p.terms)
+    for expo, coeff in q.terms.items():
+        s = terms.get(expo, 0) + coeff
+        if s:
+            terms[expo] = normal(s)
+        else:
+            terms.pop(expo, None)
+    return terms
+
+
+def old_mul(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            s = terms.get(expo, 0) + c1 * c2
+            if s:
+                terms[expo] = s
+            else:
+                terms.pop(expo, None)
+    if p.field == RAT:
+        # a partial sum may be an integral Fraction; normalise once, at the end
+        for expo, c in terms.items():
+            if type(c) is not int:
+                terms[expo] = normal(c)
+    return terms
+
+
+def old_diff(p, name):
+    pos = p.variables.index(name)
+    terms = {}
+    for expo, coeff in p.terms.items():
+        e = expo[pos]
+        if e == 0:
+            continue
+        new = list(expo)
+        new[pos] = e - 1
+        terms[tuple(new)] = normal(coeff * e)
+    return terms
+
+
+def old_subst_linear(p, table):
+    field = p.field
+    for v in p.variables:
+        field = join_fields(field, scalar_field(table[v][1]))
+    pos = {v: k for k, v in enumerate(p.variables)}
+    terms = {}
+    for expo, coeff in p.terms.items():
+        c = coerce_scalar(coeff, field)
+        new = [0] * len(expo)
+        for v, e in zip(p.variables, expo):
+            if e == 0:
+                continue
+            src, scale = table[v]
+            new[pos[src]] += e
+            c = c * _ipow(coerce_scalar(scale, field), e)
+        key = tuple(new)
+        s = terms.get(key, 0) + c
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+    if field == RAT:
+        # a sum of Fractions may be integral; normalise once, at the end
+        terms = {e: normal(c) for e, c in terms.items()}
+    return terms
+
+
+def old_extend(p, variables):
+    idx = [variables.index(v) for v in p.variables]
+    terms = {}
+    for expo, coeff in p.terms.items():
+        new = [0] * len(variables)
+        for pos, e in zip(idx, expo):
+            new[pos] = e
+        terms[tuple(new)] = coeff
+    return terms
+
+
+def old_sorted_terms(terms):
+    return sorted(terms.items(), key=lambda kv: kv[0], reverse=True)
+
+
+def typed(items):
+    """(exponents, coefficient with the type of each rational part), in order."""
+    def parts(c):
+        if isinstance(c, GaussianRational):
+            return (GaussianRational, type(c.re), c.re, type(c.im), c.im)
+        return (type(c), c)
+    return [(e, parts(c)) for e, c in items]
+
+
+def assert_same(new: Poly, old_terms: dict):
+    assert typed(new.terms.items()) == typed(old_terms.items())
+    assert typed(new.sorted_terms()) == typed(old_sorted_terms(old_terms))
+
+
+ORACLE_VARS = ("a1", "a2", "a3", "b1", "b2")
+oracle_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+oracle_scalars = {
+    RAT: oracle_fractions,
+    GAUSS: st.builds(GaussianRational, oracle_fractions, oracle_fractions),
+}
+
+
+@st.composite
+def oracle_polys(draw, field, count):
+    # exponents up to 4 on the first variables and 0 on the rest, so that
+    # products cancel and collect terms
+    width = draw(st.integers(1, len(ORACLE_VARS)))
+    expos = st.tuples(*[st.integers(0, 4 if k < width else 0) for k in range(len(ORACLE_VARS))])
+    term = st.tuples(expos, oracle_scalars[field])
+    return [Poly(ORACLE_VARS, dict(draw(st.lists(term, max_size=6))), field)
+            for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_ring_ops_match_tuple_keyed_oracles(data):
+    field = data.draw(st.sampled_from([RAT, GAUSS]))
+    p, q = data.draw(oracle_polys(field, 2))
+    assert_same(p + q, old_add(p, q))
+    assert_same(p - q, old_add(p, -q))
+    assert_same(p * q, old_mul(p, q))
+    assert_same(p * p * q, old_mul(p * p, q))
+    for v in ORACLE_VARS:
+        assert_same(p.diff(v), old_diff(p, v))
+    wider = ("a0",) + ORACLE_VARS[:3] + ("a9", "b0") + ORACLE_VARS[3:]
+    assert_same(p.extend(wider), old_extend(p, wider))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_subst_linear_matches_tuple_keyed_oracle(data):
+    field = data.draw(st.sampled_from([RAT, GAUSS]))
+    (p,) = data.draw(oracle_polys(field, 1))
+    sources = data.draw(st.permutations(ORACLE_VARS))
+    scale = data.draw(st.sampled_from([RAT, GAUSS]))
+    scales = oracle_scalars[scale].filter(bool)
+    table = {v: (w, data.draw(scales)) for v, w in zip(ORACLE_VARS, sources)}
+    got = p.subst_linear(table)
+    assert got.field == (GAUSS if GAUSS in (field, scale) else RAT)
+    assert_same(got, old_subst_linear(p, table))

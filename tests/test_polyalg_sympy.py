@@ -5,7 +5,9 @@ their results through the unchecked `Poly._make`; every result here is also
 checked against that constructor's invariant: nonzero coefficients in the
 normal form (a rational is an `int` exactly when it is integral, else a
 `Fraction`; a Gaussian coefficient is a `GaussianRational` whose parts follow
-that rule) and exponent tuples of the right length.
+that rule) and exponent tuples of the right length.  Products and derivatives
+whose exponents land just below `EXPONENT_LIMIT` check the packed monomial
+keys where a carry between fields would show.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todavolterra.polyalg import GAUSS, RAT, I_UNIT, GaussianRational, Poly
+from todavolterra.polyalg import EXPONENT_LIMIT, GAUSS, RAT, I_UNIT, GaussianRational, Poly
 
 from conftest import assert_normal, random_poly
 
@@ -193,3 +195,46 @@ def test_real_part_of_imaginary_polynomial_is_zero(p):
     re = p.real_part()
     assert re.field == RAT and re.terms == {}
     assert p.imag_part() == (-p.scale(GaussianRational(Fraction(0), Fraction(1)))).real_part()
+
+
+def sparse_from_sympy(expr, variables, field) -> dict:
+    """Like `from_sympy`, without sympy's dense `Poly`, which would hold a
+    coefficient list as long as the degree."""
+    syms = [SYMS[v] for v in variables]
+    sums = {}
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        c, mono = term.as_independent(*syms, as_Add=False)
+        powers = mono.as_powers_dict()
+        expo = tuple(int(powers.get(s, 0)) for s in syms)
+        sums[expo] = sums.get(expo, 0) + c
+    out = {}
+    for expo, c in sums.items():
+        re, im = c.as_real_imag()
+        if field == RAT:
+            assert im == 0
+        value = _fraction(re) if field == RAT else GaussianRational(_fraction(re), _fraction(im))
+        if value:
+            out[expo] = value
+    return out
+
+
+def near_limit_polys(field, exponents):
+    term = st.tuples(st.tuples(*[st.sampled_from(exponents)] * len(V)), scalars(field))
+    return st.lists(term, min_size=1, max_size=4).map(lambda ts: Poly(V, dict(ts), field))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_products_near_the_exponent_limit(data):
+    # 16383 + 16384 = 32767 = EXPONENT_LIMIT: the sums fill a key field up to its guard bit
+    field = data.draw(fields)
+    p = data.draw(near_limit_polys(field, [0, 1, 16382, 16383]))
+    q = data.draw(near_limit_polys(field, [0, 2, 16383, 16384]))
+    got, expr = p * q, to_sympy(p) * to_sympy(q)
+    assert got.variables == V and got.field == field
+    for c in got.terms.values():
+        assert_normal(c)
+    assert got.terms == sparse_from_sympy(expr, V, field)
+    assert max((max(e) for e in got.terms), default=0) <= EXPONENT_LIMIT
+    v = data.draw(st.sampled_from(V))
+    assert got.diff(v).terms == sparse_from_sympy(sympy.diff(expr, SYMS[v]), V, field)
