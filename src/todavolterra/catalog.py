@@ -326,7 +326,8 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> 
         for (lu, ou), (lv, ov), p in template:
             for i in range(max(1 - ou, 1 - ov), min(count[lu] - ou, count[lv] - ov) + 1):
                 if only in (None, i):
-                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = local(vars_, unit, p, (i,), field)
+                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = local(
+                        vars_, unit, p, (i,), field)
     return PoissonTensor.from_brackets(vars_, brackets, field)
 
 

@@ -104,7 +104,8 @@ class TestExponents:
         p = Poly(self.XY, {expo: 2})
         assert p.terms == {expo: 2} and p.degree() == EXPONENT_LIMIT
 
-    @pytest.mark.parametrize("expo", [(EXPONENT_LIMIT + 1, 0), (0, EXPONENT_LIMIT + 1), (1 << 16, 0)])
+    @pytest.mark.parametrize(
+        "expo", [(EXPONENT_LIMIT + 1, 0), (0, EXPONENT_LIMIT + 1), (1 << 16, 0)])
     def test_exponent_past_the_width_raises(self, expo):
         with pytest.raises(OverflowError):
             Poly(self.XY, {expo: 1})
