@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from ._linsolve import solve_exact
-from .polyalg import Poly, divide
+from .polyalg import Poly
 from .poisson import PolyVectorField
 
 Vector = tuple[int, ...]  # the root realizations are integer vectors
@@ -141,16 +140,6 @@ class BSystem:
     rank: int
     coeffs: tuple[dict, ...]  # per-equation {j (1-based): int}
 
-    def eval(self, point: Sequence[float]) -> list[float]:
-        if len(point) != self.rank:
-            raise ValueError("point dimension mismatch")
-        if any(x == 0 for x in point):
-            raise ZeroDivisionError("B-system is undefined where some b_j = 0")
-        return [
-            float(sum(float(c) / point[j - 1] for j, c in row.items()))
-            for row in self.coeffs
-        ]
-
     def equation_strings(self) -> list[str]:
         out = []
         for i, row in enumerate(self.coeffs, start=1):
@@ -189,27 +178,6 @@ def edge_variables(rd: RootData) -> tuple[str, ...]:
     return tuple(f"x{i}{j}" for i, j in edges(rd))
 
 
-def x_transform(rd: RootData, b_point: Sequence) -> dict[tuple[int, int], int | Fraction | float]:
-    """x_ij = c_ij / (b_i b_j) for all i, j (antisymmetric by construction).
-
-    An exact point (every b_j an int or Fraction) gives exact values in
-    normal form (`polyalg.divide`); any other point gives floats.
-    """
-    if len(b_point) != rd.rank:
-        raise ValueError("point dimension mismatch")
-    if any(x == 0 for x in b_point):
-        raise ZeroDivisionError("x-variables are undefined where some b_j = 0")
-    exact = all(isinstance(x, (int, Fraction)) for x in b_point)
-    c = sign_matrix(rd)
-    out = {}
-    for i in range(rd.rank):
-        for j in range(rd.rank):
-            if c[i][j]:
-                den = b_point[i] * b_point[j]
-                out[(i + 1, j + 1)] = divide(c[i][j], den) if exact else c[i][j] / den
-    return out
-
-
 def x_system_rhs(rd: RootData) -> PolyVectorField:
     """The Lotka-Volterra field x_ij' = x_ij sum_s k_s (x_is + x_js)."""
     vars_ = edge_variables(rd)
@@ -232,47 +200,6 @@ def x_system_rhs(rd: RootData) -> PolyVectorField:
             acc = acc + term.scale(rd.marks[s - 1])
         comps.append(Poly.var(vars_, f"x{i}{j}") * acc)
     return PolyVectorField(vars_, comps)
-
-
-def chain_rule_identity_holds(rd: RootData) -> bool:
-    """Symbolic check: d/dt of x_ij(b) along the B-system equals the X-system.
-
-    Clearing denominators, with P_i the numerator of b_i' over Q = prod b_t:
-        -(P_i b_j + b_i P_j) = sum_s k_s (c_is b_j + c_js b_i) prod_{t != s} b_t
-    holds identically in the b variables for every edge (i, j).
-    """
-    n = rd.rank
-    bvars = tuple(f"b{i}" for i in range(1, n + 1))
-    bsys = b_system_rhs(rd)
-    c = sign_matrix(rd)
-
-    def prod_except(skip: set[int]) -> Poly:
-        out = Poly.const(bvars, 1)
-        for t in range(1, n + 1):
-            if t not in skip:
-                out = out * Poly.var(bvars, f"b{t}")
-        return out
-
-    P = []
-    for i in range(n):
-        acc = Poly.zero(bvars)
-        for j, coeff in bsys.coeffs[i].items():
-            acc = acc + prod_except({j}).scale(coeff)
-        P.append(acc)
-
-    for (i, j) in edges(rd):
-        bi = Poly.var(bvars, f"b{i}")
-        bj = Poly.var(bvars, f"b{j}")
-        lhs = -(P[i - 1] * bj + bi * P[j - 1])
-        rhs = Poly.zero(bvars)
-        for s in range(1, n + 1):
-            coeff_i = rd.marks[s - 1] * c[i - 1][s - 1]
-            coeff_j = rd.marks[s - 1] * c[j - 1][s - 1]
-            term = bj.scale(coeff_i) + bi.scale(coeff_j)
-            rhs = rhs + term * prod_except({s})
-        if lhs != rhs:
-            return False
-    return True
 
 
 # ----------------------------------------------------- Volterra normal forms

@@ -13,14 +13,15 @@ the 0-based-odd rows/columns (keeping the 1st, 3rd, 5th, ... in 1-based
 counting).  With this convention the odd-deleted block at N = 9 is the
 5x5 matrix with rows (x1^2, x1 x2, 0, 0, 0), (x1 x2, x2^2+x3^2, x3 x4,
 0, 0), ... and its induced equations are the B2 Toda system.
+
+The module is exact; the spectral cross-checks of the split (exact power
+sums, a float eigensolver, the conjugation to the a-form Lax matrix) live
+with their tests in tests/test_moser.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import catalog
 from ._linsolve import solve_exact
@@ -264,90 +265,3 @@ def _generator_solver(gens: list[Poly], names: tuple[str, ...]):
         return out
 
     return express
-
-
-# ------------------------------------------------------------- cross-checks
-
-
-def _power_sums(mat: list[list[GaussianRational]], k_max: int) -> list[GaussianRational]:
-    """tr(M^j) for j = 1..k_max, exactly; each product visits only the
-    nonzero entries of M (the matrices here are banded)."""
-    N = len(mat)
-    zero = GaussianRational.of(0)
-    cols = [[(k, mat[k][l]) for k in range(N) if mat[k][l]] for l in range(N)]
-    sums, power = [], mat
-    for j in range(k_max):
-        if j:
-            power = [[sum((row[k] * m for k, m in col), zero) for col in cols] for row in power]
-        sums.append(sum((power[i][i] for i in range(N)), zero))
-    return sums
-
-
-def block_spectrum_consistency(N: int, point: list[Fraction]) -> bool:
-    """Exact check that both blocks carry the full spectrum of L^2.
-
-    At a rational point, the power sums tr(L^{2j}), j = 1..N, equal the sums
-    of the two blocks' power sums tr(B^j) (the square is the direct sum of
-    the two parity blocks).  In characteristic 0 Newton's identities make
-    this the same claim as char(L^2) = char(odd block) * char(even block),
-    without expanding either polynomial; no floating tolerance involved.
-    """
-    split = square_and_split(N)
-    n = N // 2
-    if len(point) != n:
-        raise ValueError("point dimension mismatch")
-    pt = [Fraction(x) for x in point]
-
-    def eval_matrix(rows):
-        return [[GaussianRational.of(0) + p.eval(pt) for p in row] for row in rows]
-
-    odd = _power_sums(eval_matrix(split.odd_deleted.matrix), N)
-    even = _power_sums(eval_matrix(split.even_deleted.matrix), N)
-    return _power_sums(eval_matrix(split.squared), N) == [a + b for a, b in zip(odd, even)]
-
-
-def lax_eigen_consistency(N: int, rng: np.random.Generator) -> float:
-    """Float spot check: sorted union of block eigenvalues vs spectrum of L^2.
-
-    The exact statement is block_spectrum_consistency; this measures how well
-    a plain eigensolver reproduces it (limited by clustered-eigenvalue
-    conditioning of the complex-symmetric matrices).
-    """
-    split = square_and_split(N)
-    n = N // 2
-    x = rng.uniform(0.2, 1.0, size=n)
-    L = np.array(
-        [[complex(p.eval(list(x))) for p in row] for row in x_lax(N)], dtype=complex
-    )
-    sq_eigs = np.sort_complex(np.linalg.eigvals(L @ L))
-    block_eigs = []
-    for block in (split.odd_deleted, split.even_deleted):
-        B = np.array(
-            [[complex(p.eval(list(x))) for p in row] for row in block.matrix],
-            dtype=complex,
-        )
-        block_eigs.extend(np.linalg.eigvals(B))
-    return float(np.max(np.abs(np.sort_complex(np.array(block_eigs)) - sq_eigs)))
-
-
-def squared_variable_conjugation(N: int, rng: np.random.Generator) -> float:
-    """Numeric check of the recorded relation between the two Lax forms.
-
-    With a_i = -2 x_i^2 the a-form Lax matrix L_a and the x-form matrix L_x
-    satisfy L_x = c D L_a D^{-1} with the recorded scalar c = sqrt(-1/2)
-    and a diagonal D built from the superdiagonal ratios; equivalently
-    spec(L_x^2) = -1/2 spec(L_a^2).  Returns the max spectral mismatch.
-    """
-    n = N // 2
-    x = rng.uniform(0.2, 1.0, size=n)
-    a = [-2.0 * xi**2 for xi in x]
-    La_sym = catalog.lax(catalog.SystemId("volterra", "b", n))
-    La = np.array(
-        [[complex(p.eval(list(a))) for p in row] for row in La_sym], dtype=complex
-    )
-    Lx = np.array(
-        [[complex(p.eval(list(x))) for p in row] for row in x_lax(N)], dtype=complex
-    )
-    lhs = np.sort_complex(np.linalg.eigvals(Lx @ Lx))
-    rhs = np.sort_complex(-0.5 * np.linalg.eigvals(La @ La))
-    return float(np.max(np.abs(lhs - rhs)))

@@ -139,16 +139,6 @@ class PolyVectorField:
     def scale(self, c: Scalar) -> "PolyVectorField":
         return PolyVectorField(self.variables, [p.scale(c) for p in self.components])
 
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        if self.variables != other.variables:
-            raise ValueError("vector fields on different variable lists")
-        return PolyVectorField(
-            self.variables, [p + q for p, q in zip(self.components, other.components)]
-        )
-
-    def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return self + other.scale(-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyVectorField):
             return NotImplemented
@@ -248,12 +238,6 @@ class PoissonTensor:
 
     def scale(self, c: Scalar) -> "PoissonTensor":
         return PoissonTensor(self.variables, {k: p.scale(c) for k, p in self.upper.items()})
-
-    def __neg__(self) -> "PoissonTensor":
-        return self.scale(-1)
-
-    def __sub__(self, other: "PoissonTensor") -> "PoissonTensor":
-        return self + other.scale(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoissonTensor):

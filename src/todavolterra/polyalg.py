@@ -539,39 +539,6 @@ class Poly:
             terms = {e: normal(c) for e, c in terms.items()}
         return Poly._make(self.variables, terms, field)
 
-    # ------------------------------------------------------------ evaluation
-
-    def eval(self, point: Sequence) -> Scalar | float | complex:
-        """Evaluate at a point (exact scalars stay exact, floats go float)."""
-        point = list(point)
-        if len(point) != len(self.variables):
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {len(self.variables)}"
-            )
-        numeric = any(isinstance(x, (float, complex)) for x in point)
-        if numeric:
-            vals = [complex(x) for x in point]
-            total = 0j
-            for expo, coeff in self.terms.items():
-                c = complex(coeff) if isinstance(coeff, GaussianRational) else float(coeff)
-                term = complex(c)
-                for x, e in zip(vals, expo):
-                    if e:
-                        term *= x**e
-                total += term
-            if abs(total.imag) == 0.0:
-                return total.real
-            return total
-        total = coerce_scalar(0, self.field)
-        pt = [coerce_scalar(x, self.field) for x in point]
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(pt, expo):
-                if e:
-                    term = term * _ipow(x, e)
-            total = total + term
-        return normal(total)
-
     # ---------------------------------------------------------- field moves
 
     def to_gaussian(self) -> "Poly":

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .polyalg import Poly, join_fields, scalar_field, variable_sort_key
-from .poisson import LinearMap, PoissonTensor, bracket, pushforward_sign
+from .poisson import LinearMap, PoissonTensor, directional_action, hamiltonian_vf, pushforward_sign
 
 
 class NotPoissonActionError(ValueError):
@@ -70,17 +70,6 @@ class FixedPointChart:
         """Restrict an ambient polynomial to the fixed-point set."""
         images = {v: self.section[v].with_field(F.field) for v in F.variables}
         return F.substitute(images)
-
-    def constraints(self) -> list[Poly]:
-        """Ambient linear forms vanishing exactly on the fixed-point set."""
-        out = []
-        for v in self.ambient_variables:
-            diff = Poly.var(self.ambient_variables, v, self.section[v].field) - self.lift(
-                self.section[v]
-            )
-            if not diff.is_zero:
-                out.append(diff)
-        return out
 
 
 def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
@@ -134,8 +123,10 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
     chart = fixed_point_chart(group)
     red = chart.reduced_variables
     lifts = [invariant_average(chart.lift(Poly.var(red, u, pi.field)), group) for u in red]
+    # {F, G} = X_G(F), as in `poisson.bracket`, with each lift's field built once
+    fields = [hamiltonian_vf(pi, G) for G in lifts]
     upper = {
-        (i, j): chart.restrict(bracket(pi, lifts[i], lifts[j]))
+        (i, j): chart.restrict(directional_action(fields[j], lifts[i]))
         for i in range(len(red)) for j in range(i + 1, len(red))
     }
     return PoissonTensor(red, upper, pi.field)

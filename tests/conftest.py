@@ -2,9 +2,13 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from todavolterra.polyalg import GaussianRational, Poly
+from todavolterra import bogo, catalog
+from todavolterra.flows import compile_field, integrate
+from todavolterra.poisson import PolyVectorField
+from todavolterra.polyalg import GaussianRational, Poly, _ipow, coerce_scalar, normal
 
 
 @pytest.fixture
@@ -48,3 +52,96 @@ def read_poly(text, variables):
                 expo[pos[name]] += int(power or 1)
         terms[tuple(expo)] = terms.get(tuple(expo), 0) + coef
     return Poly(variables, terms)
+
+
+def evaluate(p, point):
+    """p at a point (exact scalars stay exact, floats go float)."""
+    point = list(point)
+    if len(point) != len(p.variables):
+        raise ValueError(
+            f"point has {len(point)} coordinates, expected {len(p.variables)}"
+        )
+    numeric = any(isinstance(x, (float, complex)) for x in point)
+    if numeric:
+        vals = [complex(x) for x in point]
+        total = 0j
+        for expo, coeff in p.terms.items():
+            c = complex(coeff) if isinstance(coeff, GaussianRational) else float(coeff)
+            term = complex(c)
+            for x, e in zip(vals, expo):
+                if e:
+                    term *= x**e
+            total += term
+        if abs(total.imag) == 0.0:
+            return total.real
+        return total
+    total = coerce_scalar(0, p.field)
+    pt = [coerce_scalar(x, p.field) for x in point]
+    for expo, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(pt, expo):
+            if e:
+                term = term * _ipow(x, e)
+        total = total + term
+    return normal(total)
+
+
+def chain_rule_identity_holds(rd: bogo.RootData) -> bool:
+    """Symbolic check: d/dt of x_ij(b) along the B-system equals the X-system.
+
+    Clearing denominators, with P_i the numerator of b_i' over Q = prod b_t:
+        -(P_i b_j + b_i P_j) = sum_s k_s (c_is b_j + c_js b_i) prod_{t != s} b_t
+    holds identically in the b variables for every edge (i, j).
+    """
+    n = rd.rank
+    bvars = tuple(f"b{i}" for i in range(1, n + 1))
+    bsys = bogo.b_system_rhs(rd)
+    c = bogo.sign_matrix(rd)
+
+    def prod_except(skip: set[int]) -> Poly:
+        out = Poly.const(bvars, 1)
+        for t in range(1, n + 1):
+            if t not in skip:
+                out = out * Poly.var(bvars, f"b{t}")
+        return out
+
+    P = []
+    for i in range(n):
+        acc = Poly.zero(bvars)
+        for j, coeff in bsys.coeffs[i].items():
+            acc = acc + prod_except({j}).scale(coeff)
+        P.append(acc)
+
+    for (i, j) in bogo.edges(rd):
+        bi = Poly.var(bvars, f"b{i}")
+        bj = Poly.var(bvars, f"b{j}")
+        lhs = -(P[i - 1] * bj + bi * P[j - 1])
+        rhs = Poly.zero(bvars)
+        for s in range(1, n + 1):
+            coeff_i = rd.marks[s - 1] * c[i - 1][s - 1]
+            coeff_j = rd.marks[s - 1] * c[j - 1][s - 1]
+            term = bj.scale(coeff_i) + bi.scale(coeff_j)
+            rhs = rhs + term * prod_except({s})
+        if lhs != rhs:
+            return False
+    return True
+
+
+def commutation_check(
+    sys: catalog.SystemId | str,
+    flow_fields: list[PolyVectorField],
+    x0,
+    t: float,
+    h: float,
+) -> float:
+    """|| phi_t^1 phi_t^2 (x0) - phi_t^2 phi_t^1 (x0) || for the given flows."""
+    if len(flow_fields) < 2:
+        raise ValueError("need at least two flows")
+    compiled = [compile_field(f) for f in flow_fields]
+    worst = 0.0
+    for a in range(len(compiled)):
+        for b in range(a + 1, len(compiled)):
+            x_ab = integrate(compiled[b], integrate(compiled[a], x0, t, h).states[-1], t, h).states[-1]
+            x_ba = integrate(compiled[a], integrate(compiled[b], x0, t, h).states[-1], t, h).states[-1]
+            worst = max(worst, float(np.linalg.norm(x_ab - x_ba)))
+    return worst

@@ -15,6 +15,8 @@ from todavolterra import bogo, catalog, checks, flows, moser, reduction
 from todavolterra.polyalg import Poly
 from todavolterra.poisson import hamiltonian_vf, pushforward_sign
 
+from conftest import chain_rule_identity_holds, commutation_check
+
 
 def check(criterion: str, description: str, ok: bool):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {description}")
@@ -313,7 +315,7 @@ def test_criterion_8_bogoyavlensky():
             check(
                 "criterion 8",
                 f"{type_}{n} chain-rule identity for the x-variables",
-                bogo.chain_rule_identity_holds(rd),
+                chain_rule_identity_holds(rd),
             )
     # the B-route: recorded diagonal change takes the edge system to the
     # B-type Volterra equations (rank-2 target comes from the rank-3 algebra,
@@ -360,7 +362,7 @@ def test_criterion_9_numerics():
     ratio = drift(8e-3) / drift(4e-3)
     check("criterion 9", f"halving h improves drift by {ratio:.1f} in [12, 20]", 12 <= ratio <= 20)
 
-    disc = flows.commutation_check(
+    disc = commutation_check(
         sys_id, [catalog.flow(sys_id, 2), catalog.flow(sys_id, 3)], x0, 0.5, 1e-3
     )
     check("criterion 9", f"H2/H3 flow commutation {disc:.2e} < 1e-6", disc < 1e-6)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from todavolterra import _kernels, catalog, flows
 from todavolterra.polyalg import GAUSS, I_UNIT, Poly, poly_matrix_mul
 from todavolterra.poisson import PolyVectorField, hamiltonian_vf
 
-from conftest import read_poly
+from conftest import commutation_check, evaluate, read_poly
 from test_catalog_oracles import old_matrix_power
 
 
@@ -21,7 +22,7 @@ class TestCompiledField:
         cf = flows.compile_field(vf)
         for _ in range(10):
             x = [rng.uniform(-1, 1) for _ in vf.variables]
-            exact = [float(p.eval(x)) for p in vf.components]
+            exact = [float(evaluate(p, x)) for p in vf.components]
             got = dense_field(cf.coefs, cf.expts, cf.comp_ptr, np.array(x))
             assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
 
@@ -30,7 +31,7 @@ class TestCompiledField:
         cf = flows.compile_field(vf)
         for _ in range(10):
             x = np.array([rng.uniform(-1, 1) for _ in vf.variables])
-            exact = [float(p.eval(list(x))) for p in vf.components]
+            exact = [float(evaluate(p, list(x))) for p in vf.components]
             got = dense_field(cf.coefs, cf.expts, cf.comp_ptr, x)
             assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
 
@@ -315,7 +316,7 @@ class TestLaxRhs:
         sys = catalog.SystemId("toda", "a", 3)
         vf = lax_rhs(sys, 1)
         point = [0.0, 0.0, 0.3, -0.1, 0.4]  # a = 0
-        assert all(p.eval(point) == 0 for p in vf.components)
+        assert all(evaluate(p, point) == 0 for p in vf.components)
 
 
 class TestMonitors:
@@ -369,7 +370,7 @@ class TestMonitorOracle:
         points = np.array([[rng.uniform(-1, 1) for _ in vars_] for _ in range(8)])
         for k in flows.monitored_hamiltonian_indices(sys):
             exact = catalog.hamiltonian(sys, k)
-            want = np.array([float(exact.eval(list(p))) for p in points])
+            want = np.array([float(evaluate(exact, list(p))) for p in points])
             got = flows.hamiltonian_values(sys, k, points)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), (name, k)
 
@@ -377,7 +378,7 @@ class TestMonitorOracle:
         sys = catalog.parse_system("toda-b:2")
         L = catalog.lax(sys)
         point = [rng.uniform(-1, 1) for _ in catalog.variables(sys)]
-        want = np.array([[float(p.eval(point)) for p in row] for row in L])
+        want = np.array([[float(evaluate(p, point)) for p in row] for row in L])
         assert np.array_equal(flows.lax_values(sys, np.array([point]))[0], want)
 
     def test_monitors_take_traces_once(self, monkeypatch):
@@ -396,6 +397,131 @@ class TestMonitorOracle:
         assert calls == [8, 8]
 
 
+# --------------------------------------------------------- char-poly oracle
+
+
+def exact_continuant(M, sign=1) -> list[Fraction]:
+    """c_1..c_N of det(x - M) for a float tridiagonal M, exactly: the
+    continuant p_i = (x - d_i) p_{i-1} - e_{i-1} p_{i-2} over Fractions.
+
+    sign=-1 runs it on -|d_i| and -|e_i|, which gives each coefficient as
+    the sum of the absolute values of its terms.
+    """
+    N = len(M)
+    d = [Fraction(float(M[i][i])) for i in range(N)]
+    e = [Fraction(float(M[i][i + 1])) * Fraction(float(M[i + 1][i])) for i in range(N - 1)]
+    if sign < 0:
+        d, e = [-abs(x) for x in d], [-abs(x) for x in e]
+    prev, cur = [], [Fraction(1)]
+    for i in range(N):
+        nxt = cur + [Fraction(0)]
+        for k in range(1, i + 2):
+            nxt[k] -= d[i] * cur[k - 1]
+        if i:
+            for k in range(2, i + 2):
+                nxt[k] -= e[i - 1] * prev[k - 2]
+        prev, cur = cur, nxt
+    return cur[1:]
+
+
+def exact_newton(M) -> list[Fraction]:
+    """c_1..c_N of det(x - M) for any float M, exactly: traces of the powers
+    of the Fraction matrix and Newton's identities, which are exact over Q."""
+    A = [[Fraction(float(x)) for x in row] for row in M]
+    N, power, traces = len(A), A, []
+    for j in range(N):
+        if j:
+            power = [[sum(row[k] * A[k][l] for k in range(N)) for l in range(N)] for row in power]
+        traces.append(sum(power[i][i] for i in range(N)))
+    coeffs: list[Fraction] = []
+    for k in range(1, N + 1):
+        acc = traces[k - 1] + sum(coeffs[j - 1] * traces[k - j - 1] for j in range(1, k))
+        coeffs.append(-acc / k)
+    return coeffs
+
+
+def newton_coefficients(traces: np.ndarray) -> np.ndarray:
+    """The earlier float monitor route, kept as a negative control: c_1..c_N
+    from tr(M^1..M^N) by Newton's identities, whose error grows
+    exponentially with N."""
+    T, N = traces.shape
+    coeffs = np.empty((T, N))
+    for k in range(1, N + 1):
+        acc = traces[:, k - 1].copy()
+        for j in range(1, k):
+            acc += coeffs[:, j - 1] * traces[:, k - j - 1]
+        coeffs[:, k - 1] = -acc / k
+    return coeffs
+
+
+def max_relative_error(got: np.ndarray, mats: np.ndarray) -> float:
+    """Largest |got - c| / |c| over the exact coefficients c of each matrix.
+
+    A coefficient that is exactly 0 (the odd ones of a spectrum symmetric
+    about 0) is measured against the sum of the absolute values of its terms.
+    """
+    worst = 0.0
+    for row, M in zip(got, mats):
+        exact, scale = exact_continuant(M), None
+        for k, (g, c) in enumerate(zip(row, exact)):
+            err = abs(Fraction(float(g)) - c)
+            if c == 0:
+                scale = scale or exact_continuant(M, sign=-1)
+                c = scale[k]
+            if err:
+                worst = max(worst, float(err / abs(c)) if c else math.inf)
+    return worst
+
+
+def _trajectory_states(name: str) -> tuple[catalog.SystemId, np.ndarray]:
+    """First and last state of 20 RK4 steps from a point of the sheet
+    `simulate` draws from (a_i > 0; b_i of either sign)."""
+    sys = catalog.parse_system(name)
+    rng = random.Random(name)
+    x0 = [rng.uniform(0.1, 1.0) if v[0] == "a" else rng.uniform(-1, 1)
+          for v in catalog.variables(sys)]
+    states = flows.integrate(catalog.flow(sys, 2), x0, 0.02, 1e-3).states
+    return sys, states[[0, -1]]
+
+
+class TestCharpolyOracle:
+    """The continuant char-poly coefficients against exact arithmetic on the
+    same float matrices."""
+
+    @pytest.mark.parametrize("name", MONITOR_CASES + ["toda-a:9", "volterra-a:9"])
+    def test_exact_continuant_is_the_char_poly(self, name):
+        # exact_continuant reads only the three diagonals; over Q it must
+        # equal the char poly of the full matrix
+        sys = catalog.parse_system(name)
+        rng = random.Random(name)
+        points = np.array([[rng.uniform(-1, 1) for _ in catalog.variables(sys)] for _ in range(2)])
+        for M in flows.lax_values(sys, points):
+            assert exact_continuant(M) == exact_newton(M)
+
+    @pytest.mark.parametrize("name", ["toda-a:100", "toda-b:20", "volterra-a:60"])
+    def test_continuant_within_1e12_of_exact(self, name):
+        sys, states = _trajectory_states(name)
+        mats = flows.lax_values(sys, states)
+        assert max_relative_error(flows.charpoly_coefficients(mats), mats) <= 1e-12
+
+    def test_blocks_match_single_matrices(self):
+        # a batch longer than two blocks gives each matrix's own coefficients
+        sys = catalog.parse_system("toda-a:6")
+        rng = np.random.default_rng(6)
+        points = rng.uniform(-1, 1, size=(2 * flows.CHARPOLY_BLOCK + 3, len(catalog.variables(sys))))
+        mats = flows.lax_values(sys, points)
+        one_by_one = np.array([flows.charpoly_coefficients(M[None])[0] for M in mats])
+        assert np.array_equal(flows.charpoly_coefficients(mats), one_by_one)
+
+    def test_newton_route_fails_the_bound_at_27(self):
+        # negative control: the earlier route reported roundoff as drift here
+        sys, states = _trajectory_states("toda-a:27")
+        mats = flows.lax_values(sys, states)
+        assert max_relative_error(flows.charpoly_coefficients(mats), mats) <= 1e-12
+        newton = newton_coefficients(flows.power_traces(mats, mats.shape[1]))
+        assert max_relative_error(newton, mats) > 1e-12
+
+
 class TestOrderAndCommutation:
     def test_rk4_order(self):
         sys = catalog.SystemId("toda", "a", 2)
@@ -410,12 +536,12 @@ class TestOrderAndCommutation:
 
     def test_flow_self_commutation(self, rng):
         x0 = [rng.uniform(-1, 1) for _ in range(5)]
-        d = flows.commutation_check(T3, [catalog.flow(T3, 2), catalog.flow(T3, 2)], x0, 0.5, 1e-3)
+        d = commutation_check(T3, [catalog.flow(T3, 2), catalog.flow(T3, 2)], x0, 0.5, 1e-3)
         assert d < 1e-12
 
     def test_h2_h3_flows_commute(self, rng):
         x0 = [rng.uniform(-1, 1) for _ in range(5)]
-        d = flows.commutation_check(T3, [catalog.flow(T3, 2), catalog.flow(T3, 3)], x0, 0.5, 1e-3)
+        d = commutation_check(T3, [catalog.flow(T3, 2), catalog.flow(T3, 3)], x0, 0.5, 1e-3)
         assert d < 1e-6
 
     def test_commutation_check_compiles_each_field_once(self, monkeypatch, rng):
@@ -430,7 +556,7 @@ class TestOrderAndCommutation:
         monkeypatch.setattr(flows, "compile_step", counted)
         fields = [catalog.flow(T3, k) for k in (2, 3, 4)]
         x0 = [rng.uniform(-1, 1) for _ in range(5)]
-        flows.commutation_check(T3, fields, x0, 0.05, 1e-3)
+        commutation_check(T3, fields, x0, 0.05, 1e-3)
         assert len(calls) == len(fields)
 
     def test_bihamiltonian_flows_coincide_numerically(self, rng):

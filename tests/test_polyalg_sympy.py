@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from todavolterra.polyalg import EXPONENT_LIMIT, GAUSS, RAT, I_UNIT, GaussianRational, Poly
 
-from conftest import assert_normal, random_poly
+from conftest import assert_normal, evaluate, random_poly
 
 sympy = pytest.importorskip("sympy")
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
@@ -186,7 +186,7 @@ def test_every_public_result_in_normal_form(data):
         for c in r.terms.values():
             assert_normal(c)
     if not p.is_zero:
-        assert_normal(p.eval([Fraction(1, 2), 2, Fraction(-1, 3)]))
+        assert_normal(evaluate(p, [Fraction(1, 2), 2, Fraction(-1, 3)]))
 
 
 @settings(max_examples=30, deadline=None)

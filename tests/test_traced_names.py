@@ -57,3 +57,5 @@ def test_traced_run_counts_every_layer(capsys):
     assert counts["kernels.bytes"] > 0
     assert counts["jacobiator.visited"] > 0
     assert counts["hamiltonian.terms"] > 0
+    # the simulate monitors enter the char-poly layer
+    assert tracer.calls()["flows.charpoly_coefficients"] >= 1
