@@ -145,17 +145,20 @@ def _initial_point(args, sys_id) -> np.ndarray:
     return np.array([rng.uniform(*ranges[v[0]]) for v in vars_])
 
 
-# The most a `simulate` run may ask for: the recorded states plus the
-# [T, N, N] Lax arrays the monitors build from them (the matrices, a power
-# and the next power).
+# The most a `simulate` run may ask for, as `_estimated_bytes` counts it.
 MEMORY_BUDGET_BYTES = 1 << 30
 
 
 def _estimated_bytes(sys_id, n_steps: int) -> int:
-    """Bytes of n_steps + 1 recorded states and their Lax arrays.
+    """Bytes of n_steps + 1 recorded states and of [T, N, N] Lax arrays for
+    all of them (the matrices, a power and the next power).
 
     Worked out from the Lax size N alone (every family has at most 2N
     coordinates), so an oversized lattice is rejected before it is built.
+    The 3 N^2 term over-counts: the monitors hold those arrays for one block
+    of `flows.CHARPOLY_BLOCK` states at a time, not for the whole run.  It
+    stays so that the accepted inputs do not move until one cost estimate
+    replaces the fixed caps.
     """
     N = catalog.lax_size(sys_id)
     return 8 * (n_steps + 1) * (2 * N + 3 * N * N)

@@ -8,12 +8,15 @@ recorded.
 Monitors track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
-error.  Both are read off one batch of float Lax matrices: the H_k from the
+error.  Both are read off the same float Lax matrices: the H_k from the
 traces tr(L^j), so no H_k is ever expanded as a polynomial, and the
 coefficients from the three-term continuant of the tridiagonal Lax matrix,
 which stays accurate at every size (Newton's identities on the traces lose
-accuracy exponentially in the size).  The float cross-check that the flows
-commute, `commutation_check`, lives with its tests in tests/conftest.py.
+accuracy exponentially in the size).  The matrices are built one block of
+`CHARPOLY_BLOCK` states at a time and the drifts kept as running maxima, so
+the monitors' memory does not grow with the trajectory; the CSV monitors
+only the rows it writes.  The float cross-check that the flows commute,
+`commutation_check`, lives with its tests in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ class DriftReport:
 
 
 def lax_values(sys: catalog.SystemId | str, states: np.ndarray) -> np.ndarray:
-    """Dense Lax matrices along a trajectory, shape [T, N, N].
+    """Dense Lax matrices at a batch of states, shape [T, N, N].
 
     Entries are constants or scaled columns of `states`, gathered directly.
     """
@@ -194,13 +197,6 @@ def power_traces(mats: np.ndarray, k_max: int) -> np.ndarray:
     return traces
 
 
-# Matrices per continuant block.  Whole-trajectory temporaries leave the heap
-# larger for the next call: the `simulate` benchmark workload peaked at
-# 61.7 MB that way and at 60.4 MB with blocks of 1,024; blocks of 128-256
-# saved under 0.5 MB more and cost 1-2 ms per call.
-CHARPOLY_BLOCK = 1024
-
-
 def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
     """Characteristic-polynomial coefficients c_1..c_N of tridiagonal matrices.
 
@@ -209,25 +205,23 @@ def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
     and e_i = M[i,i+1] M[i+1,i]: O(N^2) per matrix, no eigenvalue solver.
     Row k of a p_i array is its coefficient of x^{i-k} along the batch, so
     x p_{i-1} is p_{i-1} itself and the recursion only shifts the correction
-    terms; rows past k = i are still zero and are skipped.
+    terms; rows past k = i are still zero and are skipped.  Every operation
+    is elementwise along the batch, so a matrix gets the same coefficients
+    in a batch of any size.
     """
     T, N, _ = mats.shape
-    out = np.empty((T, N))
     i = np.arange(N - 1)
-    for s in range(0, T, CHARPOLY_BLOCK):
-        m = mats[s : s + CHARPOLY_BLOCK]
-        d = np.ascontiguousarray(np.diagonal(m, axis1=1, axis2=2).T)
-        e = np.ascontiguousarray((m[:, i, i + 1] * m[:, i + 1, i]).T)
-        prev, cur = np.zeros((N + 1, len(m))), np.zeros((N + 1, len(m)))
-        cur[0] = 1.0
-        for k in range(N):
-            nxt = cur.copy()
-            nxt[1 : k + 2] -= d[k] * cur[: k + 1]
-            if k:
-                nxt[2 : k + 2] -= e[k - 1] * prev[:k]
-            prev, cur = cur, nxt
-        out[s : s + CHARPOLY_BLOCK] = cur[1:].T
-    return out
+    d = np.ascontiguousarray(np.diagonal(mats, axis1=1, axis2=2).T)
+    e = np.ascontiguousarray((mats[:, i, i + 1] * mats[:, i + 1, i]).T)
+    prev, cur = np.zeros((N + 1, T)), np.zeros((N + 1, T))
+    cur[0] = 1.0
+    for k in range(N):
+        nxt = cur.copy()
+        nxt[1 : k + 2] -= d[k] * cur[: k + 1]
+        if k:
+            nxt[2 : k + 2] -= e[k - 1] * prev[:k]
+        prev, cur = cur, nxt
+    return cur[1:].T
 
 
 def hamiltonian_values(sys: catalog.SystemId | str, k: int, states: np.ndarray) -> np.ndarray:
@@ -235,21 +229,42 @@ def hamiltonian_values(sys: catalog.SystemId | str, k: int, states: np.ndarray) 
     return power_traces(lax_values(sys, states), k)[:, k - 1] / k
 
 
+# States per monitor block.  A block's Lax matrices, their powers and its
+# continuant are the monitors' only per-state temporaries, so their memory
+# does not grow with the trajectory: the `simulate` benchmark workload peaked
+# at 60.4 MB with whole-trajectory [T, N, N] arrays and at 34.8 MB with
+# blocks of 1,024.  Monitor times with blocks of 128 to 2,048 states showed
+# no consistent order.
+CHARPOLY_BLOCK = 1024
+
+
 def _monitor_values(sys: catalog.SystemId, states: np.ndarray):
-    """({k: H_k along states}, char-poly coefficients) from one set of Lax matrices."""
-    ks = monitored_hamiltonian_indices(sys)
-    mats = lax_values(sys, states)
-    traces = power_traces(mats, max(ks))
-    return {k: traces[:, k - 1] / k for k in ks}, charpoly_coefficients(mats)
+    """Per block of `CHARPOLY_BLOCK` states, in order: the monitored H_k
+    ([b, K], k in `monitored_hamiltonian_indices` order) and the char-poly
+    coefficients ([b, N]), both from one set of Lax matrices.
+
+    Each matrix is computed on its own, so a state gets the same values in
+    a block of any size."""
+    ks = np.array(monitored_hamiltonian_indices(sys))
+    for s in range(0, len(states), CHARPOLY_BLOCK):
+        mats = lax_values(sys, states[s : s + CHARPOLY_BLOCK])
+        yield power_traces(mats, ks.max())[:, ks - 1] / ks, charpoly_coefficients(mats)
 
 
 def monitors(traj: Trajectory, sys: catalog.SystemId | str) -> DriftReport:
-    """Max drift of the trace Hamiltonians and char-poly coefficients."""
+    """Max drift of the trace Hamiltonians and char-poly coefficients, as
+    running maxima over the blocks of `_monitor_values`."""
     sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
-    h_vals, coeffs = _monitor_values(sys, traj.states)
-    h_drift = {k: float(np.max(np.abs(vals - vals[0]))) for k, vals in h_vals.items()}
-    cp_drift = [float(np.max(np.abs(coeffs[:, k] - coeffs[0, k]))) for k in range(coeffs.shape[1])]
-    return DriftReport(h_drift, cp_drift)
+    first = drift = None
+    for values in _monitor_values(sys, traj.states):
+        if first is None:
+            first = [v[0] for v in values]
+            drift = [np.zeros(v.shape[1]) for v in values]
+        # np.maximum, unlike max(), keeps a NaN drift
+        drift = [np.maximum(d, np.max(np.abs(v - f), axis=0))
+                 for d, v, f in zip(drift, values, first)]
+    h_drift, cp_drift = (d.tolist() for d in drift)
+    return DriftReport(dict(zip(monitored_hamiltonian_indices(sys), h_drift)), cp_drift)
 
 
 # ---------------------------------------------------------------------- csv
@@ -259,22 +274,25 @@ def trajectory_csv(
     traj: Trajectory, sys: catalog.SystemId | str, decimate: int = 1
 ) -> str:
     """CSV text: t, <vars...>, <H_k...>, <charpoly drifts...> per row, for
-    every `decimate`-th state and always the last one."""
+    every `decimate`-th state and always the last one.  Only the written
+    rows are monitored."""
     sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
-    h_vals, coeffs = _monitor_values(sys, traj.states)
-    ks = list(h_vals)
-    drifts = np.abs(coeffs - coeffs[0])
+    ks = monitored_hamiltonian_indices(sys)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["t", *traj.variables, *[f"H{k}" for k in ks], *[f"c{j+1}_drift" for j in range(coeffs.shape[1])]]
+        ["t", *traj.variables, *[f"H{k}" for k in ks],
+         *[f"c{j+1}_drift" for j in range(catalog.lax_size(sys))]]
     )
     last = traj.states.shape[0] - 1
-    for row in [*range(0, last, decimate), last]:
-        writer.writerow(
-            [repr(float(traj.times[row]))]
-            + [repr(float(x)) for x in traj.states[row]]
-            + [repr(float(h_vals[k][row])) for k in ks]
-            + [repr(float(d)) for d in drifts[row]]
-        )
+    rows = [*range(0, last, decimate), last]
+    blocks = _monitor_values(sys, traj.states[rows])
+    for s, (h_vals, coeffs) in zip(range(0, len(rows), CHARPOLY_BLOCK), blocks):
+        if s == 0:
+            first = coeffs[0]
+        block = rows[s : s + CHARPOLY_BLOCK]
+        columns = zip(traj.times[block].tolist(), traj.states[block].tolist(),
+                      h_vals.tolist(), np.abs(coeffs - first).tolist())
+        for t, x, h, drift in columns:
+            writer.writerow([repr(v) for v in (t, *x, *h, *drift)])
     return buf.getvalue()

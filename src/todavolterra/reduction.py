@@ -123,10 +123,11 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
     chart = fixed_point_chart(group)
     red = chart.reduced_variables
     lifts = [invariant_average(chart.lift(Poly.var(red, u, pi.field)), group) for u in red]
-    # {F, G} = X_G(F), as in `poisson.bracket`, with each lift's field built once
-    fields = [hamiltonian_vf(pi, G) for G in lifts]
+    # {F, G} = X_G(F), as in `poisson.bracket`, with each lift's field built
+    # once; entry (i, j) has j >= 1, so lifts[0] needs none
+    fields = [hamiltonian_vf(pi, G) for G in lifts[1:]]
     upper = {
-        (i, j): chart.restrict(directional_action(fields[j], lifts[i]))
+        (i, j): chart.restrict(directional_action(fields[j - 1], lifts[i]))
         for i in range(len(red)) for j in range(i + 1, len(red))
     }
     return PoissonTensor(red, upper, pi.field)

@@ -1,5 +1,9 @@
+import csv
+import functools
+import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +239,54 @@ class TestKernelOracle:
         assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 50))
 
 
+@functools.cache
+def _dense_escape():
+    """The escape case of WIDE_CASES: field, x0 and its dense trajectory."""
+    cf = flows.compile_field(catalog.flow("toda-a:6", 2))
+    x0 = np.array(_escape_point())
+    return cf, x0, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 3000)
+
+
+class TestKernelChunks:
+    """States are recorded one chunk of steps at a time; the chunking leaves
+    the states and the completed step count unchanged."""
+
+    def test_chunk_boundaries_bitwise(self):
+        # the field's own chunk: runs that end just before, at and after a boundary
+        cf = flows.compile_field(catalog.flow(T3, 2))
+        chunk = _kernels.chunk_steps(len(cf.coefs), cf.dim)
+        assert 1 < chunk < 5000
+        x0 = np.array([0.3, 0.2, 0.1, -0.2, 0.4])
+        dense = dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, chunk + 1)
+        for n_steps in (chunk - 1, chunk, chunk + 1):
+            states, done = _rk4(cf, x0, n_steps)
+            assert done == n_steps
+            assert np.array_equal(states, dense[: n_steps + 1])
+
+    # chunk lengths that put the first non-finite state (row 2671, after
+    # step 2670) last in its chunk (2671), first in its chunk (2670, 445),
+    # inside one (1000), or in a chunk of one step
+    @pytest.mark.parametrize("chunk", [2671, 2670, 445, 1000, 1])
+    def test_escape_on_either_side_of_a_boundary(self, monkeypatch, chunk):
+        cf, x0, dense = _dense_escape()
+        monkeypatch.setattr(_kernels, "chunk_steps", lambda n_terms, dim: chunk)
+        states, done = _rk4(cf, x0, 3000)
+        assert done == 2670
+        assert np.isfinite(dense[done]).all() and not np.isfinite(dense[done + 1]).all()
+        assert np.array_equal(states, dense[: done + 1])
+
+    def test_escape_in_the_last_step(self, monkeypatch):
+        cf, x0, dense = _dense_escape()
+        monkeypatch.setattr(_kernels, "chunk_steps", lambda n_terms, dim: 1000)
+        states, done = _rk4(cf, x0, 2671)
+        assert done == 2670
+        assert np.array_equal(states, dense[:2671])
+
+    def test_chunks_scale_with_the_field(self):
+        assert _kernels.chunk_steps(8, 5) > _kernels.chunk_steps(562, 10) >= 1
+        assert _kernels.chunk_steps(10**9, 10) == 1
+
+
 def _strict_upper(M, zero):
     n = len(M)
     return [[M[i][j] if j > i else zero for j in range(n)] for i in range(n)]
@@ -396,6 +448,109 @@ class TestMonitorOracle:
         flows.trajectory_csv(traj, sys)
         assert calls == [8, 8]
 
+
+
+def old_monitor_values(sys, states):
+    """The whole-trajectory monitors: ({k: H_k along states}, char-poly
+    coefficients) from one [T, N, N] array of Lax matrices."""
+    ks = flows.monitored_hamiltonian_indices(sys)
+    mats = flows.lax_values(sys, states)
+    traces = flows.power_traces(mats, max(ks))
+    return {k: traces[:, k - 1] / k for k in ks}, flows.charpoly_coefficients(mats)
+
+
+def old_monitors(traj, sys):
+    h_vals, coeffs = old_monitor_values(sys, traj.states)
+    h_drift = {k: float(np.max(np.abs(vals - vals[0]))) for k, vals in h_vals.items()}
+    cp_drift = [float(np.max(np.abs(coeffs[:, k] - coeffs[0, k]))) for k in range(coeffs.shape[1])]
+    return flows.DriftReport(h_drift, cp_drift)
+
+
+def old_trajectory_csv(traj, sys, decimate=1):
+    """The CSV with monitors taken on every state, then decimated."""
+    h_vals, coeffs = old_monitor_values(sys, traj.states)
+    ks = list(h_vals)
+    drifts = np.abs(coeffs - coeffs[0])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["t", *traj.variables, *[f"H{k}" for k in ks], *[f"c{j+1}_drift" for j in range(coeffs.shape[1])]]
+    )
+    last = traj.states.shape[0] - 1
+    for row in [*range(0, last, decimate), last]:
+        writer.writerow(
+            [repr(float(traj.times[row]))]
+            + [repr(float(x)) for x in traj.states[row]]
+            + [repr(float(h_vals[k][row])) for k in ks]
+            + [repr(float(d)) for d in drifts[row]]
+        )
+    return buf.getvalue()
+
+
+def _random_trajectory(name: str, n_states: int, seed: int = 0) -> flows.Trajectory:
+    """States drawn near a point of the a_i > 0 sheet; the monitors read
+    only the states, so they need not solve the flow."""
+    sys = catalog.parse_system(name)
+    vars_ = catalog.variables(sys)
+    rng = np.random.default_rng(seed)
+    x0 = np.array([0.5 if v[0] == "a" else 0.1 for v in vars_])
+    states = x0 + rng.uniform(-0.05, 0.05, size=(n_states, len(vars_)))
+    return flows.Trajectory(vars_, np.arange(n_states) * 1e-3, states)
+
+
+B = flows.CHARPOLY_BLOCK
+
+
+class TestStreamedMonitors:
+    """The monitors run block by block, and the CSV monitors only its written
+    rows; both are bitwise equal to the whole-trajectory forms."""
+
+    @pytest.mark.parametrize("name", ["toda-a:4", "volterra-b:2"])
+    @pytest.mark.parametrize("n_states", [B - 1, B, B + 1, 2 * B + 3])
+    def test_monitors_match_whole_trajectory(self, name, n_states):
+        sys = catalog.parse_system(name)
+        traj = _random_trajectory(name, n_states)
+        h_old, c_old = old_monitor_values(sys, traj.states)
+        h_new, c_new = (np.concatenate(v) for v in zip(*flows._monitor_values(sys, traj.states)))
+        assert np.array_equal(h_new, np.array(list(h_old.values())).T)
+        assert np.array_equal(c_new, c_old)
+        new, old = flows.monitors(traj, sys), old_monitors(traj, sys)
+        assert repr(new.to_json_dict()) == repr(old.to_json_dict())
+
+    @pytest.mark.parametrize("n_states", [B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("decimate", [1, 7, 100, 5000])
+    def test_csv_matches_whole_trajectory(self, n_states, decimate):
+        # n_states - 1 steps; no count here is a multiple of 7 or 100, and
+        # 5000 exceeds every count, so the CSV is the first and last rows
+        sys = catalog.parse_system("toda-a:4")
+        traj = _random_trajectory("toda-a:4", n_states)
+        assert flows.trajectory_csv(traj, sys, decimate) == old_trajectory_csv(traj, sys, decimate)
+
+    def test_overflow_drift_is_kept(self):
+        # a state past the first block whose Lax powers overflow: the drift
+        # is inf or NaN in both forms, not dropped by the running maximum
+        sys = catalog.parse_system("toda-a:4")
+        traj = _random_trajectory("toda-a:4", B + 5)
+        traj.states[B + 2] = [1e300, -1e300, 1e300, -1e300, 1e300, -1e300, 1e300]
+        with np.errstate(over="ignore", invalid="ignore"):
+            new, old = flows.monitors(traj, sys), old_monitors(traj, sys)
+        assert new.hamiltonian_drift[2] == math.inf and math.isnan(new.hamiltonian_drift[4])
+        assert repr(new.to_json_dict()) == repr(old.to_json_dict())
+
+    def test_memory_does_not_grow_with_the_trajectory(self):
+        # whole-trajectory [T, N, N] arrays took about 55 MB here
+        sys = catalog.parse_system("toda-a:24")
+        N = catalog.lax_size(sys)
+        bound = 4 * B * N * N * 8  # a block's matrices, two powers and slack
+        for n_states in (4001, 8001):
+            traj = _random_trajectory("toda-a:24", n_states)
+            tracemalloc.start()
+            try:
+                flows.monitors(traj, sys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n_states, peak)
 
 # --------------------------------------------------------- char-poly oracle
 

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from todavolterra import catalog
+from todavolterra import catalog, reduction
+from todavolterra.cli import main
 from todavolterra.polyalg import Poly
 from todavolterra.poisson import LinearMap, PoissonTensor, bracket, hamiltonian_vf, is_poisson
 from todavolterra.reduction import (
@@ -143,6 +144,18 @@ class TestReducedBracket:
             ),
         )
         assert is_poisson(red)
+
+    def test_builds_no_field_for_the_first_lift(self, monkeypatch, capsys):
+        # entry (i, j) reads the field of lifts[j], j >= 1: one field per
+        # reduced variable but the first (12 variables here)
+        calls = []
+        real = reduction.hamiltonian_vf
+        monkeypatch.setattr(reduction, "hamiltonian_vf",
+                            lambda pi, G: calls.append(G) or real(pi, G))
+        argv = ["reduce", "--system", "toda-a:13", "--map", "phi_toda", "--bracket", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 11
 
     def test_hamiltonian_fields_tangent(self, rng):
         # for invariant F the pi-field of F is tangent to the fixed-point set:
