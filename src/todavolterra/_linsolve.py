@@ -1,4 +1,4 @@
-"""Exact Gauss-Jordan elimination over Q or Q(i) on sparse rows.
+"""Exact Gauss-Jordan elimination over Q(i) on sparse rows.
 
 The systems this package solves are very sparse: the Moser identification
 builds 75 x 45 systems with under a hundred nonzeros each.  Each row is
@@ -18,12 +18,13 @@ an entry the dense form holds as zero is exactly an entry absent here, and
 every nonzero entry is the same value computed by the same operations
 (`x - f*y` becomes `-(f*y)` where x is absent).  Hence the same pivots are
 chosen, the same rows are found inconsistent, the same free variables are
-set to zero, and the returned scalars have the same values and types.
+set to zero, and the returned scalars have the same values.
 
-Entries are exact scalars in `polyalg`'s normal form: all rationals
-(`int | Fraction`, an `int` exactly when integral) or all `GaussianRational`.
-Every division is exact (`polyalg.divide`), so no float can appear, and every
-returned scalar is in the same normal form.
+Entries are exact scalars of Q(i) in `polyalg`'s normal form, rational and
+Gaussian entries mixed freely in one row.  Every division is exact
+(`polyalg.divide`) and every entry is normalised as it is computed, so no
+float can appear and every returned scalar is in normal form: a solution
+whose imaginary part cancels comes back as an `int` or a `Fraction`.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ def solve_exact(rows, rhs):
     """Solve A x = b exactly; free variables are set to zero.
 
     `rows` is a list of coefficient lists and `rhs` the right-hand sides,
-    all rationals in normal form (`int | Fraction`) or all
-    `GaussianRational`; the solution holds the same types.  Returns (solution,
-    unique) where `unique` says whether the solution was fully determined,
-    or None if inconsistent.
+    exact scalars in normal form (`polyalg.normal`); so is the solution.
+    Returns (solution, unique) where `unique` says whether the solution was
+    fully determined, or None if inconsistent.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -85,9 +85,8 @@ def solve_exact(rows, rhs):
             break
     if any(n in A[i] for i in order[row:]):
         return None  # inconsistent
-    zero = normal(rows[0][0] * 0) if n else 0
-    x = [zero] * n
+    x = [0] * n
     for i, c in pivots:
-        x[c] = A[i].get(n, zero)
+        x[c] = A[i].get(n, 0)
     unique = len(pivots) == n
     return x, unique

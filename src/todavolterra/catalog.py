@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyalg import I_UNIT, RAT, Poly, coerce_scalar, divide, unit_keys
+from .polyalg import I_UNIT, Poly, divide, normal, unit_keys
 from .poisson import LinearMap, PoissonTensor, PolyVectorField, hamiltonian_vf
 
 
@@ -144,14 +144,14 @@ def lax_entries(sys: SystemId | str) -> list[tuple[int, int, str | None, int]]:
     return out
 
 
-def lax(sys: SystemId | str, field: str = RAT) -> list[list[Poly]]:
+def lax(sys: SystemId | str) -> list[list[Poly]]:
     """Symbolic Lax matrix of the system, built from `lax_entries`."""
-    zero = Poly.zero(variables(sys), field)  # checks the variables and field once
+    zero = Poly.zero(variables(sys))  # checks the variables once
     vars_, N = zero.variables, lax_size(sys)
     unit = unit_keys(vars_)
     L = [[zero] * N for _ in range(N)]
     for i, j, v, c in lax_entries(sys):
-        L[i][j] = Poly._make(vars_, {unit.get(v, 0): coerce_scalar(c, field)}, field)
+        L[i][j] = Poly._make(vars_, {unit.get(v, 0): c})  # c is an int
     return L
 
 
@@ -215,7 +215,7 @@ def hamiltonian(sys: SystemId | str, k: int) -> Poly:
                 key += value[1]
             else:
                 terms[key] = terms.get(key, 0) + coef
-    return Poly._make(vars_, {e: divide(c, k) for e, c in terms.items() if c}, RAT)
+    return Poly._make(vars_, {e: divide(c, k) for e, c in terms.items() if c})
 
 
 # ------------------------------------------------------------ local templates
@@ -229,7 +229,7 @@ A_, A0, A1, A2 = ("a", -1), ("a", 0), ("a", 1), ("a", 2)
 B0, B1, B2 = ("b", 0), ("b", 1), ("b", 2)
 
 
-def local(vars_: tuple[str, ...], unit: dict, poly: dict, sites, field: str = RAT) -> Poly:
+def local(vars_: tuple[str, ...], unit: dict, poly: dict, sites) -> Poly:
     """The sum over `sites` of the local polynomial `poly` read at each site.
 
     `unit` maps each of `vars_` to its key (`unit_keys`), built once by the
@@ -246,8 +246,7 @@ def local(vars_: tuple[str, ...], unit: dict, poly: dict, sites, field: str = RA
                 key += u
             else:
                 terms[key] = terms.get(key, 0) + c
-    terms = {e: coerce_scalar(c, field) for e, c in terms.items() if c}
-    return Poly._make(vars_, terms, field)
+    return Poly._make(vars_, {e: normal(c) for e, c in terms.items() if c})
 
 
 # --------------------------------------------------------------------- tensors
@@ -312,7 +311,7 @@ BRACKETS = {
 }
 
 
-def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> PoissonTensor:
+def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...]) -> PoissonTensor:
     """pi_k of `sys` from its template, placed on the variables `vars_`."""
     if (sys.name, k) not in TENSORS:
         supported = " ".join(f"{name}:{','.join(map(str, ks))}" for name, ks in BRACKETS.items())
@@ -327,8 +326,8 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...], field: str = RAT) -> 
             for i in range(max(1 - ou, 1 - ov), min(count[lu] - ou, count[lv] - ov) + 1):
                 if only in (None, i):
                     brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = local(
-                        vars_, unit, p, (i,), field)
-    return PoissonTensor.from_brackets(vars_, brackets, field)
+                        vars_, unit, p, (i,))
+    return PoissonTensor.from_brackets(vars_, brackets)
 
 
 @lru_cache(maxsize=None)
@@ -338,14 +337,14 @@ def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
     return _tensor(sys, k, variables(sys))
 
 
-def embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTensor:
+def embedded_volterra_tensor(N: int, k: int) -> PoissonTensor:
     """The volterra-a:N tensor viewed on the toda-a:N space (zero b-rows).
 
     Entries depend only on the a-variables, so the embedded bivector is still
     Poisson; it is invariant under the order-4 Gaussian twist group, which
     makes the one-stage/two-stage reduction comparison executable.
     """
-    return _tensor(SystemId("volterra", "a", N), k, variables(SystemId("toda", "a", N)), field)
+    return _tensor(SystemId("volterra", "a", N), k, variables(SystemId("toda", "a", N)))
 
 
 # ---------------------------------------------------------------- vector fields

@@ -140,15 +140,15 @@ def acted_tensor(sys_id: SystemId, map_name: str, k: int):
     """The tensor pi_k that map_name acts on in sys_id.
 
     phi_tilde is Gaussian and preserves no catalog tensor of toda-a, so its
-    tensor is the volterra-a pi_k embedded over Q(i) with zero b-rows, which
-    exists for k = 2 and 4 only.
+    tensor is the volterra-a pi_k embedded with zero b-rows, which exists for
+    k = 2 and 4 only.
     """
     if map_name == "phi_tilde":
         if k not in catalog.BRACKETS["volterra-a"]:
             raise ValueError(
                 f"phi_tilde is checked on the embedded volterra-a pi2 and pi4 only, got pi_{k}"
             )
-        return catalog.embedded_volterra_tensor(sys_id.n, k, "Qi")
+        return catalog.embedded_volterra_tensor(sys_id.n, k)
     return catalog.tensor(sys_id, k)
 
 

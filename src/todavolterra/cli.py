@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed / run completed, 1 a mathematical check
 failed (a diff is emitted), 2 usage or input error, a `simulate` run whose
-state leaves float range, or one that would exceed MEMORY_BUDGET_BYTES or
+state or monitored values (H_k, char-poly coefficients and their drifts)
+leave float range, or one that would exceed MEMORY_BUDGET_BYTES or
 MAX_FLOW_WORK.
 All JSON documents carry a top-level "schema" field.  TODAVOLTERRA_OUT_DIR
 sets the default directory for file outputs.
@@ -209,6 +210,22 @@ def _cmd_simulate(args) -> int:
         vf = catalog.flow(sys_id, args.flow)
     x0 = _initial_point(args, sys_id)
     traj = flows.integrate(vf, x0, args.t_end, args.h)
+    # the Lax powers of a finite state may overflow: a monitored value that is
+    # not finite ends the run as an escape does, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.format == "json":
+            report = flows.monitors(traj, sys_id)
+            values = [*report.hamiltonian_drift.values(), *report.charpoly_drift]
+            finite = all(map(math.isfinite, values))
+        else:
+            text = flows.trajectory_csv(traj, sys_id, decimate=args.decimate)
+            # each cell below the header is a float's repr; only inf and nan hold an "n"
+            finite = "n" not in text.partition("\n")[2]
+    if not finite:
+        raise ValueError(
+            "a monitored H_k or char-poly value is not finite (the powers of the Lax "
+            "matrix left float range); start from a smaller initial point"
+        )
     if args.format == "json":
         doc = {
             "schema": f"{SCHEMA_PREFIX}/simulate/v1",
@@ -220,11 +237,10 @@ def _cmd_simulate(args) -> int:
             "x0": [float(x) for x in x0],
             # a constant of the simulate/v1 schema; it does not name the kernel
             "backend": "numpy",
-            "monitors": flows.monitors(traj, sys_id).to_json_dict(),
+            "monitors": report.to_json_dict(),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        text = flows.trajectory_csv(traj, sys_id, decimate=args.decimate)
         if args.out:
             out_dir = os.environ.get("TODAVOLTERRA_OUT_DIR", ".")
             path = args.out if os.path.isabs(args.out) else os.path.join(out_dir, args.out)

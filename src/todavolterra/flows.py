@@ -42,10 +42,8 @@ class NonFiniteStateError(RuntimeError):
 
 
 def _as_float(c) -> float:
-    if isinstance(c, GaussianRational):
-        if c.im != 0:
-            raise ValueError("cannot compile a polynomial with imaginary coefficients")
-        return float(c.re)
+    if isinstance(c, GaussianRational):  # in normal form its imaginary part is nonzero
+        raise ValueError("cannot compile a polynomial with imaginary coefficients")
     return float(c)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import catalog
 from ._linsolve import solve_exact
-from .polyalg import GAUSS, GaussianRational, I_UNIT, Poly, poly_matrix_mul, unit_keys
+from .polyalg import I_UNIT, Poly, poly_matrix_mul, unit_keys
 from .poisson import PolyVectorField, directional_action
 
 
@@ -39,13 +39,13 @@ def x_lax(N: int) -> list[list[Poly]]:
         raise ValueError("size must be odd and >= 3")
     n = N // 2
     vars_ = x_variables(n)
-    zero = Poly.zero(vars_, GAUSS)
+    zero = Poly.zero(vars_)
     L = [[zero for _ in range(N)] for _ in range(N)]
     for s in range(1, N):
         if s <= n:
-            entry = Poly.var(vars_, f"x{s}", GAUSS)
+            entry = Poly.var(vars_, f"x{s}")
         else:
-            entry = Poly.var(vars_, f"x{2 * n + 1 - s}", GAUSS).scale(I_UNIT)
+            entry = Poly.var(vars_, f"x{2 * n + 1 - s}").scale(I_UNIT)
         L[s - 1][s] = entry
         L[s][s - 1] = entry
     return L
@@ -203,7 +203,6 @@ def identify_jacobi(block: JacobiBlock, flow: PolyVectorField) -> IdentifiedSyst
     )
     gens = list(a_defs) + list(b_defs)
     express = _generator_solver(gens, gen_names)
-    flow = PolyVectorField(flow.variables, [c.with_field(gens[0].field) for c in flow.components])
     equations = tuple(express(directional_action(flow, g)) for g in gens)
     return IdentifiedSystem(block.tag, a_defs, b_defs, gen_names, equations)
 
@@ -226,36 +225,34 @@ def _generator_solver(gens: list[Poly], names: tuple[str, ...]):
 
     The basis, its expansion in the x variables and its term support are
     built once here and shared by every target (the targets share the
-    generators' variables and field).
+    generators' variables).
     """
-    field = gens[0].field
     by_name = dict(zip(names, gens))
     basis = _monomial_basis(names)
     expanded: list[Poly] = []
     monomials: list[Poly] = []
     for mono in basis:
-        p = Poly.const(gens[0].variables, 1, field)
-        q = Poly.const(names, 1, field)
+        p = Poly.const(gens[0].variables, 1)
+        q = Poly.const(names, 1)
         for u, e in mono:
             for _ in range(e):
                 p = p * by_name[u]
-            q = q * Poly.var(names, u, field) ** e
+            q = q * Poly.var(names, u) ** e
         expanded.append(p)
         monomials.append(q)
     basis_support = set().union(*(p.packed for p in expanded))
-    zero = GaussianRational.of(0) if field == GAUSS else 0
 
     def express(target: Poly) -> Poly:
         support = sorted(basis_support.union(target.packed))
-        rows = [[p.packed.get(e, zero) for p in expanded] for e in support]
-        rhs = [target.packed.get(e, zero) for e in support]
+        rows = [[p.packed.get(e, 0) for p in expanded] for e in support]
+        rhs = [target.packed.get(e, 0) for e in support]
         sol = solve_exact(rows, rhs)
         if sol is None:
             raise ValueError(
                 "induced equation is not expressible in the block generators"
             )
         coeffs, _ = sol
-        out = Poly.zero(names, field)
+        out = Poly.zero(names)
         for c, q in zip(coeffs, monomials):
             if c:
                 out = out + q.scale(c)

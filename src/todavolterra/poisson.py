@@ -2,7 +2,10 @@
 
 All operations are exact: a tensor is Poisson iff the Jacobiator vanishes as a
 polynomial, a map is a Poisson automorphism iff the pushforward reproduces the
-tensor entrywise.  Everything here is pure and immutable.
+tensor entrywise.  Everything here is pure and immutable, over the one
+coefficient ring of `polyalg`: a map with a Gaussian scale factor, such as
+the order-4 twist, acts on rational tensors with no conversion, and its
+results hold a `GaussianRational` only where a coefficient is not real.
 
 Every operation contracts a tensor with gradients: it visits only stored
 (nonzero) tensor entries and differentiates each polynomial once, by the
@@ -20,18 +23,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .polyalg import (
-    GAUSS,
-    RAT,
-    FieldMismatchError,
-    Poly,
-    Scalar,
-    coerce_scalar,
-    divide,
-    format_scalar,
-    join_fields,
-    scalar_field,
-)
+from .polyalg import Poly, Scalar, divide, format_scalar, normal
 
 
 class LinearMap:
@@ -42,29 +34,24 @@ class LinearMap:
     and the order-4 Gaussian twist).
     """
 
-    __slots__ = ("variables", "field", "images")
+    __slots__ = ("variables", "images")
 
     def __init__(self, variables: Sequence[str], images: Mapping[str, tuple[str, Scalar]]):
         variables = tuple(variables)
         if set(images) != set(variables):
             raise ValueError("images must be given for exactly the variable list")
-        field = RAT
         table = {}
         for v in variables:
             w, c = images[v]
             if w not in variables:
                 raise ValueError(f"image variable {w!r} not in variable list")
-            field = join_fields(field, scalar_field(c))
-            table[v] = (w, c)
+            table[v] = (w, normal(c))
         sources = sorted(w for w, _ in table.values())
         if sources != sorted(variables):
             raise ValueError("not a scaled permutation (sources must be a bijection)")
-        table = {v: (w, coerce_scalar(c, field)) for v, (w, c) in table.items()}
-        for v, (w, c) in table.items():
-            if not c:
-                raise ValueError("zero scale factor makes the map singular")
+        if not all(c for _, c in table.values()):
+            raise ValueError("zero scale factor makes the map singular")
         self.variables = variables
-        self.field = field
         self.images = table
 
     @staticmethod
@@ -72,8 +59,7 @@ class LinearMap:
         return LinearMap(variables, {v: (v, 1) for v in variables})
 
     def is_identity(self) -> bool:
-        one = coerce_scalar(1, self.field)
-        return all(w == v and c == one for v, (w, c) in self.images.items())
+        return all(w == v and c == 1 for v, (w, c) in self.images.items())
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other: (self∘other)(x) = self(other(x))."""
@@ -94,12 +80,7 @@ class LinearMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
             return NotImplemented
-        if self.variables != other.variables:
-            return False
-        field = join_fields(self.field, other.field)
-        a = {v: (w, coerce_scalar(c, field)) for v, (w, c) in self.images.items()}
-        b = {v: (w, coerce_scalar(c, field)) for v, (w, c) in other.images.items()}
-        return a == b
+        return self.variables == other.variables and self.images == other.images
 
     __hash__ = None
 
@@ -113,7 +94,7 @@ class LinearMap:
 class PolyVectorField:
     """Coordinate vector of polynomials (a polynomial vector field)."""
 
-    __slots__ = ("variables", "field", "components")
+    __slots__ = ("variables", "components")
 
     def __init__(self, variables: Sequence[str], components: Sequence[Poly]):
         variables = tuple(variables)
@@ -122,16 +103,12 @@ class PolyVectorField:
             raise ValueError("vector field component on another variable list")
         if len(components) != len(variables):
             raise ValueError("need one component per variable")
-        fields = {p.field for p in components}
-        if len(fields) > 1:
-            raise FieldMismatchError("mixed coefficient fields in vector field")
         self.variables = variables
-        self.field = components[0].field if components else RAT
         self.components = components
 
     @staticmethod
-    def zero(variables: Sequence[str], field: str = RAT) -> "PolyVectorField":
-        return PolyVectorField(variables, [Poly.zero(variables, field)] * len(tuple(variables)))
+    def zero(variables: Sequence[str]) -> "PolyVectorField":
+        return PolyVectorField(variables, [Poly.zero(variables)] * len(tuple(variables)))
 
     def component(self, name: str) -> Poly:
         return self.components[self.variables.index(name)]
@@ -163,19 +140,10 @@ class PoissonTensor:
     identity is *not* assumed; candidates are tested with `is_poisson`.
     """
 
-    __slots__ = ("variables", "field", "upper")
+    __slots__ = ("variables", "upper")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        upper: Mapping[tuple[int, int], Poly],
-        field: str | None = None,
-    ):
+    def __init__(self, variables: Sequence[str], upper: Mapping[tuple[int, int], Poly]):
         variables = tuple(variables)
-        fields = {p.field for p in upper.values()} | ({field} if field else set())
-        if len(fields) > 1:
-            raise FieldMismatchError("mixed coefficient fields in tensor entries")
-        fld = fields.pop() if fields else RAT
         clean = {}
         m = len(variables)
         for (i, j), p in upper.items():
@@ -186,16 +154,13 @@ class PoissonTensor:
             if not p.is_zero:
                 clean[(i, j)] = p
         self.variables = variables
-        self.field = fld
         self.upper = clean
 
     # ------------------------------------------------------------- building
 
     @staticmethod
     def from_brackets(
-        variables: Sequence[str],
-        brackets: Mapping[tuple[str, str], Poly],
-        field: str = RAT,
+        variables: Sequence[str], brackets: Mapping[tuple[str, str], Poly]
     ) -> "PoissonTensor":
         """Build from named entries {x_u, x_v}; (u, v) order is respected."""
         variables = tuple(variables)
@@ -207,11 +172,11 @@ class PoissonTensor:
                 raise ValueError("diagonal bracket {x,x} must be zero")
             key, q = ((i, j), p) if i < j else ((j, i), -p)
             upper[key] = upper[key] + q if key in upper else q
-        return PoissonTensor(variables, upper, field)
+        return PoissonTensor(variables, upper)
 
     @staticmethod
-    def zero(variables: Sequence[str], field: str = RAT) -> "PoissonTensor":
-        return PoissonTensor(variables, {}, field=field)
+    def zero(variables: Sequence[str]) -> "PoissonTensor":
+        return PoissonTensor(variables, {})
 
     # ------------------------------------------------------------- accessors
 
@@ -220,7 +185,7 @@ class PoissonTensor:
         return len(self.variables)
 
     def entry(self, i: int, j: int) -> Poly:
-        zero = Poly.zero(self.variables, self.field)
+        zero = Poly.zero(self.variables)
         return self.upper.get((i, j), zero) if i <= j else -self.upper.get((j, i), zero)
 
     def entry_named(self, u: str, v: str) -> Poly:
@@ -234,7 +199,7 @@ class PoissonTensor:
             raise ValueError("tensors on different variable lists")
         keys = set(self.upper) | set(other.upper)
         upper = {k: self.entry(*k) + other.entry(*k) for k in keys}
-        return PoissonTensor(self.variables, upper, join_fields(self.field, other.field))
+        return PoissonTensor(self.variables, upper)
 
     def scale(self, c: Scalar) -> "PoissonTensor":
         return PoissonTensor(self.variables, {k: p.scale(c) for k, p in self.upper.items()})
@@ -242,22 +207,13 @@ class PoissonTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoissonTensor):
             return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.field == other.field
-            and self.upper == other.upper
-        )
+        return self.variables == other.variables and self.upper == other.upper
 
     __hash__ = None
 
     @property
     def is_zero(self) -> bool:
         return not self.upper
-
-    def to_gaussian(self) -> "PoissonTensor":
-        return PoissonTensor(
-            self.variables, {k: p.to_gaussian() for k, p in self.upper.items()}, GAUSS
-        )
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -297,7 +253,7 @@ def hamiltonian_vf(pi: PoissonTensor, H: Poly) -> PolyVectorField:
     if H.variables != pi.variables:
         raise ValueError("Hamiltonian and tensor on different variable lists")
     grad = _gradient(H)
-    comps = [Poly.zero(pi.variables, join_fields(pi.field, H.field)) for _ in pi.variables]
+    comps = [Poly.zero(pi.variables)] * pi.dim
     for (i, j), p in pi.upper.items():
         if j in grad:
             comps[i] = comps[i] + p * grad[j]
@@ -368,10 +324,6 @@ def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTen
     """
     if Z.variables != pi.variables:
         raise ValueError("field and tensor on different variable lists")
-    if Z.field != pi.field:
-        raise FieldMismatchError(
-            f"cannot mix fields {Z.field} and {pi.field} in a Lie derivative"
-        )
     upper = {key: directional_action(Z, pij) for key, pij in pi.upper.items()}
 
     def add(key, term):
@@ -385,14 +337,14 @@ def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTen
                     add((c, a), -(pka * dz))
                 elif a < c:
                     add((a, c), pka * dz)
-    return PoissonTensor(pi.variables, upper, field=pi.field)
+    return PoissonTensor(pi.variables, upper)
 
 
 def directional_action(Z: PolyVectorField, H: Poly) -> Poly:
     """Z(H) = sum_i Z^i dH/dx_i."""
     if H.variables != Z.variables:
         raise ValueError("polynomial and field on different variable lists")
-    out = Poly.zero(Z.variables, join_fields(Z.field, H.field))
+    out = Poly.zero(Z.variables)
     for i, dH in _gradient(H).items():
         out = out + Z.components[i] * dH
     return out
@@ -407,16 +359,15 @@ def pushforward_bivector(A: LinearMap, pi: PoissonTensor) -> PoissonTensor:
     if A.variables != pi.variables:
         raise ValueError("map and tensor on different variable lists")
     inv = A.inverse()
-    field = join_fields(A.field, pi.field)
     vars_ = pi.variables
     pos = {v: k for k, v in enumerate(vars_)}
     upper = {}
     for (a, b), p in pi.upper.items():
         u, v = pos[inv.images[vars_[a]][0]], pos[inv.images[vars_[b]][0]]
-        c = coerce_scalar(A.images[vars_[u]][1], field) * coerce_scalar(A.images[vars_[v]][1], field)
-        q = p.with_field(field).subst_linear(inv.images)
+        c = A.images[vars_[u]][1] * A.images[vars_[v]][1]
+        q = p.subst_linear(inv.images)
         upper[(u, v) if u < v else (v, u)] = q.scale(c if u < v else -c)
-    return PoissonTensor(vars_, upper, field)
+    return PoissonTensor(vars_, upper)
 
 
 def pushforward_vf(A: LinearMap, Z: PolyVectorField) -> PolyVectorField:
@@ -424,22 +375,18 @@ def pushforward_vf(A: LinearMap, Z: PolyVectorField) -> PolyVectorField:
     if A.variables != Z.variables:
         raise ValueError("map and field on different variable lists")
     inv = A.inverse()
-    field = join_fields(A.field, Z.field)
     comps = []
     for u in Z.variables:
         su, cu = A.images[u]
-        comps.append(Z.component(su).with_field(field).subst_linear(inv.images).scale(coerce_scalar(cu, field)))
+        comps.append(Z.component(su).subst_linear(inv.images).scale(cu))
     return PolyVectorField(Z.variables, comps)
 
 
 def pushforward_sign(A: LinearMap, pi: PoissonTensor) -> int | None:
     """+1 / -1 if A_* pi = +/- pi exactly, else None."""
     pushed = pushforward_bivector(A, pi)
-    base = PoissonTensor(
-        pi.variables, {k: p.with_field(pushed.field) for k, p in pi.upper.items()}, pushed.field
-    )
-    if pushed == base:
+    if pushed == pi:
         return 1
-    if pushed == base.scale(-1):
+    if pushed == pi.scale(-1):
         return -1
     return None

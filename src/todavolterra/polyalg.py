@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial arithmetic over Q and Q(i).
+"""Exact multivariate polynomial arithmetic over one coefficient ring, Q(i).
 
 A polynomial is stored sparsely as a map from monomial keys to nonzero
 coefficients, together with a fixed ordered tuple of variable names.  A key
@@ -10,20 +10,18 @@ guard: a stored exponent is at most `EXPONENT_LIMIT` (32,767), two keys add
 without a carry between fields, and a product whose degree in some variable
 passes the limit raises `OverflowError` instead of wrapping.  `Poly.terms`
 reads the map back with exponent tuples as keys.  Zero coefficients are never
-stored, so two polynomials are equal exactly when their variable lists,
-coefficient fields and term maps coincide; symbolic identity checks reduce to
-dictionary comparison.
+stored, so two polynomials are equal exactly when their variable lists and
+term maps coincide; symbolic identity checks reduce to dictionary comparison.
 
-Coefficients are exact rationals in the default rational mode (field ``"Q"``)
-and `GaussianRational` pairs of them in Gaussian mode (field ``"Qi"``).  A
-rational is held in normal form (`normal`): an `int` when it is integral and
-a `fractions.Fraction` only when its denominator is not 1, never a float.
+Every coefficient is an exact scalar of Q(i) held in normal form (`normal`),
+the one place that decides how a scalar is stored: an `int` when it is an
+integer, a `fractions.Fraction` when it is rational but not an integer, and
+a `GaussianRational` only when its imaginary part is nonzero; never a float.
 Almost every coefficient of the lattice identities is a small integer, and
-int arithmetic is several times cheaper than Fraction arithmetic.  `int` and
-`Fraction` compare and hash equal and print alike, so the normal form changes
-no output.  The Gaussian extension is an explicit switch (`Poly.to_gaussian`);
-arithmetic between polynomials of different fields raises, which keeps
-sqrt(-1) from leaking into computations that are supposed to stay rational.
+int arithmetic is several times cheaper than Fraction or Gaussian
+arithmetic, so a polynomial pays for sqrt(-1) only in the terms that hold
+it.  The three types compare and hash equal on equal values and print alike
+(`format_scalar`), so the normal form changes no output.
 """
 
 from __future__ import annotations
@@ -35,11 +33,6 @@ import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Mapping, Sequence, Union
-
-RAT = "Q"
-GAUSS = "Qi"
-
-_FIELDS = (RAT, GAUSS)
 
 _set = object.__setattr__
 
@@ -70,22 +63,22 @@ def _unpack(key: int, n: int) -> tuple[int, ...]:
     return _layout(n)[0].unpack(key.to_bytes(2 * n, "big"))
 
 
-class FieldMismatchError(TypeError):
-    """Raised when polynomials over different coefficient fields are mixed."""
-
-
 def normal(value):
-    """An exact scalar in normal form: an integral rational becomes an `int`.
+    """An exact scalar of Q(i) in normal form: an `int` when it is an integer,
+    a `Fraction` when it is rational but not an integer, a `GaussianRational`
+    only when its imaginary part is nonzero.
 
-    An `int`, a `GaussianRational` (whose parts are normal on construction)
-    and a `Fraction` whose denominator is not 1 come back as they are; any
-    other rational value (a bool, a numpy integer, a string such as "1/2")
-    is converted by `Fraction` first.  A float raises `TypeError`: an int
-    `/` that leaked into exact code must fail, not become an inexact Fraction.
+    A `GaussianRational` with imaginary part 0 becomes its real part (its
+    parts are normal on construction); any other rational value (a bool, a
+    numpy integer, a string such as "1/2") is converted by `Fraction` first.
+    A float raises `TypeError`: an int `/` that leaked into exact code must
+    fail, not become an inexact Fraction.
     """
     t = type(value)
-    if t is int or t is GaussianRational:
+    if t is int:
         return value
+    if t is GaussianRational:
+        return value if value.im else value.re
     if t is not Fraction:
         if isinstance(value, float):
             raise TypeError(f"float {value!r} in exact arithmetic")
@@ -96,7 +89,7 @@ def normal(value):
 def divide(x, y):
     """x / y exactly, in normal form; `/` on two ints would give a float."""
     if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
-        return GaussianRational.of(x) / y
+        return normal(GaussianRational.of(x) / y)
     return normal(Fraction(x, y))
 
 
@@ -184,28 +177,6 @@ I_UNIT = GaussianRational(0, 1)
 Scalar = Union[int, Fraction, GaussianRational]
 
 
-def coerce_scalar(value: Scalar, field: str) -> Scalar:
-    """Coerce an int/Fraction/GaussianRational into the given field, in
-    normal form (`normal`)."""
-    if field == RAT:
-        if isinstance(value, GaussianRational):
-            if value.im != 0:
-                raise FieldMismatchError("Gaussian scalar in rational-mode polynomial")
-            return value.re
-        return normal(value)
-    if field == GAUSS:
-        return GaussianRational.of(value)
-    raise ValueError(f"unknown coefficient field {field!r}")
-
-
-def scalar_field(value: Scalar) -> str:
-    return GAUSS if isinstance(value, GaussianRational) else RAT
-
-
-def join_fields(f1: str, f2: str) -> str:
-    return GAUSS if GAUSS in (f1, f2) else RAT
-
-
 _VAR_KEY_RE = re.compile(r"([A-Za-z]+)(\d*)$")
 
 
@@ -246,16 +217,10 @@ def _checked_variables(variables: Sequence[str]) -> tuple[str, ...]:
 class Poly:
     """Immutable sparse polynomial over an ordered variable tuple."""
 
-    __slots__ = ("variables", "field", "packed")
+    __slots__ = ("variables", "packed")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        terms: Mapping[tuple[int, ...], Scalar] | None = None,
-        field: str = RAT,
-    ):
-        if field not in _FIELDS:
-            raise ValueError(f"unknown coefficient field {field!r}")
+    def __init__(self, variables: Sequence[str],
+                 terms: Mapping[tuple[int, ...], Scalar] | None = None):
         variables = _checked_variables(variables)
         clean: dict[int, Scalar] = {}
         for expo, coeff in (terms or {}).items():
@@ -266,7 +231,7 @@ class Poly:
                 raise ValueError("negative exponent")
             if max(expo, default=0) > EXPONENT_LIMIT:
                 raise OverflowError(f"exponent above {EXPONENT_LIMIT}")
-            c = coerce_scalar(coeff, field)
+            c = normal(coeff)
             if c:
                 key = _pack(expo)
                 c = normal(clean.get(key, 0) + c)
@@ -275,30 +240,27 @@ class Poly:
                 else:
                     del clean[key]
         _set_variables(self, variables)
-        _set_field(self, field)
         _set_packed(self, clean)
 
     @classmethod
-    def _make(cls, variables: tuple[str, ...], packed: dict[int, Scalar], field: str) -> "Poly":
+    def _make(cls, variables: tuple[str, ...], packed: dict[int, Scalar]) -> "Poly":
         """Trusted internal constructor: stores its arguments without checks.
 
         The caller guarantees what `__init__` would otherwise establish:
-        `variables` is a tuple of distinct names other than ``"i"``, `field`
-        is RAT or GAUSS, every key of `packed` is a monomial key of
-        len(variables) fields (see the module docstring), each field at most
-        `EXPONENT_LIMIT`, and every value is a nonzero rational in normal
-        form, `int | Fraction` (RAT; see `normal`), or a nonzero
-        `GaussianRational` (GAUSS).  `packed` is kept, not copied, so the
-        caller must not mutate it afterwards.  Only operations whose inputs
-        are already `Poly` objects and whose results keep these invariants
-        (sum, negation, product, scaling by a nonzero field element,
-        derivative, variable extension, linear substitution) and the zero
-        polynomial, on checked variables, use it; outside input, and results
-        that may hold zero coefficients, go through `Poly(...)`.
+        `variables` is a tuple of distinct names other than ``"i"``, every
+        key of `packed` is a monomial key of len(variables) fields (see the
+        module docstring), each field at most `EXPONENT_LIMIT`, and every
+        value is a nonzero scalar in normal form (`normal`).  `packed` is
+        kept, not copied, so the caller must not mutate it afterwards.  Only
+        operations whose inputs are already `Poly` objects and whose results
+        keep these invariants (sum, negation, product, scaling by a nonzero
+        scalar, derivative, variable extension, linear substitution, real and
+        imaginary parts) and the zero polynomial, on checked variables, use
+        it; outside input, and results that may hold zero coefficients, go
+        through `Poly(...)`.
         """
         p = object.__new__(cls)
         _set_variables(p, variables)
-        _set_field(p, field)
         _set_packed(p, packed)
         return p
 
@@ -314,24 +276,22 @@ class Poly:
     # ---------------------------------------------------------------- basics
 
     @staticmethod
-    def zero(variables: Sequence[str], field: str = RAT) -> "Poly":
-        if field not in _FIELDS:
-            raise ValueError(f"unknown coefficient field {field!r}")
-        return Poly._make(_checked_variables(variables), {}, field)
+    def zero(variables: Sequence[str]) -> "Poly":
+        return Poly._make(_checked_variables(variables), {})
 
     @staticmethod
-    def const(variables: Sequence[str], value: Scalar, field: str = RAT) -> "Poly":
+    def const(variables: Sequence[str], value: Scalar) -> "Poly":
         n = len(tuple(variables))
-        return Poly(variables, {(0,) * n: value}, field)
+        return Poly(variables, {(0,) * n: value})
 
     @staticmethod
-    def var(variables: Sequence[str], name: str, field: str = RAT) -> "Poly":
+    def var(variables: Sequence[str], name: str) -> "Poly":
         variables = tuple(variables)
         if name not in variables:
             raise KeyError(f"unknown variable {name!r}")
         expo = [0] * len(variables)
         expo[variables.index(name)] = 1
-        return Poly(variables, {tuple(expo): 1}, field)
+        return Poly(variables, {tuple(expo): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -350,16 +310,12 @@ class Poly:
         return [k for k, e in enumerate(fields) if e]
 
     def coefficient(self, expo: tuple[int, ...]) -> Scalar:
-        return self.terms.get(tuple(expo), coerce_scalar(0, self.field))
+        return self.terms.get(tuple(expo), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.field == other.field
-            and self.packed == other.packed
-        )
+        return self.variables == other.variables and self.packed == other.packed
 
     __hash__ = None  # mutable-looking equality; not hashable
 
@@ -372,11 +328,6 @@ class Poly:
     # ------------------------------------------------------------ arithmetic
 
     def _aligned(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if self.field != other.field:
-            raise FieldMismatchError(
-                f"cannot mix fields {self.field} and {other.field}; "
-                "convert explicitly with to_gaussian()"
-            )
         if self.variables != other.variables:
             raise ValueError("polynomials on different variable lists; extend one explicitly")
         return self, other
@@ -396,7 +347,7 @@ class Poly:
             for pos, e in zip(idx, expo):
                 new[pos] = e
             terms[_pack(new)] = coeff
-        return Poly._make(variables, terms, self.field)
+        return Poly._make(variables, terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         p, q = self._aligned(other)
@@ -407,10 +358,10 @@ class Poly:
                 terms[expo] = normal(s)
             else:
                 terms.pop(expo, None)
-        return Poly._make(p.variables, terms, p.field)
+        return Poly._make(p.variables, terms)
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.variables, {e: -c for e, c in self.packed.items()}, self.field)
+        return Poly._make(self.variables, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -430,28 +381,26 @@ class Poly:
                     terms.pop(expo, None)
         if reduce(operator.or_, terms, 0) & _layout(len(p.variables))[2]:
             raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
-        if p.field == RAT:
-            # a partial sum may be an integral Fraction; normalise once, at the end
-            for expo, c in terms.items():
-                if type(c) is not int:
-                    terms[expo] = normal(c)
-        return Poly._make(p.variables, terms, p.field)
+        # a partial sum may be an integral Fraction or a real GaussianRational;
+        # normalise once, at the end
+        for expo, c in terms.items():
+            if type(c) is not int:
+                terms[expo] = normal(c)
+        return Poly._make(p.variables, terms)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
 
     def scale(self, value: Scalar) -> "Poly":
-        c = coerce_scalar(value, self.field)
+        c = normal(value)
         if not c:
-            return Poly.zero(self.variables, self.field)
-        return Poly._make(
-            self.variables, {e: normal(c * v) for e, v in self.packed.items()}, self.field
-        )
+            return Poly.zero(self.variables)
+        return Poly._make(self.variables, {e: normal(c * v) for e, v in self.packed.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.const(self.variables, 1, self.field)
+        result = Poly.const(self.variables, 1)
         for _ in range(n):
             result = result * self
         return result
@@ -470,7 +419,7 @@ class Poly:
             e = key & mask
             if e:
                 terms[key - unit] = normal(coeff * (e // unit))
-        return Poly._make(self.variables, terms, self.field)
+        return Poly._make(self.variables, terms)
 
     # --------------------------------------------------------- substitution
 
@@ -478,24 +427,18 @@ class Poly:
         """Compose with a polynomial map covering every variable of self.
 
         `images[v]` gives the polynomial replacing variable v; all images must
-        share one variable list and field.
+        share one variable list.
         """
         missing = [v for v in self.variables if v not in images]
         if missing:
             raise KeyError(f"substitution does not cover variables {missing}")
         imgs = [images[v] for v in self.variables]
         target_vars = imgs[0].variables
-        field = imgs[0].field
-        for p in imgs:
-            if p.variables != target_vars or p.field != field:
-                raise ValueError("substitution images must share variables and field")
-        if self.field != field:
-            raise FieldMismatchError(
-                f"cannot substitute field-{field} images into field-{self.field} polynomial"
-            )
-        result = Poly.zero(target_vars, field)
+        if any(p.variables != target_vars for p in imgs):
+            raise ValueError("substitution images must share one variable list")
+        result = Poly.zero(target_vars)
         for expo, coeff in self.terms.items():
-            term = Poly.const(target_vars, coeff, field)
+            term = Poly.const(target_vars, coeff)
             for img, e in zip(imgs, expo):
                 for _ in range(e):
                     term = term * img
@@ -515,53 +458,35 @@ class Poly:
             raise ValueError(f"linear map does not cover variables {missing}")
         if sorted(sources) != sorted(self.variables):
             raise ValueError("not a scaled permutation of the variable list")
-        field = self.field
-        for v in self.variables:
-            field = join_fields(field, scalar_field(table[v][1]))
         n, unit = len(self.variables), unit_keys(self.variables)
         terms: dict[int, Scalar] = {}
-        for packed, coeff in self.packed.items():
-            c = coerce_scalar(coeff, field)
+        for packed, c in self.packed.items():
             key = 0
             for v, e in zip(self.variables, _unpack(packed, n)):
                 if e == 0:
                     continue
                 src, scale = table[v]
                 key += e * unit[src]
-                c = c * _ipow(coerce_scalar(scale, field), e)
+                c = c * _ipow(scale, e)
             s = terms.get(key, 0) + c
             if s:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        if field == RAT:
-            # a sum of Fractions may be integral; normalise once, at the end
-            terms = {e: normal(c) for e, c in terms.items()}
-        return Poly._make(self.variables, terms, field)
+        # a sum may be an integral Fraction or a real GaussianRational;
+        # normalise once, at the end
+        return Poly._make(self.variables, {e: normal(c) for e, c in terms.items()})
 
-    # ---------------------------------------------------------- field moves
-
-    def to_gaussian(self) -> "Poly":
-        if self.field == GAUSS:
-            return self
-        return Poly(self.variables, {e: GaussianRational.of(c) for e, c in self.terms.items()}, GAUSS)
-
-    def with_field(self, field: str) -> "Poly":
-        if field == self.field:
-            return self
-        if field == GAUSS:
-            return self.to_gaussian()
-        return self.real_part()
+    # ------------------------------------------------------------------ parts
 
     def real_part(self) -> "Poly":
-        if self.field == RAT:
-            return self
-        return Poly(self.variables, {e: c.re for e, c in self.terms.items()}, RAT)
+        terms = {e: r for e, c in self.packed.items()
+                 if (r := c.re if type(c) is GaussianRational else c)}
+        return Poly._make(self.variables, terms)
 
     def imag_part(self) -> "Poly":
-        if self.field == RAT:
-            return Poly.zero(self.variables, RAT)
-        return Poly(self.variables, {e: c.im for e, c in self.terms.items()}, RAT)
+        terms = {e: c.im for e, c in self.packed.items() if type(c) is GaussianRational}
+        return Poly._make(self.variables, terms)
 
     # --------------------------------------------------------------- output
 
@@ -600,17 +525,20 @@ class Poly:
 
 # the slots' own setters, which `Poly.__setattr__` does not guard; half the
 # cost of `object.__setattr__`, which looks each slot up by name
-_set_variables, _set_field, _set_packed = (
-    Poly.__dict__[name].__set__ for name in ("variables", "field", "packed"))
+_set_variables, _set_packed = (Poly.__dict__[name].__set__ for name in ("variables", "packed"))
 
 
 def _ipow(scalar: Scalar, n: int) -> Scalar:
-    if n == 0:
-        return GaussianRational.of(1) if isinstance(scalar, GaussianRational) else 1
-    out = scalar
-    for _ in range(n - 1):
-        out = out * scalar
-    return out
+    """scalar ** n for n >= 0 by square-and-multiply: at most 2 log2(n)
+    products, and a plain 1 for n = 0."""
+    out = None
+    while True:
+        if n & 1:
+            out = scalar if out is None else out * scalar
+        n >>= 1
+        if not n:
+            return 1 if out is None else out
+        scalar = scalar * scalar
 
 
 # --------------------------------------------------------------------- misc
@@ -618,7 +546,7 @@ def _ipow(scalar: Scalar, n: int) -> Scalar:
 
 def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
     n, mid, m = len(A), len(B), len(B[0])
-    zero = Poly.zero(A[0][0].variables, A[0][0].field)
+    zero = Poly.zero(A[0][0].variables)
     out = [[zero for _ in range(m)] for _ in range(n)]
     for i in range(n):
         for k in range(mid):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polyalg import Poly, join_fields, scalar_field, variable_sort_key
+from .polyalg import Poly, variable_sort_key
 from .poisson import LinearMap, PoissonTensor, directional_action, hamiltonian_vf, pushforward_sign
 
 
@@ -68,8 +68,7 @@ class FixedPointChart:
 
     def restrict(self, F: Poly) -> Poly:
         """Restrict an ambient polynomial to the fixed-point set."""
-        images = {v: self.section[v].with_field(F.field) for v in F.variables}
-        return F.substitute(images)
+        return F.substitute(self.section)
 
 
 def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
@@ -96,7 +95,7 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
             section[v] = Poly.zero(reduced)
         else:
             c = next(c for w, c in orbit[v] if w == r)
-            section[v] = Poly.var(reduced, r, scalar_field(c)).scale(c)
+            section[v] = Poly.var(reduced, r).scale(c)
     return FixedPointChart(group.variables, reduced, section)
 
 
@@ -122,7 +121,7 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
     check_poisson_action(pi, group)
     chart = fixed_point_chart(group)
     red = chart.reduced_variables
-    lifts = [invariant_average(chart.lift(Poly.var(red, u, pi.field)), group) for u in red]
+    lifts = [invariant_average(chart.lift(Poly.var(red, u)), group) for u in red]
     # {F, G} = X_G(F), as in `poisson.bracket`, with each lift's field built
     # once; entry (i, j) has j >= 1, so lifts[0] needs none
     fields = [hamiltonian_vf(pi, G) for G in lifts[1:]]
@@ -130,7 +129,7 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
         (i, j): chart.restrict(directional_action(fields[j - 1], lifts[i]))
         for i in range(len(red)) for j in range(i + 1, len(red))
     }
-    return PoissonTensor(red, upper, pi.field)
+    return PoissonTensor(red, upper)
 
 
 @dataclass
@@ -160,11 +159,9 @@ def verify_reduction(
                 "got": ",".join(got.variables),
             }],
         )
-    field = join_fields(got.field, expected.field)
     diffs = []
     for i, j in sorted(set(got.upper) | set(expected.upper)):
-        e = expected.entry(i, j).with_field(field)
-        g = got.entry(i, j).with_field(field)
+        e, g = expected.entry(i, j), got.entry(i, j)
         if e != g:
             diffs.append(
                 {"i": i + 1, "j": j + 1, "expected": e.canonical_str(), "got": g.canonical_str()}

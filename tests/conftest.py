@@ -8,7 +8,7 @@ import pytest
 from todavolterra import bogo, catalog
 from todavolterra.flows import compile_field, integrate
 from todavolterra.poisson import PolyVectorField
-from todavolterra.polyalg import GaussianRational, Poly, _ipow, coerce_scalar, normal
+from todavolterra.polyalg import GaussianRational, Poly, _ipow, normal
 
 
 @pytest.fixture
@@ -18,15 +18,17 @@ def rng():
 
 def assert_normal(value):
     """`value` is an exact scalar in normal form: a rational is an `int` when
-    integral and a `Fraction` otherwise, never a float; a `GaussianRational`'s
-    parts follow the same rule."""
+    integral and a `Fraction` otherwise, never a float; a `GaussianRational`
+    has a nonzero imaginary part and parts that follow the same rule."""
+    if isinstance(value, GaussianRational):
+        assert value.im != 0, f"{value!r} is a rational held as a GaussianRational"
     parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value,)
     for q in parts:
         assert type(q) in (int, Fraction), f"{q!r} is not an exact rational"
         assert (type(q) is int) == (q.denominator == 1), f"{q!r} is not in normal form"
 
 
-def random_poly(rng, variables, max_terms=4, max_exp=2, max_coef=4, field="Q"):
+def random_poly(rng, variables, max_terms=4, max_exp=2, max_coef=4):
     """Small random polynomial with exact rational coefficients."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -34,8 +36,7 @@ def random_poly(rng, variables, max_terms=4, max_exp=2, max_coef=4, field="Q"):
         coef = Fraction(rng.randint(-max_coef, max_coef), rng.randint(1, 3))
         if coef:
             terms[expo] = terms.get(expo, Fraction(0)) + coef
-    p = Poly(variables, terms)
-    return p.to_gaussian() if field == "Qi" else p
+    return Poly(variables, terms)
 
 
 def read_poly(text, variables):
@@ -75,8 +76,8 @@ def evaluate(p, point):
         if abs(total.imag) == 0.0:
             return total.real
         return total
-    total = coerce_scalar(0, p.field)
-    pt = [coerce_scalar(x, p.field) for x in point]
+    total = 0
+    pt = [normal(x) for x in point]
     for expo, coeff in p.terms.items():
         term = coeff
         for x, e in zip(pt, expo):

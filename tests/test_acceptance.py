@@ -163,7 +163,7 @@ def test_criterion_5_reduction_regressions():
         check(
             "criterion 5",
             f"one-stage (order 4) = two-stage (two involutions) on pi4, n={n}",
-            one == stage2.to_gaussian(),
+            one == stage2,
         )
 
 

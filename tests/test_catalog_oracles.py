@@ -22,16 +22,7 @@ import pytest
 from todavolterra import catalog, checks, moser
 from todavolterra.catalog import SystemId, lax_size, variables
 from todavolterra.poisson import LinearMap, PoissonTensor, PolyVectorField
-from todavolterra.polyalg import (
-    GAUSS,
-    I_UNIT,
-    RAT,
-    Poly,
-    divide,
-    poly_matrix_mul,
-    scalar_field,
-    variable_sort_key,
-)
+from todavolterra.polyalg import I_UNIT, Poly, divide, poly_matrix_mul, variable_sort_key
 from todavolterra.reduction import FiniteGroupAction, FixedPointChart, fixed_point_chart
 
 from conftest import read_poly
@@ -126,13 +117,13 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
     raise ValueError(f"no catalog tensor pi_{k} for {sys}")
 
 
-def old_embedded_volterra_tensor(N: int, k: int, field: str = RAT) -> PoissonTensor:
+def old_embedded_volterra_tensor(N: int, k: int) -> PoissonTensor:
     small = old_tensor(SystemId("volterra", "a", N), k)
     big_vars = variables(SystemId("toda", "a", N))
     upper = {}
     for (i, j), p in small.upper.items():
-        upper[(i, j)] = p.extend(big_vars).with_field(field)
-    return PoissonTensor(big_vars, upper, field)
+        upper[(i, j)] = p.extend(big_vars)
+    return PoissonTensor(big_vars, upper)
 
 
 def old_master_symmetry(sys: SystemId) -> PolyVectorField:
@@ -160,12 +151,12 @@ def old_i4_hamiltonian(n: int) -> Poly:
     return out
 
 
-def old_lax(sys: SystemId, field: str = RAT) -> list[list[Poly]]:
+def old_lax(sys: SystemId) -> list[list[Poly]]:
     vars_ = variables(sys)
     N = lax_size(sys)
-    zero = Poly.zero(vars_, field)
-    one = Poly.const(vars_, 1, field)
-    V = lambda name: Poly.var(vars_, name, field)
+    zero = Poly.zero(vars_)
+    one = Poly.const(vars_, 1)
+    V = lambda name: Poly.var(vars_, name)
     L = [[zero for _ in range(N)] for _ in range(N)]
     fam, kind, n = sys.family, sys.kind, sys.n
 
@@ -359,7 +350,7 @@ def old_fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
             else:
                 _, m_v = walk(v)
                 scale = divide(m_v, m_rep)  # x_v = scale * x_rep on the fixed set
-                section[v] = Poly.var(reduced, rep, scalar_field(scale)).scale(scale)
+                section[v] = Poly.var(reduced, rep).scale(scale)
     return FixedPointChart(tuple(vars_), tuple(reduced), section)
 
 
@@ -395,23 +386,20 @@ def test_i4_equals_old():
         assert catalog.i4_hamiltonian(n) == old_i4_hamiltonian(n), n
 
 
-@pytest.mark.parametrize("field", ["Q", "Qi"])
-def test_embedded_volterra_tensor_equals_old(field):
+def test_embedded_volterra_tensor_equals_old():
     for N in range(3, 16):
         for k in (2, 4):
-            new = catalog.embedded_volterra_tensor(N, k, field)
-            assert new == old_embedded_volterra_tensor(N, k, field), (N, k)
-            assert new.field == field
+            new = catalog.embedded_volterra_tensor(N, k)
+            assert new == old_embedded_volterra_tensor(N, k), (N, k)
 
 
 @pytest.mark.parametrize("name", ["toda-a", "toda-b", "toda-c", "volterra-a",
                                   "volterra-b", "volterra-c"])
-@pytest.mark.parametrize("field", ["Q", "Qi"])
-def test_lax_equals_old(name, field):
+def test_lax_equals_old(name):
     lo = 2 if name.endswith("-a") else 1
     for n in range(lo, 13):
         sys = catalog.parse_system(f"{name}:{n}")
-        assert catalog.lax(sys, field) == old_lax(sys, field), str(sys)
+        assert catalog.lax(sys) == old_lax(sys), str(sys)
 
 
 # The sizes at which `verify all --max-rank 6` builds H_k (toda-a:2..6,
@@ -489,8 +477,8 @@ def test_symmetry_equals_old():
                     assert str(info.value) == str(exc)
                     continue
                 new = catalog.symmetry(map_name, sys)
-                assert (new.variables, new.field, new.images) == (
-                    old.variables, old.field, old.images), (map_name, str(sys))
+                assert (new.variables, new.images) == (old.variables, old.images), (
+                    map_name, str(sys))
                 assert repr(new) == repr(old)
     assert (cases, errors) == (688, 590)
     with pytest.raises(ValueError, match="^unknown symmetry 'chi'$"):
@@ -525,11 +513,8 @@ def group_of(map_name: str, sys: SystemId) -> FiniteGroupAction:
 
 
 def test_chart_equals_old():
-    """Equal reduced variables and sections.  The one known difference is the
-    field of 45 phi_tilde sections, read off the rational identity element:
-    Q now, Q(i) before; `restrict` re-fields every section, so no reduced
-    bracket changes."""
-    sections, refielded = 0, []
+    """Equal reduced variables and sections."""
+    sections = 0
     for map_name, sys in CHART_GROUPS:
         group = group_of(map_name, sys)
         new, old = fixed_point_chart(group), old_fixed_point_chart(group)
@@ -538,12 +523,9 @@ def test_chart_equals_old():
         for v in old.ambient_variables:
             a, b = new.section[v], old.section[v]
             assert a.canonical_str() == b.canonical_str(), (map_name, str(sys), v)
-            assert a.with_field(GAUSS) == b.with_field(GAUSS)
-            if a.field != b.field:
-                refielded.append((map_name, a.field, b.field))
+            assert a == b, (map_name, str(sys), v)
         sections += len(old.section)
     assert (len(CHART_GROUPS), sections) == (63, 1080)
-    assert refielded == [("phi_tilde", RAT, GAUSS)] * 45
 
 
 def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
@@ -554,7 +536,7 @@ def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
     section = {}
     for v, r in rep.items():
         c = next(c for w, c in orbit[v] if w == r)
-        section[v] = Poly.var(reduced, r, scalar_field(c)).scale(c)
+        section[v] = Poly.var(reduced, r).scale(c)
     return FixedPointChart(group.variables, reduced, section)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,19 @@ DERIVE_CALLS = [
     ("moser", ["moser", "--N", "17"]),
     ("reduce", ["reduce", "--system", "toda-a:13", "--map", "phi_toda", "--bracket", "3"]),
     *[(f"bogo_{t}", ["bogo", "--type", t, "--rank", "8"]) for t in "ABCD"],
+]
+
+# Outputs that need sqrt(-1) on the way (the order-4 twist phi_tilde and
+# moser's squaring map), recorded as GOLDEN / f"{name}.json" while the
+# coefficient field was still a tag on every polynomial.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CALLS = [
+    ("reduce_toda-a5_phi_tilde_4",
+     ["reduce", "--system", "toda-a:5", "--map", "phi_tilde", "--bracket", "4"]),
+    ("verify_reduction_phi-tilde_3", ["verify", "reduction", "--which", "phi-tilde", "--n", "3"]),
+    ("verify_involution_toda-a5_phi_tilde_4",
+     ["verify", "involution", "--system", "toda-a:5", "--map", "phi_tilde", "--bracket", "4"]),
+    ("moser_9", ["moser", "--N", "9"]),
 ]
 
 
@@ -445,6 +459,23 @@ class TestSimulateInput:
         assert out == ""
         assert err == "error: state left float range; last valid time 2.67\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_monitor_overflow_exits_2(self, capsys, tmp_path, fmt):
+        # the state is finite but its Lax powers overflow: the H_k and
+        # char-poly values were inf/NaN, printed as NaN tokens in the JSON,
+        # with numpy RuntimeWarnings on stderr
+        path = tmp_path / "x0.json"
+        path.write_text(json.dumps({"a": [1e150] * 5, "b": [1e150] * 6}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "simulate", "--system", "toda-a:6", "--x0", str(path),
+                                 "--t-end", "1e-300", "--h", "1e-300", "--format", fmt)
+        assert (code, out, caught) == (2, "", [])
+        assert err == (
+            "error: a monitored H_k or char-poly value is not finite (the powers of the Lax "
+            "matrix left float range); start from a smaller initial point\n"
+        )
+
     @pytest.mark.parametrize("system", ["toda-a:6", "toda-a:9", "toda-b:3"])
     def test_default_toda_point_stays_on_sheet(self, capsys, system):
         # these escaped at t = 2.7, 2.0 and 4.0 when a_i was drawn from [-1, 1]
@@ -598,3 +629,11 @@ class TestDerive:
         assert (code, err) == (0, "")
         want = json.loads((EXPECTED / f"derive_{name}.json").read_text())
         assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+class TestGaussianGolden:
+    @pytest.mark.parametrize("name, argv", GOLDEN_CALLS, ids=[name for name, _ in GOLDEN_CALLS])
+    def test_json_is_byte_identical(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.json").read_text()

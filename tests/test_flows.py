@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from todavolterra import _kernels, catalog, flows
-from todavolterra.polyalg import GAUSS, I_UNIT, Poly, poly_matrix_mul
+from todavolterra.polyalg import I_UNIT, Poly, poly_matrix_mul
 from todavolterra.poisson import PolyVectorField, hamiltonian_vf
 
 from conftest import commutation_check, evaluate, read_poly
@@ -41,7 +41,7 @@ class TestCompiledField:
 
     def test_gaussian_coefficients_rejected(self):
         vs = ("x1",)
-        p = Poly.var(vs, "x1", GAUSS).scale(I_UNIT)
+        p = Poly.var(vs, "x1").scale(I_UNIT)
         with pytest.raises(ValueError):
             flows.compile_field(PolyVectorField(vs, [p]))
 

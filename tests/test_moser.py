@@ -170,11 +170,11 @@ class TestIdentifyJacobi:
             )
             for i in range(1, m + 1):
                 # 2 A_i A_i' = -2 * (a_i' of the catalog flow)
-                lhs = Poly.var(gen_vars, f"A{i}", "Qi").scale(2) * ident.equations[i - 1]
-                rhs = toda.component(f"a{i}").substitute(sub).scale(-2).to_gaussian()
+                lhs = Poly.var(gen_vars, f"A{i}").scale(2) * ident.equations[i - 1]
+                rhs = toda.component(f"a{i}").substitute(sub).scale(-2)
                 assert lhs == rhs, (N, block.tag, f"a{i}")
                 lhs_b = ident.equations[m + i - 1]
-                rhs_b = toda.component(f"b{i}").substitute(sub).scale(-2).to_gaussian()
+                rhs_b = toda.component(f"b{i}").substitute(sub).scale(-2)
                 assert lhs_b == rhs_b, (N, block.tag, f"b{i}")
 
     @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
@@ -203,21 +203,11 @@ class TestIdentifyJacobi:
                 {f"b{i}": Poly.var(gen_vars, f"B{i}") for i in range(1, m + 1)}
             )
             for i in range(1, m + 1):
-                lhs = Poly.var(gen_vars, f"A{i}", "Qi").scale(2) * ident.equations[i - 1]
-                rhs = (
-                    chart.restrict(chain.component(f"a{i}"))
-                    .substitute(sub)
-                    .scale(-2)
-                    .to_gaussian()
-                )
+                lhs = Poly.var(gen_vars, f"A{i}").scale(2) * ident.equations[i - 1]
+                rhs = chart.restrict(chain.component(f"a{i}")).substitute(sub).scale(-2)
                 assert lhs == rhs, (N, block.tag, f"a{i}")
                 lhs_b = ident.equations[m + i - 1]
-                rhs_b = (
-                    chart.restrict(chain.component(f"b{i}"))
-                    .substitute(sub)
-                    .scale(-2)
-                    .to_gaussian()
-                )
+                rhs_b = chart.restrict(chain.component(f"b{i}")).substitute(sub).scale(-2)
                 assert lhs_b == rhs_b, (N, block.tag, f"b{i}")
 
 
@@ -329,7 +319,7 @@ class TestSpectralChecks:
             split = real(N)
             rows = [list(row) for row in split.odd_deleted.matrix]
             entry = rows[0][1]
-            rows[0][1] = entry + Poly.const(entry.variables, 1, entry.field)
+            rows[0][1] = entry + Poly.const(entry.variables, 1)
             block = dataclasses.replace(split.odd_deleted, matrix=tuple(map(tuple, rows)))
             return dataclasses.replace(split, odd_deleted=block)
 

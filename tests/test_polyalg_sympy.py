@@ -4,10 +4,11 @@ Sums, products, negation, scaling, derivatives and variable extension build
 their results through the unchecked `Poly._make`; every result here is also
 checked against that constructor's invariant: nonzero coefficients in the
 normal form (a rational is an `int` exactly when it is integral, else a
-`Fraction`; a Gaussian coefficient is a `GaussianRational` whose parts follow
-that rule) and exponent tuples of the right length.  Products and derivatives
-whose exponents land just below `EXPONENT_LIMIT` check the packed monomial
-keys where a carry between fields would show.
+`Fraction`; a `GaussianRational` has a nonzero imaginary part and parts that
+follow that rule) and exponent tuples of the right length.  Coefficients mix
+rationals and Gaussian rationals in one polynomial.  Products, derivatives
+and linear substitutions whose exponents land just below `EXPONENT_LIMIT`
+check the packed monomial keys where a carry between fields would show.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todavolterra.polyalg import EXPONENT_LIMIT, GAUSS, RAT, I_UNIT, GaussianRational, Poly
+from todavolterra.polyalg import EXPONENT_LIMIT, I_UNIT, GaussianRational, Poly, normal
 
 from conftest import assert_normal, evaluate, random_poly
 
@@ -28,24 +29,12 @@ SYMS = {v: sympy.Symbol(v) for v in W}
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 gaussians = st.builds(GaussianRational, fractions, fractions)
-fields = st.sampled_from([RAT, GAUSS])
+scalars = st.one_of(fractions, gaussians)
 
 
-def scalars(field):
-    return fractions if field == RAT else gaussians
-
-
-def polys(field, coeffs=None):
-    if coeffs is None:
-        coeffs = scalars(field)
+def polys(coeffs=scalars):
     term = st.tuples(st.tuples(*[st.integers(0, 2)] * len(V)), coeffs)
-    return st.lists(term, max_size=4).map(lambda ts: Poly(V, dict(ts), field))
-
-
-@st.composite
-def poly_pairs(draw):
-    field = draw(fields)
-    return draw(polys(field)), draw(polys(field))
+    return st.lists(term, max_size=4).map(lambda ts: Poly(V, dict(ts)))
 
 
 def _rational(value) -> sympy.Rational:
@@ -69,107 +58,98 @@ def _fraction(r) -> Fraction:
     return Fraction(int(r.p), int(r.q))
 
 
-def from_sympy(expr, variables, field) -> dict:
-    """Term dict of a sympy expression over `variables`, in `field`."""
+def exact(c):
+    """A sympy number as an exact scalar in normal form."""
+    re, im = c.as_real_imag()
+    return normal(GaussianRational(_fraction(re), _fraction(im)))
+
+
+def from_sympy(expr, variables) -> dict:
+    """Term dict of a sympy expression over `variables`, in normal form."""
     poly = sympy.Poly(sympy.expand(expr), *[SYMS[v] for v in variables])
-    out = {}
-    for expo, c in poly.terms():
-        re, im = c.as_real_imag()
-        if field == RAT:
-            assert im == 0
-            value = _fraction(re)
-        else:
-            value = GaussianRational(_fraction(re), _fraction(im))
-        if value:
-            out[tuple(expo)] = value
-    return out
+    return {tuple(expo): value for expo, c in poly.terms() if (value := exact(c))}
 
 
-def assert_matches(q: Poly, expr, variables, field):
-    assert q.variables == variables and q.field == field
+def assert_matches(q: Poly, expr, variables):
+    assert q.variables == variables
     for expo, c in q.terms.items():
-        assert isinstance(c, GaussianRational) == (field == GAUSS) and c
+        assert c
         assert_normal(c)
         assert len(expo) == len(variables) and all(type(e) is int and e >= 0 for e in expo)
-    assert q.terms == from_sympy(expr, variables, field)
+    assert q.terms == from_sympy(expr, variables)
 
 
-def read_back(text, field) -> dict:
+def read_back(text) -> dict:
     """The term dict of `canonical_str` text read by sympy (`^` a power, `i`
     the imaginary unit)."""
     expr = parse_expr(text, local_dict={**SYMS, "i": sympy.I},
                       transformations=standard_transformations + (convert_xor,))
-    return from_sympy(expr, V, field)
+    return from_sympy(expr, V)
 
 
 def test_random_round_trip(rng):
     for _ in range(50):
         p = random_poly(rng, V, max_terms=6, max_exp=3)
-        assert read_back(p.canonical_str(), RAT) == p.terms
+        assert read_back(p.canonical_str()) == p.terms
 
 
 def test_gaussian_round_trip(rng):
     for _ in range(30):
-        p = random_poly(rng, V, field=GAUSS) + random_poly(rng, V, field=GAUSS).scale(I_UNIT)
-        assert read_back(p.canonical_str(), GAUSS) == p.terms
+        p = random_poly(rng, V) + random_poly(rng, V).scale(I_UNIT)
+        assert read_back(p.canonical_str()) == p.terms
 
 
 @settings(max_examples=40, deadline=None)
-@given(poly_pairs())
-def test_ring_operations(pair):
-    p, q = pair
+@given(polys(), polys())
+def test_ring_operations(p, q):
     sp, sq = to_sympy(p), to_sympy(q)
-    assert_matches(p + q, sp + sq, V, p.field)
-    assert_matches(p - q, sp - sq, V, p.field)
-    assert_matches(-p, -sp, V, p.field)
-    assert_matches(p * q, sp * sq, V, p.field)
+    assert_matches(p + q, sp + sq, V)
+    assert_matches(p - q, sp - sq, V)
+    assert_matches(-p, -sp, V)
+    assert_matches(p * q, sp * sq, V)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_scale_diff_extend(data):
-    field = data.draw(fields)
-    p = data.draw(polys(field))
-    c = data.draw(scalars(field))
+@given(polys(), scalars)
+def test_scale_diff_extend(p, c):
     sp = to_sympy(p)
-    assert_matches(p.scale(c), to_sympy_scalar(c) * sp, V, field)
+    assert_matches(p.scale(c), to_sympy_scalar(c) * sp, V)
     for v in V:
-        assert_matches(p.diff(v), sympy.diff(sp, SYMS[v]), V, field)
-    assert_matches(p.extend(W), sp, W, field)
+        assert_matches(p.diff(v), sympy.diff(sp, SYMS[v]), V)
+    assert_matches(p.extend(W), sp, W)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_subst_linear(data):
-    field = data.draw(fields)
-    p = data.draw(polys(field))
+    p = data.draw(polys())
     sources = data.draw(st.permutations(V))
-    nonzero = st.one_of(fractions, gaussians).filter(bool)
+    nonzero = scalars.filter(bool)
     table = {v: (w, data.draw(nonzero)) for v, w in zip(V, sources)}
-    out_field = GAUSS if field == GAUSS or any(
-        isinstance(c, GaussianRational) for _, c in table.values()
-    ) else RAT
     images = {SYMS[v]: to_sympy_scalar(c) * SYMS[w] for v, (w, c) in table.items()}
-    assert_matches(p.subst_linear(table), to_sympy(p).xreplace(images), V, out_field)
+    assert_matches(p.subst_linear(table), to_sympy(p).xreplace(images), V)
 
 
 @settings(max_examples=30, deadline=None)
-@given(fields, st.sampled_from(V), st.integers(-3, 3).filter(bool))
-def test_fraction_results_turning_integral(field, v, k):
-    # each result is integral only after Fraction arithmetic: k/2 * 2, k/2 + k/2
-    x, half = Poly.var(V, v, field), Fraction(1, 2)
+@given(st.sampled_from(V), st.integers(-3, 3).filter(bool))
+def test_results_turning_integral(v, k):
+    # each result is integral only after Fraction arithmetic (k/2 * 2,
+    # k/2 + k/2) or after the imaginary parts cancel ((k/2 + i) + (k/2 - i),
+    # i * -k i)
+    x, half = Poly.var(V, v), Fraction(1, 2)
     want = k * SYMS[v]
-    assert_matches(x.scale(2 * k).scale(half), want, V, field)
-    assert_matches(x.scale(k * half) + x.scale(k * half), want, V, field)
-    assert_matches(x.scale(k * half) * Poly.const(V, 2, field), want, V, field)
-    assert_matches((x * x).scale(k * half).diff(v), want, V, field)
+    assert_matches(x.scale(2 * k).scale(half), want, V)
+    assert_matches(x.scale(k * half) + x.scale(k * half), want, V)
+    assert_matches(x.scale(k * half) * Poly.const(V, 2), want, V)
+    assert_matches((x * x).scale(k * half).diff(v), want, V)
+    plus, minus = GaussianRational(k * half, 1), GaussianRational(k * half, -1)
+    assert_matches(x.scale(plus) + x.scale(minus), want, V)
+    assert_matches(x.scale(I_UNIT) * Poly.const(V, GaussianRational(0, -k)), want, V)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_every_public_result_in_normal_form(data):
-    field = data.draw(fields)
-    p, q = data.draw(polys(field)), data.draw(polys(field))
+@given(polys(), polys())
+def test_every_public_result_in_normal_form(p, q):
     images = {v: q for v in V}
     half = {"a1": ("a2", Fraction(1, 2)), "a2": ("a1", 2), "b1": ("b1", 1)}
     results = [
@@ -177,10 +157,8 @@ def test_every_public_result_in_normal_form(data):
         p.substitute(images),
         p.subst_linear(half),
         p.subst_linear({**half, "b1": ("b1", I_UNIT)}),
-        p.to_gaussian(),
         p.real_part(),
         p.imag_part(),
-        p.with_field(RAT if field == GAUSS else GAUSS),
     ]
     for r in results:
         for c in r.terms.values():
@@ -190,14 +168,13 @@ def test_every_public_result_in_normal_form(data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(polys(GAUSS, st.builds(lambda im: GaussianRational(Fraction(0), im), fractions)))
+@given(polys(st.builds(lambda im: GaussianRational(Fraction(0), im), fractions)))
 def test_real_part_of_imaginary_polynomial_is_zero(p):
-    re = p.real_part()
-    assert re.field == RAT and re.terms == {}
+    assert p.real_part().terms == {}
     assert p.imag_part() == (-p.scale(GaussianRational(Fraction(0), Fraction(1)))).real_part()
 
 
-def sparse_from_sympy(expr, variables, field) -> dict:
+def sparse_from_sympy(expr, variables) -> dict:
     """Like `from_sympy`, without sympy's dense `Poly`, which would hold a
     coefficient list as long as the degree."""
     syms = [SYMS[v] for v in variables]
@@ -207,34 +184,38 @@ def sparse_from_sympy(expr, variables, field) -> dict:
         powers = mono.as_powers_dict()
         expo = tuple(int(powers.get(s, 0)) for s in syms)
         sums[expo] = sums.get(expo, 0) + c
-    out = {}
-    for expo, c in sums.items():
-        re, im = c.as_real_imag()
-        if field == RAT:
-            assert im == 0
-        value = _fraction(re) if field == RAT else GaussianRational(_fraction(re), _fraction(im))
-        if value:
-            out[expo] = value
-    return out
+    return {expo: value for expo, c in sums.items() if (value := exact(c))}
 
 
-def near_limit_polys(field, exponents):
-    term = st.tuples(st.tuples(*[st.sampled_from(exponents)] * len(V)), scalars(field))
-    return st.lists(term, min_size=1, max_size=4).map(lambda ts: Poly(V, dict(ts), field))
+def near_limit_polys(exponents):
+    term = st.tuples(st.tuples(*[st.sampled_from(exponents)] * len(V)), scalars)
+    return st.lists(term, min_size=1, max_size=4).map(lambda ts: Poly(V, dict(ts)))
+
+
+# scale factors whose powers near EXPONENT_LIMIT sympy evaluates at once
+# (a power of 1 + i it would expand term by term)
+NEAR_LIMIT_SCALES = [-1, 2, Fraction(-1, 2), I_UNIT, -I_UNIT, GaussianRational(0, 2)]
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_products_near_the_exponent_limit(data):
     # 16383 + 16384 = 32767 = EXPONENT_LIMIT: the sums fill a key field up to its guard bit
-    field = data.draw(fields)
-    p = data.draw(near_limit_polys(field, [0, 1, 16382, 16383]))
-    q = data.draw(near_limit_polys(field, [0, 2, 16383, 16384]))
+    p = data.draw(near_limit_polys([0, 1, 16382, 16383]))
+    q = data.draw(near_limit_polys([0, 2, 16383, 16384]))
     got, expr = p * q, to_sympy(p) * to_sympy(q)
-    assert got.variables == V and got.field == field
+    assert got.variables == V
     for c in got.terms.values():
         assert_normal(c)
-    assert got.terms == sparse_from_sympy(expr, V, field)
+    assert got.terms == sparse_from_sympy(expr, V)
     assert max((max(e) for e in got.terms), default=0) <= EXPONENT_LIMIT
     v = data.draw(st.sampled_from(V))
-    assert got.diff(v).terms == sparse_from_sympy(sympy.diff(expr, SYMS[v]), V, field)
+    assert got.diff(v).terms == sparse_from_sympy(sympy.diff(expr, SYMS[v]), V)
+    # each scale is raised to a power near the limit, by square-and-multiply
+    sources = data.draw(st.permutations(V))
+    table = {v: (w, data.draw(st.sampled_from(NEAR_LIMIT_SCALES))) for v, w in zip(V, sources)}
+    images = {SYMS[v]: to_sympy_scalar(c) * SYMS[w] for v, (w, c) in table.items()}
+    moved = got.subst_linear(table)
+    for c in moved.terms.values():
+        assert_normal(c)
+    assert moved.terms == sparse_from_sympy(expr.xreplace(images), V)
