@@ -18,10 +18,9 @@ diagonal change of the edge variables (see `volterra_form`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._linsolve import solve_exact
-from .polyalg import Poly
+from .polyalg import Poly, divide
 from .poisson import PolyVectorField
 
 Vector = tuple[int, ...]  # the root realizations are integer vectors
@@ -253,19 +252,11 @@ def transformed_x_system(rd: RootData) -> PolyVectorField | None:
         return None
     target, sub = form
     field = x_system_rhs(rd)
-    xvars = field.variables
-    # invert the diagonal substitution: edge variable -> scalar * a_i
-    inv: dict[str, Poly] = {}
+    # each a_i = c * y for one edge variable y: so y = (1/c) a_i and a_i' = c y'
+    edge = {}
     for a_name, p in sub.items():
-        ((expo, coeff),) = p.terms.items()
-        edge_name = xvars[expo.index(1)]
-        inv[edge_name] = Poly.var(target, a_name).scale(1 / Fraction(coeff))
-    comps = []
-    for a_name in target:
-        p = sub[a_name]
-        ((expo, coeff),) = p.terms.items()
-        edge_name = xvars[expo.index(1)]
-        # a' = coeff * (edge variable)' rewritten in the a variables
-        dx = field.component(edge_name).substitute(inv)
-        comps.append(dx.scale(coeff))
-    return PolyVectorField(target, comps)
+        (k,), (c,) = p.occurring(), p.packed.values()
+        edge[a_name] = (p.variables[k], c)
+    inv = {y: (a_name, divide(1, c)) for a_name, (y, c) in edge.items()}
+    return PolyVectorField(target, [field.component(y).subst_linear(inv, target).scale(c)
+                                    for y, c in map(edge.get, target)])

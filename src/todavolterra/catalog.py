@@ -398,7 +398,8 @@ def flow(sys: SystemId | str, k: int) -> PolyVectorField:
 
     toda-a / toda-b use the linear bracket (X = pi1 dH_k), volterra-a the
     quadratic one (X = pi2 dH_k); flow(sys, 2) is the basic lattice equation
-    in each case.
+    in each case.  volterra-b / volterra-c have only that equation,
+    `bn_volterra_flow`.
     """
     sys = _sys(sys)
     if sys.name in ("toda-a", "toda-b"):
@@ -407,7 +408,9 @@ def flow(sys: SystemId | str, k: int) -> PolyVectorField:
         return hamiltonian_vf(tensor(sys, 2), hamiltonian(sys, k))
     if sys.name == "toda-c":
         raise ValueError(f"no flow cataloged for {sys}: toda-c has no catalog bracket")
-    raise ValueError(f"no ladder flow cataloged for {sys}; use bn_volterra_flow")
+    if k != 2:
+        raise ValueError(f"{sys} has only its lattice equations, k = 2; got k = {k}")
+    return bn_volterra_flow(sys.n)
 
 
 def bn_volterra_flow(n: int) -> PolyVectorField:

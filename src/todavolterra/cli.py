@@ -204,10 +204,7 @@ def _cmd_simulate(args) -> int:
             "lower --t-end or the lattice size, or raise --h"
         )
     _check_flow(sys_id, args.flow)
-    if sys_id.name in ("volterra-b", "volterra-c"):
-        vf = catalog.bn_volterra_flow(sys_id.n)
-    else:
-        vf = catalog.flow(sys_id, args.flow)
+    vf = catalog.flow(sys_id, args.flow)
     x0 = _initial_point(args, sys_id)
     traj = flows.integrate(vf, x0, args.t_end, args.h)
     # the Lax powers of a finite state may overflow: a monitored value that is

@@ -254,10 +254,9 @@ class Poly:
         kept, not copied, so the caller must not mutate it afterwards.  Only
         operations whose inputs are already `Poly` objects and whose results
         keep these invariants (sum, negation, product, scaling by a nonzero
-        scalar, derivative, variable extension, linear substitution, real and
-        imaginary parts) and the zero polynomial, on checked variables, use
-        it; outside input, and results that may hold zero coefficients, go
-        through `Poly(...)`.
+        scalar, derivative, a scaled variable map, real and imaginary parts)
+        and the zero polynomial, on checked variables, use it; outside input,
+        and results that may hold zero coefficients, go through `Poly(...)`.
         """
         p = object.__new__(cls)
         _set_variables(p, variables)
@@ -329,25 +328,8 @@ class Poly:
 
     def _aligned(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if self.variables != other.variables:
-            raise ValueError("polynomials on different variable lists; extend one explicitly")
+            raise ValueError("polynomials on different variable lists; move one by subst_linear")
         return self, other
-
-    def extend(self, variables: Sequence[str]) -> "Poly":
-        """Re-express over a superset of variables (aligned by name)."""
-        variables = tuple(variables)
-        if variables == self.variables:
-            return self
-        if not set(self.variables) <= set(variables):
-            raise ValueError("target variable list must contain current variables")
-        _checked_variables(variables)
-        idx = [variables.index(v) for v in self.variables]
-        terms = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for pos, e in zip(idx, expo):
-                new[pos] = e
-            terms[_pack(new)] = coeff
-        return Poly._make(variables, terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         p, q = self._aligned(other)
@@ -445,29 +427,52 @@ class Poly:
             result = result + term
         return result
 
-    def subst_linear(self, table) -> "Poly":
-        """Compose with an invertible scaled permutation of the variables.
+    def subst_linear(self, table, variables: Sequence[str] | None = None) -> "Poly":
+        """Carry self along a scaled variable map into the list `variables`
+        (by default self's own).
 
-        `table` maps each variable v to a pair (w, c): the image point has
-        v-coordinate c*x_w, so occurrences of v in self are replaced by c*w;
-        a `LinearMap` passes its `images`.
+        `table[v] = (w, c)` replaces each variable v of self by c*w, where w
+        is a variable of the target list; c = 0 makes v zero, whatever w is.
+        A `LinearMap` passes its `images` (the image point has v-coordinate
+        c*x_w), a `FixedPointChart` its `section`.
         """
-        sources = [table[v][0] for v in self.variables if v in table]
+        target = self.variables if variables is None else _checked_variables(variables)
         missing = [v for v in self.variables if v not in table]
         if missing:
             raise ValueError(f"linear map does not cover variables {missing}")
-        if sorted(sources) != sorted(self.variables):
-            raise ValueError("not a scaled permutation of the variable list")
-        n, unit = len(self.variables), unit_keys(self.variables)
+        unit = unit_keys(target)
+        outside = [w for w, c in map(table.get, self.variables) if c and w not in unit]
+        if outside:
+            raise ValueError(f"image variables {outside} not in the target list")
+        # (shift of the field in self's keys, unit key of the image, scale)
+        # for each variable that occurs; a term holding one that maps to zero
+        # vanishes
+        n, fields, dead = len(self.variables), [], 0
+        for k in self.occurring():
+            w, c = table[self.variables[k]]
+            shift = _WIDTH * (n - 1 - k)
+            if c:
+                fields.append((shift, unit[w], c))
+            else:
+                dead |= EXPONENT_LIMIT << shift
+        # a target field fed by one source stays within EXPONENT_LIMIT; where
+        # sources share a field, each addition is checked: the field held at
+        # most the limit before it, so it cannot carry, and the guard bit
+        # shows an overflow
+        shared = len({u for _, u, _ in fields}) < len(fields)
+        guard = _layout(len(target))[2]
         terms: dict[int, Scalar] = {}
         for packed, c in self.packed.items():
+            if packed & dead:
+                continue
             key = 0
-            for v, e in zip(self.variables, _unpack(packed, n)):
-                if e == 0:
-                    continue
-                src, scale = table[v]
-                key += e * unit[src]
-                c = c * _ipow(scale, e)
+            for shift, u, scale in fields:
+                e = packed >> shift & EXPONENT_LIMIT
+                if e:
+                    key += e * u
+                    c = c * _ipow(scale, e)
+                    if shared and key & guard:
+                        raise OverflowError(f"image has an exponent above {EXPONENT_LIMIT}")
             s = terms.get(key, 0) + c
             if s:
                 terms[key] = s
@@ -475,7 +480,7 @@ class Poly:
                 terms.pop(key, None)
         # a sum may be an integral Fraction or a real GaussianRational;
         # normalise once, at the end
-        return Poly._make(self.variables, {e: normal(c) for e, c in terms.items()})
+        return Poly._make(target, {e: normal(c) for e, c in terms.items()})
 
     # ------------------------------------------------------------------ parts
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polyalg import Poly, variable_sort_key
+from .polyalg import Poly, Scalar, variable_sort_key
 from .poisson import LinearMap, PoissonTensor, directional_action, hamiltonian_vf, pushforward_sign
 
 
@@ -53,22 +53,24 @@ class FiniteGroupAction:
 class FixedPointChart:
     """Linear parametrization of the fixed-point set.
 
-    section: ambient variable -> Poly in the reduced variables (0 or c*u).
+    section: {ambient variable v: (w, c)}, a `Poly.subst_linear` table
+    saying x_v = c * x_w on the fixed-point set, w a reduced variable; c = 0
+    on an orbit forced to zero (w is then the orbit's ambient representative).
     Each reduced coordinate is named after the ambient variable that
     represents its class, so restrict o lift is the identity.
     """
 
     ambient_variables: tuple[str, ...]
     reduced_variables: tuple[str, ...]
-    section: Mapping[str, Poly]
+    section: Mapping[str, tuple[str, Scalar]]
 
     def lift(self, f: Poly) -> Poly:
         """Read a reduced-coordinate polynomial as one in the ambient variables."""
-        return f.extend(self.ambient_variables)
+        return f.subst_linear({u: (u, 1) for u in self.reduced_variables}, self.ambient_variables)
 
     def restrict(self, F: Poly) -> Poly:
         """Restrict an ambient polynomial to the fixed-point set."""
-        return F.substitute(self.section)
+        return F.subst_linear(self.section, self.reduced_variables)
 
 
 def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
@@ -89,13 +91,8 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
     rep = {v: min((w for w, _ in images), key=variable_sort_key) for v, images in orbit.items()}
     zero = {r for r in rep.values() if any(w == r and c != 1 for w, c in orbit[r])}
     reduced = tuple(sorted(set(rep.values()) - zero, key=variable_sort_key))
-    section = {}
-    for v, r in rep.items():
-        if r in zero:
-            section[v] = Poly.zero(reduced)
-        else:
-            c = next(c for w, c in orbit[v] if w == r)
-            section[v] = Poly.var(reduced, r).scale(c)
+    section = {v: (r, 0 if r in zero else next(c for w, c in orbit[v] if w == r))
+               for v, r in rep.items()}
     return FixedPointChart(group.variables, reduced, section)
 
 

@@ -172,6 +172,12 @@ class TestSpecialFields:
             for i in range(1, n + 1):
                 assert chart.restrict(km.component(f"a{i}")) == bn.component(f"a{i}")
 
+    @pytest.mark.parametrize("name", ["volterra-b", "volterra-c"])
+    def test_b_type_flow_is_its_lattice_equations(self, name):
+        assert catalog.flow(f"{name}:3", 2) == catalog.bn_volterra_flow(3)
+        with pytest.raises(ValueError, match="only its lattice equations"):
+            catalog.flow(f"{name}:3", 3)
+
     def test_km_flow(self):
         sys = catalog.SystemId("volterra", "a", 4)
         f = catalog.flow(sys, 2)

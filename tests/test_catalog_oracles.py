@@ -12,18 +12,22 @@ templates; the symmetry maps, once four branches, are read off one table;
 and the fixed-point chart, once a union-find with multipliers, is read off
 the group orbits.  The earlier code is kept below as `old_euler_field`,
 `old_bn_volterra_flow`, `old_x_flow`, `old_symmetry` and
-`old_fixed_point_chart`.
+`old_fixed_point_chart`.  A chart's section, once one `Poly` per ambient
+variable that `old_restrict` composes with, is now a `subst_linear` table.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
 from todavolterra import catalog, checks, moser
 from todavolterra.catalog import SystemId, lax_size, variables
-from todavolterra.poisson import LinearMap, PoissonTensor, PolyVectorField
+from todavolterra.poisson import (
+    LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
 from todavolterra.polyalg import I_UNIT, Poly, divide, poly_matrix_mul, variable_sort_key
-from todavolterra.reduction import FiniteGroupAction, FixedPointChart, fixed_point_chart
+from todavolterra.reduction import (
+    FiniteGroupAction, FixedPointChart, fixed_point_chart, invariant_average)
 
 from conftest import read_poly
 
@@ -122,7 +126,9 @@ def old_embedded_volterra_tensor(N: int, k: int) -> PoissonTensor:
     big_vars = variables(SystemId("toda", "a", N))
     upper = {}
     for (i, j), p in small.upper.items():
-        upper[(i, j)] = p.extend(big_vars)
+        terms = {tuple(dict(zip(small.variables, e)).get(v, 0) for v in big_vars): c
+                 for e, c in p.terms.items()}
+        upper[(i, j)] = Poly(big_vars, terms)
     return PoissonTensor(big_vars, upper)
 
 
@@ -299,7 +305,12 @@ def old_symmetry(name: str, sys: SystemId) -> LinearMap:
     raise ValueError(f"unknown symmetry {name!r}")
 
 
-def old_fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
+# the earlier chart: section[v] is the Poly in the reduced variables that x_v
+# equals on the fixed-point set
+OldChart = namedtuple("OldChart", "ambient_variables reduced_variables section")
+
+
+def old_fixed_point_chart(group: FiniteGroupAction) -> OldChart:
     vars_ = group.variables
     parent: dict[str, str] = {v: v for v in vars_}
     mult: dict[str, object] = {v: 1 for v in vars_}  # x_v = mult[v] * x_parent
@@ -351,7 +362,11 @@ def old_fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
                 _, m_v = walk(v)
                 scale = divide(m_v, m_rep)  # x_v = scale * x_rep on the fixed set
                 section[v] = Poly.var(reduced, rep).scale(scale)
-    return FixedPointChart(tuple(vars_), tuple(reduced), section)
+    return OldChart(tuple(vars_), tuple(reduced), section)
+
+
+def old_restrict(chart: OldChart, F: Poly) -> Poly:
+    return F.substitute(chart.section)
 
 
 # Every catalog tensor at these sizes (264 in all).
@@ -512,6 +527,13 @@ def group_of(map_name: str, sys: SystemId) -> FiniteGroupAction:
     return FiniteGroupAction(catalog.symmetry_group(map_name, sys))
 
 
+def section_polys(chart: FixedPointChart) -> dict[str, Poly]:
+    """The table section as the earlier Poly sections: x_v = c * x_w, or 0."""
+    red = chart.reduced_variables
+    return {v: Poly.var(red, w).scale(c) if c else Poly.zero(red)
+            for v, (w, c) in chart.section.items()}
+
+
 def test_chart_equals_old():
     """Equal reduced variables and sections."""
     sections = 0
@@ -520,12 +542,37 @@ def test_chart_equals_old():
         new, old = fixed_point_chart(group), old_fixed_point_chart(group)
         assert new.ambient_variables == old.ambient_variables
         assert new.reduced_variables == old.reduced_variables, (map_name, str(sys))
+        assert set(new.section) == set(old.section)
+        polys = section_polys(new)
         for v in old.ambient_variables:
-            a, b = new.section[v], old.section[v]
+            a, b = polys[v], old.section[v]
             assert a.canonical_str() == b.canonical_str(), (map_name, str(sys), v)
             assert a == b, (map_name, str(sys), v)
         sections += len(old.section)
     assert (len(CHART_GROUPS), sections) == (63, 1080)
+
+
+def test_restrict_equals_old():
+    """On every checks.REDUCTIONS case at n = 1..4, every polynomial the
+    reduction restricts (each bracket X_G(F) of two lifts), the ambient
+    tensor's entries and the lifts restrict as `old_restrict` does."""
+    restricted = 0
+    for which, case in checks.REDUCTIONS.items():
+        for n in range(1, 5):
+            sys_id, map_name, k, _ = case(n)
+            pi, group = checks.ambient_and_group(sys_id, map_name, k)
+            chart, old = fixed_point_chart(group), old_fixed_point_chart(group)
+            red = chart.reduced_variables
+            lifts = [invariant_average(chart.lift(Poly.var(red, u)), group) for u in red]
+            fields = [hamiltonian_vf(pi, G) for G in lifts]
+            polys = [*pi.upper.values(), *lifts,
+                     *(directional_action(X, F) for X in fields for F in lifts)]
+            for F in polys:
+                got, want = chart.restrict(F), old_restrict(old, F)
+                assert got.canonical_str() == want.canonical_str(), (which, n)
+                assert got == want, (which, n)
+            restricted += len(polys)
+    assert restricted == 460
 
 
 def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
@@ -533,10 +580,7 @@ def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
     orbit = {v: [g.images[v] for g in group.elements] for v in group.variables}
     rep = {v: min((w for w, _ in images), key=variable_sort_key) for v, images in orbit.items()}
     reduced = tuple(sorted(set(rep.values()), key=variable_sort_key))
-    section = {}
-    for v, r in rep.items():
-        c = next(c for w, c in orbit[v] if w == r)
-        section[v] = Poly.var(reduced, r).scale(c)
+    section = {v: (r, next(c for w, c in orbit[v] if w == r)) for v, r in rep.items()}
     return FixedPointChart(group.variables, reduced, section)
 
 
@@ -547,8 +591,9 @@ def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
 def test_chart_without_stabilizer_test_fails(map_name, N, zero):
     group = group_of(map_name, SystemId("toda", "a", N))
     old, bad = old_fixed_point_chart(group), chart_without_stabilizer_test(group)
+    bad_polys = section_polys(bad)
     wrong = {v for v in old.ambient_variables
-             if bad.section[v].canonical_str() != old.section[v].canonical_str()}
+             if bad_polys[v].canonical_str() != old.section[v].canonical_str()}
     assert set(zero) <= wrong
     assert all(old.section[v].is_zero for v in wrong)
     assert set(zero) <= set(bad.reduced_variables) - set(old.reduced_variables)

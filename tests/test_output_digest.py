@@ -1,0 +1,35 @@
+"""The CLI's exact outputs are byte-identical to the recorded ones.
+
+`tools/output_digest.py` digests stdout, stderr and the exit code of a fixed
+list of calls.  Every call but `simulate` is compared here with
+`tests/golden/output_digest.json`, keyed by its argument list; the
+`simulate` calls are left out, since their float bits may differ across CPUs
+and BLAS builds.  A refactor that claims byte-identical outputs fails here
+when one call's bytes move.  The tool is read from tools/ and executed in
+memory, as `tests/test_traced_names.py` does with the tracer.
+"""
+
+import json
+import types
+from pathlib import Path
+
+TOOL = Path(__file__).parents[1] / "tools" / "output_digest.py"
+GOLDEN = Path(__file__).parent / "golden" / "output_digest.json"
+
+
+def load_tool() -> types.ModuleType:
+    module = types.ModuleType("output_digest")
+    module.__file__ = str(TOOL)
+    exec(compile(TOOL.read_text(), str(TOOL), "exec"), module.__dict__)
+    return module
+
+
+def test_exact_outputs_match_the_recorded_digests(tmp_path):
+    tool = load_tool()
+    want = json.loads(GOLDEN.read_text())
+    got = {}
+    for _label, argv in tool.calls(str(tmp_path)):
+        if argv[0] != "simulate":
+            got[" ".join(argv)] = tool.digest(argv)[0]
+    assert set(got) == set(want)
+    assert [key for key in want if got[key] != want[key]] == []

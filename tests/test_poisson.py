@@ -228,6 +228,15 @@ class TestLinearMap:
         with pytest.raises(ValueError):
             LinearMap(V2, {"a1": ("a1", 0), "b1": ("b1", 1), "b2": ("b2", 1)})
 
+    @pytest.mark.parametrize("images", [
+        {"a1": ("a1", 1), "b1": ("a1", 1), "b2": ("b2", 1)},  # b1 is no one's image
+        {"a1": ("b2", 1), "b1": ("b2", -1), "b2": ("b2", 2)},
+    ])
+    def test_not_a_bijection_rejected(self, images):
+        # `Poly.subst_linear` takes any scaled map; a LinearMap must be invertible
+        with pytest.raises(ValueError, match="bijection"):
+            LinearMap(V2, images)
+
     def test_tensor_json(self):
         doc = catalog.tensor(T2, 1).to_json_dict()
         assert doc["dim"] == 3

@@ -174,10 +174,45 @@ class TestSubstLinear:
         p = Poly.var(vs, "a1") * Poly.var(vs, "b2")
         assert p.subst_linear(table) == -(Poly.var(vs, "a4") * Poly.var(vs, "b4"))
 
-    def test_not_a_permutation_rejected(self):
-        table = {v: ("a1", 1) for v in V}
-        with pytest.raises(ValueError):
+    def test_many_to_one_and_zero_images(self):
+        table = {"a1": ("b1", 2), "a2": ("b1", 1), "b1": ("b1", -1), "b2": ("a1", 0)}
+        assert (var("a1") * var("a2") * var("b1")).subst_linear(table) == -2 * var("b1") ** 3
+        assert (var("a1") + var("b2") * var("a2")).subst_linear(table) == 2 * var("b1")
+
+    def test_into_a_target_list(self):
+        # a chart's lift and restriction: onto a longer list and back
+        wide = ("a0",) + V
+        up = {v: (v, 1) for v in V}
+        p = var("a1") * var("b2") ** 2 - var("a2").scale(Fraction(1, 3))
+        lifted = p.subst_linear(up, wide)
+        assert lifted.variables == wide and lifted.canonical_str() == p.canonical_str()
+        down = {v: (v, 1) for v in V} | {"a0": ("a1", 0)}
+        assert (lifted + Poly.var(wide, "a0")).subst_linear(down, V) == p
+
+    def test_uncovered_variable_rejected(self):
+        table = {"a1": ("a1", 1), "a2": ("a2", 1), "b1": ("b1", 1)}
+        with pytest.raises(ValueError, match="does not cover"):
+            var("b2").subst_linear(table)
+
+    def test_image_outside_the_target_list_rejected(self):
+        table = {"a1": ("a1", 1), "a2": ("a3", 1), "b1": ("b1", 1), "b2": ("b2", 0)}
+        with pytest.raises(ValueError, match="not in the target list"):
             var("a1").subst_linear(table)
+        # a zero image names no variable of the target list
+        assert var("b2").subst_linear({**table, "a2": ("a2", 1)}).is_zero
+
+    @pytest.mark.parametrize("sources, e", [(2, 20000), (3, 20000), (3, 30000), (4, 20000)])
+    def test_many_to_one_overflow_raises(self, sources, e):
+        # sums 40,000 to 90,000 pass EXPONENT_LIMIT; 90,000 and 80,000 would
+        # carry into the field before b1's, not only set its guard bit
+        table = {v: ("b1", 1) for v in V[:sources]}
+        table.update({v: (w, 1) for v, w in zip(V[sources:], ("a1", "a2"))})
+        p = Poly(V, {(e,) * sources + (0,) * (4 - sources): 1})
+        with pytest.raises(OverflowError):
+            p.subst_linear(table)
+        # at the limit, no overflow
+        fits = Poly(V, {(EXPONENT_LIMIT // sources,) * sources + (0,) * (4 - sources): 1})
+        assert fits.subst_linear(table).degree() == sources * (EXPONENT_LIMIT // sources)
 
     def test_ring_homomorphism(self, rng):
         table = {"a1": ("a2", 2), "a2": ("a1", -1), "b1": ("b2", Fraction(1, 3)), "b2": ("b1", 1)}
@@ -457,7 +492,7 @@ def test_packed_ring_ops_match_tuple_keyed_oracles(data):
     for v in ORACLE_VARS:
         assert_same(p.diff(v), old_diff(p, v))
     wider = ("a0",) + ORACLE_VARS[:3] + ("a9", "b0") + ORACLE_VARS[3:]
-    assert_same(p.extend(wider), old_extend(p, wider))
+    assert_same(p.subst_linear({v: (v, 1) for v in ORACLE_VARS}, wider), old_extend(p, wider))
 
 
 @settings(max_examples=40, deadline=None)

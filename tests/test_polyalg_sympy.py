@@ -1,7 +1,7 @@
 """Differential oracle: `Poly` arithmetic against sympy on small random polynomials.
 
-Sums, products, negation, scaling, derivatives and variable extension build
-their results through the unchecked `Poly._make`; every result here is also
+Sums, products, negation, scaling, derivatives and scaled variable maps
+build their results through the unchecked `Poly._make`; every result here is also
 checked against that constructor's invariant: nonzero coefficients in the
 normal form (a rational is an `int` exactly when it is integral, else a
 `Fraction`; a `GaussianRational` has a nonzero imaginary part and parts that
@@ -24,7 +24,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 V = ("a1", "a2", "b1")
-W = ("a1", "a2", "a3", "b1", "b2")  # a superset of V, for extend
+W = ("a1", "a2", "a3", "b1", "b2")  # a superset of V, a target list of subst_linear
 SYMS = {v: sympy.Symbol(v) for v in W}
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -111,12 +111,12 @@ def test_ring_operations(p, q):
 
 @settings(max_examples=40, deadline=None)
 @given(polys(), scalars)
-def test_scale_diff_extend(p, c):
+def test_scale_diff_move(p, c):
     sp = to_sympy(p)
     assert_matches(p.scale(c), to_sympy_scalar(c) * sp, V)
     for v in V:
         assert_matches(p.diff(v), sympy.diff(sp, SYMS[v]), V)
-    assert_matches(p.extend(W), sp, W)
+    assert_matches(p.subst_linear({v: (v, 1) for v in V}, W), sp, W)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,6 +128,20 @@ def test_subst_linear(data):
     table = {v: (w, data.draw(nonzero)) for v, w in zip(V, sources)}
     images = {SYMS[v]: to_sympy_scalar(c) * SYMS[w] for v, (w, c) in table.items()}
     assert_matches(p.subst_linear(table), to_sympy(p).xreplace(images), V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subst_linear_into_a_target_list(data):
+    # images in a reordered superset, zero scales among them; a pool of one
+    # or two image variables sends two or all three variables of V to one
+    p = data.draw(polys())
+    target = tuple(data.draw(st.permutations(W)))
+    pool = data.draw(st.sampled_from([W[:1], W[2:4], W]))
+    table = {v: (data.draw(st.sampled_from(pool)), data.draw(st.one_of(st.just(0), scalars)))
+             for v in V}
+    images = {SYMS[v]: to_sympy_scalar(c) * SYMS[w] for v, (w, c) in table.items()}
+    assert_matches(p.subst_linear(table, target), to_sympy(p).xreplace(images), target)
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,8 @@ def constraints(chart: FixedPointChart) -> list[Poly]:
     """Ambient linear forms vanishing exactly on the fixed-point set."""
     out = []
     for v in chart.ambient_variables:
-        diff = Poly.var(chart.ambient_variables, v) - chart.lift(chart.section[v])
+        w, c = chart.section[v]
+        diff = Poly.var(chart.ambient_variables, v) - Poly.var(chart.ambient_variables, w).scale(c)
         if not diff.is_zero:
             out.append(diff)
     return out
@@ -52,23 +53,30 @@ class TestChart:
     def test_psi_chart_kills_b(self):
         chart = fixed_point_chart(psi_group(3))
         assert chart.reduced_variables == ("a1", "a2")
-        assert chart.section["b1"].is_zero
-        assert chart.section["a1"] == Poly.var(("a1", "a2"), "a1")
+        assert chart.section == {"a1": ("a1", 1), "a2": ("a2", 1),
+                                 "b1": ("b1", 0), "b2": ("b2", 0), "b3": ("b3", 0)}
 
     def test_phi_chart_on_five_sites(self):
         chart = fixed_point_chart(phi_group(5))
         red = chart.reduced_variables
         assert red == ("a1", "a2", "b1", "b2")
-        assert chart.section["a4"] == Poly.var(red, "a1")
-        assert chart.section["a3"] == Poly.var(red, "a2")
-        assert chart.section["b3"].is_zero
-        assert chart.section["b5"] == Poly.var(red, "b1").scale(-1)
+        assert chart.section == {"a1": ("a1", 1), "a2": ("a2", 1), "a3": ("a2", 1),
+                                 "a4": ("a1", 1), "b1": ("b1", 1), "b2": ("b2", 1),
+                                 "b3": ("b3", 0), "b4": ("b2", -1), "b5": ("b1", -1)}
 
     def test_projection_section_identity(self):
         chart = fixed_point_chart(phi_group(5))
         for u in chart.reduced_variables:
             f = Poly.var(chart.reduced_variables, u)
             assert chart.restrict(chart.lift(f)) == f
+
+    def test_restricted_exponent_above_the_limit_raises(self):
+        # a4 = a1 on the fixed-point set: a1^20000 a4^20000 restricts to a1^40000
+        chart = fixed_point_chart(phi_group(5))
+        expo = [0] * len(chart.ambient_variables)
+        expo[0] = expo[3] = 20000
+        with pytest.raises(OverflowError):
+            chart.restrict(Poly(chart.ambient_variables, {tuple(expo): 1}))
 
     def test_group_fixes_section_image(self):
         group = phi_group(5)
