@@ -5,6 +5,8 @@ finite symmetry maps for the Toda (A/B/C) and Volterra (A/B/C) families.
 
 Conventions fixed here once and used everywhere:
 
+* Systems: every function takes a parsed `SystemId`; only the CLI parses the
+  text form 'toda-a:3' (`parse_system`).
 * Variables: ``a1..ap, b1..bq`` (Volterra spaces have no b's).  Boundary
   convention a_0 = a_{end+1} = 0 and likewise for b.
 * Hamiltonian fields satisfy X_H(F) = {F, H}; with the linear Toda bracket
@@ -40,6 +42,7 @@ from functools import lru_cache
 
 from .polyalg import I_UNIT, Poly, divide, normal, unit_keys
 from .poisson import LinearMap, PoissonTensor, PolyVectorField, hamiltonian_vf
+from .reduction import FiniteGroupAction
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,8 @@ def parse_system(text: str) -> SystemId:
         raise ValueError(f"bad system id {text!r} (expected e.g. 'toda-a:3')") from exc
 
 
-def _sys(sys: SystemId | str) -> SystemId:
-    return parse_system(sys) if isinstance(sys, str) else sys
-
-
-def variables(sys: SystemId | str) -> tuple[str, ...]:
+def variables(sys: SystemId) -> tuple[str, ...]:
     """Ordered phase-space variables of the system."""
-    sys = _sys(sys)
     fam, kind, n = sys.family, sys.kind, sys.n
     if fam == "toda" and kind == "a":
         return tuple(f"a{i}" for i in range(1, n)) + tuple(f"b{i}" for i in range(1, n + 1))
@@ -104,8 +102,7 @@ def variables(sys: SystemId | str) -> tuple[str, ...]:
     raise ValueError(f"unsupported system {sys}")
 
 
-def lax_size(sys: SystemId | str) -> int:
-    sys = _sys(sys)
+def lax_size(sys: SystemId) -> int:
     if (sys.family, sys.kind) in (("toda", "a"), ("volterra", "a")):
         return sys.n
     if sys.kind == "c" and sys.family == "toda":
@@ -113,7 +110,7 @@ def lax_size(sys: SystemId | str) -> int:
     return 2 * sys.n + 1
 
 
-def lax_entries(sys: SystemId | str) -> list[tuple[int, int, str | None, int]]:
+def lax_entries(sys: SystemId) -> list[tuple[int, int, str | None, int]]:
     """The nonzero Lax entries (i, j, v, c): c * v, or the constant c if v is None.
 
     The a-types of size N carry b1..bN on the diagonal (toda only),
@@ -124,7 +121,6 @@ def lax_entries(sys: SystemId | str) -> list[tuple[int, int, str | None, int]]:
       superdiagonal    a1..an, -an..-a1; toda-c: a1..a_{n-1}, an, a_{n-1}..a1
       subdiagonal      ones, negated in the mirror half for toda-b
     """
-    sys = _sys(sys)
     N, n = lax_size(sys), sys.n
     out = []
     if sys.family == "toda":
@@ -144,7 +140,7 @@ def lax_entries(sys: SystemId | str) -> list[tuple[int, int, str | None, int]]:
     return out
 
 
-def lax(sys: SystemId | str) -> list[list[Poly]]:
+def lax(sys: SystemId) -> list[list[Poly]]:
     """Symbolic Lax matrix of the system, built from `lax_entries`."""
     zero = Poly.zero(variables(sys))  # checks the variables once
     vars_, N = zero.variables, lax_size(sys)
@@ -179,7 +175,7 @@ def walk_density(k: int) -> dict[tuple, int]:
     return {mono: count for (_, mono), count in layer.items()}
 
 
-def hamiltonian(sys: SystemId | str, k: int) -> Poly:
+def hamiltonian(sys: SystemId, k: int) -> Poly:
     """H_k = tr(L^k)/k: the closed walks `walk_density(k)` read at every site.
 
     (L^k)[r][r] is D_k read at site r: the factor ("d", o) is the diagonal
@@ -189,7 +185,6 @@ def hamiltonian(sys: SystemId | str, k: int) -> Poly:
     matrix crosses the missing edge -1 or N-1, so dropping its monomial is
     exactly the matrix boundary.  Zero for odd k on a mirror-symmetric Lax.
     """
-    sys = _sys(sys)
     if k < 1:
         raise ValueError("k must be >= 1")
     vars_ = variables(sys)
@@ -331,9 +326,8 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...]) -> PoissonTensor:
 
 
 @lru_cache(maxsize=None)
-def tensor(sys: SystemId | str, k: int) -> PoissonTensor:
+def tensor(sys: SystemId, k: int) -> PoissonTensor:
     """Catalog Poisson tensor pi_k of the system; errors name the gap."""
-    sys = _sys(sys)
     return _tensor(sys, k, variables(sys))
 
 
@@ -350,7 +344,7 @@ def embedded_volterra_tensor(N: int, k: int) -> PoissonTensor:
 # ---------------------------------------------------------------- vector fields
 
 
-def euler_field(sys: SystemId | str) -> PolyVectorField:
+def euler_field(sys: SystemId) -> PolyVectorField:
     """Weighted Euler field Z0 = sum_i 2 a_i d/da_i + sum_i b_i d/db_i.
 
     The lattice grading gives a-variables weight 2 and b-variables weight 1
@@ -364,7 +358,7 @@ def euler_field(sys: SystemId | str) -> PolyVectorField:
     return PolyVectorField(vars_, [local(vars_, unit, weight[v[0]], (int(v[1:]),)) for v in vars_])
 
 
-def master_symmetry(sys: SystemId | str) -> PolyVectorField:
+def master_symmetry(sys: SystemId) -> PolyVectorField:
     """First master symmetry Z1 of the toda-a hierarchy.
 
     Z1 = sum_i a_i[(1-2i) b_i + (3+2i) b_{i+1}] d/da_i
@@ -374,7 +368,6 @@ def master_symmetry(sys: SystemId | str) -> PolyVectorField:
     (regression-tested); the b_{i+1} coefficient differs from the commonly
     printed (1+2i) which fails both relations for n >= 3.
     """
-    sys = _sys(sys)
     if (sys.family, sys.kind) != ("toda", "a"):
         raise ValueError("master symmetry is cataloged for toda-a only")
     vars_ = variables(sys)
@@ -393,7 +386,7 @@ def master_symmetry(sys: SystemId | str) -> PolyVectorField:
     return PolyVectorField(vars_, comps)
 
 
-def flow(sys: SystemId | str, k: int) -> PolyVectorField:
+def flow(sys: SystemId, k: int) -> PolyVectorField:
     """The H_k flow paired with the system's lowest catalog bracket.
 
     toda-a / toda-b use the linear bracket (X = pi1 dH_k), volterra-a the
@@ -401,7 +394,6 @@ def flow(sys: SystemId | str, k: int) -> PolyVectorField:
     in each case.  volterra-b / volterra-c have only that equation,
     `bn_volterra_flow`.
     """
-    sys = _sys(sys)
     if sys.name in ("toda-a", "toda-b"):
         return hamiltonian_vf(tensor(sys, 1), hamiltonian(sys, k))
     if sys.name == "volterra-a":
@@ -454,9 +446,8 @@ SYMMETRIES = {
 }
 
 
-def symmetry(name: str, sys: SystemId | str) -> LinearMap:
+def symmetry(name: str, sys: SystemId) -> LinearMap:
     """The finite symmetry map `name` on sys, read off its SYMMETRIES row."""
-    sys = _sys(sys)
     if name not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {name!r}")
     acts_on, mirror, *scales = SYMMETRIES[name]
@@ -470,12 +461,6 @@ def symmetry(name: str, sys: SystemId | str) -> LinearMap:
     return LinearMap(vars_, images)
 
 
-def symmetry_group(name: str, sys: SystemId | str) -> list[LinearMap]:
-    """The cyclic group generated by the named symmetry (identity first)."""
-    g = symmetry(name, sys)
-    elems = [LinearMap.identity(g.variables)]
-    cur = g
-    while not cur.is_identity():
-        elems.append(cur)
-        cur = cur.compose(g)
-    return elems
+def symmetry_group(name: str, sys: SystemId) -> FiniteGroupAction:
+    """The cyclic group generated by the named symmetry."""
+    return FiniteGroupAction(symmetry(name, sys))

@@ -3,10 +3,10 @@
 The identities are module-level tables: the compatible pairs, the
 deformation relations, the ladders, the pushforward sign rules and the
 fixed-point reductions (the catalog brackets themselves are
-`catalog.BRACKETS`).  Each check function takes one system or reduction case
-and returns the document `verify` emits, with an "ok" field; `verify_all`
-runs the tables over the sizes `verify all --max-rank` asks for.  The
-acceptance suite calls the same functions over its own sizes.
+`catalog.BRACKETS`).  Each check function takes one parsed `SystemId` or
+reduction case and returns the document `verify` emits, with an "ok" field;
+`verify_all` runs the tables over the sizes `verify all --max-rank` asks
+for.  The acceptance suite calls the same functions over its own sizes.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ REDUCTIONS = {
 }
 
 
-def jacobi(system: str, k: int) -> dict:
-    sys_id = catalog.parse_system(system)
+def jacobi(sys_id: SystemId, k: int) -> dict:
     jac = jacobiator(catalog.tensor(sys_id, k))
     bad = {f"({i + 1},{j + 1},{l + 1})": p.canonical_str() for (i, j, l), p in jac.items()}
     return {
@@ -92,8 +91,7 @@ def jacobi(system: str, k: int) -> dict:
     }
 
 
-def compatible(system: str, pair: tuple[int, int]) -> dict:
-    sys_id = catalog.parse_system(system)
+def compatible(sys_id: SystemId, pair: tuple[int, int]) -> dict:
     k, l = pair
     ok = is_compatible(catalog.tensor(sys_id, k), catalog.tensor(sys_id, l))
     return {"check": "compatible", "system": str(sys_id), "brackets": [k, l], "ok": ok}
@@ -108,8 +106,7 @@ def _relations(check: str, sys_id: SystemId, rows: list[dict]) -> dict:
     }
 
 
-def deformation(system: str) -> dict:
-    sys_id = catalog.parse_system(system)
+def deformation(sys_id: SystemId) -> dict:
     Z = {"Z0": catalog.euler_field(sys_id), "Z1": catalog.master_symmetry(sys_id)}
     pi = {l: catalog.tensor(sys_id, l) for l in (1, 2, 3)}
     H = {l: catalog.hamiltonian(sys_id, l) for l in (1, 2, 3, 4)}
@@ -124,8 +121,7 @@ def deformation(system: str) -> dict:
     return _relations("deformation", sys_id, rows)
 
 
-def ladder(system: str) -> dict:
-    sys_id = catalog.parse_system(system)
+def ladder(sys_id: SystemId) -> dict:
     if sys_id.name not in LADDERS:
         raise ValueError(f"no ladder relations cataloged for {sys_id}")
     rows = []
@@ -152,9 +148,8 @@ def acted_tensor(sys_id: SystemId, map_name: str, k: int):
     return catalog.tensor(sys_id, k)
 
 
-def involution(system: str, map_name: str, k: int) -> dict:
+def involution(sys_id: SystemId, map_name: str, k: int) -> dict:
     """The sign of map_* pi_k; ok when the map is Poisson (sign 1)."""
-    sys_id = catalog.parse_system(system)
     g = catalog.symmetry(map_name, sys_id)
     sign = pushforward_sign(g, acted_tensor(sys_id, map_name, k))
     return {
@@ -167,9 +162,9 @@ def involution(system: str, map_name: str, k: int) -> dict:
     }
 
 
-def pushforward(system: str, map_name: str, k: int) -> dict:
+def pushforward(sys_id: SystemId, map_name: str, k: int) -> dict:
     """`involution`, with ok when the sign is the one SIGNS states."""
-    row = involution(system, map_name, k)
+    row = involution(sys_id, map_name, k)
     row["expected_sign"] = SIGNS[map_name](k)
     row["ok"] = row["sign"] == row["expected_sign"]
     return row
@@ -177,7 +172,7 @@ def pushforward(system: str, map_name: str, k: int) -> dict:
 
 def ambient_and_group(sys_id: SystemId, map_name: str, k: int):
     """The tensor pi_k that map_name acts on in sys_id, and the group it generates."""
-    group = reduction.FiniteGroupAction(catalog.symmetry_group(map_name, sys_id))
+    group = catalog.symmetry_group(map_name, sys_id)
     return acted_tensor(sys_id, map_name, k), group
 
 
@@ -187,14 +182,8 @@ def fixed_point_reduction(which: str, n: int) -> dict:
         raise ValueError(f"unknown reduction case {which!r}")
     sys_id, map_name, k, target = REDUCTIONS[which](n)
     ambient, group = ambient_and_group(sys_id, map_name, k)
-    report = reduction.verify_reduction(ambient, group, catalog.tensor(target, k))
-    return {
-        "check": "reduction",
-        "case": which,
-        "n": n,
-        "ok": report.matches,
-        "diffs": report.diffs,
-    }
+    diffs = reduction.verify_reduction(ambient, group, catalog.tensor(target, k))
+    return {"check": "reduction", "case": which, "n": n, "ok": not diffs, "diffs": diffs}
 
 
 def verify_all(max_rank: int) -> dict:
@@ -208,21 +197,19 @@ def verify_all(max_rank: int) -> dict:
     }
     for name, brackets in catalog.BRACKETS.items():
         for n in jacobi_sizes[name]:
-            results += [jacobi(f"{name}:{n}", k) for k in brackets]
+            results += [jacobi(SystemId(*name.split("-"), n), k) for k in brackets]
     for n in range(2, max_rank + 1):
-        results += [compatible(f"toda-a:{n}", p) for p in COMPATIBLE_PAIRS["toda-a"]]
-        results += [compatible(f"volterra-a:{n + 1}", p) for p in COMPATIBLE_PAIRS["volterra-a"]]
-        results.append(deformation(f"toda-a:{n}"))
-        results.append(ladder(f"toda-a:{n}"))
-        results.append(ladder(f"volterra-a:{n + 1}"))
+        toda, volterra = SystemId("toda", "a", n), SystemId("volterra", "a", n + 1)
+        results += [compatible(toda, p) for p in COMPATIBLE_PAIRS["toda-a"]]
+        results += [compatible(volterra, p) for p in COMPATIBLE_PAIRS["volterra-a"]]
+        results += [deformation(toda), ladder(toda), ladder(volterra)]
     for n in range(1, min(max_rank, 3) + 1):
-        results.append(ladder(f"toda-b:{n}"))
+        results.append(ladder(SystemId("toda", "b", n)))
         results += [fixed_point_reduction(which, n) for which in REDUCTIONS]
-    signs = [(f"toda-a:{2 * n + 1}", "phi_toda") for n in (1, 2)]
-    signs += [(f"toda-a:{n}", "psi") for n in range(2, max_rank + 1)]
-    signs += [(f"volterra-a:{2 * n + 1}", "phi_volterra") for n in (1, 2)]
-    for system, map_name in signs:
-        brackets = catalog.BRACKETS[catalog.parse_system(system).name]
-        results += [pushforward(system, map_name, k) for k in brackets]
+    signs = [(SystemId("toda", "a", 2 * n + 1), "phi_toda") for n in (1, 2)]
+    signs += [(SystemId("toda", "a", n), "psi") for n in range(2, max_rank + 1)]
+    signs += [(SystemId("volterra", "a", 2 * n + 1), "phi_volterra") for n in (1, 2)]
+    for sys_id, map_name in signs:
+        results += [pushforward(sys_id, map_name, k) for k in catalog.BRACKETS[sys_id.name]]
     ok = all(r["ok"] for r in results)
     return {"check": "all", "ok": ok, "max_rank": max_rank, "results": results}

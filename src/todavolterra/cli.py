@@ -71,15 +71,18 @@ MAX_VERIFY_SYSTEM = 64
 MAX_REDUCE_SYSTEM = 33
 
 
-def _bounded_system(system: str, most: int) -> None:
-    n = catalog.parse_system(system).n
-    if n > most:
-        raise ValueError(f"--system {system}: the lattice parameter must be <= {most}, got {n}")
+def _bounded_system(system: str, most: int) -> catalog.SystemId:
+    """The parsed `--system`, rejected when its lattice parameter exceeds `most`."""
+    sys_id = catalog.parse_system(system)
+    if sys_id.n > most:
+        raise ValueError(
+            f"--system {system}: the lattice parameter must be <= {most}, got {sys_id.n}")
+    return sys_id
 
 
 def _cmd_verify(args) -> int:
-    if hasattr(args, "system"):
-        _bounded_system(args.system, MAX_VERIFY_SYSTEM)
+    if hasattr(args, "system"):  # the checks take the parsed id
+        args.system = _bounded_system(args.system, MAX_VERIFY_SYSTEM)
     doc = args.check(args)
     doc["schema"] = f"{SCHEMA_PREFIX}/verify/v1"
     _emit(doc, args.format)
@@ -90,8 +93,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    _bounded_system(args.system, MAX_REDUCE_SYSTEM)
-    sys_id = catalog.parse_system(args.system)
+    sys_id = _bounded_system(args.system, MAX_REDUCE_SYSTEM)
     ambient, group = checks.ambient_and_group(sys_id, args.map, args.bracket)
     red = reduction.reduced_bracket(ambient, group)
     doc = {

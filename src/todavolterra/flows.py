@@ -16,7 +16,8 @@ accuracy exponentially in the size).  The matrices are built one block of
 `CHARPOLY_BLOCK` states at a time and the drifts kept as running maxima, so
 the monitors' memory does not grow with the trajectory; the CSV monitors
 only the rows it writes.  The float cross-check that the flows commute,
-`commutation_check`, lives with its tests in tests/conftest.py.
+`commutation_check`, lives with its tests in tests/conftest.py.  Systems
+are parsed `catalog.SystemId`s.
 """
 
 from __future__ import annotations
@@ -170,12 +171,11 @@ class DriftReport:
         }
 
 
-def lax_values(sys: catalog.SystemId | str, states: np.ndarray) -> np.ndarray:
+def lax_values(sys: catalog.SystemId, states: np.ndarray) -> np.ndarray:
     """Dense Lax matrices at a batch of states, shape [T, N, N].
 
     Entries are constants or scaled columns of `states`, gathered directly.
     """
-    sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
     column = {v: k for k, v in enumerate(catalog.variables(sys))}
     N = catalog.lax_size(sys)
     out = np.zeros((states.shape[0], N, N))
@@ -222,7 +222,7 @@ def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
     return cur[1:].T
 
 
-def hamiltonian_values(sys: catalog.SystemId | str, k: int, states: np.ndarray) -> np.ndarray:
+def hamiltonian_values(sys: catalog.SystemId, k: int, states: np.ndarray) -> np.ndarray:
     """H_k = tr(L^k)/k along `states`, shape [T]."""
     return power_traces(lax_values(sys, states), k)[:, k - 1] / k
 
@@ -249,10 +249,9 @@ def _monitor_values(sys: catalog.SystemId, states: np.ndarray):
         yield power_traces(mats, ks.max())[:, ks - 1] / ks, charpoly_coefficients(mats)
 
 
-def monitors(traj: Trajectory, sys: catalog.SystemId | str) -> DriftReport:
+def monitors(traj: Trajectory, sys: catalog.SystemId) -> DriftReport:
     """Max drift of the trace Hamiltonians and char-poly coefficients, as
     running maxima over the blocks of `_monitor_values`."""
-    sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
     first = drift = None
     for values in _monitor_values(sys, traj.states):
         if first is None:
@@ -268,13 +267,10 @@ def monitors(traj: Trajectory, sys: catalog.SystemId | str) -> DriftReport:
 # ---------------------------------------------------------------------- csv
 
 
-def trajectory_csv(
-    traj: Trajectory, sys: catalog.SystemId | str, decimate: int = 1
-) -> str:
+def trajectory_csv(traj: Trajectory, sys: catalog.SystemId, decimate: int = 1) -> str:
     """CSV text: t, <vars...>, <H_k...>, <charpoly drifts...> per row, for
     every `decimate`-th state and always the last one.  Only the written
     rows are monitored."""
-    sys = catalog.parse_system(sys) if isinstance(sys, str) else sys
     ks = monitored_hamiltonian_indices(sys)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

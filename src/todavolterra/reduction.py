@@ -1,10 +1,11 @@
 """Fixed-point reduction of Poisson tensors by finite groups of linear symmetries.
 
-Given a finite group G of scaled coordinate permutations that acts by Poisson
-automorphisms of pi, the fixed-point set N = M^G (a linear subspace here)
-inherits a unique bracket: lift two functions on N to G-invariant functions by
-averaging, bracket them upstairs, restrict back.  `reduced_bracket` executes
-exactly that recipe symbolically.
+Each group G is cyclic, generated by one scaled coordinate permutation g of
+finite order (the catalog symmetries psi, phi and phi-tilde).  When g acts by
+a Poisson automorphism of pi, so does every power of g, and the fixed-point
+set N = M^G (a linear subspace here) inherits a unique bracket: lift two
+functions on N to G-invariant functions by averaging, bracket them upstairs,
+restrict back.  `reduced_bracket` executes exactly that recipe symbolically.
 
 The fixed-point set is generally *not* a Poisson submanifold; restricting the
 tensor naively would be wrong.  The averaging step is what makes the recipe
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .polyalg import Poly, Scalar, variable_sort_key
 from .poisson import LinearMap, PoissonTensor, directional_action, hamiltonian_vf, pushforward_sign
@@ -26,24 +27,20 @@ class NotPoissonActionError(ValueError):
 
 
 class FiniteGroupAction:
-    """A finite group of LinearMaps on one variable list (closure verified)."""
+    """The cyclic group generated by one LinearMap of finite order.
 
-    def __init__(self, elements: Sequence[LinearMap]):
-        elements = list(elements)
-        if not elements:
-            raise ValueError("empty group")
-        vars_ = elements[0].variables
-        if any(g.variables != vars_ for g in elements):
-            raise ValueError("group elements act on different variable lists")
-        if not any(g.is_identity() for g in elements):
-            raise ValueError("group must contain the identity")
-        for g in elements:
-            for h in elements:
-                gh = g.compose(h)
-                if not any(gh == e for e in elements):
-                    raise ValueError("element list is not closed under composition")
-        self.variables = vars_
-        self.elements = elements
+    `elements` are its powers identity, g, g^2, ..., so the group is closed
+    by construction.
+    """
+
+    def __init__(self, generator: LinearMap):
+        self.generator = generator
+        self.variables = generator.variables
+        self.elements = [LinearMap.identity(self.variables)]
+        power = generator
+        while not power.is_identity():
+            self.elements.append(power)
+            power = power.compose(generator)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -77,7 +74,7 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
     """Read the fixed-point chart of a group of scaled permutations off its orbits.
 
     A fixed point has x_v = c * x_w for every element g and every
-    g.images[v] = (w, c).  The group is closed (FiniteGroupAction checks it),
+    g.images[v] = (w, c).  The group is closed (the powers of one generator),
     so these constraints link the variables of one orbit {w : some g sends v
     to (w, c)} and no others; the orbit's smallest variable rep names its
     reduced coordinate.  An element that fixes rep with scale c != 1 forces
@@ -106,9 +103,10 @@ def invariant_average(F: Poly, group: FiniteGroupAction) -> Poly:
 
 
 def check_poisson_action(pi: PoissonTensor, group: FiniteGroupAction) -> None:
-    for g in group.elements:
-        if pushforward_sign(g, pi) != 1:
-            raise NotPoissonActionError("action is not Poisson for this tensor")
+    """Raise unless g_* pi = pi for the generator g, and so for every power:
+    (g^k)_* = (g_*)^k."""
+    if pushforward_sign(group.generator, pi) != 1:
+        raise NotPoissonActionError("action is not Poisson for this tensor")
 
 
 def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTensor:
@@ -129,33 +127,20 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
     return PoissonTensor(red, upper)
 
 
-@dataclass
-class ReductionReport:
-    """Entrywise comparison of a computed reduction against an expected tensor."""
-
-    matches: bool
-    diffs: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"matches": self.matches, "diffs": self.diffs}
-
-
 def verify_reduction(
     pi_ambient: PoissonTensor,
     group: FiniteGroupAction,
     expected: PoissonTensor,
-) -> ReductionReport:
+) -> list[dict]:
+    """The entries where the reduced bracket differs from `expected`; [] when equal."""
     got = reduced_bracket(pi_ambient, group)
     if got.variables != expected.variables:
-        return ReductionReport(
-            False,
-            [{
-                "i": 0,
-                "j": 0,
-                "expected": ",".join(expected.variables),
-                "got": ",".join(got.variables),
-            }],
-        )
+        return [{
+            "i": 0,
+            "j": 0,
+            "expected": ",".join(expected.variables),
+            "got": ",".join(got.variables),
+        }]
     diffs = []
     for i, j in sorted(set(got.upper) | set(expected.upper)):
         e, g = expected.entry(i, j), got.entry(i, j)
@@ -163,4 +148,4 @@ def verify_reduction(
             diffs.append(
                 {"i": i + 1, "j": j + 1, "expected": e.canonical_str(), "got": g.canonical_str()}
             )
-    return ReductionReport(not diffs, diffs)
+    return diffs

@@ -11,6 +11,18 @@ from todavolterra.poisson import PolyVectorField
 from todavolterra.polyalg import GaussianRational, Poly, _ipow, normal
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--cli-fuzz-examples", type=int, default=0,
+        help="run tests/test_cli_contract.py on this many random argument lists "
+        "instead of its 200 derandomized ones (a deep fuzz, outside Tier-1)")
+
+
+def sid(text: str) -> catalog.SystemId:
+    """A system from its CLI text, e.g. sid("toda-a:3")."""
+    return catalog.parse_system(text)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)
@@ -129,7 +141,7 @@ def chain_rule_identity_holds(rd: bogo.RootData) -> bool:
 
 
 def commutation_check(
-    sys: catalog.SystemId | str,
+    sys: catalog.SystemId,
     flow_fields: list[PolyVectorField],
     x0,
     t: float,

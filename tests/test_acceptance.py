@@ -15,7 +15,7 @@ from todavolterra import bogo, catalog, checks, flows, moser, reduction
 from todavolterra.polyalg import Poly
 from todavolterra.poisson import hamiltonian_vf, pushforward_sign
 
-from conftest import chain_rule_identity_holds, commutation_check
+from conftest import chain_rule_identity_holds, commutation_check, sid
 
 
 def check(criterion: str, description: str, ok: bool):
@@ -31,20 +31,12 @@ def check_relations(criterion: str, doc: dict):
 
 
 def check_sign(criterion: str, system: str, map_name: str, k: int):
-    doc = checks.pushforward(system, map_name, k)
+    doc = checks.pushforward(sid(system), map_name, k)
     check(
         criterion,
         f"{map_name}_* pi{k} = {doc['expected_sign']} pi{k} on {system}",
         doc["ok"],
     )
-
-
-def sid(text):
-    return catalog.parse_system(text)
-
-
-def group_of(name, sys_id):
-    return reduction.FiniteGroupAction(catalog.symmetry_group(name, sys_id))
 
 
 # --------------------------------------------------------------- criterion 1
@@ -62,7 +54,7 @@ def test_criterion_1_exact_jacobi():
     for name, brackets in catalog.BRACKETS.items():
         for n in sizes[name]:
             for k in brackets:
-                ok = checks.jacobi(f"{name}:{n}", k)["ok"]
+                ok = checks.jacobi(sid(f"{name}:{n}"), k)["ok"]
                 check("criterion 1", f"jacobiator(pi{k}) = 0 on {name}:{n}", ok)
 
 
@@ -76,7 +68,7 @@ def test_criterion_2_compatibility():
     for name, pairs in checks.COMPATIBLE_PAIRS.items():
         for n in sizes[name]:
             for i, j in pairs:
-                ok = checks.compatible(f"{name}:{n}", (i, j))["ok"]
+                ok = checks.compatible(sid(f"{name}:{n}"), (i, j))["ok"]
                 check("criterion 2", f"{name}:{n} pair ({i},{j})", ok)
 
 
@@ -86,7 +78,7 @@ def test_criterion_2_compatibility():
 def test_criterion_3_deformation_relations():
     """The master-symmetry deformation relations, exact, on toda-a:2..4."""
     for n in (2, 3, 4):
-        check_relations("criterion 3", checks.deformation(f"toda-a:{n}"))
+        check_relations("criterion 3", checks.deformation(sid(f"toda-a:{n}")))
 
 
 # --------------------------------------------------------------- criterion 4
@@ -155,10 +147,10 @@ def test_criterion_5_reduction_regressions():
         sys_t = sid(f"toda-a:{N}")
         one = reduction.reduced_bracket(*checks.ambient_and_group(sys_t, "phi_tilde", 4))
         stage1 = reduction.reduced_bracket(
-            catalog.embedded_volterra_tensor(N, 4), group_of("psi", sys_t)
+            catalog.embedded_volterra_tensor(N, 4), catalog.symmetry_group("psi", sys_t)
         )
         stage2 = reduction.reduced_bracket(
-            stage1, group_of("phi_volterra", sid(f"volterra-a:{N}"))
+            stage1, catalog.symmetry_group("phi_volterra", sid(f"volterra-a:{N}"))
         )
         check(
             "criterion 5",
@@ -178,7 +170,7 @@ def test_criterion_5_literal_printed_entries():
     """Literally quoted reduced entries: {a_n,b_n}^3 = -1/2(a_n b_n^2 + 2a_n^2)
     and {a_{n-1},a_n}^4 = +1/2 a_{n-1} a_n (a_{n-1} + 2 a_n)."""
     red3 = reduction.reduced_bracket(
-        catalog.tensor(sid("toda-a:5"), 3), group_of("phi_toda", sid("toda-a:5"))
+        catalog.tensor(sid("toda-a:5"), 3), catalog.symmetry_group("phi_toda", sid("toda-a:5"))
     )
     check(
         "criterion 5 (literal signs)",
@@ -187,7 +179,7 @@ def test_criterion_5_literal_printed_entries():
     )
     red4 = reduction.reduced_bracket(
         catalog.tensor(sid("volterra-a:5"), 4),
-        group_of("phi_volterra", sid("volterra-a:5")),
+        catalog.symmetry_group("phi_volterra", sid("volterra-a:5")),
     )
     check(
         "criterion 5 (literal signs)",
@@ -206,7 +198,7 @@ def test_criterion_6_multi_hamiltonian_ladders():
     systems += [f"toda-b:{n}" for n in (1, 2, 3)]
     systems += [f"volterra-a:{N}" for N in (4, 5, 6, 7)]
     for system in systems:
-        check_relations("criterion 6", checks.ladder(system))
+        check_relations("criterion 6", checks.ladder(sid(system)))
     # the quadratic bracket generates the lattice equations themselves
     for N in (4, 5, 6):
         sys_id = sid(f"volterra-a:{N}")

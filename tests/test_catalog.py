@@ -12,6 +12,8 @@ from todavolterra.poisson import (
     lie_derivative_bivector,
 )
 
+from conftest import sid
+
 
 class TestSystemId:
     def test_parse_round_trip(self):
@@ -26,28 +28,28 @@ class TestSystemId:
 
 class TestVariables:
     def test_toda_a(self):
-        assert catalog.variables("toda-a:3") == ("a1", "a2", "b1", "b2", "b3")
+        assert catalog.variables(sid("toda-a:3")) == ("a1", "a2", "b1", "b2", "b3")
 
     def test_volterra_b_smallest(self):
-        assert catalog.variables("volterra-b:1") == ("a1",)
+        assert catalog.variables(sid("volterra-b:1")) == ("a1",)
 
     def test_toda_b(self):
-        assert catalog.variables("toda-b:2") == ("a1", "a2", "b1", "b2")
-        assert catalog.lax_size("toda-b:2") == 5
+        assert catalog.variables(sid("toda-b:2")) == ("a1", "a2", "b1", "b2")
+        assert catalog.lax_size(sid("toda-b:2")) == 5
 
 
 class TestLax:
     def test_toda_a_2(self):
-        L = catalog.lax("toda-a:2")
-        vs = catalog.variables("toda-a:2")
+        L = catalog.lax(sid("toda-a:2"))
+        vs = catalog.variables(sid("toda-a:2"))
         assert [[str(p) for p in row] for row in L] == [["b1", "a1"], ["1", "b2"]]
 
     def test_volterra_a_2(self):
-        L = catalog.lax("volterra-a:2")
+        L = catalog.lax(sid("volterra-a:2"))
         assert [[str(p) for p in row] for row in L] == [["0", "a1"], ["1", "0"]]
 
     def test_toda_b_1(self):
-        L = catalog.lax("toda-b:1")
+        L = catalog.lax(sid("toda-b:1"))
         assert [[str(p) for p in row] for row in L] == [
             ["b1", "a1", "0"],
             ["1", "0", "-a1"],
@@ -55,25 +57,25 @@ class TestLax:
         ]
 
     def test_volterra_b_superdiagonal_mirror(self):
-        L = catalog.lax("volterra-b:2")
+        L = catalog.lax(sid("volterra-b:2"))
         sup = [str(L[i][i + 1]) for i in range(4)]
         assert sup == ["a1", "a2", "-a2", "-a1"]
 
 
 class TestHamiltonians:
     def test_toda_a_h2(self):
-        h2 = catalog.hamiltonian("toda-a:2", 2)
+        h2 = catalog.hamiltonian(sid("toda-a:2"), 2)
         assert h2.canonical_str() == "a1 + 1/2*b1^2 + 1/2*b2^2"
 
     def test_toda_b_odd_traces_vanish(self):
-        assert catalog.hamiltonian("toda-b:1", 1).is_zero
-        assert catalog.hamiltonian("toda-b:2", 3).is_zero
+        assert catalog.hamiltonian(sid("toda-b:1"), 1).is_zero
+        assert catalog.hamiltonian(sid("toda-b:2"), 3).is_zero
 
     def test_toda_b_h2(self):
-        assert catalog.hamiltonian("toda-b:1", 2).canonical_str() == "2*a1 + b1^2"
+        assert catalog.hamiltonian(sid("toda-b:1"), 2).canonical_str() == "2*a1 + b1^2"
 
     def test_volterra_h2_is_sum_of_a(self):
-        h2 = catalog.hamiltonian("volterra-a:5", 2)
+        h2 = catalog.hamiltonian(sid("volterra-a:5"), 2)
         assert h2.canonical_str() == "a1 + a2 + a3 + a4"
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -127,9 +129,7 @@ class TestTensors:
         # the closed forms stored in the catalog equal the live reduction
         for n in (1, 2, 3):
             sys_a = catalog.SystemId("toda", "a", 2 * n + 1)
-            group = reduction.FiniteGroupAction(
-                catalog.symmetry_group("phi_toda", sys_a)
-            )
+            group = catalog.symmetry_group("phi_toda", sys_a)
             for k in (1, 3):
                 red = reduction.reduced_bracket(catalog.tensor(sys_a, k), group)
                 assert red == catalog.tensor(catalog.SystemId("toda", "b", n), k), (n, k)
@@ -137,9 +137,7 @@ class TestTensors:
     def test_volterra_b_frozen_from_reduction(self):
         for n in (1, 2, 3, 4):
             sys_a = catalog.SystemId("volterra", "a", 2 * n + 1)
-            group = reduction.FiniteGroupAction(
-                catalog.symmetry_group("phi_volterra", sys_a)
-            )
+            group = catalog.symmetry_group("phi_volterra", sys_a)
             red = reduction.reduced_bracket(catalog.tensor(sys_a, 4), group)
             assert red == catalog.tensor(catalog.SystemId("volterra", "b", n), 4), n
 
@@ -162,11 +160,7 @@ class TestSpecialFields:
         for n in (1, 2, 3):
             N = 2 * n + 1
             km = catalog.flow(catalog.SystemId("volterra", "a", N), 2)
-            group = reduction.FiniteGroupAction(
-                catalog.symmetry_group(
-                    "phi_volterra", catalog.SystemId("volterra", "a", N)
-                )
-            )
+            group = catalog.symmetry_group("phi_volterra", catalog.SystemId("volterra", "a", N))
             chart = reduction.fixed_point_chart(group)
             bn = catalog.bn_volterra_flow(n)
             for i in range(1, n + 1):
@@ -174,9 +168,9 @@ class TestSpecialFields:
 
     @pytest.mark.parametrize("name", ["volterra-b", "volterra-c"])
     def test_b_type_flow_is_its_lattice_equations(self, name):
-        assert catalog.flow(f"{name}:3", 2) == catalog.bn_volterra_flow(3)
+        assert catalog.flow(sid(f"{name}:3"), 2) == catalog.bn_volterra_flow(3)
         with pytest.raises(ValueError, match="only its lattice equations"):
-            catalog.flow(f"{name}:3", 3)
+            catalog.flow(sid(f"{name}:3"), 3)
 
     def test_km_flow(self):
         sys = catalog.SystemId("volterra", "a", 4)
@@ -187,7 +181,7 @@ class TestSpecialFields:
 
 class TestSymmetries:
     def test_psi_images(self):
-        psi = catalog.symmetry("psi", "toda-a:2")
+        psi = catalog.symmetry("psi", sid("toda-a:2"))
         assert psi.images == {
             "a1": ("a1", Fraction(1)),
             "b1": ("b1", Fraction(-1)),
@@ -195,7 +189,7 @@ class TestSymmetries:
         }
 
     def test_phi_is_involution(self):
-        assert len(catalog.symmetry_group("phi_toda", "toda-a:5")) == 2
+        assert len(catalog.symmetry_group("phi_toda", sid("toda-a:5"))) == 2
 
     def test_phi_tilde_structure(self):
         sys = catalog.SystemId("toda", "a", 5)
@@ -209,7 +203,7 @@ class TestSymmetries:
 
     def test_phi_tilde_needs_odd_size(self):
         with pytest.raises(ValueError):
-            catalog.symmetry("phi_tilde", "toda-a:4")
+            catalog.symmetry("phi_tilde", sid("toda-a:4"))
 
 
 class TestI4:
@@ -250,8 +244,8 @@ class TestI4:
 
 class TestTodaC:
     def test_variables_and_lax(self):
-        assert catalog.variables("toda-c:2") == ("a1", "a2", "b1", "b2")
-        L = catalog.lax("toda-c:2")
+        assert catalog.variables(sid("toda-c:2")) == ("a1", "a2", "b1", "b2")
+        L = catalog.lax(sid("toda-c:2"))
         assert len(L) == 4
         sup = [str(L[i][i + 1]) for i in range(3)]
         assert sup == ["a1", "a2", "a1"]
@@ -260,9 +254,7 @@ class TestTodaC:
         # the odd brackets on the even-size chain reduce to the C-type space
         for n in (1, 2):
             sys_a = catalog.SystemId("toda", "a", 2 * n)
-            group = reduction.FiniteGroupAction(
-                catalog.symmetry_group("phi_toda", sys_a)
-            )
+            group = catalog.symmetry_group("phi_toda", sys_a)
             red = reduction.reduced_bracket(catalog.tensor(sys_a, 1), group)
             assert is_poisson(red)
             assert red.variables == catalog.variables(catalog.SystemId("toda", "c", n))

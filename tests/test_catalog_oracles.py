@@ -14,6 +14,10 @@ the group orbits.  The earlier code is kept below as `old_euler_field`,
 `old_bn_volterra_flow`, `old_x_flow`, `old_symmetry` and
 `old_fixed_point_chart`.  A chart's section, once one `Poly` per ambient
 variable that `old_restrict` composes with, is now a `subst_linear` table.
+A group, once a closure-checked element list, is now the powers of one
+generator, and the Poisson-action check pushes the tensor forward by the
+generator alone; `old_check_poisson_action` is the earlier loop over every
+element.
 """
 
 from collections import namedtuple
@@ -24,12 +28,14 @@ import pytest
 from todavolterra import catalog, checks, moser
 from todavolterra.catalog import SystemId, lax_size, variables
 from todavolterra.poisson import (
-    LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
+    LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf,
+    pushforward_sign)
 from todavolterra.polyalg import I_UNIT, Poly, divide, poly_matrix_mul, variable_sort_key
 from todavolterra.reduction import (
-    FiniteGroupAction, FixedPointChart, fixed_point_chart, invariant_average)
+    FiniteGroupAction, FixedPointChart, NotPoissonActionError, check_poisson_action,
+    fixed_point_chart, invariant_average)
 
-from conftest import read_poly
+from conftest import read_poly, sid
 
 
 def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
@@ -497,7 +503,7 @@ def test_symmetry_equals_old():
                 assert repr(new) == repr(old)
     assert (cases, errors) == (688, 590)
     with pytest.raises(ValueError, match="^unknown symmetry 'chi'$"):
-        catalog.symmetry("chi", "toda-a:3")
+        catalog.symmetry("chi", sid("toda-a:3"))
 
 
 def test_hand_built_fields_equal_old():
@@ -523,10 +529,6 @@ CHART_GROUPS = [
 ] + [("phi_tilde", SystemId("toda", "a", N)) for N in range(3, 20, 2)]
 
 
-def group_of(map_name: str, sys: SystemId) -> FiniteGroupAction:
-    return FiniteGroupAction(catalog.symmetry_group(map_name, sys))
-
-
 def section_polys(chart: FixedPointChart) -> dict[str, Poly]:
     """The table section as the earlier Poly sections: x_v = c * x_w, or 0."""
     red = chart.reduced_variables
@@ -538,7 +540,7 @@ def test_chart_equals_old():
     """Equal reduced variables and sections."""
     sections = 0
     for map_name, sys in CHART_GROUPS:
-        group = group_of(map_name, sys)
+        group = catalog.symmetry_group(map_name, sys)
         new, old = fixed_point_chart(group), old_fixed_point_chart(group)
         assert new.ambient_variables == old.ambient_variables
         assert new.reduced_variables == old.reduced_variables, (map_name, str(sys))
@@ -589,7 +591,7 @@ def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
     ("phi_tilde", 5, ("b3",)),  # the middle b: phi_tilde fixes b3 with scale i
 ])
 def test_chart_without_stabilizer_test_fails(map_name, N, zero):
-    group = group_of(map_name, SystemId("toda", "a", N))
+    group = catalog.symmetry_group(map_name, SystemId("toda", "a", N))
     old, bad = old_fixed_point_chart(group), chart_without_stabilizer_test(group)
     bad_polys = section_polys(bad)
     wrong = {v for v in old.ambient_variables
@@ -597,3 +599,42 @@ def test_chart_without_stabilizer_test_fails(map_name, N, zero):
     assert set(zero) <= wrong
     assert all(old.section[v].is_zero for v in wrong)
     assert set(zero) <= set(bad.reduced_variables) - set(old.reduced_variables)
+
+
+def old_check_poisson_action(pi: PoissonTensor, group: FiniteGroupAction) -> None:
+    for g in group.elements:
+        if pushforward_sign(g, pi) != 1:
+            raise NotPoissonActionError("action is not Poisson for this tensor")
+
+
+def action_outcome(check, pi: PoissonTensor, group: FiniteGroupAction) -> str:
+    try:
+        check(pi, group)
+    except NotPoissonActionError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_check_poisson_action_equals_old():
+    """Every map on its systems at sizes 2..9 (phi_tilde: 3, 5, 7, 9), with
+    every catalog bracket of the family and, on toda-a, the embedded
+    volterra-a pi2 and pi4: the generator-only check accepts and rejects
+    exactly the pairs the loop over every element does."""
+    outcomes = {"ok": 0, "action is not Poisson for this tensor": 0}
+    for map_name, (acts_on, *_) in catalog.SYMMETRIES.items():
+        name = acts_on.split()[-1]
+        for N in range(2, 10):
+            if acts_on.startswith("odd-size") and N % 2 == 0:
+                continue
+            sys = SystemId(*name.split("-"), N)
+            group = catalog.symmetry_group(map_name, sys)
+            tensors = [(f"pi{k}", catalog.tensor(sys, k)) for k in catalog.BRACKETS[name]]
+            if name == "toda-a":
+                tensors += [(f"volterra pi{k}", catalog.embedded_volterra_tensor(N, k))
+                            for k in (2, 4)]
+            for label, pi in tensors:
+                old = action_outcome(old_check_poisson_action, pi, group)
+                assert action_outcome(check_poisson_action, pi, group) == old, (
+                    map_name, str(sys), label)
+                outcomes[old] += 1
+    assert outcomes == {"ok": 55, "action is not Poisson for this tensor": 61}

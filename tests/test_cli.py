@@ -18,7 +18,7 @@ from todavolterra.cli import (
 )
 from todavolterra.poisson import PoissonTensor
 
-from conftest import read_poly
+from conftest import read_poly, sid
 
 # The checks `verify all --max-rank 6` ran at the benchmark's seed commit.
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected"
@@ -166,7 +166,7 @@ class TestVerify:
     @pytest.mark.parametrize("N", [3, 5, 7])
     @pytest.mark.parametrize("k, sign", [(2, -1), (4, 1)])
     def test_phi_tilde_signs_on_embedded_volterra(self, N, k, sign):
-        doc = checks.pushforward(f"toda-a:{N}", "phi_tilde", k)
+        doc = checks.pushforward(sid(f"toda-a:{N}"), "phi_tilde", k)
         assert (doc["sign"], doc["expected_sign"], doc["ok"]) == (sign, sign, True)
 
     @pytest.mark.parametrize("k, code, sign", [(4, 0, 1), (2, 1, -1)])
@@ -482,7 +482,7 @@ class TestSimulateInput:
         code, out, err = run(capsys, "simulate", "--system", system, "--format", "json")
         assert code == 0, err
         doc = json.loads(out)
-        n_a = sum(v.startswith("a") for v in catalog.variables(system))
+        n_a = sum(v.startswith("a") for v in catalog.variables(sid(system)))
         assert all(0.1 <= a <= 1.0 for a in doc["x0"][:n_a])
 
 
@@ -519,7 +519,7 @@ class TestSimulateFlow:
         )
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        N = catalog.lax_size(system)
+        N = catalog.lax_size(sid(system))
         assert err == (
             f"error: --flow {k} on {system} would need setup work N^2 * 2^k = {work} "
             f"(N = {N}, the Lax size; limit 200000); lower --flow or the lattice size\n"
@@ -528,9 +528,9 @@ class TestSimulateFlow:
     def test_costliest_accepted_cases(self):
         # the cases MAX_FLOW_WORK cites, at its bound, and the next size up
         for system, k in [("toda-a:13", 10), ("toda-a:316", 1)]:
-            N = catalog.lax_size(system)
+            N = catalog.lax_size(sid(system))
             assert N * N * 2**k <= MAX_FLOW_WORK < (N + 1) * (N + 1) * 2**k
-            _check_flow(catalog.parse_system(system), k)
+            _check_flow(sid(system), k)
 
     def test_toda_c_has_no_flow(self, capsys):
         code, out, err = run(capsys, "simulate", "--system", "toda-c:3", "--t-end", "0.1")

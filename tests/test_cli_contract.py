@@ -6,6 +6,11 @@ prints exactly one `error:` line on stderr.  The argument lists come from
 as it exists (an option with no entry in VALUES fails the test).  Sizes
 come only from the cheap end or from values the CLI rejects, so each call
 runs in milliseconds, and every file read or written lies under tmp_path.
+
+Tier-1 draws 200 derandomized argument lists.  A deeper run draws fresh
+random ones:
+
+    PYTHONPATH=src python -m pytest -q tests/test_cli_contract.py --cli-fuzz-examples 4000
 """
 
 import argparse
@@ -101,12 +106,13 @@ def argv_strategy():
     return st.one_of(draw(), garbage)
 
 
-def test_every_input_exits_cleanly(tmp_path, monkeypatch, capsys):
+def test_every_input_exits_cleanly(tmp_path, monkeypatch, capsys, request):
     write_x0_files(tmp_path)
     monkeypatch.setenv("TODAVOLTERRA_OUT_DIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
+    fuzz = request.config.getoption("--cli-fuzz-examples")
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=fuzz or 200, derandomize=not fuzz, deadline=None, database=None)
     @given(argv_strategy())
     def check(argv):
         code = main(argv)

@@ -13,7 +13,7 @@ from todavolterra import _kernels, catalog, flows
 from todavolterra.polyalg import I_UNIT, Poly, poly_matrix_mul
 from todavolterra.poisson import PolyVectorField, hamiltonian_vf
 
-from conftest import commutation_check, evaluate, read_poly
+from conftest import commutation_check, evaluate, read_poly, sid
 from test_catalog_oracles import old_matrix_power
 
 
@@ -130,12 +130,12 @@ KERNEL_CASES = [
 
 # (name, field, x0 or None for a seeded mixed-sign point, steps)
 WIDE_CASES = [
-    ("toda-a:24", lambda: catalog.flow("toda-a:24", 2), None, 300),  # 92 terms
-    ("toda-a:32", lambda: catalog.flow("toda-a:32", 2), None, 300),  # 124 terms
-    ("volterra-a:64", lambda: catalog.flow("volterra-a:64", 2), None, 300),  # 124 terms
-    ("toda-a:5-flow4", lambda: catalog.flow("toda-a:5", 4), None, 300),  # b_i^3
-    ("toda-a:6-flow5", lambda: catalog.flow("toda-a:6", 5), None, 300),  # b_i^4
-    ("toda-a:6-escape", lambda: catalog.flow("toda-a:6", 2), _escape_point(), 3000),
+    ("toda-a:24", lambda: catalog.flow(sid("toda-a:24"), 2), None, 300),  # 92 terms
+    ("toda-a:32", lambda: catalog.flow(sid("toda-a:32"), 2), None, 300),  # 124 terms
+    ("volterra-a:64", lambda: catalog.flow(sid("volterra-a:64"), 2), None, 300),  # 124 terms
+    ("toda-a:5-flow4", lambda: catalog.flow(sid("toda-a:5"), 4), None, 300),  # b_i^3
+    ("toda-a:6-flow5", lambda: catalog.flow(sid("toda-a:6"), 5), None, 300),  # b_i^4
+    ("toda-a:6-escape", lambda: catalog.flow(sid("toda-a:6"), 2), _escape_point(), 3000),
 ]
 
 
@@ -242,7 +242,7 @@ class TestKernelOracle:
 @functools.cache
 def _dense_escape():
     """The escape case of WIDE_CASES: field, x0 and its dense trajectory."""
-    cf = flows.compile_field(catalog.flow("toda-a:6", 2))
+    cf = flows.compile_field(catalog.flow(sid("toda-a:6"), 2))
     x0 = np.array(_escape_point())
     return cf, x0, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 3000)
 

@@ -191,9 +191,7 @@ class TestIdentifyJacobi:
             # fixed-point set (the C-type lattice): a_m' = 2 a_m b_m etc.
             sys_a = catalog.SystemId("toda", "a", 2 * m)
             chain = catalog.flow(sys_a, 2)
-            group = reduction.FiniteGroupAction(
-                catalog.symmetry_group("phi_toda", sys_a)
-            )
+            group = catalog.symmetry_group("phi_toda", sys_a)
             chart = reduction.fixed_point_chart(group)
             gen_vars = ident.variables
             sub = {

@@ -540,7 +540,7 @@ SYMMETRY_CASES = [
 def test_pushforward_matches_pair_loop(name, system, k):
     sys = catalog.parse_system(system)
     pi = checks.acted_tensor(sys, name, k)  # phi_tilde: the embedded volterra tensor
-    for g in catalog.symmetry_group(name, sys):
+    for g in catalog.symmetry_group(name, sys).elements:
         assert pushforward_bivector(g, pi) == pair_loop_pushforward(g, pi)
 
 

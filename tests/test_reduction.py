@@ -10,7 +10,6 @@ from todavolterra.reduction import (
     FiniteGroupAction,
     FixedPointChart,
     NotPoissonActionError,
-    ReductionReport,
     fixed_point_chart,
     invariant_average,
     reduced_bracket,
@@ -32,21 +31,42 @@ def constraints(chart: FixedPointChart) -> list[Poly]:
 
 
 def psi_group(N):
-    return FiniteGroupAction(catalog.symmetry_group("psi", catalog.SystemId("toda", "a", N)))
+    return catalog.symmetry_group("psi", catalog.SystemId("toda", "a", N))
 
 
 def phi_group(N):
-    return FiniteGroupAction(
-        catalog.symmetry_group("phi_toda", catalog.SystemId("toda", "a", N))
-    )
+    return catalog.symmetry_group("phi_toda", catalog.SystemId("toda", "a", N))
+
+
+# The order of each catalog symmetry, and (map, system) at sizes of both
+# parities; phi_tilde acts on odd sizes only.
+ORDERS = {"psi": 2, "phi_toda": 2, "phi_volterra": 2, "phi_tilde": 4}
+GROUP_CASES = [
+    (name, catalog.SystemId(*acts_on.split()[-1].split("-"), N))
+    for name, (acts_on, *_) in catalog.SYMMETRIES.items()
+    for N in range(2, 10)
+    if N % 2 or not acts_on.startswith("odd-size")
+]
 
 
 class TestGroupAction:
-    def test_closure_required(self):
-        sys = catalog.SystemId("toda", "a", 3)
-        psi = catalog.symmetry("psi", sys)
-        with pytest.raises(ValueError):
-            FiniteGroupAction([psi])  # no identity
+    @pytest.mark.parametrize("name, sys", GROUP_CASES, ids=str)
+    def test_generated_group_is_closed(self, name, sys):
+        # the closure the element-list constructor checked at run time
+        group = catalog.symmetry_group(name, sys)
+        elements = group.elements
+        assert group.generator == catalog.symmetry(name, sys)
+        assert elements[0] == LinearMap.identity(catalog.variables(sys))
+        assert not any(g.is_identity() for g in elements[1:])
+        assert len(group) == ORDERS[name]
+        for g in elements:
+            for h in elements:
+                assert any(g.compose(h) == e for e in elements)
+
+    def test_orders(self):
+        assert list(ORDERS) == list(catalog.SYMMETRIES)
+        assert list(ORDERS.values()) == [2, 2, 2, 4]
+        assert len(GROUP_CASES) == 28
 
 
 class TestChart:
@@ -125,7 +145,7 @@ class TestReducedBracket:
     def test_trivial_group(self):
         sys = catalog.SystemId("toda", "a", 3)
         pi = catalog.tensor(sys, 2)
-        G = FiniteGroupAction([LinearMap.identity(pi.variables)])
+        G = FiniteGroupAction(LinearMap.identity(pi.variables))
         assert reduced_bracket(pi, G) == pi
 
     def test_cubic_to_b_type(self):
@@ -135,6 +155,16 @@ class TestReducedBracket:
         # the distinguished corner entry carries the doubled a^2 term
         assert red.entry_named("a2", "b2").canonical_str() == "a2^2 + 1/2*a2*b2^2"
 
+    def test_poisson_action_checked_on_the_generator_only(self, monkeypatch):
+        # (g^k)_* = (g_*)^k: the order-4 twist needs one pushforward, not four
+        pushed = []
+        real = reduction.pushforward_sign
+        monkeypatch.setattr(reduction, "pushforward_sign",
+                            lambda g, pi: pushed.append(g) or real(g, pi))
+        group = catalog.symmetry_group("phi_tilde", catalog.SystemId("toda", "a", 5))
+        reduced_bracket(catalog.embedded_volterra_tensor(5, 4), group)
+        assert pushed == [group.generator]
+
     def test_rejects_anti_invariant_tensor(self):
         sys = catalog.SystemId("toda", "a", 3)
         with pytest.raises(NotPoissonActionError):
@@ -143,11 +173,7 @@ class TestReducedBracket:
     def test_reduced_is_poisson(self):
         red = reduced_bracket(
             catalog.tensor(catalog.SystemId("volterra", "a", 7), 4),
-            FiniteGroupAction(
-                catalog.symmetry_group(
-                    "phi_volterra", catalog.SystemId("volterra", "a", 7)
-                )
-            ),
+            catalog.symmetry_group("phi_volterra", catalog.SystemId("volterra", "a", 7)),
         )
         assert is_poisson(red)
 
@@ -204,18 +230,14 @@ class TestOneStageVsTwoStage:
         # one stage: the order-4 twist group on the embedded quartic tensor
         one = reduced_bracket(
             catalog.embedded_volterra_tensor(N, 4),
-            FiniteGroupAction(catalog.symmetry_group("phi_tilde", sys_t)),
+            catalog.symmetry_group("phi_tilde", sys_t),
         )
         # two stages: b-sign flip down to the Volterra space, then the mirror
         stage1 = reduced_bracket(catalog.embedded_volterra_tensor(N, 4), psi_group(N))
         assert stage1 == catalog.tensor(catalog.SystemId("volterra", "a", N), 4)
         stage2 = reduced_bracket(
             stage1,
-            FiniteGroupAction(
-                catalog.symmetry_group(
-                    "phi_volterra", catalog.SystemId("volterra", "a", N)
-                )
-            ),
+            catalog.symmetry_group("phi_volterra", catalog.SystemId("volterra", "a", N)),
         )
         assert one == stage2
         assert stage2 == catalog.tensor(catalog.SystemId("volterra", "b", n), 4)
@@ -224,29 +246,29 @@ class TestOneStageVsTwoStage:
 class TestVerifyReduction:
     def test_matching_report(self):
         sys_a = catalog.SystemId("volterra", "a", 5)
-        group = FiniteGroupAction(catalog.symmetry_group("phi_volterra", sys_a))
-        report = verify_reduction(
+        group = catalog.symmetry_group("phi_volterra", sys_a)
+        diffs = verify_reduction(
             catalog.tensor(sys_a, 4),
             group,
             catalog.tensor(catalog.SystemId("volterra", "b", 2), 4),
         )
-        assert report.matches and report.diffs == []
+        assert diffs == []
 
     def test_mismatch_report_lists_entries(self):
         sys_a = catalog.SystemId("volterra", "a", 5)
-        group = FiniteGroupAction(catalog.symmetry_group("phi_volterra", sys_a))
+        group = catalog.symmetry_group("phi_volterra", sys_a)
         wrong = catalog.tensor(catalog.SystemId("volterra", "b", 2), 4).scale(2)
-        report = verify_reduction(catalog.tensor(sys_a, 4), group, wrong)
-        assert not report.matches
-        assert report.diffs[0]["i"] == 1 and report.diffs[0]["j"] == 2
-        assert "expected" in report.diffs[0] and "got" in report.diffs[0]
+        diffs = verify_reduction(catalog.tensor(sys_a, 4), group, wrong)
+        assert diffs
+        assert diffs[0]["i"] == 1 and diffs[0]["j"] == 2
+        assert "expected" in diffs[0] and "got" in diffs[0]
 
     @pytest.mark.parametrize("drop, add", [((0, 1), None), (None, (0, 3)), ((1, 2), (0, 3))])
     def test_diffs_cover_entries_stored_on_one_side(self, drop, add):
         # the report compares the entries either tensor stores; it must list
         # what comparing every pair lists, in the same order
         sys_a = catalog.SystemId("volterra", "a", 9)
-        group = FiniteGroupAction(catalog.symmetry_group("phi_volterra", sys_a))
+        group = catalog.symmetry_group("phi_volterra", sys_a)
         pi = catalog.tensor(sys_a, 4)
         expected = catalog.tensor(catalog.SystemId("volterra", "b", 4), 4)
         upper = dict(expected.upper)
@@ -262,12 +284,12 @@ class TestVerifyReduction:
             for i in range(got.dim) for j in range(i + 1, got.dim)
             if bent.entry(i, j) != got.entry(i, j)
         ]
-        report = verify_reduction(pi, group, bent)
-        assert not report.matches
-        assert report.diffs == want and len(want) == (drop is not None) + (add is not None)
+        diffs = verify_reduction(pi, group, bent)
+        assert diffs
+        assert diffs == want and len(want) == (drop is not None) + (add is not None)
 
     def test_identity_case(self):
         sys = catalog.SystemId("toda", "a", 3)
         pi = catalog.tensor(sys, 2)
-        G = FiniteGroupAction([LinearMap.identity(pi.variables)])
-        assert verify_reduction(pi, G, pi).matches
+        G = FiniteGroupAction(LinearMap.identity(pi.variables))
+        assert verify_reduction(pi, G, pi) == []

@@ -7,12 +7,21 @@ every call gives the same bytes and exit code.  Run it from a checkout's
 root; it imports the package from that checkout's `src/`:
 
     python3 tools/output_digest.py            # per-call lines and the total
-    python3 tools/output_digest.py --total    # the total only
+    python3 tools/output_digest.py --total    # the two totals only
 
 The list: the benchmark's calls at seeds 1 and 2 (their argv and starting
 points are built here), `moser --N 5..21`, `bogo` A-D at ranks 1..12,
 `reduce` for every map, `verify reduction` for every case at n = 1..4,
-`verify involution` for every map and `verify all --max-rank 7`.
+`verify involution` for every map and `verify all --max-rank 7`.  Their total
+is the first `total` line.
+
+A second list, `parsing_calls`, runs every subcommand that parses
+`--system` and has exact output: `verify jacobi/compatible/deformation/
+ladder/involution` on every family and `reduce`, with the inputs these
+reject (bad ids, sizes past `MAX_VERIFY_SYSTEM` and `MAX_REDUCE_SYSTEM`,
+missing brackets, maps that are not Poisson for a bracket, a map on a system
+it does not act on), so the exit code and the `error:` text are digested
+too.  Its total is the `parsing total` line.
 """
 
 from __future__ import annotations
@@ -86,6 +95,52 @@ def calls(work_dir: str) -> list[tuple[str, list[str]]]:
     return out
 
 
+def parsing_calls() -> list[tuple[str, list[str]]]:
+    """(label, argv) of the calls through the `--system` parsing paths."""
+    jacobi = [("toda-a:4", (1, 2, 3, 4)), ("toda-b:3", (1, 2, 3)), ("toda-c:3", (1,)),
+              ("volterra-a:5", (2, 4)), ("volterra-b:3", (4,)), ("volterra-c:3", (4,)),
+              ("TODA-A:3", (2,)), ("toda-b:64", (1,))]
+    out = [("", ["verify", "jacobi", "--system", s, "--bracket", str(k), *J])
+           for s, ks in jacobi for k in ks]
+    compatible = [("toda-a:4", ("1,2", "2,3", "1,3", "1,4")), ("toda-b:3", ("1,3", "1,2")),
+                  ("volterra-a:5", ("2,4",)), ("volterra-b:3", ("4,4",)), ("toda-c:2", ("1,2",))]
+    out += [("", ["verify", "compatible", "--system", s, "--brackets", p, *J])
+            for s, ps in compatible for p in ps]
+    families = ("toda-a:3", "toda-a:4", "toda-b:3", "toda-c:3", "volterra-a:5", "volterra-b:3",
+                "volterra-c:3")
+    out += [("", ["verify", what, "--system", s, *J])
+            for what in ("deformation", "ladder") for s in families]
+    involution = [("toda-a:5", "psi", 1), ("toda-a:4", "phi_toda", 2), ("toda-b:3", "psi", 1),
+                  ("volterra-a:5", "psi", 2), ("toda-a:5", "phi_volterra", 2),
+                  ("volterra-a:4", "phi_toda", 2), ("toda-a:4", "phi_tilde", 2),
+                  ("volterra-a:5", "phi_tilde", 2), ("toda-a:5", "phi_tilde", 1),
+                  ("volterra-a:5", "phi_volterra", 3)]
+    out += [("", ["verify", "involution", "--system", s, "--map", m, "--bracket", str(k), *J])
+            for s, m, k in involution]
+    # accepted, then maps that are not Poisson for the bracket, then errors
+    reduce = [("toda-a:6", "psi", 2), ("toda-a:6", "phi_toda", 3),
+              ("volterra-a:6", "phi_volterra", 4),
+              ("toda-a:5", "psi", 1), ("toda-a:5", "psi", 3), ("toda-a:5", "phi_toda", 2),
+              ("volterra-a:5", "phi_volterra", 2),
+              ("toda-a:5", "phi_tilde", 3), ("toda-a:4", "phi_tilde", 2),
+              ("volterra-a:5", "psi", 2), ("toda-b:3", "phi_toda", 1), ("toda-a:5", "psi", 4)]
+    out += [("", ["reduce", "--system", s, "--map", m, "--bracket", str(k), *J])
+            for s, m, k in reduce]
+    out.append(("", ["reduce", "--system", "toda-a:4", "--map", "psi", "--bracket", "2"]))
+    out.append(("", ["verify", "ladder", "--system", "volterra-a:4"]))
+    # rejected ids and sizes: each exits 2 with one error line
+    bad = ("toda-a", "toda-a:x", "toda-a:0", "toda-a:1", "volterra-a:1", "toda-b:-2", "toda-d:3",
+           "foo-a:3", "toda-a:3:4", "", ":", "toda-a:65", "TODA-A:65", "toda-c:65",
+           "volterra-a:999999999999")
+    for s in bad:
+        out.append(("", ["verify", "jacobi", "--system", s, "--bracket", "1", *J]))
+        out.append(("", ["verify", "deformation", "--system", s]))
+        out.append(("", ["reduce", "--system", s, "--map", "psi", "--bracket", "2", *J]))
+    out += [("", ["reduce", "--system", s, "--map", "phi_toda", "--bracket", "3", *J])
+            for s in ("toda-a:34", "Toda-A:34", "toda-c:34", "toda-a:x34")]
+    return out
+
+
 def digest(argv: list[str]) -> tuple[str, int]:
     """(sha256 of one call's stdout, stderr and exit code, the exit code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -99,15 +154,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--total", action="store_true", help="print the total digest only")
     args = parser.parse_args()
-    total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work_dir:
-        for label, argv in calls(work_dir):
-            d, code = digest(argv)
-            total.update(d.encode())
-            if not args.total:
-                shown = ["{x0}" if a.startswith(work_dir) else a for a in argv]
-                print(f"{d[:16]}  exit {code}  {' '.join(shown)}{f'  ({label})' if label else ''}")
-    print(f"total {total.hexdigest()}")
+        for name, listed in (("total", calls(work_dir)), ("parsing total", parsing_calls())):
+            total = hashlib.sha256()
+            for label, argv in listed:
+                d, code = digest(argv)
+                total.update(d.encode())
+                if not args.total:
+                    shown = ["{x0}" if a.startswith(work_dir) else a for a in argv]
+                    print(f"{d[:16]}  exit {code}  {' '.join(shown)}"
+                          f"{f'  ({label})' if label else ''}")
+            print(f"{name} {total.hexdigest()}")
     return 0
 
 
