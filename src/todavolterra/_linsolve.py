@@ -1,10 +1,10 @@
 """Exact Gauss-Jordan elimination over Q(i) on sparse rows.
 
 The systems this package solves are very sparse: the Moser identification
-builds 75 x 45 systems with under a hundred nonzeros each.  Each row is
-therefore held as a `{column: value}` dict of its nonzero entries, with the
-right-hand side stored as column n, and `where[c]` holds the rows that have a
-nonzero in column c.
+at `moser --N 41` builds one 456 x 231 system per block with under 500
+nonzeros and 20 right-hand sides.  Each row is therefore held as a `{column:
+value}` dict of its nonzero entries, with right-hand side j stored as column
+n + j, and `where[c]` holds the rows that have a nonzero in column c.
 
 Pivot rule (the same as the dense form's): columns are taken in order; the
 pivot for a column is the first row, in the current row order, at or below
@@ -33,17 +33,24 @@ from .polyalg import divide, normal
 
 
 def solve_exact(rows, rhs):
-    """Solve A x = b exactly; free variables are set to zero.
+    """Solve A x = b exactly for every right-hand side b; free variables are
+    set to zero.
 
-    `rows` is a list of coefficient lists and `rhs` the right-hand sides,
-    exact scalars in normal form (`polyalg.normal`); so is the solution.
-    Returns (solution, unique) where `unique` says whether the solution was
-    fully determined, or None if inconsistent.
+    `rows` is a list of coefficient lists and `rhs` a list of right-hand
+    sides, each a list with one entry per row; the entries are exact scalars
+    in normal form (`polyalg.normal`), and so are the solutions.  Returns
+    (solutions, unique), one solution per right-hand side, where `unique`
+    says whether they are fully determined, or None if any right-hand side
+    is inconsistent.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    A = [{c: v for c, v in enumerate([*r, b]) if v} for r, b in zip(rows, rhs)]
-    where: list[set[int]] = [set() for _ in range(n + 1)]
+    A = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    for c, b in enumerate(rhs, start=n):
+        for r, v in zip(A, b):
+            if v:
+                r[c] = v
+    where: list[set[int]] = [set() for _ in range(n + len(rhs))]
     for i, r in enumerate(A):
         for c in r:
             where[c].add(i)
@@ -83,10 +90,10 @@ def solve_exact(rows, rhs):
         row += 1
         if row == m:
             break
-    if any(n in A[i] for i in order[row:]):
-        return None  # inconsistent
-    x = [0] * n
+    if any(A[i] for i in order[row:]):
+        return None  # inconsistent: a row left without a pivot keeps a right-hand side
+    xs = [[0] * n for _ in rhs]
     for i, c in pivots:
-        x[c] = A[i].get(n, 0)
-    unique = len(pivots) == n
-    return x, unique
+        for j, x in enumerate(xs):
+            x[c] = A[i].get(n + j, 0)
+    return xs, len(pivots) == n

@@ -97,10 +97,10 @@ def root_data(type_: str, n: int) -> RootData:
     # solve k_1 w_1 + ... + k_n w_n = -omega0 with k_0 = 1
     rows = [[roots[j][c] for j in range(n)] for c in range(dim)]
     rhs = [-omega0[c] for c in range(dim)]
-    sol = solve_exact(rows, rhs)
+    sol = solve_exact(rows, [rhs])
     if sol is None:
         raise ValueError("mark equation is inconsistent")
-    marks, unique = sol
+    (marks,), unique = sol
     if not unique:
         raise ValueError("marks are not uniquely determined (roots dependent)")
     for k in marks:
@@ -181,24 +181,16 @@ def x_system_rhs(rd: RootData) -> PolyVectorField:
     """The Lotka-Volterra field x_ij' = x_ij sum_s k_s (x_is + x_js)."""
     vars_ = edge_variables(rd)
     edge_list = edges(rd)
-    c = sign_matrix(rd)
-
-    def x_poly(i: int, j: int) -> Poly:
-        # signed edge variable x_ij as a polynomial (0 if not an edge)
-        if i == j or not c[i - 1][j - 1]:
-            return Poly.zero(vars_)
-        key = (i, j) if i < j else (j, i)
-        p = Poly.var(vars_, f"x{key[0]}{key[1]}")
-        return p if i < j else -p
-
-    comps = []
-    for (i, j) in edge_list:
-        acc = Poly.zero(vars_)
-        for s in range(1, rd.rank + 1):
-            term = x_poly(i, s) + x_poly(j, s)
-            acc = acc + term.scale(rd.marks[s - 1])
-        comps.append(Poly.var(vars_, f"x{i}{j}") * acc)
-    return PolyVectorField(vars_, comps)
+    xs = [Poly.var(vars_, v) for v in vars_]
+    # near[i]: the terms k_s x_is over the Dynkin neighbours s of node i; the
+    # signed edge variable x_is is x_{is} for i < s and -x_{si} for i > s
+    near: dict[int, list[Poly]] = {i: [] for i in range(1, rd.rank + 1)}
+    for (i, j), x in zip(edge_list, xs):
+        near[i].append(x.scale(rd.marks[j - 1]))
+        near[j].append(x.scale(-rd.marks[i - 1]))
+    zero = Poly.zero(vars_)
+    return PolyVectorField(vars_, [x * sum(near[i] + near[j], zero)
+                                   for (i, j), x in zip(edge_list, xs)])
 
 
 # ----------------------------------------------------- Volterra normal forms
@@ -245,13 +237,10 @@ def volterra_form(rd: RootData):
     return target, sub
 
 
-def transformed_x_system(rd: RootData) -> PolyVectorField | None:
-    """The X-system rewritten in the recorded Volterra variables."""
-    form = volterra_form(rd)
-    if form is None:
-        return None
+def transformed_x_system(field: PolyVectorField, form) -> PolyVectorField:
+    """The X-system `field` rewritten in the Volterra variables of `form`,
+    the (target_variables, substitution) pair of `volterra_form`."""
     target, sub = form
-    field = x_system_rhs(rd)
     # each a_i = c * y for one edge variable y: so y = (1/c) a_i and a_i' = c y'
     edge = {}
     for a_name, p in sub.items():

@@ -277,7 +277,7 @@ def _cmd_bogo(args) -> int:
         doc["volterra_change_of_variables"] = {
             a: sub[a].canonical_str() for a in target
         }
-        transformed = bogo.transformed_x_system(rd)
+        transformed = bogo.transformed_x_system(xsys, form)
         doc["volterra_form"] = [
             f"{v}' = {p.canonical_str()}"
             for v, p in zip(transformed.variables, transformed.components)
@@ -423,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("reduction")
     p.set_defaults(check=lambda a: checks.fixed_point_reduction(a.which, a.n))
     p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
-    # the bounds keep a run within seconds: on a 2-vCPU x86 VM, --n 16 took
-    # 3.4 s (phi, the costliest case) and --max-rank 16 took 4.2 s
+    # the bounds keep a run within seconds: on a 2-vCPU x86 VM (process wall,
+    # median of 3) --n 16 took 0.35 s (phi, the costliest) and --max-rank 16 0.92 s
     p.add_argument("--n", type=_bounded_int(1, 16), default=2)
 
     p = vsub.add_parser("all")
@@ -456,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bogo", help="root-system Volterra construction")
     p.set_defaults(run=_cmd_bogo)
     p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
-    # --rank 64 took 1.7 s (type A, the costliest) on a 2-vCPU x86 VM
+    # --rank 64 took 0.34-0.36 s (types A-D) on a 2-vCPU x86 VM, process wall, median of 3
     p.add_argument("--rank", type=_bounded_int(1, 64), required=True)
     add_common(p)
 
     p = sub.add_parser("moser", help="squaring map to Toda form")
     p.set_defaults(run=_cmd_moser)
-    # --N 41 took 3.4 s on a 2-vCPU x86 VM
+    # --N 41 took 0.33 s on a 2-vCPU x86 VM, process wall, median of 3
     p.add_argument("--N", type=_odd_int(5, 41), required=True, help="odd Lax size")
     add_common(p)
 

@@ -98,10 +98,6 @@ class MoserSplit:
     even_deleted: JacobiBlock
 
 
-def _block(square, kept: list[int]) -> tuple[tuple[Poly, ...], ...]:
-    return tuple(tuple(square[i - 1][j - 1] for j in kept) for i in kept)
-
-
 def _tag(size: int) -> str:
     return f"B{size // 2}" if size % 2 else f"C{size // 2}"
 
@@ -121,21 +117,14 @@ def square_and_split(N: int) -> MoserSplit:
         for j in range(N):
             if (i - j) % 2 and not M[i][j].is_zero:
                 raise AssertionError("squared matrix couples parities")
-    keep_for_odd_deleted = [k for k in range(1, N + 1) if k % 2 == 1]
-    keep_for_even_deleted = [k for k in range(1, N + 1) if k % 2 == 0]
-    odd_block = _block(M, keep_for_odd_deleted)
-    even_block = _block(M, keep_for_even_deleted)
-    odd = JacobiBlock(
-        len(keep_for_odd_deleted), tuple(keep_for_odd_deleted), odd_block,
-        _tag(len(keep_for_odd_deleted)),
-    )
-    even = JacobiBlock(
-        len(keep_for_even_deleted), tuple(keep_for_even_deleted), even_block,
-        _tag(len(keep_for_even_deleted)),
-    )
-    _check_block_structure(odd)
-    _check_block_structure(even)
-    return MoserSplit(N, tuple(tuple(row) for row in M), odd, even)
+    blocks = []
+    for first in (1, 2):  # odd_deleted keeps the odd 1-based positions, even_deleted the even
+        kept = tuple(range(first, N + 1, 2))
+        matrix = tuple(tuple(M[i - 1][j - 1] for j in kept) for i in kept)
+        block = JacobiBlock(len(kept), kept, matrix, _tag(len(kept)))
+        _check_block_structure(block)
+        blocks.append(block)
+    return MoserSplit(N, tuple(tuple(row) for row in M), *blocks)
 
 
 def _check_block_structure(block: JacobiBlock) -> None:
@@ -191,74 +180,35 @@ def identify_jacobi(block: JacobiBlock, flow: PolyVectorField) -> IdentifiedSyst
     """Read A_k, B_k off the block, differentiate along the flow, and express
     the derivatives as polynomials in the generators.
 
-    Raises if some derivative is not a polynomial of degree <= 2 in the
-    generators (which would mean the block does not close into a Toda-type
-    system).
+    Every derivative is solved for at once, as target = sum(c_m *
+    monomial_m(generators)) over the monomials of degree <= 2, in one exact
+    solve over the union of the term supports.  Raises if some derivative is
+    not such a polynomial (which would mean the block does not close into a
+    Toda-type system).
     """
     m = block.half_rank
-    a_defs = tuple(block.superdiagonal()[k] for k in range(m))
-    b_defs = tuple(block.diagonal()[k] for k in range(m))
-    gen_names = tuple(f"A{k}" for k in range(1, m + 1)) + tuple(
-        f"B{k}" for k in range(1, m + 1)
-    )
-    gens = list(a_defs) + list(b_defs)
-    express = _generator_solver(gens, gen_names)
-    equations = tuple(express(directional_action(flow, g)) for g in gens)
-    return IdentifiedSystem(block.tag, a_defs, b_defs, gen_names, equations)
-
-
-def _monomial_basis(names: tuple[str, ...]) -> list[tuple[tuple[str, int], ...]]:
-    """Monomials of degree <= 2 in the generators, deterministic order."""
-    basis: list[tuple[tuple[str, int], ...]] = [()]
-    for k, u in enumerate(names):
-        basis.append(((u, 1),))
-    for k, u in enumerate(names):
-        for l in range(k, len(names)):
-            v = names[l]
-            basis.append(((u, 2),) if u == v else ((u, 1), (v, 1)))
-    return basis
-
-
-def _generator_solver(gens: list[Poly], names: tuple[str, ...]):
-    """Return `express(target)`, the exact linear solve of
-    target = sum(c_m * monomial_m(generators)) over the degree <= 2 basis.
-
-    The basis, its expansion in the x variables and its term support are
-    built once here and shared by every target (the targets share the
-    generators' variables).
-    """
+    a_defs = tuple(block.superdiagonal()[:m])
+    b_defs = tuple(block.diagonal()[:m])
+    names = tuple(f"A{k}" for k in range(1, m + 1)) + tuple(f"B{k}" for k in range(1, m + 1))
+    gens = a_defs + b_defs
+    targets = [directional_action(flow, g) for g in gens]
+    # the basis in a deterministic order: 1, each generator, each product g_k g_l (k <= l);
+    # `keys` are its monomials as packed keys over `names`, `expanded` its values in x
+    unit = list(unit_keys(names).values())
+    keys, expanded = [0, *unit], [Poly.const(gens[0].variables, 1), *gens]
+    for k in range(len(gens)):
+        for l in range(k, len(gens)):
+            keys.append(unit[k] + unit[l])
+            expanded.append(gens[k] * gens[l])
+    support = sorted(set().union(*(p.packed for p in expanded + targets)))
+    rows = [[p.packed.get(e, 0) for p in expanded] for e in support]
+    sol = solve_exact(rows, [[t.packed.get(e, 0) for e in support] for t in targets])
+    if sol is None:
+        raise ValueError("induced equation is not expressible in the block generators")
     by_name = dict(zip(names, gens))
-    basis = _monomial_basis(names)
-    expanded: list[Poly] = []
-    monomials: list[Poly] = []
-    for mono in basis:
-        p = Poly.const(gens[0].variables, 1)
-        q = Poly.const(names, 1)
-        for u, e in mono:
-            for _ in range(e):
-                p = p * by_name[u]
-            q = q * Poly.var(names, u) ** e
-        expanded.append(p)
-        monomials.append(q)
-    basis_support = set().union(*(p.packed for p in expanded))
-
-    def express(target: Poly) -> Poly:
-        support = sorted(basis_support.union(target.packed))
-        rows = [[p.packed.get(e, 0) for p in expanded] for e in support]
-        rhs = [target.packed.get(e, 0) for e in support]
-        sol = solve_exact(rows, rhs)
-        if sol is None:
-            raise ValueError(
-                "induced equation is not expressible in the block generators"
-            )
-        coeffs, _ = sol
-        out = Poly.zero(names)
-        for c, q in zip(coeffs, monomials):
-            if c:
-                out = out + q.scale(c)
-        # double-check by substitution
-        if out.substitute(by_name) != target:
-            raise ValueError("generator expression failed verification")
-        return out
-
-    return express
+    equations = tuple(Poly._make(names, {key: c for key, c in zip(keys, coeffs) if c})
+                      for coeffs in sol[0])
+    # double-check by substitution
+    if any(eq.substitute(by_name) != t for eq, t in zip(equations, targets)):
+        raise ValueError("generator expression failed verification")
+    return IdentifiedSystem(block.tag, a_defs, b_defs, names, equations)

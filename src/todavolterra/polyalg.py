@@ -254,9 +254,10 @@ class Poly:
         kept, not copied, so the caller must not mutate it afterwards.  Only
         operations whose inputs are already `Poly` objects and whose results
         keep these invariants (sum, negation, product, scaling by a nonzero
-        scalar, derivative, a scaled variable map, real and imaginary parts)
-        and the zero polynomial, on checked variables, use it; outside input,
-        and results that may hold zero coefficients, go through `Poly(...)`.
+        scalar, derivative, a scaled variable map, real and imaginary parts),
+        the zero polynomial and `moser`'s equations read off an exact solve,
+        on checked variables, use it; outside input, and results that may
+        hold zero coefficients, go through `Poly(...)`.
         """
         p = object.__new__(cls)
         _set_variables(p, variables)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .polyalg import Poly, Scalar, variable_sort_key
+from .polyalg import I_UNIT, Poly, Scalar, normal, variable_sort_key
 from .poisson import LinearMap, PoissonTensor, directional_action, hamiltonian_vf, pushforward_sign
 
 
@@ -30,10 +30,22 @@ class FiniteGroupAction:
     """The cyclic group generated by one LinearMap of finite order.
 
     `elements` are its powers identity, g, g^2, ..., so the group is closed
-    by construction.
+    by construction.  On a cycle of g's permutation of length L, g^L scales
+    each variable by the product of the cycle's scales; so g has finite order
+    exactly when every such product is a root of unity, and the only ones in
+    Q(i) are 1, -1, i and -i.  Any other product raises `ValueError`.
     """
 
     def __init__(self, generator: LinearMap):
+        seen: set[str] = set()
+        for w in generator.variables:
+            product = 1
+            while w not in seen:  # walk w's cycle once
+                seen.add(w)
+                w, c = generator.images[w]
+                product = product * c
+            if normal(product) not in (1, -1, I_UNIT, -I_UNIT):
+                raise ValueError(f"{generator!r} has infinite order")
         self.generator = generator
         self.variables = generator.variables
         self.elements = [LinearMap.identity(self.variables)]

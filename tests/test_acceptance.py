@@ -314,7 +314,7 @@ def test_criterion_8_bogoyavlensky():
     # whose Dynkin chain has two edges)
     for rank, m in ((2, 1), (3, 2), (4, 3)):
         rd = bogo.root_data("B", rank)
-        f = bogo.transformed_x_system(rd)
+        f = bogo.transformed_x_system(bogo.x_system_rhs(rd), bogo.volterra_form(rd))
         check(
             "criterion 8",
             f"B{rank} edge system = B-type Volterra equations at rank {m}",

@@ -175,20 +175,20 @@ class TestVolterraForm:
     def test_a_gives_km(self):
         for rank in (2, 3, 4):
             rd = bogo.root_data("A", rank)
-            f = bogo.transformed_x_system(rd)
+            f = bogo.transformed_x_system(bogo.x_system_rhs(rd), bogo.volterra_form(rd))
             km = catalog.flow(catalog.SystemId("volterra", "a", rank), 2)
             assert f == km
 
     def test_b_gives_b_type_volterra(self):
         for rank in (2, 3, 4):
             rd = bogo.root_data("B", rank)
-            f = bogo.transformed_x_system(rd)
+            f = bogo.transformed_x_system(bogo.x_system_rhs(rd), bogo.volterra_form(rd))
             assert f == catalog.bn_volterra_flow(rank - 1)
 
     def test_c_gives_b_type_volterra(self):
         for rank in (2, 3, 4):
             rd = bogo.root_data("C", rank)
-            f = bogo.transformed_x_system(rd)
+            f = bogo.transformed_x_system(bogo.x_system_rhs(rd), bogo.volterra_form(rd))
             assert f == catalog.bn_volterra_flow(rank - 1)
 
     def test_d_has_no_chain_form(self):

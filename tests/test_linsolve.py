@@ -2,10 +2,13 @@
 
 The dense form below is the oracle: the same pivot rule over full rows, in
 `Fraction` arithmetic (rational entries are converted first, so its `/` is
-exact even on all-int rows).  The solution and the uniqueness flag must be
-equal, and every returned scalar must be in normal form (an `int` exactly
-when integral, a `GaussianRational` only when its imaginary part is nonzero,
-never a float), also where the rows mix rational and Gaussian entries.
+exact even on all-int rows), for one right-hand side at a time.  The sparse
+solver takes every right-hand side at once: it must return None exactly when
+the oracle finds some right-hand side inconsistent, and otherwise each
+solution and the uniqueness flag must equal the oracle's.  Every returned
+scalar must be in normal form (an `int` exactly when integral, a
+`GaussianRational` only when its imaginary part is nonzero, never a float),
+also where the rows mix rational and Gaussian entries.
 """
 
 import random
@@ -61,19 +64,22 @@ def dense_solve_exact(rows, rhs):
 
 
 def assert_same(rows, rhs):
-    before = ([list(r) for r in rows], list(rhs))
+    """`rhs` is a list of right-hand sides, each compared with the oracle."""
+    before = ([list(r) for r in rows], [list(b) for b in rhs])
     got = solve_exact(rows, rhs)
-    want = dense_solve_exact(rows, rhs)
-    assert ([list(r) for r in rows], list(rhs)) == before  # inputs untouched
-    if want is None:
+    wants = [dense_solve_exact(rows, b) for b in rhs]
+    assert ([list(r) for r in rows], [list(b) for b in rhs]) == before  # inputs untouched
+    if None in wants:
         assert got is None
         return
     assert got is not None
-    (x, unique), (x_want, unique_want) = got, want
-    assert unique == unique_want
-    assert x == x_want
-    for v in x:
-        assert_normal(v)
+    xs, unique = got
+    assert len(xs) == len(rhs)
+    for x, (x_want, unique_want) in zip(xs, wants):
+        assert unique == unique_want
+        assert x == x_want
+        for v in x:
+            assert_normal(v)
 
 
 # ------------------------------------------------------------- hypothesis
@@ -91,16 +97,19 @@ def _scalar(rng, gauss):
 @st.composite
 def systems(draw):
     """Small systems over Q, or over Q(i) with rational and Gaussian entries
-    mixed, sparse or dense, with dependent rows (consistent or not), all-zero
-    rows and zero right-hand sides."""
+    mixed, sparse or dense, with dependent rows, all-zero rows and zero
+    right-hand sides, and 1-3 right-hand sides of which at most one, `bad`,
+    is made inconsistent."""
     gauss = draw(st.booleans())
     m = draw(st.integers(0, 12))
     n = draw(st.integers(1, 12)) if m else 0
+    n_rhs = draw(st.integers(1, 3))
     fill = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
     n_dependent = draw(st.integers(0, m))
     n_zero_rows = draw(st.integers(0, m))
     zero_rhs = draw(st.booleans())
     inconsistent = draw(st.booleans())
+    bad = draw(st.integers(0, n_rhs - 1))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     zero = 0
 
@@ -108,18 +117,21 @@ def systems(draw):
         return _scalar(rng, gauss) if rng.random() < fill else zero
 
     rows = [[entry() for _ in range(n)] for _ in range(m)]
-    rhs = [zero if zero_rhs else entry() for _ in range(m)]
+    rhs = [[zero if zero_rhs else entry() for _ in range(m)] for _ in range(n_rhs)]
     for idx, k in enumerate(rng.sample(range(m), n_dependent)):
-        # row k := a*row_i + b*row_j, rhs too; the first one off by one
-        # when the system is to be inconsistent
+        # row k := a*row_i + b*row_j, each rhs too; the first one off by one
+        # in rhs `bad` when the system is to be inconsistent
         i, j = rng.randrange(m), rng.randrange(m)
         a, b = _scalar(rng, gauss), _scalar(rng, gauss)
         rows[k] = [normal(a * u + b * v) for u, v in zip(rows[i], rows[j])]
-        rhs[k] = normal(a * rhs[i] + b * rhs[j] + (1 if inconsistent and idx == 0 else 0))
+        for t, r in enumerate(rhs):
+            off = 1 if inconsistent and idx == 0 and t == bad else 0
+            r[k] = normal(a * r[i] + b * r[j] + off)
     for k in rng.sample(range(m), n_zero_rows):
         rows[k] = [zero] * n
-        if zero_rhs or not inconsistent:
-            rhs[k] = zero
+        for t, r in enumerate(rhs):
+            if zero_rhs or not inconsistent or t != bad:
+                r[k] = zero
     return rows, rhs
 
 
@@ -132,18 +144,35 @@ def test_matches_dense_on_random_systems(system):
 @pytest.mark.parametrize("one", [1, I_UNIT], ids=["rational", "gaussian"])
 def test_edge_cases(one):
     z = 0
-    assert_same([], [])
-    assert_same([[z]], [z])  # one free variable
-    assert_same([[z]], [one])  # 0 = 1
-    assert_same([[one, one], [one, one]], [one, one + one])  # parallel rows
-    assert_same([[z, one], [one, z]], [one, one])  # needs a swap
-    assert_same([[z, z, one], [z, z, one], [one, z, z]], [one, one, z])
+    assert_same([], [[]])
+    assert_same([[z]], [[z]])  # one free variable
+    assert_same([[z]], [[one]])  # 0 = 1
+    assert_same([[one, one], [one, one]], [[one, one + one]])  # parallel rows
+    assert_same([[z, one], [one, z]], [[one, one]])  # needs a swap
+    assert_same([[z, z, one], [z, z, one], [one, z, z]], [[one, one, z]])
+    assert_same([[z, one], [one, z]], [[one, z], [z, one], [one, one]])  # three at once
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_one_inconsistent_rhs_among_consistent_ones(bad):
+    # rows 1 and 2 are equal, so b is consistent iff b[1] == b[2]
+    rows = [[1, 2, 0], [0, 1, I_UNIT], [0, 1, I_UNIT], [1, 0, 0]]
+    good = [[1, 2, 2, 0], [0, Fraction(1, 3), Fraction(1, 3), 5], [I_UNIT, 0, 0, 1]]
+    for b in good:
+        assert dense_solve_exact(rows, b) is not None
+    assert solve_exact(rows, good) is not None
+    rhs = [list(b) for b in good]
+    rhs[bad][2] = normal(rhs[bad][2] + 1)
+    assert dense_solve_exact(rows, rhs[bad]) is None
+    assert solve_exact(rows, rhs) is None
+    assert_same(rows, rhs)
 
 
 def test_no_columns():
     # the dense form indexes rows[0][0] here; the sparse form answers
-    assert solve_exact([[], []], [0, 0]) == ([], True)
-    assert solve_exact([[], []], [0, 1]) is None
+    assert solve_exact([[], []], [[0, 0]]) == ([[]], True)
+    assert solve_exact([[], []], [[0, 1]]) is None
+    assert solve_exact([[], []], [[0, 0], [0, 1]]) is None
 
 
 @pytest.mark.parametrize("rows, rhs, want", [
@@ -153,9 +182,9 @@ def test_no_columns():
 ])
 def test_all_int_rows_divide_exactly(rows, rhs, want):
     # an int `/` in the pivot division would give floats here
-    x, unique = solve_exact(rows, rhs)
+    (x,), unique = solve_exact(rows, [rhs])
     assert unique and x == want
-    assert_same(rows, rhs)  # normal form, no float
+    assert_same(rows, [rhs])  # normal form, no float
 
 
 # ------------------------------------------- every system moser / bogo build
@@ -183,7 +212,10 @@ def test_matches_dense_on_moser_systems(monkeypatch, N):
             moser.identify_jacobi(block, flow)
 
     systems_ = _recorded_systems(monkeypatch, moser, build)
-    assert len(systems_) == 2 * (N // 2)  # one per generator of both blocks
+    # one solve per block, with one right-hand side per generator of the block
+    split = moser.square_and_split(N)
+    assert [len(rhs) for _, rhs in systems_] == [
+        2 * block.half_rank for block in (split.odd_deleted, split.even_deleted)]
     for rows, rhs in systems_:
         assert_same(rows, rhs)
 

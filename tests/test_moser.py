@@ -141,6 +141,19 @@ class TestIdentifyJacobi:
         with pytest.raises(ValueError, match="not expressible"):
             moser.identify_jacobi(block, flow)
 
+    def test_one_inexpressible_derivative_among_expressible_ones_rejected(self):
+        # x4^2 added to x4' reaches only A2 = x3*x4, whose derivative gains the
+        # odd term x3*x4^2; A1, B1 and B2 stay expressible, the joint solve
+        # must still fail
+        vs = moser.x_variables(4)
+        base = moser.x_flow(4)
+        comps = list(base.components)
+        comps[3] = comps[3] + Poly.var(vs, "x4") ** 2
+        block = moser.square_and_split(9).odd_deleted
+        moser.identify_jacobi(block, base)
+        with pytest.raises(ValueError, match="not expressible"):
+            moser.identify_jacobi(block, PolyVectorField(vs, comps))
+
     @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_expressibility(self, N):
         split = moser.square_and_split(N)

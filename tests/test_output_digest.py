@@ -1,8 +1,9 @@
 """The CLI's exact outputs are byte-identical to the recorded ones.
 
-`tools/output_digest.py` digests stdout, stderr and the exit code of two
-fixed lists of calls: the benchmark's and the other exact commands', and the
-`--system` parsing paths with the inputs they reject (`parsing_calls`).
+`tools/output_digest.py` digests stdout, stderr and the exit code of three
+fixed lists of calls: the benchmark's and the other exact commands', the
+`--system` parsing paths with the inputs they reject (`parsing_calls`), and
+`moser` and `bogo` at their size caps (`cap_calls`).
 Every call but `simulate` is compared here with
 `tests/golden/output_digest.json`, keyed by its argument list; the
 `simulate` calls are left out, since their float bits may differ across CPUs
@@ -30,7 +31,7 @@ def test_exact_outputs_match_the_recorded_digests(tmp_path):
     tool = load_tool()
     want = json.loads(GOLDEN.read_text())
     got = {}
-    for _label, argv in tool.calls(str(tmp_path)) + tool.parsing_calls():
+    for _label, argv in tool.calls(str(tmp_path)) + tool.parsing_calls() + tool.cap_calls():
         if argv[0] != "simulate":
             got[" ".join(argv)] = tool.digest(argv)[0]
     assert set(got) == set(want)

@@ -18,6 +18,7 @@ from todavolterra.polyalg import (
 from todavolterra._linsolve import solve_exact
 
 from conftest import assert_normal, evaluate, random_poly, read_poly
+from test_linsolve import dense_solve_exact
 
 V = ("a1", "a2", "b1", "b2")
 
@@ -555,7 +556,8 @@ def test_solve_exact_on_mixed_rows_returns_normal_scalars(data):
     x = [data.draw(oracle_fractions) for _ in range(n)]
     rows = [[normal(data.draw(ring_scalars)) for _ in range(n)] for _ in range(m)]
     rhs = [normal(sum((a * xi for a, xi in zip(row, x)), 0)) for row in rows]
-    got, unique = solve_exact(rows, rhs)
+    (got,), unique = solve_exact(rows, [rhs])
+    assert (got, unique) == dense_solve_exact(rows, rhs)
     for c in got:
         assert_normal(c)
     if unique:

@@ -4,7 +4,7 @@ import pytest
 
 from todavolterra import catalog, reduction
 from todavolterra.cli import main
-from todavolterra.polyalg import Poly
+from todavolterra.polyalg import I_UNIT, Poly
 from todavolterra.poisson import LinearMap, PoissonTensor, bracket, hamiltonian_vf, is_poisson
 from todavolterra.reduction import (
     FiniteGroupAction,
@@ -62,6 +62,26 @@ class TestGroupAction:
         for g in elements:
             for h in elements:
                 assert any(g.compose(h) == e for e in elements)
+
+    @pytest.mark.parametrize("images", [
+        {"a1": ("a1", 2)},
+        {"a1": ("a2", 2), "a2": ("a1", 1)},
+        {"a1": ("a1", 1), "a2": ("a2", 1 + I_UNIT)},
+    ], ids=["scale 2", "swap, product 2", "fixed, scale 1+i"])
+    def test_infinite_order_raises(self, images):
+        # the power loop would never meet the identity; the cycle check raises at once
+        with pytest.raises(ValueError, match="infinite order"):
+            FiniteGroupAction(LinearMap(sorted(images), images))
+
+    @pytest.mark.parametrize("images, order", [
+        ({"a1": ("a2", 2), "a2": ("a1", Fraction(1, 2))}, 2),
+        ({"a1": ("a2", 2), "a2": ("a1", Fraction(-1, 2))}, 4),
+        ({"a1": ("a1", I_UNIT), "a2": ("a2", -I_UNIT)}, 4),
+    ], ids=["swap 2, 1/2", "swap 2, -1/2", "scales i, -i"])
+    def test_finite_order_is_accepted(self, images, order):
+        group = FiniteGroupAction(LinearMap(sorted(images), images))
+        assert len(group) == order
+        assert not any(g.is_identity() for g in group.elements[1:])
 
     def test_orders(self):
         assert list(ORDERS) == list(catalog.SYMMETRIES)

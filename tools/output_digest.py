@@ -7,7 +7,7 @@ every call gives the same bytes and exit code.  Run it from a checkout's
 root; it imports the package from that checkout's `src/`:
 
     python3 tools/output_digest.py            # per-call lines and the total
-    python3 tools/output_digest.py --total    # the two totals only
+    python3 tools/output_digest.py --total    # the three totals only
 
 The list: the benchmark's calls at seeds 1 and 2 (their argv and starting
 points are built here), `moser --N 5..21`, `bogo` A-D at ranks 1..12,
@@ -22,6 +22,10 @@ reject (bad ids, sizes past `MAX_VERIFY_SYSTEM` and `MAX_REDUCE_SYSTEM`,
 missing brackets, maps that are not Poisson for a bracket, a map on a system
 it does not act on), so the exit code and the `error:` text are digested
 too.  Its total is the `parsing total` line.
+
+A third list, `cap_calls`, runs the exact commands at their largest accepted
+sizes, where their cost is highest: `moser --N 23..41` and `bogo` A-D at
+rank 64.  Its total is the `cap total` line.
 """
 
 from __future__ import annotations
@@ -141,6 +145,13 @@ def parsing_calls() -> list[tuple[str, list[str]]]:
     return out
 
 
+def cap_calls() -> list[tuple[str, list[str]]]:
+    """(label, argv) of the exact commands at their size caps."""
+    out = [("", ["moser", "--N", str(N), *J]) for N in range(23, 42, 2)]
+    out += [("", ["bogo", "--type", t, "--rank", "64", *J]) for t in "ABCD"]
+    return out
+
+
 def digest(argv: list[str]) -> tuple[str, int]:
     """(sha256 of one call's stdout, stderr and exit code, the exit code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -155,7 +166,8 @@ def main() -> int:
     parser.add_argument("--total", action="store_true", help="print the total digest only")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work_dir:
-        for name, listed in (("total", calls(work_dir)), ("parsing total", parsing_calls())):
+        for name, listed in (("total", calls(work_dir)), ("parsing total", parsing_calls()),
+                             ("cap total", cap_calls())):
             total = hashlib.sha256()
             for label, argv in listed:
                 d, code = digest(argv)
