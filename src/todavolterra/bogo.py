@@ -48,13 +48,13 @@ def _dot(u: Vector, v: Vector) -> int:
 
 @dataclass(frozen=True)
 class RootData:
-    """Simple roots, minimal negative root, Gram matrix and marks."""
+    """Simple roots, minimal negative root, Dynkin edges and marks."""
 
     type: str
     rank: int
     simple_roots: tuple[Vector, ...]
     omega0: Vector
-    gram: tuple[tuple[int, ...], ...]
+    dynkin_edges: tuple[tuple[int, int], ...]  # 1-based (i, j), i < j, sorted
     marks: tuple[int, ...]  # k_1..k_n (k_0 = 1)
 
 
@@ -111,25 +111,28 @@ def root_data(type_: str, n: int) -> RootData:
         residual = _add(residual, _scale(k, w))
     if any(residual):
         raise ValueError("marks do not satisfy the integer relation")
-    gram = tuple(tuple(_dot(u, v) for v in roots) for u in roots)
-    return RootData(type_, n, tuple(roots), omega0, gram, tuple(marks))
+    # nodes i, j are joined when their roots have a nonzero dot product,
+    # which needs a coordinate where both are nonzero
+    at: dict[int, list[int]] = {}
+    for i, root in enumerate(roots):
+        for c in (c for c, x in enumerate(root) if x):
+            at.setdefault(c, []).append(i)
+    pairs = sorted({(i, j) for near in at.values() for i in near for j in near if i < j})
+    dynkin = tuple((i + 1, j + 1) for i, j in pairs if _dot(roots[i], roots[j]))
+    return RootData(type_, n, tuple(roots), omega0, dynkin, tuple(marks))
 
 
 def sign_matrix(rd: RootData) -> list[list[int]]:
     """c_ij = +-1 on Dynkin edges (sign of j-i), 0 otherwise."""
-    n = rd.rank
-    c = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and rd.gram[i][j] != 0:
-                c[i][j] = 1 if i < j else -1
+    c = [[0] * rd.rank for _ in range(rd.rank)]
+    for i, j in rd.dynkin_edges:
+        c[i - 1][j - 1], c[j - 1][i - 1] = 1, -1
     return c
 
 
 def edges(rd: RootData) -> list[tuple[int, int]]:
     """Dynkin edges as 1-based index pairs (i < j)."""
-    c = sign_matrix(rd)
-    return [(i + 1, j + 1) for i in range(rd.rank) for j in range(i + 1, rd.rank) if c[i][j]]
+    return list(rd.dynkin_edges)
 
 
 @dataclass(frozen=True)
@@ -161,36 +164,31 @@ class BSystem:
 
 def b_system_rhs(rd: RootData) -> BSystem:
     """b_i' = - sum_j k_j c_ij / b_j."""
-    c = sign_matrix(rd)
-    coeffs = []
-    for i in range(rd.rank):
-        row = {}
-        for j in range(rd.rank):
-            if c[i][j]:
-                row[j + 1] = -rd.marks[j] * c[i][j]
-        coeffs.append(row)
+    coeffs: list[dict] = [{} for _ in range(rd.rank)]
+    for i, j in rd.dynkin_edges:  # c_ij = 1, c_ji = -1
+        coeffs[i - 1][j] = -rd.marks[j - 1]
+        coeffs[j - 1][i] = rd.marks[i - 1]
     return BSystem(rd.rank, tuple(coeffs))
 
 
 def edge_variables(rd: RootData) -> tuple[str, ...]:
     """One variable per Dynkin edge, x{i}{j} for the edge (i, j)."""
-    return tuple(f"x{i}{j}" for i, j in edges(rd))
+    return tuple(f"x{i}{j}" for i, j in rd.dynkin_edges)
 
 
 def x_system_rhs(rd: RootData) -> PolyVectorField:
     """The Lotka-Volterra field x_ij' = x_ij sum_s k_s (x_is + x_js)."""
     vars_ = edge_variables(rd)
-    edge_list = edges(rd)
     xs = [Poly.var(vars_, v) for v in vars_]
     # near[i]: the terms k_s x_is over the Dynkin neighbours s of node i; the
     # signed edge variable x_is is x_{is} for i < s and -x_{si} for i > s
     near: dict[int, list[Poly]] = {i: [] for i in range(1, rd.rank + 1)}
-    for (i, j), x in zip(edge_list, xs):
+    for (i, j), x in zip(rd.dynkin_edges, xs):
         near[i].append(x.scale(rd.marks[j - 1]))
         near[j].append(x.scale(-rd.marks[i - 1]))
     zero = Poly.zero(vars_)
     return PolyVectorField(vars_, [x * sum(near[i] + near[j], zero)
-                                   for (i, j), x in zip(edge_list, xs)])
+                                   for (i, j), x in zip(rd.dynkin_edges, xs)])
 
 
 # ----------------------------------------------------- Volterra normal forms
@@ -213,13 +211,11 @@ def volterra_form(rd: RootData):
     """
     if rd.type == "D":
         return None
-    edge_list = edges(rd)
-    m = len(edge_list)
+    y = xvars = edge_variables(rd)  # y_k = edge between nodes k, k+1
+    m = len(y)
     if m == 0:
         return None
-    y = [f"x{i}{j}" for i, j in edge_list]  # y_k = edge between nodes k, k+1
     target = tuple(f"a{i}" for i in range(1, m + 1))
-    xvars = edge_variables(rd)
     sub: dict[str, Poly] = {}
     if rd.type == "A":
         for i in range(1, m + 1):

@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping
 
 from .polyalg import I_UNIT, Poly, divide, normal, unit_keys
 from .poisson import LinearMap, PoissonTensor, PolyVectorField, hamiltonian_vf
@@ -224,7 +225,7 @@ A_, A0, A1, A2 = ("a", -1), ("a", 0), ("a", 1), ("a", 2)
 B0, B1, B2 = ("b", 0), ("b", 1), ("b", 2)
 
 
-def local(vars_: tuple[str, ...], unit: dict, poly: dict, sites) -> Poly:
+def local(vars_: tuple[str, ...], unit: Mapping[str, int], poly: dict, sites) -> Poly:
     """The sum over `sites` of the local polynomial `poly` read at each site.
 
     `unit` maps each of `vars_` to its key (`unit_keys`), built once by the

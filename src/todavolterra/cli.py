@@ -64,9 +64,9 @@ def _emit_text(doc: dict, indent: int = 0) -> None:
 
 
 # The largest lattice parameter n ('toda-a:n') that `verify` and `reduce`
-# take.  On a 2-vCPU x86 VM the costliest cases at the bound took 1.1 s
-# (verify deformation --system toda-a:64) and 2.9 s (reduce --system
-# toda-a:33 --map phi_toda --bracket 3).
+# take.  On a 2-vCPU x86 VM (process wall, median of 3) the costliest cases
+# at the bound took 0.44 s (verify deformation --system toda-a:64) and 0.40 s
+# (reduce --system toda-a:33 --map phi_toda --bracket 3).
 MAX_VERIFY_SYSTEM = 64
 MAX_REDUCE_SYSTEM = 33
 
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(check=lambda a: checks.fixed_point_reduction(a.which, a.n))
     p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
     # the bounds keep a run within seconds: on a 2-vCPU x86 VM (process wall,
-    # median of 3) --n 16 took 0.35 s (phi, the costliest) and --max-rank 16 0.92 s
+    # median of 3) --n 16 took 0.34 s (phi-tilde, the costliest) and --max-rank 16 0.94 s
     p.add_argument("--n", type=_bounded_int(1, 16), default=2)
 
     p = vsub.add_parser("all")

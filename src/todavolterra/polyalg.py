@@ -32,6 +32,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 _set = object.__setattr__
@@ -49,10 +50,11 @@ def _layout(n: int) -> tuple[struct.Struct, tuple[int, ...], int]:
     return struct.Struct(f">{n}H"), units, sum(units) << (_WIDTH - 1)
 
 
-def unit_keys(variables: Sequence[str]) -> dict[str, int]:
+@lru_cache(maxsize=None)
+def unit_keys(variables: tuple[str, ...]) -> Mapping[str, int]:
     """{name: key of that variable alone}; a monomial's key is the sum of the
-    keys of its factors."""
-    return dict(zip(variables, _layout(len(variables))[1]))
+    keys of its factors.  Cached per variable tuple, so read-only."""
+    return MappingProxyType(dict(zip(variables, _layout(len(variables))[1])))
 
 
 def _pack(expo: tuple[int, ...]) -> int:
@@ -435,27 +437,27 @@ class Poly:
         `table[v] = (w, c)` replaces each variable v of self by c*w, where w
         is a variable of the target list; c = 0 makes v zero, whatever w is.
         A `LinearMap` passes its `images` (the image point has v-coordinate
-        c*x_w), a `FixedPointChart` its `section`.
+        c*x_w), a `FixedPointChart` its `section`.  It reads, and checks as
+        it reads, only the entries of the variables that occur in self.
         """
         target = self.variables if variables is None else _checked_variables(variables)
-        missing = [v for v in self.variables if v not in table]
-        if missing:
-            raise ValueError(f"linear map does not cover variables {missing}")
         unit = unit_keys(target)
-        outside = [w for w, c in map(table.get, self.variables) if c and w not in unit]
-        if outside:
-            raise ValueError(f"image variables {outside} not in the target list")
         # (shift of the field in self's keys, unit key of the image, scale)
         # for each variable that occurs; a term holding one that maps to zero
         # vanishes
         n, fields, dead = len(self.variables), [], 0
         for k in self.occurring():
-            w, c = table[self.variables[k]]
+            v = self.variables[k]
+            if v not in table:
+                raise ValueError(f"linear map does not cover variables {[v]}")
+            w, c = table[v]
             shift = _WIDTH * (n - 1 - k)
-            if c:
+            if not c:
+                dead |= EXPONENT_LIMIT << shift
+            elif w in unit:
                 fields.append((shift, unit[w], c))
             else:
-                dead |= EXPONENT_LIMIT << shift
+                raise ValueError(f"image variables {[w]} not in the target list")
         # a target field fed by one source stays within EXPONENT_LIMIT; where
         # sources share a field, each addition is checked: the field held at
         # most the limit before it, so it cannot carry, and the guard bit

@@ -5,21 +5,26 @@ finite order (the catalog symmetries psi, phi and phi-tilde).  When g acts by
 a Poisson automorphism of pi, so does every power of g, and the fixed-point
 set N = M^G (a linear subspace here) inherits a unique bracket: lift two
 functions on N to G-invariant functions by averaging, bracket them upstairs,
-restrict back.  `reduced_bracket` executes exactly that recipe symbolically.
+restrict back.
 
 The fixed-point set is generally *not* a Poisson submanifold; restricting the
 tensor naively would be wrong.  The averaging step is what makes the recipe
-well defined.
+well defined.  On the reduced coordinates it is linear: the averaged lift of
+the coordinate u is the form (1/|G|) sum_g c x_w over g.images[u] = (w, c),
+supported on u's orbit, so each ambient variable has one lift weight, and
+{lift u, lift u'} is the sum of weight_v weight_w pi^vw over the stored
+entries pi^vw.  `reduced_bracket` reads the weights off the group once and
+restricts each stored entry once, into the one reduced entry its two orbits
+name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from .polyalg import I_UNIT, Poly, Scalar, normal, variable_sort_key
-from .poisson import LinearMap, PoissonTensor, directional_action, hamiltonian_vf, pushforward_sign
+from .polyalg import I_UNIT, Poly, Scalar, divide, normal, variable_sort_key
+from .poisson import LinearMap, PoissonTensor, pushforward_sign
 
 
 class NotPoissonActionError(ValueError):
@@ -66,16 +71,12 @@ class FixedPointChart:
     saying x_v = c * x_w on the fixed-point set, w a reduced variable; c = 0
     on an orbit forced to zero (w is then the orbit's ambient representative).
     Each reduced coordinate is named after the ambient variable that
-    represents its class, so restrict o lift is the identity.
+    represents its class.
     """
 
     ambient_variables: tuple[str, ...]
     reduced_variables: tuple[str, ...]
     section: Mapping[str, tuple[str, Scalar]]
-
-    def lift(self, f: Poly) -> Poly:
-        """Read a reduced-coordinate polynomial as one in the ambient variables."""
-        return f.subst_linear({u: (u, 1) for u in self.reduced_variables}, self.ambient_variables)
 
     def restrict(self, F: Poly) -> Poly:
         """Restrict an ambient polynomial to the fixed-point set."""
@@ -105,15 +106,6 @@ def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
     return FixedPointChart(group.variables, reduced, section)
 
 
-def invariant_average(F: Poly, group: FiniteGroupAction) -> Poly:
-    """Group average (1/|G|) sum_g F o g; the result is exactly G-invariant."""
-    total = None
-    for g in group.elements:
-        term = F.subst_linear(g.images)
-        total = term if total is None else total + term
-    return total.scale(Fraction(1, len(group)))
-
-
 def check_poisson_action(pi: PoissonTensor, group: FiniteGroupAction) -> None:
     """Raise unless g_* pi = pi for the generator g, and so for every power:
     (g^k)_* = (g_*)^k."""
@@ -127,16 +119,24 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
         raise ValueError("group and tensor act on different variable lists")
     check_poisson_action(pi, group)
     chart = fixed_point_chart(group)
-    red = chart.reduced_variables
-    lifts = [invariant_average(chart.lift(Poly.var(red, u)), group) for u in red]
-    # {F, G} = X_G(F), as in `poisson.bracket`, with each lift's field built
-    # once; entry (i, j) has j >= 1, so lifts[0] needs none
-    fields = [hamiltonian_vf(pi, G) for G in lifts[1:]]
-    upper = {
-        (i, j): chart.restrict(directional_action(fields[j - 1], lifts[i]))
-        for i in range(len(red)) for j in range(i + 1, len(red))
-    }
-    return PoissonTensor(red, upper)
+    # weight[v] = (i, |G| times v's weight in the lift of reduced coordinate
+    # i); zero orbits have no lift, so their variables have no weight
+    weight: dict[str, tuple[int, Scalar]] = {}
+    for i, u in enumerate(chart.reduced_variables):
+        for g in group.elements:
+            v, c = g.images[u]
+            weight[v] = (i, weight.get(v, (i, 0))[1] + c)
+    norm = len(group) ** 2
+    upper: dict[tuple[int, int], Poly] = {}
+    for (a, b), p in pi.upper.items():
+        i, wa = weight.get(pi.variables[a], (None, 0))
+        j, wb = weight.get(pi.variables[b], (None, 0))
+        if i is None or j is None or i == j:  # a zero orbit, or {lift u, lift u} = 0
+            continue
+        q = chart.restrict(p).scale(divide(wa * wb, norm if i < j else -norm))
+        key = (i, j) if i < j else (j, i)
+        upper[key] = upper[key] + q if key in upper else q
+    return PoissonTensor(chart.reduced_variables, upper)
 
 
 def verify_reduction(

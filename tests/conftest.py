@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from todavolterra import bogo, catalog
+from todavolterra import bogo, catalog, reduction
 from todavolterra.flows import compile_field, integrate
-from todavolterra.poisson import PolyVectorField
+from todavolterra.poisson import (
+    PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
 from todavolterra.polyalg import GaussianRational, Poly, _ipow, normal
 
 
@@ -158,3 +159,42 @@ def commutation_check(
             x_ba = integrate(compiled[a], integrate(compiled[b], x0, t, h).states[-1], t, h).states[-1]
             worst = max(worst, float(np.linalg.norm(x_ab - x_ba)))
     return worst
+
+
+# ------------------------------------------- the fixed-point reduction's recipe
+#
+# `reduction.reduced_bracket` adds each stored entry, restricted and scaled by
+# two lift weights, into one reduced entry.  It replaced the recipe below,
+# which averages lifts upstairs and brackets them through Hamiltonian fields;
+# the tests keep it as the oracle.
+
+
+def lift(chart: reduction.FixedPointChart, f: Poly) -> Poly:
+    """Read a reduced-coordinate polynomial as one in the ambient variables."""
+    return f.subst_linear({u: (u, 1) for u in chart.reduced_variables}, chart.ambient_variables)
+
+
+def invariant_average(F: Poly, group: reduction.FiniteGroupAction) -> Poly:
+    """Group average (1/|G|) sum_g F o g; the result is exactly G-invariant."""
+    total = None
+    for g in group.elements:
+        term = F.subst_linear(g.images)
+        total = term if total is None else total + term
+    return total.scale(Fraction(1, len(group)))
+
+
+def old_reduced_bracket(pi: PoissonTensor, group: reduction.FiniteGroupAction) -> PoissonTensor:
+    """Average each lifted reduced coordinate, bracket the lifts upstairs by
+    {F, G} = X_G(F), restrict each bracket."""
+    if group.variables != pi.variables:
+        raise ValueError("group and tensor act on different variable lists")
+    reduction.check_poisson_action(pi, group)
+    chart = reduction.fixed_point_chart(group)
+    red = chart.reduced_variables
+    lifts = [invariant_average(lift(chart, Poly.var(red, u)), group) for u in red]
+    fields = [hamiltonian_vf(pi, G) for G in lifts[1:]]
+    upper = {
+        (i, j): chart.restrict(directional_action(fields[j - 1], lifts[i]))
+        for i in range(len(red)) for j in range(i + 1, len(red))
+    }
+    return PoissonTensor(red, upper)

@@ -75,11 +75,17 @@ class TestRootData:
         with pytest.raises(ValueError):
             bogo.root_data("D", 2)
 
-    def test_gram_symmetric(self):
-        rd = bogo.root_data("B", 3)
-        for i in range(3):
-            for j in range(3):
-                assert rd.gram[i][j] == rd.gram[j][i]
+    @pytest.mark.parametrize("type_", "ABCD")
+    def test_edges_are_the_nonzero_gram_entries(self, type_):
+        # the Dynkin edges, found by dotting only roots that share a
+        # coordinate, are the nonzero off-diagonal entries of the full Gram
+        for n in range(3 if type_ == "D" else 1, 13):
+            rd = bogo.root_data(type_, n)
+            roots = rd.simple_roots
+            gram = [[sum(a * b for a, b in zip(u, v)) for v in roots] for u in roots]
+            assert rd.dynkin_edges == tuple(
+                (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if gram[i][j])
+            assert len(rd.dynkin_edges) == n - 1  # every diagram here is a tree
 
 
 class TestSignMatrix:

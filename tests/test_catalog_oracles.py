@@ -33,9 +33,9 @@ from todavolterra.poisson import (
 from todavolterra.polyalg import I_UNIT, Poly, divide, poly_matrix_mul, variable_sort_key
 from todavolterra.reduction import (
     FiniteGroupAction, FixedPointChart, NotPoissonActionError, check_poisson_action,
-    fixed_point_chart, invariant_average)
+    fixed_point_chart)
 
-from conftest import read_poly, sid
+from conftest import invariant_average, lift, read_poly, sid
 
 
 def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
@@ -565,7 +565,7 @@ def test_restrict_equals_old():
             pi, group = checks.ambient_and_group(sys_id, map_name, k)
             chart, old = fixed_point_chart(group), old_fixed_point_chart(group)
             red = chart.reduced_variables
-            lifts = [invariant_average(chart.lift(Poly.var(red, u)), group) for u in red]
+            lifts = [invariant_average(lift(chart, Poly.var(red, u)), group) for u in red]
             fields = [hamiltonian_vf(pi, G) for G in lifts]
             polys = [*pi.upper.values(), *lifts,
                      *(directional_action(X, F) for X in fields for F in lifts)]

@@ -22,7 +22,7 @@ from todavolterra.poisson import (
     pushforward_vf,
 )
 
-from conftest import assert_normal, random_poly, read_poly
+from conftest import assert_normal, invariant_average, lift, random_poly, read_poly
 
 
 T2 = catalog.SystemId("toda", "a", 2)
@@ -518,7 +518,7 @@ def test_bracket_matches_loop_on_reduction_lifts(which, n):
     pi, group = checks.ambient_and_group(sys, map_name, k)
     chart = reduction.fixed_point_chart(group)
     red = chart.reduced_variables
-    lifts = [reduction.invariant_average(chart.lift(Poly.var(red, u)), group) for u in red]
+    lifts = [invariant_average(lift(chart, Poly.var(red, u)), group) for u in red]
     for F, G in combinations(lifts, 2):
         assert bracket(pi, F, G) == loop_bracket(pi, F, G)
 

@@ -198,9 +198,22 @@ class TestSubstLinear:
     def test_image_outside_the_target_list_rejected(self):
         table = {"a1": ("a1", 1), "a2": ("a3", 1), "b1": ("b1", 1), "b2": ("b2", 0)}
         with pytest.raises(ValueError, match="not in the target list"):
-            var("a1").subst_linear(table)
+            (var("a1") * var("a2")).subst_linear(table)
         # a zero image names no variable of the target list
         assert var("b2").subst_linear({**table, "a2": ("a2", 1)}).is_zero
+
+    def test_entries_of_absent_variables_never_read(self):
+        # only the variables that occur are looked up: the other entries may
+        # name no target variable, or not be (w, c) pairs at all
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.append(key)
+                return super().__getitem__(key)
+
+        read = []
+        table = Recording({"a1": ("b1", 2), "a2": ("a3", 1), "b1": None})
+        assert (var("a1") ** 2).subst_linear(table) == 4 * var("b1") ** 2
+        assert read == ["a1"]
 
     @pytest.mark.parametrize("sources, e", [(2, 20000), (3, 20000), (3, 30000), (4, 20000)])
     def test_many_to_one_overflow_raises(self, sources, e):

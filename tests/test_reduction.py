@@ -1,22 +1,24 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from todavolterra import catalog, reduction
+from todavolterra import catalog, checks, reduction
 from todavolterra.cli import main
 from todavolterra.polyalg import I_UNIT, Poly
-from todavolterra.poisson import LinearMap, PoissonTensor, bracket, hamiltonian_vf, is_poisson
+from todavolterra.poisson import (
+    LinearMap, PoissonTensor, bracket, hamiltonian_vf, is_poisson, pushforward_bivector,
+    pushforward_sign)
 from todavolterra.reduction import (
     FiniteGroupAction,
     FixedPointChart,
     NotPoissonActionError,
     fixed_point_chart,
-    invariant_average,
     reduced_bracket,
     verify_reduction,
 )
 
-from conftest import random_poly
+from conftest import invariant_average, lift, old_reduced_bracket, random_poly
 
 
 def constraints(chart: FixedPointChart) -> list[Poly]:
@@ -108,7 +110,7 @@ class TestChart:
         chart = fixed_point_chart(phi_group(5))
         for u in chart.reduced_variables:
             f = Poly.var(chart.reduced_variables, u)
-            assert chart.restrict(chart.lift(f)) == f
+            assert chart.restrict(lift(chart, f)) == f
 
     def test_restricted_exponent_above_the_limit_raises(self):
         # a4 = a1 on the fixed-point set: a1^20000 a4^20000 restricts to a1^40000
@@ -197,17 +199,21 @@ class TestReducedBracket:
         )
         assert is_poisson(red)
 
-    def test_builds_no_field_for_the_first_lift(self, monkeypatch, capsys):
-        # entry (i, j) reads the field of lifts[j], j >= 1: one field per
-        # reduced variable but the first (12 variables here)
+    def test_builds_no_field_and_no_action(self, monkeypatch, capsys):
+        # one pass over the stored entries: no Hamiltonian field and no
+        # directional derivative, under any name a module binds them to
         calls = []
-        real = reduction.hamiltonian_vf
-        monkeypatch.setattr(reduction, "hamiltonian_vf",
-                            lambda pi, G: calls.append(G) or real(pi, G))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("todavolterra"):
+                for op in ("hamiltonian_vf", "directional_action"):
+                    if hasattr(module, op):
+                        monkeypatch.setattr(module, op, lambda *a, op=op: calls.append(op))
         argv = ["reduce", "--system", "toda-a:13", "--map", "phi_toda", "--bracket", "3"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert len(calls) == 11
+        assert calls == []
+        assert not hasattr(reduction, "invariant_average")
+        assert not hasattr(FixedPointChart, "lift")
 
     def test_hamiltonian_fields_tangent(self, rng):
         # for invariant F the pi-field of F is tangent to the fixed-point set:
@@ -231,8 +237,8 @@ class TestReducedBracket:
         pi = catalog.tensor(catalog.SystemId("toda", "a", 5), 3)
         red_vars = chart.reduced_variables
         u, v = Poly.var(red_vars, "a1"), Poly.var(red_vars, "b2")
-        lift_u = invariant_average(chart.lift(u), group)
-        lift_v = invariant_average(chart.lift(v), group)
+        lift_u = invariant_average(lift(chart, u), group)
+        lift_v = invariant_average(lift(chart, v), group)
         base = chart.restrict(bracket(pi, lift_u, lift_v))
         forms = constraints(chart)
         for _ in range(6):
@@ -240,6 +246,65 @@ class TestReducedBracket:
             extra = invariant_average(forms[0] * noise, group)
             assert chart.restrict(extra).is_zero
             assert chart.restrict(bracket(pi, lift_u + extra, lift_v)) == base
+
+
+def random_invariant_tensor(rng, group: FiniteGroupAction) -> PoissonTensor:
+    """The group average of g_* pi for a random bivector pi, some of whose
+    entries are Gaussian: every g in the group pushes it forward to itself.
+    The constant terms survive restriction to the fixed-point set."""
+    vs = group.variables
+    upper = {(i, j): (random_poly(rng, vs, max_terms=2, max_exp=1)
+                      + Poly.const(vs, rng.randint(-2, 2))).scale(rng.choice([1, I_UNIT]))
+             for i in range(len(vs)) for j in range(i + 1, len(vs)) if rng.random() < 0.5}
+    pi, total = PoissonTensor(vs, upper), PoissonTensor.zero(vs)
+    for g in group.elements:
+        total = total + pushforward_bivector(g, pi)
+    return total.scale(Fraction(1, len(group)))
+
+
+class TestAgainstTheAveragingRecipe:
+    """`reduced_bracket` equals the recipe it replaced (`old_reduced_bracket`:
+    average the lifts, bracket them through Hamiltonian fields, restrict)."""
+
+    @pytest.mark.parametrize("which, n", [(w, n) for w in checks.REDUCTIONS for n in range(1, 7)])
+    def test_paper_reductions(self, which, n):
+        sys_id, map_name, k, _ = checks.REDUCTIONS[which](n)
+        pi, group = checks.ambient_and_group(sys_id, map_name, k)
+        assert reduced_bracket(pi, group) == old_reduced_bracket(pi, group)
+
+    @pytest.mark.parametrize("name, sys_id", GROUP_CASES, ids=str)
+    def test_every_catalog_bracket_with_a_poisson_action(self, name, sys_id):
+        group = catalog.symmetry_group(name, sys_id)
+        ks = catalog.BRACKETS["volterra-a" if name == "phi_tilde" else sys_id.name]
+        poisson = set()
+        for k in ks:
+            pi = checks.acted_tensor(sys_id, name, k)
+            if pushforward_sign(group.generator, pi) == 1:
+                poisson.add(k)
+                assert reduced_bracket(pi, group) == old_reduced_bracket(pi, group), k
+            else:
+                with pytest.raises(NotPoissonActionError):
+                    reduced_bracket(pi, group)
+        # each map preserves these at every size (phi_volterra keeps pi2 too on volterra-a:2)
+        assert {"psi": {2}, "phi_toda": {1, 3}, "phi_volterra": {4}, "phi_tilde": {4}}[name] <= poisson
+
+    @pytest.mark.parametrize("name, sys_id", [
+        ("psi", catalog.SystemId("toda", "a", 4)),
+        ("phi_toda", catalog.SystemId("toda", "a", 4)),
+        ("phi_toda", catalog.SystemId("toda", "a", 5)),
+        ("phi_volterra", catalog.SystemId("volterra", "a", 6)),
+        ("phi_tilde", catalog.SystemId("toda", "a", 5)),
+        ("phi_tilde", catalog.SystemId("toda", "a", 7)),
+    ], ids=str)
+    def test_random_invariant_bivectors(self, rng, name, sys_id):
+        group = catalog.symmetry_group(name, sys_id)
+        nonzero = 0
+        for _ in range(6):
+            pi = random_invariant_tensor(rng, group)
+            got = reduced_bracket(pi, group)
+            assert got == old_reduced_bracket(pi, group)
+            nonzero += not got.is_zero
+        assert nonzero >= 3
 
 
 class TestOneStageVsTwoStage:

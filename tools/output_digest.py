@@ -24,8 +24,9 @@ it does not act on), so the exit code and the `error:` text are digested
 too.  Its total is the `parsing total` line.
 
 A third list, `cap_calls`, runs the exact commands at their largest accepted
-sizes, where their cost is highest: `moser --N 23..41` and `bogo` A-D at
-rank 64.  Its total is the `cap total` line.
+sizes, where their cost is highest: `moser --N 23..41`, `bogo` A-D at
+rank 64, `verify reduction --n 16` for every case and `reduce` for every map
+at the largest `--system` it takes.  Its total is the `cap total` line.
 """
 
 from __future__ import annotations
@@ -149,6 +150,12 @@ def cap_calls() -> list[tuple[str, list[str]]]:
     """(label, argv) of the exact commands at their size caps."""
     out = [("", ["moser", "--N", str(N), *J]) for N in range(23, 42, 2)]
     out += [("", ["bogo", "--type", t, "--rank", "64", *J]) for t in "ABCD"]
+    out += [("", ["verify", "reduction", "--which", w, "--n", "16", *J])
+            for w in ("psi", "phi", "phi-volterra", "phi-tilde")]
+    reduce = [("toda-a:33", "psi", 2), ("toda-a:33", "phi_toda", 3), ("toda-a:33", "phi_tilde", 4),
+              ("volterra-a:33", "phi_volterra", 4)]
+    out += [("", ["reduce", "--system", s, "--map", m, "--bracket", str(k), *J])
+            for s, m, k in reduce]
     return out
 
 
