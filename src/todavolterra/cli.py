@@ -20,6 +20,7 @@ sets the default directory for file outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -65,7 +66,7 @@ def _emit_text(doc: dict, indent: int = 0) -> None:
 
 # The largest lattice parameter n ('toda-a:n') that `verify` and `reduce`
 # take.  On a 2-vCPU x86 VM (process wall, median of 3) the costliest cases
-# at the bound took 0.44 s (verify deformation --system toda-a:64) and 0.40 s
+# at the bound took 0.43 s (verify deformation --system toda-a:64) and 0.31 s
 # (reduce --system toda-a:33 --map phi_toda --bracket 3).
 MAX_VERIFY_SYSTEM = 64
 MAX_REDUCE_SYSTEM = 33
@@ -381,6 +382,7 @@ def _int_pair(text: str) -> tuple[int, int]:
     return k, l
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="todavolterra",
@@ -424,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(check=lambda a: checks.fixed_point_reduction(a.which, a.n))
     p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
     # the bounds keep a run within seconds: on a 2-vCPU x86 VM (process wall,
-    # median of 3) --n 16 took 0.34 s (phi-tilde, the costliest) and --max-rank 16 0.94 s
+    # median of 3) --n 16 took 0.29 s (phi, the costliest) and --max-rank 16 0.60 s
     p.add_argument("--n", type=_bounded_int(1, 16), default=2)
 
     p = vsub.add_parser("all")
@@ -470,9 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -14,16 +14,17 @@ derivative pair each stored entry, for each variable in its support, with
 the row of the tensor that meets that variable, so they cost
 O(nnz * support * row length) polynomial products rather than the O(m^4) of
 a loop over all index tuples; on the banded catalog tensors that is O(m).
-The bracket is {F, G} = X_G(F).  The operands of one operation share one
-variable list, or it raises `ValueError`.  The tests keep the dense loops as
-reference oracles.
+Each product goes term by term into one sum per output entry
+(`add_product`), with no `Poly` built per product.  The bracket is
+{F, G} = X_G(F).  The operands of one operation share one variable list,
+or it raises `ValueError`.  The tests keep the dense loops as oracles.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .polyalg import Poly, Scalar, divide, format_scalar, normal
+from .polyalg import Poly, Scalar, add_product, divide, format_scalar, normal, poly_from_sum
 
 
 class LinearMap:
@@ -253,21 +254,21 @@ def hamiltonian_vf(pi: PoissonTensor, H: Poly) -> PolyVectorField:
     if H.variables != pi.variables:
         raise ValueError("Hamiltonian and tensor on different variable lists")
     grad = _gradient(H)
-    comps = [Poly.zero(pi.variables)] * pi.dim
+    sums: list[dict] = [{} for _ in range(pi.dim)]
     for (i, j), p in pi.upper.items():
         if j in grad:
-            comps[i] = comps[i] + p * grad[j]
+            add_product(sums[i], p, grad[j])
         if i in grad:
-            comps[j] = comps[j] - p * grad[i]
-    return PolyVectorField(pi.variables, comps)
+            add_product(sums[j], p, grad[i], -1)
+    return PolyVectorField(pi.variables, [poly_from_sum(pi.variables, acc) for acc in sums])
 
 
-def _rows(pi: PoissonTensor) -> list[list[tuple[int, Poly]]]:
-    """rows[k] lists (j, pi^kj) for every stored entry meeting index k."""
-    rows: list[list[tuple[int, Poly]]] = [[] for _ in range(pi.dim)]
+def _rows(pi: PoissonTensor) -> list[list[tuple[int, Poly, int]]]:
+    """rows[k] lists (j, p, s), pi^kj = s * p, for each stored entry p meeting k."""
+    rows: list[list[tuple[int, Poly, int]]] = [[] for _ in range(pi.dim)]
     for (i, j), p in pi.upper.items():
-        rows[i].append((j, p))
-        rows[j].append((i, -p))
+        rows[i].append((j, p, 1))
+        rows[j].append((i, p, -1))
     return rows
 
 
@@ -282,23 +283,19 @@ def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
     (a, j, k) is a cyclic order of that triple (a < j or a > k) and -1
     otherwise (j < a < k), since pi^kj = -pi^jk.
     """
-    out: dict[tuple[int, int, int], Poly] = {}
+    sums: dict[tuple[int, int, int], dict] = {}
     rows = _rows(pi)
     for (j, k), pjk in pi.upper.items():
         for l, dl in _gradient(pjk).items():
-            # rows[l] holds (a, pi^la) = (a, -pi^al)
-            for a, pla in rows[l]:
-                if a == j or a == k:
-                    continue
-                term = pla * dl
+            # rows[l] holds (a, p, s) with pi^la = s * p = -pi^al
+            for a, p, s in rows[l]:
                 if a < j:
-                    key, term = (a, j, k), -term
-                elif a < k:
-                    key = (j, a, k)
-                else:
-                    key, term = (j, k, a), -term
-                out[key] = out[key] + term if key in out else term
-    return {key: out[key] for key in sorted(out) if not out[key].is_zero}
+                    add_product(sums.setdefault((a, j, k), {}), p, dl, -s)
+                elif j < a < k:
+                    add_product(sums.setdefault((j, a, k), {}), p, dl, s)
+                elif a > k:
+                    add_product(sums.setdefault((j, k, a), {}), p, dl, -s)
+    return {key: poly_from_sum(pi.variables, sums[key]) for key in sorted(sums) if sums[key]}
 
 
 def is_poisson(pi: PoissonTensor) -> bool:
@@ -324,30 +321,27 @@ def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTen
     """
     if Z.variables != pi.variables:
         raise ValueError("field and tensor on different variable lists")
-    upper = {key: directional_action(Z, pij) for key, pij in pi.upper.items()}
-
-    def add(key, term):
-        upper[key] = upper[key] + term if key in upper else term
-
+    sums = {key: dict(directional_action(Z, pij).packed) for key, pij in pi.upper.items()}
     rows = _rows(pi)
     for c, zc in enumerate(Z.components):
         for k, dz in _gradient(zc).items():
-            for a, pka in rows[k]:
+            for a, p, s in rows[k]:
                 if c < a:
-                    add((c, a), -(pka * dz))
+                    add_product(sums.setdefault((c, a), {}), p, dz, -s)
                 elif a < c:
-                    add((a, c), pka * dz)
-    return PoissonTensor(pi.variables, upper)
+                    add_product(sums.setdefault((a, c), {}), p, dz, s)
+    return PoissonTensor(pi.variables, {key: poly_from_sum(pi.variables, acc)
+                                        for key, acc in sums.items()})
 
 
 def directional_action(Z: PolyVectorField, H: Poly) -> Poly:
     """Z(H) = sum_i Z^i dH/dx_i."""
     if H.variables != Z.variables:
         raise ValueError("polynomial and field on different variable lists")
-    out = Poly.zero(Z.variables)
+    acc: dict = {}
     for i, dH in _gradient(H).items():
-        out = out + Z.components[i] * dH
-    return out
+        add_product(acc, Z.components[i], dH)
+    return poly_from_sum(Z.variables, acc)
 
 
 def pushforward_bivector(A: LinearMap, pi: PoissonTensor) -> PoissonTensor:

@@ -255,11 +255,11 @@ class Poly:
         value is a nonzero scalar in normal form (`normal`).  `packed` is
         kept, not copied, so the caller must not mutate it afterwards.  Only
         operations whose inputs are already `Poly` objects and whose results
-        keep these invariants (sum, negation, product, scaling by a nonzero
-        scalar, derivative, a scaled variable map, real and imaginary parts),
-        the zero polynomial and `moser`'s equations read off an exact solve,
-        on checked variables, use it; outside input, and results that may
-        hold zero coefficients, go through `Poly(...)`.
+        keep these invariants (sum, negation, scaling by a nonzero scalar,
+        derivative, a scaled variable map, real and imaginary parts, and
+        `poly_from_sum`, which finishes every sum of products), the zero
+        polynomial and `moser`'s equations read off an exact solve, on
+        checked variables, use it; outside input goes through `Poly(...)`.
         """
         p = object.__new__(cls)
         _set_variables(p, variables)
@@ -307,9 +307,12 @@ class Poly:
 
     def occurring(self) -> list[int]:
         """Positions of the variables that occur in some term, ascending."""
-        # a field of the OR of the keys is nonzero iff its variable occurs
-        fields = _unpack(reduce(operator.or_, self.packed, 0), len(self.variables))
-        return [k for k, e in enumerate(fields) if e]
+        key, last, out = reduce(operator.or_, self.packed, 0), len(self.variables) - 1, []
+        while key:  # the nonzero fields of the OR of the keys, variable 0's first
+            field = (key.bit_length() - 1) // _WIDTH
+            out.append(last - field)
+            key &= (1 << _WIDTH * field) - 1
+        return out
 
     def coefficient(self, expo: tuple[int, ...]) -> Scalar:
         return self.terms.get(tuple(expo), 0)
@@ -354,24 +357,9 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
-        p, q = self._aligned(other)
-        terms: dict[int, Scalar] = {}
-        for e1, c1 in p.packed.items():
-            for e2, c2 in q.packed.items():
-                expo = e1 + e2
-                s = terms.get(expo, 0) + c1 * c2
-                if s:
-                    terms[expo] = s
-                else:
-                    terms.pop(expo, None)
-        if reduce(operator.or_, terms, 0) & _layout(len(p.variables))[2]:
-            raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
-        # a partial sum may be an integral Fraction or a real GaussianRational;
-        # normalise once, at the end
-        for expo, c in terms.items():
-            if type(c) is not int:
-                terms[expo] = normal(c)
-        return Poly._make(p.variables, terms)
+        acc: dict[int, Scalar] = {}
+        add_product(acc, *self._aligned(other))
+        return poly_from_sum(self.variables, acc)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -385,10 +373,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.const(self.variables, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _ipow(self, n) if n else Poly.const(self.variables, 1)
 
     # ------------------------------------------------------------- calculus
 
@@ -538,7 +523,7 @@ _set_variables, _set_packed = (Poly.__dict__[name].__set__ for name in ("variabl
 
 def _ipow(scalar: Scalar, n: int) -> Scalar:
     """scalar ** n for n >= 0 by square-and-multiply: at most 2 log2(n)
-    products, and a plain 1 for n = 0."""
+    products, and a plain 1 for n = 0.  `Poly.__pow__` uses it too."""
     out = None
     while True:
         if n & 1:
@@ -552,18 +537,38 @@ def _ipow(scalar: Scalar, n: int) -> Scalar:
 # --------------------------------------------------------------------- misc
 
 
+def add_product(acc: dict[int, Scalar], p: Poly, q: Poly, sign: int = 1) -> None:
+    """Add sign * p * q (sign +1 or -1; p, q on one variable list) into the sum `acc`,
+    term by term: the one product loop.  A cancelled key leaves `acc`, raising past the limit."""
+    get, terms = acc.get, q.packed.items()
+    factors = p.packed.items() if sign > 0 else [(e, -c) for e, c in p.packed.items()]
+    for e1, c1 in factors:
+        for e2, c2 in terms:
+            key = e1 + e2
+            s = get(key, 0) + c1 * c2
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+                if key & _layout(len(p.variables))[2]:
+                    raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
+
+
+def poly_from_sum(variables: tuple[str, ...], acc: dict[int, Scalar]) -> Poly:
+    """The `Poly` of a sum built by `add_product`, each coefficient normalised once.
+    A key past `EXPONENT_LIMIT` raises, even where it cancels (x^L * x - x * x^L)."""
+    if reduce(operator.or_, acc, 0) & _layout(len(variables))[2]:
+        raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
+    return Poly._make(variables, {k: c if type(c) is int else normal(c) for k, c in acc.items()})
+
+
 def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
-    n, mid, m = len(A), len(B), len(B[0])
-    zero = Poly.zero(A[0][0].variables)
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for k in range(mid):
-            a = A[i][k]
-            if a.is_zero:
-                continue
-            for j in range(m):
-                b = B[k][j]
-                if b.is_zero:
-                    continue
-                out[i][j] = out[i][j] + a * b
+    zero, out = Poly.zero(A[0][0].variables), []
+    nonzero = [[(j, b) for j, b in enumerate(b_row) if b.packed] for b_row in B]
+    for row in A:
+        sums: list[dict[int, Scalar]] = [{} for _ in B[0]]
+        for a, b_nonzero in zip(row, nonzero):
+            for j, b in b_nonzero if a.packed else ():
+                add_product(sums[j], a, b)
+        out.append([poly_from_sum(zero.variables, acc) if acc else zero for acc in sums])
     return out

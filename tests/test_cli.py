@@ -298,6 +298,35 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestOneParser:
+    """`build_parser` runs once per process; every call shares its parser."""
+
+    VALID = ["verify", "jacobi", "--system", "toda-a:3", "--bracket", "2", "--format", "json"]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("rejected", [
+        ["verify", "all", "--max-rank", "17"],
+        ["verify", "jacobi", "--system", "toda-a:3"],
+        ["verify", "jacobi", "--system", "toda-a:3", "--bracket", "2", "--seed", "1"],
+        ["verify", "jacobi", "--system", "toda-d:3", "--bracket", "2"],
+        ["moser", "--N", "4", "--format", "json"],
+        ["bogo", "--type", "E", "--rank", "2"],
+        ["verify", "--help"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_a_rejected_call_leaves_no_trace(self, capsys, rejected):
+        # each call alone, on a parser of its own, then both on one parser
+        alone = []
+        for argv in (rejected, self.VALID):
+            build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        build_parser.cache_clear()
+        assert [run(capsys, *rejected), run(capsys, *self.VALID)] == alone
+        assert alone[1][0] == 0 and alone[0][0] in (0, 2)
+
+
 class TestReduce:
     def test_reduce_emits_tensor(self, capsys):
         code, out, _ = run(

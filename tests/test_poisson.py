@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from todavolterra import catalog, checks, reduction
-from todavolterra.polyalg import I_UNIT, GaussianRational, Poly
+from todavolterra.polyalg import EXPONENT_LIMIT, I_UNIT, GaussianRational, Poly
 from todavolterra.poisson import (
     LinearMap,
     PoissonTensor,
@@ -282,6 +282,35 @@ def dense_lie_derivative(Z, pi):
     return PoissonTensor(vars_, upper)
 
 
+def dense_hamiltonian_vf(pi, H):
+    """Reference X_H^i = sum_j pi^ij dH/dx_j over every i and j, through entry()."""
+    vars_ = pi.variables
+    comps = []
+    for i in range(pi.dim):
+        comp = Poly.zero(vars_)
+        for j, vj in enumerate(vars_):
+            comp = comp + pi.entry(i, j) * H.diff(vj)
+        comps.append(comp)
+    return PolyVectorField(vars_, comps)
+
+
+def dense_directional_action(Z, H):
+    """Reference Z(H) = sum_i Z^i dH/dx_i over every i."""
+    out = Poly.zero(Z.variables)
+    for zi, vi in zip(Z.components, Z.variables):
+        out = out + zi * H.diff(vi)
+    return out
+
+
+def assert_stored_normal(*polys):
+    """No polynomial stores a zero coefficient, and every stored coefficient
+    is in normal form (an int when integral)."""
+    for p in polys:
+        for c in p.packed.values():
+            assert c != 0, p
+            assert_normal(c)
+
+
 def loop_bracket(pi, F, G):
     """{F, G} as its own loop over the stored entries, differentiating F and
     G again for each one (the loop `bracket` ran before it became X_G(F))."""
@@ -479,12 +508,104 @@ def tensor_and_field(draw):
 @given(tensor_and_field())
 def test_sparse_matches_dense_on_random_tensors(case):
     """The sparse operations against their reference loops on random tensors,
-    random polynomials F and G, and a random scaled permutation A."""
+    random polynomials F and G, and a random scaled permutation A.  X_F(F) =
+    {F, F} is a sum that cancels to zero for every antisymmetric tensor."""
     pi, Z, (F, G), A = case
     assert_jacobiators_agree(pi)
-    assert lie_derivative_bivector(Z, pi) == dense_lie_derivative(Z, pi)
+    lie = lie_derivative_bivector(Z, pi)
+    assert lie == dense_lie_derivative(Z, pi)
+    XF = hamiltonian_vf(pi, F)
+    assert XF == dense_hamiltonian_vf(pi, F)
+    assert directional_action(Z, G) == dense_directional_action(Z, G)
+    assert directional_action(XF, F).is_zero
     assert bracket(pi, F, G) == loop_bracket(pi, F, G)
     assert pushforward_bivector(A, pi) == pair_loop_pushforward(A, pi)
+    assert_stored_normal(*jacobiator(pi).values(), *lie.upper.values(), *XF.components,
+                         directional_action(Z, G), bracket(pi, F, G))
+
+
+# ------------------------------------------ the fused sums: normal form, overflow
+
+
+def overflow_cases(M):
+    """{label: call} of the four fused operations at degree M.  Their largest
+    product has degree 2M - 1 in one variable, at most EXPONENT_LIMIT up to
+    M = EXPONENT_LIMIT // 2 + 1; from M = EXPONENT_LIMIT // 2 + 2 on each
+    call forms a product past the limit.  In the "cancels" cases every such
+    product cancels in its sum, so the exact result would be zero."""
+    vs = ("x", "y", "z")
+    x, y, z = (Poly.var(vs, v) for v in vs)
+    Z = PolyVectorField(vs, [x ** M, Poly.zero(vs), Poly.zero(vs)])
+    # pi^01 = x^M against pi^02 = x^(M-1) or x^M: J^012 = -x^(2M-2), or 0
+    pi_j = PoissonTensor(vs, {(0, 1): x ** M, (0, 2): x ** (M - 1)})
+    pi_j0 = PoissonTensor(vs, {(0, 1): x ** M, (0, 2): x ** M})
+    # (L_Z pi)^01 = Z^0 d_x pi^01 - pi^01 d_x Z^0: -x^(2M-2), or 0
+    pi_l = PoissonTensor(vs, {(0, 1): x ** (M - 1)})
+    pi_l0 = PoissonTensor(vs, {(0, 1): x ** M})
+    # X_H^0 = pi^01 d_y H + pi^02 d_z H = M y^(2M-1) z^M - M y^(2M-1) z^M
+    H = y ** M * z ** M
+    pi_h0 = PoissonTensor(vs, {(0, 1): y ** M, (0, 2): -(y ** (M - 1) * z)})
+    # X_H(H) = {H, H} = 0, through products of degree 2M - 1 in y and in z
+    X = hamiltonian_vf(PoissonTensor(vs, {(1, 2): Poly.const(vs, 1)}), H)
+    return {
+        "jacobiator": lambda: jacobiator(pi_j),
+        "jacobiator cancels": lambda: jacobiator(pi_j0),
+        "lie_derivative": lambda: lie_derivative_bivector(Z, pi_l),
+        "lie_derivative cancels": lambda: lie_derivative_bivector(Z, pi_l0),
+        "hamiltonian_vf": lambda: hamiltonian_vf(pi_l0, x ** M),
+        "hamiltonian_vf cancels": lambda: hamiltonian_vf(pi_h0, H),
+        "directional_action": lambda: directional_action(Z, x ** M),
+        "directional_action cancels": lambda: directional_action(X, H),
+    }
+
+
+class TestFusedSums:
+    """Each operation adds its products into one sum per output entry and
+    normalises that sum once, at the end."""
+
+    def test_sums_with_rational_and_gaussian_parts_are_normal(self):
+        # (1+i) + (1-i) = 2 and 1/2 * 2 = 1 must come out as ints; i*i = -1
+        # leaves the Jacobiator of i*pi as sums that cancel
+        x, y, z = (Poly.var(("x", "y", "z"), v) for v in ("x", "y", "z"))
+        vs = x.variables
+        half = Fraction(1, 2)
+        Z = PolyVectorField(vs, [z.scale(GaussianRational(1, 1)),
+                                 z.scale(GaussianRational(1, -1)), x.scale(half)])
+        H = x + y + z.scale(2)
+        assert directional_action(Z, H) == z.scale(2) + x
+        pi = PoissonTensor(vs, {(0, 1): z.scale(half), (0, 2): z.scale(half),
+                                (1, 2): x.scale(I_UNIT)})
+        XH = hamiltonian_vf(pi, x + y + z)
+        assert XH == dense_hamiltonian_vf(pi, x + y + z)
+        assert XH.components[0] == z
+        sys = catalog.SystemId("toda", "a", 4)
+        for k in (1, 2, 3):
+            ipi = catalog.tensor(sys, k).scale(I_UNIT)
+            H2 = catalog.hamiltonian(sys, 2).scale(GaussianRational(1, 1))
+            X = hamiltonian_vf(ipi, H2)
+            assert jacobiator(ipi) == {}
+            assert lie_derivative_bivector(X, ipi).is_zero  # X is Hamiltonian for ipi
+            assert directional_action(X, H2).is_zero
+            assert_stored_normal(*X.components)
+        assert_stored_normal(directional_action(Z, H), *XH.components,
+                             *lie_derivative_bivector(Z, pi).upper.values())
+
+    @pytest.mark.parametrize("label", list(overflow_cases(5)))
+    def test_overflow_raises_past_the_limit_even_where_it_cancels(self, label):
+        overflow_cases(EXPONENT_LIMIT // 2 + 1)[label]()  # every product fits
+        with pytest.raises(OverflowError):
+            overflow_cases(EXPONENT_LIMIT // 2 + 2)[label]()
+
+    def test_the_cases_below_the_limit(self):
+        # the same constructions at M = 5: the cancelling sums are zero
+        results = {label: call() for label, call in overflow_cases(5).items()}
+        x = Poly.var(("x", "y", "z"), "x")
+        assert results["jacobiator"] == {(0, 1, 2): -(x ** 8)}
+        assert results["lie_derivative"] == PoissonTensor(x.variables, {(0, 1): -(x ** 8)})
+        assert results["jacobiator cancels"] == {}
+        assert results["lie_derivative cancels"].is_zero
+        assert results["hamiltonian_vf cancels"].is_zero
+        assert results["directional_action cancels"].is_zero
 
 
 # ---------------------------------- the rewritten operations against their loops

@@ -1,6 +1,7 @@
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,11 @@ from todavolterra.polyalg import (
     I_UNIT,
     Poly,
     _ipow,
+    _unpack,
+    add_product,
     divide,
     normal,
+    poly_from_sum,
 )
 
 from todavolterra._linsolve import solve_exact
@@ -129,11 +133,50 @@ class TestExponents:
         with pytest.raises(OverflowError):
             x ** half * (x ** half + y)
 
+    def test_a_sum_of_products_past_the_width_raises_though_it_cancels(self):
+        # x^L * x - x * x^L is zero, but its one key passed the limit
+        x = Poly.var(self.XY, "x")
+        top, acc = x ** EXPONENT_LIMIT, {}
+        with pytest.raises(OverflowError):
+            add_product(acc, top, x)
+            add_product(acc, x, top, -1)
+            poly_from_sum(self.XY, acc)
+
     def test_terms_view_does_not_alias(self):
         p = read("a1*b2 + 2")
         view = p.terms
         view[(0, 0, 0, 0)] = 5
         assert p == read("a1*b2 + 2")
+
+
+def unpacked_occurring(p: Poly) -> list[int]:
+    """`Poly.occurring` by unpacking every field of the OR of the keys."""
+    fields = _unpack(reduce(operator.or_, p.packed, 0), len(p.variables))
+    return [k for k, e in enumerate(fields) if e]
+
+
+class TestOccurring:
+    def test_matches_unpacking_on_random_keys(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                expo = [0] * n
+                for k in rng.sample(range(n), rng.randint(0, min(n, 3))):
+                    expo[k] = rng.choice([1, 2, rng.randint(1, EXPONENT_LIMIT), EXPONENT_LIMIT])
+                terms[tuple(expo)] = rng.randint(1, 5)
+            p = Poly([f"x{k}" for k in range(n)], terms)
+            assert p.occurring() == unpacked_occurring(p)
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    @pytest.mark.parametrize("e", [1, EXPONENT_LIMIT])
+    def test_first_and_last_variable(self, n, e):
+        vs = [f"x{k}" for k in range(n)]
+        first, last = ((e,) + (0,) * (n - 1)), ((0,) * (n - 1) + (e,))
+        for terms, want in (({first: 1}, [0]), ({last: 2}, [n - 1]),
+                            ({first: 1, last: 3}, sorted({0, n - 1})), ({}, [])):
+            p = Poly(vs, terms)
+            assert p.occurring() == unpacked_occurring(p) == want
 
 
 class TestDiff:

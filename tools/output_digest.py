@@ -25,8 +25,11 @@ too.  Its total is the `parsing total` line.
 
 A third list, `cap_calls`, runs the exact commands at their largest accepted
 sizes, where their cost is highest: `moser --N 23..41`, `bogo` A-D at
-rank 64, `verify reduction --n 16` for every case and `reduce` for every map
-at the largest `--system` it takes.  Its total is the `cap total` line.
+rank 64, `verify reduction --n 16` for every case, `reduce` for every map
+at the largest `--system` it takes, `verify all --max-rank 16`, and `verify
+jacobi` (bracket 3) and `verify deformation` on toda-a:64, which run the
+Jacobiator and the Lie derivative at their largest sizes.  Its total is the
+`cap total` line.
 """
 
 from __future__ import annotations
@@ -156,6 +159,9 @@ def cap_calls() -> list[tuple[str, list[str]]]:
               ("volterra-a:33", "phi_volterra", 4)]
     out += [("", ["reduce", "--system", s, "--map", m, "--bracket", str(k), *J])
             for s, m, k in reduce]
+    out += [("", ["verify", "all", "--max-rank", "16", *J]),
+            ("", ["verify", "jacobi", "--system", "toda-a:64", "--bracket", "3", *J]),
+            ("", ["verify", "deformation", "--system", "toda-a:64", *J])]
     return out
 
 
