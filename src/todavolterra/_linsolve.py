@@ -1,17 +1,21 @@
-"""Exact Gauss-Jordan elimination over Q(i) on sparse rows.
+"""Exact Gauss-Jordan elimination over Q(i) on sparse columns.
 
 The systems this package solves are very sparse: the Moser identification
-at `moser --N 41` builds one 456 x 231 system per block with under 500
-nonzeros and 20 right-hand sides.  Each row is therefore held as a `{column:
-value}` dict of its nonzero entries, with right-hand side j stored as column
-n + j, and `where[c]` holds the rows that have a nonzero in column c.
+at `moser --N 41` solves one 456 x 231 system per block with under 500
+nonzeros and 20 right-hand sides.  The callers hold them as sparse columns,
+`Poly.packed` maps and root vectors, so each column and each right-hand
+side comes in as a `{row key: value}` map.  The rows are the sorted union of
+the keys; a zero value is ignored, as an absent key; the inputs are only
+read, never mutated.  Internally each row is held as a `{column: value}`
+dict of its nonzero entries, with right-hand side j stored as column n + j,
+and `where[c]` holds the rows that have a nonzero in column c.
 
-Pivot rule (the same as the dense form's): columns are taken in order; the
-pivot for a column is the first row, in the current row order, at or below
-the current row with a nonzero in that column; it is swapped up, divided by
-its pivot value, and the column is eliminated from every other row.  A step
-visits only the rows in `where[col]` and, in each, only the entries of the
-pivot row.
+Pivot rule (the same as the dense form's on the rows in sorted-key order):
+columns are taken in order; the pivot for a column is the first row, in the
+current row order, at or below the current row with a nonzero in that
+column; it is swapped up, divided by its pivot value, and the column is
+eliminated from every other row.  A step visits only the rows in
+`where[col]` and, in each, only the entries of the pivot row.
 
 The result is the dense form's in every case.  Zero patterns are exact, so
 an entry the dense form holds as zero is exactly an entry absent here, and
@@ -32,28 +36,28 @@ from __future__ import annotations
 from .polyalg import divide, normal
 
 
-def solve_exact(rows, rhs):
+def solve_exact(columns, rhs):
     """Solve A x = b exactly for every right-hand side b; free variables are
     set to zero.
 
-    `rows` is a list of coefficient lists and `rhs` a list of right-hand
-    sides, each a list with one entry per row; the entries are exact scalars
-    in normal form (`polyalg.normal`), and so are the solutions.  Returns
-    (solutions, unique), one solution per right-hand side, where `unique`
-    says whether they are fully determined, or None if any right-hand side
-    is inconsistent.
+    `columns` holds one `{row key: value}` map per unknown and `rhs` one per
+    right-hand side; the row keys are mutually comparable, and the values
+    are exact scalars in normal form (`polyalg.normal`), and so are the
+    solutions.  Returns (solutions, unique), one solution list per
+    right-hand side, where `unique` says whether they are fully determined,
+    or None if any right-hand side is inconsistent.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = [{c: v for c, v in enumerate(r) if v} for r in rows]
-    for c, b in enumerate(rhs, start=n):
-        for r, v in zip(A, b):
-            if v:
-                r[c] = v
+    n = len(columns)
+    index = {key: i for i, key in enumerate(sorted(set().union(*columns, *rhs)))}
+    m = len(index)
+    A: list[dict] = [{} for _ in range(m)]
     where: list[set[int]] = [set() for _ in range(n + len(rhs))]
-    for i, r in enumerate(A):
-        for c in r:
-            where[c].add(i)
+    for c, col in enumerate([*columns, *rhs]):
+        for key, v in col.items():
+            if v:
+                i = index[key]
+                A[i][c] = v
+                where[c].add(i)
     order = list(range(m))  # order[position] = row id
     pos = list(range(m))  # pos[row id] = position
     pivots: list[tuple[int, int]] = []  # (row id, column)

@@ -23,27 +23,7 @@ from ._linsolve import solve_exact
 from .polyalg import Poly, divide
 from .poisson import PolyVectorField
 
-Vector = tuple[int, ...]  # the root realizations are integer vectors
-
-
-def _e(i: int, dim: int) -> Vector:
-    return tuple(1 if k == i else 0 for k in range(dim))
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _scale(c, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def _dot(u: Vector, v: Vector) -> int:
-    return sum(a * b for a, b in zip(u, v))
+Vector = dict[int, int]  # a root realization: its nonzero coordinates
 
 
 @dataclass(frozen=True)
@@ -60,31 +40,18 @@ class RootData:
 
 def _simple_roots(type_: str, n: int) -> tuple[list[Vector], Vector]:
     """Standard Euclidean realizations and the highest root (= -omega0)."""
+    chain = [{i: 1, i + 1: -1} for i in range(n if type_ == "A" else n - 1)]
     if type_ == "A":
-        dim = n + 1
-        roots = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n)]
-        highest = _sub(_e(0, dim), _e(n, dim))
-    elif type_ == "B":
-        dim = n
-        roots = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)] + [_e(n - 1, dim)]
-        highest = _add(_e(0, dim), _e(1, dim)) if n >= 2 else _e(0, dim)
-    elif type_ == "C":
-        dim = n
-        roots = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)] + [
-            _scale(2, _e(n - 1, dim))
-        ]
-        highest = _scale(2, _e(0, dim))
-    elif type_ == "D":
+        return chain, {0: 1, n: -1}
+    if type_ == "B":
+        return chain + [{n - 1: 1}], {0: 1, 1: 1} if n >= 2 else {0: 1}
+    if type_ == "C":
+        return chain + [{n - 1: 2}], {0: 2}
+    if type_ == "D":
         if n < 3:
             raise ValueError("type D needs rank >= 3")
-        dim = n
-        roots = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)] + [
-            _add(_e(n - 2, dim), _e(n - 1, dim))
-        ]
-        highest = _add(_e(0, dim), _e(1, dim))
-    else:
-        raise ValueError(f"unsupported type {type_!r} (A, B, C or D)")
-    return roots, _scale(-1, highest)
+        return chain + [{n - 2: 1, n - 1: 1}], {0: 1, 1: 1}
+    raise ValueError(f"unsupported type {type_!r} (A, B, C or D)")
 
 
 def root_data(type_: str, n: int) -> RootData:
@@ -92,12 +59,9 @@ def root_data(type_: str, n: int) -> RootData:
     type_ = type_.upper()
     if n < 1:
         raise ValueError("rank must be >= 1")
-    roots, omega0 = _simple_roots(type_, n)
-    dim = len(roots[0])
+    roots, highest = _simple_roots(type_, n)
     # solve k_1 w_1 + ... + k_n w_n = -omega0 with k_0 = 1
-    rows = [[roots[j][c] for j in range(n)] for c in range(dim)]
-    rhs = [-omega0[c] for c in range(dim)]
-    sol = solve_exact(rows, [rhs])
+    sol = solve_exact(roots, [highest])
     if sol is None:
         raise ValueError("mark equation is inconsistent")
     (marks,), unique = sol
@@ -106,19 +70,22 @@ def root_data(type_: str, n: int) -> RootData:
     for k in marks:
         if type(k) is not int or k <= 0:  # normal form: int iff integral
             raise ValueError(f"mark {k} is not a positive integer")
-    residual = omega0
-    for k, w in zip(marks, roots):
-        residual = _add(residual, _scale(k, w))
-    if any(residual):
+    omega0 = {c: -x for c, x in highest.items()}
+    residual = dict(omega0)
+    for k, root in zip(marks, roots):
+        for c, x in root.items():
+            residual[c] = residual.get(c, 0) + k * x
+    if any(residual.values()):
         raise ValueError("marks do not satisfy the integer relation")
     # nodes i, j are joined when their roots have a nonzero dot product,
     # which needs a coordinate where both are nonzero
     at: dict[int, list[int]] = {}
     for i, root in enumerate(roots):
-        for c in (c for c, x in enumerate(root) if x):
+        for c in root:
             at.setdefault(c, []).append(i)
     pairs = sorted({(i, j) for near in at.values() for i in near for j in near if i < j})
-    dynkin = tuple((i + 1, j + 1) for i, j in pairs if _dot(roots[i], roots[j]))
+    dynkin = tuple((i + 1, j + 1) for i, j in pairs
+                   if sum(x * roots[j].get(c, 0) for c, x in roots[i].items()))
     return RootData(type_, n, tuple(roots), omega0, dynkin, tuple(marks))
 
 

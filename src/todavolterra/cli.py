@@ -458,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bogo", help="root-system Volterra construction")
     p.set_defaults(run=_cmd_bogo)
     p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
-    # --rank 64 took 0.34-0.36 s (types A-D) on a 2-vCPU x86 VM, process wall, median of 3
+    # --rank 64 took 0.18-0.23 s (types A-D) on a 2-vCPU x86 VM, process wall, median of 7
     p.add_argument("--rank", type=_bounded_int(1, 64), required=True)
     add_common(p)
 
     p = sub.add_parser("moser", help="squaring map to Toda form")
     p.set_defaults(run=_cmd_moser)
-    # --N 41 took 0.33 s on a 2-vCPU x86 VM, process wall, median of 3
+    # --N 41 took 0.22 s on a 2-vCPU x86 VM, process wall, median of 7
     p.add_argument("--N", type=_odd_int(5, 41), required=True, help="odd Lax size")
     add_common(p)
 

@@ -182,9 +182,9 @@ def identify_jacobi(block: JacobiBlock, flow: PolyVectorField) -> IdentifiedSyst
 
     Every derivative is solved for at once, as target = sum(c_m *
     monomial_m(generators)) over the monomials of degree <= 2, in one exact
-    solve over the union of the term supports.  Raises if some derivative is
-    not such a polynomial (which would mean the block does not close into a
-    Toda-type system).
+    solve whose columns are the terms of the basis polynomials.  Raises if
+    some derivative is not such a polynomial (which would mean the block
+    does not close into a Toda-type system).
     """
     m = block.half_rank
     a_defs = tuple(block.superdiagonal()[:m])
@@ -200,9 +200,7 @@ def identify_jacobi(block: JacobiBlock, flow: PolyVectorField) -> IdentifiedSyst
         for l in range(k, len(gens)):
             keys.append(unit[k] + unit[l])
             expanded.append(gens[k] * gens[l])
-    support = sorted(set().union(*(p.packed for p in expanded + targets)))
-    rows = [[p.packed.get(e, 0) for p in expanded] for e in support]
-    sol = solve_exact(rows, [[t.packed.get(e, 0) for e in support] for t in targets])
+    sol = solve_exact([p.packed for p in expanded], [t.packed for t in targets])
     if sol is None:
         raise ValueError("induced equation is not expressible in the block generators")
     by_name = dict(zip(names, gens))

@@ -107,10 +107,6 @@ class PolyVectorField:
         self.variables = variables
         self.components = components
 
-    @staticmethod
-    def zero(variables: Sequence[str]) -> "PolyVectorField":
-        return PolyVectorField(variables, [Poly.zero(variables)] * len(tuple(variables)))
-
     def component(self, name: str) -> Poly:
         return self.components[self.variables.index(name)]
 
@@ -175,10 +171,6 @@ class PoissonTensor:
             upper[key] = upper[key] + q if key in upper else q
         return PoissonTensor(variables, upper)
 
-    @staticmethod
-    def zero(variables: Sequence[str]) -> "PoissonTensor":
-        return PoissonTensor(variables, {})
-
     # ------------------------------------------------------------- accessors
 
     @property
@@ -188,10 +180,6 @@ class PoissonTensor:
     def entry(self, i: int, j: int) -> Poly:
         zero = Poly.zero(self.variables)
         return self.upper.get((i, j), zero) if i <= j else -self.upper.get((j, i), zero)
-
-    def entry_named(self, u: str, v: str) -> Poly:
-        pos = {name: k for k, name in enumerate(self.variables)}
-        return self.entry(pos[u], pos[v])
 
     # ------------------------------------------------------------ arithmetic
 
@@ -241,7 +229,7 @@ class PoissonTensor:
 
 def _gradient(p: Poly) -> dict[int, Poly]:
     """{i: dp/dx_i} for the variables x_i that occur in p, in ascending i."""
-    return {v: p.diff(p.variables[v]) for v in p.occurring()}
+    return {v: p.diff_at(v) for v in p.occurring()}
 
 
 def bracket(pi: PoissonTensor, F: Poly, G: Poly) -> Poly:

@@ -314,9 +314,6 @@ class Poly:
             key &= (1 << _WIDTH * field) - 1
         return out
 
-    def coefficient(self, expo: tuple[int, ...]) -> Scalar:
-        return self.terms.get(tuple(expo), 0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -381,7 +378,11 @@ class Poly:
         """Exact partial derivative with respect to one variable."""
         if name not in self.variables:
             raise KeyError(f"unknown variable {name!r}")
-        pos = self.variables.index(name)
+        return self.diff_at(self.variables.index(name))
+
+    def diff_at(self, pos: int) -> "Poly":
+        """Exact partial derivative with respect to the variable at position
+        `pos` of self's variable list."""
         unit = _layout(len(self.variables))[1][pos]
         mask = unit * EXPONENT_LIMIT  # the variable's field
         terms = {}

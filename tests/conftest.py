@@ -24,6 +24,11 @@ def sid(text: str) -> catalog.SystemId:
     return catalog.parse_system(text)
 
 
+def entry_named(pi: PoissonTensor, u: str, v: str) -> Poly:
+    """The entry {u, v} of pi, by variable names."""
+    return pi.entry(pi.variables.index(u), pi.variables.index(v))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

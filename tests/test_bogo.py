@@ -44,6 +44,14 @@ def x_transform(
     return out
 
 
+def integer_relation(rd: bogo.RootData) -> list[int]:
+    """omega0 + k_1 w_1 + ... + k_n w_n, coordinate by coordinate over the
+    union of the coordinates the roots use."""
+    coords = sorted(set().union(rd.omega0, *rd.simple_roots))
+    return [rd.omega0.get(c, 0) + sum(k * w.get(c, 0) for k, w in zip(rd.marks, rd.simple_roots))
+            for c in coords]
+
+
 class TestRootData:
     def test_a_marks_all_one(self):
         for n in (1, 2, 3, 4):
@@ -52,7 +60,8 @@ class TestRootData:
     def test_rank_one(self):
         rd = bogo.root_data("A", 1)
         assert rd.marks == (1,)
-        assert rd.omega0 == tuple(-x for x in rd.simple_roots[0])
+        assert rd.simple_roots == ({0: 1, 1: -1},)
+        assert rd.omega0 == {c: -x for c, x in rd.simple_roots[0].items()}
 
     def test_b2_marks(self):
         assert bogo.root_data("B", 2).marks == (1, 2)
@@ -66,10 +75,28 @@ class TestRootData:
         for t, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (3, 4))):
             for n in ranks:
                 rd = bogo.root_data(t, n)
-                total = list(rd.omega0)
-                for k, w in zip(rd.marks, rd.simple_roots):
-                    total = [x + k * y for x, y in zip(total, w)]
-                assert not any(total)
+                assert not any(integer_relation(rd))
+
+    def test_roots_hold_only_nonzero_coordinates(self):
+        for t in "ABCD":
+            for n in range(3 if t == "D" else 1, 13):
+                rd = bogo.root_data(t, n)
+                for v in (*rd.simple_roots, rd.omega0):
+                    assert v and all(type(x) is int and x for x in v.values())
+
+    def test_wrong_mark_fails_the_integer_relation(self, monkeypatch):
+        # negative control: a solver answer with one mark off by one must not
+        # pass as the marks
+        solve = bogo.solve_exact
+
+        def off_by_one(columns, rhs):
+            ((marks,), unique) = solve(columns, rhs)
+            return [[marks[0] + 1, *marks[1:]]], unique
+
+        monkeypatch.setattr(bogo, "solve_exact", off_by_one)
+        for t, n in (("A", 3), ("B", 4), ("C", 2), ("D", 5)):
+            with pytest.raises(ValueError, match="marks do not satisfy the integer relation"):
+                bogo.root_data(t, n)
 
     def test_d_needs_rank_3(self):
         with pytest.raises(ValueError):
@@ -81,7 +108,8 @@ class TestRootData:
         # coordinate, are the nonzero off-diagonal entries of the full Gram
         for n in range(3 if type_ == "D" else 1, 13):
             rd = bogo.root_data(type_, n)
-            roots = rd.simple_roots
+            dim = n + 1 if type_ == "A" else n
+            roots = [[u.get(c, 0) for c in range(dim)] for u in rd.simple_roots]
             gram = [[sum(a * b for a, b in zip(u, v)) for v in roots] for u in roots]
             assert rd.dynkin_edges == tuple(
                 (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if gram[i][j])

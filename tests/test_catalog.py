@@ -12,7 +12,7 @@ from todavolterra.poisson import (
     lie_derivative_bivector,
 )
 
-from conftest import sid
+from conftest import entry_named, sid
 
 
 class TestSystemId:
@@ -99,7 +99,7 @@ class TestTensors:
         # (opposite overall sign to the commonly printed table, which fails
         # the ladder pi3 dH1 = pi2 dH2; see the decisions notes)
         sys = catalog.SystemId("toda", "a", 2)
-        assert catalog.tensor(sys, 3).entry_named("a1", "b1").canonical_str() == "a1^2 + a1*b1^2"
+        assert entry_named(catalog.tensor(sys, 3), "a1", "b1").canonical_str() == "a1^2 + a1*b1^2"
 
     def test_cubic_matches_recursion(self):
         for n in (2, 3, 4):
@@ -111,7 +111,7 @@ class TestTensors:
 
     def test_quartic_volterra_entries(self):
         sys = catalog.SystemId("volterra", "a", 5)
-        assert catalog.tensor(sys, 4).entry_named("a1", "a3").canonical_str() == "-a1*a2*a3"
+        assert entry_named(catalog.tensor(sys, 4), "a1", "a3").canonical_str() == "-a1*a2*a3"
 
     def test_quartic_pinned_by_ladder(self):
         for N in (4, 5, 6, 7):
@@ -122,7 +122,7 @@ class TestTensors:
 
     def test_volterra_b_boundary_entry(self):
         sys = catalog.SystemId("volterra", "b", 2)
-        entry = catalog.tensor(sys, 4).entry_named("a1", "a2")
+        entry = entry_named(catalog.tensor(sys, 4), "a1", "a2")
         assert entry.canonical_str() == "-1/2*a1^2*a2 - a1*a2^2"
 
     def test_toda_b_tensors_frozen_from_reduction(self):

@@ -3,7 +3,9 @@
 The dense form below is the oracle: the same pivot rule over full rows, in
 `Fraction` arithmetic (rational entries are converted first, so its `/` is
 exact even on all-int rows), for one right-hand side at a time.  The sparse
-solver takes every right-hand side at once: it must return None exactly when
+solver takes sparse `{row key: value}` columns and every right-hand side at
+once; `to_columns` turns a dense system into that form and `to_rows` turns
+it back, rows in sorted-key order.  The solver must return None exactly when
 the oracle finds some right-hand side inconsistent, and otherwise each
 solution and the uniqueness flag must equal the oracle's.  Every returned
 scalar must be in normal form (an `int` exactly when integral, a
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from todavolterra import bogo, moser
 from todavolterra._linsolve import solve_exact
-from todavolterra.polyalg import GaussianRational, I_UNIT, normal
+from todavolterra.polyalg import GaussianRational, I_UNIT, Poly, normal
 
 from conftest import assert_normal
 
@@ -63,15 +65,45 @@ def dense_solve_exact(rows, rhs):
     return x, unique
 
 
+def to_columns(rows, rhs):
+    """Dense rows and right-hand sides as the solver's `{row: value}` maps,
+    one per column and one per right-hand side; zero entries are kept."""
+    n = len(rows[0]) if rows else 0
+    return ([{i: r[c] for i, r in enumerate(rows)} for c in range(n)],
+            [dict(enumerate(b)) for b in rhs])
+
+
+def to_rows(columns, rhs):
+    """Sparse columns and right-hand sides as dense rows, in sorted-key order."""
+    keys = sorted(set().union(*columns, *rhs))
+    return ([[col.get(k, 0) for col in columns] for k in keys],
+            [[b.get(k, 0) for k in keys] for b in rhs])
+
+
+def solve_copied(columns, rhs):
+    """solve_exact, asserting that it leaves its inputs as they were."""
+    before = ([dict(c) for c in columns], [dict(b) for b in rhs])
+    got = solve_exact(columns, rhs)
+    assert (columns, rhs) == before
+    return got
+
+
 def assert_same(rows, rhs):
-    """`rhs` is a list of right-hand sides, each compared with the oracle."""
-    before = ([list(r) for r in rows], [list(b) for b in rhs])
-    got = solve_exact(rows, rhs)
-    wants = [dense_solve_exact(rows, b) for b in rhs]
-    assert ([list(r) for r in rows], [list(b) for b in rhs]) == before  # inputs untouched
+    """`rhs` is a list of dense right-hand sides, each compared with the oracle."""
+    check_against_oracle(*to_columns(rows, rhs), rows, rhs)
+
+
+def assert_same_sparse(columns, rhs):
+    """A sparse system against the oracle on its dense rows in sorted-key order."""
+    return check_against_oracle(columns, rhs, *to_rows(columns, rhs))
+
+
+def check_against_oracle(columns, rhs, rows, dense_rhs):
+    got = solve_copied(columns, rhs)
+    wants = [dense_solve_exact(rows, b) for b in dense_rhs]
     if None in wants:
         assert got is None
-        return
+        return got
     assert got is not None
     xs, unique = got
     assert len(xs) == len(rhs)
@@ -80,6 +112,7 @@ def assert_same(rows, rhs):
         assert x == x_want
         for v in x:
             assert_normal(v)
+    return got
 
 
 # ------------------------------------------------------------- hypothesis
@@ -160,19 +193,69 @@ def test_one_inconsistent_rhs_among_consistent_ones(bad):
     good = [[1, 2, 2, 0], [0, Fraction(1, 3), Fraction(1, 3), 5], [I_UNIT, 0, 0, 1]]
     for b in good:
         assert dense_solve_exact(rows, b) is not None
-    assert solve_exact(rows, good) is not None
+    assert solve_exact(*to_columns(rows, good)) is not None
     rhs = [list(b) for b in good]
     rhs[bad][2] = normal(rhs[bad][2] + 1)
     assert dense_solve_exact(rows, rhs[bad]) is None
-    assert solve_exact(rows, rhs) is None
     assert_same(rows, rhs)
 
 
 def test_no_columns():
     # the dense form indexes rows[0][0] here; the sparse form answers
-    assert solve_exact([[], []], [[0, 0]]) == ([[]], True)
-    assert solve_exact([[], []], [[0, 1]]) is None
-    assert solve_exact([[], []], [[0, 0], [0, 1]]) is None
+    assert solve_exact([], [{}]) == ([[]], True)
+    assert solve_exact([], [{0: 0, 1: 0}]) == ([[]], True)
+    assert solve_exact([], [{1: 1}]) is None
+    assert solve_exact([], [{}, {1: 1}]) is None
+
+
+# ----------------------------------------------------- the sparse input form
+
+
+@pytest.mark.parametrize("one", [1, I_UNIT], ids=["rational", "gaussian"])
+def test_keys_with_gaps_inserted_out_of_order(one):
+    # rows 2 < 7 < 10 < 40, no map filled in ascending order; the same system
+    # with its rows numbered 0..3 in that order gives the same solutions
+    columns = [{7: one, 2: 3}, {40: 1, 10: one, 7: 2}, {10: 5, 2: one}]
+    # x = (1, 2, 3) and x = (0, 0, 1)
+    rhs = [{40: 2, 10: normal(2 * one + 15), 2: normal(3 + 3 * one), 7: normal(one + 4)},
+           {40: 0, 10: 5, 2: one}]
+    got = assert_same_sparse(columns, rhs)
+    assert got == ([[1, 2, 3], [0, 0, 1]], True)
+    renumber = {2: 0, 7: 1, 10: 2, 40: 3}
+    assert solve_exact([{renumber[k]: v for k, v in c.items()} for c in columns],
+                       [{renumber[k]: v for k, v in b.items()} for b in rhs]) == got
+
+
+def test_key_only_in_a_right_hand_side_is_inconsistent():
+    assert solve_copied([{0: 1}, {1: 2}], [{0: 1, 5: 2}]) is None
+    assert solve_copied([{0: 1}, {1: 2}], [{0: 1}, {5: 2}]) is None
+    # a zero there is no equation at all
+    assert solve_copied([{0: 1}, {1: 2}], [{0: 1, 5: 0}]) == ([[1, 0]], True)
+
+
+def test_explicit_zero_is_ignored():
+    assert solve_copied([{0: 1, 1: 0}, {1: 2}], [{0: 3, 1: 4}]) == ([[3, 2]], True)
+    assert solve_copied([{0: 0}, {0: 1}], [{0: 5}]) == ([[0, 5]], False)  # a zero pivot
+    assert solve_copied([{0: 0}], [{0: 0}]) == ([[0]], False)
+    assert solve_copied([{0: 0}], [{0: 1}]) is None  # 0 = 1
+
+
+def test_empty_column_is_a_free_variable():
+    assert solve_copied([{}, {0: 2}], [{0: 4}]) == ([[0, 2]], False)
+    assert solve_copied([{0: 2}, {}], [{0: 4}]) == ([[2, 0]], False)
+    assert solve_copied([{}], [{}]) == ([[0]], False)
+
+
+def test_poly_terms_unchanged_by_the_solve():
+    # moser passes the live `Poly.packed` maps of its basis and its targets
+    vs = ("x1", "x2")
+    x1, x2 = Poly.var(vs, "x1"), Poly.var(vs, "x2")
+    basis = [Poly.const(vs, 1), x1, x2, x1 * x2, x1 * x1]
+    target = (x1 * x2).scale(3) - x1 + Poly.const(vs, 2)
+    kept = [Poly(vs, p.terms) for p in basis + [target]]
+    (x,), unique = solve_exact([p.packed for p in basis], [target.packed])
+    assert (x, unique) == ([2, -1, 0, 3, 0], True)
+    assert basis + [target] == kept
 
 
 @pytest.mark.parametrize("rows, rhs, want", [
@@ -182,7 +265,7 @@ def test_no_columns():
 ])
 def test_all_int_rows_divide_exactly(rows, rhs, want):
     # an int `/` in the pivot division would give floats here
-    (x,), unique = solve_exact(rows, [rhs])
+    (x,), unique = solve_exact(*to_columns(rows, [rhs]))
     assert unique and x == want
     assert_same(rows, [rhs])  # normal form, no float
 
@@ -193,9 +276,9 @@ def test_all_int_rows_divide_exactly(rows, rhs, want):
 def _recorded_systems(monkeypatch, module, build):
     seen = []
 
-    def record(rows, rhs):
-        seen.append((rows, rhs))
-        return solve_exact(rows, rhs)
+    def record(columns, rhs):
+        seen.append((columns, rhs))
+        return solve_exact(columns, rhs)
 
     monkeypatch.setattr(module, "solve_exact", record)
     build()
@@ -216,8 +299,8 @@ def test_matches_dense_on_moser_systems(monkeypatch, N):
     split = moser.square_and_split(N)
     assert [len(rhs) for _, rhs in systems_] == [
         2 * block.half_rank for block in (split.odd_deleted, split.even_deleted)]
-    for rows, rhs in systems_:
-        assert_same(rows, rhs)
+    for columns, rhs in systems_:
+        assert_same_sparse(columns, rhs)
 
 
 @pytest.mark.parametrize("type_", "ABCD")
@@ -226,5 +309,5 @@ def test_matches_dense_on_bogo_systems(monkeypatch, type_):
         for rank in range(3 if type_ == "D" else 1, 9):
             bogo.root_data(type_, rank)
 
-    for rows, rhs in _recorded_systems(monkeypatch, bogo, build):
-        assert_same(rows, rhs)
+    for columns, rhs in _recorded_systems(monkeypatch, bogo, build):
+        assert_same_sparse(columns, rhs)

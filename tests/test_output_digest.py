@@ -1,9 +1,10 @@
 """The CLI's exact outputs are byte-identical to the recorded ones.
 
-`tools/output_digest.py` digests stdout, stderr and the exit code of three
+`tools/output_digest.py` digests stdout, stderr and the exit code of four
 fixed lists of calls: the benchmark's and the other exact commands', the
-`--system` parsing paths with the inputs they reject (`parsing_calls`), and
-`moser` and `bogo` at their size caps (`cap_calls`).
+`--system` parsing paths with the inputs they reject (`parsing_calls`),
+the exact commands at their size caps (`cap_calls`), and `moser` and `bogo`
+in their text format (`text_calls`).
 Every call but `simulate` is compared here with
 `tests/golden/output_digest.json`, keyed by its argument list; the
 `simulate` calls are left out, since their float bits may differ across CPUs
@@ -31,7 +32,8 @@ def test_exact_outputs_match_the_recorded_digests(tmp_path):
     tool = load_tool()
     want = json.loads(GOLDEN.read_text())
     got = {}
-    for _label, argv in tool.calls(str(tmp_path)) + tool.parsing_calls() + tool.cap_calls():
+    listed = tool.calls(str(tmp_path)) + tool.parsing_calls() + tool.cap_calls()
+    for _label, argv in listed + tool.text_calls():
         if argv[0] != "simulate":
             got[" ".join(argv)] = tool.digest(argv)[0]
     assert set(got) == set(want)

@@ -62,7 +62,7 @@ class TestJacobiator:
         assert is_poisson(catalog.tensor(T3, 1))
 
     def test_zero_tensor(self):
-        assert is_poisson(PoissonTensor.zero(("b1", "b2", "b3")))
+        assert is_poisson(PoissonTensor(("b1", "b2", "b3"), {}))
 
     def test_non_poisson_candidate(self):
         # pi^12 = b1, pi^23 = b2, pi^13 = 0 has J^123 = b1 (hand-expanded)
@@ -151,7 +151,7 @@ class TestLieDerivative:
 
     def test_zero_tensor(self):
         Z = catalog.euler_field(T2)
-        assert lie_derivative_bivector(Z, PoissonTensor.zero(V2)).is_zero
+        assert lie_derivative_bivector(Z, PoissonTensor(V2, {})).is_zero
 
     def test_master_symmetry_generates_cubic(self):
         for sys in (T2, T3):

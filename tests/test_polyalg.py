@@ -22,7 +22,7 @@ from todavolterra.polyalg import (
 from todavolterra._linsolve import solve_exact
 
 from conftest import assert_normal, evaluate, random_poly, read_poly
-from test_linsolve import dense_solve_exact
+from test_linsolve import dense_solve_exact, to_columns
 
 V = ("a1", "a2", "b1", "b2")
 
@@ -191,13 +191,19 @@ class TestDiff:
         assert p.diff("a1").canonical_str() == "2*a1*b2 + 1"
 
     def test_unknown_variable(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown variable 'c1'"):
             var("a1").diff("c1")
 
     def test_mixed_partials_commute(self, rng):
         for _ in range(25):
             p = random_poly(rng, V, max_terms=5, max_exp=3)
             assert p.diff("a1").diff("b2") == p.diff("b2").diff("a1")
+
+    def test_by_position_agrees_with_by_name(self, rng):
+        for _ in range(25):
+            p = random_poly(rng, V, max_terms=5, max_exp=3)
+            for k, name in enumerate(V):
+                assert p.diff_at(k) == p.diff(name)
 
 
 class TestSubstLinear:
@@ -546,8 +552,9 @@ def test_packed_ring_ops_match_tuple_keyed_oracles(data):
     assert_same(p - q, old_add(p, -q))
     assert_same(p * q, old_mul(p, q))
     assert_same(p * p * q, old_mul(p * p, q))
-    for v in ORACLE_VARS:
+    for k, v in enumerate(ORACLE_VARS):
         assert_same(p.diff(v), old_diff(p, v))
+        assert p.diff_at(k) == p.diff(v)
     wider = ("a0",) + ORACLE_VARS[:3] + ("a9", "b0") + ORACLE_VARS[3:]
     assert_same(p.subst_linear({v: (v, 1) for v in ORACLE_VARS}, wider), old_extend(p, wider))
 
@@ -612,7 +619,7 @@ def test_solve_exact_on_mixed_rows_returns_normal_scalars(data):
     x = [data.draw(oracle_fractions) for _ in range(n)]
     rows = [[normal(data.draw(ring_scalars)) for _ in range(n)] for _ in range(m)]
     rhs = [normal(sum((a * xi for a, xi in zip(row, x)), 0)) for row in rows]
-    (got,), unique = solve_exact(rows, [rhs])
+    (got,), unique = solve_exact(*to_columns(rows, [rhs]))
     assert (got, unique) == dense_solve_exact(rows, rhs)
     for c in got:
         assert_normal(c)

@@ -18,7 +18,7 @@ from todavolterra.reduction import (
     verify_reduction,
 )
 
-from conftest import invariant_average, lift, old_reduced_bracket, random_poly
+from conftest import entry_named, invariant_average, lift, old_reduced_bracket, random_poly
 
 
 def constraints(chart: FixedPointChart) -> list[Poly]:
@@ -175,7 +175,7 @@ class TestReducedBracket:
         red = reduced_bracket(catalog.tensor(sys_a, 3), phi_group(5))
         assert red == catalog.tensor(catalog.SystemId("toda", "b", 2), 3)
         # the distinguished corner entry carries the doubled a^2 term
-        assert red.entry_named("a2", "b2").canonical_str() == "a2^2 + 1/2*a2*b2^2"
+        assert entry_named(red, "a2", "b2").canonical_str() == "a2^2 + 1/2*a2*b2^2"
 
     def test_poisson_action_checked_on_the_generator_only(self, monkeypatch):
         # (g^k)_* = (g_*)^k: the order-4 twist needs one pushforward, not four
@@ -256,7 +256,7 @@ def random_invariant_tensor(rng, group: FiniteGroupAction) -> PoissonTensor:
     upper = {(i, j): (random_poly(rng, vs, max_terms=2, max_exp=1)
                       + Poly.const(vs, rng.randint(-2, 2))).scale(rng.choice([1, I_UNIT]))
              for i in range(len(vs)) for j in range(i + 1, len(vs)) if rng.random() < 0.5}
-    pi, total = PoissonTensor(vs, upper), PoissonTensor.zero(vs)
+    pi, total = PoissonTensor(vs, upper), PoissonTensor(vs, {})
     for g in group.elements:
         total = total + pushforward_bivector(g, pi)
     return total.scale(Fraction(1, len(group)))

@@ -7,7 +7,7 @@ every call gives the same bytes and exit code.  Run it from a checkout's
 root; it imports the package from that checkout's `src/`:
 
     python3 tools/output_digest.py            # per-call lines and the total
-    python3 tools/output_digest.py --total    # the three totals only
+    python3 tools/output_digest.py --total    # the four totals only
 
 The list: the benchmark's calls at seeds 1 and 2 (their argv and starting
 points are built here), `moser --N 5..21`, `bogo` A-D at ranks 1..12,
@@ -30,6 +30,10 @@ at the largest `--system` it takes, `verify all --max-rank 16`, and `verify
 jacobi` (bracket 3) and `verify deformation` on toda-a:64, which run the
 Jacobiator and the Lie derivative at their largest sizes.  Its total is the
 `cap total` line.
+
+A fourth list, `text_calls`, runs `moser` and `bogo` without `--format
+json`, at a small size and at the cap, so that their text output is
+digested too.  Its total is the `text total` line.
 """
 
 from __future__ import annotations
@@ -165,6 +169,13 @@ def cap_calls() -> list[tuple[str, list[str]]]:
     return out
 
 
+def text_calls() -> list[tuple[str, list[str]]]:
+    """(label, argv) of `moser` and `bogo` in their default text format."""
+    return [("", ["moser", "--N", "9"]), ("", ["moser", "--N", "41"]),
+            ("", ["bogo", "--type", "D", "--rank", "4"]),
+            ("", ["bogo", "--type", "B", "--rank", "64"])]
+
+
 def digest(argv: list[str]) -> tuple[str, int]:
     """(sha256 of one call's stdout, stderr and exit code, the exit code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -180,7 +191,7 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work_dir:
         for name, listed in (("total", calls(work_dir)), ("parsing total", parsing_calls()),
-                             ("cap total", cap_calls())):
+                             ("cap total", cap_calls()), ("text total", text_calls())):
             total = hashlib.sha256()
             for label, argv in listed:
                 d, code = digest(argv)
