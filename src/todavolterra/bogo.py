@@ -165,9 +165,9 @@ def volterra_form(rd: RootData):
     """Recorded diagonal change taking the X-system to a Volterra lattice.
 
     Returns (target_variables, substitution), or None for type D and rank
-    one, where `substitution` maps each target variable a_i to +-1 or +-2
-    times an edge variable, determined once at low rank and fixed as
-    regression data:
+    one, where `substitution` is a `Poly.subst_linear` table {a_i: (y, c)}
+    saying a_i = c * y for one edge variable y, with c = +-1 or +-2,
+    determined once at low rank and fixed as regression data:
 
     * type A, rank m+1: a_i = -y_i          -> a_i' = a_i (a_{i-1} - a_{i+1})
     * type B, rank m+1: a_m = y_1, a_i = 2 y_{m+1-i} (i < m)   -> B-type form
@@ -178,23 +178,19 @@ def volterra_form(rd: RootData):
     """
     if rd.type == "D":
         return None
-    y = xvars = edge_variables(rd)  # y_k = edge between nodes k, k+1
+    y = edge_variables(rd)  # y_k = edge between nodes k, k+1
     m = len(y)
     if m == 0:
         return None
     target = tuple(f"a{i}" for i in range(1, m + 1))
-    sub: dict[str, Poly] = {}
     if rd.type == "A":
-        for i in range(1, m + 1):
-            sub[f"a{i}"] = Poly.var(xvars, y[i - 1]).scale(-1)
+        sub = {f"a{i}": (y[i - 1], -1) for i in range(1, m + 1)}
     elif rd.type == "B":
-        sub[f"a{m}"] = Poly.var(xvars, y[0])
-        for i in range(1, m):
-            sub[f"a{i}"] = Poly.var(xvars, y[m - i]).scale(2)
+        sub = {f"a{i}": (y[m - i], 2) for i in range(1, m)}
+        sub[f"a{m}"] = (y[0], 1)
     elif rd.type == "C":
-        for i in range(1, m):
-            sub[f"a{i}"] = Poly.var(xvars, y[i - 1]).scale(-2)
-        sub[f"a{m}"] = Poly.var(xvars, y[m - 1]).scale(-1)
+        sub = {f"a{i}": (y[i - 1], -2) for i in range(1, m)}
+        sub[f"a{m}"] = (y[m - 1], -1)
     else:  # pragma: no cover
         return None
     return target, sub
@@ -205,10 +201,6 @@ def transformed_x_system(field: PolyVectorField, form) -> PolyVectorField:
     the (target_variables, substitution) pair of `volterra_form`."""
     target, sub = form
     # each a_i = c * y for one edge variable y: so y = (1/c) a_i and a_i' = c y'
-    edge = {}
-    for a_name, p in sub.items():
-        (k,), (c,) = p.occurring(), p.packed.values()
-        edge[a_name] = (p.variables[k], c)
-    inv = {y: (a_name, divide(1, c)) for a_name, (y, c) in edge.items()}
+    inv = {y: (a_name, divide(1, c)) for a_name, (y, c) in sub.items()}
     return PolyVectorField(target, [field.component(y).subst_linear(inv, target).scale(c)
-                                    for y, c in map(edge.get, target)])
+                                    for y, c in map(sub.get, target)])

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bogo, catalog, checks, flows, moser, reduction
 from .poisson import is_poisson
+from .polyalg import Poly
 
 SCHEMA_PREFIX = "todavolterra"
 
@@ -131,9 +132,9 @@ def _initial_point(args, sys_id) -> np.ndarray:
             idx = int(v[1:]) - 1
             if idx >= len(pool):
                 raise ValueError(f"{where}: the file lacks {v}")
-            try:
-                x = float(pool[idx])
-            except (TypeError, ValueError, OverflowError):
+            try:  # JSON numbers only: not strings, not booleans
+                x = float(pool[idx]) if type(pool[idx]) in (int, float) else math.nan
+            except OverflowError:
                 x = math.nan
             if not math.isfinite(x):
                 raise ValueError(f"{where}: {v} = {pool[idx]!r} is not a finite number")
@@ -274,9 +275,9 @@ def _cmd_bogo(args) -> int:
     }
     form = bogo.volterra_form(rd)
     if form is not None:
-        target, sub = form
+        _, sub = form
         doc["volterra_change_of_variables"] = {
-            a: sub[a].canonical_str() for a in target
+            a: Poly.var(xsys.variables, y).scale(c).canonical_str() for a, (y, c) in sub.items()
         }
         transformed = bogo.transformed_x_system(xsys, form)
         doc["volterra_form"] = [

@@ -55,23 +55,6 @@ class LinearMap:
         self.variables = variables
         self.images = table
 
-    @staticmethod
-    def identity(variables: Sequence[str]) -> "LinearMap":
-        return LinearMap(variables, {v: (v, 1) for v in variables})
-
-    def is_identity(self) -> bool:
-        return all(w == v and c == 1 for v, (w, c) in self.images.items())
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other: (self∘other)(x) = self(other(x))."""
-        if self.variables != other.variables:
-            raise ValueError("maps act on different variable lists")
-        images = {}
-        for v, (w, c) in self.images.items():
-            w2, c2 = other.images[w]
-            images[v] = (w2, c * c2)
-        return LinearMap(self.variables, images)
-
     def inverse(self) -> "LinearMap":
         images = {}
         for v, (w, c) in self.images.items():

@@ -9,13 +9,15 @@ restrict back.
 
 The fixed-point set is generally *not* a Poisson submanifold; restricting the
 tensor naively would be wrong.  The averaging step is what makes the recipe
-well defined.  On the reduced coordinates it is linear: the averaged lift of
-the coordinate u is the form (1/|G|) sum_g c x_w over g.images[u] = (w, c),
-supported on u's orbit, so each ambient variable has one lift weight, and
-{lift u, lift u'} is the sum of weight_v weight_w pi^vw over the stored
-entries pi^vw.  `reduced_bracket` reads the weights off the group once and
-restricts each stored entry once, into the one reduced entry its two orbits
-name.
+well defined.  Everything is read off one walk of each cycle of g, from its
+smallest variable r: g^j sends r to (w_j, C_j) for j = 0..L-1, and the
+cycle's scale product P = C_L is 1, -1, i or -i.  A fixed point has
+x_r = C_j x_{w_j}, so x_{w_j} = x_r / C_j when P = 1, and the whole cycle is
+zero when P != 1 (x_r = P x_r).  On the reduced coordinate r the averaged
+lift is linear, (1/L) sum_j C_j x_{w_j}: each ambient variable has one lift
+weight C_j / L, and {lift r, lift r'} is the sum of weight_v weight_w pi^vw
+over the stored entries pi^vw.  `reduced_bracket` restricts each stored
+entry once, into the one reduced entry its two cycles name.
 """
 
 from __future__ import annotations
@@ -32,35 +34,32 @@ class NotPoissonActionError(ValueError):
 
 
 class FiniteGroupAction:
-    """The cyclic group generated by one LinearMap of finite order.
+    """The cyclic group generated by one LinearMap g of finite order, as g's cycles.
 
-    `elements` are its powers identity, g, g^2, ..., so the group is closed
-    by construction.  On a cycle of g's permutation of length L, g^L scales
-    each variable by the product of the cycle's scales; so g has finite order
-    exactly when every such product is a root of unity, and the only ones in
-    Q(i) are 1, -1, i and -i.  Any other product raises `ValueError`.
+    `cycles` lists `(path, P)` per cycle, in the order of its smallest
+    variable r: `path[j] = (w_j, C_j)` says (g^j x)_r = C_j x_{w_j} for
+    j = 0..L-1 (C_0 = 1), and P = C_L is the product of the cycle's scales.
+    g has finite order exactly when every P is a root of unity, and the only
+    ones in Q(i) are 1, -1, i and -i.  Any other product raises `ValueError`.
     """
 
     def __init__(self, generator: LinearMap):
-        seen: set[str] = set()
-        for w in generator.variables:
-            product = 1
-            while w not in seen:  # walk w's cycle once
-                seen.add(w)
-                w, c = generator.images[w]
-                product = product * c
-            if normal(product) not in (1, -1, I_UNIT, -I_UNIT):
-                raise ValueError(f"{generator!r} has infinite order")
         self.generator = generator
         self.variables = generator.variables
-        self.elements = [LinearMap.identity(self.variables)]
-        power = generator
-        while not power.is_identity():
-            self.elements.append(power)
-            power = power.compose(generator)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        self.cycles: list[tuple[list[tuple[str, Scalar]], Scalar]] = []
+        seen: set[str] = set()
+        for r in sorted(self.variables, key=variable_sort_key):
+            if r in seen:
+                continue
+            path, w, c = [], r, 1
+            while not path or w != r:  # walk r's cycle once
+                path.append((w, c))
+                seen.add(w)
+                w, s = generator.images[w]
+                c = normal(c * s)
+            if c not in (1, -1, I_UNIT, -I_UNIT):
+                raise ValueError(f"{generator!r} has infinite order")
+            self.cycles.append((path, c))
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,9 @@ class FixedPointChart:
 
     section: {ambient variable v: (w, c)}, a `Poly.subst_linear` table
     saying x_v = c * x_w on the fixed-point set, w a reduced variable; c = 0
-    on an orbit forced to zero (w is then the orbit's ambient representative).
+    on a cycle forced to zero (w is then the cycle's ambient representative).
     Each reduced coordinate is named after the ambient variable that
-    represents its class.
+    represents its cycle.
     """
 
     ambient_variables: tuple[str, ...]
@@ -84,25 +83,16 @@ class FixedPointChart:
 
 
 def fixed_point_chart(group: FiniteGroupAction) -> FixedPointChart:
-    """Read the fixed-point chart of a group of scaled permutations off its orbits.
+    """Read the fixed-point chart off the generator's cycles.
 
-    A fixed point has x_v = c * x_w for every element g and every
-    g.images[v] = (w, c).  The group is closed (the powers of one generator),
-    so these constraints link the variables of one orbit {w : some g sends v
-    to (w, c)} and no others; the orbit's smallest variable rep names its
-    reduced coordinate.  An element that fixes rep with scale c != 1 forces
-    x_rep = 0, and with it the whole orbit.  Otherwise every element sending
-    v to rep has the same scale c (orbit-stabilizer: the inverse of one after
-    another fixes rep with their ratio), and x_v = c * x_rep solves each
-    constraint x_v = c' * x_w: g followed by an element sending w to
-    (rep, c_w) sends v to (rep, c' * c_w).
+    On a cycle from r with path (w_j, C_j) and product P, a fixed point has
+    x_{w_j} = x_r / C_j when P = 1, and x_{w_j} = 0 when P != 1, since there
+    x_r = P x_r.  The representatives of the P = 1 cycles are the reduced
+    variables.
     """
-    orbit = {v: [g.images[v] for g in group.elements] for v in group.variables}
-    rep = {v: min((w for w, _ in images), key=variable_sort_key) for v, images in orbit.items()}
-    zero = {r for r in rep.values() if any(w == r and c != 1 for w, c in orbit[r])}
-    reduced = tuple(sorted(set(rep.values()) - zero, key=variable_sort_key))
-    section = {v: (r, 0 if r in zero else next(c for w, c in orbit[v] if w == r))
-               for v, r in rep.items()}
+    section = {w: (path[0][0], divide(1, c) if P == 1 else 0)
+               for path, P in group.cycles for w, c in path}
+    reduced = tuple(path[0][0] for path, P in group.cycles if P == 1)
     return FixedPointChart(group.variables, reduced, section)
 
 
@@ -119,21 +109,17 @@ def reduced_bracket(pi: PoissonTensor, group: FiniteGroupAction) -> PoissonTenso
         raise ValueError("group and tensor act on different variable lists")
     check_poisson_action(pi, group)
     chart = fixed_point_chart(group)
-    # weight[v] = (i, |G| times v's weight in the lift of reduced coordinate
-    # i); zero orbits have no lift, so their variables have no weight
-    weight: dict[str, tuple[int, Scalar]] = {}
-    for i, u in enumerate(chart.reduced_variables):
-        for g in group.elements:
-            v, c = g.images[u]
-            weight[v] = (i, weight.get(v, (i, 0))[1] + c)
-    norm = len(group) ** 2
+    # weight[v] = (i, v's weight C_j / L in the lift of reduced coordinate i);
+    # zero cycles have no lift, so their variables have no weight
+    live = [path for path, P in group.cycles if P == 1]
+    weight = {w: (i, divide(c, len(path))) for i, path in enumerate(live) for w, c in path}
     upper: dict[tuple[int, int], Poly] = {}
     for (a, b), p in pi.upper.items():
         i, wa = weight.get(pi.variables[a], (None, 0))
         j, wb = weight.get(pi.variables[b], (None, 0))
-        if i is None or j is None or i == j:  # a zero orbit, or {lift u, lift u} = 0
+        if i is None or j is None or i == j:  # a zero cycle, or {lift u, lift u} = 0
             continue
-        q = chart.restrict(p).scale(divide(wa * wb, norm if i < j else -norm))
+        q = chart.restrict(p).scale(wa * wb if i < j else -wa * wb)
         key = (i, j) if i < j else (j, i)
         upper[key] = upper[key] + q if key in upper else q
     return PoissonTensor(chart.reduced_variables, upper)

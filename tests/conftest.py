@@ -8,8 +8,8 @@ import pytest
 from todavolterra import bogo, catalog, reduction
 from todavolterra.flows import compile_field, integrate
 from todavolterra.poisson import (
-    PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
-from todavolterra.polyalg import GaussianRational, Poly, _ipow, normal
+    LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
+from todavolterra.polyalg import I_UNIT, GaussianRational, Poly, _ipow, normal
 
 
 def pytest_addoption(parser):
@@ -166,6 +166,51 @@ def commutation_check(
     return worst
 
 
+# ----------------------------------------------------- a cyclic group's powers
+#
+# `reduction.FiniteGroupAction` reads the group off its generator's cycles and
+# builds no power of it.  The oracles below average over the powers themselves.
+
+
+def identity(variables) -> LinearMap:
+    """The identity map of a variable list."""
+    return LinearMap(variables, {v: (v, 1) for v in variables})
+
+
+def is_identity(g: LinearMap) -> bool:
+    return all(w == v and c == 1 for v, (w, c) in g.images.items())
+
+
+def compose(f: LinearMap, g: LinearMap) -> LinearMap:
+    """f after g: (f o g)(x) = f(g(x))."""
+    if f.variables != g.variables:
+        raise ValueError("maps act on different variable lists")
+    images = {}
+    for v, (w, c) in f.images.items():
+        w2, c2 = g.images[w]
+        images[v] = (w2, c * c2)
+    return LinearMap(f.variables, images)
+
+
+def powers(g: LinearMap) -> list[LinearMap]:
+    """The cyclic group g generates, as its elements identity, g, g^2, ...
+    (g must have finite order)."""
+    elements = [identity(g.variables)]
+    power = g
+    while not is_identity(power):
+        elements.append(power)
+        power = compose(power, g)
+    return elements
+
+
+# A generator no catalog map matches: a 3-cycle with scales 2, 1/2, 1 (product
+# 1), a variable it negates (a cycle forced to zero), and a 2-cycle with the
+# Gaussian scales i, -i (product 1).  Its order is 6.
+MIXED_CYCLES = LinearMap(("a1", "a2", "a3", "a4", "b1", "b2"), {
+    "a1": ("a2", 2), "a2": ("a3", Fraction(1, 2)), "a3": ("a1", 1), "a4": ("a4", -1),
+    "b1": ("b2", I_UNIT), "b2": ("b1", -I_UNIT)})
+
+
 # ------------------------------------------- the fixed-point reduction's recipe
 #
 # `reduction.reduced_bracket` adds each stored entry, restricted and scaled by
@@ -181,11 +226,12 @@ def lift(chart: reduction.FixedPointChart, f: Poly) -> Poly:
 
 def invariant_average(F: Poly, group: reduction.FiniteGroupAction) -> Poly:
     """Group average (1/|G|) sum_g F o g; the result is exactly G-invariant."""
+    elements = powers(group.generator)
     total = None
-    for g in group.elements:
+    for g in elements:
         term = F.subst_linear(g.images)
         total = term if total is None else total + term
-    return total.scale(Fraction(1, len(group)))
+    return total.scale(Fraction(1, len(elements)))
 
 
 def old_reduced_bracket(pi: PoissonTensor, group: reduction.FiniteGroupAction) -> PoissonTensor:

@@ -233,5 +233,5 @@ class TestVolterraForm:
         rd = bogo.root_data("B", 3)
         target, sub = bogo.volterra_form(rd)
         assert target == ("a1", "a2")
-        assert sub["a2"].canonical_str() == "x12"
-        assert sub["a1"].canonical_str() == "2*x23"
+        assert sub["a2"] == ("x12", 1)
+        assert sub["a1"] == ("x23", 2)

@@ -10,14 +10,15 @@ the oracle for the closed-walk construction.  The Euler field, the B-type
 Volterra equations and moser's x-flow, once built by hand, are now read off
 templates; the symmetry maps, once four branches, are read off one table;
 and the fixed-point chart, once a union-find with multipliers, is read off
-the group orbits.  The earlier code is kept below as `old_euler_field`,
+the generator's cycles.  The earlier code is kept below as `old_euler_field`,
 `old_bn_volterra_flow`, `old_x_flow`, `old_symmetry` and
 `old_fixed_point_chart`.  A chart's section, once one `Poly` per ambient
 variable that `old_restrict` composes with, is now a `subst_linear` table.
-A group, once a closure-checked element list, is now the powers of one
-generator, and the Poisson-action check pushes the tensor forward by the
-generator alone; `old_check_poisson_action` is the earlier loop over every
-element.
+A group, once a closure-checked element list, then the powers of one
+generator, is now that generator's cycles, and the Poisson-action check
+pushes the tensor forward by the generator alone; `old_check_poisson_action`
+is the earlier loop over every element, the powers that the test-side
+`powers` builds.
 """
 
 from collections import namedtuple
@@ -35,7 +36,7 @@ from todavolterra.reduction import (
     FiniteGroupAction, FixedPointChart, NotPoissonActionError, check_poisson_action,
     fixed_point_chart)
 
-from conftest import invariant_average, lift, read_poly, sid
+from conftest import MIXED_CYCLES, invariant_average, lift, powers, read_poly, sid
 
 
 def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
@@ -343,7 +344,7 @@ def old_fixed_point_chart(group: FiniteGroupAction) -> OldChart:
         parent[rv] = rw
         mult[rv] = divide(c * mw, mv)  # x_rv = (c mw / mv) x_rw
 
-    for g in group.elements:
+    for g in powers(group.generator):
         for v, (w, c) in g.images.items():
             union(v, w, c)
 
@@ -536,22 +537,36 @@ def section_polys(chart: FixedPointChart) -> dict[str, Poly]:
             for v, (w, c) in chart.section.items()}
 
 
+def assert_chart_equals_old(group: FiniteGroupAction, label) -> int:
+    """Equal reduced variables and sections; the number of sections compared."""
+    new, old = fixed_point_chart(group), old_fixed_point_chart(group)
+    assert new.ambient_variables == old.ambient_variables
+    assert new.reduced_variables == old.reduced_variables, label
+    assert set(new.section) == set(old.section)
+    polys = section_polys(new)
+    for v in old.ambient_variables:
+        a, b = polys[v], old.section[v]
+        assert a.canonical_str() == b.canonical_str(), (*label, v)
+        assert a == b, (*label, v)
+    return len(old.section)
+
+
 def test_chart_equals_old():
     """Equal reduced variables and sections."""
-    sections = 0
-    for map_name, sys in CHART_GROUPS:
-        group = catalog.symmetry_group(map_name, sys)
-        new, old = fixed_point_chart(group), old_fixed_point_chart(group)
-        assert new.ambient_variables == old.ambient_variables
-        assert new.reduced_variables == old.reduced_variables, (map_name, str(sys))
-        assert set(new.section) == set(old.section)
-        polys = section_polys(new)
-        for v in old.ambient_variables:
-            a, b = polys[v], old.section[v]
-            assert a.canonical_str() == b.canonical_str(), (map_name, str(sys), v)
-            assert a == b, (map_name, str(sys), v)
-        sections += len(old.section)
+    sections = sum(assert_chart_equals_old(catalog.symmetry_group(map_name, sys),
+                                           (map_name, str(sys)))
+                   for map_name, sys in CHART_GROUPS)
     assert (len(CHART_GROUPS), sections) == (63, 1080)
+
+
+def test_chart_equals_old_on_mixed_cycles():
+    """A 3-cycle with scales 2, 1/2, 1, a zero cycle and Gaussian scales,
+    which no catalog map has."""
+    group = FiniteGroupAction(MIXED_CYCLES)
+    assert assert_chart_equals_old(group, ("mixed cycles",)) == 6
+    assert fixed_point_chart(group).section == {
+        "a1": ("a1", 1), "a2": ("a1", Fraction(1, 2)), "a3": ("a1", 1), "a4": ("a4", 0),
+        "b1": ("b1", 1), "b2": ("b1", -I_UNIT)}
 
 
 def test_restrict_equals_old():
@@ -579,7 +594,8 @@ def test_restrict_equals_old():
 
 def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
     """Negative control: the orbit chart with its zero-orbit test left out."""
-    orbit = {v: [g.images[v] for g in group.elements] for v in group.variables}
+    elements = powers(group.generator)
+    orbit = {v: [g.images[v] for g in elements] for v in group.variables}
     rep = {v: min((w for w, _ in images), key=variable_sort_key) for v, images in orbit.items()}
     reduced = tuple(sorted(set(rep.values()), key=variable_sort_key))
     section = {v: (r, next(c for w, c in orbit[v] if w == r)) for v, r in rep.items()}
@@ -602,7 +618,7 @@ def test_chart_without_stabilizer_test_fails(map_name, N, zero):
 
 
 def old_check_poisson_action(pi: PoissonTensor, group: FiniteGroupAction) -> None:
-    for g in group.elements:
+    for g in powers(group.generator):
         if pushforward_sign(g, pi) != 1:
             raise NotPoissonActionError("action is not Poisson for this tensor")
 

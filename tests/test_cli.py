@@ -430,6 +430,8 @@ class TestSimulateInput:
         ('{"a": [0.5], "b": [0.1, Infinity]}', "b2 = inf is not a finite number"),
         ('{"a": [0.5], "b": ["x", 0.2]}', "b1 = 'x' is not a finite number"),
         ('{"a": [0.5], "b": [null, 0.2]}', "b1 = None is not a finite number"),
+        ('{"a": ["0.5", "0.3"], "b": [0.1, 0.2, 0.3]}', "a1 = '0.5' is not a finite number"),
+        ('{"a": [true], "b": [false, 0.2]}', "a1 = True is not a finite number"),
         ('{"a": [0.5], "b": [0.1]}', "the file lacks b2"),
     ])
     def test_bad_x0_file(self, capsys, tmp_path, content, message):

@@ -3,8 +3,8 @@
 `tools/output_digest.py` digests stdout, stderr and the exit code of four
 fixed lists of calls: the benchmark's and the other exact commands', the
 `--system` parsing paths with the inputs they reject (`parsing_calls`),
-the exact commands at their size caps (`cap_calls`), and `moser` and `bogo`
-in their text format (`text_calls`).
+the exact commands at their size caps (`cap_calls`), and `moser`, `bogo`,
+`reduce` and `verify reduction` in their text format (`text_calls`).
 Every call but `simulate` is compared here with
 `tests/golden/output_digest.json`, keyed by its argument list; the
 `simulate` calls are left out, since their float bits may differ across CPUs

@@ -18,7 +18,9 @@ from todavolterra.reduction import (
     verify_reduction,
 )
 
-from conftest import entry_named, invariant_average, lift, old_reduced_bracket, random_poly
+from conftest import (
+    MIXED_CYCLES, compose, entry_named, identity, invariant_average, is_identity, lift,
+    old_reduced_bracket, powers, random_poly)
 
 
 def constraints(chart: FixedPointChart) -> list[Poly]:
@@ -56,14 +58,14 @@ class TestGroupAction:
     def test_generated_group_is_closed(self, name, sys):
         # the closure the element-list constructor checked at run time
         group = catalog.symmetry_group(name, sys)
-        elements = group.elements
+        elements = powers(group.generator)
         assert group.generator == catalog.symmetry(name, sys)
-        assert elements[0] == LinearMap.identity(catalog.variables(sys))
-        assert not any(g.is_identity() for g in elements[1:])
-        assert len(group) == ORDERS[name]
+        assert elements[0] == identity(catalog.variables(sys))
+        assert not any(is_identity(g) for g in elements[1:])
+        assert len(elements) == ORDERS[name]
         for g in elements:
             for h in elements:
-                assert any(g.compose(h) == e for e in elements)
+                assert any(compose(g, h) == e for e in elements)
 
     @pytest.mark.parametrize("images", [
         {"a1": ("a1", 2)},
@@ -79,11 +81,13 @@ class TestGroupAction:
         ({"a1": ("a2", 2), "a2": ("a1", Fraction(1, 2))}, 2),
         ({"a1": ("a2", 2), "a2": ("a1", Fraction(-1, 2))}, 4),
         ({"a1": ("a1", I_UNIT), "a2": ("a2", -I_UNIT)}, 4),
-    ], ids=["swap 2, 1/2", "swap 2, -1/2", "scales i, -i"])
+        (MIXED_CYCLES.images, 6),
+    ], ids=["swap 2, 1/2", "swap 2, -1/2", "scales i, -i", "mixed cycles"])
     def test_finite_order_is_accepted(self, images, order):
         group = FiniteGroupAction(LinearMap(sorted(images), images))
-        assert len(group) == order
-        assert not any(g.is_identity() for g in group.elements[1:])
+        elements = powers(group.generator)
+        assert len(elements) == order
+        assert not any(is_identity(g) for g in elements[1:])
 
     def test_orders(self):
         assert list(ORDERS) == list(catalog.SYMMETRIES)
@@ -123,7 +127,7 @@ class TestChart:
     def test_group_fixes_section_image(self):
         group = phi_group(5)
         chart = fixed_point_chart(group)
-        for g in group.elements:
+        for g in powers(group.generator):
             for v in chart.ambient_variables:
                 # (x o g) restricted to the image equals x restricted
                 lhs = chart.restrict(Poly.var(chart.ambient_variables, v).subst_linear(g.images))
@@ -154,7 +158,7 @@ class TestInvariantAverage:
         for _ in range(10):
             F = random_poly(rng, vs)
             avg = invariant_average(F, group)
-            for g in group.elements:
+            for g in powers(group.generator):
                 assert avg.subst_linear(g.images) == avg
 
 
@@ -167,7 +171,7 @@ class TestReducedBracket:
     def test_trivial_group(self):
         sys = catalog.SystemId("toda", "a", 3)
         pi = catalog.tensor(sys, 2)
-        G = FiniteGroupAction(LinearMap.identity(pi.variables))
+        G = FiniteGroupAction(identity(pi.variables))
         assert reduced_bracket(pi, G) == pi
 
     def test_cubic_to_b_type(self):
@@ -257,9 +261,10 @@ def random_invariant_tensor(rng, group: FiniteGroupAction) -> PoissonTensor:
                       + Poly.const(vs, rng.randint(-2, 2))).scale(rng.choice([1, I_UNIT]))
              for i in range(len(vs)) for j in range(i + 1, len(vs)) if rng.random() < 0.5}
     pi, total = PoissonTensor(vs, upper), PoissonTensor(vs, {})
-    for g in group.elements:
+    elements = powers(group.generator)
+    for g in elements:
         total = total + pushforward_bivector(g, pi)
-    return total.scale(Fraction(1, len(group)))
+    return total.scale(Fraction(1, len(elements)))
 
 
 class TestAgainstTheAveragingRecipe:
@@ -295,9 +300,13 @@ class TestAgainstTheAveragingRecipe:
         ("phi_volterra", catalog.SystemId("volterra", "a", 6)),
         ("phi_tilde", catalog.SystemId("toda", "a", 5)),
         ("phi_tilde", catalog.SystemId("toda", "a", 7)),
+        ("mixed cycles", None),
     ], ids=str)
     def test_random_invariant_bivectors(self, rng, name, sys_id):
-        group = catalog.symmetry_group(name, sys_id)
+        # the catalog maps have cycles of length <= 2; MIXED_CYCLES has a
+        # 3-cycle, a zero cycle and Gaussian scales
+        group = (catalog.symmetry_group(name, sys_id) if sys_id
+                 else FiniteGroupAction(MIXED_CYCLES))
         nonzero = 0
         for _ in range(6):
             pi = random_invariant_tensor(rng, group)
@@ -376,5 +385,5 @@ class TestVerifyReduction:
     def test_identity_case(self):
         sys = catalog.SystemId("toda", "a", 3)
         pi = catalog.tensor(sys, 2)
-        G = FiniteGroupAction(LinearMap.identity(pi.variables))
+        G = FiniteGroupAction(identity(pi.variables))
         assert verify_reduction(pi, G, pi) == []

@@ -32,8 +32,9 @@ Jacobiator and the Lie derivative at their largest sizes.  Its total is the
 `cap total` line.
 
 A fourth list, `text_calls`, runs `moser` and `bogo` without `--format
-json`, at a small size and at the cap, so that their text output is
-digested too.  Its total is the `text total` line.
+json`, at a small size and at the cap, and `reduce` and `verify reduction`
+on the order-4 map, so that their text output is digested too.  Its total
+is the `text total` line.
 """
 
 from __future__ import annotations
@@ -170,10 +171,15 @@ def cap_calls() -> list[tuple[str, list[str]]]:
 
 
 def text_calls() -> list[tuple[str, list[str]]]:
-    """(label, argv) of `moser` and `bogo` in their default text format."""
+    """(label, argv) of `moser`, `bogo`, `reduce` and `verify reduction` in
+    their default text format."""
     return [("", ["moser", "--N", "9"]), ("", ["moser", "--N", "41"]),
             ("", ["bogo", "--type", "D", "--rank", "4"]),
-            ("", ["bogo", "--type", "B", "--rank", "64"])]
+            ("", ["bogo", "--type", "B", "--rank", "64"]),
+            ("", ["bogo", "--type", "A", "--rank", "5"]),
+            ("", ["bogo", "--type", "C", "--rank", "5"]),
+            ("", ["reduce", "--system", "toda-a:7", "--map", "phi_tilde", "--bracket", "4"]),
+            ("", ["verify", "reduction", "--which", "phi-tilde", "--n", "3"])]
 
 
 def digest(argv: list[str]) -> tuple[str, int]:
