@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bogo, catalog, checks, flows, moser, reduction
 from .poisson import is_poisson
-from .polyalg import Poly
+from .polyalg import Poly, equation_lines
 
 SCHEMA_PREFIX = "todavolterra"
 
@@ -66,9 +66,9 @@ def _emit_text(doc: dict, indent: int = 0) -> None:
 
 
 # The largest lattice parameter n ('toda-a:n') that `verify` and `reduce`
-# take.  On a 2-vCPU x86 VM (process wall, median of 3) the costliest cases
-# at the bound took 0.43 s (verify deformation --system toda-a:64) and 0.31 s
-# (reduce --system toda-a:33 --map phi_toda --bracket 3).
+# take.  On a 2-vCPU x86 VM (Xeon, Python 3.11; process wall, median of 3)
+# the costliest cases at the bound took 0.34 s (verify deformation --system
+# toda-a:64) and 0.28 s (reduce --system toda-a:33 --map phi_toda --bracket 3).
 MAX_VERIFY_SYSTEM = 64
 MAX_REDUCE_SYSTEM = 33
 
@@ -171,10 +171,11 @@ def _estimated_bytes(sys_id, n_steps: int) -> int:
 
 # The most setup work a `simulate` run may ask for, N^2 * 2^k for the H_k flow
 # on a Lax matrix of size N: H_k has about N * 2^k terms, each an exponent
-# tuple of length about 2N.  On a 2-vCPU x86 VM, with --t-end 0.001 --h 0.001,
-# the costliest accepted cases took 2.0 s (toda-a:13 --flow 10, mostly the
-# compile of the generated RK4 step) and 2.3 s (toda-a:316 --flow 1, mostly
-# the monitors' N powers of the Lax matrix), process wall, median of 5.
+# tuple of length about 2N.  On a 2-vCPU x86 VM (Xeon, Python 3.11), with
+# --t-end 0.001 --h 0.001, the costliest accepted cases took 1.33 s
+# (toda-a:13 --flow 10, mostly the compile of the generated RK4 step) and
+# 0.97 s (toda-a:316 --flow 1, mostly the monitors' N powers of the Lax
+# matrix), process wall, median of 3.
 MAX_FLOW_WORK = 200_000
 
 
@@ -240,7 +241,7 @@ def _cmd_simulate(args) -> int:
             "backend": "numpy",
             "monitors": report.to_json_dict(),
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc, "json")
     else:
         if args.out:
             out_dir = os.environ.get("TODAVOLTERRA_OUT_DIR", ".")
@@ -268,10 +269,7 @@ def _cmd_bogo(args) -> int:
         "edges": [list(e) for e in bogo.edges(rd)],
         "sign_matrix": bogo.sign_matrix(rd),
         "b_system": bsys.equation_strings(),
-        "x_system": [
-            f"{v}' = {p.canonical_str()}"
-            for v, p in zip(xsys.variables, xsys.components)
-        ],
+        "x_system": equation_lines(xsys.variables, xsys.components),
     }
     form = bogo.volterra_form(rd)
     if form is not None:
@@ -280,10 +278,7 @@ def _cmd_bogo(args) -> int:
             a: Poly.var(xsys.variables, y).scale(c).canonical_str() for a, (y, c) in sub.items()
         }
         transformed = bogo.transformed_x_system(xsys, form)
-        doc["volterra_form"] = [
-            f"{v}' = {p.canonical_str()}"
-            for v, p in zip(transformed.variables, transformed.components)
-        ]
+        doc["volterra_form"] = equation_lines(transformed.variables, transformed.components)
     _emit(doc, args.format)
     return 0
 
@@ -311,10 +306,7 @@ def _cmd_moser(args) -> int:
         "schema": f"{SCHEMA_PREFIX}/moser/v1",
         "N": args.N,
         "lax": [[p.canonical_str() for p in row] for row in moser.x_lax(args.N)],
-        "flow": [
-            f"{v}' = {p.canonical_str()}"
-            for v, p in zip(flow.variables, flow.components)
-        ],
+        "flow": equation_lines(flow.variables, flow.components),
         "squared": [[p.canonical_str() for p in row] for row in split.squared],
         "odd_deleted": block_doc(split.odd_deleted),
         "even_deleted": block_doc(split.even_deleted),
@@ -426,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("reduction")
     p.set_defaults(check=lambda a: checks.fixed_point_reduction(a.which, a.n))
     p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
-    # the bounds keep a run within seconds: on a 2-vCPU x86 VM (process wall,
-    # median of 3) --n 16 took 0.29 s (phi, the costliest) and --max-rank 16 0.60 s
+    # the bounds keep a run within seconds: on a 2-vCPU x86 VM (Xeon, Python 3.11;
+    # process wall, median of 3) --n 16 took 0.27 s (phi, the costliest) and
+    # --max-rank 16 0.76 s
     p.add_argument("--n", type=_bounded_int(1, 16), default=2)
 
     p = vsub.add_parser("all")
@@ -459,13 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bogo", help="root-system Volterra construction")
     p.set_defaults(run=_cmd_bogo)
     p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
-    # --rank 64 took 0.18-0.23 s (types A-D) on a 2-vCPU x86 VM, process wall, median of 7
+    # --rank 64 took 0.25-0.27 s (types A-D) on a 2-vCPU x86 VM (Xeon, Python 3.11),
+    # process wall, median of 3
     p.add_argument("--rank", type=_bounded_int(1, 64), required=True)
     add_common(p)
 
     p = sub.add_parser("moser", help="squaring map to Toda form")
     p.set_defaults(run=_cmd_moser)
-    # --N 41 took 0.22 s on a 2-vCPU x86 VM, process wall, median of 7
+    # --N 41 took 0.28 s on a 2-vCPU x86 VM (Xeon, Python 3.11), process wall, median of 3
     p.add_argument("--N", type=_odd_int(5, 41), required=True, help="odd Lax size")
     add_common(p)
 

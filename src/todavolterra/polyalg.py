@@ -256,10 +256,10 @@ class Poly:
         kept, not copied, so the caller must not mutate it afterwards.  Only
         operations whose inputs are already `Poly` objects and whose results
         keep these invariants (sum, negation, scaling by a nonzero scalar,
-        derivative, a scaled variable map, real and imaginary parts, and
-        `poly_from_sum`, which finishes every sum of products), the zero
-        polynomial and `moser`'s equations read off an exact solve, on
-        checked variables, use it; outside input goes through `Poly(...)`.
+        derivative, a scaled variable map, and `poly_from_sum`, which
+        finishes every sum of products), the zero polynomial and `moser`'s
+        equations read off an exact solve, on checked variables, use it;
+        outside input goes through `Poly(...)`.
         """
         p = object.__new__(cls)
         _set_variables(p, variables)
@@ -394,28 +394,6 @@ class Poly:
 
     # --------------------------------------------------------- substitution
 
-    def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
-        """Compose with a polynomial map covering every variable of self.
-
-        `images[v]` gives the polynomial replacing variable v; all images must
-        share one variable list.
-        """
-        missing = [v for v in self.variables if v not in images]
-        if missing:
-            raise KeyError(f"substitution does not cover variables {missing}")
-        imgs = [images[v] for v in self.variables]
-        target_vars = imgs[0].variables
-        if any(p.variables != target_vars for p in imgs):
-            raise ValueError("substitution images must share one variable list")
-        result = Poly.zero(target_vars)
-        for expo, coeff in self.terms.items():
-            term = Poly.const(target_vars, coeff)
-            for img, e in zip(imgs, expo):
-                for _ in range(e):
-                    term = term * img
-            result = result + term
-        return result
-
     def subst_linear(self, table, variables: Sequence[str] | None = None) -> "Poly":
         """Carry self along a scaled variable map into the list `variables`
         (by default self's own).
@@ -470,17 +448,6 @@ class Poly:
         # a sum may be an integral Fraction or a real GaussianRational;
         # normalise once, at the end
         return Poly._make(target, {e: normal(c) for e, c in terms.items()})
-
-    # ------------------------------------------------------------------ parts
-
-    def real_part(self) -> "Poly":
-        terms = {e: r for e, c in self.packed.items()
-                 if (r := c.re if type(c) is GaussianRational else c)}
-        return Poly._make(self.variables, terms)
-
-    def imag_part(self) -> "Poly":
-        terms = {e: c.im for e, c in self.packed.items() if type(c) is GaussianRational}
-        return Poly._make(self.variables, terms)
 
     # --------------------------------------------------------------- output
 
@@ -573,3 +540,8 @@ def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]
                 add_product(sums[j], a, b)
         out.append([poly_from_sum(zero.variables, acc) if acc else zero for acc in sums])
     return out
+
+
+def equation_lines(variables: Sequence[str], rhs: Sequence[Poly]) -> list[str]:
+    """The system v' = p, one line per variable v and right-hand side p."""
+    return [f"{v}' = {p.canonical_str()}" for v, p in zip(variables, rhs)]

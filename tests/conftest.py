@@ -1,5 +1,6 @@
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,8 @@ from todavolterra import bogo, catalog, reduction
 from todavolterra.flows import compile_field, integrate
 from todavolterra.poisson import (
     LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
-from todavolterra.polyalg import I_UNIT, GaussianRational, Poly, _ipow, normal
+from todavolterra.polyalg import (
+    I_UNIT, GaussianRational, Poly, _ipow, divide, normal, variable_sort_key)
 
 
 def pytest_addoption(parser):
@@ -71,6 +73,42 @@ def read_poly(text, variables):
                 expo[pos[name]] += int(power or 1)
         terms[tuple(expo)] = terms.get(tuple(expo), 0) + coef
     return Poly(variables, terms)
+
+
+# ------------------------------------------------- maps and parts of a Poly
+#
+# The package needs neither a polynomial composition nor the real and
+# imaginary parts of a polynomial; the tests read their claims through these.
+
+
+def substitute(p: Poly, images) -> Poly:
+    """p composed with a polynomial map: `images[v]` replaces variable v,
+    for every variable of p; all images share one variable list."""
+    missing = [v for v in p.variables if v not in images]
+    if missing:
+        raise KeyError(f"substitution does not cover variables {missing}")
+    imgs = [images[v] for v in p.variables]
+    target_vars = imgs[0].variables
+    if any(q.variables != target_vars for q in imgs):
+        raise ValueError("substitution images must share one variable list")
+    result = Poly.zero(target_vars)
+    for expo, coeff in p.terms.items():
+        term = Poly.const(target_vars, coeff)
+        for img, e in zip(imgs, expo):
+            for _ in range(e):
+                term = term * img
+        result = result + term
+    return result
+
+
+def real_part(p: Poly) -> Poly:
+    return Poly(p.variables, {e: c.re if isinstance(c, GaussianRational) else c
+                              for e, c in p.terms.items()})
+
+
+def imag_part(p: Poly) -> Poly:
+    return Poly(p.variables, {e: c.im for e, c in p.terms.items()
+                              if isinstance(c, GaussianRational)})
 
 
 def evaluate(p, point):
@@ -211,6 +249,71 @@ MIXED_CYCLES = LinearMap(("a1", "a2", "a3", "a4", "b1", "b2"), {
     "b1": ("b2", I_UNIT), "b2": ("b1", -I_UNIT)})
 
 
+# The earlier chart: a union-find with multipliers over every group element;
+# section[v] is the Poly in the reduced variables that x_v equals on the
+# fixed-point set.
+OldChart = namedtuple("OldChart", "ambient_variables reduced_variables section")
+
+
+def old_fixed_point_chart(group: reduction.FiniteGroupAction) -> OldChart:
+    vars_ = group.variables
+    parent: dict[str, str] = {v: v for v in vars_}
+    mult: dict[str, object] = {v: 1 for v in vars_}  # x_v = mult[v] * x_parent
+    zero_roots: set[str] = set()
+
+    def walk(u: str):
+        """Path-compressing find: returns (root, m) with x_u = m * x_root."""
+        if parent[u] == u:
+            return u, 1
+        root, m_up = walk(parent[u])
+        m_here = mult[u] * m_up
+        parent[u] = root
+        mult[u] = m_here
+        return root, m_here
+
+    def union(v: str, w: str, c) -> None:
+        # constraint from the fixed-point equation: x_v = c * x_w
+        rv, mv = walk(v)
+        rw, mw = walk(w)
+        if rv == rw:
+            if mv != c * mw:
+                zero_roots.add(rv)
+            return
+        parent[rv] = rw
+        mult[rv] = divide(c * mw, mv)  # x_rv = (c mw / mv) x_rw
+
+    for g in powers(group.generator):
+        for v, (w, c) in g.images.items():
+            union(v, w, c)
+
+    classes: dict[str, list[str]] = {}
+    for v in vars_:
+        root, _ = walk(v)
+        classes.setdefault(root, []).append(v)
+
+    reps = {root: min(members, key=variable_sort_key) for root, members in classes.items()}
+    reduced = sorted(
+        (reps[root] for root in classes if root not in zero_roots), key=variable_sort_key
+    )
+
+    section: dict[str, Poly] = {}
+    for root, members in classes.items():
+        rep = reps[root]
+        _, m_rep = walk(rep)
+        for v in members:
+            if root in zero_roots:
+                section[v] = Poly.zero(reduced)
+            else:
+                _, m_v = walk(v)
+                scale = divide(m_v, m_rep)  # x_v = scale * x_rep on the fixed set
+                section[v] = Poly.var(reduced, rep).scale(scale)
+    return OldChart(tuple(vars_), tuple(reduced), section)
+
+
+def old_restrict(chart: OldChart, F: Poly) -> Poly:
+    return substitute(F, chart.section)
+
+
 # ------------------------------------------- the fixed-point reduction's recipe
 #
 # `reduction.reduced_bracket` adds each stored entry, restricted and scaled by
@@ -219,8 +322,9 @@ MIXED_CYCLES = LinearMap(("a1", "a2", "a3", "a4", "b1", "b2"), {
 # the tests keep it as the oracle.
 
 
-def lift(chart: reduction.FixedPointChart, f: Poly) -> Poly:
-    """Read a reduced-coordinate polynomial as one in the ambient variables."""
+def lift(chart, f: Poly) -> Poly:
+    """Read a reduced-coordinate polynomial as one in the ambient variables
+    (`chart` is a `reduction.FixedPointChart` or an `OldChart`)."""
     return f.subst_linear({u: (u, 1) for u in chart.reduced_variables}, chart.ambient_variables)
 
 
@@ -236,16 +340,18 @@ def invariant_average(F: Poly, group: reduction.FiniteGroupAction) -> Poly:
 
 def old_reduced_bracket(pi: PoissonTensor, group: reduction.FiniteGroupAction) -> PoissonTensor:
     """Average each lifted reduced coordinate, bracket the lifts upstairs by
-    {F, G} = X_G(F), restrict each bracket."""
+    {F, G} = X_G(F), restrict each bracket.  The chart is the union-find
+    `old_fixed_point_chart`, not the package's, so the two share no code that
+    reads the group's cycles."""
     if group.variables != pi.variables:
         raise ValueError("group and tensor act on different variable lists")
     reduction.check_poisson_action(pi, group)
-    chart = reduction.fixed_point_chart(group)
+    chart = old_fixed_point_chart(group)
     red = chart.reduced_variables
     lifts = [invariant_average(lift(chart, Poly.var(red, u)), group) for u in red]
     fields = [hamiltonian_vf(pi, G) for G in lifts[1:]]
     upper = {
-        (i, j): chart.restrict(directional_action(fields[j - 1], lifts[i]))
+        (i, j): old_restrict(chart, directional_action(fields[j - 1], lifts[i]))
         for i in range(len(red)) for j in range(i + 1, len(red))
     }
     return PoissonTensor(red, upper)

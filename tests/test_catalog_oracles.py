@@ -11,9 +11,10 @@ Volterra equations and moser's x-flow, once built by hand, are now read off
 templates; the symmetry maps, once four branches, are read off one table;
 and the fixed-point chart, once a union-find with multipliers, is read off
 the generator's cycles.  The earlier code is kept below as `old_euler_field`,
-`old_bn_volterra_flow`, `old_x_flow`, `old_symmetry` and
-`old_fixed_point_chart`.  A chart's section, once one `Poly` per ambient
-variable that `old_restrict` composes with, is now a `subst_linear` table.
+`old_bn_volterra_flow`, `old_x_flow` and `old_symmetry`, and in conftest.py
+as `old_fixed_point_chart`, which the averaging oracle of the reduced
+bracket reads too.  A chart's section, once one `Poly` per ambient variable
+that `old_restrict` composes with, is now a `subst_linear` table.
 A group, once a closure-checked element list, then the powers of one
 generator, is now that generator's cycles, and the Poisson-action check
 pushes the tensor forward by the generator alone; `old_check_poisson_action`
@@ -21,7 +22,6 @@ is the earlier loop over every element, the powers that the test-side
 `powers` builds.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -31,12 +31,14 @@ from todavolterra.catalog import SystemId, lax_size, variables
 from todavolterra.poisson import (
     LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf,
     pushforward_sign)
-from todavolterra.polyalg import I_UNIT, Poly, divide, poly_matrix_mul, variable_sort_key
+from todavolterra.polyalg import I_UNIT, Poly, poly_matrix_mul, variable_sort_key
 from todavolterra.reduction import (
     FiniteGroupAction, FixedPointChart, NotPoissonActionError, check_poisson_action,
     fixed_point_chart)
 
-from conftest import MIXED_CYCLES, invariant_average, lift, powers, read_poly, sid
+from conftest import (
+    MIXED_CYCLES, invariant_average, lift, old_fixed_point_chart, old_restrict, powers, read_poly,
+    sid)
 
 
 def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
@@ -310,70 +312,6 @@ def old_symmetry(name: str, sys: SystemId) -> LinearMap:
         return LinearMap(vars_, images)
 
     raise ValueError(f"unknown symmetry {name!r}")
-
-
-# the earlier chart: section[v] is the Poly in the reduced variables that x_v
-# equals on the fixed-point set
-OldChart = namedtuple("OldChart", "ambient_variables reduced_variables section")
-
-
-def old_fixed_point_chart(group: FiniteGroupAction) -> OldChart:
-    vars_ = group.variables
-    parent: dict[str, str] = {v: v for v in vars_}
-    mult: dict[str, object] = {v: 1 for v in vars_}  # x_v = mult[v] * x_parent
-    zero_roots: set[str] = set()
-
-    def walk(u: str):
-        """Path-compressing find: returns (root, m) with x_u = m * x_root."""
-        if parent[u] == u:
-            return u, 1
-        root, m_up = walk(parent[u])
-        m_here = mult[u] * m_up
-        parent[u] = root
-        mult[u] = m_here
-        return root, m_here
-
-    def union(v: str, w: str, c) -> None:
-        # constraint from the fixed-point equation: x_v = c * x_w
-        rv, mv = walk(v)
-        rw, mw = walk(w)
-        if rv == rw:
-            if mv != c * mw:
-                zero_roots.add(rv)
-            return
-        parent[rv] = rw
-        mult[rv] = divide(c * mw, mv)  # x_rv = (c mw / mv) x_rw
-
-    for g in powers(group.generator):
-        for v, (w, c) in g.images.items():
-            union(v, w, c)
-
-    classes: dict[str, list[str]] = {}
-    for v in vars_:
-        root, _ = walk(v)
-        classes.setdefault(root, []).append(v)
-
-    reps = {root: min(members, key=variable_sort_key) for root, members in classes.items()}
-    reduced = sorted(
-        (reps[root] for root in classes if root not in zero_roots), key=variable_sort_key
-    )
-
-    section: dict[str, Poly] = {}
-    for root, members in classes.items():
-        rep = reps[root]
-        _, m_rep = walk(rep)
-        for v in members:
-            if root in zero_roots:
-                section[v] = Poly.zero(reduced)
-            else:
-                _, m_v = walk(v)
-                scale = divide(m_v, m_rep)  # x_v = scale * x_rep on the fixed set
-                section[v] = Poly.var(reduced, rep).scale(scale)
-    return OldChart(tuple(vars_), tuple(reduced), section)
-
-
-def old_restrict(chart: OldChart, F: Poly) -> Poly:
-    return F.substitute(chart.section)
 
 
 # Every catalog tensor at these sizes (264 in all).

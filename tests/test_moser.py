@@ -6,9 +6,19 @@ import pytest
 
 from todavolterra import catalog, moser, reduction
 from todavolterra.polyalg import GaussianRational, Poly
-from todavolterra.poisson import PolyVectorField
+from todavolterra.poisson import PolyVectorField, directional_action
 
-from conftest import evaluate
+from conftest import evaluate, imag_part, real_part, substitute
+
+# every --N that `moser` accepts (tests/test_cli.py checks the bounds)
+CLI_SIZES = range(5, 42, 2)
+
+
+def blocks_by_type(N: int) -> dict[str, moser.JacobiBlock]:
+    """{"B": the B block, "C": the C block} of L^2 at size N; one of each,
+    since the two blocks' sizes are consecutive."""
+    split = moser.square_and_split(N)
+    return {block.tag[0]: block for block in (split.odd_deleted, split.even_deleted)}
 
 
 class TestXLax:
@@ -53,7 +63,7 @@ class TestXFlow:
         sub = {f"a{i}": Poly.var(xv, f"x{i}") ** 2 * (-2) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             lhs = Poly.var(xv, f"x{i}").scale(-4) * xf.component(f"x{i}")
-            rhs = a_flow.component(f"a{i}").substitute(sub)
+            rhs = substitute(a_flow.component(f"a{i}"), sub)
             assert lhs == rhs
 
 
@@ -73,13 +83,12 @@ class TestSquareAndSplit:
         assert (split.odd_deleted.size, split.even_deleted.size) == sizes
         assert (split.odd_deleted.tag, split.even_deleted.tag) == tags
 
-    def test_parity_blocks_vanish(self):
+    @pytest.mark.parametrize("N", CLI_SIZES)
+    def test_parity_blocks_vanish(self, N):
         # the mixed-parity entries of L^2 are identically zero
-        split = moser.square_and_split(11)
-        for i in range(11):
-            for j in range(11):
-                if (i - j) % 2:
-                    assert split.squared[i][j].is_zero
+        M = moser.square_and_split(N).squared
+        assert [(i, j) for i in range(N) for j in range(N)
+                if (i - j) % 2 and not M[i][j].is_zero] == []
 
     def test_nine_site_block_matrix(self):
         split = moser.square_and_split(9)
@@ -102,21 +111,38 @@ class TestSquareAndSplit:
         with pytest.raises(ValueError):
             moser.square_and_split(3)
 
-    def test_b_block_entries_real(self):
-        for N in (5, 7, 9, 11, 13):
-            split = moser.square_and_split(N)
-            for block in (split.odd_deleted, split.even_deleted):
-                if block.tag.startswith("B"):
-                    for row in block.matrix:
-                        for p in row:
-                            assert p.imag_part().is_zero
+    @pytest.mark.parametrize("N", CLI_SIZES)
+    def test_b_block_entries_real(self, N):
+        block = blocks_by_type(N)["B"]
+        assert [(i, j) for i, row in enumerate(block.matrix) for j, p in enumerate(row)
+                if not imag_part(p).is_zero] == []
 
-    def test_c_block_central_entry_imaginary(self):
-        split = moser.square_and_split(9)
-        block = split.even_deleted
-        assert block.tag == "C2"
-        central = block.superdiagonal()[block.half_rank - 1]
-        assert central.real_part().is_zero and not central.is_zero
+    @pytest.mark.parametrize("N", CLI_SIZES)
+    def test_c_block_central_entry_imaginary(self, N):
+        # a C block is real but for its central off-diagonal pair, which is
+        # purely imaginary and nonzero
+        block = blocks_by_type(N)["C"]
+        m = block.half_rank
+        for i, row in enumerate(block.matrix):
+            for j, p in enumerate(row):
+                if {i, j} == {m - 1, m}:
+                    assert real_part(p).is_zero and not p.is_zero, (i, j)
+                else:
+                    assert imag_part(p).is_zero, (i, j)
+
+    @pytest.mark.parametrize("N", CLI_SIZES)
+    def test_b_block_central_diagonal_entry_zero(self, N):
+        block = blocks_by_type(N)["B"]
+        assert block.diagonal()[block.half_rank].is_zero
+
+    @pytest.mark.parametrize("N", CLI_SIZES)
+    def test_mirror_antisymmetry(self, N):
+        # entry k and entry -1-k of the diagonal, and of the off-diagonal,
+        # sum to zero; a middle entry is checked by one of the two tests above
+        for tag, block in blocks_by_type(N).items():
+            for line in (block.diagonal(), block.superdiagonal()):
+                assert [k for k in range(len(line) // 2)
+                        if not (line[k] + line[-1 - k]).is_zero] == [], tag
 
 
 class TestIdentifyJacobi:
@@ -154,13 +180,20 @@ class TestIdentifyJacobi:
         with pytest.raises(ValueError, match="not expressible"):
             moser.identify_jacobi(block, PolyVectorField(vs, comps))
 
-    @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
+    @pytest.mark.parametrize("N", CLI_SIZES)
     def test_expressibility(self, N):
-        split = moser.square_and_split(N)
+        # one equation per generator read off the block; each, with the
+        # generators substituted, is the generator's derivative along the flow
         flow = moser.x_flow(N // 2)
-        for block in (split.odd_deleted, split.even_deleted):
+        for tag, block in blocks_by_type(N).items():
             ident = moser.identify_jacobi(block, flow)
-            assert len(ident.equations) == 2 * block.half_rank
+            m = block.half_rank
+            gens = ident.a_defs + ident.b_defs
+            assert gens == (*block.superdiagonal()[:m], *block.diagonal()[:m]), tag
+            assert len(ident.equations) == 2 * m
+            by_name = dict(zip(ident.variables, gens))
+            for name, eq, g in zip(ident.variables, ident.equations, gens):
+                assert substitute(eq, by_name) == directional_action(flow, g), (tag, name)
 
     @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_b_blocks_match_toda_b_flow(self, N):
@@ -184,10 +217,10 @@ class TestIdentifyJacobi:
             for i in range(1, m + 1):
                 # 2 A_i A_i' = -2 * (a_i' of the catalog flow)
                 lhs = Poly.var(gen_vars, f"A{i}").scale(2) * ident.equations[i - 1]
-                rhs = toda.component(f"a{i}").substitute(sub).scale(-2)
+                rhs = substitute(toda.component(f"a{i}"), sub).scale(-2)
                 assert lhs == rhs, (N, block.tag, f"a{i}")
                 lhs_b = ident.equations[m + i - 1]
-                rhs_b = toda.component(f"b{i}").substitute(sub).scale(-2)
+                rhs_b = substitute(toda.component(f"b{i}"), sub).scale(-2)
                 assert lhs_b == rhs_b, (N, block.tag, f"b{i}")
 
     @pytest.mark.parametrize("N", [5, 7, 9, 11, 13, 15, 17, 19, 21])
@@ -215,10 +248,10 @@ class TestIdentifyJacobi:
             )
             for i in range(1, m + 1):
                 lhs = Poly.var(gen_vars, f"A{i}").scale(2) * ident.equations[i - 1]
-                rhs = chart.restrict(chain.component(f"a{i}")).substitute(sub).scale(-2)
+                rhs = substitute(chart.restrict(chain.component(f"a{i}")), sub).scale(-2)
                 assert lhs == rhs, (N, block.tag, f"a{i}")
                 lhs_b = ident.equations[m + i - 1]
-                rhs_b = chart.restrict(chain.component(f"b{i}")).substitute(sub).scale(-2)
+                rhs_b = substitute(chart.restrict(chain.component(f"b{i}")), sub).scale(-2)
                 assert lhs_b == rhs_b, (N, block.tag, f"b{i}")
 
 
