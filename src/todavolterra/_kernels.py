@@ -9,12 +9,32 @@ straight-line Python function over Python floats that does the four stages
 and the update of a step, with the step loop around it.  The loop appends
 each state to a flat list; `rk4_integrate` runs it one chunk of steps at a
 time, copies each chunk into the output array it preallocates and looks for
-the first non-finite state there.  A monomial is
-the product of its factors from left to right: the variables of its exponent
-row in increasing order, each repeated by its exponent (a3^2 is a3 * a3), so
-no power function is called.  A component adds its terms in CSR order
-starting from 0.0.  The source holds only `repr(float)` coefficients and
-integer positions.
+the first non-finite state there.  The source holds only `repr(float)`
+coefficients and integer positions.
+
+What a stage computes, and why the states are those of the plain form (each
+monomial written out in full, each component sum started from 0.0):
+
+* A monomial is the product of its factors from left to right: the
+  variables of its exponent row in increasing order, each repeated by its
+  exponent (a3^2 is a3 * a3), so no power function is called.  Its value is
+  therefore the value of its longest proper prefix times its last factor,
+  bit for bit.  A stage names each product that two or more terms or longer
+  products start with once (`p3 = y0 * y1`) and builds on the name; every
+  product is still the same multiplications in the same order.
+* A component adds its terms in CSR order, starting from its first term (a
+  first term with coefficient -1.0 is a unary minus).  Starting from 0.0
+  instead changes at most the sign of a zero: 0.0 + t is t unless t is
+  -0.0, 0.0 - m is -m unless m is 0.0, and a sum does not depend on the
+  sign of a zero addend unless it is zero itself.  So every slope, and the weighted
+  sum of the four, equals the plain form's up to the sign of a zero, and
+  it enters the state only as x + c * s with c > 0.  x + (+0.0) and
+  x + (-0.0) differ only when x is -0.0, so the sign can reach a state only
+  through a coordinate that is -0.0.  `run` removes those on entry with
+  x_i = x_i + 0.0, which changes no other value (a product with a zero
+  factor again differs at most in the sign of a zero), and from then on no
+  coordinate is -0.0, since x + c * s is -0.0 only when both addends are.
+  The first recorded row is x0 itself, -0.0 included.
 """
 
 from __future__ import annotations
@@ -29,8 +49,9 @@ _TERMS_PER_LINE = 100
 
 # Term evaluations per chunk of recorded steps, steps x (terms + dim).  Float
 # `+` and `*` never raise, so a run that leaves float range goes on to the
-# end of its chunk; on a 2-vCPU x86 VM a term costs 230-500 ns per step, so
-# that wastes at most about 10 ms.
+# end of its chunk; on a 2-vCPU x86 VM a term costs 100-170 ns per step
+# (150-390 ns before shared products were named), so that wastes at most
+# about 3.5 ms.
 CHUNK_WORK = 20_000
 
 
@@ -79,25 +100,70 @@ def term_factors(expts):
     return factors
 
 
-def _sum_lines(target, coefs, factors, lo, hi, name):
-    """Statements that set `target` to one component: its terms added to 0.0
-    in order, `_TERMS_PER_LINE` per statement."""
-    terms = []
-    for t in range(lo, hi):
-        c = coefs[t]
-        mono = " * ".join(f"{name}{v}" for v in factors[t])
-        if not mono:
-            terms.append(f" + {c!r}")
-        elif c == 1.0:
-            terms.append(f" + {mono}")
-        elif c == -1.0:
-            terms.append(f" - {mono}")
-        else:
-            terms.append(f" + {c!r} * ({mono})")
-    lines = [f"        {target} = 0.0" + "".join(terms[:_TERMS_PER_LINE])]
-    for s in range(_TERMS_PER_LINE, len(terms), _TERMS_PER_LINE):
-        lines.append(f"        {target} = {target}" + "".join(terms[s : s + _TERMS_PER_LINE]))
+def _sum_lines(target, terms):
+    """Statements that set `target` to the sum of `terms`, (sign, expression)
+    pairs, added in order from the first term on, `_TERMS_PER_LINE` per
+    statement; a first "-" term is a unary minus and no terms is 0.0."""
+    if not terms:
+        return [f"        {target} = 0.0"]
+    sign, first = terms[0]
+    parts = [f"-{first}" if sign == "-" else first] + [f" {s} {e}" for s, e in terms[1:]]
+    lines = [f"        {target} = " + "".join(parts[:_TERMS_PER_LINE])]
+    for s in range(_TERMS_PER_LINE, len(parts), _TERMS_PER_LINE):
+        lines.append(f"        {target} = {target}" + "".join(parts[s : s + _TERMS_PER_LINE]))
     return lines
+
+
+def _stage_source(coefs, factors, comp_ptr):
+    """The source of one stage over the variables y<v>: the statements that
+    name its shared products, then those that set k@_<i> for every
+    component.
+
+    A product of two or more factors that two or more terms or longer
+    products start with is named p<j> = <prefix> * <last factor>, after its
+    prefix; a product used once is written in place.  The text holds no
+    other "y" or "@", so `compile_step` makes each of the four stages from
+    it by replacing them."""
+    uses: dict[tuple, int] = {}
+    for fs in factors:
+        for n in range(len(fs), 1, -1):
+            key = tuple(fs[:n])
+            uses[key] = uses.get(key, 0) + 1
+            if uses[key] > 1:  # its prefixes were counted when it was first seen
+                break
+    named: dict[tuple, str] = {}
+    lines = []
+
+    def product(fs):
+        if len(fs) == 1:
+            return f"y{fs[0]}"
+        key = tuple(fs)
+        if key in named:
+            return named[key]
+        expr = f"{product(fs[:-1])} * y{fs[-1]}"
+        if uses[key] == 1:
+            return expr
+        named[key] = f"p{len(named)}"
+        lines.append(f"        {named[key]} = {expr}")
+        return named[key]
+
+    sums = []
+    for i in range(len(comp_ptr) - 1):
+        terms = []
+        for t in range(comp_ptr[i], comp_ptr[i + 1]):
+            c = coefs[t]
+            if not factors[t]:
+                terms.append(("+", repr(c)))
+                continue
+            mono = product(factors[t])
+            if " " in mono:
+                mono = f"({mono})"
+            if c == 1.0 or c == -1.0:
+                terms.append(("+" if c == 1.0 else "-", mono))
+            else:
+                terms.append(("+", f"{c!r} * {mono}"))
+        sums += _sum_lines(f"k@_{i}", terms)
+    return "\n".join(lines + sums)
 
 
 def compile_step(coefs, expts, comp_ptr):
@@ -105,36 +171,28 @@ def compile_step(coefs, expts, comp_ptr):
     steps from the state x, each state appended to the list `record`, and
     the last state returned.
 
-    Local names are x<i> (state), y<i> (stage point) and k1_<i>..k4_<i>
-    (stage slopes), built from integer positions.  c * m is written + m or
-    - m for c = 1.0 or -1.0, which IEEE arithmetic gives the same bits.
+    Local names are x<i> (state), y<i> (stage point), k1_<i>..k4_<i> (stage
+    slopes) and p<j> (a stage's shared products), built from integer
+    positions.  c * m is written + m or - m for c = 1.0 or -1.0, which IEEE
+    arithmetic gives the same bits.
     """
-    coefs = coefs.tolist()
-    factors = term_factors(expts)
     comps = range(len(comp_ptr) - 1)
+    stage = _stage_source(coefs.tolist(), term_factors(expts), comp_ptr)
     state = "".join(f"x{i}, " for i in comps)
-
-    def stage(k, name):
-        return [
-            line
-            for i in comps
-            for line in _sum_lines(f"k{k}_{i}", coefs, factors, comp_ptr[i], comp_ptr[i + 1], name)
-        ]
-
     lines = [
         "def run(record, x, h, n_steps):",
-        f"    ({state}) = x",
+        f"    ({state}) = [v + 0.0 for v in x]",
         "    hh = 0.5 * h",
         "    h6 = h / 6.0",
         "    append = record.extend",
         "    for _ in range(n_steps):",
-        *stage(1, "x"),
+        stage.replace("y", "x").replace("@", "1"),
         *[f"        y{i} = x{i} + hh * k1_{i}" for i in comps],
-        *stage(2, "y"),
+        stage.replace("@", "2"),
         *[f"        y{i} = x{i} + hh * k2_{i}" for i in comps],
-        *stage(3, "y"),
+        stage.replace("@", "3"),
         *[f"        y{i} = x{i} + h * k3_{i}" for i in comps],
-        *stage(4, "y"),
+        stage.replace("@", "4"),
         *[f"        x{i} = x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
           for i in comps],
         f"        append(({state}))",

@@ -8,16 +8,21 @@ recorded.
 Monitors track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
-error.  Both are read off the same float Lax matrices: the H_k from the
-traces tr(L^j), so no H_k is ever expanded as a polynomial, and the
-coefficients from the three-term continuant of the tridiagonal Lax matrix,
-which stays accurate at every size (Newton's identities on the traces lose
-accuracy exponentially in the size).  The matrices are built one block of
-`CHARPOLY_BLOCK` states at a time and the drifts kept as running maxima, so
-the monitors' memory does not grow with the trajectory; the CSV monitors
-only the rows it writes.  The float cross-check that the flows commute,
-`commutation_check`, lives with its tests in tests/conftest.py.  Systems
-are parsed `catalog.SystemId`s.
+error.  Both are read off the Lax bands, the diagonal d and the edge
+products e_i = L[i,i+1] L[i+1,i] gathered straight from the states
+(`lax_bands`), on which the traces and the char poly of a tridiagonal
+matrix depend.  The H_k come from the traces tr(L^j), so no H_k is ever
+expanded as a polynomial: from the powers of the tridiagonal matrix with
+bands d and e and ones below, or, for the Volterra Lax matrices, which have
+no diagonal, from the two parity blocks of L^2, each tridiagonal of about
+half the size (`squared_traces`).  The coefficients come from the
+three-term continuant on d and e, which stays accurate at every size
+(Newton's identities on the traces lose accuracy exponentially in the
+size).  The bands are taken one block of `CHARPOLY_BLOCK` states at a time
+and the drifts kept as running maxima, so the monitors' memory does not
+grow with the trajectory; the CSV monitors only the rows it writes.  The
+float cross-check that the flows commute, `commutation_check`, lives with
+its tests in tests/conftest.py.  Systems are parsed `catalog.SystemId`s.
 """
 
 from __future__ import annotations
@@ -175,12 +180,49 @@ def lax_values(sys: catalog.SystemId, states: np.ndarray) -> np.ndarray:
     """Dense Lax matrices at a batch of states, shape [T, N, N].
 
     Entries are constants or scaled columns of `states`, gathered directly.
+    No monitor reads them (they read `lax_bands`); the tests check the
+    monitors against them, and perfbench/tracer.py traces the name.
     """
     column = {v: k for k, v in enumerate(catalog.variables(sys))}
     N = catalog.lax_size(sys)
     out = np.zeros((states.shape[0], N, N))
     for i, j, v, c in catalog.lax_entries(sys):
         out[:, i, j] = c if v is None else c * states[:, column[v]]
+    return out
+
+
+def lax_bands(sys: catalog.SystemId, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of the tridiagonal Lax matrix at a batch of states: its
+    diagonal d, shape [N, T], and its edge products e_i = L[i,i+1] L[i+1,i],
+    shape [N-1, T].
+
+    Each entry is a constant or a scaled column of `states`, as in
+    `lax_values`, so d and e are bitwise those of the dense matrices.  The
+    traces of the powers of L and its char poly depend on L only through
+    d and e.
+    """
+    column = {v: k for k, v in enumerate(catalog.variables(sys))}
+    N, T = catalog.lax_size(sys), states.shape[0]
+    entry = {(i, j): c if v is None else c * states[:, column[v]]
+             for i, j, v, c in catalog.lax_entries(sys)}
+    d, e = np.zeros((N, T)), np.empty((N - 1, T))
+    for i in range(N):
+        if (i, i) in entry:  # the Volterra families have no diagonal
+            d[i] = entry[i, i]
+    for i in range(N - 1):
+        e[i] = entry[i, i + 1] * entry[i + 1, i]
+    return d, e
+
+
+def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The matrices with diagonal d [n, T], superdiagonal e [n-1, T] and
+    ones below, shape [T, n, n]: for toda-a, the Lax matrices themselves."""
+    n, T = d.shape
+    i = np.arange(n)
+    out = np.zeros((T, n, n))
+    out[:, i, i] = d.T
+    out[:, i[:-1], i[1:]] = e.T
+    out[:, i[1:], i[:-1]] = 1.0
     return out
 
 
@@ -195,22 +237,60 @@ def power_traces(mats: np.ndarray, k_max: int) -> np.ndarray:
     return traces
 
 
-def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
-    """Characteristic-polynomial coefficients c_1..c_N of tridiagonal matrices.
+def square_bands(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of L^2 for a Lax matrix L with zero diagonal and edge
+    products e [N-1, T]: its diagonal g_p = e_{p-1} + e_p, shape [N, T] (e
+    is 0 past either end), and the products f_p = e_p e_{p+1} of its
+    entries (p, p+2) and (p+2, p), shape [N-2, T].
 
-    det(x - M) = x^N + c_1 x^{N-1} + ... + c_N over a batch [T, N, N], from
-    the continuant p_i = (x - d_i) p_{i-1} - e_{i-1} p_{i-2} with d_i = M[i,i]
-    and e_i = M[i,i+1] M[i+1,i]: O(N^2) per matrix, no eigenvalue solver.
-    Row k of a p_i array is its coefficient of x^{i-k} along the batch, so
-    x p_{i-1} is p_{i-1} itself and the recursion only shifts the correction
-    terms; rows past k = i are still zero and are skipped.  Every operation
-    is elementwise along the batch, so a matrix gets the same coefficients
-    in a batch of any size.
+    L^2 has no other nonzero entries, so it is two tridiagonal blocks: the
+    even sites with diagonal g[0::2] and edge products f[0::2], and the odd
+    sites with g[1::2] and f[1::2]."""
+    N, T = e.shape[0] + 1, e.shape[1]
+    padded = np.zeros((N + 1, T))
+    padded[1:N] = e
+    return padded[:-1] + padded[1:], e[:-1] * e[1:]
+
+
+def squared_traces(e: np.ndarray, k_max: int) -> np.ndarray:
+    """tr(L^j) for j = 1..k_max, shape [T, k_max], of Lax matrices L with
+    zero diagonal and edge products e [N-1, T].
+
+    tr(L^j) = 0 for odd j, and tr(L^2m) is the sum of tr(B^m) over the two
+    parity blocks B of L^2 (`square_bands`), so the powers are of blocks of
+    about half the size and go half as high."""
+    g, f = square_bands(e)
+    traces = np.zeros((e.shape[1], k_max))
+    if k_max >= 2:
+        even = power_traces(tridiagonal(g[0::2], f[0::2]), k_max // 2)
+        odd = power_traces(tridiagonal(g[1::2], f[1::2]), k_max // 2)
+        traces[:, 1::2] = even + odd
+    return traces
+
+
+def lax_traces(sys: catalog.SystemId, d: np.ndarray, e: np.ndarray, k_max: int) -> np.ndarray:
+    """tr(L^j) for j = 1..k_max from the bands of `lax_bands`, shape [T, k_max]:
+    `squared_traces` for the Volterra Lax matrices, which have no diagonal,
+    and the powers of `tridiagonal(d, e)` for the others."""
+    if all(i != j for i, j, _, _ in catalog.lax_entries(sys)):
+        return squared_traces(e, k_max)
+    return power_traces(tridiagonal(d, e), k_max)
+
+
+def charpoly_coefficients(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Characteristic-polynomial coefficients c_1..c_N of tridiagonal
+    matrices from their bands, shape [T, N].
+
+    det(x - M) = x^N + c_1 x^{N-1} + ... + c_N for the diagonal d [N, T] and
+    edge products e [N-1, T] of `lax_bands`, from the continuant
+    p_i = (x - d_i) p_{i-1} - e_{i-1} p_{i-2}: O(N^2) per matrix, no
+    eigenvalue solver.  Row k of a p_i array is its coefficient of x^{i-k}
+    along the batch, so x p_{i-1} is p_{i-1} itself and the recursion only
+    shifts the correction terms; rows past k = i are still zero and are
+    skipped.  Every operation is elementwise along the batch, so a matrix
+    gets the same coefficients in a batch of any size.
     """
-    T, N, _ = mats.shape
-    i = np.arange(N - 1)
-    d = np.ascontiguousarray(np.diagonal(mats, axis1=1, axis2=2).T)
-    e = np.ascontiguousarray((mats[:, i, i + 1] * mats[:, i + 1, i]).T)
+    N, T = d.shape
     prev, cur = np.zeros((N + 1, T)), np.zeros((N + 1, T))
     cur[0] = 1.0
     for k in range(N):
@@ -223,30 +303,31 @@ def charpoly_coefficients(mats: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_values(sys: catalog.SystemId, k: int, states: np.ndarray) -> np.ndarray:
-    """H_k = tr(L^k)/k along `states`, shape [T]."""
-    return power_traces(lax_values(sys, states), k)[:, k - 1] / k
+    """H_k = tr(L^k)/k along `states`, shape [T], by the monitors' route."""
+    return lax_traces(sys, *lax_bands(sys, states), k)[:, k - 1] / k
 
 
-# States per monitor block.  A block's Lax matrices, their powers and its
-# continuant are the monitors' only per-state temporaries, so their memory
-# does not grow with the trajectory: the `simulate` benchmark workload peaked
-# at 60.4 MB with whole-trajectory [T, N, N] arrays and at 34.8 MB with
-# blocks of 1,024.  Monitor times with blocks of 128 to 2,048 states showed
-# no consistent order.
+# States per monitor block.  A block's bands, the matrices `lax_traces`
+# builds from them, their powers and its continuant are the monitors' only
+# per-state temporaries, so their memory does not grow with the trajectory:
+# the `simulate` benchmark workload peaked at 60.4 MB with whole-trajectory
+# [T, N, N] arrays, at 34.7 MB with blocks of 1,024 dense Lax matrices and
+# at 33.0 MB with blocks of 1,024 states read as bands.  Monitor times with
+# blocks of 128 to 2,048 states showed no consistent order.
 CHARPOLY_BLOCK = 1024
 
 
 def _monitor_values(sys: catalog.SystemId, states: np.ndarray):
     """Per block of `CHARPOLY_BLOCK` states, in order: the monitored H_k
     ([b, K], k in `monitored_hamiltonian_indices` order) and the char-poly
-    coefficients ([b, N]), both from one set of Lax matrices.
+    coefficients ([b, N]), both from one set of Lax bands.
 
     Each matrix is computed on its own, so a state gets the same values in
     a block of any size."""
     ks = np.array(monitored_hamiltonian_indices(sys))
     for s in range(0, len(states), CHARPOLY_BLOCK):
-        mats = lax_values(sys, states[s : s + CHARPOLY_BLOCK])
-        yield power_traces(mats, ks.max())[:, ks - 1] / ks, charpoly_coefficients(mats)
+        d, e = lax_bands(sys, states[s : s + CHARPOLY_BLOCK])
+        yield lax_traces(sys, d, e, int(ks.max()))[:, ks - 1] / ks, charpoly_coefficients(d, e)
 
 
 def monitors(traj: Trajectory, sys: catalog.SystemId) -> DriftReport:

@@ -507,6 +507,22 @@ class TestSimulateInput:
             "matrix left float range); start from a smaller initial point\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_volterra_monitor_overflow_exits_2(self, capsys, tmp_path, fmt):
+        # the state and the flow (products a_i a_j ~ 1e140) stay finite, but
+        # H_10 and c_10 ~ a^5 overflow in the powers of the parity blocks of L^2
+        path = tmp_path / "x0.json"
+        path.write_text(json.dumps({"a": [1e70] * 10}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "simulate", "--system", "volterra-a:11", "--x0", str(path),
+                                 "--t-end", "1e-300", "--h", "1e-300", "--format", fmt)
+        assert (code, out, caught) == (2, "", [])
+        assert err == (
+            "error: a monitored H_k or char-poly value is not finite (the powers of the Lax "
+            "matrix left float range); start from a smaller initial point\n"
+        )
+
     @pytest.mark.parametrize("system", ["toda-a:6", "toda-a:9", "toda-b:3"])
     def test_default_toda_point_stays_on_sheet(self, capsys, system):
         # these escaped at t = 2.7, 2.0 and 4.0 when a_i was drawn from [-1, 1]

@@ -410,6 +410,14 @@ class TestMonitors:
 
 
 MONITOR_CASES = ["toda-a:5", "toda-b:2", "toda-c:3", "volterra-a:6", "volterra-b:3"]
+ALL_FAMILIES = MONITOR_CASES + ["toda-a:2", "volterra-a:2", "volterra-a:9", "volterra-c:3"]
+
+
+def dense_bands(mats):
+    """The diagonal [N, T] and edge products M[i,i+1] M[i+1,i] [N-1, T] of
+    dense matrices [T, N, N]."""
+    i = np.arange(mats.shape[1] - 1)
+    return np.diagonal(mats, axis1=1, axis2=2).T, (mats[:, i, i + 1] * mats[:, i + 1, i]).T
 
 
 class TestMonitorOracle:
@@ -434,30 +442,65 @@ class TestMonitorOracle:
         want = np.array([[float(evaluate(p, point)) for p in row] for row in L])
         assert np.array_equal(flows.lax_values(sys, np.array([point]))[0], want)
 
-    def test_monitors_take_traces_once(self, monkeypatch):
+    @staticmethod
+    def _trace_calls(monkeypatch, name, field, x0):
+        """(size, k_max) of each `power_traces` call the JSON and CSV
+        monitors make on a short run."""
         calls = []
         real = flows.power_traces
 
         def counted(mats, k_max):
-            calls.append(k_max)
+            calls.append((mats.shape[1], k_max))
             return real(mats, k_max)
 
         monkeypatch.setattr(flows, "power_traces", counted)
-        sys = catalog.parse_system("volterra-b:2")  # N = 5, monitors H_4 and H_8
-        traj = flows.integrate(catalog.bn_volterra_flow(2), [-0.3, -0.2], 0.1, 0.01)
+        sys = catalog.parse_system(name)
+        traj = flows.integrate(field, x0, 0.1, 0.01)
         flows.monitors(traj, sys)
         flows.trajectory_csv(traj, sys)
-        assert calls == [8, 8]
+        return calls
+
+    def test_monitors_take_traces_once(self, monkeypatch):
+        # one trace computation per block of states and parity block: N = 5
+        # monitors H_4 and H_8, so L^2 and L^4 of the 3x3 and 2x2 blocks
+        calls = self._trace_calls(monkeypatch, "volterra-b:2", catalog.bn_volterra_flow(2),
+                                  [-0.3, -0.2])
+        assert calls == [(3, 4), (2, 4)] * 2
+
+    def test_toda_monitors_take_traces_once(self, monkeypatch):
+        # toda-a:3 monitors H_1..H_3 from the powers of the Lax matrix itself
+        calls = self._trace_calls(monkeypatch, "toda-a:3", catalog.flow(T3, 2),
+                                  [0.3, 0.2, 0.1, -0.2, 0.4])
+        assert calls == [(3, 3)] * 2
+
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_bands_are_those_of_the_dense_matrices(self, name):
+        sys = catalog.parse_system(name)
+        rng = np.random.default_rng(len(name))
+        states = rng.uniform(-1, 1, size=(7, len(catalog.variables(sys))))
+        mats = flows.lax_values(sys, states)
+        d, e = flows.lax_bands(sys, states)
+        assert np.array_equal(d, dense_bands(mats)[0]) and np.array_equal(e, dense_bands(mats)[1])
+        # and the tridiagonal form of the bands is the Lax matrix itself on toda-a
+        if sys.name == "toda-a":
+            assert np.array_equal(flows.tridiagonal(d, e), mats)
 
 
 
 def old_monitor_values(sys, states):
     """The whole-trajectory monitors: ({k: H_k along states}, char-poly
-    coefficients) from one [T, N, N] array of Lax matrices."""
+    coefficients) from one set of Lax bands for every state.
+
+    It calls the monitors' own `lax_bands`, `lax_traces` and
+    `charpoly_coefficients`, from the module it checks, on purpose: it
+    checks the streaming in blocks, which must leave every value bitwise
+    unchanged, and not the values.  Those are checked elsewhere against
+    exact arithmetic: the traces by `TestTraceRoutes` and `TestMonitorOracle`,
+    the coefficients by `TestCharpolyOracle`."""
     ks = flows.monitored_hamiltonian_indices(sys)
-    mats = flows.lax_values(sys, states)
-    traces = flows.power_traces(mats, max(ks))
-    return {k: traces[:, k - 1] / k for k in ks}, flows.charpoly_coefficients(mats)
+    d, e = flows.lax_bands(sys, states)
+    traces = flows.lax_traces(sys, d, e, max(ks))
+    return {k: traces[:, k - 1] / k for k in ks}, flows.charpoly_coefficients(d, e)
 
 
 def old_monitors(traj, sys):
@@ -538,6 +581,17 @@ class TestStreamedMonitors:
         assert new.hamiltonian_drift[2] == math.inf and math.isnan(new.hamiltonian_drift[4])
         assert repr(new.to_json_dict()) == repr(old.to_json_dict())
 
+    def test_volterra_block_overflow_drift_is_kept(self):
+        # finite states whose parity-block entries e_p e_{p+1} overflow
+        sys = catalog.parse_system("volterra-a:6")
+        traj = _random_trajectory("volterra-a:6", B + 5)
+        traj.states[B + 2] = [1e200, 1e200, -1e200, 1e200, 1e200]
+        with np.errstate(over="ignore", invalid="ignore"):
+            new, old = flows.monitors(traj, sys), old_monitors(traj, sys)
+        assert not all(map(math.isfinite, new.hamiltonian_drift.values()))
+        assert not all(map(math.isfinite, new.charpoly_drift))
+        assert repr(new.to_json_dict()) == repr(old.to_json_dict())
+
     def test_memory_does_not_grow_with_the_trajectory(self):
         # whole-trajectory [T, N, N] arrays took about 55 MB here
         sys = catalog.parse_system("toda-a:24")
@@ -580,15 +634,25 @@ def exact_continuant(M, sign=1) -> list[Fraction]:
     return cur[1:]
 
 
-def exact_newton(M) -> list[Fraction]:
-    """c_1..c_N of det(x - M) for any float M, exactly: traces of the powers
-    of the Fraction matrix and Newton's identities, which are exact over Q."""
-    A = [[Fraction(float(x)) for x in row] for row in M]
+def exact_traces(M, k_max: int, sign=1) -> list[Fraction]:
+    """tr(M^j) for j = 1..k_max of a float M, exactly, from the powers of
+    the Fraction matrix.
+
+    sign=-1 takes the powers of |M| instead, which bounds the sum of the
+    absolute values of the terms of each trace."""
+    A = [[Fraction(abs(float(x)) if sign < 0 else float(x)) for x in row] for row in M]
     N, power, traces = len(A), A, []
-    for j in range(N):
+    for j in range(k_max):
         if j:
             power = [[sum(row[k] * A[k][l] for k in range(N)) for l in range(N)] for row in power]
         traces.append(sum(power[i][i] for i in range(N)))
+    return traces
+
+
+def exact_newton(M) -> list[Fraction]:
+    """c_1..c_N of det(x - M) for any float M, exactly: traces of the powers
+    of the Fraction matrix and Newton's identities, which are exact over Q."""
+    N, traces = len(M), exact_traces(M, len(M))
     coeffs: list[Fraction] = []
     for k in range(1, N + 1):
         acc = traces[k - 1] + sum(coeffs[j - 1] * traces[k - j - 1] for j in range(1, k))
@@ -658,24 +722,112 @@ class TestCharpolyOracle:
     def test_continuant_within_1e12_of_exact(self, name):
         sys, states = _trajectory_states(name)
         mats = flows.lax_values(sys, states)
-        assert max_relative_error(flows.charpoly_coefficients(mats), mats) <= 1e-12
+        got = flows.charpoly_coefficients(*flows.lax_bands(sys, states))
+        assert max_relative_error(got, mats) <= 1e-12
 
     def test_blocks_match_single_matrices(self):
         # a batch longer than two blocks gives each matrix's own coefficients
         sys = catalog.parse_system("toda-a:6")
         rng = np.random.default_rng(6)
         points = rng.uniform(-1, 1, size=(2 * flows.CHARPOLY_BLOCK + 3, len(catalog.variables(sys))))
-        mats = flows.lax_values(sys, points)
-        one_by_one = np.array([flows.charpoly_coefficients(M[None])[0] for M in mats])
-        assert np.array_equal(flows.charpoly_coefficients(mats), one_by_one)
+        d, e = flows.lax_bands(sys, points)
+        one_by_one = np.array([flows.charpoly_coefficients(d[:, [t]], e[:, [t]])[0]
+                               for t in range(len(points))])
+        assert np.array_equal(flows.charpoly_coefficients(d, e), one_by_one)
 
     def test_newton_route_fails_the_bound_at_27(self):
         # negative control: the earlier route reported roundoff as drift here
         sys, states = _trajectory_states("toda-a:27")
         mats = flows.lax_values(sys, states)
-        assert max_relative_error(flows.charpoly_coefficients(mats), mats) <= 1e-12
+        got = flows.charpoly_coefficients(*flows.lax_bands(sys, states))
+        assert max_relative_error(got, mats) <= 1e-12
         newton = newton_coefficients(flows.power_traces(mats, mats.shape[1]))
         assert max_relative_error(newton, mats) > 1e-12
+
+
+# --------------------------------------------------------------- trace oracle
+
+TRACE_CASES = ([f"toda-a:{n}" for n in range(2, 10)] + [f"toda-b:{n}" for n in range(1, 5)]
+               + [f"volterra-a:{n}" for n in range(2, 10)]
+               + [f"volterra-b:{n}" for n in range(1, 5)])
+
+
+def trace_error(got: np.ndarray, mats: np.ndarray, k_max: int) -> float:
+    """Largest |got - tr(M^j)| / tr(|M|^j) over the matrices and j = 1..k_max,
+    with the traces in exact arithmetic on the same float matrices."""
+    worst = 0.0
+    for row, M in zip(got, mats):
+        for g, t, scale in zip(row, exact_traces(M, k_max), exact_traces(M, k_max, sign=-1)):
+            err = abs(Fraction(float(g)) - t)
+            if err:
+                worst = max(worst, float(err / scale) if scale else math.inf)
+    return worst
+
+
+def _trace_points(name: str):
+    """Two points of mixed sign, the Lax matrices there and the largest
+    power to check: past N, and past every monitored H_k."""
+    sys = catalog.parse_system(name)
+    rng = random.Random(name)
+    states = np.array([[rng.uniform(-1, 1) for _ in catalog.variables(sys)] for _ in range(2)])
+    k_max = max(catalog.lax_size(sys), *flows.monitored_hamiltonian_indices(sys))
+    return sys, states, flows.lax_values(sys, states), k_max
+
+
+def _zero_diagonal(sys) -> bool:
+    return all(i != j for i, j, _, _ in catalog.lax_entries(sys))
+
+
+class TestTraceRoutes:
+    """Both trace routes against exact traces of the dense Lax matrix: the
+    powers of the tridiagonal matrix built from the bands (every family), and
+    the parity blocks of L^2 (the Volterra families, which have no
+    diagonal)."""
+
+    @pytest.mark.parametrize("name", TRACE_CASES)
+    def test_tridiagonal_route_matches_exact(self, name):
+        sys, states, mats, k_max = _trace_points(name)
+        got = flows.power_traces(flows.tridiagonal(*flows.lax_bands(sys, states)), k_max)
+        assert trace_error(got, mats, k_max) <= 1e-14
+        if not _zero_diagonal(sys):
+            assert np.array_equal(got, flows.lax_traces(sys, *flows.lax_bands(sys, states), k_max))
+
+    @pytest.mark.parametrize("name", [c for c in TRACE_CASES if c.startswith("volterra")])
+    def test_squared_route_matches_exact(self, name):
+        sys, states, mats, k_max = _trace_points(name)
+        assert _zero_diagonal(sys)
+        d, e = flows.lax_bands(sys, states)
+        got = flows.lax_traces(sys, d, e, k_max)
+        assert np.array_equal(got, flows.squared_traces(e, k_max))
+        assert np.all(got[:, 0::2] == 0.0)  # the odd powers
+        assert trace_error(got, mats, k_max) <= 1e-14
+
+    def test_every_family_but_toda_has_no_diagonal(self):
+        # the squared route is taken exactly where it holds
+        for name in ALL_FAMILIES:
+            sys = catalog.parse_system(name)
+            assert _zero_diagonal(sys) == (sys.family == "volterra"), name
+
+    def test_squared_route_fails_with_a_diagonal(self):
+        # negative control: toda-a has the b_i on its diagonal
+        sys, states, mats, k_max = _trace_points("toda-a:4")
+        got = flows.squared_traces(flows.lax_bands(sys, states)[1], k_max)
+        assert trace_error(got, mats, k_max) > 1e-3
+
+    @pytest.mark.parametrize("name", ["volterra-a:5", "volterra-a:8", "volterra-b:3"])
+    def test_dropping_the_left_edge_fails(self, monkeypatch, name):
+        # negative control: block diagonal e_p in place of e_{p-1} + e_p
+        real = flows.square_bands
+
+        def mutant(e):
+            g, f = real(e)
+            g[:-1], g[-1] = e, 0.0
+            return g, f
+
+        sys, states, mats, k_max = _trace_points(name)
+        monkeypatch.setattr(flows, "square_bands", mutant)
+        got = flows.lax_traces(sys, *flows.lax_bands(sys, states), k_max)
+        assert trace_error(got, mats, k_max) > 1e-3
 
 
 class TestOrderAndCommutation:

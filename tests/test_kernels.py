@@ -1,0 +1,166 @@
+"""The generated RK4 step against the plainer generator it replaced.
+
+`old_compile_step` writes every monomial in full in every term and starts
+every component sum from 0.0; `_kernels.compile_step` names shared monomial
+prefixes, starts each sum from its first term and adds 0.0 to the state on
+entry.  The `_kernels` module docstring says why the recorded states are
+the same bits; these tests compare them bit for bit (-0.0 is not 0.0 here),
+on the benchmark's fields, on wide fields with long monomials, from points
+that hold +0.0 and -0.0, and on a run that leaves float range.
+"""
+
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from todavolterra import _kernels, catalog, flows
+from todavolterra.poisson import PolyVectorField
+
+from conftest import read_poly, sid
+from test_flows import _escape_point
+
+_TERMS_PER_LINE = 100
+
+
+def old_sum_lines(target, coefs, factors, lo, hi, name):
+    """Statements that set `target` to one component: its terms added to 0.0
+    in order, `_TERMS_PER_LINE` per statement."""
+    terms = []
+    for t in range(lo, hi):
+        c = coefs[t]
+        mono = " * ".join(f"{name}{v}" for v in factors[t])
+        if not mono:
+            terms.append(f" + {c!r}")
+        elif c == 1.0:
+            terms.append(f" + {mono}")
+        elif c == -1.0:
+            terms.append(f" - {mono}")
+        else:
+            terms.append(f" + {c!r} * ({mono})")
+    lines = [f"        {target} = 0.0" + "".join(terms[:_TERMS_PER_LINE])]
+    for s in range(_TERMS_PER_LINE, len(terms), _TERMS_PER_LINE):
+        lines.append(f"        {target} = {target}" + "".join(terms[s : s + _TERMS_PER_LINE]))
+    return lines
+
+
+def old_compile_step(coefs, expts, comp_ptr):
+    """The generator before shared prefixes: every monomial written out in
+    every term of every stage, every sum started from 0.0, and the state
+    taken as it comes.  Its factors are read off the exponent rows here, not
+    through `_kernels.term_factors`."""
+    coefs = coefs.tolist()
+    factors = [[v for v, e in enumerate(row) for _ in range(e)] for row in expts.tolist()]
+    comps = range(len(comp_ptr) - 1)
+    state = "".join(f"x{i}, " for i in comps)
+
+    def stage(k, name):
+        return [
+            line
+            for i in comps
+            for line in old_sum_lines(f"k{k}_{i}", coefs, factors, comp_ptr[i], comp_ptr[i + 1], name)
+        ]
+
+    lines = [
+        "def run(record, x, h, n_steps):",
+        f"    ({state}) = x",
+        "    hh = 0.5 * h",
+        "    h6 = h / 6.0",
+        "    append = record.extend",
+        "    for _ in range(n_steps):",
+        *stage(1, "x"),
+        *[f"        y{i} = x{i} + hh * k1_{i}" for i in comps],
+        *stage(2, "y"),
+        *[f"        y{i} = x{i} + hh * k2_{i}" for i in comps],
+        *stage(3, "y"),
+        *[f"        y{i} = x{i} + h * k3_{i}" for i in comps],
+        *stage(4, "y"),
+        *[f"        x{i} = x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+          for i in comps],
+        f"        append(({state}))",
+        f"    return ({state})",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<old rk4 step>", "exec"), namespace)
+    return namespace["run"]
+
+
+def assert_same_bits(cf, x0, n_steps):
+    """Both generators' runs through `rk4_integrate` record the same bits
+    and complete the same number of steps; returns that number."""
+    x0 = np.array(x0, dtype=float)
+    old = old_compile_step(cf.coefs, cf.expts, cf.comp_ptr)
+    got = _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, cf.step)
+    want = _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, old)
+    assert got[1] == want[1]
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    return got[1]
+
+
+def _benchmark_point(system: str, seed: int) -> list[float]:
+    """The benchmark's seeded `--x0` point, in variable order (toda points on
+    the fixed set of psi; odd toda-a sizes hold b = 0.0 in the middle), from
+    perfbench/workloads.py, read and executed in memory."""
+    source = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    namespace: dict = {"__file__": str(source), "__name__": "perfbench_workloads"}
+    exec(compile(source.read_text(), str(source), "exec"), namespace)
+    point = namespace["initial_point"](system, seed)
+    return point["a"] + point.get("b", [])
+
+
+class TestAgainstOldGenerator:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("system, t_end", [("toda-a:3", 10.0), ("toda-a:8", 5.0),
+                                               ("volterra-a:11", 10.0)])
+    def test_benchmark_fields(self, system, t_end, seed):
+        # the whole benchmark run of each `simulate` call
+        cf = flows.compile_field(catalog.flow(sid(system), 2))
+        n_steps = round(t_end / 1e-3)
+        assert assert_same_bits(cf, _benchmark_point(system, seed), n_steps) == n_steps
+
+    # the widest generated steps: long monomials that share many prefixes
+    @pytest.mark.parametrize("system, k", [("toda-a:13", 10), ("toda-a:8", 8), ("toda-a:40", 6),
+                                           ("toda-a:100", 4), ("volterra-a:30", 8),
+                                           ("toda-a:5", 3), ("toda-b:4", 4)])
+    def test_wide_fields(self, system, k):
+        cf = flows.compile_field(catalog.flow(sid(system), k))
+        rng = random.Random(f"{system}/{k}")
+        x0 = [rng.uniform(0.1, 0.6) * rng.choice([-1, 1]) for _ in range(cf.dim)]
+        assert assert_same_bits(cf, x0, 20) == 20
+
+    @pytest.mark.parametrize("system, x0", [
+        ("toda-a:3", [0.3, -0.0, 0.0, -0.0, 0.4]),
+        ("toda-a:3", [-0.0, 0.0, -0.0, 0.0, -0.0]),
+        ("volterra-a:11", [0.5, -0.0, 0.2, 0.0, 0.3, -0.0, -0.0, 0.4, 0.0, 0.1]),
+        ("toda-b:2", [-0.0, 0.3, 0.0, -0.0]),
+    ])
+    def test_signed_zeros(self, system, x0):
+        cf = flows.compile_field(catalog.flow(sid(system), 2))
+        assert assert_same_bits(cf, x0, 50) == 50
+
+    def test_signed_zero_reaches_a_sum_alone(self):
+        # a1' = -a2 is one term: from a2 = +0.0 the new sum is -0.0 where the
+        # old one was 0.0, and with a1 = -0.0 that sign reaches the state
+        # unless the state is normalised on entry
+        vs = ("a1", "a2", "a3")
+        field = PolyVectorField(vs, [read_poly("-a2", vs), read_poly("a1*a3", vs),
+                                     read_poly("-2*a3*a1", vs)])
+        cf = flows.compile_field(field)
+        for x0 in ([-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [-0.0, 0.0, 0.5]):
+            assert assert_same_bits(cf, x0, 5) == 5
+
+    def test_escape(self):
+        # toda-a:6 from [-1, 1]: the state leaves float range after step 2670
+        cf = flows.compile_field(catalog.flow(sid("toda-a:6"), 2))
+        assert assert_same_bits(cf, _escape_point(), 3000) == 2670
+
+    def test_shared_products_are_named(self):
+        # toda-a:4 flow 3: a1 b1 starts a1 b1^2 and is a term of its own
+        cf = flows.compile_field(catalog.flow(sid("toda-a:4"), 3))
+        stage = _kernels._stage_source(cf.coefs.tolist(), _kernels.term_factors(cf.expts),
+                                       cf.comp_ptr)
+        assert "        p1 = y0 * y3" in stage.splitlines()
+        assert "0.0 +" not in stage
+        assert stage.count("y0 * y3") == 1

@@ -7,7 +7,7 @@ every call gives the same bytes and exit code.  Run it from a checkout's
 root; it imports the package from that checkout's `src/`:
 
     python3 tools/output_digest.py            # per-call lines and the total
-    python3 tools/output_digest.py --total    # the four totals only
+    python3 tools/output_digest.py --total    # the five totals only
 
 The list: the benchmark's calls at seeds 1 and 2 (their argv and starting
 points are built here), `moser --N 5..21`, `bogo` A-D at ranks 1..12,
@@ -35,6 +35,14 @@ A fourth list, `text_calls`, runs `moser` and `bogo` without `--format
 json`, at a small size and at the cap, and `reduce` and `verify reduction`
 on the order-4 map, so that their text output is digested too.  Its total
 is the `text total` line.
+
+A fifth list, `float_calls`, runs `simulate` in JSON and in CSV on one
+lattice of each family it runs (toda-a, toda-b, volterra-a at an odd and an
+even size, and volterra-b), each from a fixed `--x0` file.  Its total is the
+`float total` line, and its per-call lines show which families a change to
+the float path moves.  Float bits may differ across CPUs and BLAS builds,
+so this list is kept out of `tests/golden/`: compare it between two
+checkouts on one machine.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from todavolterra import cli  # noqa: E402
+from todavolterra import catalog, cli  # noqa: E402
 
 J = ["--format", "json"]
 
@@ -182,6 +190,33 @@ def text_calls() -> list[tuple[str, list[str]]]:
             ("", ["verify", "reduction", "--which", "phi-tilde", "--n", "3"])]
 
 
+# (system, x0 ranges by variable letter) of `float_calls`; each range keeps
+# the flow on its sheet (volterra-b: a_i = -2 x_i^2 < 0)
+FLOAT_SYSTEMS = [("toda-a:5", {"a": (0.1, 1.0), "b": (-1.0, 1.0)}),
+                 ("toda-b:3", {"a": (0.1, 1.0), "b": (-1.0, 1.0)}),
+                 ("volterra-a:7", {"a": (0.1, 1.0)}),
+                 ("volterra-a:8", {"a": (0.1, 1.0)}),
+                 ("volterra-b:3", {"a": (-1.0, -0.1)})]
+
+
+def float_calls(work_dir: str) -> list[tuple[str, list[str]]]:
+    """(label, argv) of the `simulate` calls by family, writing their `--x0`
+    files into work_dir."""
+    out = []
+    for system, ranges in FLOAT_SYSTEMS:
+        rng = random.Random(f"float/{system}")
+        names = catalog.variables(catalog.parse_system(system))
+        point = {letter: [rng.uniform(*span) for v in names if v[0] == letter]
+                 for letter, span in ranges.items()}
+        path = os.path.join(work_dir, f"x0-float-{system.replace(':', '')}.json")
+        with open(path, "w") as fh:
+            json.dump(point, fh)
+        out += [("", ["simulate", "--system", system, "--t-end", "2.0", "--h", "0.001",
+                      "--format", fmt, "--x0", path, *extra])
+                for fmt, extra in (("json", []), ("csv", ["--decimate", "10"]))]
+    return out
+
+
 def digest(argv: list[str]) -> tuple[str, int]:
     """(sha256 of one call's stdout, stderr and exit code, the exit code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -197,7 +232,8 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work_dir:
         for name, listed in (("total", calls(work_dir)), ("parsing total", parsing_calls()),
-                             ("cap total", cap_calls()), ("text total", text_calls())):
+                             ("cap total", cap_calls()), ("text total", text_calls()),
+                             ("float total", float_calls(work_dir))):
             total = hashlib.sha256()
             for label, argv in listed:
                 d, code = digest(argv)
