@@ -1,8 +1,10 @@
 """RK4 kernel for compiled polynomial vector fields.
 
-A compiled field is a CSR-style triple (coefs, expts, comp_ptr): component i
-is the sum of coefs[t] * prod_v x_v**expts[t, v] over t in
-[comp_ptr[i], comp_ptr[i+1]).
+A compiled field is a triple (coefs, factors, comp_ptr): component i is the
+sum of coefs[t] times the product of x_v over v in factors[t], for t in
+[comp_ptr[i], comp_ptr[i+1]).  A term's factors are the variable positions
+its monomial multiplies from left to right: its variables in increasing
+order, each repeated by its exponent (a3^2 is [2, 2]; a constant has none).
 
 Each field runs as generated code: `compile_step` builds, once per field, one
 straight-line Python function over Python floats that does the four stages
@@ -15,14 +17,13 @@ coefficients and integer positions.
 What a stage computes, and why the states are those of the plain form (each
 monomial written out in full, each component sum started from 0.0):
 
-* A monomial is the product of its factors from left to right: the
-  variables of its exponent row in increasing order, each repeated by its
-  exponent (a3^2 is a3 * a3), so no power function is called.  Its value is
-  therefore the value of its longest proper prefix times its last factor,
-  bit for bit.  A stage names each product that two or more terms or longer
-  products start with once (`p3 = y0 * y1`) and builds on the name; every
-  product is still the same multiplications in the same order.
-* A component adds its terms in CSR order, starting from its first term (a
+* A monomial is the product of its factors from left to right (a3^2 is
+  a3 * a3), so no power function is called.  Its value is therefore the
+  value of its longest proper prefix times its last factor, bit for bit.
+  A stage names each product that two or more terms or longer products
+  start with once (`p3 = y0 * y1`) and builds on the name; every product
+  is still the same multiplications in the same order.
+* A component adds its terms in order, starting from its first term (a
   first term with coefficient -1.0 is a unary minus).  Starting from 0.0
   instead changes at most the sign of a zero: 0.0 + t is t unless t is
   -0.0, 0.0 - m is -m unless m is 0.0, and a sum does not depend on the
@@ -60,8 +61,8 @@ def chunk_steps(n_terms: int, dim: int) -> int:
     return max(1, CHUNK_WORK // (n_terms + dim))
 
 
-def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, step):
-    """Fixed-step RK4 of the field (coefs, expts, comp_ptr); records every
+def rk4_integrate(coefs, factors, comp_ptr, x0, h, n_steps, step):
+    """Fixed-step RK4 of the field (coefs, factors, comp_ptr); records every
     state, x0 included.
 
     `step` is that field's `compile_step`, built once per field, so a field
@@ -86,18 +87,6 @@ def rk4_integrate(coefs, expts, comp_ptr, x0, h, n_steps, step):
             done = start + int(bad.argmax())
             return out[: done + 1], done
     return out, n_steps
-
-
-def term_factors(expts):
-    """Each term's factors, the variable positions its monomial multiplies
-    from left to right: its variables in increasing order, each repeated by
-    its exponent (a3^2 is [2, 2]; a constant term has none)."""
-    factors = [[] for _ in range(len(expts))]
-    # np.nonzero walks the rows in order, columns increasing
-    rows, cols = np.nonzero(expts)
-    for t, v, e in zip(rows.tolist(), cols.tolist(), expts[rows, cols].tolist()):
-        factors[t] += [v] * e
-    return factors
 
 
 def _sum_lines(target, terms):
@@ -166,7 +155,7 @@ def _stage_source(coefs, factors, comp_ptr):
     return "\n".join(lines + sums)
 
 
-def compile_step(coefs, expts, comp_ptr):
+def compile_step(coefs, factors, comp_ptr):
     """Compile `run(record, x, h, n_steps) -> x` for one field: n_steps
     steps from the state x, each state appended to the list `record`, and
     the last state returned.
@@ -177,7 +166,7 @@ def compile_step(coefs, expts, comp_ptr):
     arithmetic gives the same bits.
     """
     comps = range(len(comp_ptr) - 1)
-    stage = _stage_source(coefs.tolist(), term_factors(expts), comp_ptr)
+    stage = _stage_source(coefs.tolist(), factors, comp_ptr)
     state = "".join(f"x{i}, " for i in comps)
     lines = [
         "def run(record, x, h, n_steps):",

@@ -4,25 +4,28 @@ The systems this package solves are very sparse: the Moser identification
 at `moser --N 41` solves one 456 x 231 system per block with under 500
 nonzeros and 20 right-hand sides.  The callers hold them as sparse columns,
 `Poly.packed` maps and root vectors, so each column and each right-hand
-side comes in as a `{row key: value}` map.  The rows are the sorted union of
-the keys; a zero value is ignored, as an absent key; the inputs are only
-read, never mutated.  Internally each row is held as a `{column: value}`
-dict of its nonzero entries, with right-hand side j stored as column n + j,
-and `where[c]` holds the rows that have a nonzero in column c.
+side comes in as a `{row key: value}` map.  The rows are the keys with a
+nonzero value, numbered in the order they are first seen; a zero value is
+ignored, as an absent key; the inputs are only read, never mutated.
+Internally each row is held as a `{column: value}` dict of its nonzero
+entries, with right-hand side j stored as column n + j, and `where[c]` holds
+the rows that have a nonzero in column c.
 
-Pivot rule (the same as the dense form's on the rows in sorted-key order):
-columns are taken in order; the pivot for a column is the first row, in the
-current row order, at or below the current row with a nonzero in that
-column; it is swapped up, divided by its pivot value, and the column is
-eliminated from every other row.  A step visits only the rows in
+Pivot rule: columns are taken in order; the pivot for a column is the
+lowest-numbered row that is not yet a pivot row and has a nonzero in that
+column; it is divided by its pivot value, and the column is eliminated from
+every other row.  Rows are never moved.  A step visits only the rows in
 `where[col]` and, in each, only the entries of the pivot row.
 
-The result is the dense form's in every case.  Zero patterns are exact, so
-an entry the dense form holds as zero is exactly an entry absent here, and
-every nonzero entry is the same value computed by the same operations
-(`x - f*y` becomes `-(f*y)` where x is absent).  Hence the same pivots are
-chosen, the same rows are found inconsistent, the same free variables are
-set to zero, and the returned scalars have the same values.
+The result does not depend on which rows pivot, so neither on the row
+numbering.  A column is a pivot column exactly when it is not a combination
+of the columns before it, which the rows do not change, and the pivot rows,
+once reduced, are the reduced row echelon form of [A | b], which is unique
+for the fixed column order.  So the basic solution (the pivot rows'
+right-hand sides, free variables zero), `unique` (every column a pivot
+column) and the verdict that a right-hand side is inconsistent (a row
+without a pivot keeps a nonzero right-hand side) are the same for every
+row order.
 
 Entries are exact scalars of Q(i) in `polyalg`'s normal form, rational and
 Gaussian entries mixed freely in one row.  Every division is exact
@@ -41,35 +44,32 @@ def solve_exact(columns, rhs):
     set to zero.
 
     `columns` holds one `{row key: value}` map per unknown and `rhs` one per
-    right-hand side; the row keys are mutually comparable, and the values
-    are exact scalars in normal form (`polyalg.normal`), and so are the
-    solutions.  Returns (solutions, unique), one solution list per
-    right-hand side, where `unique` says whether they are fully determined,
-    or None if any right-hand side is inconsistent.
+    right-hand side; the row keys are hashable, and the values are exact
+    scalars in normal form (`polyalg.normal`), and so are the solutions.
+    Returns (solutions, unique), one solution list per right-hand side,
+    where `unique` says whether they are fully determined, or None if any
+    right-hand side is inconsistent.
     """
     n = len(columns)
-    index = {key: i for i, key in enumerate(sorted(set().union(*columns, *rhs)))}
-    m = len(index)
-    A: list[dict] = [{} for _ in range(m)]
+    index: dict = {}
+    A: list[dict] = []
     where: list[set[int]] = [set() for _ in range(n + len(rhs))]
     for c, col in enumerate([*columns, *rhs]):
         for key, v in col.items():
             if v:
-                i = index[key]
+                i = index.setdefault(key, len(A))
+                if i == len(A):
+                    A.append({})
                 A[i][c] = v
                 where[c].add(i)
-    order = list(range(m))  # order[position] = row id
-    pos = list(range(m))  # pos[row id] = position
-    pivots: list[tuple[int, int]] = []  # (row id, column)
-    row = 0
+    free = set(range(len(A)))  # the rows that are not pivot rows
+    pivots: list[tuple[int, int]] = []  # (row, column)
     for col in range(n):
-        below = [i for i in where[col] if pos[i] >= row]
+        below = where[col] & free
         if not below:
             continue
-        p = min(below, key=pos.__getitem__)
-        q = order[row]
-        order[row], order[pos[p]] = p, q
-        pos[q], pos[p] = pos[p], row
+        p = min(below)
+        free.remove(p)
         prow = A[p]
         pv = prow[col]
         for c in prow:
@@ -91,10 +91,9 @@ def solve_exact(columns, rhs):
                     where[c].discard(i)
         where[col] = {p}
         pivots.append((p, col))
-        row += 1
-        if row == m:
+        if not free:
             break
-    if any(A[i] for i in order[row:]):
+    if any(A[i] for i in free):
         return None  # inconsistent: a row left without a pivot keeps a right-hand side
     xs = [[0] * n for _ in rhs]
     for i, c in pivots:

@@ -65,10 +65,8 @@ class SystemId:
             raise ValueError(f"unknown type {self.kind!r}")
         if self.n < 1:
             raise ValueError("rank parameter must be >= 1")
-        if (self.family, self.kind) == ("toda", "a") and self.n < 2:
-            raise ValueError("toda-a needs matrix size >= 2")
-        if (self.family, self.kind) == ("volterra", "a") and self.n < 2:
-            raise ValueError("volterra-a needs matrix size >= 2")
+        if self.kind == "a" and self.n < 2:
+            raise ValueError(f"{self.name} needs matrix size >= 2")
 
     @property
     def name(self) -> str:
@@ -90,21 +88,15 @@ def parse_system(text: str) -> SystemId:
 
 
 def variables(sys: SystemId) -> tuple[str, ...]:
-    """Ordered phase-space variables of the system."""
-    fam, kind, n = sys.family, sys.kind, sys.n
-    if fam == "toda" and kind == "a":
-        return tuple(f"a{i}" for i in range(1, n)) + tuple(f"b{i}" for i in range(1, n + 1))
-    if fam == "toda" and kind in ("b", "c"):
-        return tuple(f"a{i}" for i in range(1, n + 1)) + tuple(f"b{i}" for i in range(1, n + 1))
-    if fam == "volterra" and kind == "a":
-        return tuple(f"a{i}" for i in range(1, n))
-    if fam == "volterra" and kind in ("b", "c"):
-        return tuple(f"a{i}" for i in range(1, n + 1))
-    raise ValueError(f"unsupported system {sys}")
+    """Ordered phase-space variables of the system: a1..ap, then b1..bn on
+    toda, where p = n - 1 on the a-types and n otherwise."""
+    p = sys.n - 1 if sys.kind == "a" else sys.n
+    bs = range(1, sys.n + 1) if sys.family == "toda" else ()
+    return tuple(f"a{i}" for i in range(1, p + 1)) + tuple(f"b{i}" for i in bs)
 
 
 def lax_size(sys: SystemId) -> int:
-    if (sys.family, sys.kind) in (("toda", "a"), ("volterra", "a")):
+    if sys.kind == "a":
         return sys.n
     if sys.kind == "c" and sys.family == "toda":
         return 2 * sys.n

@@ -120,7 +120,7 @@ def _initial_point(args, sys_id) -> np.ndarray:
         with open(args.x0) as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise ValueError(f"{where}: not a JSON document ({exc})") from None
         if not isinstance(data, dict) or not all(
             isinstance(data.get(k, []), list) for k in "ab"
@@ -421,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(check=lambda a: checks.fixed_point_reduction(a.which, a.n))
     p.add_argument("--which", choices=tuple(checks.REDUCTIONS), required=True)
     # the bounds keep a run within seconds: on a 2-vCPU x86 VM (Xeon, Python 3.11;
-    # process wall, median of 3) --n 16 took 0.27 s (phi, the costliest) and
-    # --max-rank 16 0.76 s
+    # process wall, median of 5) --n 16 took 0.17 s (phi, the costliest) and
+    # --max-rank 16 0.69 s
     p.add_argument("--n", type=_bounded_int(1, 16), default=2)
 
     p = vsub.add_parser("all")

@@ -55,7 +55,8 @@ def _as_float(c) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CompiledField:
-    """A polynomial vector field in CSR layout with its generated RK4 step
+    """A polynomial vector field as coefficients, factor lists and component
+    pointers (the `_kernels` layout) with its generated RK4 step
     (`_kernels.compile_step`), built once here.
 
     Compared and hashed by identity: a field-wise `==` would compare numpy
@@ -63,12 +64,12 @@ class CompiledField:
 
     variables: tuple[str, ...]
     coefs: np.ndarray
-    expts: np.ndarray
+    factors: list[list[int]]
     comp_ptr: np.ndarray
     step: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "step", compile_step(self.coefs, self.expts, self.comp_ptr))
+        object.__setattr__(self, "step", compile_step(self.coefs, self.factors, self.comp_ptr))
 
     @property
     def dim(self) -> int:
@@ -77,20 +78,17 @@ class CompiledField:
 
 def compile_field(vf: PolyVectorField) -> CompiledField:
     coefs: list[float] = []
-    expts: list[tuple[int, ...]] = []
+    factors: list[list[int]] = []
     ptr = [0]
     for comp in vf.components:
-        for e, c in comp.sorted_terms():
+        for (positions, exponents), c in comp.sorted_terms():
             coefs.append(_as_float(c))
-            expts.append(e)
+            factors.append([])
+            for k, e in zip(positions, exponents):
+                factors[-1] += [k] * e
         ptr.append(len(coefs))
-    dim = len(vf.variables)
-    return CompiledField(
-        vf.variables,
-        np.asarray(coefs, dtype=float),
-        np.asarray(expts, dtype=np.int64).reshape(len(coefs), dim),
-        np.asarray(ptr, dtype=np.int64),
-    )
+    return CompiledField(vf.variables, np.asarray(coefs, dtype=float), factors,
+                         np.asarray(ptr, dtype=np.int64))
 
 
 @dataclass
@@ -136,7 +134,7 @@ def integrate(
     if x0.shape != (cf.dim,):
         raise ValueError(f"initial point has shape {x0.shape}, expected ({cf.dim},)")
     n_steps = step_count(t_end, h)
-    states, done = rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, float(h), n_steps, cf.step)
+    states, done = rk4_integrate(cf.coefs, cf.factors, cf.comp_ptr, x0, float(h), n_steps, cf.step)
     if done < n_steps:
         raise NonFiniteStateError(done * h)
     return Trajectory(cf.variables, np.arange(n_steps + 1) * h, states)

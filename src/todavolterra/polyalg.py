@@ -8,10 +8,11 @@ addition, a derivative subtracts a unit key, and integer order is the
 lexicographic order of exponent tuples.  The top bit of every field is a
 guard: a stored exponent is at most `EXPONENT_LIMIT` (32,767), two keys add
 without a carry between fields, and a product whose degree in some variable
-passes the limit raises `OverflowError` instead of wrapping.  `Poly.terms`
-reads the map back with exponent tuples as keys.  Zero coefficients are never
-stored, so two polynomials are equal exactly when their variable lists and
-term maps coincide; symbolic identity checks reduce to dictionary comparison.
+passes the limit raises `OverflowError` instead of wrapping.  `key_fields`
+reads a key's nonzero fields; `Poly.terms` reads the map back with exponent
+tuples as keys.  Zero coefficients are never stored, so two polynomials are
+equal exactly when their variable lists and term maps coincide; symbolic
+identity checks reduce to dictionary comparison.
 
 Every coefficient is an exact scalar of Q(i) held in normal form (`normal`),
 the one place that decides how a scalar is stored: an `int` when it is an
@@ -63,6 +64,20 @@ def _pack(expo: tuple[int, ...]) -> int:
 
 def _unpack(key: int, n: int) -> tuple[int, ...]:
     return _layout(n)[0].unpack(key.to_bytes(2 * n, "big"))
+
+
+def key_fields(key: int, n: int) -> tuple[list[int], list[int]]:
+    """The nonzero fields of a key of n variables, variable 0 first, as
+    (positions, exponents): the one reader of a key's fields.  Two lists,
+    not pairs, so that `Poly.occurring` takes the positions as they are."""
+    positions, exponents = [], []
+    while key:
+        field = (key.bit_length() - 1) // _WIDTH
+        shift = _WIDTH * field
+        positions.append(n - 1 - field)
+        exponents.append(key >> shift)
+        key &= (1 << shift) - 1
+    return positions, exponents
 
 
 def normal(value):
@@ -306,13 +321,9 @@ class Poly:
         return max(sum(e) for e in self.terms)
 
     def occurring(self) -> list[int]:
-        """Positions of the variables that occur in some term, ascending."""
-        key, last, out = reduce(operator.or_, self.packed, 0), len(self.variables) - 1, []
-        while key:  # the nonzero fields of the OR of the keys, variable 0's first
-            field = (key.bit_length() - 1) // _WIDTH
-            out.append(last - field)
-            key &= (1 << _WIDTH * field) - 1
-        return out
+        """Positions of the variables that occur in some term, ascending: the
+        nonzero fields of the OR of the keys."""
+        return key_fields(reduce(operator.or_, self.packed, 0), len(self.variables))[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -451,21 +462,21 @@ class Poly:
 
     # --------------------------------------------------------------- output
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms in descending lexicographic exponent order (canonical), which
-        is the descending order of the keys."""
+    def sorted_terms(self) -> list[tuple[tuple[list[int], list[int]], Scalar]]:
+        """((positions, exponents), coefficient) per term in canonical order,
+        descending lexicographic exponent order, which is the descending
+        order of the keys; the fields are the key's `key_fields`."""
         n = len(self.variables)
-        return [(_unpack(key, n), c) for key, c in sorted(self.packed.items(), reverse=True)]
+        return [(key_fields(key, n), c) for key, c in sorted(self.packed.items(), reverse=True)]
 
     def canonical_str(self) -> str:
         if not self.packed:
             return "0"
         chunks: list[str] = []
-        for expo, coeff in self.sorted_terms():
+        for (positions, exponents), coeff in self.sorted_terms():
             factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, expo)
-                if e
+                self.variables[k] if e == 1 else f"{self.variables[k]}^{e}"
+                for k, e in zip(positions, exponents)
             ]
             cs = format_scalar(coeff)
             negative = cs.startswith("-")

@@ -433,6 +433,10 @@ class TestSimulateInput:
         ('{"a": ["0.5", "0.3"], "b": [0.1, 0.2, 0.3]}', "a1 = '0.5' is not a finite number"),
         ('{"a": [true], "b": [false, 0.2]}', "a1 = True is not a finite number"),
         ('{"a": [0.5], "b": [0.1]}', "the file lacks b2"),
+        # nested too deep for the parser: a RecursionError traceback, exit 1
+        pytest.param("[" * 200000 + "]" * 200000,
+                     "not a JSON document (maximum recursion depth exceeded while decoding "
+                     "a JSON array from a unicode string)", id="deeply-nested"),
     ])
     def test_bad_x0_file(self, capsys, tmp_path, content, message):
         path = tmp_path / "x0.json"

@@ -44,7 +44,7 @@ VALUES = {
     "decimate": (("1", "100"), ("1e3",) + NON_NUMBERS),
     "seed": (("0", "1", "-1", "99999999999999999999"), ("x", "1.5")),
     "x0": (("point.json",), ("huge.json", "short.json", "nan.json", "strings.json",
-                             "list.json", "malformed.json", "missing.json", ".")),
+                             "list.json", "malformed.json", "deep.json", "missing.json", ".")),
     "out": (("out.csv",), ("no-such-dir/out.csv",)),
 }
 
@@ -61,6 +61,8 @@ def write_x0_files(directory) -> None:
     for name, content in files.items():
         (directory / name).write_text(json.dumps(content))
     (directory / "malformed.json").write_text("{not json")
+    # nested past the parser's recursion limit
+    (directory / "deep.json").write_text("[" * 200000 + "]" * 200000)
 
 
 def leaves(parser: argparse.ArgumentParser, prefix=()) -> list:
@@ -124,3 +126,15 @@ def test_every_input_exits_cleanly(tmp_path, monkeypatch, capsys, request):
             assert len(errors) == 1, (argv, err)
 
     check()
+
+
+def test_every_rejected_x0_file_exits_2(tmp_path, monkeypatch, capsys):
+    # the random draws seldom pair a rejected file with an otherwise valid
+    # `simulate` call, so each file is also run once in one
+    write_x0_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name in VALUES["x0"][1]:
+        code = main(["simulate", "--system", "toda-a:2", "--t-end", "0.01", "--x0", name])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (name, err)

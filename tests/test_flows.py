@@ -27,7 +27,7 @@ class TestCompiledField:
         for _ in range(10):
             x = [rng.uniform(-1, 1) for _ in vf.variables]
             exact = [float(evaluate(p, x)) for p in vf.components]
-            got = dense_field(cf.coefs, cf.expts, cf.comp_ptr, np.array(x))
+            got = dense_field(cf.coefs, exponent_rows(vf), cf.comp_ptr, np.array(x))
             assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
 
     def test_numpy_backend_matches_exact(self, rng):
@@ -36,7 +36,7 @@ class TestCompiledField:
         for _ in range(10):
             x = np.array([rng.uniform(-1, 1) for _ in vf.variables])
             exact = [float(evaluate(p, list(x))) for p in vf.components]
-            got = dense_field(cf.coefs, cf.expts, cf.comp_ptr, x)
+            got = dense_field(cf.coefs, exponent_rows(vf), cf.comp_ptr, x)
             assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
 
     def test_gaussian_coefficients_rejected(self):
@@ -84,6 +84,14 @@ class TestIntegrate:
         vf = PolyVectorField(vs, [Poly.var(vs, "a1") ** 2])  # finite-time blowup
         with pytest.raises(flows.NonFiniteStateError):
             flows.integrate(vf, [10.0], 10.0, 0.05)
+
+
+def exponent_rows(vf: PolyVectorField) -> np.ndarray:
+    """The field's dense exponent matrix, shape [terms, dim]: one row per
+    term in `compile_field`'s order (each component's exponent tuples in
+    descending order), read off `Poly.terms`, not off the compiled factors."""
+    rows = [e for comp in vf.components for e in sorted(comp.terms, reverse=True)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(vf.variables))
 
 
 def dense_field(coefs, expts, comp_ptr, x):
@@ -140,7 +148,7 @@ WIDE_CASES = [
 
 
 def _rk4(cf, x0, n_steps):
-    return _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, cf.step)
+    return _kernels.rk4_integrate(cf.coefs, cf.factors, cf.comp_ptr, x0, 1e-3, n_steps, cf.step)
 
 
 class TestKernelOracle:
@@ -150,31 +158,36 @@ class TestKernelOracle:
     def test_field_values_bitwise(self, name, make_field, sign, rng):
         # the field is seen through one step of the generated RK4, from
         # points of mixed sign that a trajectory of one sign never visits
-        cf = flows.compile_field(make_field())
+        vf = make_field()
+        cf = flows.compile_field(vf)
         for _ in range(20):
             x = np.array([rng.uniform(-1, 1) for _ in range(cf.dim)])
             states, done = _rk4(cf, x, 1)
             assert done == 1
-            assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x, 1e-3, 1))
+            assert np.array_equal(states, dense_rk4(cf.coefs, exponent_rows(vf), cf.comp_ptr,
+                                                    x, 1e-3, 1))
 
     @pytest.mark.parametrize("name, make_field, sign", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
     def test_trajectory_bitwise(self, name, make_field, sign, rng):
-        cf = flows.compile_field(make_field())
+        vf = make_field()
+        cf = flows.compile_field(vf)
         x0 = np.array([sign * rng.uniform(0.1, 0.6) for _ in range(cf.dim)])
         states, done = _rk4(cf, x0, 2000)
         assert done == 2000
-        assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 2000))
+        assert np.array_equal(states, dense_rk4(cf.coefs, exponent_rows(vf), cf.comp_ptr,
+                                                x0, 1e-3, 2000))
 
     @pytest.mark.parametrize("name, make_field, x0, n_steps", WIDE_CASES,
                              ids=[c[0] for c in WIDE_CASES])
     def test_wide_fields_and_escape_bitwise(self, name, make_field, x0, n_steps):
-        cf = flows.compile_field(make_field())
+        vf = make_field()
+        cf = flows.compile_field(vf)
         if x0 is None:
             rng = random.Random(name)
             x0 = [rng.uniform(0.1, 0.6) * rng.choice([-1, 1]) for _ in range(cf.dim)]
         x0 = np.array(x0)
         states, done = _rk4(cf, x0, n_steps)
-        dense = dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps)
+        dense = dense_rk4(cf.coefs, exponent_rows(vf), cf.comp_ptr, x0, 1e-3, n_steps)
         if name.endswith("escape"):
             assert done == 2670 < n_steps
             assert not np.isfinite(dense[done + 1]).all()
@@ -185,7 +198,7 @@ class TestKernelOracle:
     def test_high_powers_are_covered(self):
         fields = {name: make_field for name, make_field, _, _ in WIDE_CASES}
         for name, power in [("toda-a:5-flow4", 3), ("toda-a:6-flow5", 4)]:
-            assert flows.compile_field(fields[name]()).expts.max() == power
+            assert exponent_rows(fields[name]()).max() == power
 
     def test_long_component_is_split(self):
         # one sum of 3000 terms exceeds CPython's compiler recursion depth
@@ -193,13 +206,14 @@ class TestKernelOracle:
         cf = flows.CompiledField(
             variables=("a1", "a2"),
             coefs=1.0 / np.arange(1, n + 1),
-            expts=np.tile([1, 0], (n, 1)),
+            factors=[[0]] * n,
             comp_ptr=np.array([0, n, n]),
         )
         x0 = np.array([0.1, 0.2])
         states, done = _rk4(cf, x0, 3)
         assert done == 3
-        assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 3))
+        rows = np.tile([1, 0], (n, 1))
+        assert np.array_equal(states, dense_rk4(cf.coefs, rows, cf.comp_ptr, x0, 1e-3, 3))
 
     @pytest.mark.parametrize("n_steps", [1, 3, 7])
     def test_record_count(self, n_steps):
@@ -214,11 +228,12 @@ class TestKernelOracle:
 
     def test_factor_table_repeats_factors(self):
         # a1' = -a1 a2, a2' = a2 (a1 - a3), a3' = a3 (a2 + a3)
-        cf = flows.compile_field(catalog.bn_volterra_flow(3))
-        factors = _kernels.term_factors(cf.expts)
+        vf = catalog.bn_volterra_flow(3)
+        cf = flows.compile_field(vf)
+        factors = cf.factors
         assert len(factors) == len(cf.coefs)
         assert [2, 2] in factors  # a3^2 is two factors of a3
-        for row, e in zip(factors, cf.expts):
+        for row, e in zip(factors, exponent_rows(vf)):
             assert np.array_equal(np.bincount(row, minlength=cf.dim), e)
             assert row == sorted(row)
 
@@ -230,21 +245,24 @@ class TestKernelOracle:
     ])
     def test_constant_and_empty_fields(self, first, value, rows):
         vs = ("a1", "a2")
-        cf = flows.compile_field(PolyVectorField(vs, [read_poly(first, vs), Poly.zero(vs)]))
-        assert sorted(_kernels.term_factors(cf.expts)) == rows
+        vf = PolyVectorField(vs, [read_poly(first, vs), Poly.zero(vs)])
+        cf = flows.compile_field(vf)
+        assert sorted(cf.factors) == rows
         x0 = np.array([0.5, 0.25])
-        assert np.array_equal(dense_field(cf.coefs, cf.expts, cf.comp_ptr, x0), [value, 0.0])
+        expts = exponent_rows(vf)
+        assert np.array_equal(dense_field(cf.coefs, expts, cf.comp_ptr, x0), [value, 0.0])
         states, done = _rk4(cf, x0, 50)
         assert done == 50
-        assert np.array_equal(states, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 50))
+        assert np.array_equal(states, dense_rk4(cf.coefs, expts, cf.comp_ptr, x0, 1e-3, 50))
 
 
 @functools.cache
 def _dense_escape():
     """The escape case of WIDE_CASES: field, x0 and its dense trajectory."""
-    cf = flows.compile_field(catalog.flow(sid("toda-a:6"), 2))
+    vf = catalog.flow(sid("toda-a:6"), 2)
+    cf = flows.compile_field(vf)
     x0 = np.array(_escape_point())
-    return cf, x0, dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, 3000)
+    return cf, x0, dense_rk4(cf.coefs, exponent_rows(vf), cf.comp_ptr, x0, 1e-3, 3000)
 
 
 class TestKernelChunks:
@@ -253,11 +271,12 @@ class TestKernelChunks:
 
     def test_chunk_boundaries_bitwise(self):
         # the field's own chunk: runs that end just before, at and after a boundary
-        cf = flows.compile_field(catalog.flow(T3, 2))
+        vf = catalog.flow(T3, 2)
+        cf = flows.compile_field(vf)
         chunk = _kernels.chunk_steps(len(cf.coefs), cf.dim)
         assert 1 < chunk < 5000
         x0 = np.array([0.3, 0.2, 0.1, -0.2, 0.4])
-        dense = dense_rk4(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, chunk + 1)
+        dense = dense_rk4(cf.coefs, exponent_rows(vf), cf.comp_ptr, x0, 1e-3, chunk + 1)
         for n_steps in (chunk - 1, chunk, chunk + 1):
             states, done = _rk4(cf, x0, n_steps)
             assert done == n_steps

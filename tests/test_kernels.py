@@ -6,9 +6,13 @@ prefixes, starts each sum from its first term and adds 0.0 to the state on
 entry.  The `_kernels` module docstring says why the recorded states are
 the same bits; these tests compare them bit for bit (-0.0 is not 0.0 here),
 on the benchmark's fields, on wide fields with long monomials, from points
-that hold +0.0 and -0.0, and on a run that leaves float range.
+that hold +0.0 and -0.0, and on a run that leaves float range.  The old
+generator reads its factors off exponent rows taken from the polynomial
+(`test_flows.exponent_rows`); `old_term_factors`, the dense form's readback
+of those rows, checks the factor lists `compile_field` reads off the keys.
 """
 
+import functools
 import random
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from todavolterra import _kernels, catalog, flows
 from todavolterra.poisson import PolyVectorField
 
 from conftest import read_poly, sid
-from test_flows import _escape_point
+from test_flows import _escape_point, exponent_rows
 
 _TERMS_PER_LINE = 100
 
@@ -45,11 +49,22 @@ def old_sum_lines(target, coefs, factors, lo, hi, name):
     return lines
 
 
+def old_term_factors(expts):
+    """The factor lists as the dense form read them back: the nonzero
+    entries of the exponent matrix, rows in order, columns increasing, each
+    variable repeated by its exponent."""
+    factors = [[] for _ in range(len(expts))]
+    rows, cols = np.nonzero(expts)
+    for t, v, e in zip(rows.tolist(), cols.tolist(), expts[rows, cols].tolist()):
+        factors[t] += [v] * e
+    return factors
+
+
 def old_compile_step(coefs, expts, comp_ptr):
     """The generator before shared prefixes: every monomial written out in
     every term of every stage, every sum started from 0.0, and the state
     taken as it comes.  Its factors are read off the exponent rows here, not
-    through `_kernels.term_factors`."""
+    off the compiled field."""
     coefs = coefs.tolist()
     factors = [[v for v, e in enumerate(row) for _ in range(e)] for row in expts.tolist()]
     comps = range(len(comp_ptr) - 1)
@@ -86,13 +101,14 @@ def old_compile_step(coefs, expts, comp_ptr):
     return namespace["run"]
 
 
-def assert_same_bits(cf, x0, n_steps):
+def assert_same_bits(cf, rows, x0, n_steps):
     """Both generators' runs through `rk4_integrate` record the same bits
-    and complete the same number of steps; returns that number."""
+    and complete the same number of steps; returns that number.  The old
+    generator reads the field's exponent rows `rows`."""
     x0 = np.array(x0, dtype=float)
-    old = old_compile_step(cf.coefs, cf.expts, cf.comp_ptr)
-    got = _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, cf.step)
-    want = _kernels.rk4_integrate(cf.coefs, cf.expts, cf.comp_ptr, x0, 1e-3, n_steps, old)
+    old = old_compile_step(cf.coefs, rows, cf.comp_ptr)
+    got = _kernels.rk4_integrate(cf.coefs, cf.factors, cf.comp_ptr, x0, 1e-3, n_steps, cf.step)
+    want = _kernels.rk4_integrate(cf.coefs, cf.factors, cf.comp_ptr, x0, 1e-3, n_steps, old)
     assert got[1] == want[1]
     assert got[0].shape == want[0].shape
     assert got[0].tobytes() == want[0].tobytes()
@@ -110,25 +126,46 @@ def _benchmark_point(system: str, seed: int) -> list[float]:
     return point["a"] + point.get("b", [])
 
 
+# the benchmark's fields, (system, t_end) of each `simulate` call
+BENCHMARK_FIELDS = [("toda-a:3", 10.0), ("toda-a:8", 5.0), ("volterra-a:11", 10.0)]
+# the widest generated steps: long monomials that share many prefixes
+WIDE_FIELDS = [("toda-a:13", 10), ("toda-a:8", 8), ("toda-a:40", 6), ("toda-a:100", 4),
+               ("volterra-a:30", 8), ("toda-a:5", 3), ("toda-b:4", 4)]
+
+
+@functools.cache
+def compiled(system: str, k: int):
+    """Flow k of the system, compiled, and its exponent rows."""
+    vf = catalog.flow(sid(system), k)
+    return flows.compile_field(vf), exponent_rows(vf)
+
+
 class TestAgainstOldGenerator:
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("system, t_end", [("toda-a:3", 10.0), ("toda-a:8", 5.0),
-                                               ("volterra-a:11", 10.0)])
+    @pytest.mark.parametrize("system, t_end", BENCHMARK_FIELDS)
     def test_benchmark_fields(self, system, t_end, seed):
         # the whole benchmark run of each `simulate` call
-        cf = flows.compile_field(catalog.flow(sid(system), 2))
         n_steps = round(t_end / 1e-3)
-        assert assert_same_bits(cf, _benchmark_point(system, seed), n_steps) == n_steps
+        point = _benchmark_point(system, seed)
+        assert assert_same_bits(*compiled(system, 2), point, n_steps) == n_steps
 
-    # the widest generated steps: long monomials that share many prefixes
-    @pytest.mark.parametrize("system, k", [("toda-a:13", 10), ("toda-a:8", 8), ("toda-a:40", 6),
-                                           ("toda-a:100", 4), ("volterra-a:30", 8),
-                                           ("toda-a:5", 3), ("toda-b:4", 4)])
+    @pytest.mark.parametrize("system, k", WIDE_FIELDS)
     def test_wide_fields(self, system, k):
-        cf = flows.compile_field(catalog.flow(sid(system), k))
+        cf, rows = compiled(system, k)
         rng = random.Random(f"{system}/{k}")
         x0 = [rng.uniform(0.1, 0.6) * rng.choice([-1, 1]) for _ in range(cf.dim)]
-        assert assert_same_bits(cf, x0, 20) == 20
+        assert assert_same_bits(cf, rows, x0, 20) == 20
+
+    @pytest.mark.parametrize("system, k", [(s, 2) for s, _ in BENCHMARK_FIELDS] + WIDE_FIELDS)
+    def test_factors_match_the_dense_readback(self, system, k):
+        # the factor lists read off the keys are the dense form's, and so is
+        # the stage text built from them
+        cf, rows = compiled(system, k)
+        old = old_term_factors(rows)
+        assert cf.factors == old
+        coefs = cf.coefs.tolist()
+        assert (_kernels._stage_source(coefs, cf.factors, cf.comp_ptr)
+                == _kernels._stage_source(coefs, old, cf.comp_ptr))
 
     @pytest.mark.parametrize("system, x0", [
         ("toda-a:3", [0.3, -0.0, 0.0, -0.0, 0.4]),
@@ -137,8 +174,7 @@ class TestAgainstOldGenerator:
         ("toda-b:2", [-0.0, 0.3, 0.0, -0.0]),
     ])
     def test_signed_zeros(self, system, x0):
-        cf = flows.compile_field(catalog.flow(sid(system), 2))
-        assert assert_same_bits(cf, x0, 50) == 50
+        assert assert_same_bits(*compiled(system, 2), x0, 50) == 50
 
     def test_signed_zero_reaches_a_sum_alone(self):
         # a1' = -a2 is one term: from a2 = +0.0 the new sum is -0.0 where the
@@ -149,18 +185,16 @@ class TestAgainstOldGenerator:
                                      read_poly("-2*a3*a1", vs)])
         cf = flows.compile_field(field)
         for x0 in ([-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [-0.0, 0.0, 0.5]):
-            assert assert_same_bits(cf, x0, 5) == 5
+            assert assert_same_bits(cf, exponent_rows(field), x0, 5) == 5
 
     def test_escape(self):
         # toda-a:6 from [-1, 1]: the state leaves float range after step 2670
-        cf = flows.compile_field(catalog.flow(sid("toda-a:6"), 2))
-        assert assert_same_bits(cf, _escape_point(), 3000) == 2670
+        assert assert_same_bits(*compiled("toda-a:6", 2), _escape_point(), 3000) == 2670
 
     def test_shared_products_are_named(self):
         # toda-a:4 flow 3: a1 b1 starts a1 b1^2 and is a term of its own
         cf = flows.compile_field(catalog.flow(sid("toda-a:4"), 3))
-        stage = _kernels._stage_source(cf.coefs.tolist(), _kernels.term_factors(cf.expts),
-                                       cf.comp_ptr)
+        stage = _kernels._stage_source(cf.coefs.tolist(), cf.factors, cf.comp_ptr)
         assert "        p1 = y0 * y3" in stage.splitlines()
         assert "0.0 +" not in stage
         assert stage.count("y0 * y3") == 1

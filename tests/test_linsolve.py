@@ -1,18 +1,23 @@
 """The sparse exact solver against the dense Gauss-Jordan elimination it replaced.
 
-The dense form below is the oracle: the same pivot rule over full rows, in
+The dense form below is the oracle: Gauss-Jordan over full rows, in
 `Fraction` arithmetic (rational entries are converted first, so its `/` is
-exact even on all-int rows), for one right-hand side at a time.  The sparse
-solver takes sparse `{row key: value}` columns and every right-hand side at
-once; `to_columns` turns a dense system into that form and `to_rows` turns
-it back, rows in sorted-key order.  The solver must return None exactly when
-the oracle finds some right-hand side inconsistent, and otherwise each
-solution and the uniqueness flag must equal the oracle's.  Every returned
-scalar must be in normal form (an `int` exactly when integral, a
-`GaussianRational` only when its imaginary part is nonzero, never a float),
-also where the rows mix rational and Gaussian entries.
+exact even on all-int rows), for one right-hand side at a time, pivoting on
+the first nonzero at or below the current row and swapping it up.  The
+sparse solver takes sparse `{row key: value}` columns and every right-hand
+side at once and never moves a row; `to_columns` turns a dense system into
+that form and `to_rows` turns it back, rows in sorted-key order.  The
+reduced row echelon form is unique, so the two pivot rules give one answer:
+the solver must return None exactly when the oracle finds some right-hand
+side inconsistent, and otherwise each solution and the uniqueness flag must
+equal the oracle's, and so must its answer on the same system with its row
+keys first seen in another order (`shuffled`).  Every returned scalar must
+be in normal form (an `int` exactly when integral, a `GaussianRational`
+only when its imaginary part is nonzero, never a float), also where the
+rows mix rational and Gaussian entries.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -98,6 +103,17 @@ def assert_same_sparse(columns, rhs):
     return check_against_oracle(columns, rhs, *to_rows(columns, rhs))
 
 
+def shuffled(columns, rhs, rng):
+    """The same system with every map rebuilt with its entries in a shuffled
+    order, so that the solver first sees the row keys in another order."""
+    def rebuilt(m):
+        items = list(m.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    return [rebuilt(c) for c in columns], [rebuilt(b) for b in rhs]
+
+
 def check_against_oracle(columns, rhs, rows, dense_rhs):
     got = solve_copied(columns, rhs)
     wants = [dense_solve_exact(rows, b) for b in dense_rhs]
@@ -172,6 +188,14 @@ def systems(draw):
 @given(systems())
 def test_matches_dense_on_random_systems(system):
     assert_same(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.integers(0, 2**32 - 1))
+def test_row_order_does_not_change_the_result(system, seed):
+    columns, rhs = to_columns(*system)
+    got = solve_exact(*shuffled(columns, rhs, random.Random(seed)))
+    assert got == solve_exact(columns, rhs)
 
 
 @pytest.mark.parametrize("one", [1, I_UNIT], ids=["rational", "gaussian"])
@@ -311,3 +335,35 @@ def test_matches_dense_on_bogo_systems(monkeypatch, type_):
 
     for columns, rhs in _recorded_systems(monkeypatch, bogo, build):
         assert_same_sparse(columns, rhs)
+
+
+@functools.cache
+def _largest_systems():
+    """The systems of `moser --N 17, 33, 41` (both blocks) and of `bogo`
+    A-D at rank 64, the largest each command solves."""
+    seen = []
+
+    def record(columns, rhs):
+        seen.append((columns, rhs))
+        return solve_exact(columns, rhs)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(moser, "solve_exact", record)
+        monkeypatch.setattr(bogo, "solve_exact", record)
+        for N in (17, 33, 41):
+            split, flow = moser.square_and_split(N), moser.x_flow(N // 2)
+            for block in (split.odd_deleted, split.even_deleted):
+                moser.identify_jacobi(block, flow)
+        for type_ in "ABCD":
+            bogo.root_data(type_, 64)
+    return seen
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_row_order_does_not_change_the_recorded_results(seed):
+    recorded = _largest_systems()
+    assert len(recorded) == 10
+    rng = random.Random(seed)
+    for columns, rhs in recorded:
+        assert solve_exact(*shuffled(columns, rhs, rng)) == solve_exact(columns, rhs)

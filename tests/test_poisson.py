@@ -723,3 +723,29 @@ class TestOneVariableList:
             bracket(pi, F, H)
         with pytest.raises(ValueError):
             bracket(pi, H, F)
+
+
+# ------------------------------------------------------------- metamorphic
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# rational scales and Gaussian ones with a nonzero imaginary part
+_nonzero_scales = st.one_of(_rationals.filter(bool),
+                            st.builds(GaussianRational, _rationals, _rationals.filter(bool)))
+
+
+@pytest.mark.parametrize("system, k", [("toda-a:5", 2), ("toda-a:4", 3), ("volterra-a:7", 4),
+                                       ("toda-b:3", 3)])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_pushforward_keeps_the_jacobiator_support(system, k, data):
+    # A_* J(pi) = J(A_* pi) and a scaled permutation maps the entries of a
+    # trivector one to one, so the nonzero ones stay as many; the catalog
+    # tensor stays Poisson, and one bent by + x_1^2 keeps its defect
+    pi = catalog.tensor(catalog.parse_system(system), k)
+    vs = pi.variables
+    perm = data.draw(st.permutations(vs))
+    scales = data.draw(st.lists(_nonzero_scales, min_size=len(vs), max_size=len(vs)))
+    A = LinearMap(vs, {v: (w, c) for v, w, c in zip(vs, perm, scales)})
+    bent = perturbed(pi, 2)
+    assert len(jacobiator(pushforward_bivector(A, bent))) == len(jacobiator(bent)) > 0
+    assert is_poisson(pushforward_bivector(A, pi))

@@ -15,6 +15,7 @@ from todavolterra.polyalg import (
     _unpack,
     add_product,
     divide,
+    key_fields,
     normal,
     poly_from_sum,
 )
@@ -153,6 +154,18 @@ def unpacked_occurring(p: Poly) -> list[int]:
     """`Poly.occurring` by unpacking every field of the OR of the keys."""
     fields = _unpack(reduce(operator.or_, p.packed, 0), len(p.variables))
     return [k for k, e in enumerate(fields) if e]
+
+
+class TestKeyFields:
+    def test_matches_unpacking_on_random_keys(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            expo = [0] * n
+            for k in rng.sample(range(n), rng.randint(0, n)):
+                expo[k] = rng.choice([1, 2, rng.randint(1, EXPONENT_LIMIT), EXPONENT_LIMIT])
+            (key,) = Poly([f"x{k}" for k in range(n)], {tuple(expo): 1}).packed
+            fields = [(k, e) for k, e in enumerate(_unpack(key, n)) if e]
+            assert key_fields(key, n) == ([k for k, _ in fields], [e for _, e in fields])
 
 
 class TestOccurring:
@@ -498,7 +511,11 @@ def old_extend(p, variables):
 
 
 def old_sorted_terms(terms):
-    return sorted(terms.items(), key=lambda kv: kv[0], reverse=True)
+    """Descending exponent tuples, each read as the positions and the
+    exponents of its nonzero entries, as `Poly.sorted_terms` gives them."""
+    items = sorted(terms.items(), key=lambda kv: kv[0], reverse=True)
+    return [(([k for k, e in enumerate(expo) if e], [e for e in expo if e]), c)
+            for expo, c in items]
 
 
 def typed(items):
