@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._linsolve import solve_exact
-from .polyalg import Poly, divide
+from .polyalg import Poly, divide, equation_lines, unit_keys
 from .poisson import PolyVectorField
 
 Vector = dict[int, int]  # a root realization: its nonzero coordinates
@@ -67,16 +67,7 @@ def root_data(type_: str, n: int) -> RootData:
     (marks,), unique = sol
     if not unique:
         raise ValueError("marks are not uniquely determined (roots dependent)")
-    for k in marks:
-        if type(k) is not int or k <= 0:  # normal form: int iff integral
-            raise ValueError(f"mark {k} is not a positive integer")
     omega0 = {c: -x for c, x in highest.items()}
-    residual = dict(omega0)
-    for k, root in zip(marks, roots):
-        for c, x in root.items():
-            residual[c] = residual.get(c, 0) + k * x
-    if any(residual.values()):
-        raise ValueError("marks do not satisfy the integer relation")
     # nodes i, j are joined when their roots have a nonzero dot product,
     # which needs a coordinate where both are nonzero
     at: dict[int, list[int]] = {}
@@ -110,32 +101,19 @@ class BSystem:
     coeffs: tuple[dict, ...]  # per-equation {j (1-based): int}
 
     def equation_strings(self) -> list[str]:
-        out = []
-        for i, row in enumerate(self.coeffs, start=1):
-            if not row:
-                out.append(f"b{i}' = 0")
-                continue
-            parts = []
-            for j in sorted(row):
-                c = row[j]
-                sign = "-" if c < 0 else "+"
-                mag = -c if c < 0 else c
-                coef = "" if mag == 1 else f"{mag}*"
-                parts.append((sign, f"{coef}1/b{j}"))
-            text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-            for sign, body in parts[1:]:
-                text += f" {sign} {body}"
-            out.append(f"b{i}' = {text}")
-        return out
+        """b_i' = ..., each right-hand side a linear polynomial in 1/b1..1/bn."""
+        names = tuple(f"b{i}" for i in range(1, self.rank + 1))
+        recip = tuple(f"1/{b}" for b in names)
+        unit = list(unit_keys(recip).values())  # unit[j - 1] is the key of 1/b_j
+        return equation_lines(names, [Poly._make(recip, {unit[j - 1]: c for j, c in row.items()})
+                                      for row in self.coeffs])
 
 
 def b_system_rhs(rd: RootData) -> BSystem:
     """b_i' = - sum_j k_j c_ij / b_j."""
-    coeffs: list[dict] = [{} for _ in range(rd.rank)]
-    for i, j in rd.dynkin_edges:  # c_ij = 1, c_ji = -1
-        coeffs[i - 1][j] = -rd.marks[j - 1]
-        coeffs[j - 1][i] = rd.marks[i - 1]
-    return BSystem(rd.rank, tuple(coeffs))
+    return BSystem(rd.rank, tuple(
+        {j: -k * c_ij for j, (k, c_ij) in enumerate(zip(rd.marks, row), start=1) if c_ij}
+        for row in sign_matrix(rd)))
 
 
 def edge_variables(rd: RootData) -> tuple[str, ...]:

@@ -475,8 +475,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (ValueError, KeyError, OSError, ZeroDivisionError,
-            flows.NonFiniteStateError) as exc:
+    except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,7 @@ from .polyalg import GaussianRational
 from .poisson import PolyVectorField
 
 
-class NonFiniteStateError(RuntimeError):
+class NonFiniteStateError(ValueError):
     def __init__(self, t_last: float):
         super().__init__(f"state left float range; last valid time {t_last}")
         self.t_last = t_last

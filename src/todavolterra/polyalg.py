@@ -272,9 +272,10 @@ class Poly:
         operations whose inputs are already `Poly` objects and whose results
         keep these invariants (sum, negation, scaling by a nonzero scalar,
         derivative, a scaled variable map, and `poly_from_sum`, which
-        finishes every sum of products), the zero polynomial and `moser`'s
-        equations read off an exact solve, on checked variables, use it;
-        outside input goes through `Poly(...)`.
+        finishes every sum of products), the zero polynomial, `moser`'s
+        equations read off an exact solve and `bogo`'s B-system (one nonzero
+        int per 1/b_j), on checked variables, use it; outside input goes
+        through `Poly(...)`.
         """
         p = object.__new__(cls)
         _set_variables(p, variables)

@@ -52,6 +52,36 @@ def integer_relation(rd: bogo.RootData) -> list[int]:
             for c in coords]
 
 
+def signed_sum_lines(bsys: bogo.BSystem) -> list[str]:
+    """The B-system's lines, formatted term by term: the oracle for
+    `BSystem.equation_strings`, which prints through `Poly.canonical_str`."""
+    out = []
+    for i, row in enumerate(bsys.coeffs, start=1):
+        if not row:
+            out.append(f"b{i}' = 0")
+            continue
+        parts = []
+        for j in sorted(row):
+            c = row[j]
+            sign = "-" if c < 0 else "+"
+            mag = -c if c < 0 else c
+            coef = "" if mag == 1 else f"{mag}*"
+            parts.append((sign, f"{coef}1/b{j}"))
+        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        out.append(f"b{i}' = {text}")
+    return out
+
+
+def marks_are_positive_ints(rd: bogo.RootData) -> bool:
+    return all(type(k) is int and k > 0 for k in rd.marks)
+
+
+# every (type, rank) that `bogo --type T --rank n` accepts
+CLI_RANKS = [(t, n) for t in "ABCD" for n in range(3 if t == "D" else 1, 65)]
+
+
 class TestRootData:
     def test_a_marks_all_one(self):
         for n in (1, 2, 3, 4):
@@ -72,10 +102,12 @@ class TestRootData:
         assert bogo.root_data("D", 4).marks == (1, 2, 1, 1)
 
     def test_mark_relation_exact(self):
-        for t, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (3, 4))):
-            for n in ranks:
-                rd = bogo.root_data(t, n)
-                assert not any(integer_relation(rd))
+        # `root_data` keeps the solver's marks unchecked: the relation and the
+        # marks' type are tested here, at every rank the CLI accepts
+        for t, n in CLI_RANKS:
+            rd = bogo.root_data(t, n)
+            assert not any(integer_relation(rd)), (t, n)
+            assert marks_are_positive_ints(rd), (t, n)
 
     def test_roots_hold_only_nonzero_coordinates(self):
         for t in "ABCD":
@@ -85,18 +117,23 @@ class TestRootData:
                     assert v and all(type(x) is int and x for x in v.values())
 
     def test_wrong_mark_fails_the_integer_relation(self, monkeypatch):
-        # negative control: a solver answer with one mark off by one must not
-        # pass as the marks
+        # negative control: `root_data` keeps whatever marks the solver
+        # returns, so a mark off by one must be caught by `integer_relation`,
+        # and one that is zero or not an int by `marks_are_positive_ints`
         solve = bogo.solve_exact
+        bends = {"off by one": lambda k: k + 1, "zero": lambda k: 0,
+                 "half": lambda k: Fraction(1, 2)}
 
-        def off_by_one(columns, rhs):
-            ((marks,), unique) = solve(columns, rhs)
-            return [[marks[0] + 1, *marks[1:]]], unique
+        for name, bend in bends.items():
+            def bent(columns, rhs, bend=bend):
+                ((marks,), unique) = solve(columns, rhs)
+                return [[bend(marks[0]), *marks[1:]]], unique
 
-        monkeypatch.setattr(bogo, "solve_exact", off_by_one)
-        for t, n in (("A", 3), ("B", 4), ("C", 2), ("D", 5)):
-            with pytest.raises(ValueError, match="marks do not satisfy the integer relation"):
-                bogo.root_data(t, n)
+            monkeypatch.setattr(bogo, "solve_exact", bent)
+            for t, n in (("A", 3), ("B", 4), ("C", 2), ("D", 5)):
+                rd = bogo.root_data(t, n)
+                assert any(integer_relation(rd)), (name, t, n)
+                assert marks_are_positive_ints(rd) == (name == "off by one"), (name, t, n)
 
     def test_d_needs_rank_3(self):
         with pytest.raises(ValueError):
@@ -131,6 +168,11 @@ class TestSignMatrix:
 
 
 class TestBSystem:
+    def test_strings_match_the_signed_sum_formatter(self):
+        for t, n in CLI_RANKS:
+            bsys = bogo.b_system_rhs(bogo.root_data(t, n))
+            assert bsys.equation_strings() == signed_sum_lines(bsys), (t, n)
+
     def test_a2(self):
         bsys = bogo.b_system_rhs(bogo.root_data("A", 2))
         assert bsys.coeffs == ({2: Fraction(-1)}, {1: Fraction(1)})

@@ -73,11 +73,9 @@ def leaves(parser: argparse.ArgumentParser, prefix=()) -> list:
     return [leaf for name, p in subs[0].choices.items() for leaf in leaves(p, (*prefix, name))]
 
 
-def argv_strategy():
-    """Argument lists: a subcommand, then a drawn subset of its options in any
-    order.  Half of them draw every value from the accepted ones and keep
-    every required option; the rest mix in rejected values, sometimes leave
-    out a required option and sometimes add an unknown one."""
+def leaf_options() -> list:
+    """(subcommand words, [(flag, dest, required, accepted, rejected)]) for
+    every leaf subcommand and each of its options."""
     cases = []
     for words, parser in leaves(build_parser()):
         options = []
@@ -88,15 +86,24 @@ def argv_strategy():
                 good, bad = tuple(action.choices), ("bogus",)
             else:
                 good, bad = VALUES[action.dest]
-            options.append((action.option_strings[0], action.required, good, bad))
+            options.append((action.option_strings[0], action.dest, action.required, good, bad))
         cases.append((words, options))
+    return cases
+
+
+def argv_strategy():
+    """Argument lists: a subcommand, then a drawn subset of its options in any
+    order.  Half of them draw every value from the accepted ones and keep
+    every required option; the rest mix in rejected values, sometimes leave
+    out a required option and sometimes add an unknown one."""
+    cases = leaf_options()
 
     @st.composite
     def draw(draw_):
         words, options = draw_(st.sampled_from(cases))
         accepted = draw_(st.booleans())
         chosen = []
-        for flag, required, good, bad in options:
+        for flag, _, required, good, bad in options:
             keep = draw_(st.booleans()) or (required and (accepted or draw_(st.integers(0, 9)) > 0))
             if keep:
                 chosen.append([flag, draw_(st.sampled_from(good if accepted else good + bad))])
@@ -128,13 +135,34 @@ def test_every_input_exits_cleanly(tmp_path, monkeypatch, capsys, request):
     check()
 
 
-def test_every_rejected_x0_file_exits_2(tmp_path, monkeypatch, capsys):
-    # the random draws seldom pair a rejected file with an otherwise valid
-    # `simulate` call, so each file is also run once in one
+# accepted values for a base call where the first of VALUES or `choices`
+# will not do: toda-a:1 is rejected (`--system` needs two sites), psi, the
+# first map, is a Poisson map of toda-a:2 only for bracket 2, and --t-end 0.01
+# keeps the base `simulate` short
+BASE = {"system": "toda-a:2", "bracket": "2", "t_end": "0.01"}
+
+
+def test_every_rejected_value_exits_2_in_a_valid_call(tmp_path, monkeypatch, capsys):
+    # the random draws seldom pair a rejected value with an otherwise valid
+    # call, so each one is also run once in one: the leaf's base call (its
+    # required options and those of BASE) with that option set to the value
     write_x0_files(tmp_path)
+    monkeypatch.setenv("TODAVOLTERRA_OUT_DIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    for name in VALUES["x0"][1]:
-        code = main(["simulate", "--system", "toda-a:2", "--t-end", "0.01", "--x0", name])
-        out, err = capsys.readouterr()
-        assert (code, out) == (2, ""), name
-        assert err.startswith("error: ") and len(err.splitlines()) == 1, (name, err)
+    for words, options in leaf_options():
+        base = {flag: BASE.get(dest, good[0])
+                for flag, dest, required, good, _ in options if required or dest in BASE}
+        code = main(words + [x for pair in base.items() for x in pair])
+        capsys.readouterr()
+        assert code in (0, 1), (words, base, code)
+        for flag, _, _, _, bad in options:
+            for value in bad:
+                argv = words + [x for pair in {**base, flag: value}.items() for x in pair]
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert (code, out) == (2, ""), argv
+                lines = err.splitlines()
+                assert [line for line in lines if "error:" in line] == lines[-1:], (argv, err)
+                # a parse error follows argparse's usage text; any other is one line
+                one_line = err.startswith("error: ") and len(lines) == 1
+                assert err.startswith("usage: ") or one_line, (argv, err)

@@ -82,8 +82,10 @@ class TestIntegrate:
     def test_blowup_reported(self):
         vs = ("a1",)
         vf = PolyVectorField(vs, [Poly.var(vs, "a1") ** 2])  # finite-time blowup
-        with pytest.raises(flows.NonFiniteStateError):
+        with pytest.raises(flows.NonFiniteStateError) as info:
             flows.integrate(vf, [10.0], 10.0, 0.05)
+        # an input error: the CLI reports it with its other ValueErrors
+        assert isinstance(info.value, ValueError)
 
 
 def exponent_rows(vf: PolyVectorField) -> np.ndarray:

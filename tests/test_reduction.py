@@ -382,6 +382,16 @@ class TestVerifyReduction:
         assert diffs
         assert diffs == want and len(want) == (drop is not None) + (add is not None)
 
+    def test_variable_list_mismatch_report(self):
+        # psi reduces toda-a:3 to two variables; a target on three is reported
+        # as one row that names both lists
+        pi, group = catalog.tensor(catalog.SystemId("toda", "a", 3), 2), psi_group(3)
+        wrong = catalog.tensor(catalog.SystemId("volterra", "a", 4), 2)
+        assert verify_reduction(pi, group, wrong) == [
+            {"i": 0, "j": 0, "expected": "a1,a2,a3", "got": "a1,a2"}]
+        right = catalog.tensor(catalog.SystemId("volterra", "a", 3), 2)
+        assert verify_reduction(pi, group, right) == []
+
     def test_identity_case(self):
         sys = catalog.SystemId("toda", "a", 3)
         pi = catalog.tensor(sys, 2)
