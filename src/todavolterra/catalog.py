@@ -25,7 +25,9 @@ Conventions fixed here once and used everywhere:
 * H_k = tr(L^k)/k is built from closed walks, not matrix powers.  For a
   tridiagonal L, (L^k)[r][r] sums the products along the walks of length k
   from r back to r, and such a product depends only on the diagonal entries
-  d_s and the edge products c_s = L[s][s+1] L[s+1][s].  So one local density
+  d_s and the edge products c_s = L[s][s+1] L[s+1][s], each a signed
+  variable.  `lax_bands` is the single statement of that band rule; the
+  float monitors (`flows.lax_bands`) read it too.  So one local density
   D_k (`walk_density`), found once per k on the infinite lattice, read at
   every site r of any of the six families, gives the trace.  The boundary
   costs nothing: a walk that would leave the N x N matrix crosses an edge
@@ -133,6 +135,26 @@ def lax_entries(sys: SystemId) -> list[tuple[int, int, str | None, int]]:
     return out
 
 
+def lax_bands(sys: SystemId) -> tuple[dict[int, tuple[int, str]], dict[int, tuple[int, str]]]:
+    """The bands of the tridiagonal Lax matrix as signed variables (c, v):
+    the diagonal {i: L[i][i]} and the edge products {i: L[i][i+1] L[i+1][i]}.
+
+    Every subdiagonal entry of `lax_entries` is a constant, so each edge
+    product is a signed variable too.  The diagonal is empty on the Volterra
+    families.  This is the single statement of the band rule: `hamiltonian`
+    and the float monitors (`flows.lax_bands`) read the bands from here.
+    """
+    diagonal, upper, lower = {}, {}, {}
+    for i, j, v, c in lax_entries(sys):
+        if i == j:
+            diagonal[i] = (c, v)
+        elif j == i + 1:
+            upper[i] = (c, v)
+        else:
+            lower[j] = c  # v is None
+    return diagonal, {i: (c * lower[i], v) for i, (c, v) in upper.items()}
+
+
 def lax(sys: SystemId) -> list[list[Poly]]:
     """Symbolic Lax matrix of the system, built from `lax_entries`."""
     zero = Poly.zero(variables(sys))  # checks the variables once
@@ -173,7 +195,7 @@ def hamiltonian(sys: SystemId, k: int) -> Poly:
 
     (L^k)[r][r] is D_k read at site r: the factor ("d", o) is the diagonal
     entry d_{r+o} and ("c", o) the edge product L[r+o][r+o+1] L[r+o+1][r+o],
-    both from `lax_entries`, so every family is read alike.  A factor off the
+    both from `lax_bands`, so every family is read alike.  A factor off the
     matrix or on a zero entry is zero: a walk that would leave the N x N
     matrix crosses the missing edge -1 or N-1, so dropping its monomial is
     exactly the matrix boundary.  Zero for odd k on a mirror-symmetric Lax.
@@ -182,15 +204,9 @@ def hamiltonian(sys: SystemId, k: int) -> Poly:
         raise ValueError("k must be >= 1")
     vars_ = variables(sys)
     unit = unit_keys(vars_)
-    # each nonzero entry as a signed monomial (coefficient, monomial key)
-    entry = {(i, j): (c, unit.get(v, 0)) for i, j, v, c in lax_entries(sys)}
-    values: dict[str, dict[int, tuple]] = {"d": {}, "c": {}}
-    for (i, j), (c, key) in entry.items():
-        if i == j:
-            values["d"][i] = (c, key)
-        elif j == i + 1 and (j, i) in entry:
-            c2, key2 = entry[j, i]
-            values["c"][i] = (c * c2, key + key2)
+    # each band value as a signed monomial (coefficient, monomial key)
+    values = {letter: {i: (c, unit[v]) for i, (c, v) in band.items()}
+              for letter, band in zip("dc", lax_bands(sys))}
     terms: dict[int, int] = {}
     for mono, count in walk_density(k).items():
         for r in range(lax_size(sys)):
@@ -290,13 +306,9 @@ LAST_SITE = {
     ("volterra-c", 4): _VOLTERRA_B_PI4_LAST,
 }
 
-# The catalog Poisson tensors pi_k of each family, k in ascending order.
-BRACKETS = {
-    "toda-a": (1, 2, 3),
-    "toda-b": (1, 3),
-    "volterra-a": (2, 4),
-    "volterra-b": (4,),
-}
+# The catalog Poisson tensors pi_k of each family, k in ascending order,
+# read off the TENSORS keys.
+BRACKETS = {name: tuple(sorted(k for other, k in TENSORS if other == name)) for name, _ in TENSORS}
 
 
 def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...]) -> PoissonTensor:

@@ -195,9 +195,9 @@ def verify_all(max_rank: int) -> dict:
         "volterra-a": range(3, 2 * max_rank + 2),
         "volterra-b": range(1, max_rank + 1),
     }
-    for name, brackets in catalog.BRACKETS.items():
-        for n in jacobi_sizes[name]:
-            results += [jacobi(SystemId(*name.split("-"), n), k) for k in brackets]
+    for name, sizes in jacobi_sizes.items():
+        for n in sizes:
+            results += [jacobi(SystemId(*name.split("-"), n), k) for k in catalog.BRACKETS[name]]
     for n in range(2, max_rank + 1):
         toda, volterra = SystemId("toda", "a", n), SystemId("volterra", "a", n + 1)
         results += [compatible(toda, p) for p in COMPATIBLE_PAIRS["toda-a"]]

@@ -13,8 +13,10 @@ failed (a diff is emitted), 2 usage or input error, a `simulate` run whose
 state or monitored values (H_k, char-poly coefficients and their drifts)
 leave float range, or one that would exceed MEMORY_BUDGET_BYTES or
 MAX_FLOW_WORK.
-All JSON documents carry a top-level "schema" field.  TODAVOLTERRA_OUT_DIR
-sets the default directory for file outputs.
+Every JSON document carries a top-level "schema": "todavolterra/<command>/v1",
+stamped by `_json` alone.  `simulate --out` writes either format to a file;
+TODAVOLTERRA_OUT_DIR sets the directory of a relative one.  The bounded and
+positive numeric options and `--brackets` share one argparse type, `_number`.
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ from . import bogo, catalog, checks, flows, moser, reduction
 from .poisson import is_poisson
 from .polyalg import Poly, equation_lines
 
-SCHEMA_PREFIX = "todavolterra"
+
+def _json(command: str, doc: dict) -> str:
+    """The JSON document of `command`, stamped "schema": "todavolterra/<command>/v1"."""
+    doc = {**doc, "schema": f"todavolterra/{command}/v1"}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc: dict, fmt: str) -> None:
+def _emit(command: str, doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.write(_json(command, doc))
     else:
         _emit_text(doc)
 
@@ -46,8 +52,6 @@ def _emit(doc: dict, fmt: str) -> None:
 def _emit_text(doc: dict, indent: int = 0) -> None:
     pad = "  " * indent
     for key, value in doc.items():
-        if key == "schema":
-            continue
         if isinstance(value, dict):
             print(f"{pad}{key}:")
             _emit_text(value, indent + 1)
@@ -86,8 +90,7 @@ def _cmd_verify(args) -> int:
     if hasattr(args, "system"):  # the checks take the parsed id
         args.system = _bounded_system(args.system, MAX_VERIFY_SYSTEM)
     doc = args.check(args)
-    doc["schema"] = f"{SCHEMA_PREFIX}/verify/v1"
-    _emit(doc, args.format)
+    _emit("verify", doc, args.format)
     return 0 if doc["ok"] else 1
 
 
@@ -99,14 +102,13 @@ def _cmd_reduce(args) -> int:
     ambient, group = checks.ambient_and_group(sys_id, args.map, args.bracket)
     red = reduction.reduced_bracket(ambient, group)
     doc = {
-        "schema": f"{SCHEMA_PREFIX}/reduce/v1",
         "system": str(sys_id),
         "map": args.map,
         "bracket": args.bracket,
         "reduced": red.to_json_dict(),
         "is_poisson": is_poisson(red),
     }
-    _emit(doc, args.format)
+    _emit("reduce", doc, args.format)
     return 0
 
 
@@ -221,6 +223,17 @@ def _cmd_simulate(args) -> int:
             report = flows.monitors(traj, sys_id)
             values = [*report.hamiltonian_drift.values(), *report.charpoly_drift]
             finite = all(map(math.isfinite, values))
+            text = _json("simulate", {
+                "system": str(sys_id),
+                "flow": args.flow,
+                "t_end": args.t_end,
+                "h": args.h,
+                "seed": args.seed,
+                "x0": [float(x) for x in x0],
+                # a constant of the simulate/v1 schema; it does not name the kernel
+                "backend": "numpy",
+                "monitors": report.to_json_dict(),
+            })
         else:
             text = flows.trajectory_csv(traj, sys_id, decimate=args.decimate)
             # each cell below the header is a float's repr; only inf and nan hold an "n"
@@ -230,29 +243,14 @@ def _cmd_simulate(args) -> int:
             "a monitored H_k or char-poly value is not finite (the powers of the Lax "
             "matrix left float range); start from a smaller initial point"
         )
-    if args.format == "json":
-        doc = {
-            "schema": f"{SCHEMA_PREFIX}/simulate/v1",
-            "system": str(sys_id),
-            "flow": args.flow,
-            "t_end": args.t_end,
-            "h": args.h,
-            "seed": args.seed,
-            "x0": [float(x) for x in x0],
-            # a constant of the simulate/v1 schema; it does not name the kernel
-            "backend": "numpy",
-            "monitors": report.to_json_dict(),
-        }
-        _emit(doc, "json")
+    if args.out:
+        # an absolute --out discards the directory
+        path = os.path.join(os.environ.get("TODAVOLTERRA_OUT_DIR", "."), args.out)
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
     else:
-        if args.out:
-            out_dir = os.environ.get("TODAVOLTERRA_OUT_DIR", ".")
-            path = args.out if os.path.isabs(args.out) else os.path.join(out_dir, args.out)
-            with open(path, "w") as fh:
-                fh.write(text)
-            print(f"wrote {path}")
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(text)
     return 0
 
 
@@ -264,7 +262,6 @@ def _cmd_bogo(args) -> int:
     bsys = bogo.b_system_rhs(rd)
     xsys = bogo.x_system_rhs(rd)
     doc = {
-        "schema": f"{SCHEMA_PREFIX}/bogo/v1",
         "type": rd.type,
         "rank": rd.rank,
         "marks": list(rd.marks),
@@ -281,7 +278,7 @@ def _cmd_bogo(args) -> int:
         }
         transformed = bogo.transformed_x_system(xsys, form)
         doc["volterra_form"] = equation_lines(transformed.variables, transformed.components)
-    _emit(doc, args.format)
+    _emit("bogo", doc, args.format)
     return 0
 
 
@@ -305,7 +302,6 @@ def _cmd_moser(args) -> int:
         }
 
     doc = {
-        "schema": f"{SCHEMA_PREFIX}/moser/v1",
         "N": args.N,
         "lax": [[p.canonical_str() for p in row] for row in moser.x_lax(args.N)],
         "flow": equation_lines(flow.variables, flow.components),
@@ -313,68 +309,52 @@ def _cmd_moser(args) -> int:
         "odd_deleted": block_doc(split.odd_deleted),
         "even_deleted": block_doc(split.even_deleted),
     }
-    _emit(doc, args.format)
+    _emit("moser", doc, args.format)
     return 0
 
 
 # ---------------------------------------------------------------------- main
 
 
-def _positive(kind):
-    """argparse type: a finite number of `kind` greater than zero."""
-    noun = "integer" if kind is int else "number"
+def _number(kind, test, message):
+    """argparse type: `kind(text)`, if that raises no ValueError and passes
+    `test`; otherwise the error line `message(text)`."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not math.isfinite(value) or value <= 0:
-            raise argparse.ArgumentTypeError(f"must be a finite positive {noun}, got {text!r}")
+        if value is None or not test(value):
+            raise argparse.ArgumentTypeError(message(text))
         return value
 
     return parse
+
+
+def _positive(kind):
+    """argparse type: a finite number of `kind` greater than zero (an int of
+    any size compares with inf exactly)."""
+    noun = "integer" if kind is int else "number"
+    return _number(kind, lambda v: 0 < v < math.inf,
+                   lambda text: f"must be a finite positive {noun}, got {text!r}")
 
 
 def _bounded_int(lo: int, hi: int):
     """argparse type: an integer in lo..hi."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer >= {lo} and <= {hi}, got {text!r}"
-            )
-        return value
-
-    return parse
+    return _number(int, lambda v: lo <= v <= hi,
+                   lambda text: f"must be an integer >= {lo} and <= {hi}, got {text!r}")
 
 
 def _odd_int(lo: int, hi: int):
     """argparse type: an odd integer in lo..hi."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or not lo <= value <= hi or value % 2 == 0:
-            raise argparse.ArgumentTypeError(f"must be an odd integer in {lo}..{hi}, got {text}")
-        return value
-
-    return parse
+    return _number(int, lambda v: lo <= v <= hi and v % 2,
+                   lambda text: f"must be an odd integer in {lo}..{hi}, got {text}")
 
 
-def _int_pair(text: str) -> tuple[int, int]:
-    """argparse type: two integers 'k,l'."""
-    try:
-        k, l = (int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be two integers 'k,l', got {text!r}") from None
-    return k, l
+# argparse type: two integers 'k,l'
+_int_pair = _number(lambda text: tuple(map(int, text.split(","))), lambda v: len(v) == 2,
+                    lambda text: f"must be two integers 'k,l', got {text!r}")
 
 
 @functools.cache  # one parser per process: parsing leaves it unchanged
@@ -447,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_positive(float), default=1e-3)
     p.add_argument("--x0", help="JSON file {\"a\": [...], \"b\": [...]}")
     p.add_argument("--decimate", type=_positive(int), default=100)
-    p.add_argument("--out", help="CSV output file name")
+    p.add_argument("--out", help="output file name, for either format")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int, default=0)
 

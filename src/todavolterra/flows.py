@@ -10,12 +10,13 @@ characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator
 error.  Both are read off the Lax bands, the diagonal d and the edge
 products e_i = L[i,i+1] L[i+1,i] gathered straight from the states
-(`lax_bands`), on which the traces and the char poly of a tridiagonal
-matrix depend.  The H_k come from the traces tr(L^j), so no H_k is ever
-expanded as a polynomial: from the powers of the tridiagonal matrix with
-bands d and e and ones below, or, for the Volterra Lax matrices, which have
-no diagonal, from the two parity blocks of L^2, each tridiagonal of about
-half the size (`squared_traces`).  The coefficients come from the
+(`lax_bands`, by the band rule stated once in `catalog.lax_bands`), on
+which the traces and the char poly of a tridiagonal matrix depend.  The
+H_k come from the traces tr(L^j), so no H_k is ever expanded as a
+polynomial: from the powers of the tridiagonal matrix with bands d and e
+and ones below, or, for the Volterra Lax matrices, which have no diagonal,
+from the two parity blocks of L^2, each tridiagonal of about half the size
+(`squared_traces`).  The coefficients come from the
 three-term continuant on d and e, which stays accurate at every size
 (Newton's identities on the traces lose accuracy exponentially in the
 size).  The bands are taken one block of `CHARPOLY_BLOCK` states at a time
@@ -194,21 +195,17 @@ def lax_bands(sys: catalog.SystemId, states: np.ndarray) -> tuple[np.ndarray, np
     diagonal d, shape [N, T], and its edge products e_i = L[i,i+1] L[i+1,i],
     shape [N-1, T].
 
-    Each entry is a constant or a scaled column of `states`, as in
-    `lax_values`, so d and e are bitwise those of the dense matrices.  The
-    traces of the powers of L and its char poly depend on L only through
-    d and e.
+    Each is a signed column of `states`, by the band rule `catalog.lax_bands`
+    states; every sign is +-1, so d and e are bitwise those of the dense
+    matrices of `lax_values`.  The traces of the powers of L and its char
+    poly depend on L only through d and e.
     """
     column = {v: k for k, v in enumerate(catalog.variables(sys))}
     N, T = catalog.lax_size(sys), states.shape[0]
-    entry = {(i, j): c if v is None else c * states[:, column[v]]
-             for i, j, v, c in catalog.lax_entries(sys)}
     d, e = np.zeros((N, T)), np.empty((N - 1, T))
-    for i in range(N):
-        if (i, i) in entry:  # the Volterra families have no diagonal
-            d[i] = entry[i, i]
-    for i in range(N - 1):
-        e[i] = entry[i, i + 1] * entry[i + 1, i]
+    for out, band in zip((d, e), catalog.lax_bands(sys)):
+        for i, (c, v) in band.items():  # the Volterra families have no diagonal
+            out[i] = c * states[:, column[v]]
     return d, e
 
 
@@ -268,9 +265,9 @@ def squared_traces(e: np.ndarray, k_max: int) -> np.ndarray:
 
 def lax_traces(sys: catalog.SystemId, d: np.ndarray, e: np.ndarray, k_max: int) -> np.ndarray:
     """tr(L^j) for j = 1..k_max from the bands of `lax_bands`, shape [T, k_max]:
-    `squared_traces` for the Volterra Lax matrices, which have no diagonal,
-    and the powers of `tridiagonal(d, e)` for the others."""
-    if all(i != j for i, j, _, _ in catalog.lax_entries(sys)):
+    `squared_traces` for the Volterra Lax matrices, which have no diagonal
+    (`catalog.lax_bands`), and the powers of `tridiagonal(d, e)` for the others."""
+    if not catalog.lax_bands(sys)[0]:
         return squared_traces(e, k_max)
     return power_traces(tridiagonal(d, e), k_max)
 

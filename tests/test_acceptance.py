@@ -51,9 +51,9 @@ def test_criterion_1_exact_jacobi():
         "volterra-a": range(3, 26),
         "volterra-b": range(1, 13),
     }
-    for name, brackets in catalog.BRACKETS.items():
-        for n in sizes[name]:
-            for k in brackets:
+    for name, ns in sizes.items():
+        for n in ns:
+            for k in catalog.BRACKETS[name]:
                 ok = checks.jacobi(sid(f"{name}:{n}"), k)["ok"]
                 check("criterion 1", f"jacobiator(pi{k}) = 0 on {name}:{n}", ok)
 

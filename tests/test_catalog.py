@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from todavolterra import catalog, reduction
-from todavolterra.polyalg import GaussianRational
+from todavolterra.polyalg import GaussianRational, Poly
 from todavolterra.poisson import (
     bracket,
     directional_action,
@@ -60,6 +60,21 @@ class TestLax:
         L = catalog.lax(sid("volterra-b:2"))
         sup = [str(L[i][i + 1]) for i in range(4)]
         assert sup == ["a1", "a2", "-a2", "-a1"]
+
+    @pytest.mark.parametrize("name", [f"{f}-{k}" for f in ("toda", "volterra") for k in "abc"])
+    def test_bands_are_those_of_the_dense_matrix(self, name):
+        # the band rule against `lax`: L[i][i] and L[i][i+1] L[i+1][i] at every i
+        for n in range(2, 7):
+            sys = sid(f"{name}:{n}")
+            L, vars_ = catalog.lax(sys), catalog.variables(sys)
+            diagonal, edges = catalog.lax_bands(sys)
+            signed = {i: Poly.var(vars_, v).scale(c) for i, (c, v) in diagonal.items()}
+            N, zero = catalog.lax_size(sys), Poly.zero(vars_)
+            assert [L[i][i] for i in range(N)] == [signed.get(i, zero) for i in range(N)]
+            assert sorted(edges) == list(range(N - 1))
+            for i, (c, v) in edges.items():
+                assert L[i][i + 1] * L[i + 1][i] == Poly.var(vars_, v).scale(c), (sys, i)
+            assert (not diagonal) == (sys.family == "volterra")
 
 
 class TestHamiltonians:

@@ -284,6 +284,22 @@ class TestPerturbedTensorFails:
         assert doc["ok"] is False and doc["brackets"] == [2, 3]
 
 
+class TestSchema:
+    """Every command's JSON names its own schema, `todavolterra/<command>/v1`."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "jacobi", "--system", "toda-a:3", "--bracket", "2"],
+        ["reduce", "--system", "toda-a:5", "--map", "phi_toda", "--bracket", "3"],
+        ["simulate", "--system", "toda-a:3", "--t-end", "0.1", "--h", "0.01"],
+        ["bogo", "--type", "B", "--rank", "3"],
+        ["moser", "--N", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_schema_names_the_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["schema"] == f"todavolterra/{argv[0]}/v1"
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):
         _, out1, _ = run(capsys, "verify", "all", "--max-rank", "2", "--format", "json")
@@ -351,6 +367,26 @@ class TestSimulate:
         assert code == 0
         text = (tmp_path / "run.csv").read_text()
         assert text.splitlines()[0] == "t,a1,b1,b2,H1,H2,c1_drift,c2_drift"
+
+    def test_json_written_to_out(self, capsys, tmp_path, monkeypatch):
+        # --out was ignored with --format json: the document went to stdout
+        monkeypatch.setenv("TODAVOLTERRA_OUT_DIR", str(tmp_path))
+        argv = ["simulate", "--system", "toda-a:3", "--t-end", "0.1", "--h", "0.01",
+                "--format", "json"]
+        _, printed, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--out", "run.json")
+        path = tmp_path / "run.json"
+        assert (code, out, err) == (0, f"wrote {path}\n", "")
+        assert path.read_text() == printed
+
+    def test_decimate_of_any_size(self, capsys):
+        # a 400-digit --decimate ended in an OverflowError traceback, exit 1
+        argv = ["simulate", "--system", "toda-a:3", "--t-end", "0.05", "--h", "0.01"]
+        code, out, err = run(capsys, *argv, "--decimate", str(10**400))
+        assert (code, err) == (0, "")
+        _, every, _ = run(capsys, *argv, "--decimate", "1")
+        rows = every.splitlines()
+        assert out.splitlines() == [rows[0], rows[1], rows[-1]]  # header, t = 0, t = t_end
 
     def test_csv_ends_at_t_end(self, capsys):
         # 105 steps are not a multiple of --decimate 10: rows 0, 10, ..., 100

@@ -23,6 +23,9 @@ from todavolterra.cli import build_parser, main
 FAMILIES = ("toda-a", "toda-b", "toda-c", "volterra-a", "volterra-b", "volterra-c")
 # rejected by every numeric option
 NON_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "1e308", "x", "")
+# a positive integer past float range: `--decimate` and `--seed` take it, the
+# bounded options reject it
+BIG = str(10**400)
 
 # option dest -> (values the CLI may accept, values it must reject), for the
 # options without `choices`.  The sizes are the cheap end, or ones that every
@@ -34,15 +37,15 @@ VALUES = {
                 "volterra-a:x", "", "toda-a", "toda-a:2:3", ":")),
     "bracket": (("1", "2", "3", "4"), ("-1", "0", "5", "x")),
     "brackets": (("1,2", "2,3", "1,3", "2,4"), ("0,9", "1", "1,2,3", "a,b")),
-    "n": (("1", "2"), ("17",) + NON_NUMBERS),
-    "max_rank": (("2", "3"), ("1", "17") + NON_NUMBERS),
-    "rank": (("1", "2", "4"), ("65",) + NON_NUMBERS),
-    "N": (("5", "7"), ("3", "4", "43") + NON_NUMBERS),
-    "flow": (("1", "2", "3"), ("99", "10000000") + NON_NUMBERS),
+    "n": (("1", "2"), ("17", BIG) + NON_NUMBERS),
+    "max_rank": (("2", "3"), ("1", "17", BIG) + NON_NUMBERS),
+    "rank": (("1", "2", "4"), ("65", BIG) + NON_NUMBERS),
+    "N": (("5", "7"), ("3", "4", "43", BIG) + NON_NUMBERS),
+    "flow": (("1", "2", "3"), ("99", "10000000", BIG) + NON_NUMBERS),
     "t_end": (("0.01", "0.5", "1e-3"), ("1e-320",) + NON_NUMBERS),
     "h": (("1e-3", "0.01"), ("0.3", "1e-320") + NON_NUMBERS),
-    "decimate": (("1", "100"), ("1e3",) + NON_NUMBERS),
-    "seed": (("0", "1", "-1", "99999999999999999999"), ("x", "1.5")),
+    "decimate": (("1", "100", BIG), ("1e3",) + NON_NUMBERS),
+    "seed": (("0", "1", "-1", "99999999999999999999", BIG), ("x", "1.5")),
     "x0": (("point.json",), ("huge.json", "short.json", "nan.json", "strings.json",
                              "list.json", "malformed.json", "deep.json", "missing.json", ".")),
     "out": (("out.csv",), ("no-such-dir/out.csv",)),

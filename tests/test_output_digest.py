@@ -1,11 +1,12 @@
 """The CLI's exact outputs are byte-identical to the recorded ones.
 
-`tools/output_digest.py` digests stdout, stderr and the exit code of four
-fixed lists of calls: the benchmark's and the other exact commands', the
-`--system` parsing paths with the inputs they reject (`parsing_calls`),
-the exact commands at their size caps (`cap_calls`), and `moser`, `bogo`,
-`reduce` and `verify reduction` in their text format (`text_calls`).
-Every call but `simulate` is compared here with
+`tools/output_digest.py` digests stdout, stderr and the exit code of five
+fixed lists of calls; four are compared here: the benchmark's and the other
+exact commands', the `--system` parsing paths and the numeric options with
+the inputs they reject (`parsing_calls`), the exact commands at their size
+caps (`cap_calls`), and `moser`, `bogo`, `reduce` and `verify reduction` in
+their text format (`text_calls`).  The fifth, `float_calls`, runs only
+`simulate`.  Every call but `simulate` is compared here with
 `tests/golden/output_digest.json`, keyed by its argument list; the
 `simulate` calls are left out, since their float bits may differ across CPUs
 and BLAS builds.  A refactor that claims byte-identical outputs fails here

@@ -21,7 +21,10 @@ ladder/involution` on every family and `reduce`, with the inputs these
 reject (bad ids, sizes past `MAX_VERIFY_SYSTEM` and `MAX_REDUCE_SYSTEM`,
 missing brackets, maps that are not Poisson for a bracket, a map on a system
 it does not act on), so the exit code and the `error:` text are digested
-too.  Its total is the `parsing total` line.
+too.  It also runs the exact commands' numeric options with a value each
+rejects (`--n`, `--max-rank`, `--rank`, `--N` and `--brackets`), so their
+error lines are pinned byte for byte.  Its total is the `parsing total`
+line.
 
 A third list, `cap_calls`, runs the exact commands at their largest accepted
 sizes, where their cost is highest: `moser --N 23..41`, `bogo` A-D at
@@ -159,6 +162,12 @@ def parsing_calls() -> list[tuple[str, list[str]]]:
         out.append(("", ["reduce", "--system", s, "--map", "psi", "--bracket", "2", *J]))
     out += [("", ["reduce", "--system", s, "--map", "phi_toda", "--bracket", "3", *J])
             for s in ("toda-a:34", "Toda-A:34", "toda-c:34", "toda-a:x34")]
+    # rejected numeric options: each exits 2 with argparse's usage and one error line
+    out += [("", ["verify", "reduction", "--which", "psi", "--n", "17"]),
+            ("", ["verify", "all", "--max-rank", "1"]),
+            ("", ["bogo", "--type", "A", "--rank", "65"]),
+            ("", ["moser", "--N", "4"]), ("", ["moser", "--N", "43"]),
+            ("", ["verify", "compatible", "--system", "toda-a:4", "--brackets", "x"])]
     return out
 
 
