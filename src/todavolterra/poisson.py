@@ -8,23 +8,31 @@ the order-4 twist, acts on rational tensors with no conversion, and its
 results hold a `GaussianRational` only where a coefficient is not real.
 
 Every operation contracts a tensor with gradients: it visits only stored
-(nonzero) tensor entries and differentiates each polynomial once, by the
-variables that occur in it (`_gradient`).  The Jacobiator and the Lie
-derivative pair each stored entry, for each variable in its support, with
-the row of the tensor that meets that variable, so they cost
-O(nnz * support * row length) polynomial products rather than the O(m^4) of
-a loop over all index tuples; on the banded catalog tensors that is O(m).
-Each product goes term by term into one sum per output entry
-(`add_product`), with no `Poly` built per product.  The bracket is
-{F, G} = X_G(F).  The operands of one operation share one variable list,
-or it raises `ValueError`.  The tests keep the dense loops as oracles.
+(nonzero) tensor entries and differentiates each polynomial once, in one
+walk over its terms that reads each monomial key's fields once
+(`_gradient`).  The Jacobiator and the Lie derivative pair each stored entry,
+for each variable in its support, with the row of the tensor that meets that
+variable, so they cost O(nnz * support * row length) polynomial products
+rather than the O(m^4) of a loop over all index tuples; on the banded catalog
+tensors that is O(m).  Each product goes term by term into one sum per
+output entry (`add_product`), with no `Poly` built per product.  The sums
+run on integers, Gaussian where a coefficient is not real: each operand (a
+tensor, a field, a polynomial) is first `cleared` of its denominators, D *
+operand for D the lcm of the denominators of its coefficients, and each
+output coefficient is divided by the product of the D's once
+(`poly_from_sum`); an operand with integer coefficients has D = 1.  The
+bracket is {F, G} = X_G(F).  The operands of one operation share one
+variable list, or it raises `ValueError`.  The tests keep the dense loops
+as oracles.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .polyalg import Poly, Scalar, add_product, divide, format_scalar, normal, poly_from_sum
+from .polyalg import (
+    Poly, Scalar, add_product, cleared, divide, format_scalar, key_fields, key_layout, normal,
+    poly_from_sum)
 
 
 class LinearMap:
@@ -92,9 +100,6 @@ class PolyVectorField:
 
     def component(self, name: str) -> Poly:
         return self.components[self.variables.index(name)]
-
-    def scale(self, c: Scalar) -> "PolyVectorField":
-        return PolyVectorField(self.variables, [p.scale(c) for p in self.components])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyVectorField):
@@ -210,9 +215,20 @@ class PoissonTensor:
 # ------------------------------------------------------------------ operations
 
 
-def _gradient(p: Poly) -> dict[int, Poly]:
-    """{i: dp/dx_i} for the variables x_i that occur in p, in ascending i."""
-    return {v: p.diff_at(v) for v in p.occurring()}
+def _gradient(terms, units: tuple[int, ...]) -> dict[int, list]:
+    """{i: term list of d/dx_i} of a term list for the variables x_i that occur
+    in it, in ascending i, where units[i] is the key of x_i: one walk, which
+    reads each key's fields once (`key_fields`)."""
+    grad: dict[int, list] = {}
+    n = len(units)
+    for key, c in terms:
+        for i, e in zip(*key_fields(key, n)):
+            term = (key - units[i], c * e)
+            if i in grad:
+                grad[i].append(term)
+            else:
+                grad[i] = [term]
+    return {i: grad[i] for i in sorted(grad)}
 
 
 def bracket(pi: PoissonTensor, F: Poly, G: Poly) -> Poly:
@@ -224,22 +240,29 @@ def hamiltonian_vf(pi: PoissonTensor, H: Poly) -> PolyVectorField:
     """Hamiltonian field with X_H(F) = {F, H}: component i is sum_j pi^ij dH/dx_j."""
     if H.variables != pi.variables:
         raise ValueError("Hamiltonian and tensor on different variable lists")
-    grad = _gradient(H)
+    units, guard = key_layout(pi.dim)
+    d_pi, entries = cleared(pi.upper.values())
+    d_h, (h,) = cleared([H])
+    grad = _gradient(h, units)
+    minus = {i: [(e, -c) for e, c in g] for i, g in grad.items()}
     sums: list[dict] = [{} for _ in range(pi.dim)]
-    for (i, j), p in pi.upper.items():
+    for (i, j), p in zip(pi.upper, entries):
         if j in grad:
-            add_product(sums[i], p, grad[j])
+            add_product(sums[i], p, grad[j], guard)
         if i in grad:
-            add_product(sums[j], p, grad[i], -1)
-    return PolyVectorField(pi.variables, [poly_from_sum(pi.variables, acc) for acc in sums])
+            add_product(sums[j], p, minus[i], guard)
+    return PolyVectorField(pi.variables, [poly_from_sum(pi.variables, acc, d_pi * d_h)
+                                          for acc in sums])
 
 
-def _rows(pi: PoissonTensor) -> list[list[tuple[int, Poly, int]]]:
-    """rows[k] lists (j, p, s), pi^kj = s * p, for each stored entry p meeting k."""
-    rows: list[list[tuple[int, Poly, int]]] = [[] for _ in range(pi.dim)]
-    for (i, j), p in pi.upper.items():
-        rows[i].append((j, p, 1))
-        rows[j].append((i, p, -1))
+def _rows(pi: PoissonTensor, entries: list) -> list[list[tuple[int, list, list]]]:
+    """rows[k] lists (a, pi^ka, pi^ak) as term lists, for each stored entry
+    meeting k; `entries` holds the term lists of pi.upper, in its order."""
+    rows: list[list[tuple[int, list, list]]] = [[] for _ in range(pi.dim)]
+    for (i, j), p in zip(pi.upper, entries):
+        minus = [(e, -c) for e, c in p]
+        rows[i].append((j, p, minus))
+        rows[j].append((i, minus, p))
     return rows
 
 
@@ -252,21 +275,24 @@ def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
     a with pi^al != 0, the product pi^al d_l pi^jk is the (a; j, k) term of
     J at the sorted triple of {a, j, k}.  It enters with sign +1 when
     (a, j, k) is a cyclic order of that triple (a < j or a > k) and -1
-    otherwise (j < a < k), since pi^kj = -pi^jk.
+    otherwise (j < a < k), since pi^kj = -pi^jk.  The sums run on D * pi,
+    D the tensor's `cleared` denominator, and are divided by D^2 at the end.
     """
+    units, guard = key_layout(pi.dim)
+    d, entries = cleared(pi.upper.values())
     sums: dict[tuple[int, int, int], dict] = {}
-    rows = _rows(pi)
-    for (j, k), pjk in pi.upper.items():
-        for l, dl in _gradient(pjk).items():
-            # rows[l] holds (a, p, s) with pi^la = s * p = -pi^al
-            for a, p, s in rows[l]:
+    rows = _rows(pi, entries)
+    for (j, k), pjk in zip(pi.upper, entries):
+        for l, dl in _gradient(pjk, units).items():
+            for a, p_la, p_al in rows[l]:
                 if a < j:
-                    add_product(sums.setdefault((a, j, k), {}), p, dl, -s)
+                    add_product(sums.setdefault((a, j, k), {}), p_al, dl, guard)
                 elif j < a < k:
-                    add_product(sums.setdefault((j, a, k), {}), p, dl, s)
+                    add_product(sums.setdefault((j, a, k), {}), p_la, dl, guard)
                 elif a > k:
-                    add_product(sums.setdefault((j, k, a), {}), p, dl, -s)
-    return {key: poly_from_sum(pi.variables, sums[key]) for key in sorted(sums) if sums[key]}
+                    add_product(sums.setdefault((j, k, a), {}), p_al, dl, guard)
+    return {key: poly_from_sum(pi.variables, sums[key], d * d)
+            for key in sorted(sums) if sums[key]}
 
 
 def is_poisson(pi: PoissonTensor) -> bool:
@@ -283,8 +309,8 @@ def is_compatible(pi: PoissonTensor, rho: PoissonTensor) -> bool:
 def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTensor:
     """(L_Z pi)^ij = Z^k d_k pi^ij - pi^kj d_k Z^i - pi^ik d_k Z^j (candidate).
 
-    Only stored entries are visited.  The first term is Z(pi^ij)
-    (`directional_action`) for each stored pi^ij.  The other two run over k
+    Only stored entries are visited.  The first term is Z(pi^ij), as in
+    `directional_action`, for each stored pi^ij.  The other two run over k
     in the support of each component Z^c against the row (a, pi^ka) of pi:
     for c < a the product pi^ka d_k Z^c is the second term of entry (c, a),
     entering with sign -1; for a < c it is the third term of entry (a, c),
@@ -292,16 +318,23 @@ def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTen
     """
     if Z.variables != pi.variables:
         raise ValueError("field and tensor on different variable lists")
-    sums = {key: dict(directional_action(Z, pij).packed) for key, pij in pi.upper.items()}
-    rows = _rows(pi)
-    for c, zc in enumerate(Z.components):
-        for k, dz in _gradient(zc).items():
-            for a, p, s in rows[k]:
+    units, guard = key_layout(pi.dim)
+    d_z, comps = cleared(Z.components)
+    d_pi, entries = cleared(pi.upper.values())
+    sums: dict[tuple[int, int], dict] = {}
+    for key, p in zip(pi.upper, entries):
+        acc = sums[key] = {}
+        for i, dp in _gradient(p, units).items():
+            add_product(acc, comps[i], dp, guard)
+    rows = _rows(pi, entries)
+    for c, zc in enumerate(comps):
+        for k, dz in _gradient(zc, units).items():
+            for a, p_ka, p_ak in rows[k]:
                 if c < a:
-                    add_product(sums.setdefault((c, a), {}), p, dz, -s)
+                    add_product(sums.setdefault((c, a), {}), p_ak, dz, guard)
                 elif a < c:
-                    add_product(sums.setdefault((a, c), {}), p, dz, s)
-    return PoissonTensor(pi.variables, {key: poly_from_sum(pi.variables, acc)
+                    add_product(sums.setdefault((a, c), {}), p_ka, dz, guard)
+    return PoissonTensor(pi.variables, {key: poly_from_sum(pi.variables, acc, d_z * d_pi)
                                         for key, acc in sums.items()})
 
 
@@ -309,10 +342,13 @@ def directional_action(Z: PolyVectorField, H: Poly) -> Poly:
     """Z(H) = sum_i Z^i dH/dx_i."""
     if H.variables != Z.variables:
         raise ValueError("polynomial and field on different variable lists")
+    units, guard = key_layout(len(Z.variables))
+    d_z, comps = cleared(Z.components)
+    d_h, (h,) = cleared([H])
     acc: dict = {}
-    for i, dH in _gradient(H).items():
-        add_product(acc, Z.components[i], dH)
-    return poly_from_sum(Z.variables, acc)
+    for i, dh in _gradient(h, units).items():
+        add_product(acc, comps[i], dh, guard)
+    return poly_from_sum(Z.variables, acc, d_z * d_h)
 
 
 def pushforward_bivector(A: LinearMap, pi: PoissonTensor) -> PoissonTensor:

@@ -21,8 +21,11 @@ a `GaussianRational` only when its imaginary part is nonzero; never a float.
 Almost every coefficient of the lattice identities is a small integer, and
 int arithmetic is several times cheaper than Fraction or Gaussian
 arithmetic, so a polynomial pays for sqrt(-1) only in the terms that hold
-it.  The three types compare and hash equal on equal values and print alike
-(`format_scalar`), so the normal form changes no output.
+it.  The sums of products in `poisson` go further: `cleared` scales each
+operand to integer numerators, the one product loop (`add_product`) runs on
+them, and `poly_from_sum` divides each result once.  The three types
+compare and hash equal on equal values and print alike (`format_scalar`),
+so the normal form changes no output.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ def unit_keys(variables: tuple[str, ...]) -> Mapping[str, int]:
     """{name: key of that variable alone}; a monomial's key is the sum of the
     keys of its factors.  Cached per variable tuple, so read-only."""
     return MappingProxyType(dict(zip(variables, _layout(len(variables))[1])))
+
+
+def key_layout(n: int) -> tuple[tuple[int, ...], int]:
+    """(units, guard) of the keys of n variables: units[k] is the key of
+    variable k alone, and guard has the top bit of every field set, so a key
+    that holds one has an exponent past `EXPONENT_LIMIT`."""
+    return _layout(n)[1:]
 
 
 def _pack(expo: tuple[int, ...]) -> int:
@@ -105,8 +115,10 @@ def normal(value):
 
 def divide(x, y):
     """x / y exactly, in normal form; `/` on two ints would give a float."""
-    if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
+    if isinstance(y, GaussianRational):
         return normal(GaussianRational.of(x) / y)
+    if isinstance(x, GaussianRational):
+        return normal(GaussianRational(Fraction(x.re, y), Fraction(x.im, y)))
     return normal(Fraction(x, y))
 
 
@@ -315,12 +327,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.packed
 
-    def degree(self):
-        """Total degree; the zero polynomial has degree -inf."""
-        if not self.packed:
-            return -math.inf
-        return max(sum(e) for e in self.terms)
-
     def occurring(self) -> list[int]:
         """Positions of the variables that occur in some term, ascending: the
         nonzero fields of the OR of the keys."""
@@ -366,9 +372,10 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
+        p, q = self._aligned(other)
         acc: dict[int, Scalar] = {}
-        add_product(acc, *self._aligned(other))
-        return poly_from_sum(self.variables, acc)
+        add_product(acc, p.packed.items(), q.packed.items(), _layout(len(p.variables))[2])
+        return poly_from_sum(p.variables, acc)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -517,39 +524,76 @@ def _ipow(scalar: Scalar, n: int) -> Scalar:
 # --------------------------------------------------------------------- misc
 
 
-def add_product(acc: dict[int, Scalar], p: Poly, q: Poly, sign: int = 1) -> None:
-    """Add sign * p * q (sign +1 or -1; p, q on one variable list) into the sum `acc`,
-    term by term: the one product loop.  A cancelled key leaves `acc`, raising past the limit."""
-    get, terms = acc.get, q.packed.items()
-    factors = p.packed.items() if sign > 0 else [(e, -c) for e, c in p.packed.items()]
-    for e1, c1 in factors:
-        for e2, c2 in terms:
+def add_product(acc: dict[int, Scalar], p, q, guard: int) -> None:
+    """Add p * q into the sum `acc`, term by term: the one product loop.  p and
+    q are (key, coefficient) term lists, such as `Poly.packed.items()`, of keys
+    with the guard bits `guard` (`key_layout`).  A cancelled key leaves `acc`,
+    raising past the limit."""
+    get = acc.get
+    for e1, c1 in p:
+        for e2, c2 in q:
             key = e1 + e2
             s = get(key, 0) + c1 * c2
             if s:
                 acc[key] = s
             else:
                 del acc[key]
-                if key & _layout(len(p.variables))[2]:
+                if key & guard:
                     raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
 
 
-def poly_from_sum(variables: tuple[str, ...], acc: dict[int, Scalar]) -> Poly:
-    """The `Poly` of a sum built by `add_product`, each coefficient normalised once.
-    A key past `EXPONENT_LIMIT` raises, even where it cancels (x^L * x - x * x^L)."""
+def poly_from_sum(variables: tuple[str, ...], acc: dict[int, Scalar],
+                  denominator: int = 1) -> Poly:
+    """The `Poly` of a sum built by `add_product`, each coefficient divided by
+    `denominator` (the product of the operands' `cleared` denominators) and
+    normalised once.  A key past `EXPONENT_LIMIT` raises, even where it
+    cancels (x^L * x - x * x^L)."""
     if reduce(operator.or_, acc, 0) & _layout(len(variables))[2]:
         raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
-    return Poly._make(variables, {k: c if type(c) is int else normal(c) for k, c in acc.items()})
+    if denominator == 1:
+        return Poly._make(variables, {k: c if type(c) is int else normal(c)
+                                      for k, c in acc.items()})
+    # most sums divide exactly, and an int quotient needs no Fraction
+    return Poly._make(variables, {k: c // denominator if type(c) is int and not c % denominator
+                                  else divide(c, denominator) for k, c in acc.items()})
+
+
+def _times(c: Scalar, d: int) -> Scalar:
+    """d * c for a multiple d of c's denominators, with no `Fraction` arithmetic."""
+    if type(c) is GaussianRational:
+        return GaussianRational(_times(c.re, d), _times(c.im, d))
+    return c.numerator * (d // c.denominator)
+
+
+def cleared(polys: Sequence[Poly]) -> tuple[int, list]:
+    """(D, terms): D is the lcm of the denominators of the coefficients of
+    `polys`, both parts of a Gaussian one, read in one pass, and terms[k] is
+    the (key, D * c) term list of polys[k].  Each D * c is an int, or a
+    `GaussianRational` with int parts, so a product loop over such lists
+    (`add_product`) does no `Fraction` arithmetic, and dividing its sums by the
+    D's (`poly_from_sum`) gives the exact result.  With no `Fraction` in any
+    coefficient, D = 1 and the lists are the `packed` items themselves."""
+    d = 1
+    for p in polys:
+        for c in p.packed.values():
+            if type(c) is Fraction:
+                d = math.lcm(d, c.denominator)
+            elif type(c) is GaussianRational:
+                d = math.lcm(d, c.re.denominator, c.im.denominator)
+    if d == 1:
+        return 1, [p.packed.items() for p in polys]
+    return d, [[(k, _times(c, d)) for k, c in p.packed.items()] for p in polys]
 
 
 def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
     zero, out = Poly.zero(A[0][0].variables), []
-    nonzero = [[(j, b) for j, b in enumerate(b_row) if b.packed] for b_row in B]
+    guard = _layout(len(zero.variables))[2]
+    nonzero = [[(j, b.packed.items()) for j, b in enumerate(b_row) if b.packed] for b_row in B]
     for row in A:
         sums: list[dict[int, Scalar]] = [{} for _ in B[0]]
         for a, b_nonzero in zip(row, nonzero):
             for j, b in b_nonzero if a.packed else ():
-                add_product(sums[j], a, b)
+                add_product(sums[j], a.packed.items(), b, guard)
         out.append([poly_from_sum(zero.variables, acc) if acc else zero for acc in sums])
     return out
 

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import namedtuple
@@ -46,6 +47,16 @@ def assert_normal(value):
     for q in parts:
         assert type(q) in (int, Fraction), f"{q!r} is not an exact rational"
         assert (type(q) is int) == (q.denominator == 1), f"{q!r} is not in normal form"
+
+
+def degree(p: Poly):
+    """Total degree; the zero polynomial has degree -inf."""
+    return max((sum(e) for e in p.terms), default=-math.inf)
+
+
+def scaled_field(Z: PolyVectorField, c) -> PolyVectorField:
+    """c * Z, component by component."""
+    return PolyVectorField(Z.variables, [p.scale(c) for p in Z.components])
 
 
 def random_poly(rng, variables, max_terms=4, max_exp=2, max_coef=4):

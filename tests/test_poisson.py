@@ -24,7 +24,7 @@ from todavolterra.poisson import (
 
 from conftest import (
     assert_normal, compose, identity, invariant_average, is_identity, lift, powers, random_poly,
-    read_poly)
+    read_poly, scaled_field)
 
 
 T2 = catalog.SystemId("toda", "a", 2)
@@ -190,7 +190,7 @@ class TestPushforward:
     def test_vector_field_pushforward(self):
         psi = catalog.symmetry("psi", T2)
         Z1 = catalog.master_symmetry(T2)
-        assert pushforward_vf(psi, Z1) == Z1.scale(-1)
+        assert pushforward_vf(psi, Z1) == scaled_field(Z1, -1)
 
 
 class TestDirectionalAction:
@@ -486,7 +486,7 @@ def _small_poly(m):
 def tensor_and_field(draw):
     """A random antisymmetric tensor on 3..7 variables, banded or not, and a
     random vector field, with rational coefficients only or with rational and
-    Gaussian ones mixed."""
+    Gaussian ones mixed, the Gaussian parts integral or not."""
     m = draw(st.integers(3, 7))
     band = draw(st.sampled_from([1, 2, m]))
     upper = {
@@ -496,7 +496,8 @@ def tensor_and_field(draw):
     comps = [draw(_small_poly(m)) for _ in range(m + 2)]
     scales = [1, -1, 2, Fraction(1, 3)]
     if draw(st.booleans()):
-        factors = st.sampled_from([1, I_UNIT, GaussianRational(1, 1)])
+        factors = st.sampled_from([1, I_UNIT, GaussianRational(1, 1),
+                                   GaussianRational(Fraction(1, 2), Fraction(-1, 3))])
         upper = {key: p.scale(draw(factors)) for key, p in upper.items()}
         comps = [p.scale(draw(factors)) for p in comps]
         scales.append(I_UNIT)
@@ -608,6 +609,67 @@ class TestFusedSums:
         assert results["lie_derivative cancels"].is_zero
         assert results["hamiltonian_vf cancels"].is_zero
         assert results["directional_action cancels"].is_zero
+
+
+# ------------------------------ cleared denominators: the sums run on integers
+
+
+def denominator_cases():
+    """{label: (pi, Z, H)} on toda-a:4: operands with denominators 2 and 3
+    in one operation (D = 6), and integral operands against fractional ones,
+    each way round.  pi2, Z1 and 2 H2 are integral; H3 holds b_i^3 / 3."""
+    sys = catalog.SystemId("toda", "a", 4)
+    pi, Z = catalog.tensor(sys, 2), catalog.master_symmetry(sys)
+    H2, H3 = catalog.hamiltonian(sys, 2).scale(2), catalog.hamiltonian(sys, 3)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # entries alternately 1/2 and 1/3 of pi2's: D = 6 within one tensor
+    sixths = PoissonTensor(pi.variables, {
+        key: p.scale(half if n % 2 else third) for n, (key, p) in enumerate(pi.upper.items())})
+    return {
+        "1/2 against 1/3": (pi.scale(half), scaled_field(Z, third), H3),
+        "1/3 against 1/2": (sixths, scaled_field(Z, half), H2.scale(half)),
+        "integral tensor, fractional H and Z": (pi, scaled_field(Z, half), H3),
+        "fractional tensor, integral H and Z": (sixths, Z, H2),
+    }
+
+
+class TestClearedDenominators:
+    @pytest.mark.parametrize("label", list(denominator_cases()))
+    def test_against_the_dense_loops(self, label):
+        pi, Z, H = denominator_cases()[label]
+        assert_jacobiators_agree(pi)
+        XH = hamiltonian_vf(pi, H)
+        assert XH == dense_hamiltonian_vf(pi, H)
+        assert directional_action(Z, H) == dense_directional_action(Z, H)
+        lie = lie_derivative_bivector(Z, pi)
+        assert lie == dense_lie_derivative(Z, pi)
+        assert_stored_normal(*jacobiator(pi).values(), *XH.components,
+                             directional_action(Z, H), *lie.upper.values())
+
+    def test_the_product_loops_do_no_fraction_arithmetic(self, monkeypatch):
+        """Fraction +, * calls inside two operations on toda-b:6, whose pi3
+        and H4 carry halves: at most one per stored operand coefficient (46
+        in pi3, 33 in H4).  Before the operands were
+        cleared, the Jacobiator made 982 such calls and the Hamiltonian
+        field 814."""
+        sys = catalog.SystemId("toda", "b", 6)
+        pi, H = catalog.tensor(sys, 3), catalog.hamiltonian(sys, 4)
+        stored = sum(len(p.packed) for p in pi.upper.values())
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            def counted(self, other, _original=getattr(Fraction, name)):
+                calls.append(1)
+                return _original(self, other)
+            monkeypatch.setattr(Fraction, name, counted)
+        jac = jacobiator(pi)
+        jacobiator_calls = len(calls)
+        XH = hamiltonian_vf(pi, H)
+        field_calls = len(calls) - jacobiator_calls
+        monkeypatch.undo()
+        assert jac == {}
+        assert XH == dense_hamiltonian_vf(pi, H)
+        assert jacobiator_calls <= stored
+        assert field_calls <= stored + len(H.packed)
 
 
 # ---------------------------------- the rewritten operations against their loops

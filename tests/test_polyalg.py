@@ -14,15 +14,18 @@ from todavolterra.polyalg import (
     _ipow,
     _unpack,
     add_product,
+    cleared,
     divide,
     key_fields,
+    key_layout,
     normal,
     poly_from_sum,
 )
 
 from todavolterra._linsolve import solve_exact
 
-from conftest import assert_normal, evaluate, imag_part, random_poly, read_poly, real_part, substitute
+from conftest import (
+    assert_normal, degree, evaluate, imag_part, random_poly, read_poly, real_part, substitute)
 from test_linsolve import dense_solve_exact, to_columns
 
 V = ("a1", "a2", "b1", "b2")
@@ -101,7 +104,7 @@ class TestExponents:
     @pytest.mark.parametrize("expo", [(EXPONENT_LIMIT, 0), (0, EXPONENT_LIMIT)])
     def test_largest_exponent_builds_and_reads_back(self, expo):
         p = Poly(self.XY, {expo: 2})
-        assert p.terms == {expo: 2} and p.degree() == EXPONENT_LIMIT
+        assert p.terms == {expo: 2} and degree(p) == EXPONENT_LIMIT
 
     @pytest.mark.parametrize(
         "expo", [(EXPONENT_LIMIT + 1, 0), (0, EXPONENT_LIMIT + 1), (1 << 16, 0)])
@@ -137,11 +140,32 @@ class TestExponents:
     def test_a_sum_of_products_past_the_width_raises_though_it_cancels(self):
         # x^L * x - x * x^L is zero, but its one key passed the limit
         x = Poly.var(self.XY, "x")
-        top, acc = x ** EXPONENT_LIMIT, {}
+        top, acc, (_, guard) = (x ** EXPONENT_LIMIT).packed.items(), {}, key_layout(2)
         with pytest.raises(OverflowError):
-            add_product(acc, top, x)
-            add_product(acc, x, top, -1)
+            add_product(acc, top, x.packed.items(), guard)
+            add_product(acc, x.scale(-1).packed.items(), top, guard)
             poly_from_sum(self.XY, acc)
+
+    def test_cleared_scales_by_the_lcm_of_every_denominator(self):
+        # 1/4, a Gaussian 1/6 + i and 2/3 share D = 12; a sum of products of
+        # the cleared lists over D^2 is the exact product
+        x, y = (Poly.var(self.XY, v) for v in self.XY)
+        kx, ky = next(iter(x.packed)), next(iter(y.packed))
+        p = x.scale(Fraction(1, 4)) + y.scale(GaussianRational(Fraction(1, 6), 1))
+        q = x.scale(Fraction(2, 3)) + y
+        d, (cp, cq) = cleared([p, q])
+        assert d == 12
+        assert dict(cp) == {kx: 3, ky: GaussianRational(2, 12)}
+        assert dict(cq) == {kx: 8, ky: 12}
+        for _, c in [*cp, *cq]:
+            parts = (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+            assert all(type(part) is int for part in parts)
+        acc = {}
+        add_product(acc, cp, cq, key_layout(2)[1])
+        assert poly_from_sum(self.XY, acc, d * d) == p * q
+        s = x + y  # no Fraction: D = 1 and the stored terms as they are
+        d, (cs,) = cleared([s])
+        assert d == 1 and list(cs) == list(s.packed.items())
 
     def test_terms_view_does_not_alias(self):
         p = read("a1*b2 + 2")
@@ -288,7 +312,7 @@ class TestSubstLinear:
             p.subst_linear(table)
         # at the limit, no overflow
         fits = Poly(V, {(EXPONENT_LIMIT // sources,) * sources + (0,) * (4 - sources): 1})
-        assert fits.subst_linear(table).degree() == sources * (EXPONENT_LIMIT // sources)
+        assert degree(fits.subst_linear(table)) == sources * (EXPONENT_LIMIT // sources)
 
     def test_ring_homomorphism(self, rng):
         table = {"a1": ("a2", 2), "a2": ("a1", -1), "b1": ("b2", Fraction(1, 3)), "b2": ("b1", 1)}
@@ -376,8 +400,8 @@ class TestGaussian:
             var("a1").scale(2.0)
 
     def test_degree_sentinel(self):
-        assert Poly.zero(V).degree() == -math.inf
-        assert read("a1*b1^2").degree() == 3
+        assert degree(Poly.zero(V)) == -math.inf
+        assert degree(read("a1*b1^2")) == 3
 
 
 class TestCanonicalString:
