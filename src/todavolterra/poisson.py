@@ -231,6 +231,13 @@ def _gradient(terms, units: tuple[int, ...]) -> dict[int, list]:
     return {i: grad[i] for i in sorted(grad)}
 
 
+def _act(acc: dict, comps: list, h, units: tuple[int, ...], guard: int) -> None:
+    """Add Z(h) = sum_i Z^i dh/dx_i into the sum `acc`, for the term lists
+    `comps` of Z's components and h of a polynomial."""
+    for i, dh in _gradient(h, units).items():
+        add_product(acc, comps[i], dh, guard)
+
+
 def bracket(pi: PoissonTensor, F: Poly, G: Poly) -> Poly:
     """{F, G} = sum_ij pi^ij dF/dx_i dG/dx_j = X_G(F)."""
     return directional_action(hamiltonian_vf(pi, G), F)
@@ -309,8 +316,8 @@ def is_compatible(pi: PoissonTensor, rho: PoissonTensor) -> bool:
 def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTensor:
     """(L_Z pi)^ij = Z^k d_k pi^ij - pi^kj d_k Z^i - pi^ik d_k Z^j (candidate).
 
-    Only stored entries are visited.  The first term is Z(pi^ij), as in
-    `directional_action`, for each stored pi^ij.  The other two run over k
+    Only stored entries are visited.  The first term is Z(pi^ij), added by
+    `_act` as in `directional_action`, for each stored pi^ij.  The other two run over k
     in the support of each component Z^c against the row (a, pi^ka) of pi:
     for c < a the product pi^ka d_k Z^c is the second term of entry (c, a),
     entering with sign -1; for a < c it is the third term of entry (a, c),
@@ -323,9 +330,7 @@ def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTen
     d_pi, entries = cleared(pi.upper.values())
     sums: dict[tuple[int, int], dict] = {}
     for key, p in zip(pi.upper, entries):
-        acc = sums[key] = {}
-        for i, dp in _gradient(p, units).items():
-            add_product(acc, comps[i], dp, guard)
+        _act(sums.setdefault(key, {}), comps, p, units, guard)
     rows = _rows(pi, entries)
     for c, zc in enumerate(comps):
         for k, dz in _gradient(zc, units).items():
@@ -346,8 +351,7 @@ def directional_action(Z: PolyVectorField, H: Poly) -> Poly:
     d_z, comps = cleared(Z.components)
     d_h, (h,) = cleared([H])
     acc: dict = {}
-    for i, dh in _gradient(h, units).items():
-        add_product(acc, comps[i], dh, guard)
+    _act(acc, comps, h, units, guard)
     return poly_from_sum(Z.variables, acc, d_z * d_h)
 
 

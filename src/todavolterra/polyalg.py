@@ -46,34 +46,33 @@ EXPONENT_LIMIT = (1 << (_WIDTH - 1)) - 1  # the field's top bit is the guard
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> tuple[struct.Struct, tuple[int, ...], int]:
-    """(codec, units, guard) of the keys of n variables: the codec packs an
-    exponent tuple's fields as big-endian 16-bit words, units[k] is the key of
-    x_k, and guard has the top bit of every field set."""
+def _codec(n: int) -> struct.Struct:
+    """Packs the exponent tuple of n variables as big-endian 16-bit words."""
+    return struct.Struct(f">{n}H")
+
+
+@lru_cache(maxsize=None)
+def key_layout(n: int) -> tuple[tuple[int, ...], int]:
+    """(units, guard) of the keys of n variables: units[k] is the key of
+    variable k alone, and guard has the top bit of every field set, so a key
+    that holds one has an exponent past `EXPONENT_LIMIT`."""
     units = tuple(1 << (_WIDTH * (n - 1 - k)) for k in range(n))
-    return struct.Struct(f">{n}H"), units, sum(units) << (_WIDTH - 1)
+    return units, sum(units) << (_WIDTH - 1)
 
 
 @lru_cache(maxsize=None)
 def unit_keys(variables: tuple[str, ...]) -> Mapping[str, int]:
     """{name: key of that variable alone}; a monomial's key is the sum of the
     keys of its factors.  Cached per variable tuple, so read-only."""
-    return MappingProxyType(dict(zip(variables, _layout(len(variables))[1])))
-
-
-def key_layout(n: int) -> tuple[tuple[int, ...], int]:
-    """(units, guard) of the keys of n variables: units[k] is the key of
-    variable k alone, and guard has the top bit of every field set, so a key
-    that holds one has an exponent past `EXPONENT_LIMIT`."""
-    return _layout(n)[1:]
+    return MappingProxyType(dict(zip(variables, key_layout(len(variables))[0])))
 
 
 def _pack(expo: tuple[int, ...]) -> int:
-    return int.from_bytes(_layout(len(expo))[0].pack(*expo), "big")
+    return int.from_bytes(_codec(len(expo)).pack(*expo), "big")
 
 
 def _unpack(key: int, n: int) -> tuple[int, ...]:
-    return _layout(n)[0].unpack(key.to_bytes(2 * n, "big"))
+    return _codec(n).unpack(key.to_bytes(2 * n, "big"))
 
 
 def key_fields(key: int, n: int) -> tuple[list[int], list[int]]:
@@ -115,10 +114,8 @@ def normal(value):
 
 def divide(x, y):
     """x / y exactly, in normal form; `/` on two ints would give a float."""
-    if isinstance(y, GaussianRational):
+    if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
         return normal(GaussianRational.of(x) / y)
-    if isinstance(x, GaussianRational):
-        return normal(GaussianRational(Fraction(x.re, y), Fraction(x.im, y)))
     return normal(Fraction(x, y))
 
 
@@ -374,7 +371,7 @@ class Poly:
             return self.scale(other)
         p, q = self._aligned(other)
         acc: dict[int, Scalar] = {}
-        add_product(acc, p.packed.items(), q.packed.items(), _layout(len(p.variables))[2])
+        add_product(acc, p.packed.items(), q.packed.items(), key_layout(len(p.variables))[1])
         return poly_from_sum(p.variables, acc)
 
     def __rmul__(self, other) -> "Poly":
@@ -402,7 +399,7 @@ class Poly:
     def diff_at(self, pos: int) -> "Poly":
         """Exact partial derivative with respect to the variable at position
         `pos` of self's variable list."""
-        unit = _layout(len(self.variables))[1][pos]
+        unit = key_layout(len(self.variables))[0][pos]
         mask = unit * EXPONENT_LIMIT  # the variable's field
         terms = {}
         for key, coeff in self.packed.items():
@@ -446,7 +443,7 @@ class Poly:
         # most the limit before it, so it cannot carry, and the guard bit
         # shows an overflow
         shared = len({u for _, u, _ in fields}) < len(fields)
-        guard = _layout(len(target))[2]
+        guard = key_layout(len(target))[1]
         terms: dict[int, Scalar] = {}
         for packed, c in self.packed.items():
             if packed & dead:
@@ -548,14 +545,12 @@ def poly_from_sum(variables: tuple[str, ...], acc: dict[int, Scalar],
     `denominator` (the product of the operands' `cleared` denominators) and
     normalised once.  A key past `EXPONENT_LIMIT` raises, even where it
     cancels (x^L * x - x * x^L)."""
-    if reduce(operator.or_, acc, 0) & _layout(len(variables))[2]:
+    if reduce(operator.or_, acc, 0) & key_layout(len(variables))[1]:
         raise OverflowError(f"product has an exponent above {EXPONENT_LIMIT}")
     if denominator == 1:
         return Poly._make(variables, {k: c if type(c) is int else normal(c)
                                       for k, c in acc.items()})
-    # most sums divide exactly, and an int quotient needs no Fraction
-    return Poly._make(variables, {k: c // denominator if type(c) is int and not c % denominator
-                                  else divide(c, denominator) for k, c in acc.items()})
+    return Poly._make(variables, {k: divide(c, denominator) for k, c in acc.items()})
 
 
 def _times(c: Scalar, d: int) -> Scalar:
@@ -587,7 +582,7 @@ def cleared(polys: Sequence[Poly]) -> tuple[int, list]:
 
 def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
     zero, out = Poly.zero(A[0][0].variables), []
-    guard = _layout(len(zero.variables))[2]
+    guard = key_layout(len(zero.variables))[1]
     nonzero = [[(j, b.packed.items()) for j, b in enumerate(b_row) if b.packed] for b_row in B]
     for row in A:
         sums: list[dict[int, Scalar]] = [{} for _ in B[0]]

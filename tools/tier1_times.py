@@ -5,7 +5,7 @@ Runs the Tier-1 suite of a checkout once, as ROADMAP.md states it
 from the checkout's `src/`), with `--durations=0 --durations-min=0`, and
 appends one point to the JSON file (created if missing):
 
-- `label`, `git_sha` and `date`;
+- `label`, `git_rev` (`git describe --always --dirty`) and `date`;
 - `summary`: pytest's last line, e.g. "1246 passed, 3 xfailed in 30.33s";
 - `wall_s`: the suite's wall time, as this script measures it;
 - `cpu_s`: user + sys CPU time of the pytest process;
@@ -51,9 +51,12 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def git_sha() -> str:
+def git_rev() -> str:
+    """The checkout's commit, with "-dirty" appended when the working tree has
+    uncommitted changes, so a point names the code it timed."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True)
+        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                             capture_output=True, text=True)
     except OSError:
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
@@ -86,7 +89,7 @@ def point(label: str, code: int, output: str, wall: float, cpu: float) -> dict:
     lines = [line.strip("= ") for line in output.splitlines() if line.strip()]
     return {
         "label": label,
-        "git_sha": git_sha(),
+        "git_rev": git_rev(),
         "date": time.strftime("%Y-%m-%d"),
         "summary": lines[-1] if lines else "",
         "exit_code": code,
