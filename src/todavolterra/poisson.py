@@ -317,8 +317,9 @@ def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTen
     """(L_Z pi)^ij = Z^k d_k pi^ij - pi^kj d_k Z^i - pi^ik d_k Z^j (candidate).
 
     Only stored entries are visited.  The first term is Z(pi^ij), added by
-    `_act` as in `directional_action`, for each stored pi^ij.  The other two run over k
-    in the support of each component Z^c against the row (a, pi^ka) of pi:
+    `_act` as in `directional_action`, for each stored pi^ij.  The other two
+    run over k in the support of each component Z^c against the row
+    (a, pi^ka) of pi:
     for c < a the product pi^ka d_k Z^c is the second term of entry (c, a),
     entering with sign -1; for a < c it is the third term of entry (a, c),
     since -pi^ak = pi^ka, entering with sign +1.

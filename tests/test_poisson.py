@@ -649,9 +649,8 @@ class TestClearedDenominators:
     def test_the_product_loops_do_no_fraction_arithmetic(self, monkeypatch):
         """Fraction +, * calls inside two operations on toda-b:6, whose pi3
         and H4 carry halves: at most one per stored operand coefficient (46
-        in pi3, 33 in H4).  Before the operands were
-        cleared, the Jacobiator made 982 such calls and the Hamiltonian
-        field 814."""
+        in pi3, 33 in H4).  Before the operands were cleared, the Jacobiator
+        made 982 such calls and the Hamiltonian field 814."""
         sys = catalog.SystemId("toda", "b", 6)
         pi, H = catalog.tensor(sys, 3), catalog.hamiltonian(sys, 4)
         stored = sum(len(p.packed) for p in pi.upper.values())
