@@ -33,6 +33,12 @@ Conventions fixed here once and used everywhere:
   costs nothing: a walk that would leave the N x N matrix crosses an edge
   with no entry, so reading an off-lattice factor as zero, as the templates
   do, is exactly the finite matrix.
+* Builders that the checks call again and again are memoised per process
+  (`lru_cache`): `variables`, `lax_entries`, `lax_bands`, `hamiltonian`,
+  `tensor` and `symmetry`, like `walk_density`.  Their results are shared,
+  so callers must not mutate them, and a test that perturbs a lower builder
+  (say `walk_density`) must call the upper one's uncached `__wrapped__`,
+  or it reads the object built before the perturbation.
 """
 
 from __future__ import annotations
@@ -89,9 +95,10 @@ def parse_system(text: str) -> SystemId:
         raise ValueError(f"bad system id {text!r} (expected e.g. 'toda-a:3')") from exc
 
 
+@lru_cache(maxsize=None)
 def variables(sys: SystemId) -> tuple[str, ...]:
     """Ordered phase-space variables of the system: a1..ap, then b1..bn on
-    toda, where p = n - 1 on the a-types and n otherwise."""
+    toda, where p = n - 1 on the a-types and n otherwise.  Memoised."""
     p = sys.n - 1 if sys.kind == "a" else sys.n
     bs = range(1, sys.n + 1) if sys.family == "toda" else ()
     return tuple(f"a{i}" for i in range(1, p + 1)) + tuple(f"b{i}" for i in bs)
@@ -105,7 +112,8 @@ def lax_size(sys: SystemId) -> int:
     return 2 * sys.n + 1
 
 
-def lax_entries(sys: SystemId) -> list[tuple[int, int, str | None, int]]:
+@lru_cache(maxsize=None)
+def lax_entries(sys: SystemId) -> tuple[tuple[int, int, str | None, int], ...]:
     """The nonzero Lax entries (i, j, v, c): c * v, or the constant c if v is None.
 
     The a-types of size N carry b1..bN on the diagonal (toda only),
@@ -115,6 +123,8 @@ def lax_entries(sys: SystemId) -> list[tuple[int, int, str | None, int]]:
       diagonal (toda)  b1..bn, [0,] -bn..-b1
       superdiagonal    a1..an, -an..-a1; toda-c: a1..a_{n-1}, an, a_{n-1}..a1
       subdiagonal      ones, negated in the mirror half for toda-b
+
+    Memoised: the tuple is shared.
     """
     N, n = lax_size(sys), sys.n
     out = []
@@ -132,9 +142,10 @@ def lax_entries(sys: SystemId) -> list[tuple[int, int, str | None, int]]:
             a, sign = (s, 1) if s <= n else (2 * n + 1 - s, -1)
         out.append((s - 1, s, f"a{a}", sign))
         out.append((s, s - 1, None, sign if sys.name == "toda-b" else 1))
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def lax_bands(sys: SystemId) -> tuple[dict[int, tuple[int, str]], dict[int, tuple[int, str]]]:
     """The bands of the tridiagonal Lax matrix as signed variables (c, v):
     the diagonal {i: L[i][i]} and the edge products {i: L[i][i+1] L[i+1][i]}.
@@ -143,6 +154,7 @@ def lax_bands(sys: SystemId) -> tuple[dict[int, tuple[int, str]], dict[int, tupl
     product is a signed variable too.  The diagonal is empty on the Volterra
     families.  This is the single statement of the band rule: `hamiltonian`
     and the float monitors (`flows.lax_bands`) read the bands from here.
+    Memoised: the result is shared, and callers must not mutate it.
     """
     diagonal, upper, lower = {}, {}, {}
     for i, j, v, c in lax_entries(sys):
@@ -190,6 +202,7 @@ def walk_density(k: int) -> dict[tuple, int]:
     return {mono: count for (_, mono), count in layer.items()}
 
 
+@lru_cache(maxsize=None)
 def hamiltonian(sys: SystemId, k: int) -> Poly:
     """H_k = tr(L^k)/k: the closed walks `walk_density(k)` read at every site.
 
@@ -199,6 +212,7 @@ def hamiltonian(sys: SystemId, k: int) -> Poly:
     matrix or on a zero entry is zero: a walk that would leave the N x N
     matrix crosses the missing edge -1 or N-1, so dropping its monomial is
     exactly the matrix boundary.  Zero for odd k on a mirror-symmetric Lax.
+    Memoised: the result is shared, and callers must not mutate it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -332,7 +346,8 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...]) -> PoissonTensor:
 
 @lru_cache(maxsize=None)
 def tensor(sys: SystemId, k: int) -> PoissonTensor:
-    """Catalog Poisson tensor pi_k of the system; errors name the gap."""
+    """Catalog Poisson tensor pi_k of the system; errors name the gap.
+    Memoised: the result is shared, and callers must not mutate it."""
     return _tensor(sys, k, variables(sys))
 
 
@@ -425,15 +440,6 @@ def bn_volterra_flow(n: int) -> PolyVectorField:
                                    for i in range(1, n + 1)])
 
 
-def i4_hamiltonian(n: int) -> Poly:
-    """I4 = 1/4 sum_{i<n} (2 a_i^2 + a_i a_{i+1}) on the B-type Volterra space."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vars_ = variables(SystemId("volterra", "b", n))
-    unit = unit_keys(vars_)
-    return local(vars_, unit, {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
-
-
 # ------------------------------------------------------------------ symmetries
 
 
@@ -451,8 +457,10 @@ SYMMETRIES = {
 }
 
 
+@lru_cache(maxsize=None)
 def symmetry(name: str, sys: SystemId) -> LinearMap:
-    """The finite symmetry map `name` on sys, read off its SYMMETRIES row."""
+    """The finite symmetry map `name` on sys, read off its SYMMETRIES row.
+    Memoised: the result is shared, and callers must not mutate it."""
     if name not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {name!r}")
     acts_on, mirror, *scales = SYMMETRIES[name]

@@ -160,14 +160,6 @@ class DriftReport:
     hamiltonian_drift: dict[int, float]
     charpoly_drift: list[float]
 
-    @property
-    def max_hamiltonian_drift(self) -> float:
-        return max(self.hamiltonian_drift.values()) if self.hamiltonian_drift else 0.0
-
-    @property
-    def max_charpoly_drift(self) -> float:
-        return max(self.charpoly_drift) if self.charpoly_drift else 0.0
-
     def to_json_dict(self) -> dict:
         return {
             "hamiltonian_drift": {str(k): v for k, v in self.hamiltonian_drift.items()},

@@ -114,6 +114,8 @@ def normal(value):
 
 def divide(x, y):
     """x / y exactly, in normal form; `/` on two ints would give a float."""
+    if type(x) is int and type(y) is int and y and not x % y:
+        return x // y  # an exact integer quotient needs no Fraction
     if isinstance(x, GaussianRational) or isinstance(y, GaussianRational):
         return normal(GaussianRational.of(x) / y)
     return normal(Fraction(x, y))

@@ -12,7 +12,7 @@ from todavolterra.flows import compile_field, integrate
 from todavolterra.poisson import (
     LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
 from todavolterra.polyalg import (
-    I_UNIT, GaussianRational, Poly, _ipow, divide, normal, variable_sort_key)
+    I_UNIT, GaussianRational, Poly, _ipow, divide, normal, unit_keys, variable_sort_key)
 
 
 def pytest_addoption(parser):
@@ -57,6 +57,24 @@ def degree(p: Poly):
 def scaled_field(Z: PolyVectorField, c) -> PolyVectorField:
     """c * Z, component by component."""
     return PolyVectorField(Z.variables, [p.scale(c) for p in Z.components])
+
+
+def i4_hamiltonian(n: int) -> Poly:
+    """I4 = 1/4 sum_{i<n} (2 a_i^2 + a_i a_{i+1}) on the B-type Volterra space."""
+    vars_ = catalog.variables(catalog.SystemId("volterra", "b", n))
+    A0, A1 = catalog.A0, catalog.A1
+    return catalog.local(vars_, unit_keys(vars_),
+                         {(A0, A0): Fraction(1, 2), (A0, A1): Fraction(1, 4)}, range(1, n))
+
+
+def max_hamiltonian_drift(rep) -> float:
+    """The largest H_k drift of a `flows.DriftReport`, 0.0 when none is monitored."""
+    return max(rep.hamiltonian_drift.values(), default=0.0)
+
+
+def max_charpoly_drift(rep) -> float:
+    """The largest char-poly coefficient drift of a `flows.DriftReport`."""
+    return max(rep.charpoly_drift, default=0.0)
 
 
 def random_poly(rng, variables, max_terms=4, max_exp=2, max_coef=4):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from todavolterra import catalog, reduction
+from todavolterra import catalog, checks, reduction
 from todavolterra.polyalg import GaussianRational, Poly
 from todavolterra.poisson import (
     bracket,
@@ -12,7 +12,7 @@ from todavolterra.poisson import (
     lie_derivative_bivector,
 )
 
-from conftest import compose, entry_named, powers, sid
+from conftest import compose, entry_named, i4_hamiltonian, powers, sid
 
 
 class TestSystemId:
@@ -223,9 +223,9 @@ class TestSymmetries:
 
 class TestI4:
     def test_values(self):
-        assert catalog.i4_hamiltonian(1).is_zero
-        assert catalog.i4_hamiltonian(2).canonical_str() == "1/2*a1^2 + 1/4*a1*a2"
-        assert catalog.i4_hamiltonian(3).canonical_str() == (
+        assert i4_hamiltonian(1).is_zero
+        assert i4_hamiltonian(2).canonical_str() == "1/2*a1^2 + 1/4*a1*a2"
+        assert i4_hamiltonian(3).canonical_str() == (
             "1/2*a1^2 + 1/4*a1*a2 + 1/2*a2^2 + 1/4*a2*a3"
         )
 
@@ -273,3 +273,27 @@ class TestTodaC:
             red = reduction.reduced_bracket(catalog.tensor(sys_a, 1), group)
             assert is_poisson(red)
             assert red.variables == catalog.variables(catalog.SystemId("toda", "c", n))
+
+
+class TestMemoisedBuilders:
+    # each memoised builder, called on one system
+    CALLS = [
+        ("variables", (sid("toda-a:4"),)),
+        ("lax_entries", (sid("toda-b:3"),)),
+        ("lax_bands", (sid("volterra-b:3"),)),
+        ("hamiltonian", (sid("toda-a:5"), 4)),
+        ("symmetry", ("phi_toda", sid("toda-a:5"))),
+        ("tensor", (sid("toda-b:2"), 3)),
+    ]
+
+    @pytest.mark.parametrize("name, args", CALLS, ids=[name for name, _ in CALLS])
+    def test_repeated_call_shares_one_fresh_equal_object(self, name, args):
+        builder = getattr(catalog, name)
+        first = builder(*args)
+        assert builder(*args) is first
+        assert builder.__wrapped__(*args) == first
+
+    def test_verify_all_twice_gives_equal_documents(self):
+        first = checks.verify_all(4)
+        assert first["ok"]
+        assert checks.verify_all(4) == first

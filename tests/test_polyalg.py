@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from todavolterra.polyalg import (
     EXPONENT_LIMIT,
@@ -430,6 +430,33 @@ small_polys = st.builds(
         max_size=4,
     ),
 )
+
+
+# ints of every sign, zero among them, and 400-digit values
+integers = st.one_of(st.integers(-50, 50), st.integers(-10**400, 10**400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integers, integers.filter(bool), st.booleans())
+@example(0, -7, False)
+@example(-(10**399), 10**399, True)
+def test_integer_division_equals_fraction(q, y, exact):
+    # `divide` takes an exact integer quotient without a Fraction
+    x = q * y if exact else q
+    got = divide(x, y)
+    assert got == Fraction(x, y)
+    assert (type(got) is int) == (x % y == 0)
+    assert_normal(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integers)
+def test_integer_division_by_zero_raises_as_fraction_does(x):
+    with pytest.raises(ZeroDivisionError) as want:
+        Fraction(x, 0)
+    with pytest.raises(ZeroDivisionError) as got:
+        divide(x, 0)
+    assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=60, deadline=None)
