@@ -287,7 +287,7 @@ class TestMemoisedBuilders:
     ]
 
     @pytest.mark.parametrize("name, args", CALLS, ids=[name for name, _ in CALLS])
-    def test_repeated_call_shares_one_fresh_equal_object(self, name, args):
+    def test_repeat_returns_one_object_equal_to_a_fresh_build(self, name, args):
         builder = getattr(catalog, name)
         first = builder(*args)
         assert builder(*args) is first
