@@ -162,10 +162,11 @@ def _estimated_bytes(sys_id, n_steps: int) -> int:
 
     Worked out from the Lax size N alone (every family has at most 2N
     coordinates), so an oversized lattice is rejected before it is built.
-    The 3 N^2 term over-counts: the monitors hold the Lax bands and three
-    tridiagonal [b, N, N] arrays (for the Volterra families, of the two
-    parity blocks of L^2, about N/2 each) for one block of
-    `flows.CHARPOLY_BLOCK` states at a time, not for the whole run.  It
+    The 3 N^2 term over-counts: the monitors hold, for one block of
+    `flows.CHARPOLY_BLOCK` states at a time and not for the whole run, the
+    Lax bands and the diagonals `flows.band_traces` carries for two
+    consecutive powers (fewer than N^2 floats per state each; for the
+    Volterra families, of the two parity blocks of L^2, about N/2 each).  It
     stays so that the accepted inputs do not move until one cost estimate
     replaces the fixed caps.
     """
@@ -176,10 +177,12 @@ def _estimated_bytes(sys_id, n_steps: int) -> int:
 # The most setup work a `simulate` run may ask for, N^2 * 2^k for the H_k flow
 # on a Lax matrix of size N: H_k has about N * 2^k terms, each an exponent
 # tuple of length about 2N.  On a 2-vCPU x86 VM (Xeon, Python 3.11), with
-# --t-end 0.001 --h 0.001, the costliest accepted cases took 0.84 s
+# --t-end 0.001 --h 0.001, the costliest accepted cases took 0.53 s
 # (toda-a:13 --flow 10, mostly the compile of the generated RK4 step) and
-# 0.99 s (toda-a:316 --flow 1, mostly the monitors' N powers of the Lax
-# matrix), process wall, median of 3.
+# 0.49 s (toda-a:316 --flow 1, mostly the monitors' band recursion for
+# tr(L^1..L^316), about 50,000 diagonal updates on two states), process
+# wall, median of 3; with the dense Lax powers the second took 0.73 s on
+# the same host.
 MAX_FLOW_WORK = 200_000
 
 

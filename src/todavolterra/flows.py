@@ -13,17 +13,21 @@ products e_i = L[i,i+1] L[i+1,i] gathered straight from the states
 (`lax_bands`, by the band rule stated once in `catalog.lax_bands`), on
 which the traces and the char poly of a tridiagonal matrix depend.  The
 H_k come from the traces tr(L^j), so no H_k is ever expanded as a
-polynomial: from the powers of the tridiagonal matrix with bands d and e
-and ones below, or, for the Volterra Lax matrices, which have no diagonal,
-from the two parity blocks of L^2, each tridiagonal of about half the size
-(`squared_traces`).  The coefficients come from the
-three-term continuant on d and e, which stays accurate at every size
-(Newton's identities on the traces lose accuracy exponentially in the
-size).  The bands are taken one block of `CHARPOLY_BLOCK` states at a time
-and the drifts kept as running maxima, so the monitors' memory does not
-grow with the trajectory; the CSV monitors only the rows it writes.  The
-float cross-check that the flows commute, `commutation_check`, lives with
-its tests in tests/conftest.py.  Systems are parsed `catalog.SystemId`s.
+polynomial.  The traces of the powers of the tridiagonal matrix with bands
+d and e and ones below come from the bands alone (`band_traces`, which
+carries only the diagonals of each power that can still reach the main
+one): on the Lax bands, or, for the Volterra Lax matrices, which have no
+diagonal, on the two parity blocks of L^2, each tridiagonal of about half
+the size (`squared_traces`).  The monitors build no dense matrix and call
+no BLAS routine, so their values do not depend on the kernel a machine
+dispatches to.
+The coefficients come from the three-term continuant on d and e, which
+stays accurate at every size (Newton's identities on the traces lose
+accuracy exponentially in the size).  The bands are taken one block of
+`CHARPOLY_BLOCK` states at a time and the drifts kept as running maxima, so
+the monitors' memory does not grow with the trajectory; the CSV monitors
+only the rows it writes.  The float cross-check that the flows commute,
+`commutation_check`, lives with its tests in tests/conftest.py.  Systems are parsed `catalog.SystemId`s.
 """
 
 from __future__ import annotations
@@ -201,26 +205,56 @@ def lax_bands(sys: catalog.SystemId, states: np.ndarray) -> tuple[np.ndarray, np
     return d, e
 
 
-def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The matrices with diagonal d [n, T], superdiagonal e [n-1, T] and
-    ones below, shape [T, n, n]: for toda-a, the Lax matrices themselves."""
-    n, T = d.shape
-    i = np.arange(n)
-    out = np.zeros((T, n, n))
-    out[:, i, i] = d.T
-    out[:, i[:-1], i[1:]] = e.T
-    out[:, i[1:], i[:-1]] = 1.0
-    return out
+def _diagonal_sum(p: np.ndarray) -> np.ndarray:
+    """The sum of each column of p [n, b], shape [b], added in the order
+    `np.trace` adds a diagonal (pairwise in blocks of 8 entries)."""
+    return np.ascontiguousarray(p.T).sum(axis=1)
 
 
-def power_traces(mats: np.ndarray, k_max: int) -> np.ndarray:
-    """tr(M^j) for j = 1..k_max over a batch of matrices, shape [T, k_max]."""
-    traces = np.empty((mats.shape[0], k_max))
-    traces[:, 0] = np.trace(mats, axis1=1, axis2=2)
-    power = mats
-    for j in range(1, k_max):
-        power = power @ mats
-        traces[:, j] = np.trace(power, axis1=1, axis2=2)
+def carried_width(j: int, k_max: int, n: int) -> int:
+    """The widest diagonal of M^j that `band_traces` carries: diagonal o
+    (entries (r, r+o)) is nonzero only for |o| <= j, exists only for
+    |o| <= n - 1, and reaches the main diagonal of M^k for some k <= k_max
+    only if |o| <= k_max - j."""
+    return min(j, k_max - j, n - 1)
+
+
+def band_traces(d: np.ndarray, e: np.ndarray, k_max: int) -> np.ndarray:
+    """tr(M^j) for j = 1..k_max, shape [b, k_max], of the tridiagonal
+    matrices M with diagonal d [n, b], superdiagonal e [n-1, b] and ones
+    below (for toda-a, the Lax matrices themselves).
+
+    Only the diagonals of M^j that can still reach the main diagonal are
+    carried (`carried_width`), diagonal o, the entries (r, r+o), as an
+    [n - |o|, b] array indexed by min(r, r+o).  One step multiplies by M:
+    (M^j)[r, c] = (M^(j-1))[r, c-1] e_(c-1) + (M^(j-1))[r, c] d_c
+    + (M^(j-1))[r, c+1], added in the order of a matrix product, with no
+    product by a structural zero; tr(M^j) is the sum of diagonal 0.  The
+    work is O(b n k_max^2) elementwise, with no [b, n, n] array.
+    """
+    n, b = d.shape
+    traces = np.empty((b, k_max))
+    traces[:, 0] = _diagonal_sum(d)
+    power = {-1: np.ones((n - 1, b)), 0: d, 1: e}  # the diagonals of M
+    for j in range(2, k_max + 1):
+        w = carried_width(j, k_max, n)
+        nxt = {}
+        for o in range(-w, w + 1):
+            m, c = n - abs(o), max(o, 0)  # the length and first column of diagonal o
+            left, mid, right = power.get(o - 1), power.get(o), power.get(o + 1)
+            if mid is None:  # o = +-j, the outermost diagonals: one term each
+                nxt[o] = left[:m] * e[c - 1 : c + m - 1] if o > 0 else right[1:]
+                continue
+            out = mid * d[c : c + m]
+            if left is not None:  # for o <= 0 the first entry is in column 0
+                s = int(o <= 0)
+                out[s:] += left[: m - s] * e[c + s - 1 : c + m - 1]
+            if right is not None:  # for o >= 0 the last entry is in column n - 1
+                s = int(o < 0)
+                out[: len(right) - s] += right[s:]
+            nxt[o] = out
+        power = nxt
+        traces[:, j - 1] = _diagonal_sum(power[0])
     return traces
 
 
@@ -249,8 +283,8 @@ def squared_traces(e: np.ndarray, k_max: int) -> np.ndarray:
     g, f = square_bands(e)
     traces = np.zeros((e.shape[1], k_max))
     if k_max >= 2:
-        even = power_traces(tridiagonal(g[0::2], f[0::2]), k_max // 2)
-        odd = power_traces(tridiagonal(g[1::2], f[1::2]), k_max // 2)
+        even = band_traces(g[0::2], f[0::2], k_max // 2)
+        odd = band_traces(g[1::2], f[1::2], k_max // 2)
         traces[:, 1::2] = even + odd
     return traces
 
@@ -258,10 +292,10 @@ def squared_traces(e: np.ndarray, k_max: int) -> np.ndarray:
 def lax_traces(sys: catalog.SystemId, d: np.ndarray, e: np.ndarray, k_max: int) -> np.ndarray:
     """tr(L^j) for j = 1..k_max from the bands of `lax_bands`, shape [T, k_max]:
     `squared_traces` for the Volterra Lax matrices, which have no diagonal
-    (`catalog.lax_bands`), and the powers of `tridiagonal(d, e)` for the others."""
+    (`catalog.lax_bands`), and `band_traces(d, e)` for the others."""
     if not catalog.lax_bands(sys)[0]:
         return squared_traces(e, k_max)
-    return power_traces(tridiagonal(d, e), k_max)
+    return band_traces(d, e, k_max)
 
 
 def charpoly_coefficients(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -294,13 +328,19 @@ def hamiltonian_values(sys: catalog.SystemId, k: int, states: np.ndarray) -> np.
     return lax_traces(sys, *lax_bands(sys, states), k)[:, k - 1] / k
 
 
-# States per monitor block.  A block's bands, the matrices `lax_traces`
-# builds from them, their powers and its continuant are the monitors' only
-# per-state temporaries, so their memory does not grow with the trajectory:
-# the `simulate` benchmark workload peaked at 60.4 MB with whole-trajectory
-# [T, N, N] arrays, at 34.7 MB with blocks of 1,024 dense Lax matrices and
-# at 33.0 MB with blocks of 1,024 states read as bands.  Monitor times with
-# blocks of 128 to 2,048 states showed no consistent order.
+# States per monitor block.  A block's bands, the diagonals `band_traces`
+# carries for two consecutive powers and its continuant are the monitors'
+# only per-state temporaries, so their memory does not grow with the
+# trajectory: the `simulate` benchmark workload peaked at 60.4 MB with
+# whole-trajectory [T, N, N] arrays, at 34.7 MB with blocks of 1,024 dense
+# Lax matrices, at 33.0 MB with blocks of 1,024 states read as bands and
+# multiplied as dense matrices, and at 32.2 MB with the band recursion (a
+# first batched matmul alone raises a fresh process's peak by about 0.4 MB
+# beyond its result).  The band recursion makes a fixed number of numpy
+# calls per block, so blocks of 128 states took 2.4-3.4 times the monitor
+# time of blocks of 1,024 (toda-a:3, toda-a:8, volterra-a:11); blocks of
+# 2,048 and 4,096 were 0-16 % slower on toda-a:8 and volterra-a:11 and
+# 19-26 % faster on toda-a:3.
 CHARPOLY_BLOCK = 1024
 
 

@@ -563,6 +563,19 @@ class TestSimulateInput:
             "matrix left float range); start from a smaller initial point\n"
         )
 
+    def test_large_state_with_finite_monitors_exits_0(self, capsys, tmp_path):
+        # tr(L^6) ~ a^3 = 1e300 and c_6 stay finite; the dense Lax powers
+        # overflowed in diagonals far from the main one (a^5 in L^5), turned
+        # inf * 0 into NaN and exited 2 here
+        path = tmp_path / "x0.json"
+        path.write_text(json.dumps({"a": [1e100] * 5, "b": [0.0] * 6}))
+        code, out, err = run(capsys, "simulate", "--system", "toda-a:6", "--x0", str(path),
+                             "--t-end", "1e-300", "--h", "1e-300", "--format", "json")
+        assert (code, err) == (0, "")
+        drift = json.loads(out)["monitors"]
+        assert all(map(math.isfinite, [*drift["hamiltonian_drift"].values(),
+                                       *drift["charpoly_drift"]]))
+
     @pytest.mark.parametrize("system", ["toda-a:6", "toda-a:9", "toda-b:3"])
     def test_default_toda_point_stays_on_sheet(self, capsys, system):
         # these escaped at t = 2.7, 2.0 and 4.0 when a_i was drawn from [-1, 1]

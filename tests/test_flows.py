@@ -442,6 +442,33 @@ def dense_bands(mats):
     return np.diagonal(mats, axis1=1, axis2=2).T, (mats[:, i, i + 1] * mats[:, i + 1, i]).T
 
 
+def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The dense matrices with diagonal d [n, T], superdiagonal e [n-1, T]
+    and ones below, shape [T, n, n]: for toda-a, the Lax matrices themselves.
+
+    With `power_traces`, the dense oracle of `flows.band_traces`, which
+    takes the same traces from the bands alone."""
+    n, T = d.shape
+    i = np.arange(n)
+    out = np.zeros((T, n, n))
+    out[:, i, i] = d.T
+    out[:, i[:-1], i[1:]] = e.T
+    out[:, i[1:], i[:-1]] = 1.0
+    return out
+
+
+def power_traces(mats: np.ndarray, k_max: int) -> np.ndarray:
+    """tr(M^j) for j = 1..k_max over a batch of dense matrices, shape
+    [T, k_max], by repeated matrix products."""
+    traces = np.empty((mats.shape[0], k_max))
+    traces[:, 0] = np.trace(mats, axis1=1, axis2=2)
+    power = mats
+    for j in range(1, k_max):
+        power = power @ mats
+        traces[:, j] = np.trace(power, axis1=1, axis2=2)
+    return traces
+
+
 class TestMonitorOracle:
     """Trace-based H_k agree with the exact expanded polynomials."""
 
@@ -466,16 +493,16 @@ class TestMonitorOracle:
 
     @staticmethod
     def _trace_calls(monkeypatch, name, field, x0):
-        """(size, k_max) of each `power_traces` call the JSON and CSV
+        """(size, k_max) of each `band_traces` call the JSON and CSV
         monitors make on a short run."""
         calls = []
-        real = flows.power_traces
+        real = flows.band_traces
 
-        def counted(mats, k_max):
-            calls.append((mats.shape[1], k_max))
-            return real(mats, k_max)
+        def counted(d, e, k_max):
+            calls.append((d.shape[0], k_max))
+            return real(d, e, k_max)
 
-        monkeypatch.setattr(flows, "power_traces", counted)
+        monkeypatch.setattr(flows, "band_traces", counted)
         sys = catalog.parse_system(name)
         traj = flows.integrate(field, x0, 0.1, 0.01)
         flows.monitors(traj, sys)
@@ -490,7 +517,7 @@ class TestMonitorOracle:
         assert calls == [(3, 4), (2, 4)] * 2
 
     def test_toda_monitors_take_traces_once(self, monkeypatch):
-        # toda-a:3 monitors H_1..H_3 from the powers of the Lax matrix itself
+        # toda-a:3 monitors H_1..H_3 from the bands of the Lax matrix itself
         calls = self._trace_calls(monkeypatch, "toda-a:3", catalog.flow(T3, 2),
                                   [0.3, 0.2, 0.1, -0.2, 0.4])
         assert calls == [(3, 3)] * 2
@@ -505,7 +532,7 @@ class TestMonitorOracle:
         assert np.array_equal(d, dense_bands(mats)[0]) and np.array_equal(e, dense_bands(mats)[1])
         # and the tridiagonal form of the bands is the Lax matrix itself on toda-a
         if sys.name == "toda-a":
-            assert np.array_equal(flows.tridiagonal(d, e), mats)
+            assert np.array_equal(tridiagonal(d, e), mats)
 
 
 
@@ -618,7 +645,7 @@ class TestStreamedMonitors:
         # whole-trajectory [T, N, N] arrays took about 55 MB here
         sys = catalog.parse_system("toda-a:24")
         N = catalog.lax_size(sys)
-        bound = 4 * B * N * N * 8  # a block's matrices, two powers and slack
+        bound = 4 * B * N * N * 8  # a block of dense matrices, two powers and slack
         for n_states in (4001, 8001):
             traj = _random_trajectory("toda-a:24", n_states)
             tracemalloc.start()
@@ -763,7 +790,7 @@ class TestCharpolyOracle:
         mats = flows.lax_values(sys, states)
         got = flows.charpoly_coefficients(*flows.lax_bands(sys, states))
         assert max_relative_error(got, mats) <= 1e-12
-        newton = newton_coefficients(flows.power_traces(mats, mats.shape[1]))
+        newton = newton_coefficients(power_traces(mats, mats.shape[1]))
         assert max_relative_error(newton, mats) > 1e-12
 
 
@@ -802,17 +829,72 @@ def _zero_diagonal(sys) -> bool:
 
 class TestTraceRoutes:
     """Both trace routes against exact traces of the dense Lax matrix: the
-    powers of the tridiagonal matrix built from the bands (every family), and
-    the parity blocks of L^2 (the Volterra families, which have no
-    diagonal)."""
+    band recursion on the tridiagonal matrix with the Lax bands (every
+    family), and on the parity blocks of L^2 (the Volterra families, which
+    have no diagonal)."""
 
     @pytest.mark.parametrize("name", TRACE_CASES)
     def test_tridiagonal_route_matches_exact(self, name):
         sys, states, mats, k_max = _trace_points(name)
-        got = flows.power_traces(flows.tridiagonal(*flows.lax_bands(sys, states)), k_max)
+        got = flows.band_traces(*flows.lax_bands(sys, states), k_max)
         assert trace_error(got, mats, k_max) <= 1e-14
         if not _zero_diagonal(sys):
             assert np.array_equal(got, flows.lax_traces(sys, *flows.lax_bands(sys, states), k_max))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17])
+    def test_adds_in_the_order_of_an_unfused_product(self, n):
+        # bitwise: each product summed term by term over k = 0..n-1, with no
+        # fused multiply-add, and each trace summed as np.trace sums (its
+        # order differs from a running sum from n = 8 on); k_max > n stops
+        # the carried width at n - 1, and n = 1 has no edge
+        rng = np.random.default_rng(n)
+        d, e = rng.uniform(-1, 1, (n, 5)), rng.uniform(-1, 1, (n - 1, 5))
+        mats = tridiagonal(d, e)
+        for k_max in (1, 2, n, n + 2, 3 * n + 1):
+            want = np.empty((5, k_max))
+            power = mats
+            for j in range(k_max):
+                if j:
+                    terms = [power[:, :, k, None] * mats[:, None, k, :] for k in range(n)]
+                    power = functools.reduce(np.add, terms, np.zeros_like(mats))
+                want[:, j] = np.trace(power, axis1=1, axis2=2)
+            assert np.array_equal(flows.band_traces(d, e, k_max), want), k_max
+
+    @pytest.mark.parametrize("name", ["volterra-a:2", "volterra-b:1"])
+    def test_parity_blocks_of_size_one(self, monkeypatch, name):
+        sizes = []
+        real = flows.band_traces
+
+        def counted(d, e, k_max):
+            sizes.append(d.shape[0])
+            return real(d, e, k_max)
+
+        monkeypatch.setattr(flows, "band_traces", counted)
+        sys, states, mats, k_max = _trace_points(name)
+        got = flows.lax_traces(sys, *flows.lax_bands(sys, states), k_max)
+        assert 1 in sizes
+        assert trace_error(got, mats, k_max) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["toda-a:40", "volterra-a:41"])
+    def test_matches_the_dense_oracle(self, name):
+        # every monitored power, within 1e-12 of the sum of the absolute
+        # values of its terms, tr(|L|^j)
+        sys, states = _trajectory_states(name)
+        k_max = max(flows.monitored_hamiltonian_indices(sys))
+        mats = flows.lax_values(sys, states)
+        got = flows.lax_traces(sys, *flows.lax_bands(sys, states), k_max)
+        want, scale = power_traces(mats, k_max), power_traces(np.abs(mats), k_max)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", ["toda-a:5", "toda-b:3", "volterra-a:7"])
+    def test_pruning_one_tighter_fails(self, monkeypatch, name):
+        # negative control: each power carries one diagonal fewer on each side
+        real = flows.carried_width
+        monkeypatch.setattr(flows, "carried_width",
+                            lambda j, k_max, n: max(real(j, k_max, n) - 1, 0))
+        sys, states, mats, k_max = _trace_points(name)
+        got = flows.lax_traces(sys, *flows.lax_bands(sys, states), k_max)
+        assert trace_error(got, mats, k_max) > 1e-3
 
     @pytest.mark.parametrize("name", [c for c in TRACE_CASES if c.startswith("volterra")])
     def test_squared_route_matches_exact(self, name):

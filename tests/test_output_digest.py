@@ -9,7 +9,7 @@ their text format (`text_calls`).  The fifth, `float_calls`, runs only
 `simulate`.  Every call but `simulate` is compared here with
 `tests/golden/output_digest.json`, keyed by its argument list; the
 `simulate` calls are left out, since their float bits may differ across CPUs
-and BLAS builds.  A refactor that claims byte-identical outputs fails here
+and numpy builds.  A refactor that claims byte-identical outputs fails here
 when one call's bytes move.  The tool is read from tools/ and executed in
 memory, as `tests/test_traced_names.py` does with the tracer.
 """

@@ -43,9 +43,11 @@ A fifth list, `float_calls`, runs `simulate` in JSON and in CSV on one
 lattice of each family it runs (toda-a, toda-b, volterra-a at an odd and an
 even size, and volterra-b), each from a fixed `--x0` file.  Its total is the
 `float total` line, and its per-call lines show which families a change to
-the float path moves.  Float bits may differ across CPUs and BLAS builds,
-so this list is kept out of `tests/golden/`: compare it between two
-checkouts on one machine.
+the float path moves.  The float path calls no BLAS routine, so the
+total does not depend on the OpenBLAS kernel (CI compares it under two core
+types), but float bits may still differ across CPUs and numpy builds, so
+this list is kept out of `tests/golden/`: compare it between two checkouts
+on one machine.
 """
 
 from __future__ import annotations
