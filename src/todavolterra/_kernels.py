@@ -8,11 +8,14 @@ order, each repeated by its exponent (a3^2 is [2, 2]; a constant has none).
 
 Each field runs as generated code: `compile_step` builds, once per field, one
 straight-line Python function over Python floats that does the four stages
-and the update of a step, with the step loop around it.  The loop appends
-each state to a flat list; `rk4_integrate` runs it one chunk of steps at a
-time, copies each chunk into the output array it preallocates and looks for
-the first non-finite state there.  The source holds only `repr(float)`
-coefficients and integer positions.
+and the update of a step, with the step loop around it.  The loop packs
+each state's floats straight into its row of the output array that
+`rk4_integrate` preallocates (`struct` `pack_into` of native doubles, the
+same 8 bytes per float a numpy float64 holds), so no state becomes a Python
+object beyond its floats.  `rk4_integrate` runs the loop one chunk of steps
+at a time only to look for the first non-finite state after each chunk.
+The source holds only `repr(float)` coefficients, integer positions and
+the row size in bytes.
 
 What a stage computes, and why the states are those of the plain form (each
 monomial written out in full, each component sum started from 0.0):
@@ -40,6 +43,8 @@ monomial written out in full, each component sum started from 0.0):
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 # Terms added per generated statement.  CPython's compiler recurses once per
@@ -48,16 +53,17 @@ import numpy as np
 _TERMS_PER_LINE = 100
 
 
-# Term evaluations per chunk of recorded steps, steps x (terms + dim).  Float
-# `+` and `*` never raise, so a run that leaves float range goes on to the
-# end of its chunk; on a 2-vCPU x86 VM a term costs 100-170 ns per step
-# (150-390 ns before shared products were named), so that wastes at most
-# about 3.5 ms.
+# Term evaluations per chunk of steps, steps x (terms + dim).  The chunk
+# bounds only the size of the finiteness scan after it and the overshoot
+# after an escape: float `+` and `*` never raise, so a run that leaves float
+# range goes on to the end of its chunk.  On a 2-vCPU x86 VM a step costs
+# 53-60 ns per term or variable (80-97 ns per term; 150-390 ns before shared
+# products were named), so that wastes at most about 1.2 ms.
 CHUNK_WORK = 20_000
 
 
 def chunk_steps(n_terms: int, dim: int) -> int:
-    """Steps per recorded chunk of a field with n_terms terms in dim variables."""
+    """Steps per chunk of a field with n_terms terms in dim variables."""
     return max(1, CHUNK_WORK // (n_terms + dim))
 
 
@@ -67,22 +73,21 @@ def rk4_integrate(coefs, factors, comp_ptr, x0, h, n_steps, step):
 
     `step` is that field's `compile_step`, built once per field, so a field
     integrated many times is compiled once; the run itself reads only `step`
-    and x0.  Returns (states, n_completed): integration stops after the chunk
-    in which the state leaves float range, with n_completed the number of
-    steps before the first non-finite state.
+    and x0.  The step writes each state into its row of the preallocated
+    states array through a byte view of it.  Returns (states, n_completed):
+    integration stops after the chunk in which the state leaves float range,
+    with n_completed the number of steps before the first non-finite state.
     """
     dim = len(x0)
     out = np.empty((n_steps + 1, dim))
     out[0] = x0
+    buf, row = memoryview(out).cast("B"), out.strides[0]
     x, h = x0.tolist(), float(h)
     chunk = chunk_steps(len(coefs), dim)
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
-        record: list[float] = []
-        x = step(record, x, h, m)
-        rows = out[start + 1 : start + 1 + m]
-        rows[:] = np.fromiter(record, float, m * dim).reshape(m, dim)
-        bad = ~np.isfinite(rows).all(axis=1)
+        x = step(buf, row * (start + 1), x, h, m)
+        bad = ~np.isfinite(out[start + 1 : start + 1 + m]).all(axis=1)
         if bad.any():
             done = start + int(bad.argmax())
             return out[: done + 1], done
@@ -156,9 +161,12 @@ def _stage_source(coefs, factors, comp_ptr):
 
 
 def compile_step(coefs, factors, comp_ptr):
-    """Compile `run(record, x, h, n_steps) -> x` for one field: n_steps
-    steps from the state x, each state appended to the list `record`, and
-    the last state returned.
+    """Compile `run(buf, first, x, h, n_steps) -> x` for one field: n_steps
+    steps from the state x, the last state returned.  Step j packs its state
+    as native doubles into the writable byte buffer `buf` at byte offset
+    first + j * 8 * dim, so a C-contiguous float64 [rows, dim] array viewed
+    as bytes gets one state per row from the row at first // (8 * dim) on;
+    nothing else in `buf` is written.
 
     Local names are x<i> (state), y<i> (stage point), k1_<i>..k4_<i> (stage
     slopes) and p<j> (a stage's shared products), built from integer
@@ -168,13 +176,14 @@ def compile_step(coefs, factors, comp_ptr):
     comps = range(len(comp_ptr) - 1)
     stage = _stage_source(coefs.tolist(), factors, comp_ptr)
     state = "".join(f"x{i}, " for i in comps)
+    row = struct.Struct(f"{len(comps)}d")
     lines = [
-        "def run(record, x, h, n_steps):",
+        "def run(buf, first, x, h, n_steps):",
         f"    ({state}) = [v + 0.0 for v in x]",
         "    hh = 0.5 * h",
         "    h6 = h / 6.0",
-        "    append = record.extend",
-        "    for _ in range(n_steps):",
+        "    pack = pack_into",
+        f"    for off in range(first, first + {row.size} * n_steps, {row.size}):",
         stage.replace("y", "x").replace("@", "1"),
         *[f"        y{i} = x{i} + hh * k1_{i}" for i in comps],
         stage.replace("@", "2"),
@@ -184,9 +193,9 @@ def compile_step(coefs, factors, comp_ptr):
         stage.replace("@", "4"),
         *[f"        x{i} = x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
           for i in comps],
-        f"        append(({state}))",
+        f"        pack(buf, off, {state})",
         f"    return ({state})",
     ]
-    namespace: dict = {}
+    namespace: dict = {"pack_into": row.pack_into}
     exec(compile("\n".join(lines), "<generated rk4 step>", "exec"), namespace)
     return namespace["run"]

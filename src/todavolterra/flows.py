@@ -3,8 +3,8 @@
 Polynomial vector fields are compiled to float coefficient arrays and
 integrated with fixed-step RK4 by `_kernels.rk4_integrate`, which runs each
 field as a generated straight-line Python step, built once per
-`CompiledField` and the only evaluator of the field; every step's state is
-recorded.
+`CompiledField` and the only evaluator of the field; the step writes every
+state straight into its row of the preallocated states array.
 Monitors track the drift of the trace Hamiltonians H_k = tr(L^k)/k and of the
 characteristic-polynomial coefficients of the Lax matrix along a trajectory;
 both are exactly conserved by the flows, so any drift measures integrator

@@ -269,8 +269,8 @@ def _dense_escape():
 
 
 class TestKernelChunks:
-    """States are recorded one chunk of steps at a time; the chunking leaves
-    the states and the completed step count unchanged."""
+    """States are scanned for escapes one chunk of steps at a time; the
+    chunking leaves the states and the completed step count unchanged."""
 
     def test_chunk_boundaries_bitwise(self):
         # the field's own chunk: runs that end just before, at and after a boundary
