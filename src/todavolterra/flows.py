@@ -207,8 +207,35 @@ def lax_bands(sys: catalog.SystemId, states: np.ndarray) -> tuple[np.ndarray, np
 
 def _diagonal_sum(p: np.ndarray) -> np.ndarray:
     """The sum of each column of p [n, b], shape [b], added in the order
-    `np.trace` adds a diagonal (pairwise in blocks of 8 entries)."""
-    return np.ascontiguousarray(p.T).sum(axis=1)
+    `np.trace` adds a diagonal, numpy's pairwise sum, with whole rows of p
+    as the operands and no transposed copy:
+
+    - fewer than 8 rows: a running sum of the rows;
+    - up to 128 rows: eight lanes, lane i the running sum of rows i, i + 8,
+      ... below the last multiple of 8, folded as
+      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+      rows added in turn;
+    - more: the sum of the two halves, split at a multiple of 8, each summed
+      by this rule.
+
+    The lanes are one `sum(axis=0)` of p reshaped to [n // 8, 8, b], whose
+    inner loop runs along the 8 b row entries, so it adds row by row even
+    at b = 1, where a plain `sum(axis=0)` of one lane would add pairwise.
+    Like numpy's, each sum starts from +0.0, so a column of -0.0 sums to
+    +0.0.
+    """
+    n, b = p.shape
+    if n < 8:
+        return p.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _diagonal_sum(p[:half]) + _diagonal_sum(p[half:])
+    m = n - n % 8
+    r = p[:8] + 0.0 if m == 8 else p[:m].reshape(m // 8, 8, b).sum(axis=0)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in p[m:]:
+        total += row
+    return total
 
 
 def carried_width(j: int, k_max: int, n: int) -> int:
@@ -337,10 +364,13 @@ def hamiltonian_values(sys: catalog.SystemId, k: int, states: np.ndarray) -> np.
 # multiplied as dense matrices, and at 32.2 MB with the band recursion (a
 # first batched matmul alone raises a fresh process's peak by about 0.4 MB
 # beyond its result).  The band recursion makes a fixed number of numpy
-# calls per block, so blocks of 128 states took 2.4-3.4 times the monitor
-# time of blocks of 1,024 (toda-a:3, toda-a:8, volterra-a:11); blocks of
-# 2,048 and 4,096 were 0-16 % slower on toda-a:8 and volterra-a:11 and
-# 19-26 % faster on toda-a:3.
+# calls per block.  With the traces summed in place (`_diagonal_sum`), on
+# the `simulate` benchmark calls (seed 1, one pinned CPU, min of 15), blocks
+# of 128 states took 4.6 times the monitor time of blocks of 1,024 on
+# toda-a:3 and 3.4 times on volterra-a:11; blocks of 2,048 were 25-29 %
+# faster on toda-a:3 and 15-16 % slower on volterra-a:11, blocks of 4,096
+# as fast on toda-a:3 and 29-32 % slower on volterra-a:11.  The toda-a:8
+# CSV monitors only its 51 written rows, one block at any size.
 CHARPOLY_BLOCK = 1024
 
 

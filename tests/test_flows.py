@@ -457,6 +457,31 @@ def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
+def unfused_power_traces(mats: np.ndarray, k_max: int) -> np.ndarray:
+    """tr(M^j) for j = 1..k_max of tridiagonal matrices [T, n, n], shape
+    [T, k_max]: each product summed term by term over k = 0..n-1 from +0.0,
+    with no fused multiply-add, and each trace summed by `np.trace`.
+
+    Column c of M is zero outside rows c-1..c+1, so column c of a product
+    takes only the terms k = c-1, c, c+1, added in that order: on finite
+    entries a sum started at +0.0 is never -0.0, and adding a +-0.0 term
+    leaves it as it is, so these are the bits of the dense product."""
+    n = mats.shape[1]
+    traces = np.empty((mats.shape[0], k_max))
+    power = mats
+    for j in range(k_max):
+        if j:
+            acc = np.zeros_like(mats)
+            for shift in (-1, 0, 1):  # term k = c + shift of every column c
+                c = slice(max(-shift, 0), min(n - shift, n))
+                k = slice(c.start + shift, c.stop + shift)
+                m_kc = np.diagonal(mats, -shift, axis1=1, axis2=2)  # M[c + shift, c]
+                acc[:, :, c] += power[:, :, k] * m_kc[:, None, :]
+            power = acc
+        traces[:, j] = np.trace(power, axis1=1, axis2=2)
+    return traces
+
+
 def power_traces(mats: np.ndarray, k_max: int) -> np.ndarray:
     """tr(M^j) for j = 1..k_max over a batch of dense matrices, shape
     [T, k_max], by repeated matrix products."""
@@ -827,6 +852,72 @@ def _zero_diagonal(sys) -> bool:
     return all(i != j for i, j, _, _ in catalog.lax_entries(sys))
 
 
+def old_diagonal_sum(p: np.ndarray) -> np.ndarray:
+    """`flows._diagonal_sum` before it summed in place: each column of p
+    [n, b] summed by numpy from a transposed copy."""
+    return np.ascontiguousarray(p.T).sum(axis=1)
+
+
+def _diagonal_sum_inputs(n: int) -> np.ndarray:
+    """[n, 1024] entries of both signs over 16 orders of magnitude, with
+    +-0.0, +-inf and NaN at fixed positions in columns 0-9.
+
+    IEEE 754 leaves open which NaN the sum of two NaNs returns, and numpy's
+    loops do not agree on it, so no column holds NaNs of both signs (the
+    NaN of inf - inf is negative on x86)."""
+    rng = np.random.default_rng(n)
+    p = rng.uniform(-1, 1, (n, 1024)) * 10.0 ** rng.integers(-8, 8, (n, 1024))
+    p[:, 0] = -0.0
+    p[:, 1] = 0.0
+    p[::2, 2] = -0.0
+    p[:, 3], p[n - 1, 3] = -0.0, 0.0
+    p[n // 2, 4] = np.inf
+    p[n - 1, 5] = -np.inf
+    p[0, 6], p[n - 1, 6] = np.inf, -np.inf  # a NaN from inf - inf, from n = 2 on
+    p[n // 3, 7] = np.nan
+    p[0, 8], p[n - 1, 8] = np.nan, np.nan
+    p[0, 9], p[n // 2, 9] = -np.inf, np.nan
+    return p
+
+
+SUM_ROWS = [*range(1, 21), 63, 64, 127, 128, 129, 136, 255, 256, 300]
+
+
+class TestDiagonalSum:
+    @pytest.mark.parametrize("b", [1, 1024])
+    @pytest.mark.parametrize("n", SUM_ROWS)
+    def test_diagonal_sum_is_the_transposed_sum(self, n, b):
+        # bitwise, NaNs and the signs of zeros and NaNs included: below 8,
+        # up to 128 and above 128 rows, on whole blocks, on rows taken every
+        # other one (as `squared_traces` passes its parity blocks) and on
+        # single columns (one state)
+        p = _diagonal_sum_inputs(n)
+        if b == 1024:
+            spread = np.empty((2 * n, b))
+            spread[::2] = p
+            cases = [p, spread[::2]]
+        else:
+            cases = [p[:, c : c + 1].copy() for c in range(12)]
+        with np.errstate(invalid="ignore"):
+            for q in cases:
+                got, want = flows._diagonal_sum(q), old_diagonal_sum(q)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+ORDER_SIZES = [1, 2, 7, 8, 9, 16, 17, 129]
+
+
+def _order_mismatches(n: int) -> list[int]:
+    """The k_max at which `band_traces` differs in any bit from
+    `unfused_power_traces` on random bands of 5 matrices of size n."""
+    rng = np.random.default_rng(n)
+    d, e = rng.uniform(-1, 1, (n, 5)), rng.uniform(-1, 1, (n - 1, 5))
+    want = unfused_power_traces(tridiagonal(d, e), 3 * n + 1)
+    return [k_max for k_max in (1, 2, n, n + 2, 3 * n + 1)
+            if not np.array_equal(flows.band_traces(d, e, k_max), want[:, :k_max])]
+
+
 class TestTraceRoutes:
     """Both trace routes against exact traces of the dense Lax matrix: the
     band recursion on the tridiagonal matrix with the Lax bands (every
@@ -841,24 +932,21 @@ class TestTraceRoutes:
         if not _zero_diagonal(sys):
             assert np.array_equal(got, flows.lax_traces(sys, *flows.lax_bands(sys, states), k_max))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17])
+    @pytest.mark.parametrize("n", ORDER_SIZES)
     def test_adds_in_the_order_of_an_unfused_product(self, n):
         # bitwise: each product summed term by term over k = 0..n-1, with no
         # fused multiply-add, and each trace summed as np.trace sums (its
-        # order differs from a running sum from n = 8 on); k_max > n stops
-        # the carried width at n - 1, and n = 1 has no edge
-        rng = np.random.default_rng(n)
-        d, e = rng.uniform(-1, 1, (n, 5)), rng.uniform(-1, 1, (n - 1, 5))
-        mats = tridiagonal(d, e)
-        for k_max in (1, 2, n, n + 2, 3 * n + 1):
-            want = np.empty((5, k_max))
-            power = mats
-            for j in range(k_max):
-                if j:
-                    terms = [power[:, :, k, None] * mats[:, None, k, :] for k in range(n)]
-                    power = functools.reduce(np.add, terms, np.zeros_like(mats))
-                want[:, j] = np.trace(power, axis1=1, axis2=2)
-            assert np.array_equal(flows.band_traces(d, e, k_max), want), k_max
+        # order differs from a running sum from n = 8 on, and splits in
+        # halves above 128); k_max > n stops the carried width at n - 1, and
+        # n = 1 has no edge
+        assert _order_mismatches(n) == []
+
+    @pytest.mark.parametrize("n", ORDER_SIZES)
+    def test_a_running_diagonal_sum_fails_the_order_from_8_rows(self, monkeypatch, n):
+        # negative control: the order test tells numpy's pairwise order from
+        # a running sum of the rows wherever the two differ
+        monkeypatch.setattr(flows, "_diagonal_sum", lambda p: functools.reduce(np.add, p))
+        assert bool(_order_mismatches(n)) == (n >= 8)
 
     @pytest.mark.parametrize("name", ["volterra-a:2", "volterra-b:1"])
     def test_parity_blocks_of_size_one(self, monkeypatch, name):
