@@ -24,15 +24,23 @@ output coefficient is divided by the product of the D's once
 bracket is {F, G} = X_G(F).  The operands of one operation share one
 variable list, or it raises `ValueError`.  The tests keep the dense loops
 as oracles.
+
+The Jacobiator is quadratic in the tensor, so `is_compatible` decides
+whether pi + rho is Poisson from the mixed term M(pi, rho) = J(pi + rho) -
+J(pi) - J(rho) alone, the same loop run across the two tensors, and adds
+the two Jacobiators that `jacobiator` keeps on each (immutable) tensor.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .polyalg import (
     Poly, Scalar, add_product, cleared, divide, format_scalar, key_fields, key_layout, normal,
     poly_from_sum)
+
+_set = object.__setattr__
 
 
 class LinearMap:
@@ -123,9 +131,12 @@ class PoissonTensor:
     Antisymmetry is structural: entry(i, j) returns the stored polynomial for
     i < j, its negative for i > j and zero on the diagonal.  The Jacobi
     identity is *not* assumed; candidates are tested with `is_poisson`.
+    A tensor is immutable: `upper` is a read-only view of the stored entries
+    and no attribute can be set, so the Jacobiator `jacobiator` keeps on the
+    tensor can never go stale.
     """
 
-    __slots__ = ("variables", "upper")
+    __slots__ = ("variables", "upper", "_jacobiator")
 
     def __init__(self, variables: Sequence[str], upper: Mapping[tuple[int, int], Poly]):
         variables = tuple(variables)
@@ -138,8 +149,12 @@ class PoissonTensor:
                 raise ValueError(f"entry ({i},{j}) on another variable list")
             if not p.is_zero:
                 clean[(i, j)] = p
-        self.variables = variables
-        self.upper = clean
+        _set(self, "variables", variables)
+        _set(self, "upper", MappingProxyType(clean))
+        _set(self, "_jacobiator", None)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PoissonTensor is immutable")
 
     # ------------------------------------------------------------- building
 
@@ -273,23 +288,20 @@ def _rows(pi: PoissonTensor, entries: list) -> list[list[tuple[int, list, list]]
     return rows
 
 
-def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
-    """J^ijk = sum_l (pi^il d_l pi^jk + pi^jl d_l pi^ki + pi^kl d_l pi^ij).
+def _add_jacobi_terms(sums: dict, rows: list, upper, entries: list,
+                      units: tuple[int, ...], guard: int) -> None:
+    """Add sum_l (A^il d_l B^jk + A^jl d_l B^ki + A^kl d_l B^ij) into the
+    sums `sums`, keyed by i < j < k, for `rows` the `_rows` of a tensor A and
+    `upper`, `entries` the stored keys and term lists of a tensor B (J(pi) is
+    A = B = pi).
 
-    Returns the nonzero entries, keyed by i < j < k in ascending order, so a
-    Poisson tensor gives an empty dict.  Only stored entries are
-    visited: for each stored pi^jk (j < k), each l in its support and each
-    a with pi^al != 0, the product pi^al d_l pi^jk is the (a; j, k) term of
-    J at the sorted triple of {a, j, k}.  It enters with sign +1 when
-    (a, j, k) is a cyclic order of that triple (a < j or a > k) and -1
-    otherwise (j < a < k), since pi^kj = -pi^jk.  The sums run on D * pi,
-    D the tensor's `cleared` denominator, and are divided by D^2 at the end.
+    For each stored B^jk (j < k), each l in its support and each a with
+    A^al != 0, the product A^al d_l B^jk is the (a; j, k) term at the sorted
+    triple of {a, j, k}.  It enters with sign +1 when (a, j, k) is a cyclic
+    order of that triple (a < j or a > k) and -1 otherwise (j < a < k),
+    since B^kj = -B^jk.
     """
-    units, guard = key_layout(pi.dim)
-    d, entries = cleared(pi.upper.values())
-    sums: dict[tuple[int, int, int], dict] = {}
-    rows = _rows(pi, entries)
-    for (j, k), pjk in zip(pi.upper, entries):
+    for (j, k), pjk in zip(upper, entries):
         for l, dl in _gradient(pjk, units).items():
             for a, p_la, p_al in rows[l]:
                 if a < j:
@@ -298,8 +310,27 @@ def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
                     add_product(sums.setdefault((j, a, k), {}), p_la, dl, guard)
                 elif a > k:
                     add_product(sums.setdefault((j, k, a), {}), p_al, dl, guard)
-    return {key: poly_from_sum(pi.variables, sums[key], d * d)
-            for key in sorted(sums) if sums[key]}
+
+
+def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
+    """J^ijk = sum_l (pi^il d_l pi^jk + pi^jl d_l pi^ki + pi^kl d_l pi^ij).
+
+    Returns the nonzero entries, keyed by i < j < k in ascending order, so a
+    Poisson tensor gives an empty dict.  Only stored entries are visited:
+    the rows of pi against its own entries (`_add_jacobi_terms`).  The sums
+    run on D * pi, D the tensor's `cleared` denominator, and are divided by
+    D^2 at the end.  The result is computed once per tensor and kept on it,
+    which is safe because a tensor cannot change; each call returns a new
+    dict.
+    """
+    if pi._jacobiator is None:
+        units, guard = key_layout(pi.dim)
+        d, entries = cleared(pi.upper.values())
+        sums: dict[tuple[int, int, int], dict] = {}
+        _add_jacobi_terms(sums, _rows(pi, entries), pi.upper, entries, units, guard)
+        _set(pi, "_jacobiator", {key: poly_from_sum(pi.variables, sums[key], d * d)
+                                 for key in sorted(sums) if sums[key]})
+    return dict(pi._jacobiator)
 
 
 def is_poisson(pi: PoissonTensor) -> bool:
@@ -307,10 +338,32 @@ def is_poisson(pi: PoissonTensor) -> bool:
 
 
 def is_compatible(pi: PoissonTensor, rho: PoissonTensor) -> bool:
-    """Compatibility of two Poisson tensors: their sum is again Poisson."""
+    """Whether pi + rho is Poisson, for any two tensors on one variable list.
+
+    The Jacobiator is quadratic in the tensor, so J(pi + rho) = J(pi) +
+    J(rho) + M(pi, rho) exactly, where the mixed term M (the Schouten
+    bracket [pi, rho] of Magri's compatibility condition) is the loop of
+    `jacobiator` run with the rows of each tensor against the entries of the
+    other.  Both tensors are cleared over one common denominator D, so M
+    sums on integers at D^2; J(pi) and J(rho), kept on the tensors by
+    `jacobiator`, are added in at D^2 (D is a multiple of each tensor's own
+    denominator, so they stay integral), and pi + rho is never built.
+    """
     if pi.variables != rho.variables:
         raise ValueError("tensors on different variable lists")
-    return is_poisson(pi + rho)
+    units, guard = key_layout(pi.dim)
+    d, entries = cleared([*pi.upper.values(), *rho.upper.values()])
+    pi_entries, rho_entries = entries[:len(pi.upper)], entries[len(pi.upper):]
+    sums: dict[tuple[int, int, int], dict] = {}
+    _add_jacobi_terms(sums, _rows(pi, pi_entries), rho.upper, rho_entries, units, guard)
+    _add_jacobi_terms(sums, _rows(rho, rho_entries), pi.upper, pi_entries, units, guard)
+    scale = ((0, d * d),)
+    for jac in (jacobiator(pi), jacobiator(rho)):
+        for key, p in jac.items():
+            add_product(sums.setdefault(key, {}), p.packed.items(), scale, guard)
+    # a sum that cancels is left empty by `add_product`; `poly_from_sum` still
+    # raises on a key past the exponent limit in one that does not
+    return all(poly_from_sum(pi.variables, acc, d * d).is_zero for acc in sums.values() if acc)
 
 
 def lie_derivative_bivector(Z: PolyVectorField, pi: PoissonTensor) -> PoissonTensor:
@@ -389,10 +442,12 @@ def pushforward_vf(A: LinearMap, Z: PolyVectorField) -> PolyVectorField:
 
 
 def pushforward_sign(A: LinearMap, pi: PoissonTensor) -> int | None:
-    """+1 / -1 if A_* pi = +/- pi exactly, else None."""
+    """+1 / -1 if A_* pi = +/- pi exactly, else None.  The sign -1 is read
+    entry by entry against the negated stored entries; no -pi is built."""
     pushed = pushforward_bivector(A, pi)
     if pushed == pi:
         return 1
-    if pushed == pi.scale(-1):
+    if pushed.upper.keys() == pi.upper.keys() and all(
+            pushed.upper[key] == -p for key, p in pi.upper.items()):
         return -1
     return None

@@ -109,6 +109,27 @@ class TestJacobiator:
             assert cyclic.is_zero
 
 
+    def test_upper_is_read_only(self):
+        # a copy, so that a failure here leaves the cached catalog tensor alone
+        pi = PoissonTensor(catalog.variables(T3), catalog.tensor(T3, 2).upper)
+        with pytest.raises(TypeError):
+            pi.upper[min(pi.upper)] = Poly.var(pi.variables, "a1")
+        with pytest.raises(AttributeError):
+            pi.upper = {}
+        assert is_poisson(pi)
+
+    def test_perturbed_copy_gets_its_own_jacobiator(self):
+        # the catalog tensor keeps J = 0; a perturbed copy must not read that
+        pi = catalog.tensor(T3, 2)
+        assert jacobiator(pi) == {}
+        bent = perturbed(pi, 2)
+        want = {key: p for key, p in dense_jacobiator(bent).items() if not p.is_zero}
+        assert want and jacobiator(bent) == want
+        jacobiator(bent).clear()  # each call returns its own dict
+        assert jacobiator(bent) == want
+        assert jacobiator(pi) == {} and jacobiator(PoissonTensor(pi.variables, pi.upper)) == {}
+
+
 class TestCompatibility:
     def test_toda_pairs(self):
         assert is_compatible(catalog.tensor(T3, 1), catalog.tensor(T3, 2))
@@ -117,6 +138,30 @@ class TestCompatibility:
     def test_self_compatibility(self):
         pi = catalog.tensor(T3, 2)
         assert is_compatible(pi, pi)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_poisson_tensors_whose_sum_is_not(self, n, k):
+        # negative control: pi_k and its pushforward under the swap a1 <-> b1
+        # are both Poisson, and their sum is not
+        sys = catalog.SystemId("toda", "a", n)
+        vs = catalog.variables(sys)
+        swap = {v: (v, 1) for v in vs}
+        swap.update(a1=("b1", 1), b1=("a1", 1))
+        pi = catalog.tensor(sys, k)
+        rho = pushforward_bivector(LinearMap(vs, swap), pi)
+        assert is_poisson(pi) and is_poisson(rho)
+        assert not is_poisson(pi + rho)
+        assert not is_compatible(pi, rho) and not is_compatible(rho, pi)
+
+    def test_check_fails_on_a_perturbed_catalog_tensor(self, monkeypatch):
+        tensor = catalog.tensor
+        assert checks.compatible(T3, (1, 2))["ok"]
+        monkeypatch.setattr(catalog, "tensor", lambda sys, k: (
+            perturbed(tensor(sys, k), 2) if k == 1 else tensor(sys, k)))
+        row = checks.compatible(T3, (1, 2))
+        assert row == {"check": "compatible", "system": "toda-a:3", "brackets": [1, 2],
+                       "ok": False}
 
 
 class TestHamiltonianVF:
@@ -143,6 +188,19 @@ class TestHamiltonianVF:
         assert [p.canonical_str() for p in X.components] == [
             "-a1*a2", "a1*a2 - a2*a3", "a2*a3 - a3*a4", "a3*a4",
         ]
+
+
+    @pytest.mark.parametrize("system, fields", [("toda-a:3", 5), ("volterra-a:5", 2)])
+    def test_ladder_builds_each_field_once(self, monkeypatch, system, fields):
+        # toda-a's ladders name pi2 dH2 twice
+        built = []
+        monkeypatch.setattr(checks, "hamiltonian_vf",
+                            lambda pi, H: built.append(H) or hamiltonian_vf(pi, H))
+        doc = checks.ladder(catalog.parse_system(system))
+        assert doc["ok"] and len(built) == fields
+        assert [r["relation"] for r in doc["relations"]] == [
+            f"pi{k1} dH{l1} = pi{k2} dH{l2}"
+            for (k1, l1), (k2, l2) in checks.LADDERS[system.split(":")[0]]]
 
 
 class TestLieDerivative:
@@ -177,6 +235,17 @@ class TestPushforward:
         sys = catalog.SystemId("toda", "a", 5)
         phi = catalog.symmetry("phi_toda", sys)
         assert pushforward_sign(phi, catalog.tensor(sys, 3)) == 1
+
+    def test_sign_values(self):
+        # psi gives (-1)^k; a map that moves some stored entries by a factor
+        # other than +/-1 gives None, though every stored key matches
+        psi = catalog.symmetry("psi", T3)
+        assert [pushforward_sign(psi, catalog.tensor(T3, k)) for k in (1, 2, 3)] == [-1, 1, -1]
+        vs = catalog.variables(T3)
+        double = LinearMap(vs, {v: (v, 2 if v == "a1" else 1) for v in vs})
+        pi = catalog.tensor(T3, 2)
+        assert pushforward_bivector(double, pi).upper.keys() == pi.upper.keys()
+        assert pushforward_sign(double, pi) is None
 
     def test_functoriality(self):
         sys = catalog.SystemId("toda", "a", 3)
@@ -248,8 +317,9 @@ class TestLinearMap:
 # ------------------------------------------------- dense oracles (tests only)
 
 
-def dense_jacobiator(pi):
-    """Reference J^ijk over all i < j < k and all l, through entry()."""
+def dense_jacobi_form(rho, pi):
+    """Reference sum_l (rho^il d_l pi^jk + rho^jl d_l pi^ki + rho^kl d_l pi^ij)
+    over all i < j < k and all l, through entry()."""
     m = pi.dim
     vars_ = pi.variables
     out = {}
@@ -259,11 +329,22 @@ def dense_jacobiator(pi):
                 total = Poly.zero(vars_)
                 for l in range(m):
                     vl = vars_[l]
-                    total = total + pi.entry(i, l) * pi.entry(j, k).diff(vl)
-                    total = total + pi.entry(j, l) * pi.entry(k, i).diff(vl)
-                    total = total + pi.entry(k, l) * pi.entry(i, j).diff(vl)
+                    total = total + rho.entry(i, l) * pi.entry(j, k).diff(vl)
+                    total = total + rho.entry(j, l) * pi.entry(k, i).diff(vl)
+                    total = total + rho.entry(k, l) * pi.entry(i, j).diff(vl)
                 out[(i, j, k)] = total
     return out
+
+
+def dense_jacobiator(pi):
+    """Reference J^ijk over all i < j < k and all l, through entry()."""
+    return dense_jacobi_form(pi, pi)
+
+
+def dense_mixed_term(pi, rho):
+    """Reference M(pi, rho) = J(pi + rho) - J(pi) - J(rho), the two cross terms."""
+    one, other = dense_jacobi_form(pi, rho), dense_jacobi_form(rho, pi)
+    return {key: p + other[key] for key, p in one.items()}
 
 
 def dense_lie_derivative(Z, pi):
@@ -525,6 +606,29 @@ def test_sparse_matches_dense_on_random_tensors(case):
     assert pushforward_bivector(A, pi) == pair_loop_pushforward(A, pi)
     assert_stored_normal(*jacobiator(pi).values(), *lie.upper.values(), *XF.components,
                          directional_action(Z, G), bracket(pi, F, G))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tensor_and_field())
+def test_compatibility_from_the_mixed_term(case):
+    """J(pi + rho) = J(pi) + J(rho) + M(pi, rho) entry by entry, and
+    is_compatible(pi, rho) == is_poisson(pi + rho), on the random tensors of
+    `test_sparse_matches_dense_on_random_tensors`, Poisson or not, against
+    three rho: the random A_* pi; a constant tensor minus pi, whose sum with
+    pi is Poisson whatever J(pi) is; and -pi / 2 + a constant."""
+    pi, _, _, A = case
+    vs = pi.variables
+    constant = PoissonTensor(vs, {key: Poly.const(vs, n + 1) for n, key in
+                                  enumerate(combinations(range(pi.dim), 2))})
+    zero = Poly.zero(vs)
+    for rho in (pushforward_bivector(A, pi), constant + pi.scale(-1),
+                constant + pi.scale(Fraction(-1, 2))):
+        total = pi + rho
+        j_pi, j_rho, j_total = jacobiator(pi), jacobiator(rho), jacobiator(total)
+        for key, m in dense_mixed_term(pi, rho).items():
+            assert j_total.get(key, zero) == j_pi.get(key, zero) + j_rho.get(key, zero) + m
+        assert is_compatible(pi, rho) == is_compatible(rho, pi) == is_poisson(total)
+    assert is_compatible(pi, constant + pi.scale(-1))
 
 
 # ------------------------------------------ the fused sums: normal form, overflow
