@@ -312,17 +312,10 @@ def _add_jacobi_terms(sums: dict, rows: list, upper, entries: list,
                     add_product(sums.setdefault((j, k, a), {}), p_al, dl, guard)
 
 
-def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
-    """J^ijk = sum_l (pi^il d_l pi^jk + pi^jl d_l pi^ki + pi^kl d_l pi^ij).
-
-    Returns the nonzero entries, keyed by i < j < k in ascending order, so a
-    Poisson tensor gives an empty dict.  Only stored entries are visited:
-    the rows of pi against its own entries (`_add_jacobi_terms`).  The sums
-    run on D * pi, D the tensor's `cleared` denominator, and are divided by
-    D^2 at the end.  The result is computed once per tensor and kept on it,
-    which is safe because a tensor cannot change; each call returns a new
-    dict.
-    """
+def _kept_jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
+    """The nonzero Jacobiator entries of pi, computed on the first call and
+    kept on the tensor, which is safe because a tensor cannot change.  The
+    dict is the kept one: callers only read it."""
     if pi._jacobiator is None:
         units, guard = key_layout(pi.dim)
         d, entries = cleared(pi.upper.values())
@@ -330,7 +323,21 @@ def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
         _add_jacobi_terms(sums, _rows(pi, entries), pi.upper, entries, units, guard)
         _set(pi, "_jacobiator", {key: poly_from_sum(pi.variables, sums[key], d * d)
                                  for key in sorted(sums) if sums[key]})
-    return dict(pi._jacobiator)
+    return pi._jacobiator
+
+
+def jacobiator(pi: PoissonTensor) -> dict[tuple[int, int, int], Poly]:
+    """J^ijk = sum_l (pi^il d_l pi^jk + pi^jl d_l pi^ki + pi^kl d_l pi^ij).
+
+    Returns the nonzero entries, keyed by i < j < k in ascending order, so a
+    Poisson tensor gives an empty dict.  Only stored entries are visited:
+    the rows of pi against its own entries (`_add_jacobi_terms`).  The sums
+    run on D * pi, D the tensor's `cleared` denominator, and are divided by
+    D^2 at the end.  The result is computed once per tensor and kept on it
+    (`_kept_jacobiator`), which is safe because a tensor cannot change; each
+    call returns a new dict.
+    """
+    return dict(_kept_jacobiator(pi))
 
 
 def is_poisson(pi: PoissonTensor) -> bool:
@@ -345,9 +352,10 @@ def is_compatible(pi: PoissonTensor, rho: PoissonTensor) -> bool:
     bracket [pi, rho] of Magri's compatibility condition) is the loop of
     `jacobiator` run with the rows of each tensor against the entries of the
     other.  Both tensors are cleared over one common denominator D, so M
-    sums on integers at D^2; J(pi) and J(rho), kept on the tensors by
-    `jacobiator`, are added in at D^2 (D is a multiple of each tensor's own
-    denominator, so they stay integral), and pi + rho is never built.
+    sums on integers at D^2; J(pi) and J(rho), kept on the tensors
+    (`_kept_jacobiator`, so a `jacobiator` call before reuses them), are
+    added in at D^2 (D is a multiple of each tensor's own denominator, so
+    they stay integral), and pi + rho is never built.
     """
     if pi.variables != rho.variables:
         raise ValueError("tensors on different variable lists")
@@ -358,7 +366,7 @@ def is_compatible(pi: PoissonTensor, rho: PoissonTensor) -> bool:
     _add_jacobi_terms(sums, _rows(pi, pi_entries), rho.upper, rho_entries, units, guard)
     _add_jacobi_terms(sums, _rows(rho, rho_entries), pi.upper, pi_entries, units, guard)
     scale = ((0, d * d),)
-    for jac in (jacobiator(pi), jacobiator(rho)):
+    for jac in (_kept_jacobiator(pi), _kept_jacobiator(rho)):
         for key, p in jac.items():
             add_product(sums.setdefault(key, {}), p.packed.items(), scale, guard)
     # a sum that cancels is left empty by `add_product`; `poly_from_sum` still
