@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todavolterra import catalog, checks, reduction
+from todavolterra import catalog, checks, poisson, reduction
 from todavolterra.polyalg import EXPONENT_LIMIT, I_UNIT, GaussianRational, Poly
 from todavolterra.poisson import (
     LinearMap,
@@ -162,6 +162,19 @@ class TestCompatibility:
         row = checks.compatible(T3, (1, 2))
         assert row == {"check": "compatible", "system": "toda-a:3", "brackets": [1, 2],
                        "ok": False}
+
+    def test_each_jacobiator_is_computed_once(self, monkeypatch):
+        # fresh copies, so that Jacobiators kept by earlier tests do not count
+        pi, rho = (PoissonTensor(catalog.variables(T3), catalog.tensor(T3, k).upper)
+                   for k in (1, 2))
+        runs = []
+        loop = poisson._add_jacobi_terms
+        monkeypatch.setattr(poisson, "_add_jacobi_terms",
+                            lambda sums, *rest: runs.append(1) or loop(sums, *rest))
+        assert jacobiator(pi) == jacobiator(pi) == {} and len(runs) == 1
+        # J(rho) once, then the two orders of the mixed term, on every call
+        assert is_compatible(pi, rho) and len(runs) == 4
+        assert is_compatible(rho, pi) and len(runs) == 6
 
 
 class TestHamiltonianVF:
