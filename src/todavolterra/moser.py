@@ -2,11 +2,11 @@
 
 In the variables x_i with a_i = -2 x_i^2 the B-type Volterra Lax matrix
 becomes the symmetric tridiagonal matrix with superdiagonal
-(x_1, ..., x_n, i x_n, ..., i x_1) and zero diagonal.  Its square couples
-only positions of equal parity, so deleting every other row and column
-leaves two Jacobi-type blocks; reading A_k off the block off-diagonal and
-B_k off the diagonal turns the Volterra flow into Toda equations of type
-B or C depending on the block size.
+(x_1, ..., x_n, i x_n, ..., i x_1) and zero diagonal.  Its square (a band
+rule, `square_and_split`) couples only positions of equal parity, so
+deleting every other row and column leaves two Jacobi-type blocks; reading
+A_k off the block off-diagonal and B_k off the diagonal turns the Volterra
+flow into Toda equations of type B or C depending on the block size.
 
 Deletion convention: positions are counted 0-based, `odd_deleted` removes
 the 0-based-odd rows/columns (keeping the 1st, 3rd, 5th, ... in 1-based
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import catalog
 from ._linsolve import solve_exact
-from .polyalg import I_UNIT, Poly, equation_lines, poly_matrix_mul, unit_keys
+from .polyalg import I_UNIT, Poly, equation_lines, unit_keys
 from .poisson import PolyVectorField, directional_action
 
 
@@ -107,18 +107,26 @@ def _tag(size: int) -> str:
 def square_and_split(N: int) -> MoserSplit:
     """Square the x-variable Lax matrix and return both parity blocks.
 
-    The mixed-parity entries of L^2 vanish identically, so the square
-    decomposes into the two blocks.  Block of odd size 2m+1 is tagged B_m,
-    block of even size 2m is tagged C_m.  B blocks are real with a zero
-    central diagonal entry; C blocks are real except the central
-    off-diagonal entry, which is purely imaginary (its square is real, so
-    the induced equations still close over the A, B generators); the
-    diagonal and the off-diagonal of both are mirror-antisymmetric.
+    L is symmetric with zero diagonal and superdiagonal s, so L^2 is the
+    band rule (p, p) = s_{p-1}^2 + s_p^2, (p, p+2) = (p+2, p) = s_p s_{p+1}
+    and zero elsewhere: it decomposes into the two parity blocks.  Block of
+    odd size 2m+1 is tagged B_m, block of even size 2m is tagged C_m.  B
+    blocks are real with a zero central diagonal entry; C blocks are real
+    except the central off-diagonal entry, which is purely imaginary (its
+    square is real, so the induced equations still close over the A, B
+    generators); the diagonal and off-diagonal of both are mirror-antisymmetric.
     """
     if N < 5:
         raise ValueError("need size >= 5 to split")
     L = x_lax(N)
-    M = poly_matrix_mul(L, L)
+    s = [L[p][p + 1] for p in range(N - 1)]
+    zero = Poly.zero(s[0].variables)
+    squares = [zero, *(x * x for x in s), zero]  # squares[p] = s_{p-1}^2
+    M = [[zero] * N for _ in range(N)]
+    for p in range(N):
+        M[p][p] = squares[p] + squares[p + 1]
+    for p in range(N - 2):
+        M[p][p + 2] = M[p + 2][p] = s[p] * s[p + 1]
     blocks = []
     for first in (1, 2):  # odd_deleted keeps the odd 1-based positions, even_deleted the even
         kept = tuple(range(first, N + 1, 2))

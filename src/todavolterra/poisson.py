@@ -116,10 +116,6 @@ class PolyVectorField:
 
     __hash__ = None
 
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.components)
-
     def __repr__(self) -> str:
         rows = ", ".join(f"{v}' = {p}" for v, p in zip(self.variables, self.components))
         return f"PolyVectorField({rows})"
@@ -186,13 +182,6 @@ class PoissonTensor:
 
     # ------------------------------------------------------------ arithmetic
 
-    def __add__(self, other: "PoissonTensor") -> "PoissonTensor":
-        if self.variables != other.variables:
-            raise ValueError("tensors on different variable lists")
-        keys = set(self.upper) | set(other.upper)
-        upper = {k: self.entry(*k) + other.entry(*k) for k in keys}
-        return PoissonTensor(self.variables, upper)
-
     def scale(self, c: Scalar) -> "PoissonTensor":
         return PoissonTensor(self.variables, {k: p.scale(c) for k, p in self.upper.items()})
 
@@ -202,10 +191,6 @@ class PoissonTensor:
         return self.variables == other.variables and self.upper == other.upper
 
     __hash__ = None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.upper
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -2,17 +2,17 @@
 
 A polynomial is stored sparsely as a map from monomial keys to nonzero
 coefficients, together with a fixed ordered tuple of variable names.  A key
-packs an exponent tuple into one int: variable k's exponent fills a field of
-16 bits, variable 0 the highest, so a product of monomials is one integer
-addition, a derivative subtracts a unit key, and integer order is the
-lexicographic order of exponent tuples.  The top bit of every field is a
+packs an exponent tuple into one int: `Poly(...)` sums each exponent times
+its variable's unit key (`key_layout`: a field of 16 bits, variable 0 the
+highest), and `key_fields` reads the nonzero fields back.  So a product of
+monomials is one integer addition, a derivative subtracts a unit key, and
+integer order is the lexicographic order of exponent tuples.  The top bit of every field is a
 guard: a stored exponent is at most `EXPONENT_LIMIT` (32,767), two keys add
 without a carry between fields, and a product whose degree in some variable
-passes the limit raises `OverflowError` instead of wrapping.  `key_fields`
-reads a key's nonzero fields; `Poly.terms` reads the map back with exponent
-tuples as keys.  Zero coefficients are never stored, so two polynomials are
-equal exactly when their variable lists and term maps coincide; symbolic
-identity checks reduce to dictionary comparison.
+passes the limit raises `OverflowError` instead of wrapping.  Zero
+coefficients are never stored, so two polynomials are equal exactly when
+their variable lists and term maps coincide; symbolic identity checks reduce
+to dictionary comparison.
 
 Every coefficient is an exact scalar of Q(i) held in normal form (`normal`),
 the one place that decides how a scalar is stored: an `int` when it is an
@@ -33,9 +33,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -43,12 +43,6 @@ _set = object.__setattr__
 
 _WIDTH = 16  # bits per exponent field of a monomial key
 EXPONENT_LIMIT = (1 << (_WIDTH - 1)) - 1  # the field's top bit is the guard
-
-
-@lru_cache(maxsize=None)
-def _codec(n: int) -> struct.Struct:
-    """Packs the exponent tuple of n variables as big-endian 16-bit words."""
-    return struct.Struct(f">{n}H")
 
 
 @lru_cache(maxsize=None)
@@ -65,14 +59,6 @@ def unit_keys(variables: tuple[str, ...]) -> Mapping[str, int]:
     """{name: key of that variable alone}; a monomial's key is the sum of the
     keys of its factors.  Cached per variable tuple, so read-only."""
     return MappingProxyType(dict(zip(variables, key_layout(len(variables))[0])))
-
-
-def _pack(expo: tuple[int, ...]) -> int:
-    return int.from_bytes(_codec(len(expo)).pack(*expo), "big")
-
-
-def _unpack(key: int, n: int) -> tuple[int, ...]:
-    return _codec(n).unpack(key.to_bytes(2 * n, "big"))
 
 
 def key_fields(key: int, n: int) -> tuple[list[int], list[int]]:
@@ -193,9 +179,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -250,6 +233,7 @@ class Poly:
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[tuple[int, ...], Scalar] | None = None):
         variables = _checked_variables(variables)
+        units = key_layout(len(variables))[0]
         clean: dict[int, Scalar] = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(map(operator.index, expo))  # 1.5 or "3" raise, never truncate
@@ -261,8 +245,8 @@ class Poly:
                 raise OverflowError(f"exponent above {EXPONENT_LIMIT}")
             c = normal(coeff)
             if c:
-                key = _pack(expo)
-                c = normal(clean.get(key, 0) + c)
+                key = sum(map(operator.mul, compress(expo, expo), compress(units, expo)))
+                c = normal(clean[key] + c) if key in clean else c
                 if c:
                     clean[key] = c
                 else:
@@ -283,10 +267,10 @@ class Poly:
         operations whose inputs are already `Poly` objects and whose results
         keep these invariants (sum, negation, scaling by a nonzero scalar,
         derivative, a scaled variable map, and `poly_from_sum`, which
-        finishes every sum of products), the zero polynomial, `moser`'s
-        equations read off an exact solve and `bogo`'s B-system (one nonzero
-        int per 1/b_j), on checked variables, use it; outside input goes
-        through `Poly(...)`.
+        finishes every sum of products), the zero polynomial, `catalog`'s
+        Lax entries, walks and templates, `moser`'s equations read off an
+        exact solve and `bogo`'s B-system (one nonzero int per 1/b_j), on
+        checked variables, use it; outside input goes through `Poly(...)`.
         """
         p = object.__new__(cls)
         _set_variables(p, variables)
@@ -295,9 +279,14 @@ class Poly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], Scalar]:
-        """{exponent tuple: coefficient}, unpacked into a new dict on each read."""
-        n = len(self.variables)
-        return {_unpack(key, n): c for key, c in self.packed.items()}
+        """{exponent tuple: coefficient}, a new dict on each read."""
+        n, terms = len(self.variables), {}
+        for key, c in self.packed.items():
+            expo = [0] * n
+            for k, e in zip(*key_fields(key, n)):
+                expo[k] = e
+            terms[tuple(expo)] = c
+        return terms
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
@@ -376,19 +365,11 @@ class Poly:
         add_product(acc, p.packed.items(), q.packed.items(), key_layout(len(p.variables))[1])
         return poly_from_sum(p.variables, acc)
 
-    def __rmul__(self, other) -> "Poly":
-        return self.scale(other)
-
     def scale(self, value: Scalar) -> "Poly":
         c = normal(value)
         if not c:
             return Poly.zero(self.variables)
         return Poly._make(self.variables, {e: normal(c * v) for e, v in self.packed.items()})
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        return _ipow(self, n) if n else Poly.const(self.variables, 1)
 
     # ------------------------------------------------------------- calculus
 
@@ -396,12 +377,7 @@ class Poly:
         """Exact partial derivative with respect to one variable."""
         if name not in self.variables:
             raise KeyError(f"unknown variable {name!r}")
-        return self.diff_at(self.variables.index(name))
-
-    def diff_at(self, pos: int) -> "Poly":
-        """Exact partial derivative with respect to the variable at position
-        `pos` of self's variable list."""
-        unit = key_layout(len(self.variables))[0][pos]
+        unit = unit_keys(self.variables)[name]
         mask = unit * EXPONENT_LIMIT  # the variable's field
         terms = {}
         for key, coeff in self.packed.items():
@@ -509,7 +485,8 @@ _set_variables, _set_packed = (Poly.__dict__[name].__set__ for name in ("variabl
 
 def _ipow(scalar: Scalar, n: int) -> Scalar:
     """scalar ** n for n >= 0 by square-and-multiply: at most 2 log2(n)
-    products, and a plain 1 for n = 0.  `Poly.__pow__` uses it too."""
+    products, and a plain 1 for n = 0.  `subst_linear` raises each scale
+    factor to its exponent with it."""
     out = None
     while True:
         if n & 1:
@@ -580,19 +557,6 @@ def cleared(polys: Sequence[Poly]) -> tuple[int, list]:
     if d == 1:
         return 1, [p.packed.items() for p in polys]
     return d, [[(k, _times(c, d)) for k, c in p.packed.items()] for p in polys]
-
-
-def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
-    zero, out = Poly.zero(A[0][0].variables), []
-    guard = key_layout(len(zero.variables))[1]
-    nonzero = [[(j, b.packed.items()) for j, b in enumerate(b_row) if b.packed] for b_row in B]
-    for row in A:
-        sums: list[dict[int, Scalar]] = [{} for _ in B[0]]
-        for a, b_nonzero in zip(row, nonzero):
-            for j, b in b_nonzero if a.packed else ():
-                add_product(sums[j], a.packed.items(), b, guard)
-        out.append([poly_from_sum(zero.variables, acc) if acc else zero for acc in sums])
-    return out
 
 
 def equation_lines(variables: Sequence[str], rhs: Sequence[Poly]) -> list[str]:

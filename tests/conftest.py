@@ -12,7 +12,8 @@ from todavolterra.flows import compile_field, integrate
 from todavolterra.poisson import (
     LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
 from todavolterra.polyalg import (
-    I_UNIT, GaussianRational, Poly, _ipow, divide, normal, unit_keys, variable_sort_key)
+    I_UNIT, GaussianRational, Poly, _ipow, add_product, divide, key_layout, normal,
+    poly_from_sum, unit_keys, variable_sort_key)
 
 
 def pytest_addoption(parser):
@@ -47,6 +48,38 @@ def assert_normal(value):
     for q in parts:
         assert type(q) in (int, Fraction), f"{q!r} is not an exact rational"
         assert (type(q) is int) == (q.denominator == 1), f"{q!r} is not in normal form"
+
+
+def to_complex(c) -> complex:
+    """The complex value of an exact scalar of Q(i)."""
+    if isinstance(c, GaussianRational):
+        return complex(float(c.re), float(c.im))
+    return complex(c)
+
+
+def tensor_sum(pi: PoissonTensor, rho: PoissonTensor) -> PoissonTensor:
+    """pi + rho, entry by entry: the sum whose Jacobiator the compatibility
+    oracles compute, where the package reads the mixed term alone."""
+    if pi.variables != rho.variables:
+        raise ValueError("tensors on different variable lists")
+    keys = set(pi.upper) | set(rho.upper)
+    return PoissonTensor(pi.variables, {k: pi.entry(*k) + rho.entry(*k) for k in keys})
+
+
+def poly_matrix_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
+    """The dense product A B of two matrices of polynomials: the oracle of
+    the band rules (`moser.square_and_split`) and the closed walks
+    (`catalog.hamiltonian`)."""
+    zero, out = Poly.zero(A[0][0].variables), []
+    guard = key_layout(len(zero.variables))[1]
+    nonzero = [[(j, b.packed.items()) for j, b in enumerate(b_row) if b.packed] for b_row in B]
+    for row in A:
+        sums: list[dict] = [{} for _ in B[0]]
+        for a, b_nonzero in zip(row, nonzero):
+            for j, b in b_nonzero if a.packed else ():
+                add_product(sums[j], a.packed.items(), b, guard)
+        out.append([poly_from_sum(zero.variables, acc) if acc else zero for acc in sums])
+    return out
 
 
 def degree(p: Poly):
@@ -152,8 +185,7 @@ def evaluate(p, point):
         vals = [complex(x) for x in point]
         total = 0j
         for expo, coeff in p.terms.items():
-            c = complex(coeff) if isinstance(coeff, GaussianRational) else float(coeff)
-            term = complex(c)
+            term = to_complex(coeff)
             for x, e in zip(vals, expo):
                 if e:
                     term *= x**e

@@ -233,7 +233,7 @@ class TestI4:
         for n in (2, 3, 4):
             sys = catalog.SystemId("toda", "a", n)
             X = hamiltonian_vf(catalog.tensor(sys, 1), catalog.hamiltonian(sys, 1))
-            assert X.is_zero
+            assert all(p.is_zero for p in X.components)
 
     def test_involution_of_integrals(self):
         sys = catalog.SystemId("toda", "a", 3)

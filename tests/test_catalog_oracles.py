@@ -31,14 +31,14 @@ from todavolterra.catalog import SystemId, lax_size, variables
 from todavolterra.poisson import (
     LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf,
     pushforward_sign)
-from todavolterra.polyalg import I_UNIT, Poly, poly_matrix_mul, variable_sort_key
+from todavolterra.polyalg import I_UNIT, Poly, variable_sort_key
 from todavolterra.reduction import (
     FiniteGroupAction, FixedPointChart, NotPoissonActionError, check_poisson_action,
     fixed_point_chart)
 
 from conftest import (
     MIXED_CYCLES, i4_hamiltonian, invariant_average, lift, old_fixed_point_chart, old_restrict,
-    powers, read_poly, sid)
+    poly_matrix_mul, powers, read_poly, sid)
 
 
 def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
@@ -258,17 +258,18 @@ def old_x_flow(n: int) -> PolyVectorField:
         raise ValueError("n must be >= 1")
     vars_ = moser.x_variables(n)
     V = lambda name: Poly.var(vars_, name)
+    square = lambda name: V(name) * V(name)
     comps = []
     for i in range(1, n + 1):
         xi = V(f"x{i}")
         if i == n:
             rhs = -(xi * xi * xi)
             if n > 1:
-                rhs = rhs - xi * V(f"x{n - 1}") ** 2
+                rhs = rhs - xi * square(f"x{n - 1}")
         else:
-            rhs = xi * V(f"x{i + 1}") ** 2
+            rhs = xi * square(f"x{i + 1}")
             if i > 1:
-                rhs = rhs - xi * V(f"x{i - 1}") ** 2
+                rhs = rhs - xi * square(f"x{i - 1}")
         comps.append(rhs)
     return PolyVectorField(vars_, comps)
 

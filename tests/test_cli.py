@@ -18,7 +18,7 @@ from todavolterra.cli import (
 )
 from todavolterra.poisson import PoissonTensor
 
-from conftest import read_poly, sid
+from conftest import read_poly, sid, tensor_sum
 
 # The checks `verify all --max-rank 6` ran at the benchmark's seed commit.
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected"
@@ -259,7 +259,7 @@ class TestPerturbedTensorFails:
             if k != 3:
                 return pi
             extra = {("a1", "b1"): read_poly("a1*b1^3", pi.variables)}
-            return pi + PoissonTensor.from_brackets(pi.variables, extra)
+            return tensor_sum(pi, PoissonTensor.from_brackets(pi.variables, extra))
 
         monkeypatch.setattr(catalog, "tensor", perturbed)
 

@@ -8,7 +8,7 @@ from todavolterra import catalog, moser, reduction
 from todavolterra.polyalg import GaussianRational, Poly
 from todavolterra.poisson import PolyVectorField, directional_action
 
-from conftest import evaluate, imag_part, real_part, substitute
+from conftest import evaluate, imag_part, poly_matrix_mul, real_part, substitute
 
 # every --N that `moser` accepts (tests/test_cli.py checks the bounds)
 CLI_SIZES = range(5, 42, 2)
@@ -60,7 +60,8 @@ class TestXFlow:
         xf = moser.x_flow(n)
         xv = moser.x_variables(n)
         a_flow = catalog.bn_volterra_flow(n)
-        sub = {f"a{i}": Poly.var(xv, f"x{i}") ** 2 * (-2) for i in range(1, n + 1)}
+        x = {i: Poly.var(xv, f"x{i}") for i in range(1, n + 1)}
+        sub = {f"a{i}": (x[i] * x[i]).scale(-2) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             lhs = Poly.var(xv, f"x{i}").scale(-4) * xf.component(f"x{i}")
             rhs = substitute(a_flow.component(f"a{i}"), sub)
@@ -82,6 +83,24 @@ class TestSquareAndSplit:
         split = moser.square_and_split(N)
         assert (split.odd_deleted.size, split.even_deleted.size) == sizes
         assert (split.odd_deleted.tag, split.even_deleted.tag) == tags
+
+    @pytest.mark.parametrize("N", CLI_SIZES)
+    def test_band_rule_matches_the_dense_product(self, N):
+        # `square_and_split` writes the zeros of L^2 by its band rule, so
+        # this comparison with the dense product L L is what gives the
+        # parity and block tests below their meaning
+        L = moser.x_lax(N)
+        assert [list(row) for row in moser.square_and_split(N).squared] == poly_matrix_mul(L, L)
+
+    @pytest.mark.parametrize("N", [5, 41])
+    def test_a_square_without_the_left_term_fails(self, N):
+        # negative control: drop s_{p-1}^2 from each diagonal entry (p, p)
+        L = moser.x_lax(N)
+        M = [list(row) for row in moser.square_and_split(N).squared]
+        for p in range(1, N):
+            M[p][p] = M[p][p] - L[p - 1][p] * L[p - 1][p]
+        dense = poly_matrix_mul(L, L)
+        assert [p for p in range(N) if M[p][p] != dense[p][p]] == list(range(1, N))
 
     @pytest.mark.parametrize("N", CLI_SIZES)
     def test_parity_blocks_vanish(self, N):
@@ -162,7 +181,7 @@ class TestIdentifyJacobi:
         # x_i' = x_i^2 makes every derivative odd in x; the generators and
         # their products are even, so the exact solve is inconsistent
         vs = moser.x_variables(4)
-        flow = PolyVectorField(vs, [Poly.var(vs, v) ** 2 for v in vs])
+        flow = PolyVectorField(vs, [Poly.var(vs, v) * Poly.var(vs, v) for v in vs])
         block = moser.square_and_split(9).odd_deleted
         with pytest.raises(ValueError, match="not expressible"):
             moser.identify_jacobi(block, flow)
@@ -174,7 +193,7 @@ class TestIdentifyJacobi:
         vs = moser.x_variables(4)
         base = moser.x_flow(4)
         comps = list(base.components)
-        comps[3] = comps[3] + Poly.var(vs, "x4") ** 2
+        comps[3] = comps[3] + Poly.var(vs, "x4") * Poly.var(vs, "x4")
         block = moser.square_and_split(9).odd_deleted
         moser.identify_jacobi(block, base)
         with pytest.raises(ValueError, match="not expressible"):
@@ -209,7 +228,8 @@ class TestIdentifyJacobi:
             toda = catalog.flow(sys_b, 2)
             gen_vars = ident.variables
             sub = {
-                f"a{i}": Poly.var(gen_vars, f"A{i}") ** 2 for i in range(1, m + 1)
+                f"a{i}": Poly.var(gen_vars, f"A{i}") * Poly.var(gen_vars, f"A{i}")
+                for i in range(1, m + 1)
             }
             sub.update(
                 {f"b{i}": Poly.var(gen_vars, f"B{i}") for i in range(1, m + 1)}
@@ -241,7 +261,8 @@ class TestIdentifyJacobi:
             chart = reduction.fixed_point_chart(group)
             gen_vars = ident.variables
             sub = {
-                f"a{i}": Poly.var(gen_vars, f"A{i}") ** 2 for i in range(1, m + 1)
+                f"a{i}": Poly.var(gen_vars, f"A{i}") * Poly.var(gen_vars, f"A{i}")
+                for i in range(1, m + 1)
             }
             sub.update(
                 {f"b{i}": Poly.var(gen_vars, f"B{i}") for i in range(1, m + 1)}

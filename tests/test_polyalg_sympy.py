@@ -167,7 +167,7 @@ def test_every_public_result_in_normal_form(p, q):
     images = {v: q for v in V}
     half = {"a1": ("a2", Fraction(1, 2)), "a2": ("a1", 2), "b1": ("b1", 1)}
     results = [
-        p ** 2,
+        p * p,
         substitute(p, images),
         p.subst_linear(half),
         p.subst_linear({**half, "b1": ("b1", I_UNIT)}),

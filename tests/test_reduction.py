@@ -20,7 +20,7 @@ from todavolterra.reduction import (
 
 from conftest import (
     MIXED_CYCLES, compose, entry_named, identity, invariant_average, is_identity, lift,
-    old_reduced_bracket, powers, random_poly)
+    old_reduced_bracket, powers, random_poly, tensor_sum)
 
 
 def constraints(chart: FixedPointChart) -> list[Poly]:
@@ -263,7 +263,7 @@ def random_invariant_tensor(rng, group: FiniteGroupAction) -> PoissonTensor:
     pi, total = PoissonTensor(vs, upper), PoissonTensor(vs, {})
     elements = powers(group.generator)
     for g in elements:
-        total = total + pushforward_bivector(g, pi)
+        total = tensor_sum(total, pushforward_bivector(g, pi))
     return total.scale(Fraction(1, len(elements)))
 
 
@@ -312,7 +312,7 @@ class TestAgainstTheAveragingRecipe:
             pi = random_invariant_tensor(rng, group)
             got = reduced_bracket(pi, group)
             assert got == old_reduced_bracket(pi, group)
-            nonzero += not got.is_zero
+            nonzero += bool(got.upper)
         assert nonzero >= 3
 
 

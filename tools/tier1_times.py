@@ -12,6 +12,8 @@ appends one point to the JSON file (created if missing):
 - `per_file_s`: the reported setup, call and teardown durations summed per
   test file (pytest rounds each to 0.01 s, so the sum reads a little low);
 - `top_tests`: the 20 slowest tests, their three phases summed;
+- `lines`: the line counts of the `*.py` files under `src/` and `tests/`, so
+  a point states the size of the code it timed;
 - `machine`: platform, python, CPU count and CPU model.
 
 Run it from the root of the checkout to time:
@@ -77,6 +79,17 @@ def run_tier1() -> tuple[int, str, float, float]:
     return proc.returncode, proc.stdout, wall, cpu
 
 
+def line_count(root: str) -> int:
+    """Lines of the `*.py` files under `root`, as `wc -l` counts them."""
+    total = 0
+    for folder, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
+
+
 def point(label: str, code: int, output: str, wall: float, cpu: float) -> dict:
     per_test: dict[str, float] = defaultdict(float)
     for line in output.splitlines():
@@ -98,6 +111,7 @@ def point(label: str, code: int, output: str, wall: float, cpu: float) -> dict:
         "per_file_s": {f: round(s, 2) for f, s in sorted(per_file.items(), key=lambda kv: -kv[1])},
         "top_tests": [{"test": node, "s": round(s, 2)}
                       for node, s in sorted(per_test.items(), key=lambda kv: -kv[1])[:TOP]],
+        "lines": {"src": line_count("src"), "tests": line_count("tests")},
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count(), "cpu_model": cpu_model()},
     }
