@@ -152,6 +152,15 @@ def _initial_point(args, sys_id) -> np.ndarray:
     return np.array([rng.uniform(*ranges[v[0]]) for v in vars_])
 
 
+def _approx(num: int, den: int = 1) -> str:
+    """num / den in `.3g` form, through `decimal` past float range."""
+    try:
+        return f"{num / den:.3g}"
+    except OverflowError:
+        from decimal import Context  # not at the top, where it would come before numpy
+        return f"{Context(prec=3).divide(num, den).normalize():g}"
+
+
 # The most a `simulate` run may ask for, as `_estimated_bytes` counts it.
 MEMORY_BUDGET_BYTES = 1 << 30
 
@@ -181,8 +190,7 @@ def _estimated_bytes(sys_id, n_steps: int) -> int:
 # (toda-a:13 --flow 10, mostly the compile of the generated RK4 step) and
 # 0.49 s (toda-a:316 --flow 1, mostly the monitors' band recursion for
 # tr(L^1..L^316), about 50,000 diagonal updates on two states), process
-# wall, median of 3; with the dense Lax powers the second took 0.73 s on
-# the same host.
+# wall, median of 3.
 MAX_FLOW_WORK = 200_000
 
 
@@ -200,7 +208,7 @@ def _check_flow(sys_id, k: int) -> None:
     work = N * N * 2**k
     if work > MAX_FLOW_WORK:
         raise ValueError(
-            f"--flow {k} on {sys_id} would need setup work N^2 * 2^k = {work:.3g} "
+            f"--flow {k} on {sys_id} would need setup work N^2 * 2^k = {_approx(work)} "
             f"(N = {N}, the Lax size; limit {MAX_FLOW_WORK:g}); "
             "lower --flow or the lattice size"
         )
@@ -211,7 +219,7 @@ def _cmd_simulate(args) -> int:
     need = _estimated_bytes(sys_id, flows.step_count(args.t_end, args.h))
     if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
-            f"run would need about {need / 2**30:.3g} GiB for its states and Lax "
+            f"run would need about {_approx(need, 2**30)} GiB for its states and Lax "
             f"arrays (limit {MEMORY_BUDGET_BYTES / 2**30:g} GiB); "
             "lower --t-end or the lattice size, or raise --h"
         )
@@ -219,33 +227,20 @@ def _cmd_simulate(args) -> int:
     vf = catalog.flow(sys_id, args.flow)
     x0 = _initial_point(args, sys_id)
     traj = flows.integrate(vf, x0, args.t_end, args.h)
-    # the Lax powers of a finite state may overflow: a monitored value that is
-    # not finite ends the run as an escape does, with no numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.format == "json":
-            report = flows.monitors(traj, sys_id)
-            values = [*report.hamiltonian_drift.values(), *report.charpoly_drift]
-            finite = all(map(math.isfinite, values))
-            text = _json("simulate", {
-                "system": str(sys_id),
-                "flow": args.flow,
-                "t_end": args.t_end,
-                "h": args.h,
-                "seed": args.seed,
-                "x0": [float(x) for x in x0],
-                # a constant of the simulate/v1 schema; it does not name the kernel
-                "backend": "numpy",
-                "monitors": report.to_json_dict(),
-            })
-        else:
-            text = flows.trajectory_csv(traj, sys_id, decimate=args.decimate)
-            # each cell below the header is a float's repr; only inf and nan hold an "n"
-            finite = "n" not in text.partition("\n")[2]
-    if not finite:
-        raise ValueError(
-            "a monitored H_k or char-poly value is not finite (the powers of the Lax "
-            "matrix left float range); start from a smaller initial point"
-        )
+    if args.format == "json":
+        text = _json("simulate", {
+            "system": str(sys_id),
+            "flow": args.flow,
+            "t_end": args.t_end,
+            "h": args.h,
+            "seed": args.seed,
+            "x0": [float(x) for x in x0],
+            # a constant of the simulate/v1 schema; it does not name the kernel
+            "backend": "numpy",
+            "monitors": flows.monitors(traj, sys_id),
+        })
+    else:
+        text = flows.trajectory_csv(traj, sys_id, decimate=args.decimate)
     if args.out:
         # an absolute --out discards the directory
         path = os.path.join(os.environ.get("TODAVOLTERRA_OUT_DIR", "."), args.out)

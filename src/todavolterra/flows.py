@@ -23,11 +23,14 @@ no BLAS routine, so their values do not depend on the kernel a machine
 dispatches to.
 The coefficients come from the three-term continuant on d and e, which
 stays accurate at every size (Newton's identities on the traces lose
-accuracy exponentially in the size).  The bands are taken one block of
-`CHARPOLY_BLOCK` states at a time and the drifts kept as running maxima, so
-the monitors' memory does not grow with the trajectory; the CSV monitors
-only the rows it writes.  The float cross-check that the flows commute,
-`commutation_check`, lives with its tests in tests/conftest.py.  Systems are parsed `catalog.SystemId`s.
+accuracy exponentially in the size).  One loop, `_monitor_values`, takes
+the bands one block of `CHARPOLY_BLOCK` states at a time, so the monitors'
+memory does not grow with the trajectory, and raises ValueError, with no
+numpy warning, when a monitored value is not finite (the Lax powers of a
+finite state may overflow); `monitors` keeps running maxima of its drifts,
+and the CSV monitors only the rows it writes.  The float cross-check that
+the flows commute, `commutation_check`, lives with its tests in
+tests/conftest.py.  Systems are parsed `catalog.SystemId`s.
 """
 
 from __future__ import annotations
@@ -157,18 +160,6 @@ def monitored_hamiltonian_indices(sys: catalog.SystemId) -> list[int]:
     if fam == "volterra" and kind == "a":
         return [2 * k for k in range(1, (n - 1) // 2 + 1)] or [2]
     return [4, 8]
-
-
-@dataclass
-class DriftReport:
-    hamiltonian_drift: dict[int, float]
-    charpoly_drift: list[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hamiltonian_drift": {str(k): v for k, v in self.hamiltonian_drift.items()},
-            "charpoly_drift": self.charpoly_drift,
-        }
 
 
 def lax_values(sys: catalog.SystemId, states: np.ndarray) -> np.ndarray:
@@ -358,14 +349,9 @@ def hamiltonian_values(sys: catalog.SystemId, k: int, states: np.ndarray) -> np.
 # States per monitor block.  A block's bands, the diagonals `band_traces`
 # carries for two consecutive powers and its continuant are the monitors'
 # only per-state temporaries, so their memory does not grow with the
-# trajectory: the `simulate` benchmark workload peaked at 60.4 MB with
-# whole-trajectory [T, N, N] arrays, at 34.7 MB with blocks of 1,024 dense
-# Lax matrices, at 33.0 MB with blocks of 1,024 states read as bands and
-# multiplied as dense matrices, and at 32.2 MB with the band recursion (a
-# first batched matmul alone raises a fresh process's peak by about 0.4 MB
-# beyond its result).  The band recursion makes a fixed number of numpy
-# calls per block.  With the traces summed in place (`_diagonal_sum`), on
-# the `simulate` benchmark calls (seed 1, one pinned CPU, min of 15), blocks
+# trajectory (the `simulate` benchmark workload peaks at about 32 MB).  The
+# band recursion makes a fixed number of numpy calls per block.  On the
+# `simulate` benchmark calls (seed 1, one pinned CPU, min of 15), blocks
 # of 128 states took 4.6 times the monitor time of blocks of 1,024 on
 # toda-a:3 and 3.4 times on volterra-a:11; blocks of 2,048 were 25-29 %
 # faster on toda-a:3 and 15-16 % slower on volterra-a:11, blocks of 4,096
@@ -375,31 +361,39 @@ CHARPOLY_BLOCK = 1024
 
 
 def _monitor_values(sys: catalog.SystemId, states: np.ndarray):
-    """Per block of `CHARPOLY_BLOCK` states, in order: the monitored H_k
-    ([b, K], k in `monitored_hamiltonian_indices` order) and the char-poly
-    coefficients ([b, N]), both from one set of Lax bands.
-
-    Each matrix is computed on its own, so a state gets the same values in
-    a block of any size."""
+    """Per block of `CHARPOLY_BLOCK` states: the monitored H_k ([b, K], in
+    `monitored_hamiltonian_indices` order), their drifts from the first
+    state and the char-poly coefficient drifts ([b, N]), each matrix on its
+    own.  A drift that is not finite (as the first state's |x0 - x0| is for
+    a value that is not) raises ValueError, with no numpy warning."""
     ks = np.array(monitored_hamiltonian_indices(sys))
+    first = None
     for s in range(0, len(states), CHARPOLY_BLOCK):
-        d, e = lax_bands(sys, states[s : s + CHARPOLY_BLOCK])
-        yield lax_traces(sys, d, e, int(ks.max()))[:, ks - 1] / ks, charpoly_coefficients(d, e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, e = lax_bands(sys, states[s : s + CHARPOLY_BLOCK])
+            h_vals = lax_traces(sys, d, e, int(ks.max()))[:, ks - 1] / ks
+            drifts = h_vals.copy(), charpoly_coefficients(d, e)
+            del d, e
+            first = first or [v[0].copy() for v in drifts]
+            for v, v0 in zip(drifts, first):  # in place: no temporaries beside the yielded arrays
+                np.abs(np.subtract(v, v0, out=v), out=v)
+        if not all(np.isfinite(v).all() for v in drifts):
+            raise ValueError(
+                "a monitored H_k or char-poly value is not finite (the powers of the Lax "
+                "matrix left float range); start from a smaller initial point")
+        yield h_vals, *drifts
 
 
-def monitors(traj: Trajectory, sys: catalog.SystemId) -> DriftReport:
-    """Max drift of the trace Hamiltonians and char-poly coefficients, as
-    running maxima over the blocks of `_monitor_values`."""
-    first = drift = None
-    for values in _monitor_values(sys, traj.states):
-        if first is None:
-            first = [v[0] for v in values]
-            drift = [np.zeros(v.shape[1]) for v in values]
-        # np.maximum, unlike max(), keeps a NaN drift
-        drift = [np.maximum(d, np.max(np.abs(v - f), axis=0))
-                 for d, v, f in zip(drift, values, first)]
-    h_drift, cp_drift = (d.tolist() for d in drift)
-    return DriftReport(dict(zip(monitored_hamiltonian_indices(sys), h_drift)), cp_drift)
+def monitors(traj: Trajectory, sys: catalog.SystemId) -> dict:
+    """The max drift of each monitored H_k, keyed by k as text, and of each
+    char-poly coefficient, as running maxima over the blocks of
+    `_monitor_values`: the "monitors" object of `simulate`'s JSON."""
+    h_max = cp_max = 0.0
+    for _, h_drift, cp_drift in _monitor_values(sys, traj.states):
+        h_max = np.maximum(h_max, h_drift.max(axis=0))
+        cp_max = np.maximum(cp_max, cp_drift.max(axis=0))
+    ks = map(str, monitored_hamiltonian_indices(sys))
+    return {"hamiltonian_drift": dict(zip(ks, h_max.tolist())), "charpoly_drift": cp_max.tolist()}
 
 
 # ---------------------------------------------------------------------- csv
@@ -408,7 +402,7 @@ def monitors(traj: Trajectory, sys: catalog.SystemId) -> DriftReport:
 def trajectory_csv(traj: Trajectory, sys: catalog.SystemId, decimate: int = 1) -> str:
     """CSV text: t, <vars...>, <H_k...>, <charpoly drifts...> per row, for
     every `decimate`-th state and always the last one.  Only the written
-    rows are monitored."""
+    rows are monitored, one block of `_monitor_values` at a time."""
     ks = monitored_hamiltonian_indices(sys)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -418,13 +412,10 @@ def trajectory_csv(traj: Trajectory, sys: catalog.SystemId, decimate: int = 1) -
     )
     last = traj.states.shape[0] - 1
     rows = [*range(0, last, decimate), last]
-    blocks = _monitor_values(sys, traj.states[rows])
-    for s, (h_vals, coeffs) in zip(range(0, len(rows), CHARPOLY_BLOCK), blocks):
-        if s == 0:
-            first = coeffs[0]
-        block = rows[s : s + CHARPOLY_BLOCK]
-        columns = zip(traj.times[block].tolist(), traj.states[block].tolist(),
-                      h_vals.tolist(), np.abs(coeffs - first).tolist())
-        for t, x, h, drift in columns:
+    states = traj.states[rows]
+    written = zip(traj.times[rows].tolist(), map(np.ndarray.tolist, states))
+    for h_vals, _, cp_drift in _monitor_values(sys, states):
+        # `written` last: zip stops at the block's end without taking a row
+        for h, drift, (t, x) in zip(h_vals.tolist(), cp_drift.tolist(), written):
             writer.writerow([repr(v) for v in (t, *x, *h, *drift)])
     return buf.getvalue()

@@ -244,20 +244,17 @@ def bracket(pi: PoissonTensor, F: Poly, G: Poly) -> Poly:
 
 
 def hamiltonian_vf(pi: PoissonTensor, H: Poly) -> PolyVectorField:
-    """Hamiltonian field with X_H(F) = {F, H}: component i is sum_j pi^ij dH/dx_j."""
+    """Hamiltonian field with X_H(F) = {F, H}: component a is sum_l pi^al dH/dx_l."""
     if H.variables != pi.variables:
         raise ValueError("Hamiltonian and tensor on different variable lists")
     units, guard = key_layout(pi.dim)
     d_pi, entries = cleared(pi.upper.values())
     d_h, (h,) = cleared([H])
-    grad = _gradient(h, units)
-    minus = {i: [(e, -c) for e, c in g] for i, g in grad.items()}
+    rows = _rows(pi, entries)
     sums: list[dict] = [{} for _ in range(pi.dim)]
-    for (i, j), p in zip(pi.upper, entries):
-        if j in grad:
-            add_product(sums[i], p, grad[j], guard)
-        if i in grad:
-            add_product(sums[j], p, minus[i], guard)
+    for l, dl in _gradient(h, units).items():
+        for a, _, p_al in rows[l]:
+            add_product(sums[a], p_al, dl, guard)
     return PolyVectorField(pi.variables, [poly_from_sum(pi.variables, acc, d_pi * d_h)
                                           for acc in sums])
 

@@ -101,13 +101,13 @@ def i4_hamiltonian(n: int) -> Poly:
 
 
 def max_hamiltonian_drift(rep) -> float:
-    """The largest H_k drift of a `flows.DriftReport`, 0.0 when none is monitored."""
-    return max(rep.hamiltonian_drift.values(), default=0.0)
+    """The largest H_k drift of a `flows.monitors` report, 0.0 when none is monitored."""
+    return max(rep["hamiltonian_drift"].values(), default=0.0)
 
 
 def max_charpoly_drift(rep) -> float:
-    """The largest char-poly coefficient drift of a `flows.DriftReport`."""
-    return max(rep.charpoly_drift, default=0.0)
+    """The largest char-poly coefficient drift of a `flows.monitors` report."""
+    return max(rep["charpoly_drift"], default=0.0)
 
 
 def random_poly(rng, variables, max_terms=4, max_exp=2, max_coef=4):

@@ -563,6 +563,23 @@ class TestSimulateInput:
             "matrix left float range); start from a smaller initial point\n"
         )
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--decimate", "2"], 0), (["--decimate", "1"], 2), (["--format", "json"], 2)])
+    def test_csv_monitors_only_its_written_rows(self, capsys, monkeypatch, argv, code):
+        # a finite state whose H_2 and H_3 overflow, at step 1: the CSV
+        # skips it at --decimate 2, the JSON monitors every state
+        integrate = flows.integrate
+
+        def with_overflow(*args):
+            traj = integrate(*args)
+            traj.states[1] = [1e300, -1e300, 1e300, -1e300, 1e300]
+            return traj
+
+        monkeypatch.setattr(flows, "integrate", with_overflow)
+        got, _, err = run(capsys, "simulate", "--system", "toda-a:3", "--t-end", "0.04",
+                          "--h", "0.01", *argv)
+        assert (got, err.startswith("error: a monitored H_k")) == (code, code == 2)
+
     def test_large_state_with_finite_monitors_exits_0(self, capsys, tmp_path):
         # tr(L^6) ~ a^3 = 1e300 and c_6 stay finite; the dense Lax powers
         # overflowed in diagonals far from the main one (a^5 in L^5), turned
@@ -610,6 +627,8 @@ class TestSimulateFlow:
         ("toda-b:10", 20, "4.62e+08"),
         ("toda-a:400", 6, "1.02e+07"),
         ("toda-a:1000", 2, "4e+06"),
+        # past float range: formatting the estimate raised OverflowError
+        ("toda-a:2000", 1500, "1.4e+458"),
     ])
     def test_costly_setup_rejected_at_once(self, capsys, system, k, work):
         start = time.perf_counter()
@@ -652,6 +671,8 @@ class TestSimulateMemory:
         (["--system", "toda-a:2", "--t-end", "1e12", "--h", "1e-3"], "1.19e+08"),
         # rejected before the lattice is built
         (["--system", "toda-a:1000000000"], "2.24e+14"),
+        # past float range: formatting the estimate raised OverflowError
+        (["--system", f"toda-a:{10**160}", "--t-end", "0.01"], "2.46e+313"),
     ])
     def test_over_budget_exits_2(self, capsys, argv, need):
         code, out, err = run(capsys, "simulate", *argv)

@@ -34,7 +34,7 @@ BIG = str(10**400)
 VALUES = {
     "system": (tuple(f"{name}:{n}" for name in FAMILIES for n in "1234"),
                ("toda-d:2", "toda:2", "toda-a:0", "toda-a:-1", "toda-a:10000000",
-                "volterra-a:x", "", "toda-a", "toda-a:2:3", ":")),
+                "toda-a:" + BIG, "volterra-a:x", "", "toda-a", "toda-a:2:3", ":")),
     "bracket": (("1", "2", "3", "4"), ("-1", "0", "5", "x")),
     "brackets": (("1,2", "2,3", "1,3", "2,4"), ("0,9", "1", "1,2,3", "a,b")),
     "n": (("1", "2"), ("17", BIG) + NON_NUMBERS),

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -406,8 +407,8 @@ class TestMonitors:
         ]
         traj = flows.integrate(catalog.flow(sys, 2), x0, 10.0, 1e-3)
         rep = flows.monitors(traj, sys)
-        assert rep.hamiltonian_drift[2] < 1e-8
-        assert rep.hamiltonian_drift[4] < 1e-8
+        assert rep["hamiltonian_drift"]["2"] < 1e-8
+        assert rep["hamiltonian_drift"]["4"] < 1e-8
 
     def test_km_isospectrality(self, rng):
         sys = catalog.SystemId("volterra", "a", 5)
@@ -423,7 +424,7 @@ class TestMonitors:
         x0 = [-rng.uniform(0.1, 0.6) for _ in range(3)]
         traj = flows.integrate(catalog.bn_volterra_flow(3), x0, 5.0, 1e-3)
         rep = flows.monitors(traj, sys)
-        assert rep.hamiltonian_drift[4] < 1e-9
+        assert rep["hamiltonian_drift"]["4"] < 1e-9
         assert max_charpoly_drift(rep) < 1e-9
 
 
@@ -575,9 +576,9 @@ def old_monitor_values(sys, states):
 
 def old_monitors(traj, sys):
     h_vals, coeffs = old_monitor_values(sys, traj.states)
-    h_drift = {k: float(np.max(np.abs(vals - vals[0]))) for k, vals in h_vals.items()}
+    h_drift = {str(k): float(np.max(np.abs(vals - vals[0]))) for k, vals in h_vals.items()}
     cp_drift = [float(np.max(np.abs(coeffs[:, k] - coeffs[0, k]))) for k in range(coeffs.shape[1])]
-    return flows.DriftReport(h_drift, cp_drift)
+    return {"hamiltonian_drift": h_drift, "charpoly_drift": cp_drift}
 
 
 def old_trajectory_csv(traj, sys, decimate=1):
@@ -625,11 +626,13 @@ class TestStreamedMonitors:
         sys = catalog.parse_system(name)
         traj = _random_trajectory(name, n_states)
         h_old, c_old = old_monitor_values(sys, traj.states)
-        h_new, c_new = (np.concatenate(v) for v in zip(*flows._monitor_values(sys, traj.states)))
-        assert np.array_equal(h_new, np.array(list(h_old.values())).T)
-        assert np.array_equal(c_new, c_old)
-        new, old = flows.monitors(traj, sys), old_monitors(traj, sys)
-        assert repr(new.to_json_dict()) == repr(old.to_json_dict())
+        h_old = np.array(list(h_old.values())).T
+        blocks = zip(*flows._monitor_values(sys, traj.states))
+        h_new, h_drift, c_drift = (np.concatenate(v) for v in blocks)
+        assert np.array_equal(h_new, h_old)
+        assert np.array_equal(h_drift, np.abs(h_old - h_old[0]))
+        assert np.array_equal(c_drift, np.abs(c_old - c_old[0]))
+        assert repr(flows.monitors(traj, sys)) == repr(old_monitors(traj, sys))
 
     @pytest.mark.parametrize("n_states", [B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize("decimate", [1, 7, 100, 5000])
@@ -640,27 +643,39 @@ class TestStreamedMonitors:
         traj = _random_trajectory("toda-a:4", n_states)
         assert flows.trajectory_csv(traj, sys, decimate) == old_trajectory_csv(traj, sys, decimate)
 
-    def test_overflow_drift_is_kept(self):
-        # a state past the first block whose Lax powers overflow: the drift
-        # is inf or NaN in both forms, not dropped by the running maximum
-        sys = catalog.parse_system("toda-a:4")
-        traj = _random_trajectory("toda-a:4", B + 5)
-        traj.states[B + 2] = [1e300, -1e300, 1e300, -1e300, 1e300, -1e300, 1e300]
-        with np.errstate(over="ignore", invalid="ignore"):
-            new, old = flows.monitors(traj, sys), old_monitors(traj, sys)
-        assert new.hamiltonian_drift[2] == math.inf and math.isnan(new.hamiltonian_drift[4])
-        assert repr(new.to_json_dict()) == repr(old.to_json_dict())
+    # finite states whose monitored values overflow: the Lax powers on
+    # toda-a:4, the parity-block entries e_p e_{p+1} on volterra-a:6
+    OVERFLOWS = [("toda-a:4", [1e300, -1e300, 1e300, -1e300, 1e300, -1e300, 1e300]),
+                 ("volterra-a:6", [1e200, 1e200, -1e200, 1e200, 1e200])]
 
-    def test_volterra_block_overflow_drift_is_kept(self):
-        # finite states whose parity-block entries e_p e_{p+1} overflow
-        sys = catalog.parse_system("volterra-a:6")
-        traj = _random_trajectory("volterra-a:6", B + 5)
-        traj.states[B + 2] = [1e200, 1e200, -1e200, 1e200, 1e200]
+    @staticmethod
+    def _overflow_past_the_first_block(name, state):
+        traj = _random_trajectory(name, B + 5)
+        traj.states[B + 2] = state
+        return catalog.parse_system(name), traj
+
+    @pytest.mark.parametrize("name, state", OVERFLOWS)
+    def test_overflow_in_a_later_block_raises(self, name, state):
+        sys, traj = self._overflow_past_the_first_block(name, state)
         with np.errstate(over="ignore", invalid="ignore"):
-            new, old = flows.monitors(traj, sys), old_monitors(traj, sys)
-        assert not all(map(math.isfinite, new.hamiltonian_drift.values()))
-        assert not all(map(math.isfinite, new.charpoly_drift))
-        assert repr(new.to_json_dict()) == repr(old.to_json_dict())
+            old = old_monitors(traj, sys)
+        assert not all(map(math.isfinite, [*old["hamiltonian_drift"].values(),
+                                           *old["charpoly_drift"]]))
+        with pytest.raises(ValueError, match="a monitored H_k or char-poly value is not finite"):
+            flows.monitors(traj, sys)
+        with pytest.raises(ValueError, match="a monitored H_k or char-poly value is not finite"):
+            flows.trajectory_csv(traj, sys)
+        # rows 0, 4, ..., B + 4 skip state B + 2: the CSV monitors only its rows
+        assert flows.trajectory_csv(traj, sys, 4).count("\n") == 1 + B // 4 + 2
+
+    @pytest.mark.parametrize("name, state", OVERFLOWS)
+    def test_overflow_raises_with_no_warning(self, name, state):
+        sys, traj = self._overflow_past_the_first_block(name, state)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError):
+                flows.monitors(traj, sys)
+        assert caught == []
 
     def test_memory_does_not_grow_with_the_trajectory(self):
         # whole-trajectory [T, N, N] arrays took about 55 MB here

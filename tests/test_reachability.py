@@ -26,7 +26,8 @@ SRC = Path(__file__).parents[1] / "src" / "todavolterra"
 
 # every `verify` leaf, `reduce` for each map, `bogo` A-D, `moser` in both
 # formats, `simulate` on every family in both formats (toda-c has no flow
-# and is refused), an escape and a rejected call: (argv, exit code)
+# and is refused), an escape, a run over the memory budget and a rejected
+# call: (argv, exit code)
 CALLS = [
     *[(["verify", *leaf, "--format", fmt], 0) for fmt in ("text", "json") for leaf in [
         ["jacobi", "--system", "toda-a:3", "--bracket", "2"],
@@ -50,6 +51,7 @@ CALLS = [
       for system in ("toda-a:3", "toda-b:2", "toda-c:2", "volterra-a:4", "volterra-b:2",
                      "volterra-c:2")],
     (["simulate", "--system", "toda-a:6", "--x0", "x0.json", "--format", "json"], 2),
+    (["simulate", "--system", "toda-a:1000000000"], 2),
     (["verify", "jacobi", "--system", "toda-x:3", "--bracket", "1"], 2),
 ]
 

@@ -9,11 +9,11 @@ root; it imports the package from that checkout's `src/`:
     python3 tools/output_digest.py            # per-call lines and the total
     python3 tools/output_digest.py --total    # the five totals only
 
-The list: the benchmark's calls at seeds 1 and 2 (their argv and starting
-points are built here), `moser --N 5..21`, `bogo` A-D at ranks 1..12,
-`reduce` for every map, `verify reduction` for every case at n = 1..4,
-`verify involution` for every map and `verify all --max-rank 7`.  Their total
-is the first `total` line.
+The list: the benchmark's calls at seeds 1 and 2, with their argv and
+starting points taken from perfbench/workloads.py, `moser --N 5..21`, `bogo`
+A-D at ranks 1..12, `reduce` for every map, `verify reduction` for every
+case at n = 1..4, `verify involution` for every map and `verify all
+--max-rank 7`.  Their total is the first `total` line.
 
 A second list, `parsing_calls`, runs every subcommand that parses
 `--system` and has exact output: `verify jacobi/compatible/deformation/
@@ -43,11 +43,11 @@ A fifth list, `float_calls`, runs `simulate` in JSON and in CSV on one
 lattice of each family it runs (toda-a, toda-b, volterra-a at an odd and an
 even size, and volterra-b), each from a fixed `--x0` file.  Its total is the
 `float total` line, and its per-call lines show which families a change to
-the float path moves.  The float path calls no BLAS routine, so the
-total does not depend on the OpenBLAS kernel (CI compares it under two core
-types), but float bits may still differ across CPUs and numpy builds, so
-this list is kept out of `tests/golden/`: compare it between two checkouts
-on one machine.
+the float path moves.  The float path calls no BLAS routine, so no total
+depends on the OpenBLAS kernel (CI compares all five under two core types),
+but float bits may still differ across CPUs and numpy builds, so this list
+is kept out of `tests/golden/`: compare it between two checkouts on one
+machine.
 """
 
 from __future__ import annotations
@@ -63,46 +63,18 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import workloads  # noqa: E402  (the benchmark's own list, imported read-only)
 from todavolterra import catalog, cli  # noqa: E402
 
 J = ["--format", "json"]
 
-# (system, t_end, format) of the benchmark's `simulate` calls, at h = 1e-3
-SIMULATE = [("toda-a:3", 10.0, "json"), ("toda-a:8", 5.0, "csv"), ("volterra-a:11", 10.0, "json")]
-
-
-def initial_point(system: str, seed: int) -> dict:
-    """The benchmark's seeded starting point: a_i > 0, toda points on the
-    fixed set of psi (a_i = a_(N-i), b_i = -b_(N+1-i))."""
-    family, n = system.split(":")
-    n = int(n)
-    rng = random.Random(f"{seed}/{system}")
-    if family == "volterra-a":
-        return {"a": [rng.uniform(0.1, 1.0) for _ in range(n - 1)]}
-    a = [rng.uniform(0.1, 1.0) for _ in range(n // 2)]
-    b = [rng.uniform(-1.0, 1.0) for _ in range(n // 2)]
-    middle_b = [0.0] if n % 2 else []
-    return {"a": a + a[: (n - 1) - len(a)][::-1],
-            "b": b + middle_b + [-x for x in reversed(b)]}
-
 
 def calls(work_dir: str) -> list[tuple[str, list[str]]]:
     """(label, argv) of every call, writing the `--x0` files into work_dir."""
-    out = []
-    for seed in (1, 2):
-        out.append((f"seed {seed}", ["verify", "all", "--max-rank", "6", *J]))
-        out.append((f"seed {seed}", ["moser", "--N", "17", *J]))
-        out.append((f"seed {seed}", ["reduce", "--system", "toda-a:13", "--map", "phi_toda",
-                                     "--bracket", "3", *J]))
-        out += [(f"seed {seed}", ["bogo", "--type", t, "--rank", "8", *J]) for t in "ABCD"]
-        for system, t_end, fmt in SIMULATE:
-            path = os.path.join(work_dir, f"x0-{system.replace(':', '')}-seed{seed}.json")
-            with open(path, "w") as fh:
-                json.dump(initial_point(system, seed), fh)
-            out.append((f"seed {seed}", ["simulate", "--system", system, "--t-end", repr(t_end),
-                                         "--h", "0.001", "--format", fmt, "--x0", path]))
+    out = [(f"seed {seed}", argv) for seed in (1, 2) for workload in workloads.WORKLOADS
+           for _, argv in workloads.calls(workload, seed, work_dir)]
     out += [("", ["moser", "--N", str(N), *J]) for N in range(5, 22, 2)]
     out += [("", ["bogo", "--type", t, "--rank", str(r), *J]) for t in "ABCD" for r in range(1, 13)]
     reduce = [("toda-a:4", "psi", 2), ("toda-a:5", "psi", 2), ("toda-a:5", "phi_toda", 3),
