@@ -333,15 +333,17 @@ def _tensor(sys: SystemId, k: int, vars_: tuple[str, ...]) -> PoissonTensor:
     count = Counter(v[0] for v in vars_)  # sites per letter: a1..ap, b1..bq
     last = LAST_SITE.get((sys.name, k), ())
     unit = unit_keys(vars_)
-    brackets = {}
-    # the LAST_SITE entries come second, so they replace the bulk at site n
+    pos = {v: j for j, v in enumerate(vars_)}
+    upper = {}
+    # (u, v) goes to (pos[u], pos[v]), so the tensor rejects u after v; the
+    # LAST_SITE entries come second, so they replace the bulk at site n
     for template, only in ((TENSORS[sys.name, k], None), (last, count["a"])):
         for (lu, ou), (lv, ov), p in template:
             for i in range(max(1 - ou, 1 - ov), min(count[lu] - ou, count[lv] - ov) + 1):
                 if only in (None, i):
-                    brackets[(f"{lu}{i + ou}", f"{lv}{i + ov}")] = local(
+                    upper[pos[f"{lu}{i + ou}"], pos[f"{lv}{i + ov}"]] = local(
                         vars_, unit, p, (i,))
-    return PoissonTensor.from_brackets(vars_, brackets)
+    return PoissonTensor(vars_, upper)
 
 
 @lru_cache(maxsize=None)

@@ -184,13 +184,13 @@ def _estimated_bytes(sys_id, n_steps: int) -> int:
 
 
 # The most setup work a `simulate` run may ask for, N^2 * 2^k for the H_k flow
-# on a Lax matrix of size N: H_k has about N * 2^k terms, each an exponent
-# tuple of length about 2N.  On a 2-vCPU x86 VM (Xeon, Python 3.11), with
-# --t-end 0.001 --h 0.001, the costliest accepted cases took 0.53 s
-# (toda-a:13 --flow 10, mostly the compile of the generated RK4 step) and
-# 0.49 s (toda-a:316 --flow 1, mostly the monitors' band recursion for
-# tr(L^1..L^316), about 50,000 diagonal updates on two states), process
-# wall, median of 3.
+# on a Lax matrix of size N: the machine words of H_k's keys, at most about
+# N * 2^k terms each keyed by one int of about 2N 16-bit exponent fields.  On
+# a 2-vCPU x86 VM (Xeon, Python 3.11), with --t-end 0.001 --h 0.001, the
+# costliest accepted cases took 0.53 s (toda-a:13 --flow 10, mostly the
+# compile of the generated RK4 step) and 0.49 s (toda-a:316 --flow 1, mostly
+# the monitors' band recursion for tr(L^1..L^316), about 50,000 diagonal
+# updates on two states), process wall, median of 3.
 MAX_FLOW_WORK = 200_000
 
 

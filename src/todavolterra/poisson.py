@@ -122,7 +122,8 @@ class PolyVectorField:
 
 
 class PoissonTensor:
-    """Antisymmetric matrix of polynomials, stored by its strict upper triangle.
+    """Antisymmetric matrix of polynomials, stored by its strict upper triangle
+    by position: `upper[i, j]` is {x_i, x_j}, i < j; the names are labels only.
 
     Antisymmetry is structural: entry(i, j) returns the stored polynomial for
     i < j, its negative for i > j and zero on the diagonal.  The Jacobi
@@ -151,24 +152,6 @@ class PoissonTensor:
 
     def __setattr__(self, *args):
         raise AttributeError("PoissonTensor is immutable")
-
-    # ------------------------------------------------------------- building
-
-    @staticmethod
-    def from_brackets(
-        variables: Sequence[str], brackets: Mapping[tuple[str, str], Poly]
-    ) -> "PoissonTensor":
-        """Build from named entries {x_u, x_v}; (u, v) order is respected."""
-        variables = tuple(variables)
-        pos = {v: k for k, v in enumerate(variables)}
-        upper: dict[tuple[int, int], Poly] = {}
-        for (u, v), p in brackets.items():
-            i, j = pos[u], pos[v]
-            if i == j:
-                raise ValueError("diagonal bracket {x,x} must be zero")
-            key, q = ((i, j), p) if i < j else ((j, i), -p)
-            upper[key] = upper[key] + q if key in upper else q
-        return PoissonTensor(variables, upper)
 
     # ------------------------------------------------------------- accessors
 

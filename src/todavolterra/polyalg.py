@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
@@ -186,18 +185,6 @@ class GaussianRational:
 I_UNIT = GaussianRational(0, 1)
 
 Scalar = Union[int, Fraction, GaussianRational]
-
-
-_VAR_KEY_RE = re.compile(r"([A-Za-z]+)(\d*)$")
-
-
-def variable_sort_key(name: str) -> tuple[str, int]:
-    """Sort key ordering 'a1' < 'a2' < 'b1': alphabetic prefix, then index."""
-    m = _VAR_KEY_RE.match(name)
-    if not m:
-        return (name, 0)
-    prefix, digits = m.groups()
-    return (prefix, int(digits) if digits else 0)
 
 
 def format_scalar(c: Scalar) -> str:

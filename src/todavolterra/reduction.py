@@ -10,14 +10,15 @@ restrict back.
 The fixed-point set is generally *not* a Poisson submanifold; restricting the
 tensor naively would be wrong.  The averaging step is what makes the recipe
 well defined.  Everything is read off one walk of each cycle of g, from its
-smallest variable r: g^j sends r to (w_j, C_j) for j = 0..L-1, and the
-cycle's scale product P = C_L is 1, -1, i or -i.  A fixed point has
-x_r = C_j x_{w_j}, so x_{w_j} = x_r / C_j when P = 1, and the whole cycle is
-zero when P != 1 (x_r = P x_r).  On the reduced coordinate r the averaged
-lift is linear, (1/L) sum_j C_j x_{w_j}: each ambient variable has one lift
-weight C_j / L, and {lift r, lift r'} is the sum of weight_v weight_w pi^vw
-over the stored entries pi^vw.  `reduced_bracket` restricts each stored
-entry once, into the one reduced entry its two cycles name.
+first variable r in the generator's order: g^j sends r to (w_j, C_j) for
+j = 0..L-1, and the cycle's scale product P = C_L is 1, -1, i or -i.  A
+fixed point has x_r = C_j x_{w_j}, so x_{w_j} = x_r / C_j when P = 1, and
+the whole cycle is zero when P != 1 (x_r = P x_r).  On the reduced
+coordinate r the averaged lift is linear, (1/L) sum_j C_j x_{w_j}: each
+ambient variable has one lift weight C_j / L, and {lift r, lift r'} is the
+sum of weight_v weight_w pi^vw over the stored entries pi^vw.
+`reduced_bracket` restricts each stored entry once, into the one reduced
+entry its two cycles name.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .polyalg import I_UNIT, Poly, Scalar, divide, normal, variable_sort_key
+from .polyalg import I_UNIT, Poly, Scalar, divide, normal
 from .poisson import LinearMap, PoissonTensor, pushforward_sign
 
 
@@ -36,9 +37,9 @@ class NotPoissonActionError(ValueError):
 class FiniteGroupAction:
     """The cyclic group generated by one LinearMap g of finite order, as g's cycles.
 
-    `cycles` lists `(path, P)` per cycle, in the order of its smallest
-    variable r: `path[j] = (w_j, C_j)` says (g^j x)_r = C_j x_{w_j} for
-    j = 0..L-1 (C_0 = 1), and P = C_L is the product of the cycle's scales.
+    `cycles` lists `(path, P)` per cycle in the order of r, the cycle's first
+    variable in the generator's order: `path[j] = (w_j, C_j)` says (g^j x)_r
+    = C_j x_{w_j} for j = 0..L-1 (C_0 = 1), P = C_L the product of its scales.
     g has finite order exactly when every P is a root of unity, and the only
     ones in Q(i) are 1, -1, i and -i.  Any other product raises `ValueError`.
     """
@@ -48,7 +49,7 @@ class FiniteGroupAction:
         self.variables = generator.variables
         self.cycles: list[tuple[list[tuple[str, Scalar]], Scalar]] = []
         seen: set[str] = set()
-        for r in sorted(self.variables, key=variable_sort_key):
+        for r in self.variables:
             if r in seen:
                 continue
             path, w, c = [], r, 1
@@ -68,9 +69,8 @@ class FixedPointChart:
 
     section: {ambient variable v: (w, c)}, a `Poly.subst_linear` table
     saying x_v = c * x_w on the fixed-point set, w a reduced variable; c = 0
-    on a cycle forced to zero (w is then the cycle's ambient representative).
-    Each reduced coordinate is named after the ambient variable that
-    represents its cycle.
+    on a cycle forced to zero.  Each cycle is represented, and its reduced
+    coordinate named, by the cycle's first variable in the generator's order.
     """
 
     ambient_variables: tuple[str, ...]

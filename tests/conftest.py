@@ -13,7 +13,7 @@ from todavolterra.poisson import (
     LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf)
 from todavolterra.polyalg import (
     I_UNIT, GaussianRational, Poly, _ipow, add_product, divide, key_layout, normal,
-    poly_from_sum, unit_keys, variable_sort_key)
+    poly_from_sum, unit_keys)
 
 
 def pytest_addoption(parser):
@@ -31,6 +31,19 @@ def sid(text: str) -> catalog.SystemId:
 def entry_named(pi: PoissonTensor, u: str, v: str) -> Poly:
     """The entry {u, v} of pi, by variable names."""
     return pi.entry(pi.variables.index(u), pi.variables.index(v))
+
+
+def named_tensor(variables, brackets) -> PoissonTensor:
+    """The tensor with {x_u, x_v} = p for each (u, v): p in `brackets`, u
+    listed before v in `variables` (the constructor rejects the other order)."""
+    pos = {v: k for k, v in enumerate(variables)}
+    return PoissonTensor(variables, {(pos[u], pos[v]): p for (u, v), p in brackets.items()})
+
+
+def name_key(name: str) -> tuple[str, int]:
+    """The oracles' order of variable names: letters, then index ('a2' < 'a10' < 'b1')."""
+    letters, index = re.fullmatch(r"([A-Za-z]+)(\d*)", name).groups()
+    return letters, int(index or 0)
 
 
 @pytest.fixture
@@ -352,9 +365,9 @@ def old_fixed_point_chart(group: reduction.FiniteGroupAction) -> OldChart:
         root, _ = walk(v)
         classes.setdefault(root, []).append(v)
 
-    reps = {root: min(members, key=variable_sort_key) for root, members in classes.items()}
+    reps = {root: min(members, key=name_key) for root, members in classes.items()}
     reduced = sorted(
-        (reps[root] for root in classes if root not in zero_roots), key=variable_sort_key
+        (reps[root] for root in classes if root not in zero_roots), key=name_key
     )
 
     section: dict[str, Poly] = {}

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from todavolterra import catalog, checks, reduction
+from todavolterra.cli import MAX_VERIFY_SYSTEM, _check_flow
 from todavolterra.polyalg import GaussianRational, Poly
 from todavolterra.poisson import (
     bracket,
@@ -12,7 +13,20 @@ from todavolterra.poisson import (
     lie_derivative_bivector,
 )
 
-from conftest import compose, entry_named, i4_hamiltonian, powers, sid
+from conftest import compose, entry_named, i4_hamiltonian, name_key, powers, sid
+
+
+def cli_sizes(name: str) -> range:
+    """Every lattice parameter of the family up to the largest a CLI command
+    takes: `verify`'s cap (above `reduce`'s), or the largest size whose
+    lowest `simulate --flow` passes the setup-work check."""
+    k, n = (2 if name in ("volterra-b", "volterra-c") else 1), MAX_VERIFY_SYSTEM
+    while True:
+        try:
+            _check_flow(sid(f"{name}:{n + 1}"), k)
+        except ValueError:
+            return range(2 if name.endswith("-a") else 1, n + 1)
+        n += 1
 
 
 class TestSystemId:
@@ -32,6 +46,16 @@ class TestVariables:
 
     def test_volterra_b_smallest(self):
         assert catalog.variables(sid("volterra-b:1")) == ("a1",)
+
+    @pytest.mark.parametrize("name", [f"{f}-{t}" for f in ("toda", "volterra") for t in "abc"])
+    def test_in_name_order_up_to_the_cli_caps(self, name):
+        # the reduction names each reduced coordinate after its cycle's first
+        # variable in the map's order; this order makes that the lowest site
+        sizes = cli_sizes(name)
+        assert sizes[-1] >= MAX_VERIFY_SYSTEM
+        for n in sizes:
+            vars_ = catalog.variables(sid(f"{name}:{n}"))
+            assert list(vars_) == sorted(vars_, key=name_key), n
 
     def test_toda_b(self):
         assert catalog.variables(sid("toda-b:2")) == ("a1", "a2", "b1", "b2")
@@ -123,6 +147,17 @@ class TestTensors:
             assert catalog.tensor(sys, 3) == lie_derivative_bivector(
                 Z1, catalog.tensor(sys, 2)
             ).scale(-1)
+
+    def test_template_entry_out_of_order_raises(self, monkeypatch):
+        # {a_i, b_i} listed as (b_i, a_i) would land below the diagonal: the
+        # tensor rejects it instead of storing the negated entry
+        A0, B0 = catalog.A0, catalog.B0
+        swapped = tuple((B0, A0, p) if (u, v) == (A0, B0) else (u, v, p)
+                        for u, v, p in catalog.TENSORS["toda-a", 2])
+        assert swapped != catalog.TENSORS["toda-a", 2]
+        monkeypatch.setitem(catalog.TENSORS, ("toda-a", 2), swapped)
+        with pytest.raises(ValueError, match="out of range"):
+            catalog.tensor.__wrapped__(sid("toda-a:3"), 2)
 
     def test_quartic_volterra_entries(self):
         sys = catalog.SystemId("volterra", "a", 5)

@@ -31,14 +31,14 @@ from todavolterra.catalog import SystemId, lax_size, variables
 from todavolterra.poisson import (
     LinearMap, PoissonTensor, PolyVectorField, directional_action, hamiltonian_vf,
     pushforward_sign)
-from todavolterra.polyalg import I_UNIT, Poly, variable_sort_key
+from todavolterra.polyalg import I_UNIT, Poly
 from todavolterra.reduction import (
     FiniteGroupAction, FixedPointChart, NotPoissonActionError, check_poisson_action,
     fixed_point_chart)
 
 from conftest import (
-    MIXED_CYCLES, i4_hamiltonian, invariant_average, lift, old_fixed_point_chart, old_restrict,
-    poly_matrix_mul, powers, read_poly, sid)
+    MIXED_CYCLES, i4_hamiltonian, invariant_average, lift, name_key, named_tensor,
+    old_fixed_point_chart, old_restrict, poly_matrix_mul, powers, read_poly, sid)
 
 
 def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
@@ -52,7 +52,7 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
         for i in range(1, n):
             entries[(f"a{i}", f"b{i}")] = P(f"a{i}")
             entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     if key == ("toda", "a", 2):
         entries = {}
@@ -62,7 +62,7 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
             entries[(f"a{i}", f"b{i}")] = P(f"a{i}*b{i}")
             entries[(f"a{i}", f"b{i + 1}")] = P(f"-a{i}*b{i + 1}")
             entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     if key == ("toda", "a", 3):
         entries = {}
@@ -75,7 +75,7 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
             entries[(f"b{i}", f"b{i + 1}")] = P(f"-a{i}*b{i} - a{i}*b{i + 1}")
         for i in range(1, n - 1):
             entries[(f"a{i}", f"b{i + 2}")] = P(f"-a{i}*a{i + 1}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     if key == ("toda", "b", 1):
         entries = {}
@@ -83,7 +83,7 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
             entries[(f"a{i}", f"b{i}")] = P(f"1/2*a{i}")
             if i < n:
                 entries[(f"a{i}", f"b{i + 1}")] = P(f"-1/2*a{i}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     if key == ("toda", "b", 3):
         entries = {}
@@ -97,14 +97,14 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
         entries[(f"a{n}", f"b{n}")] = P(f"1/2*a{n}*b{n}^2 + a{n}^2")
         for i in range(1, n - 1):
             entries[(f"a{i}", f"b{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     if key == ("volterra", "a", 2):
         entries = {}
         m = n - 1
         for i in range(1, m):
             entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}*a{i + 1}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     if key == ("volterra", "a", 4):
         entries = {}
@@ -113,7 +113,7 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
             entries[(f"a{i}", f"a{i + 1}")] = P(f"-a{i}^2*a{i + 1} - a{i}*a{i + 1}^2")
         for i in range(1, m - 1):
             entries[(f"a{i}", f"a{i + 2}")] = P(f"-a{i}*a{i + 1}*a{i + 2}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     if kind in ("b", "c") and fam == "volterra" and k == 4:
         entries = {}
@@ -125,7 +125,7 @@ def old_tensor(sys: SystemId, k: int) -> PoissonTensor:
             )
         for i in range(1, n - 1):
             entries[(f"a{i}", f"a{i + 2}")] = P(f"-1/2*a{i}*a{i + 1}*a{i + 2}")
-        return PoissonTensor.from_brackets(vars_, entries)
+        return named_tensor(vars_, entries)
 
     raise ValueError(f"no catalog tensor pi_{k} for {sys}")
 
@@ -536,8 +536,8 @@ def chart_without_stabilizer_test(group: FiniteGroupAction) -> FixedPointChart:
     """Negative control: the orbit chart with its zero-orbit test left out."""
     elements = powers(group.generator)
     orbit = {v: [g.images[v] for g in elements] for v in group.variables}
-    rep = {v: min((w for w, _ in images), key=variable_sort_key) for v, images in orbit.items()}
-    reduced = tuple(sorted(set(rep.values()), key=variable_sort_key))
+    rep = {v: min((w for w, _ in images), key=name_key) for v, images in orbit.items()}
+    reduced = tuple(sorted(set(rep.values()), key=name_key))
     section = {v: (r, next(c for w, c in orbit[v] if w == r)) for v, r in rep.items()}
     return FixedPointChart(group.variables, reduced, section)
 

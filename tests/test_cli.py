@@ -16,9 +16,8 @@ from todavolterra.cli import (
     build_parser,
     main,
 )
-from todavolterra.poisson import PoissonTensor
 
-from conftest import read_poly, sid, tensor_sum
+from conftest import named_tensor, read_poly, sid, tensor_sum
 
 # The checks `verify all --max-rank 6` ran at the benchmark's seed commit.
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected"
@@ -259,7 +258,7 @@ class TestPerturbedTensorFails:
             if k != 3:
                 return pi
             extra = {("a1", "b1"): read_poly("a1*b1^3", pi.variables)}
-            return tensor_sum(pi, PoissonTensor.from_brackets(pi.variables, extra))
+            return tensor_sum(pi, named_tensor(pi.variables, extra))
 
         monkeypatch.setattr(catalog, "tensor", perturbed)
 

@@ -110,6 +110,13 @@ class TestChart:
                                  "a4": ("a1", 1), "b1": ("b1", 1), "b2": ("b2", 1),
                                  "b3": ("b3", 0), "b4": ("b2", -1), "b5": ("b1", -1)}
 
+    def test_cycle_represented_by_the_maps_first_variable(self):
+        # the generator's order, not the names, picks the representative
+        swap = LinearMap(("a2", "a1"), {"a2": ("a1", 1), "a1": ("a2", 1)})
+        chart = fixed_point_chart(FiniteGroupAction(swap))
+        assert chart.reduced_variables == ("a2",)
+        assert chart.section == {"a2": ("a2", 1), "a1": ("a2", 1)}
+
     def test_projection_section_identity(self):
         chart = fixed_point_chart(phi_group(5))
         for u in chart.reduced_variables:
